@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--certificate", action="store_true",
                         help="report the robustness margin / separation bound")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count for the parallel sections")
     common.add_argument("--trace", action="store_true",
                         help="include the per-iteration trace")
 
@@ -71,6 +69,8 @@ def _trace_json(records: list[IterationRecord]) -> list[dict]:
              "eps": rat_str(r.eps),
              "result": _tri_text(r.result),
              "complexes": r.complexes,
+             "cells_evaluated": r.cells_evaluated,
+             "faces_evaluated": r.faces_evaluated,
              "degrees": r.degrees}
             for r in records]
 
@@ -99,11 +99,12 @@ def _report(verdict: Verdict, args) -> None:
         print(f"certificate ({kind}): {cert}")
     if args.trace:
         for r in verdict.trace:
-            extra = ""
+            extra = (f"  cells evaluated: {r.cells_evaluated}"
+                     f"  faces evaluated: {r.faces_evaluated}")
             if r.complexes:
                 degs = ", ".join("failure" if d is None else str(d)
                                  for d in r.degrees)
-                extra = f"  complexes: {r.complexes}  degrees: [{degs}]"
+                extra += f"  complexes: {r.complexes}  degrees: [{degs}]"
             print(f"  iteration {r.iteration}: eps {rat_str(r.eps)} "
                   f"-> {{{_tri_text(r.result)}}}{extra}")
 
@@ -111,8 +112,7 @@ def _report(verdict: Verdict, args) -> None:
 def _solve(args) -> int:
     try:
         sentence = _load_sentence(args.input)
-        verdict = quasi_decide(sentence, budget=args.budget, eps=args.epsilon,
-                               workers=args.workers)
+        verdict = quasi_decide(sentence, budget=args.budget, eps=args.epsilon)
     except (ParseError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -147,7 +147,7 @@ def _corpus(args) -> int:
             sentence = parse(path.read_text())
             verdict = quasi_decide(sentence,
                                    budget=budget or args.budget,
-                                   eps=args.epsilon, workers=args.workers)
+                                   eps=args.epsilon)
         except (ParseError, DomainError, ValueError) as exc:
             print(f"FAIL  {path.name}: {exc}")
             failures += 1

@@ -90,6 +90,8 @@ def _deg_cycle(
     top_bounds: Optional[list[Fraction]],
 ) -> Optional[int]:
     """Degree of fs over an oriented cycle of (len(fs)-1)-cells."""
+    if not cycle:  # e.g. a region boundary that cancelled out entirely
+        return 0
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():

@@ -8,6 +8,7 @@ from typing import Sequence, Union
 from .evaluation import eval_env
 from .intervals import Precision, RatBox, RatInterval, ival, rat
 from .formulas import Formula, aligned_terms, same_structure
+from .geometry import bisect_box
 from . import terms as T
 
 
@@ -63,20 +64,12 @@ def sup_abs_enclosure(
         active = []
         for cell, enc in scored:
             if enc.hi >= best_lo:
-                active.extend(_bisect_cell(cell))
+                active.extend(bisect_box(cell))
         depth += 1
 
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
     return ival(max(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def _bisect_cell(cell: RatBox) -> list[RatBox]:
-    out = [RatBox(())]
-    for iv in cell.intervals:
-        halves = iv.split() if not iv.is_degenerate else (iv,)
-        out = [b.product(RatBox((h,))) for b in out for h in halves]
-    return out
 
 
 def distance_enclosure(

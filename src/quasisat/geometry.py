@@ -1,4 +1,4 @@
-"""Uniform grids over boxes, face adjacency, cell merging, and oriented
+"""Uniform grids over boxes, index blocks, face adjacency, and oriented
 boundaries of box complexes."""
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Iterable, Iterator, Optional
 from .intervals import RatBox, RatInterval, ival, rat
 
 CellIndex = tuple[int, ...]
+Block = tuple[CellIndex, CellIndex]  # cells lo <= idx < hi on every axis
 
 
 @dataclass(frozen=True)
@@ -46,62 +47,53 @@ class Grid:
     def cell(self, idx: CellIndex) -> RatBox:
         return RatBox(tuple(self.cell_interval(a, i) for a, i in enumerate(idx)))
 
-    def indices(self) -> Iterator[CellIndex]:
-        def rec(a: int, prefix: CellIndex) -> Iterator[CellIndex]:
-            if a == self.dim:
-                yield prefix
-                return
-            for i in range(self.counts[a]):
-                yield from rec(a + 1, prefix + (i,))
-        yield from rec(0, ())
-
-    def axis_cuts(self, axis: int) -> list[Fraction]:
-        iv = self.base[axis]
-        n = self.counts[axis]
-        step = iv.width / n
-        return [iv.lo + step * i for i in range(n)] + [iv.hi]
-
     def cells(self) -> Iterator[tuple[CellIndex, RatBox]]:
-        if self.dim == 1:  # hot path: reuse each cut for both neighbors
-            cuts = self.axis_cuts(0)
-            for i in range(self.counts[0]):
-                yield (i,), RatBox((RatInterval(cuts[i], cuts[i + 1]),))
-            return
-        for idx in self.indices():
+        for idx in _multi_range(list(self.counts)):
             yield idx, self.cell(idx)
 
-    def face_box(self, axis: int, plane: int, idx: CellIndex) -> RatBox:
-        """The (dim-1)-face at cut `plane` of `axis`; `idx` indexes the
+    def block(self, lo: CellIndex, hi: CellIndex) -> RatBox:
+        """The box covering the cells with lo <= idx < hi on every axis."""
+        return RatBox(tuple(ival(self.cut(a, i), self.cut(a, j))
+                            for a, (i, j) in enumerate(zip(lo, hi))))
+
+    def face(self, axis: int, plane: int, rest: CellIndex) -> "Face":
+        """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
         cells along the remaining axes."""
-        parts = []
-        j = 0
-        for a in range(self.dim):
-            if a == axis:
-                parts.append(ival(self.cut(axis, plane)))
-            else:
-                parts.append(self.cell_interval(a, idx[j]))
-                j += 1
-        return RatBox(tuple(parts))
+        at = _insert(rest, axis, plane)
+        face_box = RatBox(tuple(
+            ival(self.cut(a, i)) if a == axis else self.cell_interval(a, i)
+            for a, i in enumerate(at)))
+        lower = _insert(rest, axis, plane - 1) if plane > 0 else None
+        upper = at if plane < self.counts[axis] else None
+        return Face(face_box, axis, lower, upper)
 
     def faces(self) -> Iterator["Face"]:
-        """All grid faces, each degenerate in exactly one axis."""
-        if self.dim == 1:
-            cuts = self.axis_cuts(0)
-            n = self.counts[0]
-            for plane in range(n + 1):
-                yield Face(RatBox((RatInterval(cuts[plane], cuts[plane]),)), 0,
-                           (plane - 1,) if plane > 0 else None,
-                           (plane,) if plane < n else None)
-            return
+        """All grid faces, each degenerate in exactly one axis, ordered by
+        axis, then plane, then the cell index along the other axes."""
         for axis in range(self.dim):
             other = [c for a, c in enumerate(self.counts) if a != axis]
             for plane in range(self.counts[axis] + 1):
                 for rest in _multi_range(other):
-                    lower = _insert(rest, axis, plane - 1) if plane > 0 else None
-                    upper = (_insert(rest, axis, plane)
-                             if plane < self.counts[axis] else None)
-                    yield Face(self.face_box(axis, plane, rest), axis,
-                               lower, upper)
+                    yield self.face(axis, plane, rest)
+
+    def cell_faces(self, idx: CellIndex) -> Iterator["Face"]:
+        """The 2*dim faces of cell `idx`, lower before upper on each axis."""
+        for axis in range(self.dim):
+            rest = idx[:axis] + idx[axis + 1:]
+            for plane in (idx[axis], idx[axis] + 1):
+                yield self.face(axis, plane, rest)
+
+
+def halve_block(lo: CellIndex, hi: CellIndex) -> Optional[tuple[Block, Block]]:
+    """Split the index block [lo, hi) in half along its longest index
+    range (the first such axis); None when the block is a single cell."""
+    widths = [j - i for i, j in zip(lo, hi)]
+    if all(w == 1 for w in widths):
+        return None
+    axis = widths.index(max(widths))
+    mid = (lo[axis] + widths[axis] // 2,)
+    return ((lo, hi[:axis] + mid + hi[axis + 1:]),
+            (lo[:axis] + mid + lo[axis + 1:], hi))
 
 
 def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
@@ -153,39 +145,6 @@ class BoxComplex:
     @property
     def dim(self) -> int:
         return self.cells[0].dim
-
-
-def merge_cells(grid: Grid, zero_faces: Iterable[Face]) -> list[BoxComplex]:
-    """SoEI merge step: join cells through internal zero-faces, then drop
-    every component that touches a zero-face on the grid boundary."""
-    parent: dict[CellIndex, CellIndex] = {}
-
-    def find(i: CellIndex) -> CellIndex:
-        root = i
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(i, i) != i:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(i: CellIndex, j: CellIndex) -> None:
-        parent[find(i)] = find(j)
-
-    doomed_roots: set[CellIndex] = set()
-    doomed_cells: set[CellIndex] = set()
-    for face in zero_faces:
-        if face.on_boundary:
-            doomed_cells.update(face.incident_cells)
-        else:
-            union(face.lower_cell, face.upper_cell)
-
-    groups: dict[CellIndex, list[CellIndex]] = {}
-    for idx in grid.indices():
-        groups.setdefault(find(idx), []).append(idx)
-    doomed_roots = {find(i) for i in doomed_cells}
-    return [BoxComplex(tuple(grid.cell(i) for i in members))
-            for root, members in sorted(groups.items())
-            if root not in doomed_roots]
 
 
 def oriented_boundary(cells: Iterable[RatBox]) -> dict[RatBox, int]:

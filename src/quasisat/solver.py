@@ -5,6 +5,14 @@ proven verdict for every parameter value in P, while {True, False} means
 the current refinement cannot decide.  The driver halves the refinement
 parameter until a singleton appears or the iteration budget runs out;
 non-robust sentences stay undecided forever, which is the honest answer.
+
+An existential block is checked on the grid `grid_cover(bounds, r)`
+without visiting all of it.  Index blocks of cells are refuted top-down:
+a block whose interval evaluation excludes a solution is dropped whole
+(its bound enters the FALSE separation), and any other block is halved
+along its longest index range until single plausible cells remain.  The
+zero-face merge then walks outward from the plausible cells only, so the
+work of an iteration follows the cells still in play, not the grid size.
 """
 from __future__ import annotations
 
@@ -13,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import IneqBand, eval_env, ineq_band, positive_lower_bound
+from .evaluation import eval_env, positive_lower_bound
 from .formulas import (And, Atom, Eq, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
-from .geometry import BoxComplex, grid_cover
+from .geometry import (Block, BoxComplex, CellIndex, Face, Grid, grid_cover,
+                       halve_block)
 from .intervals import EMPTY_BOX, Precision, RatBox, box, ival, rat
 from .degree import degree
 from . import terms as T
@@ -50,6 +59,8 @@ class IterationRecord:
     eps: Fraction
     result: TriValue
     complexes: int = 0
+    cells_evaluated: int = 0  # grid blocks and cells given the refutation test
+    faces_evaluated: int = 0  # cell faces given the zero-face test
     degrees: list[Optional[int]] = field(default_factory=list)
 
 
@@ -63,10 +74,9 @@ class Verdict:
 
 
 class _Context:
-    def __init__(self, degree_budget: int = 1000, workers: int = 1):
+    def __init__(self, degree_budget: int = 1000):
         self.degree_budget = degree_budget
-        self.workers = max(1, workers)
-        self.record: Optional[IterationRecord] = None
+        self.record = IterationRecord(0, Fraction(0), TRI_TF)  # replaced per iteration
 
 
 def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
@@ -116,38 +126,56 @@ def _soei(
     prec = prec_for(r)
     grid = grid_cover(s.bounds, r)
 
-    all_refuted = True
-    separation: Optional[Fraction] = None
-    unrefuted: list[tuple[int, ...]] = []
-    track_cells = n > 0 and n == m
-    for idx, cell in grid.cells():
-        full = p_box.product(cell)
-        env = dict(zip(names, full.intervals))
-        bound = _refutation_bound(eqs, ineqs, env, prec)
-        if bound is not None:
-            separation = bound if separation is None else min(separation, bound)
-            continue
-        all_refuted = False
-        if n == 0:
+    plausible, separation = _plausible_cells(eqs, ineqs, names, p_box, grid,
+                                             prec, ctx)
+    if not plausible:
+        return TRI_F, separation
+    if n == 0:
+        for idx in plausible:
+            full = p_box.product(grid.cell(idx))
             lb = positive_lower_bound(ineqs, full, names, prec)
             if lb is not None:  # every inequality strictly positive here
                 return TRI_T, lb
-        elif track_cells:
-            unrefuted.append(idx)
-    if all_refuted:
-        return TRI_F, separation
-    if not track_cells:  # n = 0 undecided, or underdetermined n > m
+    if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(s, eqs, ineqs, pnames, p_box, r, prec, grid,
-                              unrefuted, ctx)
+    return _soei_degree_phase(s, eqs, ineqs, pnames, p_box, prec, grid,
+                              plausible, ctx)
+
+
+def _plausible_cells(
+    eqs, ineqs, names, p_box: RatBox, grid: Grid, prec: Precision,
+    ctx: _Context,
+) -> tuple[list[CellIndex], Optional[Fraction]]:
+    """Refute the grid top-down: a refuted index block drops all of its
+    cells, a plausible one is halved until single cells remain.  Returns
+    the plausible cells in index order and the least separation bound of
+    the refuted blocks."""
+    separation: Optional[Fraction] = None
+    plausible: list[CellIndex] = []
+    blocks: list[Block] = [((0,) * grid.dim, grid.counts)]
+    while blocks:
+        lo, hi = blocks.pop()
+        full = p_box.product(grid.block(lo, hi))
+        bound = _refutation_bound(eqs, ineqs, dict(zip(names, full.intervals)),
+                                  prec)
+        ctx.record.cells_evaluated += 1
+        if bound is not None:
+            separation = bound if separation is None else min(separation, bound)
+            continue
+        halves = halve_block(lo, hi)
+        if halves is None:
+            plausible.append(lo)
+        else:
+            blocks.extend(halves)
+    return sorted(plausible), separation
 
 
 def _refutation_bound(
     eqs: Sequence[T.Term], ineqs: Sequence[T.Term],
     env: dict, prec: Precision,
 ) -> Optional[Fraction]:
-    """A positive separation bound when the cell admits no solution;
-    None when the cell stays plausible."""
+    """A positive separation bound when the box admits no solution;
+    None when the box stays plausible."""
     for f in eqs:
         enc = eval_env(f, env, prec)
         if enc.lo > 0:
@@ -161,69 +189,86 @@ def _refutation_bound(
     return None
 
 
+def _candidate_complexes(
+    eqs, names, p_box: RatBox, grid: Grid, prec: Precision,
+    plausible: list[CellIndex], ctx: _Context,
+) -> list[list[CellIndex]]:
+    """The cells of each zero-face component that holds a plausible cell
+    and no zero face on the grid boundary.
+
+    The components are grown outward from the plausible cells; one made
+    of refuted cells only has no zero, hence degree 0, and is skipped."""
+    members = set(plausible)
+    walk = list(plausible)
+    tested: set[tuple] = set()
+    joins: list[Face] = []
+    doomed: set[CellIndex] = set()
+    while walk:
+        idx = walk.pop()
+        for face in grid.cell_faces(idx):
+            key = (face.axis, face.lower_cell, face.upper_cell)
+            if key in tested:
+                continue
+            tested.add(key)
+            ctx.record.faces_evaluated += 1
+            full = p_box.product(face.box)
+            if not _zero_face(eqs, dict(zip(names, full.intervals)), prec):
+                continue
+            if face.on_boundary:
+                doomed.add(idx)
+                continue
+            joins.append(face)
+            other = face.upper_cell if face.lower_cell == idx else face.lower_cell
+            if other not in members:
+                members.add(other)
+                walk.append(other)
+
+    parent: dict[CellIndex, CellIndex] = {}
+
+    def find(i):
+        while parent.get(i, i) != i:
+            parent[i] = parent.get(parent[i], parent[i])  # path halving
+            i = parent[i]
+        return i
+
+    # union in `Grid.faces()` order (axis, plane, cell), so that each
+    # component's root, and with it the order of the complexes, is fixed
+    for face in sorted(joins, key=lambda f: (f.axis, f.upper_cell[f.axis],
+                                             f.upper_cell)):
+        parent[find(face.lower_cell)] = find(face.upper_cell)
+    doomed_roots = {find(i) for i in doomed}
+    candidates: dict[CellIndex, list[CellIndex]] = {}
+    for idx in sorted(members):
+        if find(idx) not in doomed_roots:
+            candidates.setdefault(find(idx), []).append(idx)
+    return [candidates[root] for root in sorted(candidates)]
+
+
 def _soei_degree_phase(
-    s: Exists, eqs, ineqs, pnames, p_box: RatBox, r: Fraction,
-    prec: Precision, grid, unrefuted: list[tuple[int, ...]], ctx: _Context,
+    s: Exists, eqs, ineqs, pnames, p_box: RatBox, prec: Precision,
+    grid: Grid, plausible: list[CellIndex], ctx: _Context,
 ) -> tuple[TriValue, Optional[Fraction]]:
     """Zero-face merging plus the degree test on candidate complexes."""
     names = pnames + s.vars
-
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def find(i):
-        root = i
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(i, i) != i:
-            parent[i], i = root, parent[i]
-        return root
-
-    doomed: set[tuple[int, ...]] = set()
-    members: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for face in grid.faces():
-        full = p_box.product(face.box)
-        env = dict(zip(names, full.intervals))
-        if not _zero_face(eqs, env, prec):
-            continue
-        if face.on_boundary:
-            doomed.update(face.incident_cells)
-        else:
-            parent[find(face.lower_cell)] = find(face.upper_cell)
-
-    doomed_roots = {find(i) for i in doomed}
-    candidates: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for idx in set(unrefuted) | set(parent):
-        members.setdefault(find(idx), []).append(idx)
-    keep_unrefuted = set(unrefuted)
-    for root, cells in sorted(members.items()):
-        if root in doomed_roots or not (set(cells) & keep_unrefuted):
-            # a complex of refuted cells has no zero, hence degree 0
-            continue
-        candidates[root] = sorted(cells)
-
     p0 = dict(zip(pnames, p_box.center))
     fs = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
-    for root in sorted(candidates):
-        complex = BoxComplex(tuple(grid.cell(i) for i in candidates[root]))
+    for cells in _candidate_complexes(eqs, names, p_box, grid, prec,
+                                      plausible, ctx):
+        complex = BoxComplex(tuple(grid.cell(i) for i in cells))
         result = degree(fs, s.vars, complex, prec, ctx.degree_budget)
-        if ctx.record is not None:
-            ctx.record.complexes += 1
-            ctx.record.degrees.append(None if result is None else result.value)
+        ctx.record.complexes += 1
+        ctx.record.degrees.append(None if result is None else result.value)
         if result is None or result.value == 0:
             continue
-        cert: Optional[Fraction] = result.boundary_min_lb
-        if ineqs:
-            ok = True
-            for idx in candidates[root]:
-                full = p_box.product(grid.cell(idx))
-                lb = positive_lower_bound(ineqs, full, names, prec)
-                if lb is None:
-                    ok = False
-                    break
-                cert = min(cert, lb)
-            if not ok:
-                continue
-        return TRI_T, cert
+        cert = result.boundary_min_lb
+        for idx in cells if ineqs else ():
+            full = p_box.product(grid.cell(idx))
+            lb = positive_lower_bound(ineqs, full, names, prec)
+            if lb is None:  # an inequality may fail inside this complex
+                break
+            cert = min(cert, lb)
+        else:
+            return TRI_T, cert
     return TRI_TF, None
 
 
@@ -288,7 +333,6 @@ def quasi_decide(
     budget: int = 20,
     eps: Fraction = Fraction(1),
     degree_budget: int = 1000,
-    workers: int = 1,
 ) -> Verdict:
     """Halve the refinement parameter until checksat returns a singleton;
     report UNKNOWN when the iteration budget runs out."""
@@ -304,7 +348,7 @@ def quasi_decide(
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
 
-    ctx = _Context(degree_budget=degree_budget, workers=workers)
+    ctx = _Context(degree_budget=degree_budget)
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)

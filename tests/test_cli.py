@@ -38,6 +38,8 @@ def test_json_output_round_trips(capsys):
     num, den = doc["certificate"].split("/")
     assert int(num) > 0 and int(den) > 0
     assert doc["trace"][0]["eps"] == "1/1"
+    assert doc["trace"][0]["cells_evaluated"] >= 1
+    assert doc["trace"][0]["faces_evaluated"] >= 0
     assert doc["trace"][-1]["result"] == "T"
 
 
@@ -91,3 +93,15 @@ def test_missing_file_treated_as_inline_sentence(capsys):
     # a path that does not exist is parsed as sentence text and rejected
     assert main(["solve", "/no/such/file.sent"]) == 1
     assert capsys.readouterr().err
+
+
+def test_text_trace_reports_work_counters(capsys):
+    assert main(["solve", TRUE_S, "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any("cells evaluated:" in ln and "faces evaluated:" in ln
+               for ln in lines[1:])
+
+
+def test_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", TRUE_S, "--workers", "2"])

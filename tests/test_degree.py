@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from quasisat import terms as T
-from quasisat.degree import (DegreeResult, degree, robustness_margin,
-                             winding_oracle_2d)
+from quasisat.degree import (DegreeResult, _Budget, _deg_cycle, degree,
+                             robustness_margin, winding_oracle_2d)
 from quasisat.geometry import BoxComplex, Grid
 from quasisat.intervals import Precision, box, ival
 from quasisat.parser import parse
@@ -205,3 +205,8 @@ def test_degree_stable_under_grid_refinement():
         comp = BoxComplex(tuple(c for _, c in g.cells()))
         res = degree(fs, ("x", "y"), comp, P20)
         assert res is not None and res.value == 2
+
+
+def test_empty_cycle_has_degree_zero():
+    fs = [term_of("x"), term_of("y"), term_of("x - y")]
+    assert _deg_cycle(fs, ("x", "y", "z"), {}, 20, _Budget(10), None) == 0

@@ -1,10 +1,10 @@
-"""Grids, cell merging, and oriented boundaries of box complexes."""
+"""Grids, index blocks, cell faces, and oriented boundaries of box complexes."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from quasisat.geometry import (BoxComplex, Grid, boundary, bisect_box,
-                               grid_cover, merge_cells, oriented_boundary,
+                               grid_cover, halve_block, oriented_boundary,
                                split_box, subdivide_face)
 from quasisat.intervals import RatBox, box, ival
 
@@ -42,26 +42,46 @@ def test_face_count_and_boundary_flags():
         assert f.on_boundary == (len(cells) == 1)
 
 
-def test_merge_cells_conserves_mass():
-    g = Grid(UNIT2, (3, 3))
-    internal = [f for f in g.faces() if not f.on_boundary]
-    complexes = merge_cells(g, internal[:4])
-    assert sum(len(c.cells) for c in complexes) == 9
+def test_block_box_spans_its_cells():
+    g = Grid(box(ival(0, 3), ival(-1, 1)), (3, 4))
+    assert g.block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
+    assert g.block((2, 3), (3, 4)) == g.cell((2, 3))
+    assert g.block((0, 0), g.counts) == g.base
 
 
-def test_merge_cells_drops_components_touching_boundary_zero_faces():
-    g = Grid(UNIT2, (2, 1))
-    faces = list(g.faces())
-    hit = [f for f in faces if f.on_boundary][:1]
-    complexes = merge_cells(g, hit)
-    assert sum(len(c.cells) for c in complexes) == 1  # one cell dropped
+def test_halve_block_splits_the_longest_index_range():
+    assert halve_block((0, 0), (3, 4)) == (((0, 0), (3, 2)), ((0, 2), (3, 4)))
+    assert halve_block((0, 0), (4, 4)) == (((0, 0), (2, 4)), ((2, 0), (4, 4)))
+    assert halve_block((2, 5), (5, 6)) == (((2, 5), (3, 6)), ((3, 5), (5, 6)))
+    assert halve_block((5, 1), (6, 2)) is None
+    assert halve_block((), ()) is None
 
 
-def test_merge_cells_joins_through_internal_faces():
-    g = Grid(UNIT2, (2, 2))
-    internal = [f for f in g.faces() if not f.on_boundary]
-    complexes = merge_cells(g, internal)
-    assert len(complexes) == 1 and len(complexes[0].cells) == 4
+def test_repeated_halving_reaches_every_cell_once():
+    g = Grid(box(ival(0, 1), ival(0, 1), ival(0, 1)), (3, 2, 5))
+    blocks, cells = [((0, 0, 0), g.counts)], []
+    while blocks:
+        lo, hi = blocks.pop()
+        halves = halve_block(lo, hi)
+        if halves is None:
+            cells.append(lo)
+        else:
+            blocks.extend(halves)
+    assert sorted(cells) == [idx for idx, _ in g.cells()]
+
+
+def test_cell_faces_are_the_grid_faces_around_a_cell():
+    g = Grid(box(ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1))
+    seen = []
+    for idx, cell in g.cells():
+        faces = list(g.cell_faces(idx))
+        assert len(faces) == 2 * g.dim
+        for f in faces:
+            assert idx in f.incident_cells
+            assert f.box[f.axis].is_degenerate
+            assert all(f.box[a] == cell[a] for a in range(g.dim) if a != f.axis)
+        seen.extend(faces)
+    assert set(seen) == set(g.faces())
 
 
 def test_boundary_face_counts():

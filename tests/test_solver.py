@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasisat.geometry import grid_cover
 from quasisat.intervals import EMPTY_BOX, box, ival
 from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, checksat, prec_for,
@@ -169,3 +170,25 @@ def test_true_verdict_certificate_is_a_robustness_margin():
     for sgn in ("+", "-"):
         s = parse(f"exists x in [0,1] . x - 1/2 {sgn} {rat_str(shift)} = 0")
         assert quasi_decide(s, budget=8).outcome == "TRUE"
+
+
+def test_3d_system_whose_reduced_cycle_cancels_is_true():
+    """Regression: the degree's boundary reduction can reach an empty
+    cycle on two nearly parallel planes; the exact solution
+    (15/16, 17/16, 11/16) lies inside the box."""
+    s = parse("exists x in [1/2,3/2], y in [3/4,7/4], z in [0,1] . "
+              "x + y + z - 43/16 = 0 and x - y + 1/8 = 0 and "
+              "x - y + 1/4*z - 3/64 = 0")
+    v = quasi_decide(s, budget=12)
+    assert v.outcome == "TRUE" and v.certificate > 0
+
+
+def test_pruning_evaluates_few_cells_of_a_fine_grid():
+    """At iteration 16 the grid of sin(x) = 1 on [1,2] has 32768 cells;
+    the top-down refutation visits only blocks around pi/2."""
+    s = parse("exists x in [1,2] . sin(x) = 1")
+    v = quasi_decide(s, budget=16)
+    rec = v.trace[15]
+    assert grid_cover(s.bounds, rec.eps).n_cells == 32768
+    assert 0 < rec.cells_evaluated < 512
+    assert 0 < rec.faces_evaluated < 512
