@@ -2,19 +2,19 @@
 the reals: rigorous interval arithmetic plus topological-degree tests."""
 
 from .distance import INFINITE, distance_enclosure
-from .formulas import (ClassBReport, Formula, bind, free_vars, formula_text,
+from .formulas import (ClassBReport, Formula, free_vars, formula_text,
                        same_structure, validate_class_b)
 from .intervals import DomainError, Precision, RatBox, RatInterval, box, ival
 from .parser import ParseError, parse
 from .solver import TRI_F, TRI_T, TRI_TF, Verdict, checksat, quasi_decide
-from .degree import DegreeResult, degree, robustness_margin, winding_oracle_2d
+from .degree import DegreeResult, degree
 
 __all__ = [
     "INFINITE", "distance_enclosure",
-    "ClassBReport", "Formula", "bind", "free_vars", "formula_text",
+    "ClassBReport", "Formula", "free_vars", "formula_text",
     "same_structure", "validate_class_b",
     "DomainError", "Precision", "RatBox", "RatInterval", "box", "ival",
     "ParseError", "parse",
     "TRI_F", "TRI_T", "TRI_TF", "Verdict", "checksat", "quasi_decide",
-    "DegreeResult", "degree", "robustness_margin", "winding_oracle_2d",
+    "DegreeResult", "degree",
 ]

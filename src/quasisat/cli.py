@@ -56,7 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_sentence(source: str) -> Formula:
     path = Path(source)
-    text = path.read_text() if path.is_file() else source
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an inline sentence longer than a file name
+        is_file = False
+    text = path.read_text() if is_file else source
     return parse(text)
 
 
@@ -113,7 +117,7 @@ def _solve(args) -> int:
     try:
         sentence = _load_sentence(args.input)
         verdict = quasi_decide(sentence, budget=args.budget, eps=args.epsilon)
-    except (ParseError, DomainError, ValueError, OSError) as exc:
+    except (ParseError, DomainError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _report(verdict, args)
@@ -148,7 +152,7 @@ def _corpus(args) -> int:
             verdict = quasi_decide(sentence,
                                    budget=budget or args.budget,
                                    eps=args.epsilon)
-        except (ParseError, DomainError, ValueError) as exc:
+        except (ParseError, DomainError, ValueError, RecursionError) as exc:
             print(f"FAIL  {path.name}: {exc}")
             failures += 1
             continue

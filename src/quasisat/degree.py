@@ -12,7 +12,6 @@ and are cross-checked against independent oracles in the test suite.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -173,47 +172,3 @@ def degree(
         return None
     return DegreeResult(value, min(bounds), state.used)
 
-
-def robustness_margin(result: DegreeResult) -> Fraction:
-    """A rational margin below min |f| on the boundary: any perturbation
-    of f smaller than this still has a zero in the complex."""
-    if result.value == 0:
-        raise ValueError("degree zero carries no existence certificate")
-    return result.boundary_min_lb
-
-
-def winding_oracle_2d(
-    fs: Sequence[T.Term],
-    names: Sequence[str],
-    complex: BoxComplex,
-    samples: int = 64,
-) -> int:
-    """Non-rigorous test oracle: total winding of (f1, f2) along the
-    oriented boundary, by float sampling."""
-    if len(fs) != 2 or complex.dim != 2:
-        raise ValueError("winding oracle needs a planar map")
-    total = 0.0
-    for face, coef in oriented_boundary(complex.cells).items():
-        free = [a for a, iv in enumerate(face.intervals) if not iv.is_degenerate]
-        if len(free) != 1:
-            raise ValueError("boundary face is not an edge")
-        axis = free[0]
-        iv = face.intervals[axis]
-        lo, width = float(iv.lo), float(iv.width)
-        fixed = {names[a]: float(face[a].lo) for a in range(2) if a != axis}
-        prev = None
-        delta = 0.0
-        for k in range(samples + 1):
-            env = dict(fixed)
-            env[names[axis]] = lo + width * k / samples
-            u = T.float_eval(fs[0], env)
-            v = T.float_eval(fs[1], env)
-            if math.hypot(u, v) < 1e-12:
-                raise ValueError("sample point too close to a zero of f")
-            theta = math.atan2(v, u)
-            if prev is not None:
-                step = math.remainder(theta - prev, 2 * math.pi)
-                delta += step
-            prev = theta
-        total += coef * delta
-    return round(total / (2 * math.pi))

@@ -1,7 +1,6 @@
 """Rigorous interval evaluation of terms over rational boxes."""
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -49,46 +48,6 @@ def make_env(names: Sequence[str], box: RatBox) -> dict[str, RatInterval]:
 
 def eval_term(t: T.Term, box: RatBox, names: Sequence[str], prec: Precision) -> RatInterval:
     return eval_env(t, make_env(names, box), prec)
-
-
-def eval_vector(
-    ts: Sequence[T.Term], box: RatBox, names: Sequence[str], prec: Precision
-) -> tuple[RatInterval, ...]:
-    env = make_env(names, box)
-    return tuple(eval_env(t, env, prec) for t in ts)
-
-
-def excludes_zero(
-    ts: Sequence[T.Term], box: RatBox, names: Sequence[str], prec: Precision
-) -> bool:
-    """True when some component's enclosure misses 0 (so the system has no
-    zero on the box)."""
-    env = make_env(names, box)
-    return any(not eval_env(t, env, prec).contains_zero for t in ts)
-
-
-class IneqBand(enum.Enum):
-    ALL_POSITIVE = "all_positive"
-    DISJOINT_FROM_NONNEG = "disjoint_from_nonneg"
-    UNDECIDED = "undecided"
-
-
-def ineq_band(
-    ts: Sequence[T.Term], box: RatBox, names: Sequence[str], prec: Precision
-) -> IneqBand:
-    """Classify the conjunction g_1 > 0 and ... and g_k > 0 over the box.
-
-    An empty system is vacuously ALL_POSITIVE.
-    """
-    env = make_env(names, box)
-    all_pos = True
-    for t in ts:
-        enc = eval_env(t, env, prec)
-        if enc.hi < 0:
-            return IneqBand.DISJOINT_FROM_NONNEG
-        if enc.lo <= 0:
-            all_pos = False
-    return IneqBand.ALL_POSITIVE if all_pos else IneqBand.UNDECIDED
 
 
 def positive_lower_bound(

@@ -9,9 +9,9 @@ variables or none at all, composed under forall/and/or) is checked by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .intervals import RatBox, RatInterval
 from . import terms as T
@@ -67,10 +67,6 @@ class Or(Formula):
 
 Atom = (Eq, Geq)
 
-# an ordered parameter assignment: (name, exact rational value) pairs,
-# in quantification order
-ParamEnv = tuple[tuple[str, Fraction], ...]
-
 
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
@@ -80,38 +76,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, ForAll):
         return free_vars(f.body) - frozenset((f.var,))
     return free_vars(f.left) | free_vars(f.right)
-
-
-def bound_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset()
-    if isinstance(f, Exists):
-        return bound_vars(f.body) | frozenset(f.vars)
-    if isinstance(f, ForAll):
-        return bound_vars(f.body) | frozenset((f.var,))
-    return bound_vars(f.left) | bound_vars(f.right)
-
-
-def bind(f: Formula, env: ParamEnv | Mapping[str, Fraction]) -> Formula:
-    """Substitute exact rational values for free variables of f."""
-    mapping = dict(env)
-    fv = free_vars(f)
-    for name in mapping:
-        if name not in fv:
-            raise ValueError(f"variable {name!r} is not free in the formula")
-    return _subst(f, mapping)
-
-
-def _subst(f: Formula, env: dict[str, Fraction]) -> Formula:
-    if isinstance(f, Atom):
-        return type(f)(T.substitute(f.term, env))
-    if isinstance(f, Exists):
-        inner = {k: v for k, v in env.items() if k not in f.vars}
-        return Exists(f.vars, f.bounds, _subst(f.body, inner))
-    if isinstance(f, ForAll):
-        inner = {k: v for k, v in env.items() if k != f.var}
-        return ForAll(f.var, f.bound, _subst(f.body, inner))
-    return type(f)(_subst(f.left, env), _subst(f.right, env))
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class Grid:
     def cell(self, idx: CellIndex) -> RatBox:
         return RatBox(tuple(self.cell_interval(a, i) for a, i in enumerate(idx)))
 
-    def cells(self) -> Iterator[tuple[CellIndex, RatBox]]:
-        for idx in _multi_range(list(self.counts)):
-            yield idx, self.cell(idx)
-
     def block(self, lo: CellIndex, hi: CellIndex) -> RatBox:
         """The box covering the cells with lo <= idx < hi on every axis."""
         return RatBox(tuple(ival(self.cut(a, i), self.cut(a, j))
@@ -66,15 +62,6 @@ class Grid:
         lower = _insert(rest, axis, plane - 1) if plane > 0 else None
         upper = at if plane < self.counts[axis] else None
         return Face(face_box, axis, lower, upper)
-
-    def faces(self) -> Iterator["Face"]:
-        """All grid faces, each degenerate in exactly one axis, ordered by
-        axis, then plane, then the cell index along the other axes."""
-        for axis in range(self.dim):
-            other = [c for a, c in enumerate(self.counts) if a != axis]
-            for plane in range(self.counts[axis] + 1):
-                for rest in _multi_range(other):
-                    yield self.face(axis, plane, rest)
 
     def cell_faces(self, idx: CellIndex) -> Iterator["Face"]:
         """The 2*dim faces of cell `idx`, lower before upper on each axis."""
@@ -96,15 +83,6 @@ def halve_block(lo: CellIndex, hi: CellIndex) -> Optional[tuple[Block, Block]]:
             (lo[:axis] + mid + lo[axis + 1:], hi))
 
 
-def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
-    if not counts:
-        yield ()
-        return
-    for i in range(counts[0]):
-        for rest in _multi_range(counts[1:]):
-            yield (i,) + rest
-
-
 def _insert(idx: CellIndex, axis: int, value: int) -> CellIndex:
     return idx[:axis] + (value,) + idx[axis:]
 
@@ -121,11 +99,6 @@ class Face:
     @property
     def on_boundary(self) -> bool:
         return self.lower_cell is None or self.upper_cell is None
-
-    @property
-    def incident_cells(self) -> tuple[CellIndex, ...]:
-        return tuple(c for c in (self.lower_cell, self.upper_cell)
-                     if c is not None)
 
 
 def grid_cover(b: RatBox, r) -> Grid:
@@ -177,39 +150,6 @@ def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
                 acc[face] = got
             else:
                 acc.pop(face, None)
-
-
-def boundary(complex: BoxComplex) -> list[tuple[RatBox, int]]:
-    """Boundary faces of the complex with outward orientation signs."""
-    acc = oriented_boundary(complex.cells)
-    return sorted(acc.items(), key=lambda kv: _box_key(kv[0]))
-
-
-def _box_key(b: RatBox):
-    return tuple((iv.lo, iv.hi) for iv in b.intervals)
-
-
-def subdivide_face(face: Face, r) -> list[Face]:
-    """Split a face uniformly to width <= r along its free axes; the
-    fixed axis, incident cells and boundary status are inherited."""
-    r = rat(r)
-    if r <= 0:
-        raise ValueError("width must be positive")
-    return [Face(b, face.axis, face.lower_cell, face.upper_cell)
-            for b in split_box(face.box, r)]
-
-
-def split_box(b: RatBox, r: Fraction) -> list[RatBox]:
-    """Uniform refinement of a box to width <= r (degenerate axes kept)."""
-    parts: list[list[RatInterval]] = []
-    for iv in b.intervals:
-        n = max(1, math.ceil(iv.width / r))
-        cuts = [iv.lo + iv.width * i / n for i in range(n)] + [iv.hi]
-        parts.append([ival(a, c) for a, c in zip(cuts, cuts[1:])])
-    out = [()]
-    for axis_parts in parts:
-        out = [combo + (piece,) for combo in out for piece in axis_parts]
-    return [RatBox(combo) for combo in out]
 
 
 def bisect_box(b: RatBox) -> list[RatBox]:

@@ -349,8 +349,11 @@ def parse(text: str, params: dict[str, RatInterval] | None = None) -> F.Formula:
     (used for the domain checks)."""
     params = params or {}
     p = _Parser(_tokenize(text), params)
-    out = p.formula()
-    if p.cur.kind != "end":
-        raise p.error(f"unexpected trailing input {p.cur.text!r}")
-    _check_domains(out, dict(params))
+    try:
+        out = p.formula()
+        if p.cur.kind != "end":
+            raise p.error(f"unexpected trailing input {p.cur.text!r}")
+        _check_domains(out, dict(params))
+    except RecursionError:
+        raise p.error("term nested too deeply") from None
     return out

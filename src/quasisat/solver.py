@@ -73,12 +73,6 @@ class Verdict:
     trace: list[IterationRecord]
 
 
-class _Context:
-    def __init__(self, degree_budget: int = 1000):
-        self.degree_budget = degree_budget
-        self.record = IterationRecord(0, Fraction(0), TRI_TF)  # replaced per iteration
-
-
 def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
     if a is None or b is None:
         return None
@@ -86,16 +80,16 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 
 
 def _checksat(
-    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, ctx: _Context
+    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, (Exists, Atom)):
-        return _soei(s, pnames, p_box, r, ctx)
+        return _soei(s, pnames, p_box, r, record)
     if isinstance(s, ForAll):
-        return _univ(s, pnames, p_box, r, ctx)
+        return _univ(s, pnames, p_box, r, record)
     if isinstance(s, And):
-        return _combine(s, pnames, p_box, r, ctx, tri_and)
+        return _combine(s, pnames, p_box, r, record, tri_and)
     assert isinstance(s, Or)
-    return _combine(s, pnames, p_box, r, ctx, tri_or)
+    return _combine(s, pnames, p_box, r, record, tri_or)
 
 
 def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriValue:
@@ -108,7 +102,8 @@ def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriVal
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, tuple(pnames), p_box, r, _Context())[0]
+    return _checksat(s, tuple(pnames), p_box, r,
+                     IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +111,7 @@ def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriVal
 
 
 def _soei(
-    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, ctx: _Context
+    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, Atom):  # a ground atom is a block with no variables
         s = Exists((), EMPTY_BOX, s)
@@ -127,7 +122,7 @@ def _soei(
     grid = grid_cover(s.bounds, r)
 
     plausible, separation = _plausible_cells(eqs, ineqs, names, p_box, grid,
-                                             prec, ctx)
+                                             prec, record)
     if not plausible:
         return TRI_F, separation
     if n == 0:
@@ -139,12 +134,12 @@ def _soei(
     if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
         return TRI_TF, None
     return _soei_degree_phase(s, eqs, ineqs, pnames, p_box, prec, grid,
-                              plausible, ctx)
+                              plausible, record)
 
 
 def _plausible_cells(
     eqs, ineqs, names, p_box: RatBox, grid: Grid, prec: Precision,
-    ctx: _Context,
+    record: IterationRecord,
 ) -> tuple[list[CellIndex], Optional[Fraction]]:
     """Refute the grid top-down: a refuted index block drops all of its
     cells, a plausible one is halved until single cells remain.  Returns
@@ -158,7 +153,7 @@ def _plausible_cells(
         full = p_box.product(grid.block(lo, hi))
         bound = _refutation_bound(eqs, ineqs, dict(zip(names, full.intervals)),
                                   prec)
-        ctx.record.cells_evaluated += 1
+        record.cells_evaluated += 1
         if bound is not None:
             separation = bound if separation is None else min(separation, bound)
             continue
@@ -191,7 +186,7 @@ def _refutation_bound(
 
 def _candidate_complexes(
     eqs, names, p_box: RatBox, grid: Grid, prec: Precision,
-    plausible: list[CellIndex], ctx: _Context,
+    plausible: list[CellIndex], record: IterationRecord,
 ) -> list[list[CellIndex]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary.
@@ -210,7 +205,7 @@ def _candidate_complexes(
             if key in tested:
                 continue
             tested.add(key)
-            ctx.record.faces_evaluated += 1
+            record.faces_evaluated += 1
             full = p_box.product(face.box)
             if not _zero_face(eqs, dict(zip(names, full.intervals)), prec):
                 continue
@@ -231,7 +226,7 @@ def _candidate_complexes(
             i = parent[i]
         return i
 
-    # union in `Grid.faces()` order (axis, plane, cell), so that each
+    # union in full-sweep order (axis, plane, cell), so that each
     # component's root, and with it the order of the complexes, is fixed
     for face in sorted(joins, key=lambda f: (f.axis, f.upper_cell[f.axis],
                                              f.upper_cell)):
@@ -246,18 +241,18 @@ def _candidate_complexes(
 
 def _soei_degree_phase(
     s: Exists, eqs, ineqs, pnames, p_box: RatBox, prec: Precision,
-    grid: Grid, plausible: list[CellIndex], ctx: _Context,
+    grid: Grid, plausible: list[CellIndex], record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     """Zero-face merging plus the degree test on candidate complexes."""
     names = pnames + s.vars
     p0 = dict(zip(pnames, p_box.center))
     fs = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
     for cells in _candidate_complexes(eqs, names, p_box, grid, prec,
-                                      plausible, ctx):
+                                      plausible, record):
         complex = BoxComplex(tuple(grid.cell(i) for i in cells))
-        result = degree(fs, s.vars, complex, prec, ctx.degree_budget)
-        ctx.record.complexes += 1
-        ctx.record.degrees.append(None if result is None else result.value)
+        result = degree(fs, s.vars, complex, prec)
+        record.complexes += 1
+        record.degrees.append(None if result is None else result.value)
         if result is None or result.value == 0:
             continue
         cert = result.boundary_min_lb
@@ -281,7 +276,7 @@ def _zero_face(eqs: Sequence[T.Term], env: dict, prec: Precision) -> bool:
 
 
 def _univ(
-    s: ForAll, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, ctx: _Context
+    s: ForAll, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     count = max(1, math.ceil(s.bound.width / r))
     acc = TRI_T
@@ -291,7 +286,7 @@ def _univ(
         lo = s.bound.lo + s.bound.width * i / count
         hi = s.bound.lo + s.bound.width * (i + 1) / count
         sub, sub_cert = _checksat(s.body, pnames + (s.var,),
-                                  p_box.product(box(ival(lo, hi))), r, ctx)
+                                  p_box.product(box(ival(lo, hi))), r, record)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
@@ -302,7 +297,7 @@ def _univ(
 
 
 def _combine(
-    s, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, ctx: _Context, op
+    s, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord, op
 ) -> tuple[TriValue, Optional[Fraction]]:
     results = []
     certs = []
@@ -311,7 +306,7 @@ def _combine(
         keep = [i for i, nm in enumerate(pnames) if nm in fv]
         sub_names = tuple(pnames[i] for i in keep)
         sub_box = RatBox(tuple(p_box[i] for i in keep))
-        res, cert = _checksat(side, sub_names, sub_box, r, ctx)
+        res, cert = _checksat(side, sub_names, sub_box, r, record)
         results.append(res)
         certs.append(cert)
     combined = op(results[0], results[1])
@@ -332,7 +327,6 @@ def quasi_decide(
     s: Formula,
     budget: int = 20,
     eps: Fraction = Fraction(1),
-    degree_budget: int = 1000,
 ) -> Verdict:
     """Halve the refinement parameter until checksat returns a singleton;
     report UNKNOWN when the iteration budget runs out."""
@@ -348,12 +342,10 @@ def quasi_decide(
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
 
-    ctx = _Context(degree_budget=degree_budget)
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        ctx.record = record
-        result, cert = _checksat(s, (), EMPTY_BOX, eps, ctx)
+        result, cert = _checksat(s, (), EMPTY_BOX, eps, record)
         record.result = result
         trace.append(record)
         if len(result) == 1:

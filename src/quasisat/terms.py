@@ -5,10 +5,9 @@ natural powers, exp, sin, cos and sqrt (guarded).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 
 class Term:
@@ -117,68 +116,6 @@ def substitute(t: Term, env: Mapping[str, Fraction]) -> Term:
     if isinstance(t, Pow):
         return Pow(substitute(t.base, env), t.exponent)
     return type(t)(substitute(t.arg, env))
-
-
-def is_polynomial(t: Term) -> bool:
-    if isinstance(t, (Const, Var)):
-        return True
-    if isinstance(t, (Pi, Sin, Cos, Exp, Sqrt)):
-        return False
-    if isinstance(t, (Add, Sub, Mul, Div)):
-        return is_polynomial(t.left) and is_polynomial(t.right)
-    if isinstance(t, Pow):
-        return is_polynomial(t.base)
-    return is_polynomial(t.arg)  # Neg
-
-
-def exact_eval(t: Term, env: Mapping[str, Fraction]) -> Fraction:
-    """Exact rational evaluation; fails on transcendental nodes."""
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Add):
-        return exact_eval(t.left, env) + exact_eval(t.right, env)
-    if isinstance(t, Sub):
-        return exact_eval(t.left, env) - exact_eval(t.right, env)
-    if isinstance(t, Neg):
-        return -exact_eval(t.arg, env)
-    if isinstance(t, Mul):
-        return exact_eval(t.left, env) * exact_eval(t.right, env)
-    if isinstance(t, Div):
-        return exact_eval(t.left, env) / exact_eval(t.right, env)
-    if isinstance(t, Pow):
-        return exact_eval(t.base, env) ** t.exponent
-    raise ValueError(f"not exactly evaluable: {type(t).__name__}")
-
-
-def float_eval(t: Term, env: Mapping[str, float]) -> float:
-    """Non-rigorous float evaluation (test oracles only)."""
-    if isinstance(t, Const):
-        return float(t.value)
-    if isinstance(t, Pi):
-        return math.pi
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Add):
-        return float_eval(t.left, env) + float_eval(t.right, env)
-    if isinstance(t, Sub):
-        return float_eval(t.left, env) - float_eval(t.right, env)
-    if isinstance(t, Neg):
-        return -float_eval(t.arg, env)
-    if isinstance(t, Mul):
-        return float_eval(t.left, env) * float_eval(t.right, env)
-    if isinstance(t, Div):
-        return float_eval(t.left, env) / float_eval(t.right, env)
-    if isinstance(t, Pow):
-        return float_eval(t.base, env) ** t.exponent
-    if isinstance(t, Sin):
-        return math.sin(float_eval(t.arg, env))
-    if isinstance(t, Cos):
-        return math.cos(float_eval(t.arg, env))
-    if isinstance(t, Exp):
-        return math.exp(float_eval(t.arg, env))
-    return math.sqrt(float_eval(t.arg, env))
 
 
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity

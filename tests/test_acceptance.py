@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from quasisat import terms as T
-from quasisat.degree import degree, winding_oracle_2d
+from quasisat.degree import degree
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
 from quasisat.evaluation import eval_term
 from quasisat.formulas import aligned_terms
@@ -22,6 +22,7 @@ from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
+from oracles import winding_oracle_2d
 
 mpmath.mp.dps = 60
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from quasisat import cli
 from quasisat.cli import main
 
 TRUE_S = "exists x in [0,1] . x - 1/2 = 0"
@@ -93,6 +94,37 @@ def test_missing_file_treated_as_inline_sentence(capsys):
     # a path that does not exist is parsed as sentence text and rejected
     assert main(["solve", "/no/such/file.sent"]) == 1
     assert capsys.readouterr().err
+    # longer than the file-name limit: the probe fails, the text is inline
+    long_s = "exists x in [0,1] . x - 0.5 = 0" + " and x + 1 >= 0" * 18
+    assert len(long_s) > 255 and "/" not in long_s
+    assert main(["solve", long_s]) == 0
+    assert "TRUE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("term", ["+".join(["x"] * 1200),
+                                  "(" * 1200 + "x" + ")" * 1200],
+                         ids=["sum_1200", "parens_1200"])
+def test_deep_terms_exit_one_without_traceback(tmp_path, capsys, term):
+    p = tmp_path / "deep.sent"
+    p.write_text(f"exists x in [0,2] . {term} - 1 = 0\n")
+    assert main(["solve", str(p)]) == 1
+    assert "term nested too deeply" in capsys.readouterr().err
+    (tmp_path / "deep.expect").write_text("EXPECT TRUE\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert "FAIL  deep.sent" in capsys.readouterr().out
+
+
+def test_recursion_while_solving_is_reported(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "quasi_decide", too_deep)
+    assert main(["solve", TRUE_S]) == 1
+    assert "error: maximum recursion depth" in capsys.readouterr().err
+    (tmp_path / "a.sent").write_text(TRUE_S)
+    (tmp_path / "a.expect").write_text("EXPECT TRUE\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert "FAIL  a.sent: maximum recursion depth" in capsys.readouterr().out
 
 
 def test_text_trace_reports_work_counters(capsys):

@@ -1,13 +1,11 @@
-"""Interval evaluation of terms: soundness, bands, lower bounds."""
+"""Interval evaluation of terms: soundness and lower bounds."""
 import random
 from fractions import Fraction
 
 import mpmath
 
 from quasisat import terms as T
-from quasisat.evaluation import (IneqBand, eval_term, eval_vector,
-                                 excludes_zero, ineq_band,
-                                 positive_lower_bound)
+from quasisat.evaluation import eval_term, positive_lower_bound
 from quasisat.intervals import Precision, box, ival
 from quasisat.parser import parse
 
@@ -67,28 +65,6 @@ def test_interval_evaluation_contains_sampled_values():
         xv = Fraction(k, 4)
         true = mp_eval(t, {"x": mpf(xv)})
         assert mpf(enc.lo) <= true <= mpf(enc.hi)
-
-
-def test_excludes_zero_and_vector():
-    fs = [T.Sub(X, T.Const(2)), T.Add(X, T.Const(1))]
-    b = box(ival(0, 1))
-    encs = eval_vector(fs, b, ("x",), Precision(10))
-    assert len(encs) == 2
-    assert excludes_zero(fs, b, ("x",), Precision(10))  # x-2 < 0 on [0,1]
-    assert not excludes_zero([T.Sub(X, T.Const(Fraction(1, 2)))],
-                             b, ("x",), Precision(10))
-
-
-def test_ineq_band_classification():
-    b = box(ival(0, 1))
-    one = T.Const(1)
-    assert ineq_band([T.Add(X, one)], b, ("x",), Precision(10)) \
-        is IneqBand.ALL_POSITIVE
-    assert ineq_band([T.Sub(X, T.Const(2))], b, ("x",), Precision(10)) \
-        is IneqBand.DISJOINT_FROM_NONNEG
-    assert ineq_band([T.Sub(X, T.Const(Fraction(1, 2)))], b, ("x",),
-                     Precision(10)) is IneqBand.UNDECIDED
-    assert ineq_band([], b, ("x",), Precision(10)) is IneqBand.ALL_POSITIVE
 
 
 def test_positive_lower_bound_is_verified():

@@ -1,12 +1,11 @@
-"""Formula AST: class membership validation, structure comparison, binding."""
-from fractions import Fraction
+"""Formula AST: class membership validation, structure comparison, scoping."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.formulas import (aligned_terms, bind, block_parts, bound_vars,
-                               free_vars, same_structure, validate_class_b)
+from quasisat.formulas import (aligned_terms, block_parts, free_vars,
+                               same_structure, validate_class_b)
 from quasisat.intervals import ival
 from quasisat.parser import parse
 
@@ -53,8 +52,7 @@ def test_block_shape_counts():
 def test_free_and_bound_vars():
     f = parse("exists y in [-2,2] . y - x = 0", params={"x": ival(0, 1)})
     assert free_vars(f) == {"x"}
-    assert bound_vars(f) == {"y"}
-    g = bind(f, {"x": Fraction(1, 2)})
+    g = parse("forall x in [0,1] . exists y in [-2,2] . y - x = 0")
     assert free_vars(g) == set()
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quasisat.geometry import (BoxComplex, Grid, boundary, bisect_box,
-                               grid_cover, halve_block, oriented_boundary,
-                               split_box, subdivide_face)
+from quasisat.geometry import (BoxComplex, Grid, bisect_box, grid_cover,
+                               halve_block, oriented_boundary)
 from quasisat.intervals import RatBox, box, ival
+
+from oracles import grid_cells, grid_faces
 
 UNIT2 = box(ival(0, 1), ival(0, 1))
 
@@ -14,14 +15,14 @@ UNIT2 = box(ival(0, 1), ival(0, 1))
 def test_grid_cover_cell_widths():
     g = grid_cover(box(ival(0, 1), ival(0, 3)), Fraction(1, 2))
     assert g.counts == (2, 6)
-    for _, cell in g.cells():
+    for _, cell in grid_cells(g):
         assert all(iv.width <= Fraction(1, 2) for iv in cell.intervals)
     assert g.n_cells == 12
 
 
 def test_grid_cells_tile_the_base_box():
     g = grid_cover(box(ival(-1, 2)), Fraction(1, 4))
-    cells = [cell for _, cell in g.cells()]
+    cells = [cell for _, cell in grid_cells(g)]
     assert cells[0][0].lo == -1 and cells[-1][0].hi == 2
     for a, b in zip(cells, cells[1:]):
         assert a[0].hi == b[0].lo  # contiguous, no gaps or overlaps
@@ -31,13 +32,13 @@ def test_grid_cells_tile_the_base_box():
 
 def test_face_count_and_boundary_flags():
     g = Grid(UNIT2, (2, 2))
-    faces = list(g.faces())
+    faces = list(grid_faces(g))
     # 3 vertical planes * 2 rows + 3 horizontal planes * 2 columns
     assert len(faces) == 12
     boundary_faces = [f for f in faces if f.on_boundary]
     assert len(boundary_faces) == 8
     for f in faces:
-        cells = f.incident_cells
+        cells = [c for c in (f.lower_cell, f.upper_cell) if c is not None]
         assert 1 <= len(cells) <= 2
         assert f.on_boundary == (len(cells) == 1)
 
@@ -67,33 +68,33 @@ def test_repeated_halving_reaches_every_cell_once():
             cells.append(lo)
         else:
             blocks.extend(halves)
-    assert sorted(cells) == [idx for idx, _ in g.cells()]
+    assert sorted(cells) == [idx for idx, _ in grid_cells(g)]
 
 
 def test_cell_faces_are_the_grid_faces_around_a_cell():
     g = Grid(box(ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1))
     seen = []
-    for idx, cell in g.cells():
+    for idx, cell in grid_cells(g):
         faces = list(g.cell_faces(idx))
         assert len(faces) == 2 * g.dim
         for f in faces:
-            assert idx in f.incident_cells
+            assert idx in (f.lower_cell, f.upper_cell)
             assert f.box[f.axis].is_degenerate
             assert all(f.box[a] == cell[a] for a in range(g.dim) if a != f.axis)
         seen.extend(faces)
-    assert set(seen) == set(g.faces())
+    assert set(seen) == set(grid_faces(g))
 
 
 def test_boundary_face_counts():
     one = BoxComplex((UNIT2,))
-    assert len(boundary(one)) == 4
+    assert len(oriented_boundary(one.cells)) == 4
     g = Grid(UNIT2, (2, 1))
-    two = BoxComplex(tuple(c for _, c in g.cells()))
-    assert len(boundary(two)) == 6  # shared face cancels
+    two = BoxComplex(tuple(c for _, c in grid_cells(g)))
+    assert len(oriented_boundary(two.cells)) == 6  # shared face cancels
     # L-shape of three cells: 8 boundary edges
     g = Grid(UNIT2, (2, 2))
     ell = BoxComplex((g.cell((0, 0)), g.cell((1, 0)), g.cell((0, 1))))
-    assert len(boundary(ell)) == 8
+    assert len(oriented_boundary(ell.cells)) == 8
 
 
 def test_boundary_of_3d_cube():
@@ -115,7 +116,7 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
     """The oriented boundary of any cell union is a cycle: for each axis,
     the signed lengths of its edges sum to zero."""
     g = Grid(UNIT2, (nx, ny))
-    cells = [c for _, c in g.cells()]
+    cells = [c for _, c in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
     faces = oriented_boundary(cells)
@@ -126,7 +127,7 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
 
 def test_shared_faces_cancel_exactly():
     g = Grid(UNIT2, (2, 2))
-    whole = oriented_boundary(c for _, c in g.cells())
+    whole = oriented_boundary(c for _, c in grid_cells(g))
     outer = oriented_boundary([UNIT2])
     # the union's boundary covers exactly the outer rim, subdivided
     assert sum(f[0].width + f[1].width for f in whole) == \
@@ -134,22 +135,8 @@ def test_shared_faces_cancel_exactly():
     assert all(not (f[0].is_degenerate and f[1].is_degenerate) for f in whole)
 
 
-def test_subdivide_face_inherits_adjacency():
-    g = Grid(UNIT2, (2, 1))
-    face = next(f for f in g.faces() if not f.on_boundary)
-    parts = subdivide_face(face, Fraction(1, 4))
-    assert len(parts) == 4
-    for p in parts:
-        assert p.axis == face.axis
-        assert p.lower_cell == face.lower_cell
-        assert p.upper_cell == face.upper_cell
-    assert sum(p.box[1].width for p in parts) == face.box[1].width
-
-
-def test_split_and_bisect_box():
+def test_bisect_box_halves_every_free_axis():
     b = box(ival(0, 1), ival(0, Fraction(1, 2)))
-    parts = split_box(b, Fraction(1, 2))
-    assert len(parts) == 2
     halves = bisect_box(b)
     assert len(halves) == 4
     assert sum(p[0].width * p[1].width for p in halves) == Fraction(1, 2)
@@ -161,5 +148,5 @@ def test_split_and_bisect_box():
 def test_grid_lazy_scaling():
     g = grid_cover(box(ival(0, 1)), Fraction(1, 2 ** 20))
     assert g.n_cells == 2 ** 20  # constructing the grid is O(1)
-    idx, cell = next(iter(g.cells()))
+    idx, cell = next(iter(grid_cells(g)))
     assert cell[0].lo == 0 and cell[0].width == Fraction(1, 2 ** 20)

@@ -9,6 +9,8 @@ from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
 from quasisat.intervals import ival
 from quasisat.parser import ParseError, parse
 
+from oracles import exact_eval
+
 
 def test_single_block_shapes():
     f = parse("exists x in [0,1] . x - 1/2 = 0")
@@ -31,7 +33,7 @@ def test_inequality_directions_normalize_to_geq():
     assert f == g
     h = parse("exists x in [0,1] . 1/2 - x <= 0")
     assert isinstance(h.body, Geq)  # t <= 0 flips into -t >= 0
-    assert T.exact_eval(h.body.term, {"x": Fraction(3, 4)}) == Fraction(1, 4)
+    assert exact_eval(h.body.term, {"x": Fraction(3, 4)}) == Fraction(1, 4)
 
 
 def test_decimal_literals_are_exact():

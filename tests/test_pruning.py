@@ -14,11 +14,12 @@ from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
 from quasisat.geometry import grid_cover
 from quasisat.intervals import EMPTY_BOX, box
 from quasisat.parser import parse
-from quasisat.solver import (_Context, _candidate_complexes, _plausible_cells,
-                             _refutation_bound, _zero_face, prec_for,
-                             quasi_decide)
+from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
+                             _plausible_cells, _refutation_bound, _zero_face,
+                             prec_for, quasi_decide)
 
 from conftest import corpus_entries
+from oracles import grid_cells, grid_faces, is_polynomial
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -38,7 +39,7 @@ EXTRA_BLOCKS = {
 
 def sweep_plausible(eqs, ineqs, names, p_box, grid, prec):
     """Every cell, in index order, that the refutation test keeps."""
-    return [idx for idx, cell in grid.cells()
+    return [idx for idx, cell in grid_cells(grid)
             if _refutation_bound(eqs, ineqs,
                                  dict(zip(names, p_box.product(cell).intervals)),
                                  prec) is None]
@@ -55,17 +56,18 @@ def sweep_complexes(eqs, names, p_box, grid, prec, plausible):
         return i
 
     doomed = set()
-    for face in grid.faces():
+    for face in grid_faces(grid):
         env = dict(zip(names, p_box.product(face.box).intervals))
         if not _zero_face(eqs, env, prec):
             continue
         if face.on_boundary:
-            doomed.update(face.incident_cells)
+            doomed.update(c for c in (face.lower_cell, face.upper_cell)
+                          if c is not None)
         else:
             parent[find(face.lower_cell)] = find(face.upper_cell)
     doomed_roots = {find(i) for i in doomed}
     groups = {}
-    for idx, _ in grid.cells():
+    for idx, _ in grid_cells(grid):
         groups.setdefault(find(idx), []).append(idx)
     keep = set(plausible)
     return [cells for root, cells in sorted(groups.items())
@@ -90,7 +92,7 @@ def polynomial_blocks():
     for name, text, _, _ in corpus_entries():
         for i, blk in enumerate(existential_blocks(parse(text))):
             eqs, ineqs = block_parts(blk[0])
-            if all(T.is_polynomial(t) for t in eqs + ineqs):
+            if all(is_polynomial(t) for t in eqs + ineqs):
                 out.append(pytest.param(blk, id=f"{name}-{i}"))
     out += [pytest.param((parse(text), (), EMPTY_BOX), id=name)
             for name, text in EXTRA_BLOCKS.items()]
@@ -105,18 +107,21 @@ def test_pruning_matches_full_sweep(block):
     finest = {1: 7, 2: 4, 3: 3}[len(s.vars)]  # 2^-k widths per dimension
     for k in range(finest + 1):
         r = Fraction(1, 2 ** k)
-        grid, prec, ctx = grid_cover(s.bounds, r), prec_for(r), _Context()
-        plausible, _ = _plausible_cells(eqs, ineqs, names, p_box, grid, prec, ctx)
+        grid, prec = grid_cover(s.bounds, r), prec_for(r)
+        record = IterationRecord(0, r, TRI_TF)
+        plausible, _ = _plausible_cells(eqs, ineqs, names, p_box, grid, prec,
+                                        record)
         assert plausible == sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
         if len(eqs) == len(s.vars):
             got = _candidate_complexes(eqs, names, p_box, grid, prec,
-                                       plausible, ctx)
+                                       plausible, record)
             assert got == sweep_complexes(eqs, names, p_box, grid, prec,
                                           plausible)
 
 
 # ---------------------------------------------------------------------------
-# FALSE certificates are margins
+# certificates are margins: a shift below the certificate never gives the
+# opposite verdict
 
 MULTI_CELL_FALSE = [
     # two lines crossing at (9/8, 3/8), just outside the box
@@ -145,23 +150,37 @@ def shift_atom(f, k, delta):
     return go(f), count
 
 
-def false_sentences():
-    texts = [pytest.param(text, id=name)
-             for name, text, label, _ in corpus_entries() if label == "FALSE"]
-    return texts + [pytest.param(t, id=f"multi_cell_{i}")
-                    for i, t in enumerate(MULTI_CELL_FALSE)]
+# the parameterized certificate defect: the margin of f(p0, .) at the
+# slice centre is reported, not the margin over the whole parameter slice
+UNSOUND_TRUE = {"forall_exists_line", "forall_exists_sin"}
 
 
-@pytest.mark.parametrize("text", false_sentences())
-def test_false_certificate_is_a_separation_margin(text):
+def decided_sentences():
+    unsound = pytest.mark.xfail(strict=True, reason="certificates of "
+                                "parameterized blocks are taken at the slice "
+                                "centre (ROADMAP item 1)")
+    out = [pytest.param(text, label, id=name,
+                        marks=unsound if name in UNSOUND_TRUE else ())
+           for name, text, label, _ in corpus_entries()
+           if label in ("TRUE", "FALSE")]
+    return out + [pytest.param(t, "FALSE", id=f"multi_cell_{i}")
+                  for i, t in enumerate(MULTI_CELL_FALSE)]
+
+
+@pytest.mark.parametrize("text, label", decided_sentences())
+def test_false_certificate_is_a_separation_margin(text, label):
+    """Shifting one atom by 99/100 of the certificate, either way, never
+    gives the opposite verdict; for TRUE the certificate is a robustness
+    margin, for FALSE a separation bound."""
     f = parse(text)
     v = quasi_decide(f, budget=20)
-    assert v.outcome == "FALSE" and v.certificate > 0
+    assert v.outcome == label and v.certificate > 0
+    opposite = "FALSE" if label == "TRUE" else "TRUE"
     _, atoms = shift_atom(f, -1, 0)
     for k in range(atoms):
         for sign in (1, -1):
             g, _ = shift_atom(f, k, sign * v.certificate * Fraction(99, 100))
-            assert quasi_decide(g, budget=12).outcome != "TRUE", (k, sign)
+            assert quasi_decide(g, budget=12).outcome != opposite, (k, sign)
 
 
 def test_multi_cell_false_blocks_need_several_cells():
