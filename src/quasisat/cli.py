@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .formulas import Formula
-from .intervals import DomainError, rat, rat_str
+from .intervals import DomainError, rat_str
 from .parser import ParseError, parse
 from .solver import IterationRecord, Verdict, quasi_decide
 

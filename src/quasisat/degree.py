@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import eval_env
+from .evaluation import Evaluator, box_env, compile_term
 from .geometry import BoxComplex, _add_cell_boundary, bisect_box, oriented_boundary
 from .intervals import Precision, RatBox
 from . import terms as T
@@ -50,30 +50,28 @@ class _Budget:
 _Cert = tuple[int, int, Fraction]
 
 
-def _certify(
-    fs: Sequence[T.Term], names: Sequence[str], cell: RatBox, p: int
-) -> Optional[_Cert]:
-    env = dict(zip(names, cell.intervals))
+def _certify(fs: Sequence[Evaluator], cell: RatBox, p: int) -> Optional[_Cert]:
+    env = box_env(cell)
     for i, f in enumerate(fs):
-        enc = eval_env(f, env, Precision(p))
-        if enc.lo > 0:
-            return i, 1, enc.lo
-        if enc.hi < 0:
-            return i, -1, -enc.hi
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            return i, 1, Fraction(lo, d)
+        if hi < 0:
+            return i, -1, Fraction(-hi, d)
     return None
 
 
 def _sign_at_point(
-    f: T.Term, names: Sequence[str], cell: RatBox, p: int, budget: _Budget
+    f: Evaluator, cell: RatBox, p: int, budget: _Budget
 ) -> Optional[tuple[int, Fraction]]:
     """Sign of f at a degenerate box, escalating precision as needed."""
-    env = dict(zip(names, cell.intervals))
+    env = box_env(cell)
     while p <= _MAX_PREC:
-        enc = eval_env(f, env, Precision(p))
-        if enc.lo > 0:
-            return 1, enc.lo
-        if enc.hi < 0:
-            return -1, -enc.hi
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            return 1, Fraction(lo, d)
+        if hi < 0:
+            return -1, Fraction(-hi, d)
         if not budget.spend(1):
             return None
         p *= 2
@@ -81,8 +79,7 @@ def _sign_at_point(
 
 
 def _deg_cycle(
-    fs: list[T.Term],
-    names: Sequence[str],
+    fs: list[Evaluator],
     cycle: dict[RatBox, int],
     p: int,
     budget: _Budget,
@@ -94,7 +91,7 @@ def _deg_cycle(
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():
-            got = _sign_at_point(fs[0], names, cell, p, budget)
+            got = _sign_at_point(fs[0], cell, p, budget)
             if got is None:
                 return None
             sign, lb = got
@@ -112,7 +109,7 @@ def _deg_cycle(
         if not pending:
             break
         for cell in pending:
-            cert = _certify(fs, names, cell, p)
+            cert = _certify(fs, cell, p)
             if cert is not None:
                 certs[cell] = cert
         if all(cell in certs for cell, _ in cells):
@@ -147,7 +144,7 @@ def _deg_cycle(
     gamma = {b: c for b, c in gamma.items() if c}
 
     reduced = fs[:i_star] + fs[i_star + 1:]
-    sub = _deg_cycle(reduced, names, gamma, p, budget, None)
+    sub = _deg_cycle(reduced, gamma, p, budget, None)
     if sub is None:
         return None
     return sub if i_star % 2 == 0 else -sub
@@ -167,7 +164,8 @@ def degree(
     state = _Budget(budget)
     bounds: list[Fraction] = []
     cycle = oriented_boundary(complex.cells)
-    value = _deg_cycle(list(fs), names, cycle, prec.p, state, bounds)
+    evals = [compile_term(f, names) for f in fs]
+    value = _deg_cycle(evals, cycle, prec.p, state, bounds)
     if value is None:
         return None
     return DegreeResult(value, min(bounds), state.used)

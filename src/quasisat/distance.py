@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .evaluation import eval_env
-from .intervals import Precision, RatBox, RatInterval, ival, rat
+from .evaluation import box_env, compile_term, to_interval
+from .intervals import RatBox, RatInterval, ival, rat
 from .formulas import Formula, aligned_terms, same_structure
 from .geometry import bisect_box
 from . import terms as T
@@ -41,17 +41,16 @@ def sup_abs_enclosure(
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    names = tuple(names)
+    evaluate = compile_term(t, names)
     bracket: RatInterval | None = None
     active = [box]
     best_lo = Fraction(0) if box.dim else None  # |t| >= 0 somewhere
     depth = 0
     while True:
-        prec = Precision(depth + 10)
+        p = depth + 10
         scored = []
         for cell in active:
-            env = dict(zip(names, cell.intervals))
-            enc = eval_env(t, env, prec).abs()
+            enc = to_interval(evaluate(box_env(cell), p)).abs()
             scored.append((cell, enc))
             if best_lo is None or enc.lo > best_lo:
                 best_lo = enc.lo

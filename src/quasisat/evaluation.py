@@ -1,65 +1,208 @@
-"""Rigorous interval evaluation of terms over rational boxes."""
+"""Rigorous interval evaluation of terms on integer numerators.
+
+An interval is a triple `(lo, hi, den)` of integers with `den > 0`,
+standing for [lo/den, hi/den].  Arithmetic follows `RatInterval`'s rules
+on the numerators and never reduces by a gcd, so every result is the
+same rational interval as the `Fraction` evaluation, only unnormalized.
+sin, cos, exp, sqrt and pi go through `series` as `RatInterval`s.
+
+`compile_term` turns a term, once, into a flat tape of operations in
+evaluation order; running the tape needs no recursion, so deep terms
+cost no stack.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Callable, Optional, Sequence
 
-from .intervals import Precision, RatBox, RatInterval, ival
+from .intervals import DomainError, RatBox, RatInterval
 from .series import cos_enclosure, exp_enclosure, pi_enclosure, sin_enclosure, sqrt_enclosure
 from . import terms as T
 
+Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
+Evaluator = Callable[[Sequence[Ival], int], Ival]  # (env, precision p)
 
-def eval_env(t: T.Term, env: Mapping[str, RatInterval], prec: Precision) -> RatInterval:
-    """Natural interval extension under a name -> interval binding."""
-    if isinstance(t, T.Const):
-        return ival(t.value, t.value)
-    if isinstance(t, T.Pi):
-        return pi_enclosure(prec.p)
-    if isinstance(t, T.Var):
-        return env[t.name]
-    if isinstance(t, T.Add):
-        return eval_env(t.left, env, prec) + eval_env(t.right, env, prec)
-    if isinstance(t, T.Sub):
-        return eval_env(t.left, env, prec) - eval_env(t.right, env, prec)
+
+def ival_of(iv: RatInterval) -> Ival:
+    lo, hi = iv.lo, iv.hi
+    dl, dh = lo.denominator, hi.denominator
+    if dl == dh:
+        return lo.numerator, hi.numerator, dl
+    d = lcm(dl, dh)
+    return lo.numerator * (d // dl), hi.numerator * (d // dh), d
+
+
+def box_env(b: RatBox) -> list[Ival]:
+    return [ival_of(iv) for iv in b.intervals]
+
+
+def to_interval(x: Ival) -> RatInterval:
+    return RatInterval(Fraction(x[0], x[2]), Fraction(x[1], x[2]))
+
+
+# ---------------------------------------------------------------------------
+# operations: op(a, b, p) for the operand intervals a, b and precision p
+
+
+def _add(a: Ival, b: Ival, p: int) -> Ival:
+    da, db = a[2], b[2]
+    if da == db:
+        return a[0] + b[0], a[1] + b[1], da
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return a[0] * sa + b[0] * sb, a[1] * sa + b[1] * sb, d
+
+
+def _sub(a: Ival, b: Ival, p: int) -> Ival:
+    da, db = a[2], b[2]
+    if da == db:
+        return a[0] - b[1], a[1] - b[0], da
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return a[0] * sa - b[1] * sb, a[1] * sa - b[0] * sb, d
+
+
+def _neg(a: Ival, _b, p: int) -> Ival:
+    return -a[1], -a[0], a[2]
+
+
+def _mul(a: Ival, b: Ival, p: int) -> Ival:
+    alo, ahi, da = a
+    blo, bhi, db = b
+    if alo >= 0 and blo >= 0:
+        return alo * blo, ahi * bhi, da * db
+    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(ps), max(ps), da * db
+
+
+def _div(a: Ival, b: Ival, p: int) -> Ival:
+    blo, bhi, db = b
+    if blo <= 0 <= bhi:
+        raise DomainError("division by an interval containing zero")
+    # 1/b = [db/bhi, db/blo]; blo*bhi > 0 since b has one sign
+    return _mul(a, (db * blo, db * bhi, blo * bhi), p)
+
+
+def _pow(a: Ival, n: int, p: int) -> Ival:
+    lo, hi, d = a
+    if n == 0:
+        return 1, 1, 1
+    if n % 2 or lo >= 0:
+        return lo ** n, hi ** n, d ** n
+    if hi <= 0:
+        return hi ** n, lo ** n, d ** n
+    # even power of an interval straddling zero
+    return 0, max(lo ** n, hi ** n), d ** n
+
+
+def _series(enclosure):
+    def op(a: Ival, _b, p: int) -> Ival:
+        return ival_of(enclosure(to_interval(a), p))
+    return op
+
+
+def _pi(_a, _b, p: int) -> Ival:
+    return ival_of(pi_enclosure(p))
+
+
+_BINARY = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
+
+
+def _unary_op(t: T.Term):
+    # looked up at compile time, so wrappers set on this module's names apply
     if isinstance(t, T.Neg):
-        return -eval_env(t.arg, env, prec)
-    if isinstance(t, T.Mul):
-        return eval_env(t.left, env, prec) * eval_env(t.right, env, prec)
-    if isinstance(t, T.Div):
-        return eval_env(t.left, env, prec).divide(eval_env(t.right, env, prec))
-    if isinstance(t, T.Pow):
-        return eval_env(t.base, env, prec).pow_nat(t.exponent)
+        return _neg
     if isinstance(t, T.Sin):
-        return sin_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return _series(sin_enclosure)
     if isinstance(t, T.Cos):
-        return cos_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return _series(cos_enclosure)
     if isinstance(t, T.Exp):
-        return exp_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return _series(exp_enclosure)
     if isinstance(t, T.Sqrt):
-        return sqrt_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return _series(sqrt_enclosure)
     raise TypeError(f"unknown term node: {type(t).__name__}")
 
 
-def make_env(names: Sequence[str], box: RatBox) -> dict[str, RatInterval]:
-    if len(names) != box.dim:
-        raise ValueError("variable list and box dimension differ")
-    return dict(zip(names, box.intervals))
+def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
+    """The natural interval extension of t, as a function of the
+    intervals of `names` (in that order) and the precision p."""
+    slot = {name: i for i, name in enumerate(names)}
+    consts: list = []
+    code: list[tuple] = []  # (op, operand, operand); its result is appended
+    # operands are ("env", i), ("const", i) or ("op", i) until resolved
 
+    def const(value) -> tuple[str, int]:
+        consts.append(value)
+        return "const", len(consts) - 1
 
-def eval_term(t: T.Term, box: RatBox, names: Sequence[str], prec: Precision) -> RatInterval:
-    return eval_env(t, make_env(names, box), prec)
+    # post-order walk (a node is revisited once its operands are done),
+    # so operations run in the order of a recursive evaluation
+    done: list[tuple[str, int]] = []
+    stack: list[tuple[T.Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, T.Var):
+            done.append(("env", slot[node.name]))
+        elif isinstance(node, T.Const):
+            v = node.value
+            done.append(const((v.numerator, v.numerator, v.denominator)))
+        elif isinstance(node, T.Pi):
+            unused = const(None)
+            code.append((_pi, unused, unused))
+            done.append(("op", len(code) - 1))
+        elif not expanded:
+            stack.append((node, True))
+            if isinstance(node, (T.Add, T.Sub, T.Mul, T.Div)):
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                stack.append((node.base if isinstance(node, T.Pow) else node.arg,
+                              False))
+        elif isinstance(node, T.Pow):
+            code.append((_pow, done.pop(), const(node.exponent)))
+            done.append(("op", len(code) - 1))
+        elif type(node) in _BINARY:
+            right = done.pop()
+            code.append((_BINARY[type(node)], done.pop(), right))
+            done.append(("op", len(code) - 1))
+        else:
+            arg = done.pop()
+            code.append((_unary_op(node), arg, arg))
+            done.append(("op", len(code) - 1))
+
+    # registers: the constants, then the environment, then one result per
+    # operation, addressed from the end so that a longer environment
+    # (extra trailing variables) changes nothing
+    base = {"const": 0, "env": len(consts)}
+
+    def reg(operand: tuple[str, int], at: int) -> int:
+        kind, i = operand
+        return i - at if kind == "op" else base[kind] + i
+
+    tape = [(op, reg(a, m), reg(b, m)) for m, (op, a, b) in enumerate(code)]
+    result = reg(done.pop(), len(code))
+
+    def evaluate(env: Sequence[Ival], p: int) -> Ival:
+        regs = [*consts, *env]
+        push = regs.append
+        for op, i, j in tape:
+            push(op(regs[i], regs[j], p))
+        return regs[result]
+
+    return evaluate
 
 
 def positive_lower_bound(
-    ts: Sequence[T.Term], box: RatBox, names: Sequence[str], prec: Precision
-) -> Fraction | None:
+    evals: Sequence[Evaluator], env: Sequence[Ival], p: int
+) -> Optional[Fraction]:
     """min over components of the enclosure lower bound, if all positive."""
-    env = make_env(names, box)
-    best: Fraction | None = None
-    for t in ts:
-        lo = eval_env(t, env, prec).lo
+    best: Optional[Fraction] = None
+    for ev in evals:
+        lo, _, d = ev(env, p)
         if lo <= 0:
             return None
-        if best is None or lo < best:
-            best = lo
+        lb = Fraction(lo, d)
+        if best is None or lb < best:
+            best = lb
     return best

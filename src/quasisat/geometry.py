@@ -3,11 +3,11 @@ boundaries of box complexes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .intervals import RatBox, RatInterval, ival, rat
+from .intervals import RatBox, ival, rat
 
 CellIndex = tuple[int, ...]
 Block = tuple[CellIndex, CellIndex]  # cells lo <= idx < hi on every axis
@@ -18,16 +18,29 @@ class Grid:
     """Uniform grid over `base`: axis i is cut into counts[i] equal parts.
 
     Cells are addressed by multi-index and materialized on demand, so a
-    grid with millions of cells costs nothing to build.
+    grid with millions of cells costs nothing to build.  Cut i of axis a
+    is (offset + step*i)/den for `axes[a] == (offset, step, den)`, so
+    integer intervals of index ranges need no `Fraction`.
     """
     base: RatBox
     counts: tuple[int, ...]
+    axes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self) -> None:
         if len(self.counts) != self.base.dim:
             raise ValueError("counts and box dimension differ")
         if any(c < 1 for c in self.counts):
             raise ValueError("each axis needs at least one cell")
+        axes = []
+        for iv, c in zip(self.base.intervals, self.counts):
+            d = math.lcm(iv.lo.denominator, iv.hi.denominator)
+            lo, hi = int(iv.lo * d), int(iv.hi * d)
+            # lo + (hi - lo)*i/c over the common denominator d*c
+            offset, step, den = lo * c, hi - lo, d * c
+            g = math.gcd(offset, step, den)
+            axes.append((offset // g, step // g, den // g))
+        object.__setattr__(self, "axes", tuple(axes))
 
     @property
     def dim(self) -> int:
@@ -37,31 +50,17 @@ class Grid:
     def n_cells(self) -> int:
         return math.prod(self.counts)
 
-    def cut(self, axis: int, i: int) -> Fraction:
-        iv = self.base[axis]
-        return iv.lo + iv.width * i / self.counts[axis]
-
-    def cell_interval(self, axis: int, i: int) -> RatInterval:
-        return ival(self.cut(axis, i), self.cut(axis, i + 1))
-
     def cell(self, idx: CellIndex) -> RatBox:
-        return RatBox(tuple(self.cell_interval(a, i) for a, i in enumerate(idx)))
-
-    def block(self, lo: CellIndex, hi: CellIndex) -> RatBox:
-        """The box covering the cells with lo <= idx < hi on every axis."""
-        return RatBox(tuple(ival(self.cut(a, i), self.cut(a, j))
-                            for a, (i, j) in enumerate(zip(lo, hi))))
+        return RatBox(tuple(ival(Fraction(o + s * i, d), Fraction(o + s * (i + 1), d))
+                            for (o, s, d), i in zip(self.axes, idx)))
 
     def face(self, axis: int, plane: int, rest: CellIndex) -> "Face":
         """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
         cells along the remaining axes."""
         at = _insert(rest, axis, plane)
-        face_box = RatBox(tuple(
-            ival(self.cut(a, i)) if a == axis else self.cell_interval(a, i)
-            for a, i in enumerate(at)))
         lower = _insert(rest, axis, plane - 1) if plane > 0 else None
         upper = at if plane < self.counts[axis] else None
-        return Face(face_box, axis, lower, upper)
+        return Face(axis, at, lower, upper)
 
     def cell_faces(self, idx: CellIndex) -> Iterator["Face"]:
         """The 2*dim faces of cell `idx`, lower before upper on each axis."""
@@ -89,10 +88,11 @@ def _insert(idx: CellIndex, axis: int, value: int) -> CellIndex:
 
 @dataclass(frozen=True)
 class Face:
-    """A grid face: degenerate in `axis`, between the two incident cells
-    (None on the side that falls outside the grid)."""
-    box: RatBox
+    """A grid face: cut `at[axis]` of `axis`, spanning cell `at[a]` of
+    every other axis a, between the two incident cells (None on the side
+    that falls outside the grid)."""
     axis: int
+    at: CellIndex
     lower_cell: Optional[CellIndex]
     upper_cell: Optional[CellIndex]
 

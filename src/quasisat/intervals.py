@@ -3,13 +3,15 @@
 All endpoints are `fractions.Fraction`, so arithmetic on polynomial
 operations is exact and no rounding-mode bookkeeping is needed.  The
 transcendental enclosures live in `series`; enclosure widths there are
-controlled by a `Precision`.
+controlled by a `Precision`.  Term evaluation (`evaluation`) follows
+the same rules on integer numerators over a shared denominator and
+converts to these classes only at the edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -62,14 +64,8 @@ class RatInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def intersects(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def issubset(self, other: "RatInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def split(self) -> tuple["RatInterval", "RatInterval"]:
         m = self.mid

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .evaluation import eval_env
-from .intervals import DomainError, Precision, RatBox, RatInterval, ival, rat
+from .evaluation import Ival, compile_term, ival_of
+from .intervals import DomainError, RatBox, RatInterval, ival
 from . import formulas as F
 from . import terms as T
 
@@ -296,7 +296,12 @@ def _diff(lhs: T.Term, rhs: T.Term) -> T.Term:
     return T.Sub(lhs, rhs)
 
 
-_GUARD_PREC = Precision(30)
+_GUARD_PREC = 30
+
+
+def _enclose(t: T.Term, env: dict[str, RatInterval]) -> Ival:
+    return compile_term(t, tuple(env))([ival_of(iv) for iv in env.values()],
+                                       _GUARD_PREC)
 
 
 def _check_domains(f: F.Formula, env: dict[str, RatInterval]) -> None:
@@ -326,8 +331,8 @@ def _check_term(t: T.Term, env: dict[str, RatInterval]) -> None:
         _check_term(t.left, env)
         _check_term(t.right, env)
         if isinstance(t, T.Div):
-            denom = eval_env(t.right, env, _GUARD_PREC)
-            if denom.contains_zero:
+            lo, hi, _ = _enclose(t.right, env)
+            if lo <= 0 <= hi:
                 raise DomainError(
                     f"denominator {T.term_text(t.right)} may vanish on the "
                     "quantification box")
@@ -337,8 +342,7 @@ def _check_term(t: T.Term, env: dict[str, RatInterval]) -> None:
         return
     _check_term(t.arg, env)
     if isinstance(t, T.Sqrt):
-        radicand = eval_env(t.arg, env, _GUARD_PREC)
-        if radicand.lo < 0:
+        if _enclose(t.arg, env)[0] < 0:
             raise DomainError(
                 f"sqrt argument {T.term_text(t.arg)} may be negative on the "
                 "quantification box")

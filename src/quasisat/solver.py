@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import eval_env, positive_lower_bound
-from .formulas import (And, Atom, Eq, Exists, ForAll, Formula, Or, block_parts,
+from .evaluation import Evaluator, Ival, box_env, compile_term, positive_lower_bound
+from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
 from .geometry import (Block, BoxComplex, CellIndex, Face, Grid, grid_cover,
                        halve_block)
@@ -118,28 +118,39 @@ def _soei(
     eqs, ineqs = block_parts(s)
     names = pnames + s.vars
     m, n = len(s.vars), len(eqs)
-    prec = prec_for(r)
+    p = prec_for(r).p
     grid = grid_cover(s.bounds, r)
+    fs = [compile_term(f, names) for f in eqs]
+    gs = [compile_term(g, names) for g in ineqs]
+    p_env = box_env(p_box)
 
-    plausible, separation = _plausible_cells(eqs, ineqs, names, p_box, grid,
-                                             prec, record)
+    plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record)
     if not plausible:
         return TRI_F, separation
     if n == 0:
         for idx in plausible:
-            full = p_box.product(grid.cell(idx))
-            lb = positive_lower_bound(ineqs, full, names, prec)
+            lb = positive_lower_bound(gs, _cell_env(p_env, grid, idx), p)
             if lb is not None:  # every inequality strictly positive here
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(s, eqs, ineqs, pnames, p_box, prec, grid,
+    return _soei_degree_phase(s, eqs, fs, gs, pnames, p_box, p_env, p, grid,
                               plausible, record)
 
 
+def _block_env(p_env: list[Ival], grid: Grid, lo: CellIndex, hi: CellIndex) -> list[Ival]:
+    """The parameter intervals followed by the cuts lo..hi of each axis."""
+    return p_env + [(o + s * i, o + s * j, d)
+                    for (o, s, d), i, j in zip(grid.axes, lo, hi)]
+
+
+def _cell_env(p_env: list[Ival], grid: Grid, idx: CellIndex) -> list[Ival]:
+    return _block_env(p_env, grid, idx, tuple(i + 1 for i in idx))
+
+
 def _plausible_cells(
-    eqs, ineqs, names, p_box: RatBox, grid: Grid, prec: Precision,
-    record: IterationRecord,
+    fs: list[Evaluator], gs: list[Evaluator], p_env: list[Ival], grid: Grid,
+    p: int, record: IterationRecord,
 ) -> tuple[list[CellIndex], Optional[Fraction]]:
     """Refute the grid top-down: a refuted index block drops all of its
     cells, a plausible one is halved until single cells remain.  Returns
@@ -150,9 +161,7 @@ def _plausible_cells(
     blocks: list[Block] = [((0,) * grid.dim, grid.counts)]
     while blocks:
         lo, hi = blocks.pop()
-        full = p_box.product(grid.block(lo, hi))
-        bound = _refutation_bound(eqs, ineqs, dict(zip(names, full.intervals)),
-                                  prec)
+        bound = _refutation_bound(fs, gs, _block_env(p_env, grid, lo, hi), p)
         record.cells_evaluated += 1
         if bound is not None:
             separation = bound if separation is None else min(separation, bound)
@@ -166,33 +175,54 @@ def _plausible_cells(
 
 
 def _refutation_bound(
-    eqs: Sequence[T.Term], ineqs: Sequence[T.Term],
-    env: dict, prec: Precision,
+    fs: list[Evaluator], gs: list[Evaluator], env: list[Ival], p: int
 ) -> Optional[Fraction]:
     """A positive separation bound when the box admits no solution;
     None when the box stays plausible."""
-    for f in eqs:
-        enc = eval_env(f, env, prec)
-        if enc.lo > 0:
-            return enc.lo
-        if enc.hi < 0:
-            return -enc.hi
-    for g in ineqs:
-        enc = eval_env(g, env, prec)
-        if enc.hi < 0:
-            return -enc.hi
+    for f in fs:
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            return Fraction(lo, d)
+        if hi < 0:
+            return Fraction(-hi, d)
+    for g in gs:
+        _, hi, d = g(env, p)
+        if hi < 0:
+            return Fraction(-hi, d)
     return None
 
 
+def _face_margin(
+    fs: list[Evaluator], env: list[Ival], p: int, best: bool
+) -> Optional[tuple[int, int]]:
+    """None on a zero face (every component's enclosure holds zero);
+    otherwise a lower bound (num, den) on max_i |f_i| over the face: the
+    mignitude of the first component that excludes zero, or with `best`
+    the largest mignitude of all components."""
+    margin: Optional[tuple[int, int]] = None
+    for f in fs:
+        lo, hi, d = f(env, p)
+        mig = lo if lo > 0 else -hi if hi < 0 else 0
+        if mig and (margin is None or mig * margin[1] > margin[0] * d):
+            margin = mig, d
+            if not best:
+                break
+    return margin
+
+
 def _candidate_complexes(
-    eqs, names, p_box: RatBox, grid: Grid, prec: Precision,
+    fs: list[Evaluator], p_env: list[Ival], grid: Grid, p: int,
     plausible: list[CellIndex], record: IterationRecord,
+    margins: Optional[dict] = None,
 ) -> list[list[CellIndex]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary.
 
     The components are grown outward from the plausible cells; one made
-    of refuted cells only has no zero, hence degree 0, and is skipped."""
+    of refuted cells only has no zero, hence degree 0, and is skipped.
+    Every face of every member cell is tested; with `margins` given, the
+    largest mignitude over the components on each face that is not a
+    zero face is stored there, keyed like `_face_key`."""
     members = set(plausible)
     walk = list(plausible)
     tested: set[tuple] = set()
@@ -201,13 +231,17 @@ def _candidate_complexes(
     while walk:
         idx = walk.pop()
         for face in grid.cell_faces(idx):
-            key = (face.axis, face.lower_cell, face.upper_cell)
+            key = _face_key(face)
             if key in tested:
                 continue
             tested.add(key)
             record.faces_evaluated += 1
-            full = p_box.product(face.box)
-            if not _zero_face(eqs, dict(zip(names, full.intervals)), prec):
+            hi = tuple(i if a == face.axis else i + 1 for a, i in enumerate(face.at))
+            margin = _face_margin(fs, _block_env(p_env, grid, face.at, hi), p,
+                                  margins is not None)
+            if margin is not None:
+                if margins is not None:
+                    margins[key] = margin
                 continue
             if face.on_boundary:
                 doomed.add(idx)
@@ -228,8 +262,7 @@ def _candidate_complexes(
 
     # union in full-sweep order (axis, plane, cell), so that each
     # component's root, and with it the order of the complexes, is fixed
-    for face in sorted(joins, key=lambda f: (f.axis, f.upper_cell[f.axis],
-                                             f.upper_cell)):
+    for face in sorted(joins, key=lambda f: (f.axis, f.at[f.axis], f.at)):
         parent[find(face.lower_cell)] = find(face.upper_cell)
     doomed_roots = {find(i) for i in doomed}
     candidates: dict[CellIndex, list[CellIndex]] = {}
@@ -239,36 +272,60 @@ def _candidate_complexes(
     return [candidates[root] for root in sorted(candidates)]
 
 
+def _face_key(face: Face) -> tuple[int, CellIndex]:
+    return face.axis, face.at
+
+
+def _slice_margin(grid: Grid, cells: list[CellIndex], margins: dict) -> Fraction:
+    """min over the complex's boundary faces of the stored max_i mig(f_i)."""
+    members = set(cells)
+    lowest: Optional[tuple[int, int]] = None
+    for idx in cells:
+        for face in grid.cell_faces(idx):
+            other = face.upper_cell if face.lower_cell == idx else face.lower_cell
+            if other in members:
+                continue
+            num, den = margins[_face_key(face)]
+            if lowest is None or num * lowest[1] < lowest[0] * den:
+                lowest = num, den
+    return Fraction(*lowest)
+
+
 def _soei_degree_phase(
-    s: Exists, eqs, ineqs, pnames, p_box: RatBox, prec: Precision,
-    grid: Grid, plausible: list[CellIndex], record: IterationRecord,
+    s: Exists, eqs, fs: list[Evaluator], gs: list[Evaluator], pnames,
+    p_box: RatBox, p_env: list[Ival], p: int, grid: Grid,
+    plausible: list[CellIndex], record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
-    """Zero-face merging plus the degree test on candidate complexes."""
-    names = pnames + s.vars
+    """Zero-face merging plus the degree test on candidate complexes.
+
+    The degree is taken at the slice centre p0, which is sound because no
+    boundary face of the complex holds a zero anywhere on the slice.  For
+    the same reason the certificate of a parameterized block is the least
+    max_i |f_i| over those faces and the whole slice; the degree's own
+    boundary bound holds at p0 only."""
     p0 = dict(zip(pnames, p_box.center))
-    fs = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
-    for cells in _candidate_complexes(eqs, names, p_box, grid, prec,
-                                      plausible, record):
+    f0 = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
+    margins: Optional[dict] = {} if pnames else None
+    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record,
+                                      margins):
         complex = BoxComplex(tuple(grid.cell(i) for i in cells))
-        result = degree(fs, s.vars, complex, prec)
+        result = degree(f0, s.vars, complex, Precision(p))
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
         if result is None or result.value == 0:
             continue
-        cert = result.boundary_min_lb
-        for idx in cells if ineqs else ():
-            full = p_box.product(grid.cell(idx))
-            lb = positive_lower_bound(ineqs, full, names, prec)
+        if margins is None:
+            cert = result.boundary_min_lb
+        else:
+            cert = _slice_margin(grid, cells, margins)
+        for idx in cells if gs else ():
+            lb = positive_lower_bound(gs, _cell_env(p_env, grid, idx), p)
             if lb is None:  # an inequality may fail inside this complex
                 break
             cert = min(cert, lb)
         else:
             return TRI_T, cert
     return TRI_TF, None
-
-
-def _zero_face(eqs: Sequence[T.Term], env: dict, prec: Precision) -> bool:
-    return all(eval_env(f, env, prec).contains_zero for f in eqs)
 
 
 # ---------------------------------------------------------------------------

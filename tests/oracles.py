@@ -1,6 +1,7 @@
 """Independent reference implementations the tests compare the solver
-against: exact and float term evaluation, a float winding count for
-planar degrees, and full sweeps over every cell and face of a grid."""
+against: interval evaluation on `Fraction` endpoints, exact and float
+term evaluation, a float winding count for planar degrees, and full
+sweeps over every cell and face of a grid."""
 from __future__ import annotations
 
 import math
@@ -9,7 +10,41 @@ from typing import Iterator, Mapping, Sequence
 
 from quasisat import terms as T
 from quasisat.geometry import BoxComplex, CellIndex, Face, Grid, oriented_boundary
-from quasisat.intervals import RatBox
+from quasisat.intervals import Precision, RatBox, RatInterval, ival
+from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
+                             sin_enclosure, sqrt_enclosure)
+
+
+def eval_env(t: T.Term, env: Mapping[str, RatInterval], prec: Precision) -> RatInterval:
+    """Natural interval extension under a name -> interval binding, by
+    recursion over the term and `RatInterval` arithmetic."""
+    if isinstance(t, T.Const):
+        return ival(t.value, t.value)
+    if isinstance(t, T.Pi):
+        return pi_enclosure(prec.p)
+    if isinstance(t, T.Var):
+        return env[t.name]
+    if isinstance(t, T.Add):
+        return eval_env(t.left, env, prec) + eval_env(t.right, env, prec)
+    if isinstance(t, T.Sub):
+        return eval_env(t.left, env, prec) - eval_env(t.right, env, prec)
+    if isinstance(t, T.Neg):
+        return -eval_env(t.arg, env, prec)
+    if isinstance(t, T.Mul):
+        return eval_env(t.left, env, prec) * eval_env(t.right, env, prec)
+    if isinstance(t, T.Div):
+        return eval_env(t.left, env, prec).divide(eval_env(t.right, env, prec))
+    if isinstance(t, T.Pow):
+        return eval_env(t.base, env, prec).pow_nat(t.exponent)
+    if isinstance(t, T.Sin):
+        return sin_enclosure(eval_env(t.arg, env, prec), prec.p)
+    if isinstance(t, T.Cos):
+        return cos_enclosure(eval_env(t.arg, env, prec), prec.p)
+    if isinstance(t, T.Exp):
+        return exp_enclosure(eval_env(t.arg, env, prec), prec.p)
+    if isinstance(t, T.Sqrt):
+        return sqrt_enclosure(eval_env(t.arg, env, prec), prec.p)
+    raise TypeError(f"unknown term node: {type(t).__name__}")
 
 
 def is_polynomial(t: T.Term) -> bool:
@@ -111,10 +146,26 @@ def winding_oracle_2d(
     return round(total / (2 * math.pi))
 
 
+def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
+    """Cut i of `axis`, from the base box's `Fraction` endpoints."""
+    iv = grid.base[axis]
+    return iv.lo + iv.width * i / grid.counts[axis]
+
+
 def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
-    """Every cell of the grid, in index order."""
+    """Every cell of the grid, in index order, with its box built from
+    `grid_cut`."""
     for idx in _multi_range(list(grid.counts)):
-        yield idx, grid.cell(idx)
+        yield idx, RatBox(tuple(ival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
+                                for a, i in enumerate(idx)))
+
+
+def face_box(grid: Grid, face: Face) -> RatBox:
+    """The box of a grid face, degenerate in its axis."""
+    return RatBox(tuple(
+        ival(grid_cut(grid, a, i)) if a == face.axis
+        else ival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
+        for a, i in enumerate(face.at)))
 
 
 def grid_faces(grid: Grid) -> Iterator[Face]:

@@ -14,7 +14,7 @@ import mpmath
 from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.evaluation import eval_term
+from quasisat.evaluation import box_env, compile_term, to_interval
 from quasisat.formulas import aligned_terms
 from quasisat.geometry import BoxComplex, Grid
 from quasisat.intervals import Precision, RatBox, box, ival, rat_str
@@ -201,13 +201,14 @@ def test_c06_degree_additive_over_split_complexes():
 def test_c07_enclosure_soundness_and_convergence():
     rng = random.Random(8)
     for t, names, b in corpus_atom_terms():
+        evaluate = compile_term(t, names)
         # soundness: the interval value contains the true value at 1000
         # random rational points of the quantification box
         for _ in range(1000):
             point = [iv.lo + iv.width * Fraction(rng.randint(0, 4096), 4096)
                      for iv in b.intervals]
             cell = RatBox(tuple(ival(xv) for xv in point))
-            enc = eval_term(t, cell, names, Precision(30))
+            enc = to_interval(evaluate(box_env(cell), 30))
             true = mp_eval(t, {n: mpf(xv) for n, xv in zip(names, point)})
             assert mpf(enc.lo) <= true <= mpf(enc.hi), T.term_text(t)
         if not names:
@@ -221,7 +222,7 @@ def test_c07_enclosure_soundness_and_convergence():
             cell = RatBox(tuple(
                 ival(max(iv.lo, cv - h), min(iv.hi, cv + h))
                 for iv, cv in zip(b.intervals, center)))
-            widths.append(eval_term(t, cell, names, Precision(i)).width)
+            widths.append(to_interval(evaluate(box_env(cell), i)).width)
         fitted = max(w * 2 ** i for i, w in enumerate(widths[:10], start=1))
         for i, w in enumerate(widths, start=1):
             assert w <= fitted * Fraction(1, 2 ** i) * 2, T.term_text(t)

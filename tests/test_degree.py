@@ -7,6 +7,7 @@ import pytest
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
+from quasisat.evaluation import compile_term
 from quasisat.geometry import BoxComplex, Grid
 from quasisat.intervals import Precision, box, ival
 from quasisat.parser import parse
@@ -206,5 +207,5 @@ def test_degree_stable_under_grid_refinement():
 
 
 def test_empty_cycle_has_degree_zero():
-    fs = [term_of("x"), term_of("y"), term_of("x - y")]
-    assert _deg_cycle(fs, ("x", "y", "z"), {}, 20, _Budget(10), None) == 0
+    fs = [compile_term(term_of(text), ("x", "y", "z")) for text in ("x", "y", "x - y")]
+    assert _deg_cycle(fs, {}, 20, _Budget(10), None) == 0

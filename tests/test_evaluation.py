@@ -1,13 +1,17 @@
-"""Interval evaluation of terms: soundness and lower bounds."""
+"""Interval evaluation of terms: soundness, exactness against the
+`Fraction` reference, and lower bounds."""
 import random
 from fractions import Fraction
 
 import mpmath
+from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import eval_term, positive_lower_bound
-from quasisat.intervals import Precision, box, ival
+from quasisat.evaluation import box_env, compile_term, positive_lower_bound, to_interval
+from quasisat.intervals import DomainError, Precision, RatBox, box, ival
 from quasisat.parser import parse
+
+from oracles import eval_env
 
 mpmath.mp.dps = 60
 
@@ -43,24 +47,27 @@ def mp_eval(t: T.Term, env: dict) -> mpmath.mpf:
     return fn(arg)
 
 
+def enclose(t, b, names, p):
+    return to_interval(compile_term(t, names)(box_env(b), p))
+
+
 def test_point_evaluation_soundness_random():
     rng = random.Random(7)
     t = parse("exists x in [0,4], y in [-2,2] ."
               " sin(pi*x) + exp(y)*sqrt(x) - x^2/3 = 0").body.term
-    b = box(ival(0, 4), ival(-2, 2))
+    evaluate = compile_term(t, ("x", "y"))
     for _ in range(300):
         xv = Fraction(rng.randint(0, 4096), 1024)
         yv = Fraction(rng.randint(-2048, 2048), 1024)
-        enc = eval_term(t, box(ival(xv), ival(yv)), ("x", "y"), Precision(40))
+        enc = to_interval(evaluate(box_env(box(ival(xv), ival(yv))), 40))
         true = mp_eval(t, {"x": mpf(xv), "y": mpf(yv)})
         assert mpf(enc.lo) <= true <= mpf(enc.hi)
         assert enc.width <= Fraction(1, 2 ** 30)
-    del b
 
 
 def test_interval_evaluation_contains_sampled_values():
     t = parse("exists x in [0,4] . cos(x)*x - 1/2 = 0").body.term
-    enc = eval_term(t, box(ival(0, 4)), ("x",), Precision(20))
+    enc = enclose(t, box(ival(0, 4)), ("x",), 20)
     for k in range(17):
         xv = Fraction(k, 4)
         true = mp_eval(t, {"x": mpf(xv)})
@@ -68,8 +75,77 @@ def test_interval_evaluation_contains_sampled_values():
 
 
 def test_positive_lower_bound_is_verified():
-    b = box(ival(0, 1))
+    env = box_env(box(ival(0, 1)))
     g = T.Add(T.Pow(X, 2), T.Const(1))  # x^2 + 1 >= 1 on [0,1]
-    lb = positive_lower_bound([g], b, ("x",), Precision(10))
+    lb = positive_lower_bound([compile_term(g, ("x",))], env, 10)
     assert lb is not None and 0 < lb <= 1
-    assert positive_lower_bound([X], b, ("x",), Precision(10)) is None
+    assert positive_lower_bound([compile_term(X, ("x",))], env, 10) is None
+
+
+# ---------------------------------------------------------------------------
+# exactness: the compiled evaluator on integer numerators gives the very
+# rationals of the recursive `Fraction` evaluator, and fails where it fails
+
+NAMES = ("p", "x", "y")  # p plays a parameter of the block over x, y
+constants = st.sampled_from([0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4),
+                             Fraction(1, 3), Fraction(5, 7), Fraction(-22, 7)])
+endpoints = st.sampled_from([Fraction(-3, 2), -1, Fraction(-1, 3), 0,
+                             Fraction(1, 4), Fraction(1, 3), Fraction(5, 7),
+                             1, Fraction(7, 4)])
+
+
+def _terms():
+    leaves = st.one_of(st.builds(T.Const, constants), st.just(T.Pi()),
+                       st.sampled_from([T.Var(n) for n in NAMES]))
+
+    def arithmetic(sub):
+        return st.one_of(
+            st.builds(T.Add, sub, sub), st.builds(T.Sub, sub, sub),
+            st.builds(T.Mul, sub, sub), st.builds(T.Div, sub, sub),
+            st.builds(T.Neg, sub))
+
+    # sin, cos and exp get small arguments: a huge one makes the
+    # enclosure slow (exp) or hang (the critical-point scan of sin/cos)
+    small = st.recursive(leaves, arithmetic, max_leaves=3)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        arithmetic(sub),
+        st.builds(T.Pow, sub, st.integers(min_value=0, max_value=4)),
+        st.builds(T.Sqrt, sub), st.builds(T.Sin, small),
+        st.builds(T.Cos, small), st.builds(T.Exp, small)), max_leaves=10)
+
+
+@st.composite
+def _boxes(draw):
+    ivs = []
+    for _ in NAMES:
+        a, b = draw(endpoints), draw(endpoints)
+        ivs.append(ival(min(a, b), max(a, b)))  # a == b gives a point
+    return RatBox(tuple(ivs))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError:
+        return DomainError
+
+
+@given(_terms(), _boxes(), st.sampled_from([4, 12, 30]))
+@settings(max_examples=400, deadline=None)
+def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
+    env = dict(zip(NAMES, b.intervals))
+    want = _outcome(lambda: eval_env(t, env, Precision(p)))
+    got = _outcome(lambda: compile_term(t, NAMES)(box_env(b), p))
+    if want is DomainError:
+        assert got is DomainError
+    else:
+        assert got is not DomainError and got[2] > 0
+        assert to_interval(got) == want
+
+
+def test_evaluation_depth_is_not_bounded_by_the_stack():
+    t = X
+    for _ in range(20_000):  # far deeper than the recursion limit
+        t = T.Add(t, T.Neg(X))
+    lo, hi, den = compile_term(t, ("x",))(box_env(box(ival(0, 1))), 10)
+    assert (Fraction(lo, den), Fraction(hi, den)) == (-20_000, 1)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from quasisat.geometry import (BoxComplex, Grid, bisect_box, grid_cover,
                                halve_block, oriented_boundary)
 from quasisat.intervals import RatBox, box, ival
+from quasisat.solver import _block_env
 
-from oracles import grid_cells, grid_faces
+from oracles import face_box, grid_cells, grid_cut, grid_faces
 
 UNIT2 = box(ival(0, 1), ival(0, 1))
 
@@ -43,11 +44,44 @@ def test_face_count_and_boundary_flags():
         assert f.on_boundary == (len(cells) == 1)
 
 
+bounds = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=9)),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_integer_axes_reproduce_the_cuts(spec):
+    """Cut i of every axis, (offset + step*i)/den, is the `Fraction` cut,
+    also for non-dyadic and degenerate bounds, and the cells agree."""
+    g = Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
+             tuple(c for _, _, c in spec))
+    for axis, (offset, step, den) in enumerate(g.axes):
+        assert den > 0
+        for i in range(g.counts[axis] + 1):
+            assert Fraction(offset + step * i, den) == grid_cut(g, axis, i)
+    for idx, cell in grid_cells(g):
+        assert g.cell(idx) == cell
+
+
+def test_integer_axes_of_a_non_dyadic_box():
+    g = Grid(box(ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
+    assert g.axes == ((21, 8, 63), (-2, 1, 2))
+    assert g.cell((2, 3)) == box(ival(Fraction(37, 63), Fraction(5, 7)),
+                                 ival(Fraction(1, 2), 1))
+
+
 def test_block_box_spans_its_cells():
+    """The integer intervals the solver builds for an index block span
+    exactly the cells lo..hi of the grid."""
     g = Grid(box(ival(0, 3), ival(-1, 1)), (3, 4))
-    assert g.block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
-    assert g.block((2, 3), (3, 4)) == g.cell((2, 3))
-    assert g.block((0, 0), g.counts) == g.base
+
+    def block(lo, hi):
+        return RatBox(tuple(ival(Fraction(a, d), Fraction(b, d))
+                            for a, b, d in _block_env([], g, lo, hi)))
+
+    assert block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
+    assert block((2, 3), (3, 4)) == g.cell((2, 3))
+    assert block((0, 0), g.counts) == g.base
 
 
 def test_halve_block_splits_the_longest_index_range():
@@ -79,8 +113,9 @@ def test_cell_faces_are_the_grid_faces_around_a_cell():
         assert len(faces) == 2 * g.dim
         for f in faces:
             assert idx in (f.lower_cell, f.upper_cell)
-            assert f.box[f.axis].is_degenerate
-            assert all(f.box[a] == cell[a] for a in range(g.dim) if a != f.axis)
+            fb = face_box(g, f)
+            assert fb[f.axis].is_degenerate
+            assert all(fb[a] == cell[a] for a in range(g.dim) if a != f.axis)
         seen.extend(faces)
     assert set(seen) == set(grid_faces(g))
 

@@ -59,11 +59,10 @@ def test_pow_nat_even_is_nonnegative():
     assert ival(-3, 2).pow_nat(0) == ival(1, 1)
 
 
-def test_abs_split_hull():
+def test_abs_and_split():
     assert ival(-3, 2).abs() == ival(0, 3)
     lo, hi = ival(0, 1).split()
     assert lo == ival(0, Fraction(1, 2)) and hi == ival(Fraction(1, 2), 1)
-    assert ival(0, 1).hull(ival(3, 4)) == ival(0, 4)
 
 
 @given(intervals(), intervals(), st.data())
@@ -80,10 +79,9 @@ def test_arithmetic_is_inclusion_sound(a, b, data):
 
 
 @given(intervals(), intervals())
-def test_hull_contains_both_and_intersects_is_symmetric(a, b):
-    h = a.hull(b)
-    assert a.issubset(h) and b.issubset(h)
-    assert a.intersects(b) == b.intersects(a)
+def test_issubset_compares_endpoints(a, b):
+    assert a.issubset(b) == (b.lo <= a.lo and a.hi <= b.hi)
+    assert a.issubset(a)
 
 
 def test_box_queries():

@@ -14,12 +14,12 @@ from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
 from quasisat.geometry import grid_cover
 from quasisat.intervals import EMPTY_BOX, box
 from quasisat.parser import parse
+from quasisat.evaluation import box_env, compile_term
 from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
-                             _plausible_cells, _refutation_bound, _zero_face,
-                             prec_for, quasi_decide)
+                             _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import grid_cells, grid_faces, is_polynomial
+from oracles import eval_env, face_box, grid_cells, grid_faces, is_polynomial
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -37,12 +37,19 @@ EXTRA_BLOCKS = {
 }
 
 
+def env_of(names, p_box, b):
+    return dict(zip(names, p_box.product(b).intervals))
+
+
 def sweep_plausible(eqs, ineqs, names, p_box, grid, prec):
-    """Every cell, in index order, that the refutation test keeps."""
+    """Every cell, in index order, whose `Fraction` enclosures leave a
+    solution possible: each equation's holds zero, no inequality's is
+    negative."""
     return [idx for idx, cell in grid_cells(grid)
-            if _refutation_bound(eqs, ineqs,
-                                 dict(zip(names, p_box.product(cell).intervals)),
-                                 prec) is None]
+            if all(eval_env(f, env_of(names, p_box, cell), prec).contains_zero
+                   for f in eqs)
+            and all(eval_env(g, env_of(names, p_box, cell), prec).hi >= 0
+                    for g in ineqs)]
 
 
 def sweep_complexes(eqs, names, p_box, grid, prec, plausible):
@@ -57,8 +64,8 @@ def sweep_complexes(eqs, names, p_box, grid, prec, plausible):
 
     doomed = set()
     for face in grid_faces(grid):
-        env = dict(zip(names, p_box.product(face.box).intervals))
-        if not _zero_face(eqs, env, prec):
+        env = env_of(names, p_box, face_box(grid, face))
+        if not all(eval_env(f, env, prec).contains_zero for f in eqs):
             continue
         if face.on_boundary:
             doomed.update(c for c in (face.lower_cell, face.upper_cell)
@@ -104,16 +111,18 @@ def test_pruning_matches_full_sweep(block):
     s, pnames, p_box = block
     eqs, ineqs = block_parts(s)
     names = pnames + s.vars
+    fs = [compile_term(f, names) for f in eqs]
+    gs = [compile_term(g, names) for g in ineqs]
     finest = {1: 7, 2: 4, 3: 3}[len(s.vars)]  # 2^-k widths per dimension
     for k in range(finest + 1):
         r = Fraction(1, 2 ** k)
         grid, prec = grid_cover(s.bounds, r), prec_for(r)
         record = IterationRecord(0, r, TRI_TF)
-        plausible, _ = _plausible_cells(eqs, ineqs, names, p_box, grid, prec,
+        plausible, _ = _plausible_cells(fs, gs, box_env(p_box), grid, prec.p,
                                         record)
         assert plausible == sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
         if len(eqs) == len(s.vars):
-            got = _candidate_complexes(eqs, names, p_box, grid, prec,
+            got = _candidate_complexes(fs, box_env(p_box), grid, prec.p,
                                        plausible, record)
             assert got == sweep_complexes(eqs, names, p_box, grid, prec,
                                           plausible)
@@ -150,17 +159,8 @@ def shift_atom(f, k, delta):
     return go(f), count
 
 
-# the parameterized certificate defect: the margin of f(p0, .) at the
-# slice centre is reported, not the margin over the whole parameter slice
-UNSOUND_TRUE = {"forall_exists_line", "forall_exists_sin"}
-
-
 def decided_sentences():
-    unsound = pytest.mark.xfail(strict=True, reason="certificates of "
-                                "parameterized blocks are taken at the slice "
-                                "centre (ROADMAP item 1)")
-    out = [pytest.param(text, label, id=name,
-                        marks=unsound if name in UNSOUND_TRUE else ())
+    out = [pytest.param(text, label, id=name)
            for name, text, label, _ in corpus_entries()
            if label in ("TRUE", "FALSE")]
     return out + [pytest.param(t, "FALSE", id=f"multi_cell_{i}")

@@ -192,3 +192,11 @@ def test_pruning_evaluates_few_cells_of_a_fine_grid():
     assert grid_cover(s.bounds, rec.eps).n_cells == 32768
     assert 0 < rec.cells_evaluated < 512
     assert 0 < rec.faces_evaluated < 512
+
+
+def test_a_900_term_sum_is_solved():
+    """Depth guard: a sum nested 900 deep parses and solves; evaluation
+    must not bring the limit below what the parser accepts."""
+    s = parse("exists x in [0,2] . " + "+".join(["x"] * 900) + " - 1 = 0")
+    v = quasi_decide(s)
+    assert v.outcome == "TRUE" and v.certificate > 0
