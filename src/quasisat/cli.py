@@ -75,6 +75,7 @@ def _trace_json(records: list[IterationRecord]) -> list[dict]:
              "complexes": r.complexes,
              "cells_evaluated": r.cells_evaluated,
              "faces_evaluated": r.faces_evaluated,
+             "degree_subdivisions": r.degree_subdivisions,
              "degrees": r.degrees}
             for r in records]
 
@@ -108,7 +109,8 @@ def _report(verdict: Verdict, args) -> None:
             if r.complexes:
                 degs = ", ".join("failure" if d is None else str(d)
                                  for d in r.degrees)
-                extra += f"  complexes: {r.complexes}  degrees: [{degs}]"
+                extra += (f"  complexes: {r.complexes}  degrees: [{degs}]"
+                          f"  degree subdivisions: {r.degree_subdivisions}")
             print(f"  iteration {r.iteration}: eps {rat_str(r.eps)} "
                   f"-> {{{_tri_text(r.result)}}}{extra}")
 

@@ -9,6 +9,12 @@ region whose own boundary carries the same degree for the map with
 component i* removed, up to the sign (-1)**(i*-1).  Dimension 0 counts
 signs directly.  Orientation conventions follow `geometry.oriented_boundary`
 and are cross-checked against independent oracles in the test suite.
+
+Cells are the integer cells of `geometry`: a cycle is a dict keyed by
+tuples of `(lo, hi)` numerators over one `dens` for the whole cycle, and
+each refinement bisects every cell and doubles `dens`.  The evaluator
+gets the numerators directly; a `Fraction` is built only for a
+certificate's bound.
 """
 from __future__ import annotations
 
@@ -16,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import Evaluator, box_env, compile_term
-from .geometry import BoxComplex, _add_cell_boundary, bisect_box, oriented_boundary
-from .intervals import Precision, RatBox
+from .evaluation import Evaluator, Ival, cell_env, compile_term
+from .geometry import BoxComplex, Cell, _add_cell_boundary, bisect_box, oriented_boundary
+from .intervals import Precision
 from . import terms as T
 
 _MAX_PREC = 4096
@@ -50,8 +56,7 @@ class _Budget:
 _Cert = tuple[int, int, Fraction]
 
 
-def _certify(fs: Sequence[Evaluator], cell: RatBox, p: int) -> Optional[_Cert]:
-    env = box_env(cell)
+def _certify(fs: Sequence[Evaluator], env: list[Ival], p: int) -> Optional[_Cert]:
     for i, f in enumerate(fs):
         lo, hi, d = f(env, p)
         if lo > 0:
@@ -62,10 +67,9 @@ def _certify(fs: Sequence[Evaluator], cell: RatBox, p: int) -> Optional[_Cert]:
 
 
 def _sign_at_point(
-    f: Evaluator, cell: RatBox, p: int, budget: _Budget
+    f: Evaluator, env: list[Ival], p: int, budget: _Budget
 ) -> Optional[tuple[int, Fraction]]:
-    """Sign of f at a degenerate box, escalating precision as needed."""
-    env = box_env(cell)
+    """Sign of f at a degenerate cell, escalating precision as needed."""
     while p <= _MAX_PREC:
         lo, hi, d = f(env, p)
         if lo > 0:
@@ -80,18 +84,19 @@ def _sign_at_point(
 
 def _deg_cycle(
     fs: list[Evaluator],
-    cycle: dict[RatBox, int],
+    cycle: dict[Cell, int],
+    dens: tuple[int, ...],
     p: int,
     budget: _Budget,
     top_bounds: Optional[list[Fraction]],
 ) -> Optional[int]:
-    """Degree of fs over an oriented cycle of (len(fs)-1)-cells."""
+    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`."""
     if not cycle:  # e.g. a region boundary that cancelled out entirely
         return 0
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():
-            got = _sign_at_point(fs[0], cell, p, budget)
+            got = _sign_at_point(fs[0], cell_env(cell, dens), p, budget)
             if got is None:
                 return None
             sign, lb = got
@@ -102,49 +107,51 @@ def _deg_cycle(
             return None
         return total // 2
 
-    cells: list[tuple[RatBox, int]] = list(cycle.items())
-    certs: dict[RatBox, _Cert] = {}
+    cells: list[tuple[Cell, int]] = list(cycle.items())
+    certs: list[Optional[_Cert]] = [None] * len(cells)
+    # how often each component certifies a cell, summed over every level
+    # of refinement: a cell certified before it was split still counts,
+    # and so do its halves, which inherit its certificate.  This choice of
+    # i* is the one the degree has always made; counting only the final
+    # cells could pick another i* and change `value`'s derivation,
+    # `boundary_min_lb` and `subdivisions`.
+    counts: dict[int, int] = {}
     while True:
-        pending = [cell for cell, _ in cells if cell not in certs]
-        if not pending:
-            break
-        for cell in pending:
-            cert = _certify(fs, cell, p)
+        for k, (cell, _) in enumerate(cells):
+            if certs[k] is None:
+                cert = _certify(fs, cell_env(cell, dens), p)
+                if cert is not None:
+                    certs[k] = cert
+                    if top_bounds is not None:
+                        top_bounds.append(cert[2])
+        for cert in certs:
             if cert is not None:
-                certs[cell] = cert
-        if all(cell in certs for cell, _ in cells):
+                counts[cert[0]] = counts.get(cert[0], 0) + 1
+        if all(cert is not None for cert in certs):
             break
         # congruent refinement: split every cell so that shared sub-faces
-        # of the region boundary still cancel by box identity
+        # of the region boundary still cancel by key equality
         if not budget.spend(len(cells)):
             return None
-        refined: list[tuple[RatBox, int]] = []
-        for cell, coef in cells:
-            children = bisect_box(cell)
-            for child in children:
+        refined: list[tuple[Cell, int]] = []
+        inherited: list[Optional[_Cert]] = []
+        for (cell, coef), cert in zip(cells, certs):
+            for child in bisect_box(cell):
                 refined.append((child, coef))
-                if cell in certs:
-                    certs[child] = certs[cell]  # subset keeps the bound
-        cells = refined
+                inherited.append(cert)  # a subset keeps the bound
+        cells, certs = refined, inherited
+        dens = tuple(2 * d for d in dens)
         p += 2
 
-    counts: dict[int, int] = {}
-    for cert in certs.values():
-        counts[cert[0]] = counts.get(cert[0], 0) + 1
     i_star = min(counts, key=lambda i: (-counts[i], i))
 
-    if top_bounds is not None:
-        top_bounds.extend(cert[2] for cert in certs.values())
-
-    gamma: dict[RatBox, int] = {}
-    for cell, coef in cells:
-        ci, cs, _ = certs[cell]
+    gamma: dict[Cell, int] = {}
+    for (cell, coef), (ci, cs, _) in zip(cells, certs):
         if ci == i_star and cs == 1:
             _add_cell_boundary(gamma, cell, coef)
-    gamma = {b: c for b, c in gamma.items() if c}
 
     reduced = fs[:i_star] + fs[i_star + 1:]
-    sub = _deg_cycle(reduced, gamma, p, budget, None)
+    sub = _deg_cycle(reduced, gamma, dens, p, budget, None)
     if sub is None:
         return None
     return sub if i_star % 2 == 0 else -sub
@@ -165,7 +172,7 @@ def degree(
     bounds: list[Fraction] = []
     cycle = oriented_boundary(complex.cells)
     evals = [compile_term(f, names) for f in fs]
-    value = _deg_cycle(evals, cycle, prec.p, state, bounds)
+    value = _deg_cycle(evals, cycle, complex.dens, prec.p, state, bounds)
     if value is None:
         return None
     return DegreeResult(value, min(bounds), state.used)

@@ -1,14 +1,15 @@
 """Structural distance between sentences: max over aligned atom positions
-of sup |f_i - g_i| over the quantification box."""
+of sup |f_i - g_i| over the quantification box, enclosed by bisecting
+integer cells (see `geometry`)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .evaluation import box_env, compile_term, to_interval
+from .evaluation import cell_env, compile_term
 from .intervals import RatBox, RatInterval, ival, rat
 from .formulas import Formula, aligned_terms, same_structure
-from .geometry import bisect_box
+from .geometry import Grid, bisect_box
 from . import terms as T
 
 
@@ -36,34 +37,48 @@ def sup_abs_enclosure(
     Iterative deepening over uniform grids: the bracket sequence depends
     only on the term and the box, and successive brackets are
     intersected, so a tighter tolerance always yields a sub-interval of
-    a looser one's result.
+    a looser one's result.  The cells are integer cells on one shared
+    `dens` (see `geometry`); bounds are compared by cross-multiplication
+    and only each depth's bracket is built from `Fraction`s.
     """
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     evaluate = compile_term(t, names)
     bracket: RatInterval | None = None
-    active = [box]
-    best_lo = Fraction(0) if box.dim else None  # |t| >= 0 somewhere
+    whole = Grid(box, (1,) * box.dim).complex([(0,) * box.dim])
+    active, dens = list(whole.cells), whole.dens
+    # (num, den) of the best lower bound on sup |t| so far
+    best_lo: Optional[tuple[int, int]] = (0, 1) if box.dim else None
     depth = 0
     while True:
         p = depth + 10
-        scored = []
+        scored = []  # (cell, numerator of the upper bound of |t|, den)
+        hi = None
         for cell in active:
-            enc = to_interval(evaluate(box_env(cell), p)).abs()
-            scored.append((cell, enc))
-            if best_lo is None or enc.lo > best_lo:
-                best_lo = enc.lo
-        hi = max(enc.hi for _, enc in scored)
-        step = ival(min(best_lo, hi), hi)
+            lo_t, hi_t, d = evaluate(cell_env(cell, dens), p)
+            if lo_t >= 0:  # |t| over the cell is [a, b]/d
+                a, b = lo_t, hi_t
+            elif hi_t <= 0:
+                a, b = -hi_t, -lo_t
+            else:
+                a, b = 0, max(-lo_t, hi_t)
+            scored.append((cell, b, d))
+            if best_lo is None or a * best_lo[1] > best_lo[0] * d:
+                best_lo = a, d
+            if hi is None or b * hi[1] > hi[0] * d:
+                hi = b, d
+        hi_q = Fraction(*hi)
+        step = ival(min(Fraction(*best_lo), hi_q), hi_q)
         bracket = step if bracket is None else _intersect(bracket, step)
         if bracket.width <= tol or box.dim == 0:
             return bracket
         # keep only cells that can still carry the supremum, then bisect
         active = []
-        for cell, enc in scored:
-            if enc.hi >= best_lo:
+        for cell, b, d in scored:
+            if b * best_lo[1] >= best_lo[0] * d:
                 active.extend(bisect_box(cell))
+        dens = tuple(2 * x for x in dens)
         depth += 1
 
 

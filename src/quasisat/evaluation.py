@@ -37,6 +37,11 @@ def box_env(b: RatBox) -> list[Ival]:
     return [ival_of(iv) for iv in b.intervals]
 
 
+def cell_env(cell: Sequence[tuple[int, int]], dens: Sequence[int]) -> list[Ival]:
+    """The intervals of an integer cell over the per-axis denominators."""
+    return [(lo, hi, d) for (lo, hi), d in zip(cell, dens)]
+
+
 def to_interval(x: Ival) -> RatInterval:
     return RatInterval(Fraction(x[0], x[2]), Fraction(x[1], x[2]))
 

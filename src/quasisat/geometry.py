@@ -1,16 +1,23 @@
 """Uniform grids over boxes, index blocks, face adjacency, and oriented
-boundaries of box complexes."""
+boundaries of box complexes.
+
+A box complex lives on integers: a cell is one `(lo, hi)` pair of
+numerators per axis over per-axis denominators `dens` shared by every
+cell of the complex (an axis with lo == hi is degenerate).  Bisecting a
+cell doubles every denominator, so cells refined together stay on one
+`dens` and equal faces have equal keys, with no `Fraction` built.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .intervals import RatBox, ival, rat
+from .intervals import RatBox, rat
 
 CellIndex = tuple[int, ...]
 Block = tuple[CellIndex, CellIndex]  # cells lo <= idx < hi on every axis
+Cell = tuple[tuple[int, int], ...]  # (lo, hi) numerators, one pair per axis
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,12 @@ class Grid:
     def n_cells(self) -> int:
         return math.prod(self.counts)
 
-    def cell(self, idx: CellIndex) -> RatBox:
-        return RatBox(tuple(ival(Fraction(o + s * i, d), Fraction(o + s * (i + 1), d))
-                            for (o, s, d), i in zip(self.axes, idx)))
+    def complex(self, cells: Iterable[CellIndex]) -> "BoxComplex":
+        """The cells at the indices `cells`, on the grid's integer axes."""
+        return BoxComplex(
+            tuple(tuple((o + s * i, o + s * (i + 1)) for (o, s, _), i in zip(self.axes, idx))
+                  for idx in cells),
+            tuple(d for _, _, d in self.axes))
 
     def face(self, axis: int, plane: int, rest: CellIndex) -> "Face":
         """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
@@ -112,39 +122,42 @@ def grid_cover(b: RatBox, r) -> Grid:
 
 @dataclass(frozen=True)
 class BoxComplex:
-    """A face-connected union of congruent aligned grid cells."""
-    cells: tuple[RatBox, ...]
+    """A face-connected union of congruent aligned grid cells: integer
+    cells over the per-axis denominators `dens`."""
+    cells: tuple[Cell, ...]
+    dens: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.cells[0].dim
+        return len(self.dens)
 
 
-def oriented_boundary(cells: Iterable[RatBox]) -> dict[RatBox, int]:
-    """Outward-oriented boundary of a union of congruent aligned cells,
-    as face-box -> integer coefficient.
+def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
+    """Outward-oriented boundary of a union of congruent aligned cells on
+    one `dens`, as face -> integer coefficient.
 
     Each cell contributes its faces with the induced orientation of the
     standard frame: on the t-th non-degenerate axis (1-based), the upper
     face gets (-1)**(t-1) and the lower face (-1)**t.  Faces shared by
     two cells receive opposite signs and cancel exactly.
     """
-    out: dict[RatBox, int] = {}
+    out: dict[Cell, int] = {}
     for cell in cells:
         _add_cell_boundary(out, cell, 1)
-    return {b: c for b, c in out.items() if c}
+    return out
 
 
-def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
+def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
+    """Add coef times the oriented boundary of `cell` to `acc`, dropping
+    faces whose coefficient cancels to zero."""
     t = 0
-    for axis, iv in enumerate(cell.intervals):
-        if iv.is_degenerate:
+    for axis, (lo, hi) in enumerate(cell):
+        if lo == hi:
             continue
         t += 1
-        sign = -1 if t % 2 == 0 else 1
-        hi_face = cell.replace(axis, ival(iv.hi))
-        lo_face = cell.replace(axis, ival(iv.lo))
-        for face, s in ((hi_face, sign * coef), (lo_face, -sign * coef)):
+        sign = -coef if t % 2 == 0 else coef
+        for end, s in ((hi, sign), (lo, -sign)):
+            face = cell[:axis] + ((end, end),) + cell[axis + 1:]
             got = acc.get(face, 0) + s
             if got:
                 acc[face] = got
@@ -152,10 +165,12 @@ def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
                 acc.pop(face, None)
 
 
-def bisect_box(b: RatBox) -> list[RatBox]:
-    """Split a box in half along every non-degenerate axis."""
-    out = [()]
-    for iv in b.intervals:
-        pieces = iv.split() if not iv.is_degenerate else (iv,)
+def bisect_box(cell: Cell) -> list[Cell]:
+    """Split a cell in half along every non-degenerate axis.  The halves
+    are over the doubled denominators: (lo, hi) becomes (2lo, lo+hi) and
+    (lo+hi, 2hi), a degenerate (c, c) becomes (2c, 2c)."""
+    out: list[Cell] = [()]
+    for lo, hi in cell:
+        pieces = ((2 * lo, lo + hi), (lo + hi, 2 * hi)) if lo != hi else ((2 * lo, 2 * lo),)
         out = [combo + (piece,) for combo in out for piece in pieces]
-    return [RatBox(combo) for combo in out]
+    return out

@@ -173,11 +173,22 @@ def _cos_fix(y: tuple[int, int], q: int) -> tuple[int, int]:
     return _horner_fix(y, q, odd=False)
 
 
+def _extra_bits(n: int) -> int:
+    """Extra bits of pi for multiples of pi up to about n: none below 64,
+    then one per doubling of n (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.3)."""
+    return max(0, n.bit_length() - 6)
+
+
 def _reduce_mod_2pi(x: Fraction, q: int) -> tuple[int, int]:
-    """Fixed-point interval for x reduced into roughly [-pi, pi]."""
+    """Fixed-point interval for x reduced into roughly [-pi, pi].
+
+    x - 2*pi*k is off by at most 2*|k| <= |x| times pi's width, so pi's
+    precision grows with x's bit length and the reduction error stays
+    below 2**-(q+2) for every rational x."""
     if abs(x) <= 4:
         return _fix_floor(x, q), _fix_ceil(x, q)
-    pi = pi_enclosure(q + 8)
+    pi = pi_enclosure(q + 8 + _extra_bits(abs(x.numerator) // x.denominator))
     two_pi_lo, two_pi_hi = 2 * pi.lo, 2 * pi.hi
     k = round(x / (two_pi_lo + two_pi_hi) * 2)
     p1, p2 = k * two_pi_lo, k * two_pi_hi
@@ -206,29 +217,29 @@ def _trig_point(x: Fraction, q: int, is_sin: bool) -> tuple[int, int]:
 def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, bool]:
     """Whether a maximum (+1) or minimum (-1) of sin/cos may lie inside x.
 
-    Checks multiples t = pi*(j + 1/2) (sin) or t = pi*j (cos) against x,
-    conservatively: an undecided containment counts as a hit.
+    The extrema are at pi*m with m = j + 1/2 (sin) or m = j (cos), a
+    maximum for even j.  For pi enclosed in [pl, ph], the j whose
+    [pl*m, ph*m] meets x are exactly the integers from ceil(x.lo/e - off)
+    to floor(x.hi/e' - off), with e = ph if x.lo >= 0 else pl and
+    e' = pl if x.hi >= 0 else ph; so a j whose containment is undecided
+    counts as a hit.  pi's precision grows with |x|, so that pi*m is
+    known to about 2**-p.
     """
-    # float prefilter with a generous margin; candidates are then checked
-    # exactly, and an undecided exact check still counts as a hit
-    flo, fhi = float(x.lo), float(x.hi)
-    off = 0.5 if half_offset else 0.0
-    m = 1e-6 * (1.0 + abs(flo) + abs(fhi))
-    j_lo = math.ceil(flo / math.pi - off - m)
-    j_hi = math.floor(fhi / math.pi - off + m)
-    hit_max = hit_min = False
+    mag = max(abs(x.lo), abs(x.hi))
+    pi = pi_enclosure(p + 4 + _extra_bits(mag.numerator // mag.denominator))
+    off2 = 1 if half_offset else 0  # twice the offset of m from j
+    # x/e - off2/2 as the fraction num/den, den > 0, for the pi endpoint e
+    lo_e = pi.hi if x.lo >= 0 else pi.lo
+    hi_e = pi.lo if x.hi >= 0 else pi.hi
+    num = 2 * x.lo.numerator * lo_e.denominator - off2 * x.lo.denominator * lo_e.numerator
+    j_lo = -(-num // (2 * x.lo.denominator * lo_e.numerator))
+    num = 2 * x.hi.numerator * hi_e.denominator - off2 * x.hi.denominator * hi_e.numerator
+    j_hi = num // (2 * x.hi.denominator * hi_e.numerator)
     if j_lo > j_hi:
-        return hit_max, hit_min
-    pi = pi_enclosure(p + 4)
-    for j in range(j_lo, j_hi + 1):
-        m = Fraction(2 * j + 1, 2) if half_offset else Fraction(j)
-        t_lo, t_hi = (pi.lo * m, pi.hi * m) if m >= 0 else (pi.hi * m, pi.lo * m)
-        if t_hi >= x.lo and t_lo <= x.hi:
-            if j % 2 == 0:
-                hit_max = True
-            else:
-                hit_min = True
-    return hit_max, hit_min
+        return False, False
+    if j_lo < j_hi:
+        return True, True
+    return j_lo % 2 == 0, j_lo % 2 == 1
 
 
 def _trig_enclosure(x: RatInterval, p: int, is_sin: bool) -> RatInterval:

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from .evaluation import Evaluator, Ival, box_env, compile_term, positive_lower_bound
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
-from .geometry import (Block, BoxComplex, CellIndex, Face, Grid, grid_cover,
-                       halve_block)
+from .geometry import Block, CellIndex, Face, Grid, grid_cover, halve_block
 from .intervals import EMPTY_BOX, Precision, RatBox, box, ival, rat
 from .degree import degree
 from . import terms as T
@@ -61,6 +60,7 @@ class IterationRecord:
     complexes: int = 0
     cells_evaluated: int = 0  # grid blocks and cells given the refutation test
     faces_evaluated: int = 0  # cell faces given the zero-face test
+    degree_subdivisions: int = 0  # DegreeResult.subdivisions, over decided degrees
     degrees: list[Optional[int]] = field(default_factory=list)
 
 
@@ -308,11 +308,13 @@ def _soei_degree_phase(
     margins: Optional[dict] = {} if pnames else None
     for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record,
                                       margins):
-        complex = BoxComplex(tuple(grid.cell(i) for i in cells))
-        result = degree(f0, s.vars, complex, Precision(p))
+        result = degree(f0, s.vars, grid.complex(cells), Precision(p))
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
-        if result is None or result.value == 0:
+        if result is None:
+            continue
+        record.degree_subdivisions += result.subdivisions
+        if result.value == 0:
             continue
         if margins is None:
             cert = result.boundary_min_lb

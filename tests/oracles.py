@@ -1,16 +1,19 @@
 """Independent reference implementations the tests compare the solver
 against: interval evaluation on `Fraction` endpoints, exact and float
-term evaluation, a float winding count for planar degrees, and full
-sweeps over every cell and face of a grid."""
+term evaluation, a float winding count for planar degrees, full sweeps
+over every cell and face of a grid, and the degree, oriented boundary,
+bisection and supremum enclosure on `RatBox`es of `Fraction`s."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
-from quasisat.geometry import BoxComplex, CellIndex, Face, Grid, oriented_boundary
-from quasisat.intervals import Precision, RatBox, RatInterval, ival
+from quasisat.degree import DegreeResult, _Budget
+from quasisat.evaluation import Evaluator, box_env, compile_term, to_interval
+from quasisat.geometry import BoxComplex, CellIndex, Face, Grid
+from quasisat.intervals import Precision, RatBox, RatInterval, ival, rat
 from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
                              sin_enclosure, sqrt_enclosure)
 
@@ -120,7 +123,7 @@ def winding_oracle_2d(
     if len(fs) != 2 or complex.dim != 2:
         raise ValueError("winding oracle needs a planar map")
     total = 0.0
-    for face, coef in oriented_boundary(complex.cells).items():
+    for face, coef in oriented_boundary(ratboxes(complex)).items():
         free = [a for a, iv in enumerate(face.intervals) if not iv.is_degenerate]
         if len(free) != 1:
             raise ValueError("boundary face is not an edge")
@@ -185,3 +188,236 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
     for i in range(counts[0]):
         for rest in _multi_range(counts[1:]):
             yield (i,) + rest
+
+
+def single_box(b: RatBox) -> BoxComplex:
+    """The box b as a one-cell complex."""
+    return Grid(b, (1,) * b.dim).complex([(0,) * b.dim])
+
+
+def ratboxes(complex: BoxComplex) -> tuple[RatBox, ...]:
+    """The cells of a complex as `RatBox`es of `Fraction`s."""
+    return tuple(RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
+                              for (lo, hi), d in zip(cell, complex.dens)))
+                 for cell in complex.cells)
+
+
+# ---------------------------------------------------------------------------
+# boundaries, bisection and degree on RatBox cells
+
+
+def oriented_boundary(cells: Iterable[RatBox]) -> dict[RatBox, int]:
+    """Outward-oriented boundary of a union of congruent aligned cells,
+    as face-box -> integer coefficient.
+
+    Each cell contributes its faces with the induced orientation of the
+    standard frame: on the t-th non-degenerate axis (1-based), the upper
+    face gets (-1)**(t-1) and the lower face (-1)**t.  Faces shared by
+    two cells receive opposite signs and cancel exactly.
+    """
+    out: dict[RatBox, int] = {}
+    for cell in cells:
+        _add_cell_boundary(out, cell, 1)
+    return {b: c for b, c in out.items() if c}
+
+
+def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
+    t = 0
+    for axis, iv in enumerate(cell.intervals):
+        if iv.is_degenerate:
+            continue
+        t += 1
+        sign = -1 if t % 2 == 0 else 1
+        hi_face = cell.replace(axis, ival(iv.hi))
+        lo_face = cell.replace(axis, ival(iv.lo))
+        for face, s in ((hi_face, sign * coef), (lo_face, -sign * coef)):
+            got = acc.get(face, 0) + s
+            if got:
+                acc[face] = got
+            else:
+                acc.pop(face, None)
+
+
+def bisect_box(b: RatBox) -> list[RatBox]:
+    """Split a box in half along every non-degenerate axis."""
+    out = [()]
+    for iv in b.intervals:
+        pieces = iv.split() if not iv.is_degenerate else (iv,)
+        out = [combo + (piece,) for combo in out for piece in pieces]
+    return [RatBox(combo) for combo in out]
+
+
+_MAX_PREC = 4096
+
+# a certificate for one cell: (component index, sign, verified lower bound
+# on sign * f_i over the cell)
+_Cert = tuple[int, int, Fraction]
+
+
+def _certify(fs: Sequence[Evaluator], cell: RatBox, p: int) -> Optional[_Cert]:
+    env = box_env(cell)
+    for i, f in enumerate(fs):
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            return i, 1, Fraction(lo, d)
+        if hi < 0:
+            return i, -1, Fraction(-hi, d)
+    return None
+
+
+def _sign_at_point(
+    f: Evaluator, cell: RatBox, p: int, budget: _Budget
+) -> Optional[tuple[int, Fraction]]:
+    """Sign of f at a degenerate box, escalating precision as needed."""
+    env = box_env(cell)
+    while p <= _MAX_PREC:
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            return 1, Fraction(lo, d)
+        if hi < 0:
+            return -1, Fraction(-hi, d)
+        if not budget.spend(1):
+            return None
+        p *= 2
+    return None
+
+
+def _deg_cycle(
+    fs: list[Evaluator],
+    cycle: dict[RatBox, int],
+    p: int,
+    budget: _Budget,
+    top_bounds: Optional[list[Fraction]],
+) -> Optional[int]:
+    """Degree of fs over an oriented cycle of (len(fs)-1)-cells."""
+    if not cycle:  # e.g. a region boundary that cancelled out entirely
+        return 0
+    if len(fs) == 1:
+        total = 0
+        for cell, coef in cycle.items():
+            got = _sign_at_point(fs[0], cell, p, budget)
+            if got is None:
+                return None
+            sign, lb = got
+            total += coef * sign
+            if top_bounds is not None:
+                top_bounds.append(lb)
+        if total % 2:  # an odd sum means the cycle was not closed
+            return None
+        return total // 2
+
+    cells: list[tuple[RatBox, int]] = list(cycle.items())
+    certs: dict[RatBox, _Cert] = {}
+    while True:
+        pending = [cell for cell, _ in cells if cell not in certs]
+        if not pending:
+            break
+        for cell in pending:
+            cert = _certify(fs, cell, p)
+            if cert is not None:
+                certs[cell] = cert
+        if all(cell in certs for cell, _ in cells):
+            break
+        # congruent refinement: split every cell so that shared sub-faces
+        # of the region boundary still cancel by box identity
+        if not budget.spend(len(cells)):
+            return None
+        refined: list[tuple[RatBox, int]] = []
+        for cell, coef in cells:
+            children = bisect_box(cell)
+            for child in children:
+                refined.append((child, coef))
+                if cell in certs:
+                    certs[child] = certs[cell]  # subset keeps the bound
+        cells = refined
+        p += 2
+
+    counts: dict[int, int] = {}
+    for cert in certs.values():
+        counts[cert[0]] = counts.get(cert[0], 0) + 1
+    i_star = min(counts, key=lambda i: (-counts[i], i))
+
+    if top_bounds is not None:
+        top_bounds.extend(cert[2] for cert in certs.values())
+
+    gamma: dict[RatBox, int] = {}
+    for cell, coef in cells:
+        ci, cs, _ = certs[cell]
+        if ci == i_star and cs == 1:
+            _add_cell_boundary(gamma, cell, coef)
+    gamma = {b: c for b, c in gamma.items() if c}
+
+    reduced = fs[:i_star] + fs[i_star + 1:]
+    sub = _deg_cycle(reduced, gamma, p, budget, None)
+    if sub is None:
+        return None
+    return sub if i_star % 2 == 0 else -sub
+
+
+def degree(
+    fs: Sequence[T.Term],
+    names: Sequence[str],
+    cells: Sequence[RatBox],
+    prec: Precision,
+    budget: int = 1000,
+) -> Optional[DegreeResult]:
+    """Degree of fs over the union of the congruent aligned `cells`, or
+    None when the boundary cannot be certified nonzero within the
+    subdivision budget."""
+    if len(fs) != cells[0].dim:
+        raise ValueError("map and complex dimension differ")
+    state = _Budget(budget)
+    bounds: list[Fraction] = []
+    cycle = oriented_boundary(cells)
+    evals = [compile_term(f, names) for f in fs]
+    value = _deg_cycle(evals, cycle, prec.p, state, bounds)
+    if value is None:
+        return None
+    return DegreeResult(value, min(bounds), state.used)
+
+
+# ---------------------------------------------------------------------------
+# supremum enclosure on RatBox cells
+
+
+def sup_abs_enclosure(
+    t: T.Term, names: Sequence[str], box: RatBox, tol: Fraction
+) -> RatInterval:
+    """Enclosure of sup |t| over the box, of width <= tol.
+
+    Iterative deepening over uniform grids: the bracket sequence depends
+    only on the term and the box, and successive brackets are
+    intersected, so a tighter tolerance always yields a sub-interval of
+    a looser one's result.
+    """
+    tol = rat(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    evaluate = compile_term(t, names)
+    bracket: RatInterval | None = None
+    active = [box]
+    best_lo = Fraction(0) if box.dim else None  # |t| >= 0 somewhere
+    depth = 0
+    while True:
+        p = depth + 10
+        scored = []
+        for cell in active:
+            enc = to_interval(evaluate(box_env(cell), p)).abs()
+            scored.append((cell, enc))
+            if best_lo is None or enc.lo > best_lo:
+                best_lo = enc.lo
+        hi = max(enc.hi for _, enc in scored)
+        step = ival(min(best_lo, hi), hi)
+        bracket = step if bracket is None else _intersect(bracket, step)
+        if bracket.width <= tol or box.dim == 0:
+            return bracket
+        # keep only cells that can still carry the supremum, then bisect
+        active = []
+        for cell, enc in scored:
+            if enc.hi >= best_lo:
+                active.extend(bisect_box(cell))
+        depth += 1
+
+
+def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
+    return ival(max(a.lo, b.lo), min(a.hi, b.hi))

@@ -16,13 +16,13 @@ from quasisat.degree import degree
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
 from quasisat.evaluation import box_env, compile_term, to_interval
 from quasisat.formulas import aligned_terms
-from quasisat.geometry import BoxComplex, Grid
+from quasisat.geometry import Grid
 from quasisat.intervals import Precision, RatBox, box, ival, rat_str
 from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
-from oracles import winding_oracle_2d
+from oracles import single_box, winding_oracle_2d
 
 mpmath.mp.dps = 60
 
@@ -103,7 +103,7 @@ def test_c03_nonrobust_sentences_stay_unknown(corpus_runs):
 
 def test_c04_degree_fixture_and_identity_boxes():
     fs = [T.Sub(T.Pow(X, 2), T.Pow(Y, 2)), T.Mul(T.Const(2), T.Mul(X, Y))]
-    res = degree(fs, ("x", "y"), BoxComplex((UNIT2,)), Precision(20))
+    res = degree(fs, ("x", "y"), single_box(UNIT2), Precision(20))
     assert res is not None and res.value == 2
 
     rng = random.Random(42)
@@ -115,7 +115,7 @@ def test_c04_degree_fixture_and_identity_boxes():
             continue
         b = box(ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        got = degree([X, Y], ("x", "y"), BoxComplex((b,)), Precision(20))
+        got = degree([X, Y], ("x", "y"), single_box(b), Precision(20))
         assert got is not None
         assert got.value == (1 if interior else 0)
         done += 1
@@ -137,12 +137,12 @@ def test_c05_degree_agrees_with_independent_oracles():
     agree = 0
     while agree < 50:
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        res = degree(fs, ("x", "y"), BoxComplex((UNIT2,)), Precision(20),
+        res = degree(fs, ("x", "y"), single_box(UNIT2), Precision(20),
                      budget=800)
         if res is None:
             continue
         try:
-            oracle = winding_oracle_2d(fs, ("x", "y"), BoxComplex((UNIT2,)),
+            oracle = winding_oracle_2d(fs, ("x", "y"), single_box(UNIT2),
                                        samples=256)
         except ValueError:
             continue
@@ -170,7 +170,7 @@ def test_c05_degree_agrees_with_independent_oracles():
         t = T.Const(coeffs[0])
         for k in coeffs[1:]:
             t = T.Add(T.Mul(t, X), T.Const(k))
-        res = degree([t], ("x",), BoxComplex((box(ival(lo, hi)),)),
+        res = degree([t], ("x",), single_box(box(ival(lo, hi))),
                      Precision(30), budget=5000)
         if res is None:
             continue
@@ -187,11 +187,9 @@ def test_c06_degree_additive_over_split_complexes():
         y0 = Fraction(rng.randint(-8, 4), 4)
         w = Fraction(rng.randint(1, 8), 4)
         g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
-        a1, a2 = g.cell((0, 0)), g.cell((1, 0))
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        results = [degree(fs, ("x", "y"), comp, Precision(20), budget=600)
-                   for comp in (BoxComplex((a1, a2)), BoxComplex((a1,)),
-                                BoxComplex((a2,)))]
+        results = [degree(fs, ("x", "y"), g.complex(cells), Precision(20), budget=600)
+                   for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)])]
         if any(r is None for r in results):
             continue
         assert results[0].value == results[1].value + results[2].value

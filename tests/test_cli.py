@@ -41,7 +41,9 @@ def test_json_output_round_trips(capsys):
     assert doc["trace"][0]["eps"] == "1/1"
     assert doc["trace"][0]["cells_evaluated"] >= 1
     assert doc["trace"][0]["faces_evaluated"] >= 0
+    assert all(r["degree_subdivisions"] == 0 for r in doc["trace"])
     assert doc["trace"][-1]["result"] == "T"
+    assert doc["trace"][-1]["degrees"] == [1]
 
 
 def test_certificate_text_output(capsys):
@@ -131,6 +133,8 @@ def test_text_trace_reports_work_counters(capsys):
     assert main(["solve", TRUE_S, "--trace"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any("cells evaluated:" in ln and "faces evaluated:" in ln
+               for ln in lines[1:])
+    assert any("degrees: [1]" in ln and "degree subdivisions: 0" in ln
                for ln in lines[1:])
 
 

@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
 from quasisat.evaluation import compile_term
-from quasisat.geometry import BoxComplex, Grid
-from quasisat.intervals import Precision, box, ival
+from quasisat.geometry import Grid
+from quasisat.intervals import Precision, RatBox, box, ival
 from quasisat.parser import parse
 
-from oracles import grid_cells, winding_oracle_2d
+import oracles
+from oracles import grid_cells, ratboxes, single_box, winding_oracle_2d
 
 X, Y = T.Var("x"), T.Var("y")
 P20 = Precision(20)
@@ -33,46 +35,42 @@ def term_of(text: str) -> T.Term:
     return parse(f"exists x in [-9,9], y in [-9,9] . {text} = 0").body.term
 
 
-def single(b) -> BoxComplex:
-    return BoxComplex((b,))
-
-
 def test_identity_map_degree_one_when_origin_interior():
-    res = degree([X], ("x",), single(box(ival(-1, 1))), P20)
+    res = degree([X], ("x",), single_box(box(ival(-1, 1))), P20)
     assert res.value == 1
     assert res.boundary_min_lb == 1
 
 
 def test_degree_zero_when_no_root():
     res = degree([T.Sub(T.Pow(X, 2), c(2))], ("x",),
-                 single(box(ival(0, 1))), P20)
+                 single_box(box(ival(0, 1))), P20)
     assert res.value == 0
 
 
 def test_planar_identity_degree_one():
     res = degree([X, Y], ("x", "y"),
-                 single(box(ival(-1, 1), ival(-1, 1))), P20)
+                 single_box(box(ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 1
 
 
 def test_planar_origin_exterior_degree_zero():
     res = degree([X, Y], ("x", "y"),
-                 single(box(ival(1, 2), ival(1, 2))), P20)
+                 single_box(box(ival(1, 2), ival(1, 2))), P20)
     assert res.value == 0
 
 
 def test_complex_squaring_has_degree_two():
     fs = [term_of("x^2 - y^2"), term_of("2*x*y")]
-    res = degree(fs, ("x", "y"), single(box(ival(-1, 1), ival(-1, 1))), P20)
+    res = degree(fs, ("x", "y"), single_box(box(ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 2
     assert res.subdivisions > 0
     assert winding_oracle_2d(fs, ("x", "y"),
-                             single(box(ival(-1, 1), ival(-1, 1)))) == 2
+                             single_box(box(ival(-1, 1), ival(-1, 1)))) == 2
 
 
 def test_degree_on_l_shaped_complex():
     g = Grid(box(ival(-1, 1), ival(-1, 1)), (2, 2))
-    ell = BoxComplex((g.cell((0, 0)), g.cell((1, 0)), g.cell((0, 1))))
+    ell = g.complex([(0, 0), (1, 0), (0, 1)])
     shifted = [T.Sub(X, c(Fraction(-1, 2))), T.Sub(Y, c(Fraction(-1, 2)))]
     res = degree(shifted, ("x", "y"), ell, P20)
     assert res.value == 1
@@ -81,13 +79,13 @@ def test_degree_on_l_shaped_complex():
 
 def test_uncertifiable_boundary_returns_none():
     # x vanishes on the boundary: no budget can certify it away
-    res = degree([X], ("x",), single(box(ival(0, 1))), P20, budget=50)
+    res = degree([X], ("x",), single_box(box(ival(0, 1))), P20, budget=50)
     assert res is None
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        degree([X, Y], ("x", "y"), single(box(ival(0, 1))), P20)
+        degree([X, Y], ("x", "y"), single_box(box(ival(0, 1))), P20)
 
 
 def test_result_requires_positive_bound():
@@ -106,7 +104,7 @@ def test_identity_random_boxes_match_point_membership():
             continue  # origin on the boundary: degree undefined
         b = box(ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        res = degree([X, Y], ("x", "y"), single(b), P20)
+        res = degree([X, Y], ("x", "y"), single_box(b), P20)
         assert res is not None
         assert res.value == (1 if interior else 0)
         done += 1
@@ -140,7 +138,7 @@ def test_1d_degree_matches_exact_sign_formula():
             return v
         if ev(lo) == 0 or ev(hi) == 0:
             continue
-        res = degree([poly_1d(coeffs)], ("x",), single(box(ival(lo, hi))),
+        res = degree([poly_1d(coeffs)], ("x",), single_box(box(ival(lo, hi))),
                      Precision(30), budget=5000)
         if res is None:
             continue  # interior-boundary zeros exhaust any budget honestly
@@ -164,11 +162,11 @@ def test_2d_degree_matches_winding_oracle():
     agree = 0
     while agree < 50:
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
-        res = degree(fs, ("x", "y"), single(b), P20, budget=800)
+        res = degree(fs, ("x", "y"), single_box(b), P20, budget=800)
         if res is None:
             continue  # boundary zero or budget exhausted: no claim made
         try:
-            oracle = winding_oracle_2d(fs, ("x", "y"), single(b), samples=256)
+            oracle = winding_oracle_2d(fs, ("x", "y"), single_box(b), samples=256)
         except ValueError:
             continue  # float samples too close to a zero
         assert res.value == oracle
@@ -184,12 +182,10 @@ def test_degree_is_additive_across_splits():
         y0 = Fraction(rng.randint(-8, 4), 4)
         w = Fraction(rng.randint(1, 8), 4)
         g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
-        a1, a2 = g.cell((0,) * 2), g.cell((1, 0))
-        whole = BoxComplex((a1, a2))
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
         parts = []
-        for comp in (whole, BoxComplex((a1,)), BoxComplex((a2,))):
-            parts.append(degree(fs, ("x", "y"), comp, P20, budget=600))
+        for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)]):
+            parts.append(degree(fs, ("x", "y"), g.complex(cells), P20, budget=600))
         if any(p is None for p in parts):
             continue
         assert parts[0].value == parts[1].value + parts[2].value
@@ -201,11 +197,51 @@ def test_degree_stable_under_grid_refinement():
     b = box(ival(-1, 1), ival(-1, 1))
     for n in (1, 2):
         g = Grid(b, (n, n))
-        comp = BoxComplex(tuple(c for _, c in grid_cells(g)))
+        comp = g.complex(idx for idx, _ in grid_cells(g))
         res = degree(fs, ("x", "y"), comp, P20)
         assert res is not None and res.value == 2
 
 
 def test_empty_cycle_has_degree_zero():
     fs = [compile_term(term_of(text), ("x", "y", "z")) for text in ("x", "y", "x - y")]
-    assert _deg_cycle(fs, {}, 20, _Budget(10), None) == 0
+    assert _deg_cycle(fs, {}, (1, 1, 1), 20, _Budget(10), None) == 0
+
+
+def random_map(rng, names, centre) -> list[T.Term]:
+    """Random polynomial components, each led by its own variable shifted
+    to vanish near `centre` (so that nonzero degrees and subdivisions
+    occur), with small nonlinear terms and now and then a sine."""
+    vs = [T.Var(n) for n in names]
+    fs = []
+    for i in range(len(names)):
+        t = T.Mul(c(rng.choice((-2, -1, 1, 2))), T.Sub(vs[i], c(centre[i])))
+        for _ in range(rng.randint(0, 2)):
+            mono = c(Fraction(rng.randint(-3, 3), rng.randint(4, 12)))
+            for _ in range(rng.randint(1, 2)):
+                mono = T.Mul(mono, T.Sub(rng.choice(vs), c(centre[i])))
+            t = T.Add(t, mono)
+        if rng.random() < 0.15:
+            t = T.Add(t, T.Mul(c(Fraction(1, 8)), T.Sin(rng.choice(vs))))
+        fs.append(t)
+    return fs
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_degree_equals_the_ratbox_reference(dim, seed):
+    """On random 1-D/2-D/3-D multi-cell complexes with non-dyadic bounds,
+    the degree on integer cells is the `RatBox` reference's result: the
+    same value (or None), boundary bound and subdivision count."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z")[:dim]
+    bounds = []
+    for _ in range(dim):
+        lo = Fraction(rng.randint(-12, 6), rng.randint(1, 7))
+        bounds.append(ival(lo, lo + Fraction(rng.randint(1, 12), rng.randint(1, 7))))
+    g = Grid(RatBox(tuple(bounds)), tuple(rng.randint(1, 3) for _ in range(dim)))
+    cells = [idx for idx, _ in grid_cells(g) if rng.random() < 0.7] or [(0,) * dim]
+    centre = [iv.lo + iv.width * Fraction(rng.randint(1, 9), 10) for iv in bounds]
+    fs = random_map(rng, names, centre)
+    comp = g.complex(cells)
+    got = degree(fs, names, comp, P20, budget=200)
+    assert got == oracles.degree(fs, names, ratboxes(comp), P20, budget=200)

@@ -1,12 +1,17 @@
 """Structural distance between sentences and supremum enclosures."""
 from fractions import Fraction
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.intervals import box, ival
+from quasisat.intervals import RatBox, box, ival
 from quasisat.parser import parse
+
+import oracles
 
 TOL = Fraction(1, 1000)
 
@@ -76,3 +81,34 @@ def test_distance_with_pure_constant_shift():
     g = parse("exists x in [0,1] . x = 3/2")
     enc = distance_enclosure(f, g, TOL)
     assert enc.lo == enc.hi == Fraction(3, 2)  # symbolic, exact
+
+
+def _random_term(rng, vs) -> T.Term:
+    t = T.Const(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+    for _ in range(rng.randint(1, 3)):
+        mono = T.Const(Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+        for _ in range(rng.randint(1, 2)):
+            mono = T.Mul(mono, rng.choice(vs))
+        t = T.Add(t, mono)
+    if rng.random() < 0.2:
+        t = T.Sub(t, T.Cos(rng.choice(vs)))
+    return t
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_sup_abs_enclosure_equals_the_ratbox_reference(dim, seed):
+    """On random boxes with non-dyadic (and degenerate) bounds, the
+    integer-cell enclosure returns the `RatBox` reference's bracket."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z")[:dim]
+    vs = [T.Var(n) for n in names] or [T.Pi()]
+    bounds = []
+    for _ in range(dim):
+        lo = Fraction(rng.randint(-9, 6), rng.randint(1, 7))
+        # narrower boxes in more dimensions keep the reference's cost down
+        bounds.append(ival(lo, lo + Fraction(rng.randint(0, 9 // dim), rng.randint(1, 7))))
+    b = RatBox(tuple(bounds))
+    t = _random_term(rng, vs)
+    tol = Fraction(1, rng.choice((3, 16, 100)[:max(1, 3 - dim)]))  # 3-D costs most
+    assert sup_abs_enclosure(t, names, b, tol) == oracles.sup_abs_enclosure(t, names, b, tol)

@@ -8,7 +8,8 @@ from quasisat.geometry import (BoxComplex, Grid, bisect_box, grid_cover,
 from quasisat.intervals import RatBox, box, ival
 from quasisat.solver import _block_env
 
-from oracles import face_box, grid_cells, grid_cut, grid_faces
+import oracles
+from oracles import face_box, grid_cells, grid_cut, grid_faces, ratboxes, single_box
 
 UNIT2 = box(ival(0, 1), ival(0, 1))
 
@@ -60,14 +61,15 @@ def test_integer_axes_reproduce_the_cuts(spec):
         for i in range(g.counts[axis] + 1):
             assert Fraction(offset + step * i, den) == grid_cut(g, axis, i)
     for idx, cell in grid_cells(g):
-        assert g.cell(idx) == cell
+        assert ratboxes(g.complex([idx])) == (cell,)
 
 
 def test_integer_axes_of_a_non_dyadic_box():
     g = Grid(box(ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
     assert g.axes == ((21, 8, 63), (-2, 1, 2))
-    assert g.cell((2, 3)) == box(ival(Fraction(37, 63), Fraction(5, 7)),
-                                 ival(Fraction(1, 2), 1))
+    assert g.complex([(2, 3)]) == BoxComplex((((37, 45), (1, 2)),), (63, 2))
+    assert ratboxes(g.complex([(2, 3)])) == (box(ival(Fraction(37, 63), Fraction(5, 7)),
+                                                 ival(Fraction(1, 2), 1)),)
 
 
 def test_block_box_spans_its_cells():
@@ -80,7 +82,7 @@ def test_block_box_spans_its_cells():
                             for a, b, d in _block_env([], g, lo, hi)))
 
     assert block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
-    assert block((2, 3), (3, 4)) == g.cell((2, 3))
+    assert (block((2, 3), (3, 4)),) == ratboxes(g.complex([(2, 3)]))
     assert block((0, 0), g.counts) == g.base
 
 
@@ -121,27 +123,32 @@ def test_cell_faces_are_the_grid_faces_around_a_cell():
 
 
 def test_boundary_face_counts():
-    one = BoxComplex((UNIT2,))
+    one = single_box(UNIT2)
     assert len(oriented_boundary(one.cells)) == 4
     g = Grid(UNIT2, (2, 1))
-    two = BoxComplex(tuple(c for _, c in grid_cells(g)))
+    two = g.complex([(0, 0), (1, 0)])
     assert len(oriented_boundary(two.cells)) == 6  # shared face cancels
     # L-shape of three cells: 8 boundary edges
     g = Grid(UNIT2, (2, 2))
-    ell = BoxComplex((g.cell((0, 0)), g.cell((1, 0)), g.cell((0, 1))))
+    ell = g.complex([(0, 0), (1, 0), (0, 1)])
     assert len(oriented_boundary(ell.cells)) == 8
 
 
 def test_boundary_of_3d_cube():
-    cube = box(ival(0, 1), ival(0, 1), ival(0, 1))
-    faces = oriented_boundary([cube])
+    cube = single_box(box(ival(0, 1), ival(0, 1), ival(0, 1)))
+    faces = oriented_boundary(cube.cells)
     assert len(faces) == 6
     assert all(c in (-1, 1) for c in faces.values())
+    # each face is degenerate in exactly one axis, at the cube's ends
+    assert {f for f in faces} == {
+        tuple((e, e) if a == axis else (0, 1) for a in range(3))
+        for axis in range(3) for e in (0, 1)}
 
 
-def _signed_edge_measure(face: RatBox, coef: int, axis: int) -> Fraction:
+def _signed_edge_measure(face, coef: int, axis: int, den: int) -> Fraction:
     """coef * (length along `axis`), 0 when the face is degenerate there."""
-    return coef * face[axis].width
+    lo, hi = face[axis]
+    return coef * Fraction(hi - lo, den)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
@@ -151,33 +158,68 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
     """The oriented boundary of any cell union is a cycle: for each axis,
     the signed lengths of its edges sum to zero."""
     g = Grid(UNIT2, (nx, ny))
-    cells = [c for _, c in grid_cells(g)]
+    cells = [idx for idx, _ in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
-    faces = oriented_boundary(cells)
+    comp = g.complex(cells)
+    faces = oriented_boundary(comp.cells)
     for axis in range(2):
-        total = sum(_signed_edge_measure(f, c, axis) for f, c in faces.items())
+        total = sum(_signed_edge_measure(f, c, axis, comp.dens[axis])
+                    for f, c in faces.items())
         assert total == 0
 
 
 def test_shared_faces_cancel_exactly():
     g = Grid(UNIT2, (2, 2))
-    whole = oriented_boundary(c for _, c in grid_cells(g))
-    outer = oriented_boundary([UNIT2])
+    whole = g.complex(idx for idx, _ in grid_cells(g))
+    outer = single_box(UNIT2)
+
+    def rim(comp):
+        return sum(Fraction(hi - lo, d) for face in oriented_boundary(comp.cells)
+                   for (lo, hi), d in zip(face, comp.dens))
+
     # the union's boundary covers exactly the outer rim, subdivided
-    assert sum(f[0].width + f[1].width for f in whole) == \
-        sum(f[0].width + f[1].width for f in outer)
-    assert all(not (f[0].is_degenerate and f[1].is_degenerate) for f in whole)
+    assert rim(whole) == rim(outer)
+    assert all(any(lo != hi for lo, hi in f) for f in oriented_boundary(whole.cells))
+    assert len(oriented_boundary(whole.cells)) == 8
 
 
 def test_bisect_box_halves_every_free_axis():
-    b = box(ival(0, 1), ival(0, Fraction(1, 2)))
-    halves = bisect_box(b)
-    assert len(halves) == 4
-    assert sum(p[0].width * p[1].width for p in halves) == Fraction(1, 2)
+    b = single_box(box(ival(0, 1), ival(0, Fraction(1, 2))))
+    assert b == BoxComplex((((0, 1), (0, 1)),), (1, 2))
+    halves = bisect_box(b.cells[0])  # over the doubled dens (2, 4)
+    assert halves == [((0, 1), (0, 1)), ((0, 1), (1, 2)),
+                      ((1, 2), (0, 1)), ((1, 2), (1, 2))]
+    assert sum(Fraction((x1 - x0) * (y1 - y0), 2 * 4)
+               for (x0, x1), (y0, y1) in halves) == Fraction(1, 2)
     # degenerate axes are preserved, not split
-    flat = box(ival(0, 1), ival(Fraction(1, 2)))
-    assert len(bisect_box(flat)) == 2
+    flat = single_box(box(ival(0, 1), ival(Fraction(1, 2))))
+    assert bisect_box(flat.cells[0]) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
+
+
+def _as_box(cell, dens) -> RatBox:
+    return RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
+                        for (lo, hi), d in zip(cell, dens)))
+
+
+@given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=3),
+       st.lists(st.booleans(), min_size=27, max_size=27))
+@settings(max_examples=60, deadline=None)
+def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
+    """On any union of grid cells, non-dyadic and degenerate axes included,
+    the integer boundary and bisection are the `RatBox` ones, face for
+    face, coefficient for coefficient and in the same order."""
+    g = Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
+             tuple(c for _, _, c in spec))
+    idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * g.dim]
+    comp = g.complex(idxs)
+    got = oriented_boundary(comp.cells)
+    want = oracles.oriented_boundary(ratboxes(comp))
+    assert [(_as_box(f, comp.dens), c) for f, c in got.items()] == list(want.items())
+    halves = tuple(2 * d for d in comp.dens)
+    for cell, ref in zip(comp.cells, ratboxes(comp)):
+        assert [_as_box(h, halves) for h in bisect_box(cell)] == oracles.bisect_box(ref)
 
 
 def test_grid_lazy_scaling():

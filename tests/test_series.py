@@ -2,6 +2,8 @@
 high-precision oracle, plus soundness and convergence properties."""
 from fractions import Fraction
 
+import time
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +67,39 @@ def test_trig_output_stays_in_unit_range():
     for lo, hi in [(-100, 100), (0, 7), (-1, 1)]:
         enc = sin_enclosure(ival(lo, hi), 20)
         assert -1 <= enc.lo <= enc.hi <= 1
+
+
+@pytest.mark.parametrize("x", [2 ** 20 + 1, 2 ** 40 + 1, 2 ** 60 + 1,
+                               -(2 ** 60) - 1, Fraction(3 ** 80, 7)])
+@pytest.mark.parametrize("p", [10, 30, 64])
+def test_large_arguments_meet_the_accuracy_contract(x, p):
+    """Argument reduction keeps enough bits of pi for any |x|: the point
+    enclosures hold the value, are no wider than 2**-p, and come fast."""
+    x = Fraction(x)
+    for fn, ref in ((sin_enclosure, mpmath.sin), (cos_enclosure, mpmath.cos)):
+        start = time.perf_counter()
+        enc = fn(ival(x), p)
+        assert time.perf_counter() - start < 1
+        with mpmath.workdps(60 + len(str(x.numerator))):
+            assert encloses(enc, ref(mpf(x)))
+        assert enc.width <= Fraction(1, 2 ** p)
+
+
+@pytest.mark.parametrize("j", [2 ** 20, 2 ** 41 + 1, 2 ** 60])
+def test_large_arguments_find_the_extrema(j):
+    """Near pi*(j + 1/2) for huge j, sin reaches +-1 inside an interval
+    around it and stays tight at a point just off it."""
+    with mpmath.workdps(120):
+        t = mpmath.pi * (j + mpmath.mpf(1) / 2)
+        near = Fraction(int(mpmath.floor(t * 2 ** 80)), 2 ** 80)
+        enc = sin_enclosure(ival(near - Fraction(1, 2 ** 10), near + Fraction(1, 2 ** 10)), 20)
+        assert (enc.hi == 1) if j % 2 == 0 else (enc.lo == -1)
+        point = sin_enclosure(ival(near), 40)
+        assert encloses(point, mpmath.sin(mpf(near)))
+        assert point.width <= Fraction(1, 2 ** 40)
+        # an interval between two extrema reaches neither
+        gap = sin_enclosure(ival(near + Fraction(1, 4), near + 3), 20)
+        assert -1 < gap.lo and gap.hi < 1
 
 
 @given(rationals, small_precs)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from quasisat import solver
+from quasisat.degree import DegreeResult
 from quasisat.geometry import grid_cover
 from quasisat.intervals import EMPTY_BOX, box, ival
 from quasisat.parser import parse
@@ -200,3 +202,28 @@ def test_a_900_term_sum_is_solved():
     s = parse("exists x in [0,2] . " + "+".join(["x"] * 900) + " - 1 = 0")
     v = quasi_decide(s)
     assert v.outcome == "TRUE" and v.certificate > 0
+
+
+def test_iteration_record_sums_degree_subdivisions(monkeypatch):
+    """Each iteration's `degree_subdivisions` is the sum of the
+    subdivisions of its decided degree calls (a failed call has none)."""
+    real = solver.degree
+    calls: list = []
+
+    def padded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if res is not None:
+            res = DegreeResult(res.value, res.boundary_min_lb, res.subdivisions + 5)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(solver, "degree", padded)
+    v = quasi_decide(parse("exists x in [-1,1], y in [-1,1] . "
+                           "x^2 + y^2 - 1/2 = 0 and sin(x + y) - 1/1000 = 0"), budget=12)
+    assert v.outcome == "TRUE"
+    done = iter(calls)
+    for r in v.trace:
+        results = [next(done) for _ in range(r.complexes)]
+        assert r.degree_subdivisions == sum(res.subdivisions for res in results
+                                            if res is not None)
+    assert sum(r.degree_subdivisions for r in v.trace) >= 5 * 3
