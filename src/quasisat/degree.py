@@ -111,23 +111,21 @@ def _deg_cycle(
     certs: list[Optional[_Cert]] = [None] * len(cells)
     # how often each component certifies a cell, summed over every level
     # of refinement: a cell certified before it was split still counts,
-    # and so do its halves, which inherit its certificate.  This choice of
-    # i* is the one the degree has always made; counting only the final
-    # cells could pick another i* and change `value`'s derivation,
-    # `boundary_min_lb` and `subdivisions`.
+    # and its halves, which inherit its certificate, count again.  This is
+    # the count of the `RatBox` reference in tests/oracles.py, whose certs
+    # dict keeps refined-away cells; the same i* keeps `value`,
+    # `boundary_min_lb` and `subdivisions` identical to it.
     counts: dict[int, int] = {}
     while True:
         for k, (cell, _) in enumerate(cells):
-            if certs[k] is None:
-                cert = _certify(fs, cell_env(cell, dens), p)
-                if cert is not None:
-                    certs[k] = cert
-                    if top_bounds is not None:
-                        top_bounds.append(cert[2])
-        for cert in certs:
+            cert = certs[k]
+            if cert is None:
+                cert = certs[k] = _certify(fs, cell_env(cell, dens), p)
+                if cert is not None and top_bounds is not None:
+                    top_bounds.append(cert[2])
             if cert is not None:
                 counts[cert[0]] = counts.get(cert[0], 0) + 1
-        if all(cert is not None for cert in certs):
+        if None not in certs:
             break
         # congruent refinement: split every cell so that shared sub-faces
         # of the region boundary still cancel by key equality

@@ -1,7 +1,6 @@
 """Structural distance between sentences and supremum enclosures."""
-from fractions import Fraction
-
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st

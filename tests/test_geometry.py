@@ -197,11 +197,6 @@ def test_bisect_box_halves_every_free_axis():
     assert bisect_box(flat.cells[0]) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
 
 
-def _as_box(cell, dens) -> RatBox:
-    return RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
-                        for (lo, hi), d in zip(cell, dens)))
-
-
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=3)),
                 min_size=1, max_size=3),
        st.lists(st.booleans(), min_size=27, max_size=27))
@@ -216,10 +211,11 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
     comp = g.complex(idxs)
     got = oriented_boundary(comp.cells)
     want = oracles.oriented_boundary(ratboxes(comp))
-    assert [(_as_box(f, comp.dens), c) for f, c in got.items()] == list(want.items())
+    faces = ratboxes(BoxComplex(tuple(got), comp.dens))
+    assert list(zip(faces, got.values())) == list(want.items())
     halves = tuple(2 * d for d in comp.dens)
     for cell, ref in zip(comp.cells, ratboxes(comp)):
-        assert [_as_box(h, halves) for h in bisect_box(cell)] == oracles.bisect_box(ref)
+        assert list(ratboxes(BoxComplex(tuple(bisect_box(cell)), halves))) == oracles.bisect_box(ref)
 
 
 def test_grid_lazy_scaling():

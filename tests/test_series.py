@@ -1,8 +1,7 @@
 """Transcendental enclosures checked against mpmath as an independent
 high-precision oracle, plus soundness and convergence properties."""
-from fractions import Fraction
-
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
