@@ -72,9 +72,12 @@ def _trace_json(records: list[IterationRecord]) -> list[dict]:
     return [{"iteration": r.iteration,
              "eps": rat_str(r.eps),
              "result": _tri_text(r.result),
+             "precision": r.precision,
              "complexes": r.complexes,
              "cells_evaluated": r.cells_evaluated,
+             "cells_plausible": r.cells_plausible,
              "faces_evaluated": r.faces_evaluated,
+             "zero_faces": r.zero_faces,
              "degree_subdivisions": r.degree_subdivisions,
              "degrees": r.degrees}
             for r in records]
@@ -104,8 +107,11 @@ def _report(verdict: Verdict, args) -> None:
         print(f"certificate ({kind}): {cert}")
     if args.trace:
         for r in verdict.trace:
-            extra = (f"  cells evaluated: {r.cells_evaluated}"
-                     f"  faces evaluated: {r.faces_evaluated}")
+            extra = (f"  precision: {r.precision}"
+                     f"  cells evaluated: {r.cells_evaluated}"
+                     f"  cells plausible: {r.cells_plausible}"
+                     f"  faces evaluated: {r.faces_evaluated}"
+                     f"  zero faces: {r.zero_faces}")
             if r.complexes:
                 degs = ", ".join("failure" if d is None else str(d)
                                  for d in r.degrees)

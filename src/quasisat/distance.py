@@ -4,9 +4,10 @@ integer cells (see `geometry`)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
-from .evaluation import cell_env, compile_term
+from .evaluation import Ival, cell_env, compile_term
 from .intervals import RatBox, RatInterval, ival, rat
 from .formulas import Formula, aligned_terms, same_structure
 from .geometry import Grid, bisect_box
@@ -37,13 +38,25 @@ def sup_abs_enclosure(
     Iterative deepening over uniform grids: the bracket sequence depends
     only on the term and the box, and successive brackets are
     intersected, so a tighter tolerance always yields a sub-interval of
-    a looser one's result.  The cells are integer cells on one shared
-    `dens` (see `geometry`); bounds are compared by cross-multiplication
-    and only each depth's bracket is built from `Fraction`s.
+    a looser one's result.  The upper bound is the largest |t| over the
+    active cells; the lower bound is the largest mignitude of |t| over
+    those cells and over their corners, since the value at any point
+    bounds the supremum from below.  So an expanded affine t, whose cell
+    enclosure is exact and whose supremum sits at a corner, closes at
+    depth 0.  Axes that t does not mention are dropped, and with no axis
+    left only the precision deepens.  The cells are integer cells on one
+    shared `dens` (see `geometry`); bounds are compared by
+    cross-multiplication and only each depth's bracket is built from
+    `Fraction`s.
     """
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    # an axis the term does not mention only multiplies the cells
+    used = T.free_vars(t)
+    kept = [i for i, v in enumerate(names) if v in used]
+    names = [names[i] for i in kept]
+    box = RatBox(tuple(box[i] for i in kept))
     evaluate = compile_term(t, names)
     bracket: RatInterval | None = None
     whole = Grid(box, (1,) * box.dim).complex([(0,) * box.dim])
@@ -55,23 +68,23 @@ def sup_abs_enclosure(
         p = depth + 10
         scored = []  # (cell, numerator of the upper bound of |t|, den)
         hi = None
+        corners: set[tuple[int, ...]] = set()
         for cell in active:
-            lo_t, hi_t, d = evaluate(cell_env(cell, dens), p)
-            if lo_t >= 0:  # |t| over the cell is [a, b]/d
-                a, b = lo_t, hi_t
-            elif hi_t <= 0:
-                a, b = -hi_t, -lo_t
-            else:
-                a, b = 0, max(-lo_t, hi_t)
+            a, b, d = _abs(evaluate(cell_env(cell, dens), p))
             scored.append((cell, b, d))
             if best_lo is None or a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
             if hi is None or b * hi[1] > hi[0] * d:
                 hi = b, d
+            corners.update(product(*cell))
+        for corner in corners:  # degenerate cells: point values of |t|
+            a, _, d = _abs(evaluate([(c, c, e) for c, e in zip(corner, dens)], p))
+            if a * best_lo[1] > best_lo[0] * d:
+                best_lo = a, d
         hi_q = Fraction(*hi)
         step = ival(min(Fraction(*best_lo), hi_q), hi_q)
         bracket = step if bracket is None else _intersect(bracket, step)
-        if bracket.width <= tol or box.dim == 0:
+        if bracket.width <= tol:
             return bracket
         # keep only cells that can still carry the supremum, then bisect
         active = []
@@ -80,6 +93,16 @@ def sup_abs_enclosure(
                 active.extend(bisect_box(cell))
         dens = tuple(2 * x for x in dens)
         depth += 1
+
+
+def _abs(x: Ival) -> Ival:
+    """|x| of an integer interval (lo, hi, den)."""
+    lo, hi, d = x
+    if lo >= 0:
+        return x
+    if hi <= 0:
+        return -hi, -lo, d
+    return 0, max(-lo, hi), d
 
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
@@ -104,12 +127,7 @@ def distance_enclosure(
             lo = max(lo, abs(diff.value))
             hi = max(hi, abs(diff.value))
             continue
-        # drop variables the difference no longer mentions
-        used = T.free_vars(diff)
-        kept = [i for i, v in enumerate(names) if v in used]
-        sub_names = tuple(names[i] for i in kept)
-        sub_box = RatBox(tuple(box[i] for i in kept))
-        enc = sup_abs_enclosure(diff, sub_names, sub_box, tol)
+        enc = sup_abs_enclosure(diff, names, box, tol)
         lo = max(lo, enc.lo)
         hi = max(hi, enc.hi)
     return ival(lo, hi)

@@ -58,8 +58,11 @@ class IterationRecord:
     eps: Fraction
     result: TriValue
     complexes: int = 0
+    precision: int = 0  # p of the interval evaluations
     cells_evaluated: int = 0  # grid blocks and cells given the refutation test
+    cells_plausible: int = 0  # single cells the refutation test left standing
     faces_evaluated: int = 0  # cell faces given the zero-face test
+    zero_faces: int = 0  # tested faces that joined two cells or doomed one
     degree_subdivisions: int = 0  # DegreeResult.subdivisions, over decided degrees
     degrees: list[Optional[int]] = field(default_factory=list)
 
@@ -119,6 +122,7 @@ def _soei(
     names = pnames + s.vars
     m, n = len(s.vars), len(eqs)
     p = prec_for(r).p
+    record.precision = p
     grid = grid_cover(s.bounds, r)
     fs = [compile_term(f, names) for f in eqs]
     gs = [compile_term(g, names) for g in ineqs]
@@ -169,6 +173,7 @@ def _plausible_cells(
         halves = halve_block(lo, hi)
         if halves is None:
             plausible.append(lo)
+            record.cells_plausible += 1
         else:
             blocks.extend(halves)
     return sorted(plausible), separation
@@ -243,6 +248,7 @@ def _candidate_complexes(
                 if margins is not None:
                     margins[key] = margin
                 continue
+            record.zero_faces += 1
             if face.on_boundary:
                 doomed.add(idx)
                 continue

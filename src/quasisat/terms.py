@@ -131,14 +131,8 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
         right = _expand(t.right)
         if left is None or right is None:
             return None
-        sign = 1 if isinstance(t, Add) else -1
         out = dict(left)
-        for mono, c in right.items():
-            got = out.get(mono, Fraction(0)) + sign * c
-            if got:
-                out[mono] = got
-            else:
-                out.pop(mono, None)
+        _add_into(out, right, 1 if isinstance(t, Add) else -1)
         return out
     if isinstance(t, Neg):
         inner = _expand(t.arg)
@@ -170,6 +164,18 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
     return {(t,): Fraction(1)}  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
 
 
+def _add_into(
+    acc: dict[_Monomial, Fraction], part: dict[_Monomial, Fraction], k: int
+) -> None:
+    """acc += k * part, dropping monomials whose coefficient cancels."""
+    for mono, c in part.items():
+        got = acc.get(mono, Fraction(0)) + k * c
+        if got:
+            acc[mono] = got
+        else:
+            acc.pop(mono, None)
+
+
 def _convolve(
     a: dict[_Monomial, Fraction], b: dict[_Monomial, Fraction]
 ) -> dict[_Monomial, Fraction]:
@@ -185,13 +191,42 @@ def _convolve(
     return out
 
 
+def _signed_summands(t: Term) -> dict[Term, int]:
+    """t as a sum of k * s over the summands s below its Add/Sub/Neg
+    nodes, keyed by structural equality and in left-to-right order;
+    summands that cancel keep a count of 0."""
+    counts: dict[Term, int] = {}
+    stack: list[tuple[Term, int]] = [(t, 1)]
+    while stack:
+        node, k = stack.pop()
+        if isinstance(node, (Add, Sub)):
+            stack.append((node.right, k if isinstance(node, Add) else -k))
+            stack.append((node.left, k))
+        elif isinstance(node, Neg):
+            stack.append((node.arg, -k))
+        else:
+            counts[node] = counts.get(node, 0) + k
+    return counts
+
+
 def expand_normal(t: Term) -> Term:
     """Canonical sum-of-monomials form over atomic subterms, so that
-    syntactically common parts of differences cancel exactly.  Terms with
-    non-constant divisors are returned unchanged."""
-    poly = _expand(t)
-    if poly is None:
-        return t
+    syntactically common parts of differences cancel exactly.
+
+    Structurally equal summands cancel before anything is expanded, so
+    the difference of two sentences that share most of their terms costs
+    only the expansion of the summands in which they differ.  Expansion
+    is linear and exact, so the result is the full expansion whenever
+    that exists.  A term with a non-constant divisor in a summand that
+    does not cancel is returned unchanged."""
+    poly: dict[_Monomial, Fraction] = {}
+    for s, k in _signed_summands(t).items():
+        if not k:
+            continue
+        part = _expand(s)
+        if part is None:
+            return t
+        _add_into(poly, part, k)
     total: Term | None = None
     for mono in sorted(poly, key=lambda m: (len(m), tuple(map(term_text, m)))):
         c = poly[mono]

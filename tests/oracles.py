@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
@@ -388,7 +389,8 @@ def sup_abs_enclosure(
     Iterative deepening over uniform grids: the bracket sequence depends
     only on the term and the box, and successive brackets are
     intersected, so a tighter tolerance always yields a sub-interval of
-    a looser one's result.
+    a looser one's result.  The lower bound also takes the mignitude of
+    |t| at every corner of the active cells.
     """
     tol = rat(tol)
     if tol <= 0:
@@ -401,15 +403,20 @@ def sup_abs_enclosure(
     while True:
         p = depth + 10
         scored = []
+        corners = set()
         for cell in active:
             enc = to_interval(evaluate(box_env(cell), p)).abs()
             scored.append((cell, enc))
             if best_lo is None or enc.lo > best_lo:
                 best_lo = enc.lo
+            corners.update(product(*((iv.lo, iv.hi) for iv in cell.intervals)))
+        for corner in corners:
+            point = RatBox(tuple(ival(c, c) for c in corner))
+            best_lo = max(best_lo, to_interval(evaluate(box_env(point), p)).abs().lo)
         hi = max(enc.hi for _, enc in scored)
         step = ival(min(best_lo, hi), hi)
         bracket = step if bracket is None else _intersect(bracket, step)
-        if bracket.width <= tol or box.dim == 0:
+        if bracket.width <= tol:
             return bracket
         # keep only cells that can still carry the supremum, then bisect
         active = []

@@ -9,6 +9,8 @@ from quasisat.cli import main
 TRUE_S = "exists x in [0,1] . x - 1/2 = 0"
 FALSE_S = "exists x in [0,1] . x - 2 = 0"
 UNKNOWN_S = "exists x in [0,2] . x - 1 = 0 and x - 1 = 0"
+# at eps 1 the root sits on the face between the grid's two cells
+JOINED_S = "exists x in [0,2] . x - 1 = 0"
 
 
 def test_exit_codes(capsys):
@@ -39,11 +41,16 @@ def test_json_output_round_trips(capsys):
     num, den = doc["certificate"].split("/")
     assert int(num) > 0 and int(den) > 0
     assert doc["trace"][0]["eps"] == "1/1"
+    assert doc["trace"][0]["precision"] == 3  # 2^3 >= 8/eps
     assert doc["trace"][0]["cells_evaluated"] >= 1
+    assert doc["trace"][0]["cells_plausible"] >= 1
     assert doc["trace"][0]["faces_evaluated"] >= 0
     assert all(r["degree_subdivisions"] == 0 for r in doc["trace"])
     assert doc["trace"][-1]["result"] == "T"
     assert doc["trace"][-1]["degrees"] == [1]
+    assert main(["solve", JOINED_S, "--format", "json", "--trace"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["trace"]
+    assert record["cells_plausible"] == 2 and record["zero_faces"] == 1
 
 
 def test_certificate_text_output(capsys):
@@ -136,6 +143,10 @@ def test_text_trace_reports_work_counters(capsys):
                for ln in lines[1:])
     assert any("degrees: [1]" in ln and "degree subdivisions: 0" in ln
                for ln in lines[1:])
+    assert main(["solve", JOINED_S, "--trace"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert "precision: 3" in line
+    assert "cells plausible: 2" in line and "zero faces: 1" in line
 
 
 def test_workers_flag_is_gone(capsys):

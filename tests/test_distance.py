@@ -1,13 +1,14 @@
 """Structural distance between sentences and supremum enclosures."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.intervals import RatBox, box, ival
+from quasisat.intervals import Precision, RatBox, box, ival
 from quasisat.parser import parse
 
 import oracles
@@ -111,3 +112,77 @@ def test_sup_abs_enclosure_equals_the_ratbox_reference(dim, seed):
     t = _random_term(rng, vs)
     tol = Fraction(1, rng.choice((3, 16, 100)[:max(1, 3 - dim)]))  # 3-D costs most
     assert sup_abs_enclosure(t, names, b, tol) == oracles.sup_abs_enclosure(t, names, b, tol)
+
+
+def _affine(coeffs, const, names):
+    t = T.Const(const)
+    for a, n in zip(coeffs, names):
+        t = T.Add(t, T.Mul(T.Const(a), T.Var(n)))
+    return t
+
+
+@pytest.mark.parametrize("coeffs, const, bounds", [
+    ((Fraction(3, 64),), Fraction(-3, 32), ((Fraction(5, 8), Fraction(15, 8)),)),
+    ((Fraction(-2, 7), Fraction(5, 3)), Fraction(1, 9),
+     ((Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 2), Fraction(5, 4)))),
+    ((Fraction(1, 5), Fraction(-3, 4), Fraction(7, 6)), Fraction(-1, 2),
+     ((Fraction(-4, 3), Fraction(1, 6)), (Fraction(0), Fraction(3, 5)),
+      (Fraction(-2, 9), Fraction(1, 3)))),
+], ids=["1d", "2d", "3d"])
+def test_affine_difference_is_exact_at_depth_zero(coeffs, const, bounds):
+    """An affine term's enclosure is exact and its supremum sits at a
+    corner, so the corner lower bound meets the upper bound at once."""
+    names = ("x", "y", "z")[:len(coeffs)]
+    t = _affine(coeffs, const, names)
+    s = max(abs(const + sum(a * v for a, v in zip(coeffs, corner)))
+            for corner in product(*bounds))
+    enc = sup_abs_enclosure(t, names, RatBox(tuple(ival(lo, hi) for lo, hi in bounds)),
+                            Fraction(1, 2 ** 40))
+    assert enc.lo == enc.hi == s
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
+    """enc.hi is at least |t| at every node of a uniform 5^dim grid of the
+    box (|t| exact for polynomials, within 2^-64 with cos), and the
+    bracket is no wider than the tolerance."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z")[:dim]
+    vs = [T.Var(n) for n in names] or [T.Pi()]
+    bounds = []
+    for _ in range(dim):
+        lo = Fraction(rng.randint(-9, 6), rng.randint(1, 7))
+        # narrower boxes in more dimensions: `_random_term` can hold
+        # x*y - y*x, whose maximum fills a plane of cells
+        bounds.append(ival(lo, lo + Fraction(rng.randint(0, 9 // dim), rng.randint(1, 7))))
+    b = RatBox(tuple(bounds))
+    t = _random_term(rng, vs)
+    tol = Fraction(1, rng.choice((3, 16, 100)))
+    enc = sup_abs_enclosure(t, names, b, tol)
+    assert enc.width <= tol
+    axes = [[iv.lo + iv.width * i / 4 for i in range(5)] for iv in bounds]
+    for node in product(*axes):
+        env = {n: ival(v, v) for n, v in zip(names, node)}
+        assert oracles.eval_env(t, env, Precision(64)).abs().lo <= enc.hi
+
+
+def test_constant_difference_with_pi_meets_the_tolerance():
+    """A difference without variables still deepens its precision until
+    the bracket is no wider than the tolerance."""
+    f = parse("exists x in [0,1] . x - pi = 0")
+    g = parse("exists x in [0,1] . x - 3 = 0")
+    tol = Fraction(1, 10 ** 6)
+    enc = distance_enclosure(f, g, tol)
+    assert enc.width <= tol
+    assert enc.lo <= Fraction(314159265, 10 ** 8) - 3 and Fraction(314159266, 10 ** 8) - 3 <= enc.hi
+
+
+def test_axes_the_term_does_not_mention_change_nothing():
+    # only x varies; y and z would multiply the active cells by 4 per depth
+    t = T.Add(T.Const(Fraction(2, 3)), T.Add(T.Mul(T.Const(Fraction(-2, 3)), T.Var("x")),
+                                             T.Mul(T.Const(Fraction(3, 4)), T.Var("x"))))
+    xs = ival(Fraction(-5, 4), Fraction(13, 4))
+    wide = RatBox((xs, ival(Fraction(-1, 3), Fraction(16, 15)), ival(Fraction(4, 5), Fraction(23, 10))))
+    tol = Fraction(1, 100)
+    assert sup_abs_enclosure(t, ("x", "y", "z"), wide, tol) == sup_abs_enclosure(t, ("x",), box(xs), tol)

@@ -94,6 +94,25 @@ def test_expand_normal_cancels_identical_parts():
     assert T.expand_normal(T.Sub(a, b)) == c(1)
 
 
+@given(poly_terms(), poly_terms())
+@settings(max_examples=100, deadline=None)
+def test_shared_summands_cancel_before_expansion(a, r):
+    # (a + r) - a is r, and a - (a + r) is -r, as in a perturbed atom
+    assert T.expand_normal(T.Sub(T.Add(a, r), a)) == T.expand_normal(r)
+    assert T.expand_normal(T.Sub(a, T.Add(a, r))) == T.expand_normal(T.Neg(r))
+
+
+def test_cancelled_divisor_no_longer_blocks_expansion():
+    # x/(1 + y^2) + x  minus  x/(1 + y^2) + x + 3/64*y
+    quotient = T.Div(X, T.Add(c(1), T.Pow(Y, 2)))
+    f = T.Add(quotient, X)
+    g = T.Add(T.Add(quotient, X), T.Mul(c(Fraction(3, 64)), Y))
+    assert T.expand_normal(T.Sub(f, g)) == T.Mul(c(Fraction(-3, 64)), Y)
+    # a divisor that survives still leaves the term as it is
+    kept = T.Sub(f, X)
+    assert T.expand_normal(kept) is kept
+
+
 def test_expand_normal_keeps_transcendental_atoms():
     t = T.Sub(T.Mul(T.Sin(X), c(2)), T.Mul(T.Sin(X), c(2)))
     assert T.expand_normal(t) == c(0)
