@@ -15,14 +15,17 @@ tuples of `(lo, hi)` numerators over one `dens` for the whole cycle, and
 each refinement bisects every cell and doubles `dens`.  The evaluator
 gets the numerators directly; a `Fraction` is built only for a
 certificate's bound.
+
+Certificates a caller already holds for boundary cells (the solver's
+face walk) seed the top level: a cell found there is not evaluated again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .evaluation import Evaluator, Ival, cell_env, compile_term
+from .evaluation import Cert, Evaluator, Ival, cell_env, certify, compile_term
 from .geometry import BoxComplex, Cell, _add_cell_boundary, bisect_box, oriented_boundary
 from .intervals import Precision
 from . import terms as T
@@ -51,31 +54,16 @@ class _Budget:
         return self.used <= self.limit
 
 
-# a certificate for one cell: (component index, sign, verified lower bound
-# on sign * f_i over the cell)
-_Cert = tuple[int, int, Fraction]
-
-
-def _certify(fs: Sequence[Evaluator], env: list[Ival], p: int) -> Optional[_Cert]:
-    for i, f in enumerate(fs):
-        lo, hi, d = f(env, p)
-        if lo > 0:
-            return i, 1, Fraction(lo, d)
-        if hi < 0:
-            return i, -1, Fraction(-hi, d)
-    return None
-
-
 def _sign_at_point(
     f: Evaluator, env: list[Ival], p: int, budget: _Budget
-) -> Optional[tuple[int, Fraction]]:
+) -> Optional[Cert]:
     """Sign of f at a degenerate cell, escalating precision as needed."""
     while p <= _MAX_PREC:
         lo, hi, d = f(env, p)
         if lo > 0:
-            return 1, Fraction(lo, d)
+            return 0, 1, lo, d
         if hi < 0:
-            return -1, Fraction(-hi, d)
+            return 0, -1, -hi, d
         if not budget.spend(1):
             return None
         p *= 2
@@ -88,27 +76,28 @@ def _deg_cycle(
     dens: tuple[int, ...],
     p: int,
     budget: _Budget,
-    top_bounds: Optional[list[Fraction]],
+    top_bounds: Optional[list[Cert]],
+    known: Mapping[Cell, Cert] = {},
 ) -> Optional[int]:
-    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`."""
+    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`;
+    the cells in `known` come certified."""
     if not cycle:  # e.g. a region boundary that cancelled out entirely
         return 0
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():
-            got = _sign_at_point(fs[0], cell_env(cell, dens), p, budget)
-            if got is None:
+            cert = known.get(cell) or _sign_at_point(fs[0], cell_env(cell, dens), p, budget)
+            if cert is None:
                 return None
-            sign, lb = got
-            total += coef * sign
+            total += coef * cert[1]
             if top_bounds is not None:
-                top_bounds.append(lb)
+                top_bounds.append(cert)
         if total % 2:  # an odd sum means the cycle was not closed
             return None
         return total // 2
 
     cells: list[tuple[Cell, int]] = list(cycle.items())
-    certs: list[Optional[_Cert]] = [None] * len(cells)
+    certs: list[Optional[Cert]] = [known.get(cell) for cell, _ in cells]
     # how often each component certifies a cell, summed over every level
     # of refinement: a cell certified before it was split still counts,
     # and its halves, which inherit its certificate, count again.  This is
@@ -120,9 +109,7 @@ def _deg_cycle(
         for k, (cell, _) in enumerate(cells):
             cert = certs[k]
             if cert is None:
-                cert = certs[k] = _certify(fs, cell_env(cell, dens), p)
-                if cert is not None and top_bounds is not None:
-                    top_bounds.append(cert[2])
+                cert = certs[k] = certify(fs, cell_env(cell, dens), p)
             if cert is not None:
                 counts[cert[0]] = counts.get(cert[0], 0) + 1
         if None not in certs:
@@ -132,7 +119,7 @@ def _deg_cycle(
         if not budget.spend(len(cells)):
             return None
         refined: list[tuple[Cell, int]] = []
-        inherited: list[Optional[_Cert]] = []
+        inherited: list[Optional[Cert]] = []
         for (cell, coef), cert in zip(cells, certs):
             for child in bisect_box(cell):
                 refined.append((child, coef))
@@ -141,10 +128,12 @@ def _deg_cycle(
         dens = tuple(2 * d for d in dens)
         p += 2
 
+    if top_bounds is not None:  # every certificate made lives on in a child
+        top_bounds.extend(certs)
     i_star = min(counts, key=lambda i: (-counts[i], i))
 
     gamma: dict[Cell, int] = {}
-    for (cell, coef), (ci, cs, _) in zip(cells, certs):
+    for (cell, coef), (ci, cs, _, _) in zip(cells, certs):
         if ci == i_star and cs == 1:
             _add_cell_boundary(gamma, cell, coef)
 
@@ -161,17 +150,20 @@ def degree(
     complex: BoxComplex,
     prec: Precision,
     budget: int = 1000,
+    certs: Mapping[Cell, Cert] = {},
 ) -> Optional[DegreeResult]:
     """Degree of fs over the complex, or None when the boundary cannot be
-    certified nonzero within the subdivision budget."""
+    certified nonzero within the subdivision budget.  `certs` maps
+    boundary cells over `complex.dens` to certificates that hold for fs."""
     if len(fs) != complex.dim:
         raise ValueError("map and complex dimension differ")
     state = _Budget(budget)
-    bounds: list[Fraction] = []
+    bounds: list[Cert] = []
     cycle = oriented_boundary(complex.cells)
     evals = [compile_term(f, names) for f in fs]
-    value = _deg_cycle(evals, cycle, complex.dens, prec.p, state, bounds)
+    value = _deg_cycle(evals, cycle, complex.dens, prec.p, state, bounds, certs)
     if value is None:
         return None
-    return DegreeResult(value, min(bounds), state.used)
+    lb = min(Fraction(num, den) for _, _, num, den in bounds)
+    return DegreeResult(value, lb, state.used)
 

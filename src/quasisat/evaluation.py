@@ -1,10 +1,11 @@
 """Rigorous interval evaluation of terms on integer numerators.
 
 An interval is a triple `(lo, hi, den)` of integers with `den > 0`,
-standing for [lo/den, hi/den].  Arithmetic follows `RatInterval`'s rules
-on the numerators and never reduces by a gcd, so every result is the
-same rational interval as the `Fraction` evaluation, only unnormalized.
-sin, cos, exp, sqrt and pi go through `series` as `RatInterval`s.
+standing for [lo/den, hi/den].  This is the only interval arithmetic of
+the package: it works on the numerators and never reduces by a gcd, so
+every result is the same rational interval as the `Fraction` reference
+in tests/oracles.py, only unnormalized.  sin, cos, exp, sqrt and pi go
+through `series`, whose enclosures are `RatInterval` values.
 
 `compile_term` turns a term, once, into a flat tape of operations in
 evaluation order; running the tape needs no recursion, so deep terms
@@ -22,6 +23,8 @@ from . import terms as T
 
 Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
 Evaluator = Callable[[Sequence[Ival], int], Ival]  # (env, precision p)
+# (component i, sign s, num, den): s * f_i >= num/den > 0 on the box
+Cert = tuple[int, int, int, int]
 
 
 def ival_of(iv: RatInterval) -> Ival:
@@ -196,6 +199,28 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
         return regs[result]
 
     return evaluate
+
+
+def certify(
+    fs: Sequence[Evaluator], env: Sequence[Ival], p: int, best: bool = False
+) -> Optional[Cert]:
+    """The first component whose enclosure excludes zero, or with `best`
+    the one of largest mignitude (the first of equals); None when every
+    enclosure holds zero."""
+    found: Optional[Cert] = None
+    for i, f in enumerate(fs):
+        lo, hi, d = f(env, p)
+        if lo > 0:
+            cert = i, 1, lo, d
+        elif hi < 0:
+            cert = i, -1, -hi, d
+        else:
+            continue
+        if not best:
+            return cert
+        if found is None or cert[2] * found[3] > found[2] * cert[3]:
+            found = cert
+    return found
 
 
 def positive_lower_bound(

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import Evaluator, Ival, box_env, compile_term, positive_lower_bound
+from .evaluation import (Cert, Evaluator, Ival, box_env, certify, compile_term,
+                         positive_lower_bound)
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
-from .geometry import Block, CellIndex, Face, Grid, grid_cover, halve_block
+from .geometry import Block, Cell, CellIndex, Face, Grid, grid_cover, halve_block
 from .intervals import EMPTY_BOX, Precision, RatBox, box, ival, rat
 from .degree import degree
 from . import terms as T
@@ -184,12 +185,9 @@ def _refutation_bound(
 ) -> Optional[Fraction]:
     """A positive separation bound when the box admits no solution;
     None when the box stays plausible."""
-    for f in fs:
-        lo, hi, d = f(env, p)
-        if lo > 0:
-            return Fraction(lo, d)
-        if hi < 0:
-            return Fraction(-hi, d)
+    cert = certify(fs, env, p)
+    if cert is not None:
+        return Fraction(cert[2], cert[3])
     for g in gs:
         _, hi, d = g(env, p)
         if hi < 0:
@@ -197,56 +195,37 @@ def _refutation_bound(
     return None
 
 
-def _face_margin(
-    fs: list[Evaluator], env: list[Ival], p: int, best: bool
-) -> Optional[tuple[int, int]]:
-    """None on a zero face (every component's enclosure holds zero);
-    otherwise a lower bound (num, den) on max_i |f_i| over the face: the
-    mignitude of the first component that excludes zero, or with `best`
-    the largest mignitude of all components."""
-    margin: Optional[tuple[int, int]] = None
-    for f in fs:
-        lo, hi, d = f(env, p)
-        mig = lo if lo > 0 else -hi if hi < 0 else 0
-        if mig and (margin is None or mig * margin[1] > margin[0] * d):
-            margin = mig, d
-            if not best:
-                break
-    return margin
-
-
 def _candidate_complexes(
     fs: list[Evaluator], p_env: list[Ival], grid: Grid, p: int,
     plausible: list[CellIndex], record: IterationRecord,
-    margins: Optional[dict] = None,
+    certs: dict[Cell, Cert],
 ) -> list[list[CellIndex]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary.
 
     The components are grown outward from the plausible cells; one made
     of refuted cells only has no zero, hence degree 0, and is skipped.
-    Every face of every member cell is tested; with `margins` given, the
-    largest mignitude over the components on each face that is not a
-    zero face is stored there, keyed like `_face_key`."""
+    Every face of every member cell is tested; the certificate of each
+    face that is not a zero face goes into `certs`, keyed by its integer
+    cell over the grid's `dens`.  With parameters it holds on the whole
+    slice and names the component of largest mignitude."""
     members = set(plausible)
     walk = list(plausible)
-    tested: set[tuple] = set()
+    tested: set[tuple[int, CellIndex]] = set()
     joins: list[Face] = []
     doomed: set[CellIndex] = set()
     while walk:
         idx = walk.pop()
         for face in grid.cell_faces(idx):
-            key = _face_key(face)
-            if key in tested:
+            if (face.axis, face.at) in tested:
                 continue
-            tested.add(key)
+            tested.add((face.axis, face.at))
             record.faces_evaluated += 1
             hi = tuple(i if a == face.axis else i + 1 for a, i in enumerate(face.at))
-            margin = _face_margin(fs, _block_env(p_env, grid, face.at, hi), p,
-                                  margins is not None)
-            if margin is not None:
-                if margins is not None:
-                    margins[key] = margin
+            env = _block_env(p_env, grid, face.at, hi)
+            cert = certify(fs, env, p, best=bool(p_env))
+            if cert is not None:
+                certs[tuple((lo, hi) for lo, hi, _ in env[len(p_env):])] = cert
                 continue
             record.zero_faces += 1
             if face.on_boundary:
@@ -278,25 +257,6 @@ def _candidate_complexes(
     return [candidates[root] for root in sorted(candidates)]
 
 
-def _face_key(face: Face) -> tuple[int, CellIndex]:
-    return face.axis, face.at
-
-
-def _slice_margin(grid: Grid, cells: list[CellIndex], margins: dict) -> Fraction:
-    """min over the complex's boundary faces of the stored max_i mig(f_i)."""
-    members = set(cells)
-    lowest: Optional[tuple[int, int]] = None
-    for idx in cells:
-        for face in grid.cell_faces(idx):
-            other = face.upper_cell if face.lower_cell == idx else face.lower_cell
-            if other in members:
-                continue
-            num, den = margins[_face_key(face)]
-            if lowest is None or num * lowest[1] < lowest[0] * den:
-                lowest = num, den
-    return Fraction(*lowest)
-
-
 def _soei_degree_phase(
     s: Exists, eqs, fs: list[Evaluator], gs: list[Evaluator], pnames,
     p_box: RatBox, p_env: list[Ival], p: int, grid: Grid,
@@ -305,16 +265,15 @@ def _soei_degree_phase(
     """Zero-face merging plus the degree test on candidate complexes.
 
     The degree is taken at the slice centre p0, which is sound because no
-    boundary face of the complex holds a zero anywhere on the slice.  For
-    the same reason the certificate of a parameterized block is the least
-    max_i |f_i| over those faces and the whole slice; the degree's own
-    boundary bound holds at p0 only."""
+    boundary face of the complex holds a zero anywhere on the slice.  The
+    face walk's certificates hold on the whole slice, so they seed the
+    degree's top level, and its `boundary_min_lb`, the least of them over
+    the complex's boundary, is a certificate for every parameter value."""
     p0 = dict(zip(pnames, p_box.center))
     f0 = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
-    margins: Optional[dict] = {} if pnames else None
-    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record,
-                                      margins):
-        result = degree(f0, s.vars, grid.complex(cells), Precision(p))
+    certs: dict[Cell, Cert] = {}
+    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs):
+        result = degree(f0, s.vars, grid.complex(cells), Precision(p), certs=certs)
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
         if result is None:
@@ -322,10 +281,7 @@ def _soei_degree_phase(
         record.degree_subdivisions += result.subdivisions
         if result.value == 0:
             continue
-        if margins is None:
-            cert = result.boundary_min_lb
-        else:
-            cert = _slice_margin(grid, cells, margins)
+        cert = result.boundary_min_lb
         for idx in cells if gs else ():
             lb = positive_lower_bound(gs, _cell_env(p_env, grid, idx), p)
             if lb is None:  # an inequality may fail inside this complex

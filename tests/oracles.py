@@ -1,6 +1,6 @@
 """Independent reference implementations the tests compare the solver
-against: interval evaluation on `Fraction` endpoints, exact and float
-term evaluation, a float winding count for planar degrees, full sweeps
+against: interval arithmetic and evaluation on `Fraction` endpoints,
+exact and float term evaluation, a float winding count for planar degrees, full sweeps
 over every cell and face of a grid, and the degree, oriented boundary,
 bisection and supremum enclosure on `RatBox`es of `Fraction`s."""
 from __future__ import annotations
@@ -14,14 +14,95 @@ from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, box_env, compile_term, to_interval
 from quasisat.geometry import BoxComplex, CellIndex, Face, Grid
-from quasisat.intervals import Precision, RatBox, RatInterval, ival, rat
+from quasisat.intervals import (DomainError, Precision, RatBox, RatInterval, RatLike,
+                                ival, rat)
 from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
                              sin_enclosure, sqrt_enclosure)
 
 
+# ---------------------------------------------------------------------------
+# interval arithmetic on `Fraction` endpoints (exact, so no outward rounding)
+
+
+def neg(a: RatInterval) -> RatInterval:
+    return RatInterval(-a.hi, -a.lo)
+
+
+def add(a: RatInterval, b: RatInterval) -> RatInterval:
+    return RatInterval(a.lo + b.lo, a.hi + b.hi)
+
+
+def sub(a: RatInterval, b: RatInterval) -> RatInterval:
+    return RatInterval(a.lo - b.hi, a.hi - b.lo)
+
+
+def mul(a: RatInterval, b: RatInterval) -> RatInterval:
+    p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RatInterval(min(p), max(p))
+
+
+def divide(a: RatInterval, b: RatInterval) -> RatInterval:
+    if b.contains_zero:
+        raise DomainError("division by an interval containing zero")
+    return mul(a, RatInterval(1 / b.hi, 1 / b.lo))
+
+
+def pow_nat(a: RatInterval, n: int) -> RatInterval:
+    if n < 0:
+        raise ValueError("exponent must be a natural number")
+    if n == 0:
+        return RatInterval(Fraction(1), Fraction(1))
+    if n % 2 == 1 or a.lo >= 0:
+        return RatInterval(a.lo ** n, a.hi ** n)
+    if a.hi <= 0:
+        return RatInterval(a.hi ** n, a.lo ** n)
+    # even power of an interval straddling zero
+    return RatInterval(Fraction(0), max(a.lo ** n, a.hi ** n))
+
+
+def abs_interval(a: RatInterval) -> RatInterval:
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return neg(a)
+    return RatInterval(Fraction(0), max(-a.lo, a.hi))
+
+
+def split(a: RatInterval) -> tuple[RatInterval, RatInterval]:
+    return RatInterval(a.lo, a.mid), RatInterval(a.mid, a.hi)
+
+
+def contains(a: RatInterval, x: RatLike) -> bool:
+    return a.lo <= rat(x) <= a.hi
+
+
+def issubset(a: RatInterval, b: RatInterval) -> bool:
+    return b.lo <= a.lo and a.hi <= b.hi
+
+
+def box_replace(b: RatBox, axis: int, iv: RatInterval) -> RatBox:
+    parts = list(b.intervals)
+    parts[axis] = iv
+    return RatBox(tuple(parts))
+
+
+def box_contains(b: RatBox, point: Sequence[RatLike]) -> bool:
+    if len(point) != b.dim:
+        raise ValueError("point dimension mismatch")
+    return all(contains(iv, x) for iv, x in zip(b.intervals, point))
+
+
+def box_issubset(a: RatBox, b: RatBox) -> bool:
+    return all(issubset(x, y) for x, y in zip(a.intervals, b.intervals))
+
+
+# ---------------------------------------------------------------------------
+# term evaluation
+
+
 def eval_env(t: T.Term, env: Mapping[str, RatInterval], prec: Precision) -> RatInterval:
     """Natural interval extension under a name -> interval binding, by
-    recursion over the term and `RatInterval` arithmetic."""
+    recursion over the term and the interval arithmetic above."""
     if isinstance(t, T.Const):
         return ival(t.value, t.value)
     if isinstance(t, T.Pi):
@@ -29,17 +110,17 @@ def eval_env(t: T.Term, env: Mapping[str, RatInterval], prec: Precision) -> RatI
     if isinstance(t, T.Var):
         return env[t.name]
     if isinstance(t, T.Add):
-        return eval_env(t.left, env, prec) + eval_env(t.right, env, prec)
+        return add(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
     if isinstance(t, T.Sub):
-        return eval_env(t.left, env, prec) - eval_env(t.right, env, prec)
+        return sub(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
     if isinstance(t, T.Neg):
-        return -eval_env(t.arg, env, prec)
+        return neg(eval_env(t.arg, env, prec))
     if isinstance(t, T.Mul):
-        return eval_env(t.left, env, prec) * eval_env(t.right, env, prec)
+        return mul(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
     if isinstance(t, T.Div):
-        return eval_env(t.left, env, prec).divide(eval_env(t.right, env, prec))
+        return divide(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
     if isinstance(t, T.Pow):
-        return eval_env(t.base, env, prec).pow_nat(t.exponent)
+        return pow_nat(eval_env(t.base, env, prec), t.exponent)
     if isinstance(t, T.Sin):
         return sin_enclosure(eval_env(t.arg, env, prec), prec.p)
     if isinstance(t, T.Cos):
@@ -229,8 +310,8 @@ def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
             continue
         t += 1
         sign = -1 if t % 2 == 0 else 1
-        hi_face = cell.replace(axis, ival(iv.hi))
-        lo_face = cell.replace(axis, ival(iv.lo))
+        hi_face = box_replace(cell, axis, ival(iv.hi))
+        lo_face = box_replace(cell, axis, ival(iv.lo))
         for face, s in ((hi_face, sign * coef), (lo_face, -sign * coef)):
             got = acc.get(face, 0) + s
             if got:
@@ -243,7 +324,7 @@ def bisect_box(b: RatBox) -> list[RatBox]:
     """Split a box in half along every non-degenerate axis."""
     out = [()]
     for iv in b.intervals:
-        pieces = iv.split() if not iv.is_degenerate else (iv,)
+        pieces = split(iv) if not iv.is_degenerate else (iv,)
         out = [combo + (piece,) for combo in out for piece in pieces]
     return [RatBox(combo) for combo in out]
 
@@ -405,14 +486,14 @@ def sup_abs_enclosure(
         scored = []
         corners = set()
         for cell in active:
-            enc = to_interval(evaluate(box_env(cell), p)).abs()
+            enc = abs_interval(to_interval(evaluate(box_env(cell), p)))
             scored.append((cell, enc))
             if best_lo is None or enc.lo > best_lo:
                 best_lo = enc.lo
             corners.update(product(*((iv.lo, iv.hi) for iv in cell.intervals)))
         for corner in corners:
             point = RatBox(tuple(ival(c, c) for c in corner))
-            best_lo = max(best_lo, to_interval(evaluate(box_env(point), p)).abs().lo)
+            best_lo = max(best_lo, abs_interval(to_interval(evaluate(box_env(point), p))).lo)
         hi = max(enc.hi for _, enc in scored)
         step = ival(min(best_lo, hi), hi)
         bracket = step if bracket is None else _intersect(bracket, step)

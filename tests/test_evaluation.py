@@ -7,7 +7,8 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import box_env, compile_term, positive_lower_bound, to_interval
+from quasisat.evaluation import (box_env, certify, compile_term, positive_lower_bound,
+                                 to_interval)
 from quasisat.intervals import DomainError, Precision, RatBox, box, ival
 from quasisat.parser import parse
 
@@ -80,6 +81,22 @@ def test_positive_lower_bound_is_verified():
     lb = positive_lower_bound([compile_term(g, ("x",))], env, 10)
     assert lb is not None and 0 < lb <= 1
     assert positive_lower_bound([compile_term(X, ("x",))], env, 10) is None
+
+
+def test_certify_first_or_best_component():
+    env = box_env(box(ival(0, 1)))
+    below, above, across = (compile_term(parse(f"exists x in [0,1] . {t} = 0").body.term,
+                                         ("x",))
+                            for t in ("x - 2", "2*x + 3", "x - 1/2"))
+    # x - 2 is in [-2, -1], 2x + 3 in [3, 5], x - 1/2 holds zero
+    i, sign, num, den = certify([across, below, above], env, 10)
+    assert (i, sign) == (1, -1) and Fraction(num, den) == 1
+    assert all(type(v) is int for v in (num, den)) and den > 0
+    i, sign, num, den = certify([across, below, above], env, 10, best=True)
+    assert (i, sign) == (2, 1) and Fraction(num, den) == 3
+    assert certify([below, below], env, 10, best=True)[0] == 0  # first of equals
+    assert certify([across], env, 10) is None
+    assert certify([across], env, 10, best=True) is None
 
 
 # ---------------------------------------------------------------------------

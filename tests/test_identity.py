@@ -1,0 +1,68 @@
+"""Verdicts against a checked-in golden: the outcome, iteration count and
+certificate of every corpus sentence at budget 20 and of every seed-1
+item of the three benchmark workloads (`bench/workloads.py`).
+
+A change that moves any of them shows up as a diff of
+`identity_golden.json`.  To record a new golden, run this file:
+
+    PYTHONPATH=src python tests/test_identity.py
+"""
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from quasisat.intervals import rat_str
+from quasisat.parser import parse
+from quasisat.solver import quasi_decide
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+GOLDEN = TESTS / "identity_golden.json"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def sentences() -> list[tuple[str, str, int]]:
+    """(id, sentence text, budget) for every sentence of the golden."""
+    out = [(f"corpus/{sent.stem}", sent.read_text(), 20)
+           for sent in sorted((ROOT / "corpus").glob("*.sent"))]
+    for name, build in _workloads().WORKLOADS.items():
+        out += [(f"{name}/{item.id}", item.text, item.budget) for item in build(ROOT, 1)]
+    return out
+
+
+def verdicts() -> dict[str, list]:
+    out = {}
+    for key, text, budget in sentences():
+        v = quasi_decide(parse(text), budget=budget)
+        cert = None if v.certificate is None else rat_str(v.certificate)
+        out[key] = [v.outcome, v.iterations, cert]
+    return out
+
+
+def dumps(table: dict[str, list]) -> str:
+    """One sentence a line, so that a changed verdict is a one-line diff."""
+    lines = [f"  {json.dumps(key)}: {json.dumps(row)}" for key, row in table.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_verdicts_and_certificates_match_the_golden():
+    want = json.loads(GOLDEN.read_text())
+    got = verdicts()
+    assert list(got) == list(want)
+    changed = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
+    assert not changed
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(dumps(verdicts()))
+    print(f"wrote {GOLDEN}")

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from quasisat import terms as T
+from quasisat.degree import degree
 from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
 from quasisat.geometry import grid_cover
-from quasisat.intervals import EMPTY_BOX, box
+from quasisat.intervals import EMPTY_BOX, RatBox, box, ival
 from quasisat.parser import parse
 from quasisat.evaluation import box_env, compile_term
 from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
@@ -34,6 +35,10 @@ EXTRA_BLOCKS = {
     "two_conics": "exists x in [-2,2], y in [-2,2] . "
                   "2*x^2 + y^2 + 2*x*y + x + 2*y - 2/3 = 0 and "
                   "-x^2 + y^2 + x*y - x + 1/2 = 0",
+    # a parameterized planar block whose faces often have a second
+    # component of larger mignitude than the first
+    "param_planar": "forall p in [0,1] . exists x in [-1,1], y in [-1,1] . "
+                    "x - p/2 = 0 and 4*y - x = 0",
 }
 
 
@@ -101,8 +106,8 @@ def polynomial_blocks():
             eqs, ineqs = block_parts(blk[0])
             if all(is_polynomial(t) for t in eqs + ineqs):
                 out.append(pytest.param(blk, id=f"{name}-{i}"))
-    out += [pytest.param((parse(text), (), EMPTY_BOX), id=name)
-            for name, text in EXTRA_BLOCKS.items()]
+    out += [pytest.param(blk, id=name) for name, text in EXTRA_BLOCKS.items()
+            for blk in existential_blocks(parse(text))]
     return out
 
 
@@ -122,10 +127,48 @@ def test_pruning_matches_full_sweep(block):
                                         record)
         assert plausible == sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
         if len(eqs) == len(s.vars):
+            certs = {}
             got = _candidate_complexes(fs, box_env(p_box), grid, prec.p,
-                                       plausible, record)
+                                       plausible, record, certs)
             assert got == sweep_complexes(eqs, names, p_box, grid, prec,
                                           plausible)
+            check_face_certificates(eqs, names, p_box, grid, prec, certs)
+            check_seeded_degree(eqs, s.vars, pnames, p_box, grid, prec, got, certs)
+
+
+def check_face_certificates(eqs, names, p_box, grid, prec, certs):
+    """Each certificate of the walk names the first component whose
+    `Fraction` enclosure on the face excludes zero, or with parameters
+    the one of largest mignitude over the slice, with its sign and its
+    exact mignitude."""
+    dens = [d for _, _, d in grid.axes]
+    for cell, (i, sign, num, den) in certs.items():
+        face = RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
+                            for (lo, hi), d in zip(cell, dens)))
+        encs = [eval_env(f, env_of(names, p_box, face), prec) for f in eqs]
+        migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
+        want = (migs.index(max(migs)) if p_box.dim
+                else next(k for k, m in enumerate(migs) if m))
+        assert (i, sign, Fraction(num, den)) == (want, 1 if encs[want].lo > 0 else -1,
+                                                 migs[want])
+
+
+def check_seeded_degree(eqs, names, pnames, p_box, grid, prec, complexes, certs):
+    """The walk's certificates change no degree value or subdivision
+    count; without parameters they change nothing at all."""
+    p0 = dict(zip(pnames, p_box.center))
+    f0 = [T.substitute(f, p0) for f in eqs]
+    for cells in complexes:
+        complex = grid.complex(cells)
+        seeded = degree(f0, names, complex, prec, certs=certs)
+        fresh = degree(f0, names, complex, prec)
+        if pnames:
+            assert (seeded is None) == (fresh is None)
+            if fresh is not None:
+                assert (seeded.value, seeded.subdivisions) == (fresh.value,
+                                                               fresh.subdivisions)
+        else:
+            assert seeded == fresh
 
 
 # ---------------------------------------------------------------------------

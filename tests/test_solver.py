@@ -1,4 +1,5 @@
 """Three-valued checks and the epsilon-halving driver."""
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -11,6 +12,11 @@ from quasisat.intervals import EMPTY_BOX, box, ival
 from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, checksat, prec_for,
                              quasi_decide, tri_and, tri_or)
+
+from conftest import CORPUS_DIR
+
+# the module, which the package's `degree` function hides as an attribute
+degree_module = importlib.import_module("quasisat.degree")
 
 TRIS = (TRI_T, TRI_F, TRI_TF)
 
@@ -183,6 +189,23 @@ def test_3d_system_whose_reduced_cycle_cancels_is_true():
               "x - y + 1/4*z - 3/64 = 0")
     v = quasi_decide(s, budget=12)
     assert v.outcome == "TRUE" and v.certificate > 0
+
+
+def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
+    """Every top-level boundary face of a complex was certified by the
+    zero-face walk, so a block without parameters needs no certify call
+    in `degree`; its lower levels go through `_sign_at_point`."""
+    calls = []
+    real = degree_module.certify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(degree_module, "certify", counted)
+    v = quasi_decide(parse((CORPUS_DIR / "circle_line.sent").read_text()))
+    assert v.outcome == "TRUE" and sum(r.complexes for r in v.trace) > 0
+    assert calls == []
 
 
 def test_pruning_evaluates_few_cells_of_a_fine_grid():
