@@ -212,7 +212,8 @@ def aligned_terms(
 
 
 def formula_text(f: Formula, _parent: int = 0) -> str:
-    """Render in the concrete grammar; reparses to an equal AST."""
+    """Render in the concrete grammar; a formula as `parse` builds it
+    reparses to an equal AST."""
     if isinstance(f, Eq):
         return f"{T.term_text(f.term)} = 0"
     if isinstance(f, Geq):

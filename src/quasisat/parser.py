@@ -21,12 +21,25 @@ enclosing quantifier (or listed in `params`); rebinding a name inside
 its own scope is an error.  Division and sqrt are accepted only when
 interval evaluation shows the denominator excludes zero (resp. the
 radicand is nonnegative) over the whole quantification box.
+
+A sentence is read in one forward pass with no backtracking.  A '(' where
+a formula may start opens a formula exactly when its group, up to the
+matching ')', holds '=', '>=', '<=', 'exists' or 'forall': a term can hold
+none of them.  Otherwise it opens the first term of an atom, as in
+``(x+1)*y = 0``.
+
+Literals fold into one constant: a minus sign on a constant, and a
+constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
+and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
+``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
+check rejects.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from .evaluation import Ival, compile_term, ival_of
@@ -42,133 +55,111 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<num>\d+(?:\.\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>>=|<=|[=+\-*/^(),.\[\]])
-      | (?P<ws>\s+)
-      | (?P<bad>.)""",
-    re.VERBOSE,
-)
+_TOKEN = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z_0-9]*|>=|<=|[=+\-*/^(),.\[\]]"
+_VALID_RE = re.compile(_TOKEN)
+_TOKEN_RE = re.compile(_TOKEN + r"|\S")  # any other character is a token of its own
 
 _KEYWORDS = {"exists", "forall", "in", "and", "or", "pi"}
 _FUNCS = {"sin": T.Sin, "cos": T.Cos, "exp": T.Exp, "sqrt": T.Sqrt}
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'num', 'name', 'op', 'end'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        s = match.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {s!r}", line, col)
-        if kind != "ws":
-            toks.append(_Tok(kind, s, line, col))
-        nl = s.count("\n")
-        if nl:
-            line += nl
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-    toks.append(_Tok("end", "", line, col))
-    return toks
+_NAME_START = frozenset(string.ascii_letters + "_")
+_FORMULA_ONLY = {"=", ">=", "<=", "exists", "forall"}  # never inside a term
 
 
 def _number(text: str) -> Fraction:
     if "." in text:
         whole, frac = text.split(".")
-        return Fraction(int(whole or "0")) + Fraction(int(frac), 10 ** len(frac))
+        return Fraction(int(whole + frac), 10 ** len(frac))
     return Fraction(int(text))
 
 
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _formula_groups(toks: list[str]) -> set[int]:
+    """The indices of the '(' whose group, up to the matching ')' or the
+    end of the input, holds a token of `_FORMULA_ONLY`."""
+    holds: set[int] = set()
+    open_: list[int] = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            open_.append(k)
+        elif tok == ")":
+            if open_ and open_.pop() in holds and open_:
+                holds.add(open_[-1])
+        elif tok in _FORMULA_ONLY and open_:
+            holds.add(open_[-1])
+    while open_:
+        if open_.pop() in holds and open_:
+            holds.add(open_[-1])
+    return holds
+
+
 class _Parser:
-    def __init__(self, toks: list[_Tok], params: Iterable[str]):
-        self.toks = toks
+    __slots__ = ("text", "toks", "i", "scope", "formula_groups")
+
+    def __init__(self, text: str, params: Iterable[str]):
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")  # the end of the input
         self.i = 0
         self.scope: list[str] = list(params)
+        self.formula_groups: set[int] | None = None  # built at the first '('
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """The error at token `at` (default: the current one).  A character
+        that starts no token is reported first, wherever it is."""
+        text = self.text
+        for m in _TOKEN_RE.finditer(text):
+            if not _VALID_RE.fullmatch(m.group()):
+                return ParseError(f"unexpected character {m.group()!r}",
+                                  *_line_col(text, m.start()))
+        m = next(islice(_TOKEN_RE.finditer(text), self.i if at is None else at, None), None)
+        return ParseError(message, *_line_col(text, len(text) if m is None else m.start()))
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
-
-    def advance(self) -> _Tok:
-        t = self.cur
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {tok!r}")
         self.i += 1
-        return t
-
-    def at_op(self, text: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text == text
-
-    def at_word(self, text: str) -> bool:
-        return self.cur.kind == "name" and self.cur.text == text
-
-    def expect_op(self, text: str) -> None:
-        if not self.at_op(text):
-            raise self.error(f"expected {text!r}")
-        self.advance()
 
     # -- formulas --
 
     def formula(self) -> F.Formula:
         left = self.conj()
-        while self.at_word("or"):
-            self.advance()
+        while self.toks[self.i] == "or":
+            self.i += 1
             left = F.Or(left, self.conj())
         return left
 
     def conj(self) -> F.Formula:
         left = self.primary()
-        while self.at_word("and"):
-            self.advance()
+        while self.toks[self.i] == "and":
+            self.i += 1
             left = F.And(left, self.primary())
         return left
 
     def primary(self) -> F.Formula:
-        if self.at_op("("):
-            mark = self.i
-            self.advance()
-            try:
+        tok = self.toks[self.i]
+        if tok == "(":
+            if self.formula_groups is None:
+                self.formula_groups = _formula_groups(self.toks)
+            if self.i in self.formula_groups:
+                self.i += 1
                 inner = self.formula()
-            except ParseError:
-                # an atom like (x+1)*y = 0 also starts with '('
-                self.i = mark
-                return self.atom()
-            if not (self.at_op(")") and self._formula_follows(mark)):
-                self.i = mark
-                return self.atom()
-            self.advance()
-            return inner
-        if self.at_word("exists") or self.at_word("forall"):
+                self.expect(")")
+                return inner
+        elif tok == "exists" or tok == "forall":
             return self.block()
         return self.atom()
 
-    def _formula_follows(self, mark: int) -> bool:
-        # '(' swallowed a full formula only if a formula boundary follows
-        nxt = self.toks[self.i + 1]
-        return nxt.kind == "end" or nxt.text in ("and", "or", ")")
-
     def block(self) -> F.Formula:
-        kw = self.advance().text
-        binders: list[tuple[str, RatInterval]] = []
-        while True:
+        kw = self.toks[self.i]
+        self.i += 1
+        binders = [self.binder()]
+        while self.toks[self.i] == ",":
+            self.i += 1
             binders.append(self.binder())
-            if self.at_op(","):
-                self.advance()
-                continue
-            break
-        self.expect_op(".")
+        self.expect(".")
         names = [v for v, _ in binders]
         self.scope.extend(names)
         body = self.formula()
@@ -182,111 +173,134 @@ class _Parser:
                         RatBox(tuple(iv for _, iv in binders)), body)
 
     def binder(self) -> tuple[str, RatInterval]:
-        if self.cur.kind != "name" or self.cur.text in _KEYWORDS or self.cur.text in _FUNCS:
+        at = self.i
+        name = self.toks[at]
+        if name[:1] not in _NAME_START or name in _KEYWORDS or name in _FUNCS:
             raise self.error("expected a variable name")
-        tok = self.advance()
-        if tok.text in self.scope:
-            raise ParseError(f"variable {tok.text!r} is already bound",
-                             tok.line, tok.col)
-        if not self.at_word("in"):
-            raise self.error("expected 'in'")
-        self.advance()
-        self.expect_op("[")
+        if name in self.scope:
+            raise self.error(f"variable {name!r} is already bound", at)
+        self.i += 1
+        self.expect("in")
+        self.expect("[")
         lo = self.signed_rational()
-        self.expect_op(",")
+        self.expect(",")
         hi = self.signed_rational()
-        self.expect_op("]")
+        self.expect("]")
         if lo > hi:
-            raise ParseError(f"empty interval [{lo},{hi}] for {tok.text!r}",
-                             tok.line, tok.col)
-        return tok.text, ival(lo, hi)
+            raise self.error(f"empty interval [{lo},{hi}] for {name!r}", at)
+        return name, ival(lo, hi)
 
     def signed_rational(self) -> Fraction:
+        toks = self.toks
         sign = 1
-        while self.at_op("-"):
+        while toks[self.i] == "-":
             sign = -sign
-            self.advance()
-        if self.cur.kind != "num":
+            self.i += 1
+        if not toks[self.i][:1].isdecimal():
             raise self.error("expected a number")
-        value = sign * _number(self.advance().text)
-        if self.at_op("/"):
-            self.advance()
-            if self.cur.kind != "num":
+        value = sign * _number(toks[self.i])
+        self.i += 1
+        if toks[self.i] == "/":
+            self.i += 1
+            if not toks[self.i][:1].isdecimal():
                 raise self.error("expected a denominator")
-            value /= _number(self.advance().text)
+            den = _number(toks[self.i])
+            if not den:
+                raise self.error("zero denominator")
+            value /= den
+            self.i += 1
         return value
 
     def atom(self) -> F.Formula:
         lhs = self.sum()
-        if self.at_op("="):
-            self.advance()
+        rel = self.toks[self.i]
+        if rel == "=":
+            self.i += 1
             return F.Eq(_diff(lhs, self.sum()))
-        if self.at_op(">="):
-            self.advance()
+        if rel == ">=":
+            self.i += 1
             return F.Geq(_diff(lhs, self.sum()))
-        if self.at_op("<="):
-            self.advance()
+        if rel == "<=":
+            self.i += 1
             return F.Geq(_diff(self.sum(), lhs))
         raise self.error("expected '=', '>=' or '<='")
 
     # -- terms --
 
     def sum(self) -> T.Term:
+        toks = self.toks
         left = self.product()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.advance().text
-            right = self.product()
-            left = T.Add(left, right) if op == "+" else T.Sub(left, right)
-        return left
+        while True:
+            op = toks[self.i]
+            if op == "+":
+                self.i += 1
+                left = T.Add(left, self.product())
+            elif op == "-":
+                self.i += 1
+                left = T.Sub(left, self.product())
+            else:
+                return left
 
     def product(self) -> T.Term:
+        toks = self.toks
         left = self.unary()
-        while self.at_op("*") or self.at_op("/"):
-            op = self.advance().text
-            right = self.unary()
-            left = T.Mul(left, right) if op == "*" else T.Div(left, right)
-        return left
+        while True:
+            op = toks[self.i]
+            if op == "*":
+                self.i += 1
+                left = T.Mul(left, self.unary())
+            elif op == "/":
+                self.i += 1
+                right = self.unary()
+                if type(left) is T.Const and type(right) is T.Const and right.value:
+                    left = T.Const(left.value / right.value)
+                else:
+                    left = T.Div(left, right)
+            else:
+                return left
 
     def unary(self) -> T.Term:
-        if self.at_op("-"):
-            self.advance()
-            return T.Neg(self.unary())
-        return self.power()
-
-    def power(self) -> T.Term:
+        """A unary, with its power rule parsed in the same call."""
+        toks = self.toks
+        if toks[self.i] == "-":
+            self.i += 1
+            arg = self.unary()
+            return T.Const(-arg.value) if type(arg) is T.Const else T.Neg(arg)
         base = self.item()
-        if self.at_op("^"):
-            self.advance()
-            if self.cur.kind != "num" or "." in self.cur.text:
-                raise self.error("expected a natural-number exponent")
-            return T.Pow(base, int(self.advance().text))
-        return base
+        if toks[self.i] != "^":
+            return base
+        self.i += 1
+        if not toks[self.i].isdecimal():
+            raise self.error("expected a natural-number exponent")
+        self.i += 1
+        return T.Pow(base, int(toks[self.i - 1]))
 
     def item(self) -> T.Term:
-        if self.cur.kind == "num":
-            return T.Const(_number(self.advance().text))
-        if self.at_op("("):
-            self.advance()
+        at = self.i
+        tok = self.toks[at]
+        if tok[:1].isdecimal():
+            self.i += 1
+            return T.Const(_number(tok))
+        if tok == "(":
+            self.i += 1
             inner = self.sum()
-            self.expect_op(")")
+            self.expect(")")
             return inner
-        if self.cur.kind == "name":
-            tok = self.advance()
-            if tok.text == "pi":
-                return T.Pi()
-            if tok.text in _FUNCS:
-                self.expect_op("(")
-                arg = self.sum()
-                self.expect_op(")")
-                return _FUNCS[tok.text](arg)
-            if tok.text in ("and", "or", "in", "exists", "forall"):
-                raise ParseError(f"unexpected keyword {tok.text!r}",
-                                 tok.line, tok.col)
-            if tok.text not in self.scope:
-                raise ParseError(f"unbound variable {tok.text!r}",
-                                 tok.line, tok.col)
-            return T.Var(tok.text)
-        raise self.error("expected a term")
+        if tok[:1] not in _NAME_START:
+            raise self.error("expected a term")
+        self.i += 1
+        if tok in _FUNCS:
+            self.expect("(")
+            arg = self.sum()
+            self.expect(")")
+            return _FUNCS[tok](arg)
+        if tok == "pi":
+            return T.Pi()
+        if tok in _KEYWORDS:
+            raise self.error(f"unexpected keyword {tok!r}", at)
+        if tok not in self.scope:
+            raise self.error(f"unbound variable {tok!r}", at)
+        return T.Var(tok)
 
 
 def _diff(lhs: T.Term, rhs: T.Term) -> T.Term:
@@ -306,7 +320,8 @@ def _enclose(t: T.Term, env: dict[str, RatInterval]) -> Ival:
 
 def _check_domains(f: F.Formula, env: dict[str, RatInterval]) -> None:
     """Reject formulas whose division or sqrt can leave its domain
-    anywhere on the quantification box."""
+    anywhere on the quantification box.  The walk recurses once per
+    nesting level, so a term nested too deeply ends in RecursionError."""
     if isinstance(f, F.Atom):
         _check_term(f.term, env)
         return
@@ -331,10 +346,15 @@ def _check_term(t: T.Term, env: dict[str, RatInterval]) -> None:
         _check_term(t.left, env)
         _check_term(t.right, env)
         if isinstance(t, T.Div):
-            lo, hi, _ = _enclose(t.right, env)
-            if lo <= 0 <= hi:
+            den = t.right
+            if isinstance(den, T.Const):
+                vanishes = den.value == 0
+            else:
+                lo, hi, _ = _enclose(den, env)
+                vanishes = lo <= 0 <= hi
+            if vanishes:
                 raise DomainError(
-                    f"denominator {T.term_text(t.right)} may vanish on the "
+                    f"denominator {T.term_text(den)} may vanish on the "
                     "quantification box")
         return
     if isinstance(t, T.Pow):
@@ -352,11 +372,11 @@ def parse(text: str, params: dict[str, RatInterval] | None = None) -> F.Formula:
     """Parse a formula; `params` declares free variables with their ranges
     (used for the domain checks)."""
     params = params or {}
-    p = _Parser(_tokenize(text), params)
+    p = _Parser(text, params)
     try:
         out = p.formula()
-        if p.cur.kind != "end":
-            raise p.error(f"unexpected trailing input {p.cur.text!r}")
+        if p.toks[p.i]:
+            raise p.error(f"unexpected trailing input {p.toks[p.i]!r}")
         _check_domains(out, dict(params))
     except RecursionError:
         raise p.error("term nested too deeply") from None

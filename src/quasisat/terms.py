@@ -19,7 +19,8 @@ class Const(Term):
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,8 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW = 1, 2, 3, 4
 
 
 def term_text(t: Term, _parent: int = 0) -> str:
-    """Canonical ASCII rendering; reparses to a structurally equal term."""
+    """Canonical ASCII rendering; a term as `parse` builds it reparses to
+    a structurally equal term."""
     if isinstance(t, Const):
         v = t.value
         if v.denominator == 1:

@@ -6,10 +6,18 @@ import pytest
 from quasisat import terms as T
 from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
                                formula_text, free_vars)
-from quasisat.intervals import ival
+from quasisat.intervals import DomainError, ival
 from quasisat.parser import ParseError, parse
 
+from conftest import CORPUS_DIR
 from oracles import exact_eval
+from test_identity import ROOT, _workloads
+
+X = T.Var("x")
+
+
+def c(v) -> T.Const:
+    return T.Const(Fraction(v))
 
 
 def test_single_block_shapes():
@@ -86,6 +94,70 @@ def test_syntax_error_positions():
     assert str(e.value).startswith("1:")
 
 
+@pytest.mark.parametrize("text, message", [
+    # faults inside a parenthesized block are reported where they are
+    ("(exists x [0,1] . x = 0) or (exists y in [0,1] . y = 1)",
+     "1:11: expected 'in'"),
+    ("(exists x in [0,1] . x + = 0) and 1 >= 0", "1:26: expected a term"),
+    ("exists x in [0,1] .\n  x + y = 0", "2:7: unbound variable 'y'"),
+    # a character that starts no token is reported first, wherever it is
+    ("exists x in [0,1/0] . x \u00e9 = 0", "1:25: unexpected character '\u00e9'"),
+    ("exists x in [0,1/0] . x = 0", "1:18: zero denominator"),
+])
+def test_error_messages_name_the_fault(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("term", ["+".join(["x"] * 1200),
+                                  "(" * 1200 + "x" + ")" * 1200],
+                         ids=["sum_1200", "parens_1200"])
+def test_deep_terms_are_parse_errors(term):
+    with pytest.raises(ParseError, match="term nested too deeply"):
+        parse(f"exists x in [0,2] . {term} - 1 = 0")
+
+
+@pytest.mark.parametrize("text, body", [
+    ("(x+1)*x = 0", Eq(T.Mul(T.Add(X, c(1)), X))),
+    ("(x) = 0", Eq(X)),
+    ("((x = 0))", Eq(X)),
+    ("((x - 2) - 7/8)^2 = 0", Eq(T.Pow(T.Sub(T.Sub(X, c(2)), c(Fraction(7, 8))), 2))),
+    ("(x = 0) and (x + 1)*x >= 0", And(Eq(X), Geq(T.Mul(T.Add(X, c(1)), X)))),
+])
+def test_parenthesis_opens_a_formula_only_around_a_relation(text, body):
+    assert parse(f"exists x in [0,1] . {text}").body == body
+
+
+def test_parenthesized_forall_block():
+    f = parse("(forall x in [0,1] . (exists y in [-2,2] . y - x = 0)) and 1 >= 0")
+    assert isinstance(f, And) and isinstance(f.left, ForAll)
+    assert f.left.body == parse("exists y in [-2,2] . y - x = 0",
+                                params={"x": ival(0, 1)})
+
+
+@pytest.mark.parametrize("text, term", [
+    ("x - 3/64", T.Sub(X, c(Fraction(3, 64)))),
+    ("-3/4*x", T.Mul(c(Fraction(-3, 4)), X)),
+    ("(-3)^2", T.Pow(c(-3), 2)),
+    ("-3^2", T.Neg(T.Pow(c(3), 2))),
+    ("x - (-3)", T.Sub(X, c(-3))),
+    ("x - -0.5", T.Sub(X, c(Fraction(-1, 2)))),
+    ("1/2/4 + x", T.Add(c(Fraction(1, 8)), X)),
+    ("2*3/4 + x", T.Add(T.Div(T.Mul(c(2), c(3)), c(4)), X)),
+])
+def test_literals_fold_into_one_constant(text, term):
+    f = parse(f"exists x in [0,1] . {text} = 0")
+    assert f.body.term == term
+    assert parse(formula_text(f)) == f
+
+
+@pytest.mark.parametrize("term", ["x/0", "1/0", "x/(1-1)"])
+def test_zero_denominators_are_domain_errors(term):
+    with pytest.raises(DomainError, match="may vanish"):
+        parse(f"exists x in [1,2] . {term} = 0")
+
+
 def test_division_by_possible_zero_is_rejected():
     with pytest.raises(Exception):
         parse("exists x in [-1,1] . 1/x = 0")
@@ -110,6 +182,16 @@ def test_formula_text_roundtrip():
     for text in texts:
         f = parse(text)
         assert parse(formula_text(f)) == f
+
+
+def test_formula_text_reparses_every_corpus_and_benchmark_text():
+    texts = [sent.read_text() for sent in sorted(CORPUS_DIR.glob("*.sent"))]
+    for build in _workloads().WORKLOADS.values():
+        for item in build(ROOT, 1):
+            texts += [item.text, item.perturbed] if item.perturbed else [item.text]
+    for text in texts:
+        f = parse(text)
+        assert parse(formula_text(f)) == f, text
 
 
 def test_parameterized_parse_with_free_variables():
