@@ -59,8 +59,8 @@ def sup_abs_enclosure(
     box = RatBox(tuple(box[i] for i in kept))
     evaluate = compile_term(t, names)
     bracket: RatInterval | None = None
-    whole = Grid(box, (1,) * box.dim).complex([(0,) * box.dim])
-    active, dens = list(whole.cells), whole.dens
+    grid = Grid(box, (1,) * box.dim)
+    active, dens = [grid.whole], grid.dens
     # (num, den) of the best lower bound on sup |t| so far
     best_lo: Optional[tuple[int, int]] = (0, 1) if box.dim else None
     depth = 0

@@ -1,22 +1,22 @@
-"""Uniform grids over boxes, index blocks, face adjacency, and oriented
-boundaries of box complexes.
+"""Uniform grids, the halving of grid blocks, and oriented boundaries of
+box complexes.
 
-A box complex lives on integers: a cell is one `(lo, hi)` pair of
-numerators per axis over per-axis denominators `dens` shared by every
-cell of the complex (an axis with lo == hi is degenerate).  Bisecting a
-cell doubles every denominator, so cells refined together stay on one
-`dens` and equal faces have equal keys, with no `Fraction` built.
+A cell lives on integers: one `(lo, hi)` pair of numerators per axis
+over per-axis denominators `dens` shared by every cell of a grid or
+complex (an axis with lo == hi is degenerate).  A block of grid cells,
+a single cell and a face are all cells of this one form: a face has
+`(end, end)` on its axis.  Bisecting a cell doubles every denominator,
+so cells refined together stay on one `dens` and equal faces have equal
+keys, with no `Fraction` built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import RatBox, rat
 
-CellIndex = tuple[int, ...]
-Block = tuple[CellIndex, CellIndex]  # cells lo <= idx < hi on every axis
 Cell = tuple[tuple[int, int], ...]  # (lo, hi) numerators, one pair per axis
 
 
@@ -24,91 +24,67 @@ Cell = tuple[tuple[int, int], ...]  # (lo, hi) numerators, one pair per axis
 class Grid:
     """Uniform grid over `base`: axis i is cut into counts[i] equal parts.
 
-    Cells are addressed by multi-index and materialized on demand, so a
-    grid with millions of cells costs nothing to build.  Cut i of axis a
-    is (offset + step*i)/den for `axes[a] == (offset, step, den)`, so
-    integer intervals of index ranges need no `Fraction`.
+    Its integer form is `whole`, the grid as one cell over `dens`, and
+    `steps`, the width of a cell on each axis over the same `dens`: cut
+    i of axis a is whole[a][0] + steps[a]*i over dens[a].  Cells are
+    made on demand, so a grid with millions of cells costs nothing to
+    build.
     """
     base: RatBox
     counts: tuple[int, ...]
-    axes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False,
-                                                   compare=False)
+    whole: Cell = field(init=False, repr=False, compare=False)
+    steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dens: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.counts) != self.base.dim:
             raise ValueError("counts and box dimension differ")
         if any(c < 1 for c in self.counts):
             raise ValueError("each axis needs at least one cell")
-        axes = []
+        whole, steps, dens = [], [], []
         for iv, c in zip(self.base.intervals, self.counts):
             d = math.lcm(iv.lo.denominator, iv.hi.denominator)
             lo, hi = int(iv.lo * d), int(iv.hi * d)
             # lo + (hi - lo)*i/c over the common denominator d*c
-            offset, step, den = lo * c, hi - lo, d * c
-            g = math.gcd(offset, step, den)
-            axes.append((offset // g, step // g, den // g))
-        object.__setattr__(self, "axes", tuple(axes))
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+            g = math.gcd(lo * c, hi - lo, d * c)
+            whole.append((lo * c // g, hi * c // g))
+            steps.append((hi - lo) // g)
+            dens.append(d * c // g)
+        object.__setattr__(self, "whole", tuple(whole))
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "dens", tuple(dens))
 
     @property
     def n_cells(self) -> int:
         return math.prod(self.counts)
 
-    def complex(self, cells: Iterable[CellIndex]) -> "BoxComplex":
-        """The cells at the indices `cells`, on the grid's integer axes."""
-        return BoxComplex(
-            tuple(tuple((o + s * i, o + s * (i + 1)) for (o, s, _), i in zip(self.axes, idx))
-                  for idx in cells),
-            tuple(d for _, _, d in self.axes))
 
-    def face(self, axis: int, plane: int, rest: CellIndex) -> "Face":
-        """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
-        cells along the remaining axes."""
-        at = _insert(rest, axis, plane)
-        lower = _insert(rest, axis, plane - 1) if plane > 0 else None
-        upper = at if plane < self.counts[axis] else None
-        return Face(axis, at, lower, upper)
-
-    def cell_faces(self, idx: CellIndex) -> Iterator["Face"]:
-        """The 2*dim faces of cell `idx`, lower before upper on each axis."""
-        for axis in range(self.dim):
-            rest = idx[:axis] + idx[axis + 1:]
-            for plane in (idx[axis], idx[axis] + 1):
-                yield self.face(axis, plane, rest)
-
-
-def halve_block(lo: CellIndex, hi: CellIndex) -> Optional[tuple[Block, Block]]:
-    """Split the index block [lo, hi) in half along its longest index
-    range (the first such axis); None when the block is a single cell."""
-    widths = [j - i for i, j in zip(lo, hi)]
-    if all(w == 1 for w in widths):
+def halve_block(block: Cell, steps: Sequence[int]) -> Optional[tuple[Cell, Cell]]:
+    """Split a block of grid cells in half along the axis that holds the
+    most cells (the first such axis); None when the block is one cell.
+    An axis of step 0 is degenerate and holds one cell."""
+    sizes = [(hi - lo) // s if s else 1 for (lo, hi), s in zip(block, steps)]
+    n = max(sizes, default=1)
+    if n == 1:
         return None
-    axis = widths.index(max(widths))
-    mid = (lo[axis] + widths[axis] // 2,)
-    return ((lo, hi[:axis] + mid + hi[axis + 1:]),
-            (lo[:axis] + mid + lo[axis + 1:], hi))
+    axis = sizes.index(n)
+    lo, hi = block[axis]
+    mid = lo + n // 2 * steps[axis]
+    return (block[:axis] + ((lo, mid),) + block[axis + 1:],
+            block[:axis] + ((mid, hi),) + block[axis + 1:])
 
 
-def _insert(idx: CellIndex, axis: int, value: int) -> CellIndex:
-    return idx[:axis] + (value,) + idx[axis:]
-
-
-@dataclass(frozen=True)
-class Face:
-    """A grid face: cut `at[axis]` of `axis`, spanning cell `at[a]` of
-    every other axis a, between the two incident cells (None on the side
-    that falls outside the grid)."""
-    axis: int
-    at: CellIndex
-    lower_cell: Optional[CellIndex]
-    upper_cell: Optional[CellIndex]
-
-    @property
-    def on_boundary(self) -> bool:
-        return self.lower_cell is None or self.upper_cell is None
+def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Optional[Cell]]]:
+    """The 2*dim faces of a grid cell, lower before upper on each axis, as
+    (axis, face, neighbour).  A face is the cell with `(end, end)` on its
+    axis; the neighbour across it is the cell shifted by one step along
+    the axis, None when `end` is an end of the grid (a degenerate axis
+    gives the same boundary face twice)."""
+    for axis, ((lo, hi), step, ends) in enumerate(zip(cell, grid.steps, grid.whole)):
+        for end, shift in ((lo, -step), (hi, step)):
+            other = None if end in ends else (
+                cell[:axis] + ((lo + shift, hi + shift),) + cell[axis + 1:])
+            yield axis, cell[:axis] + ((end, end),) + cell[axis + 1:], other
 
 
 def grid_cover(b: RatBox, r) -> Grid:

@@ -6,27 +6,30 @@ the current refinement cannot decide.  The driver halves the refinement
 parameter until a singleton appears or the iteration budget runs out;
 non-robust sentences stay undecided forever, which is the honest answer.
 
-An existential block is checked on the grid `grid_cover(bounds, r)`
-without visiting all of it.  Index blocks of cells are refuted top-down:
-a block whose interval evaluation excludes a solution is dropped whole
-(its bound enters the FALSE separation), and any other block is halved
-along its longest index range until single plausible cells remain.  The
-zero-face merge then walks outward from the plausible cells only, so the
-work of an iteration follows the cells still in play, not the grid size.
+Below `checksat` and `quasi_decide` everything is an integer cell of
+`geometry` or an integer interval of `evaluation`: the parameter box is a
+list of `Ival`s, and a universal's slabs are the cells of
+`grid_cover(bound, r)`.  An existential block is checked on the grid
+`grid_cover(bounds, r)` without visiting all of it.  Blocks of cells are
+refuted top-down: a block whose interval evaluation excludes a solution
+is dropped whole (its bound enters the FALSE separation), and any other
+block is halved along the axis that holds the most cells until single
+plausible cells remain.  The zero-face merge then walks outward from the
+plausible cells only, so the work of an iteration follows the cells
+still in play, not the grid size.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import (Cert, Evaluator, Ival, box_env, certify, compile_term,
-                         positive_lower_bound)
+from .evaluation import (Cert, Evaluator, Ival, box_env, cell_env, certify,
+                         compile_term, positive_lower_bound)
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
-from .geometry import Block, Cell, CellIndex, Face, Grid, grid_cover, halve_block
-from .intervals import EMPTY_BOX, Precision, RatBox, box, ival, rat
+from .geometry import BoxComplex, Cell, Grid, faces_around, grid_cover, halve_block
+from .intervals import EMPTY_BOX, Precision, RatBox, box, rat
 from .degree import degree
 from . import terms as T
 
@@ -84,16 +87,16 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 
 
 def _checksat(
-    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
+    s: Formula, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, (Exists, Atom)):
-        return _soei(s, pnames, p_box, r, record)
+        return _soei(s, pnames, p_env, r, record)
     if isinstance(s, ForAll):
-        return _univ(s, pnames, p_box, r, record)
+        return _univ(s, pnames, p_env, r, record)
     if isinstance(s, And):
-        return _combine(s, pnames, p_box, r, record, tri_and)
+        return _combine(s, pnames, p_env, r, record, tri_and)
     assert isinstance(s, Or)
-    return _combine(s, pnames, p_box, r, record, tri_or)
+    return _combine(s, pnames, p_env, r, record, tri_or)
 
 
 def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriValue:
@@ -106,7 +109,7 @@ def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriVal
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, tuple(pnames), p_box, r,
+    return _checksat(s, tuple(pnames), box_env(p_box), r,
                      IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
@@ -115,7 +118,7 @@ def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriVal
 
 
 def _soei(
-    s: Formula, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
+    s: Formula, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, Atom):  # a ground atom is a block with no variables
         s = Exists((), EMPTY_BOX, s)
@@ -127,53 +130,42 @@ def _soei(
     grid = grid_cover(s.bounds, r)
     fs = [compile_term(f, names) for f in eqs]
     gs = [compile_term(g, names) for g in ineqs]
-    p_env = box_env(p_box)
 
     plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record)
     if not plausible:
         return TRI_F, separation
     if n == 0:
-        for idx in plausible:
-            lb = positive_lower_bound(gs, _cell_env(p_env, grid, idx), p)
+        for cell in plausible:
+            lb = positive_lower_bound(gs, p_env + cell_env(cell, grid.dens), p)
             if lb is not None:  # every inequality strictly positive here
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(s, eqs, fs, gs, pnames, p_box, p_env, p, grid,
+    return _soei_degree_phase(s, eqs, fs, gs, pnames, p_env, p, grid,
                               plausible, record)
-
-
-def _block_env(p_env: list[Ival], grid: Grid, lo: CellIndex, hi: CellIndex) -> list[Ival]:
-    """The parameter intervals followed by the cuts lo..hi of each axis."""
-    return p_env + [(o + s * i, o + s * j, d)
-                    for (o, s, d), i, j in zip(grid.axes, lo, hi)]
-
-
-def _cell_env(p_env: list[Ival], grid: Grid, idx: CellIndex) -> list[Ival]:
-    return _block_env(p_env, grid, idx, tuple(i + 1 for i in idx))
 
 
 def _plausible_cells(
     fs: list[Evaluator], gs: list[Evaluator], p_env: list[Ival], grid: Grid,
     p: int, record: IterationRecord,
-) -> tuple[list[CellIndex], Optional[Fraction]]:
-    """Refute the grid top-down: a refuted index block drops all of its
-    cells, a plausible one is halved until single cells remain.  Returns
-    the plausible cells in index order and the least separation bound of
-    the refuted blocks."""
+) -> tuple[list[Cell], Optional[Fraction]]:
+    """Refute the grid top-down: a refuted block drops all of its cells,
+    a plausible one is halved until single cells remain.  Returns the
+    plausible cells in grid order and the least separation bound of the
+    refuted blocks."""
     separation: Optional[Fraction] = None
-    plausible: list[CellIndex] = []
-    blocks: list[Block] = [((0,) * grid.dim, grid.counts)]
+    plausible: list[Cell] = []
+    blocks = [grid.whole]
     while blocks:
-        lo, hi = blocks.pop()
-        bound = _refutation_bound(fs, gs, _block_env(p_env, grid, lo, hi), p)
+        block = blocks.pop()
+        bound = _refutation_bound(fs, gs, p_env + cell_env(block, grid.dens), p)
         record.cells_evaluated += 1
         if bound is not None:
             separation = bound if separation is None else min(separation, bound)
             continue
-        halves = halve_block(lo, hi)
+        halves = halve_block(block, grid.steps)
         if halves is None:
-            plausible.append(lo)
+            plausible.append(block)
             record.cells_plausible += 1
         else:
             blocks.extend(halves)
@@ -197,47 +189,44 @@ def _refutation_bound(
 
 def _candidate_complexes(
     fs: list[Evaluator], p_env: list[Ival], grid: Grid, p: int,
-    plausible: list[CellIndex], record: IterationRecord,
+    plausible: list[Cell], record: IterationRecord,
     certs: dict[Cell, Cert],
-) -> list[list[CellIndex]]:
+) -> list[list[Cell]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary.
 
     The components are grown outward from the plausible cells; one made
     of refuted cells only has no zero, hence degree 0, and is skipped.
-    Every face of every member cell is tested; the certificate of each
-    face that is not a zero face goes into `certs`, keyed by its integer
-    cell over the grid's `dens`.  With parameters it holds on the whole
-    slice and names the component of largest mignitude."""
+    Every face of every member cell is tested once; the certificate of
+    each face that is not a zero face goes into `certs`, keyed by the
+    face.  With parameters it holds on the whole slice and names the
+    component of largest mignitude."""
     members = set(plausible)
     walk = list(plausible)
-    tested: set[tuple[int, CellIndex]] = set()
-    joins: list[Face] = []
-    doomed: set[CellIndex] = set()
+    tested: set[Cell] = set()
+    joins: list[tuple[int, int, Cell, Cell]] = []  # axis, end, lower, upper
+    doomed: set[Cell] = set()
     while walk:
-        idx = walk.pop()
-        for face in grid.cell_faces(idx):
-            if (face.axis, face.at) in tested:
+        cell = walk.pop()
+        for axis, face, other in faces_around(cell, grid):
+            if face in tested:
                 continue
-            tested.add((face.axis, face.at))
+            tested.add(face)
             record.faces_evaluated += 1
-            hi = tuple(i if a == face.axis else i + 1 for a, i in enumerate(face.at))
-            env = _block_env(p_env, grid, face.at, hi)
-            cert = certify(fs, env, p, best=bool(p_env))
+            cert = certify(fs, p_env + cell_env(face, grid.dens), p, best=bool(p_env))
             if cert is not None:
-                certs[tuple((lo, hi) for lo, hi, _ in env[len(p_env):])] = cert
+                certs[face] = cert
                 continue
             record.zero_faces += 1
-            if face.on_boundary:
-                doomed.add(idx)
+            if other is None:
+                doomed.add(cell)
                 continue
-            joins.append(face)
-            other = face.upper_cell if face.lower_cell == idx else face.lower_cell
+            joins.append((axis, face[axis][0], min(cell, other), max(cell, other)))
             if other not in members:
                 members.add(other)
                 walk.append(other)
 
-    parent: dict[CellIndex, CellIndex] = {}
+    parent: dict[Cell, Cell] = {}
 
     def find(i):
         while parent.get(i, i) != i:
@@ -247,20 +236,20 @@ def _candidate_complexes(
 
     # union in full-sweep order (axis, plane, cell), so that each
     # component's root, and with it the order of the complexes, is fixed
-    for face in sorted(joins, key=lambda f: (f.axis, f.at[f.axis], f.at)):
-        parent[find(face.lower_cell)] = find(face.upper_cell)
-    doomed_roots = {find(i) for i in doomed}
-    candidates: dict[CellIndex, list[CellIndex]] = {}
-    for idx in sorted(members):
-        if find(idx) not in doomed_roots:
-            candidates.setdefault(find(idx), []).append(idx)
+    for _, _, lower, upper in sorted(joins):
+        parent[find(lower)] = find(upper)
+    doomed_roots = {find(c) for c in doomed}
+    candidates: dict[Cell, list[Cell]] = {}
+    for cell in sorted(members):
+        if find(cell) not in doomed_roots:
+            candidates.setdefault(find(cell), []).append(cell)
     return [candidates[root] for root in sorted(candidates)]
 
 
 def _soei_degree_phase(
     s: Exists, eqs, fs: list[Evaluator], gs: list[Evaluator], pnames,
-    p_box: RatBox, p_env: list[Ival], p: int, grid: Grid,
-    plausible: list[CellIndex], record: IterationRecord,
+    p_env: list[Ival], p: int, grid: Grid,
+    plausible: list[Cell], record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     """Zero-face merging plus the degree test on candidate complexes.
 
@@ -269,11 +258,12 @@ def _soei_degree_phase(
     face walk's certificates hold on the whole slice, so they seed the
     degree's top level, and its `boundary_min_lb`, the least of them over
     the complex's boundary, is a certificate for every parameter value."""
-    p0 = dict(zip(pnames, p_box.center))
+    p0 = {nm: Fraction(lo + hi, 2 * d) for nm, (lo, hi, d) in zip(pnames, p_env)}
     f0 = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
     certs: dict[Cell, Cert] = {}
     for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs):
-        result = degree(f0, s.vars, grid.complex(cells), Precision(p), certs=certs)
+        result = degree(f0, s.vars, BoxComplex(tuple(cells), grid.dens), Precision(p),
+                        certs=certs)
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
         if result is None:
@@ -282,8 +272,8 @@ def _soei_degree_phase(
         if result.value == 0:
             continue
         cert = result.boundary_min_lb
-        for idx in cells if gs else ():
-            lb = positive_lower_bound(gs, _cell_env(p_env, grid, idx), p)
+        for cell in cells if gs else ():
+            lb = positive_lower_bound(gs, p_env + cell_env(cell, grid.dens), p)
             if lb is None:  # an inequality may fail inside this complex
                 break
             cert = min(cert, lb)
@@ -297,37 +287,33 @@ def _soei_degree_phase(
 
 
 def _univ(
-    s: ForAll, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord
+    s: ForAll, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
-    count = max(1, math.ceil(s.bound.width / r))
+    grid = grid_cover(box(s.bound), r)
+    ((lo, _),), (step,), (d,) = grid.whole, grid.steps, grid.dens
     acc = TRI_T
     cert: Optional[Fraction] = None
-    first = True
-    for i in range(count):
-        lo = s.bound.lo + s.bound.width * i / count
-        hi = s.bound.lo + s.bound.width * (i + 1) / count
-        sub, sub_cert = _checksat(s.body, pnames + (s.var,),
-                                  p_box.product(box(ival(lo, hi))), r, record)
+    for i in range(grid.counts[0]):
+        slab = (lo + step * i, lo + step * (i + 1), d)
+        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + [slab], r, record)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
             return TRI_F, sub_cert if sub == TRI_F else None
-        cert = sub_cert if first else _min_cert(cert, sub_cert)
-        first = False
+        cert = sub_cert if i == 0 else _min_cert(cert, sub_cert)
     return acc, cert if acc == TRI_T else None
 
 
 def _combine(
-    s, pnames: tuple[str, ...], p_box: RatBox, r: Fraction, record: IterationRecord, op
+    s, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord, op
 ) -> tuple[TriValue, Optional[Fraction]]:
     results = []
     certs = []
     for side in (s.left, s.right):
         fv = free_vars(side)
         keep = [i for i, nm in enumerate(pnames) if nm in fv]
-        sub_names = tuple(pnames[i] for i in keep)
-        sub_box = RatBox(tuple(p_box[i] for i in keep))
-        res, cert = _checksat(side, sub_names, sub_box, r, record)
+        res, cert = _checksat(side, tuple(pnames[i] for i in keep),
+                              [p_env[i] for i in keep], r, record)
         results.append(res)
         certs.append(cert)
     combined = op(results[0], results[1])
@@ -366,7 +352,7 @@ def quasi_decide(
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        result, cert = _checksat(s, (), EMPTY_BOX, eps, record)
+        result, cert = _checksat(s, (), [], eps, record)
         record.result = result
         trace.append(record)
         if len(result) == 1:

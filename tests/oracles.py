@@ -1,11 +1,14 @@
 """Independent reference implementations the tests compare the solver
 against: interval arithmetic and evaluation on `Fraction` endpoints,
 exact and float term evaluation, a float winding count for planar degrees, full sweeps
-over every cell and face of a grid, and the degree, oriented boundary,
-bisection and supremum enclosure on `RatBox`es of `Fraction`s."""
+over every cell and face of a grid in index space (cells addressed by
+multi-index, with the map from an index to its integer cell), and the
+degree, oriented boundary, bisection and supremum enclosure on `RatBox`es
+of `Fraction`s."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -13,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, box_env, compile_term, to_interval
-from quasisat.geometry import BoxComplex, CellIndex, Face, Grid
+from quasisat.geometry import BoxComplex, Cell, Grid
 from quasisat.intervals import (DomainError, Precision, RatBox, RatInterval, RatLike,
                                 ival, rat)
 from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
@@ -231,6 +234,24 @@ def winding_oracle_2d(
     return round(total / (2 * math.pi))
 
 
+CellIndex = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Face:
+    """A grid face: cut `at[axis]` of `axis`, spanning cell `at[a]` of
+    every other axis a, between the two incident cells (None on the side
+    that falls outside the grid)."""
+    axis: int
+    at: CellIndex
+    lower_cell: Optional[CellIndex]
+    upper_cell: Optional[CellIndex]
+
+    @property
+    def on_boundary(self) -> bool:
+        return self.lower_cell is None or self.upper_cell is None
+
+
 def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
     """Cut i of `axis`, from the base box's `Fraction` endpoints."""
     iv = grid.base[axis]
@@ -245,6 +266,51 @@ def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
                                 for a, i in enumerate(idx)))
 
 
+def index_block(grid: Grid, lo: CellIndex, hi: CellIndex) -> Cell:
+    """The integer cell over `grid.dens` spanning the cells lo <= idx < hi."""
+    return tuple((w + s * i, w + s * j)
+                 for (w, _), s, i, j in zip(grid.whole, grid.steps, lo, hi))
+
+
+def index_cell(grid: Grid, idx: CellIndex) -> Cell:
+    """The integer cell of the grid cell at index `idx`."""
+    return index_block(grid, idx, tuple(i + 1 for i in idx))
+
+
+def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> BoxComplex:
+    """The grid cells at the indices `idxs` as a complex on `grid.dens`."""
+    return BoxComplex(tuple(index_cell(grid, idx) for idx in idxs), grid.dens)
+
+
+def halve_index_block(lo: CellIndex, hi: CellIndex):
+    """Split the index block [lo, hi) in half along its longest index
+    range (the first such axis); None when the block is a single cell."""
+    widths = [j - i for i, j in zip(lo, hi)]
+    if all(w == 1 for w in widths):
+        return None
+    axis = widths.index(max(widths))
+    mid = (lo[axis] + widths[axis] // 2,)
+    return ((lo, hi[:axis] + mid + hi[axis + 1:]),
+            (lo[:axis] + mid + lo[axis + 1:], hi))
+
+
+def grid_face(grid: Grid, axis: int, plane: int, rest: CellIndex) -> Face:
+    """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
+    cells along the remaining axes."""
+    at = rest[:axis] + (plane,) + rest[axis:]
+    lower = rest[:axis] + (plane - 1,) + rest[axis:] if plane > 0 else None
+    upper = at if plane < grid.counts[axis] else None
+    return Face(axis, at, lower, upper)
+
+
+def index_cell_faces(grid: Grid, idx: CellIndex) -> Iterator[Face]:
+    """The 2*dim faces of cell `idx`, lower before upper on each axis."""
+    for axis in range(len(grid.counts)):
+        rest = idx[:axis] + idx[axis + 1:]
+        for plane in (idx[axis], idx[axis] + 1):
+            yield grid_face(grid, axis, plane, rest)
+
+
 def face_box(grid: Grid, face: Face) -> RatBox:
     """The box of a grid face, degenerate in its axis."""
     return RatBox(tuple(
@@ -256,11 +322,11 @@ def face_box(grid: Grid, face: Face) -> RatBox:
 def grid_faces(grid: Grid) -> Iterator[Face]:
     """All grid faces, each degenerate in exactly one axis, ordered by
     axis, then plane, then the cell index along the other axes."""
-    for axis in range(grid.dim):
+    for axis in range(len(grid.counts)):
         other = [c for a, c in enumerate(grid.counts) if a != axis]
         for plane in range(grid.counts[axis] + 1):
             for rest in _multi_range(other):
-                yield grid.face(axis, plane, rest)
+                yield grid_face(grid, axis, plane, rest)
 
 
 def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
@@ -274,7 +340,8 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
 
 def single_box(b: RatBox) -> BoxComplex:
     """The box b as a one-cell complex."""
-    return Grid(b, (1,) * b.dim).complex([(0,) * b.dim])
+    g = Grid(b, (1,) * b.dim)
+    return BoxComplex((g.whole,), g.dens)
 
 
 def ratboxes(complex: BoxComplex) -> tuple[RatBox, ...]:

@@ -22,7 +22,7 @@ from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
-from oracles import contains, single_box, winding_oracle_2d
+from oracles import complex_of, contains, single_box, winding_oracle_2d
 
 mpmath.mp.dps = 60
 
@@ -188,7 +188,7 @@ def test_c06_degree_additive_over_split_complexes():
         w = Fraction(rng.randint(1, 8), 4)
         g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        results = [degree(fs, ("x", "y"), g.complex(cells), Precision(20), budget=600)
+        results = [degree(fs, ("x", "y"), complex_of(g, cells), Precision(20), budget=600)
                    for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)])]
         if any(r is None for r in results):
             continue

@@ -14,7 +14,7 @@ from quasisat.intervals import Precision, RatBox, box, ival
 from quasisat.parser import parse
 
 import oracles
-from oracles import grid_cells, ratboxes, single_box, winding_oracle_2d
+from oracles import complex_of, grid_cells, ratboxes, single_box, winding_oracle_2d
 
 X, Y = T.Var("x"), T.Var("y")
 P20 = Precision(20)
@@ -70,7 +70,7 @@ def test_complex_squaring_has_degree_two():
 
 def test_degree_on_l_shaped_complex():
     g = Grid(box(ival(-1, 1), ival(-1, 1)), (2, 2))
-    ell = g.complex([(0, 0), (1, 0), (0, 1)])
+    ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     shifted = [T.Sub(X, c(Fraction(-1, 2))), T.Sub(Y, c(Fraction(-1, 2)))]
     res = degree(shifted, ("x", "y"), ell, P20)
     assert res.value == 1
@@ -185,7 +185,7 @@ def test_degree_is_additive_across_splits():
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
         parts = []
         for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)]):
-            parts.append(degree(fs, ("x", "y"), g.complex(cells), P20, budget=600))
+            parts.append(degree(fs, ("x", "y"), complex_of(g, cells), P20, budget=600))
         if any(p is None for p in parts):
             continue
         assert parts[0].value == parts[1].value + parts[2].value
@@ -197,7 +197,7 @@ def test_degree_stable_under_grid_refinement():
     b = box(ival(-1, 1), ival(-1, 1))
     for n in (1, 2):
         g = Grid(b, (n, n))
-        comp = g.complex(idx for idx, _ in grid_cells(g))
+        comp = complex_of(g, [idx for idx, _ in grid_cells(g)])
         res = degree(fs, ("x", "y"), comp, P20)
         assert res is not None and res.value == 2
 
@@ -242,6 +242,6 @@ def test_degree_equals_the_ratbox_reference(dim, seed):
     cells = [idx for idx, _ in grid_cells(g) if rng.random() < 0.7] or [(0,) * dim]
     centre = [iv.lo + iv.width * Fraction(rng.randint(1, 9), 10) for iv in bounds]
     fs = random_map(rng, names, centre)
-    comp = g.complex(cells)
+    comp = complex_of(g, cells)
     got = degree(fs, names, comp, P20, budget=200)
     assert got == oracles.degree(fs, names, ratboxes(comp), P20, budget=200)

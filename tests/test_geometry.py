@@ -1,15 +1,18 @@
-"""Grids, index blocks, cell faces, and oriented boundaries of box complexes."""
+"""Grids, the halving of grid blocks, cell faces, and oriented boundaries
+of box complexes, against the index-space references of `oracles`."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quasisat.geometry import (BoxComplex, Grid, bisect_box, grid_cover,
+from quasisat.evaluation import cell_env
+from quasisat.geometry import (BoxComplex, Grid, bisect_box, faces_around, grid_cover,
                                halve_block, oriented_boundary)
 from quasisat.intervals import RatBox, box, ival
-from quasisat.solver import _block_env
 
 import oracles
-from oracles import face_box, grid_cells, grid_cut, grid_faces, ratboxes, single_box
+from oracles import (complex_of, face_box, grid_cells, grid_cut, grid_faces,
+                     halve_index_block, index_block, index_cell, index_cell_faces,
+                     ratboxes, single_box)
 
 UNIT2 = box(ival(0, 1), ival(0, 1))
 
@@ -48,89 +51,165 @@ def test_face_count_and_boundary_flags():
 bounds = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
+def specs(max_cells: int):
+    """(bound, bound, cells) per axis, with non-dyadic bounds; about one
+    axis in three is degenerate, with the one cell `grid_cover` gives it."""
+    def axis(a, b, cells, flat):
+        return (a, a, 1) if flat == 0 or a == b else (a, b, cells)
+
+    return st.lists(st.builds(axis, bounds, bounds, st.integers(min_value=1, max_value=max_cells),
+                              st.integers(min_value=0, max_value=2)),
+                    min_size=1, max_size=3)
+
+
+def grid_of(spec) -> Grid:
+    return Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
+                tuple(c for _, _, c in spec))
+
+
+def env_box(block, dens) -> RatBox:
+    """The box of the integer intervals the solver evaluates on a block."""
+    return RatBox(tuple(ival(Fraction(a, d), Fraction(b, d))
+                        for a, b, d in cell_env(block, dens)))
+
+
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=9)),
                 min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_integer_axes_reproduce_the_cuts(spec):
-    """Cut i of every axis, (offset + step*i)/den, is the `Fraction` cut,
-    also for non-dyadic and degenerate bounds, and the cells agree."""
-    g = Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
-             tuple(c for _, _, c in spec))
-    for axis, (offset, step, den) in enumerate(g.axes):
+    """Cut i of every axis, whole[a][0] + steps[a]*i over dens[a], is the
+    `Fraction` cut, also for non-dyadic and degenerate bounds, and the
+    cells agree."""
+    g = grid_of(spec)
+    for axis, ((lo, hi), step, den) in enumerate(zip(g.whole, g.steps, g.dens)):
         assert den > 0
         for i in range(g.counts[axis] + 1):
-            assert Fraction(offset + step * i, den) == grid_cut(g, axis, i)
+            assert Fraction(lo + step * i, den) == grid_cut(g, axis, i)
+        assert hi == lo + step * g.counts[axis]
     for idx, cell in grid_cells(g):
-        assert ratboxes(g.complex([idx])) == (cell,)
+        assert ratboxes(complex_of(g, [idx])) == (cell,)
 
 
 def test_integer_axes_of_a_non_dyadic_box():
     g = Grid(box(ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
-    assert g.axes == ((21, 8, 63), (-2, 1, 2))
-    assert g.complex([(2, 3)]) == BoxComplex((((37, 45), (1, 2)),), (63, 2))
-    assert ratboxes(g.complex([(2, 3)])) == (box(ival(Fraction(37, 63), Fraction(5, 7)),
-                                                 ival(Fraction(1, 2), 1)),)
+    assert (g.whole, g.steps, g.dens) == (((21, 45), (-2, 2)), (8, 1), (63, 2))
+    assert complex_of(g, [(2, 3)]) == BoxComplex((((37, 45), (1, 2)),), (63, 2))
+    assert ratboxes(complex_of(g, [(2, 3)])) == (box(ival(Fraction(37, 63), Fraction(5, 7)),
+                                                     ival(Fraction(1, 2), 1)),)
+    flat = Grid(box(ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
+    assert (flat.whole, flat.steps, flat.dens) == (((1, 1), (0, 2)), (0, 1), (3, 2))
 
 
 def test_block_box_spans_its_cells():
-    """The integer intervals the solver builds for an index block span
+    """The integer intervals the solver builds for a block of cells span
     exactly the cells lo..hi of the grid."""
     g = Grid(box(ival(0, 3), ival(-1, 1)), (3, 4))
 
     def block(lo, hi):
-        return RatBox(tuple(ival(Fraction(a, d), Fraction(b, d))
-                            for a, b, d in _block_env([], g, lo, hi)))
+        return env_box(index_block(g, lo, hi), g.dens)
 
     assert block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
-    assert (block((2, 3), (3, 4)),) == ratboxes(g.complex([(2, 3)]))
+    assert (block((2, 3), (3, 4)),) == ratboxes(complex_of(g, [(2, 3)]))
     assert block((0, 0), g.counts) == g.base
+    assert index_block(g, (0, 0), g.counts) == g.whole
+    assert env_box(g.whole, g.dens) == g.base
 
 
 def test_halve_block_splits_the_longest_index_range():
-    assert halve_block((0, 0), (3, 4)) == (((0, 0), (3, 2)), ((0, 2), (3, 4)))
-    assert halve_block((0, 0), (4, 4)) == (((0, 0), (2, 4)), ((2, 0), (4, 4)))
-    assert halve_block((2, 5), (5, 6)) == (((2, 5), (3, 6)), ((3, 5), (5, 6)))
-    assert halve_block((5, 1), (6, 2)) is None
+    """The longest index range is the axis that holds the most cells."""
+    # cells of width 2 on axis 0 and 3 on axis 1
+    steps = (2, 3)
+    assert halve_block(((0, 6), (0, 12)), steps) == (((0, 6), (0, 6)), ((0, 6), (6, 12)))
+    assert halve_block(((0, 8), (0, 12)), steps) == (((0, 4), (0, 12)), ((4, 8), (0, 12)))
+    assert halve_block(((4, 10), (15, 18)), steps) == (((4, 6), (15, 18)),
+                                                       ((6, 10), (15, 18)))
+    assert halve_block(((10, 12), (3, 6)), steps) is None
     assert halve_block((), ()) is None
+    # a degenerate axis has step 0 and holds one cell
+    assert halve_block(((0, 4), (3, 3)), (1, 0)) == (((0, 2), (3, 3)), ((2, 4), (3, 3)))
+    assert halve_block(((1, 2), (3, 3)), (1, 0)) is None
+
+
+@given(specs(9))
+@settings(max_examples=60, deadline=None)
+def test_halve_block_follows_the_index_halving(spec):
+    """Halving `whole` and the index block of all cells side by side gives
+    the same blocks at every step, each spanning exactly its cells, down
+    to every cell once; non-dyadic and degenerate bounds included."""
+    g = grid_of(spec)
+    pairs, cells = [(g.whole, ((0,) * len(g.counts), g.counts))], []
+    while pairs:
+        block, (lo, hi) = pairs.pop()
+        assert block == index_block(g, lo, hi)
+        assert env_box(block, g.dens) == RatBox(tuple(
+            ival(grid_cut(g, a, i), grid_cut(g, a, j)) for a, (i, j) in enumerate(zip(lo, hi))))
+        halves, want = halve_block(block, g.steps), halve_index_block(lo, hi)
+        assert (halves is None) == (want is None)
+        if halves is None:
+            cells.append(block)
+        else:
+            pairs.extend(zip(halves, want))
+    assert sorted(cells) == [index_cell(g, idx) for idx, _ in grid_cells(g)]
 
 
 def test_repeated_halving_reaches_every_cell_once():
     g = Grid(box(ival(0, 1), ival(0, 1), ival(0, 1)), (3, 2, 5))
-    blocks, cells = [((0, 0, 0), g.counts)], []
+    blocks, cells = [g.whole], []
     while blocks:
-        lo, hi = blocks.pop()
-        halves = halve_block(lo, hi)
+        block = blocks.pop()
+        halves = halve_block(block, g.steps)
         if halves is None:
-            cells.append(lo)
+            cells.append(block)
         else:
             blocks.extend(halves)
-    assert sorted(cells) == [idx for idx, _ in grid_cells(g)]
+    assert sorted(cells) == [index_cell(g, idx) for idx, _ in grid_cells(g)]
 
 
-def test_cell_faces_are_the_grid_faces_around_a_cell():
-    g = Grid(box(ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1))
+def check_faces_around(g: Grid) -> None:
+    """Each integer face of a cell is the box of the index-space face in
+    the same place, and its neighbour the other incident cell."""
     seen = []
     for idx, cell in grid_cells(g):
-        faces = list(g.cell_faces(idx))
-        assert len(faces) == 2 * g.dim
-        for f in faces:
+        got = list(faces_around(index_cell(g, idx), g))
+        faces = list(index_cell_faces(g, idx))
+        assert len(got) == len(faces) == 2 * len(g.counts)
+        for (axis, face, other), f in zip(got, faces):
             assert idx in (f.lower_cell, f.upper_cell)
             fb = face_box(g, f)
             assert fb[f.axis].is_degenerate
-            assert all(fb[a] == cell[a] for a in range(g.dim) if a != f.axis)
+            assert all(fb[a] == cell[a] for a in range(len(g.counts)) if a != f.axis)
+            assert axis == f.axis
+            assert ratboxes(BoxComplex((face,), g.dens)) == (fb,)
+            assert face[axis][0] == face[axis][1]
+            assert (other is None) == f.on_boundary
+            if other is not None:
+                neighbour = f.upper_cell if f.lower_cell == idx else f.lower_cell
+                assert other == index_cell(g, neighbour)
         seen.extend(faces)
     assert set(seen) == set(grid_faces(g))
+
+
+def test_cell_faces_are_the_grid_faces_around_a_cell():
+    check_faces_around(Grid(box(ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1)))
+
+
+@given(specs(3))
+@settings(max_examples=40, deadline=None)
+def test_faces_around_match_the_index_faces(spec):
+    """Also for non-dyadic bounds, and degenerate ones, whose two faces
+    are one and the same boundary face."""
+    check_faces_around(grid_of(spec))
 
 
 def test_boundary_face_counts():
     one = single_box(UNIT2)
     assert len(oriented_boundary(one.cells)) == 4
     g = Grid(UNIT2, (2, 1))
-    two = g.complex([(0, 0), (1, 0)])
+    two = complex_of(g, [(0, 0), (1, 0)])
     assert len(oriented_boundary(two.cells)) == 6  # shared face cancels
     # L-shape of three cells: 8 boundary edges
     g = Grid(UNIT2, (2, 2))
-    ell = g.complex([(0, 0), (1, 0), (0, 1)])
+    ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     assert len(oriented_boundary(ell.cells)) == 8
 
 
@@ -161,7 +240,7 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
     cells = [idx for idx, _ in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
-    comp = g.complex(cells)
+    comp = complex_of(g, cells)
     faces = oriented_boundary(comp.cells)
     for axis in range(2):
         total = sum(_signed_edge_measure(f, c, axis, comp.dens[axis])
@@ -171,7 +250,7 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
 
 def test_shared_faces_cancel_exactly():
     g = Grid(UNIT2, (2, 2))
-    whole = g.complex(idx for idx, _ in grid_cells(g))
+    whole = complex_of(g, [idx for idx, _ in grid_cells(g)])
     outer = single_box(UNIT2)
 
     def rim(comp):
@@ -205,10 +284,9 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
     """On any union of grid cells, non-dyadic and degenerate axes included,
     the integer boundary and bisection are the `RatBox` ones, face for
     face, coefficient for coefficient and in the same order."""
-    g = Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
-             tuple(c for _, _, c in spec))
-    idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * g.dim]
-    comp = g.complex(idxs)
+    g = grid_of(spec)
+    idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * len(g.counts)]
+    comp = complex_of(g, idxs)
     got = oriented_boundary(comp.cells)
     want = oracles.oriented_boundary(ratboxes(comp))
     faces = ratboxes(BoxComplex(tuple(got), comp.dens))

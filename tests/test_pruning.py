@@ -1,5 +1,6 @@
 """The top-down refutation and the face walk of `solver` against a sweep
-over every cell and every face of the same grid.
+over every cell and every face of the same grid in index space, each
+index mapped to its integer cell.
 
 The blocks are polynomial, where interval evaluation is inclusion-isotone:
 a block whose box is refuted has every cell refuted, so the pruned search
@@ -12,7 +13,7 @@ import pytest
 from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
-from quasisat.geometry import grid_cover
+from quasisat.geometry import BoxComplex, grid_cover
 from quasisat.intervals import EMPTY_BOX, RatBox, box, ival
 from quasisat.parser import parse
 from quasisat.evaluation import box_env, compile_term
@@ -20,7 +21,7 @@ from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
                              _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import eval_env, face_box, grid_cells, grid_faces, is_polynomial
+from oracles import eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -125,13 +126,14 @@ def test_pruning_matches_full_sweep(block):
         record = IterationRecord(0, r, TRI_TF)
         plausible, _ = _plausible_cells(fs, gs, box_env(p_box), grid, prec.p,
                                         record)
-        assert plausible == sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
+        want = sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
+        assert plausible == [index_cell(grid, idx) for idx in want]
         if len(eqs) == len(s.vars):
             certs = {}
             got = _candidate_complexes(fs, box_env(p_box), grid, prec.p,
                                        plausible, record, certs)
-            assert got == sweep_complexes(eqs, names, p_box, grid, prec,
-                                          plausible)
+            assert got == [[index_cell(grid, idx) for idx in cells]
+                           for cells in sweep_complexes(eqs, names, p_box, grid, prec, want)]
             check_face_certificates(eqs, names, p_box, grid, prec, certs)
             check_seeded_degree(eqs, s.vars, pnames, p_box, grid, prec, got, certs)
 
@@ -141,10 +143,9 @@ def check_face_certificates(eqs, names, p_box, grid, prec, certs):
     `Fraction` enclosure on the face excludes zero, or with parameters
     the one of largest mignitude over the slice, with its sign and its
     exact mignitude."""
-    dens = [d for _, _, d in grid.axes]
     for cell, (i, sign, num, den) in certs.items():
         face = RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
-                            for (lo, hi), d in zip(cell, dens)))
+                            for (lo, hi), d in zip(cell, grid.dens)))
         encs = [eval_env(f, env_of(names, p_box, face), prec) for f in eqs]
         migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
         want = (migs.index(max(migs)) if p_box.dim
@@ -159,7 +160,7 @@ def check_seeded_degree(eqs, names, pnames, p_box, grid, prec, complexes, certs)
     p0 = dict(zip(pnames, p_box.center))
     f0 = [T.substitute(f, p0) for f in eqs]
     for cells in complexes:
-        complex = grid.complex(cells)
+        complex = BoxComplex(tuple(cells), grid.dens)
         seeded = degree(f0, names, complex, prec, certs=certs)
         fresh = degree(f0, names, complex, prec)
         if pnames:

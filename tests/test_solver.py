@@ -1,19 +1,22 @@
 """Three-valued checks and the epsilon-halving driver."""
 import importlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from quasisat import solver
 from quasisat.degree import DegreeResult
-from quasisat.geometry import grid_cover
+from quasisat.formulas import ForAll
+from quasisat.geometry import Grid, grid_cover
 from quasisat.intervals import EMPTY_BOX, box, ival
 from quasisat.parser import parse
-from quasisat.solver import (TRI_F, TRI_T, TRI_TF, checksat, prec_for,
+from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, prec_for,
                              quasi_decide, tri_and, tri_or)
 
 from conftest import CORPUS_DIR
+from oracles import grid_cut
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -63,6 +66,66 @@ def test_checksat_with_parameters():
     assert checksat(body, box(ival(0, 1)), Fraction(1, 4), ("x",)) == TRI_T
     far = parse("exists y in [0,1] . y - x = 0", params={"x": ival(2, 3)})
     assert checksat(far, box(ival(2, 3)), Fraction(1, 2), ("x",)) == TRI_F
+
+
+NON_DYADIC = ival(Fraction(1, 3), Fraction(5, 7))
+
+
+@pytest.mark.parametrize("bound", [NON_DYADIC, ival(Fraction(-2, 3), Fraction(1, 5)),
+                                   ival(Fraction(1, 3))])
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(1, 3), Fraction(1, 8)])
+def test_universal_slabs_are_the_fraction_cuts(monkeypatch, bound, r):
+    """The slabs a universal hands its body are the cuts lo + w*i/count
+    of its bound, count = max(1, ceil(w / r)), after the parameters it
+    was given; non-dyadic and degenerate bounds included."""
+    seen = []
+
+    def body(s, pnames, p_env, r, record):
+        seen.append((pnames, p_env))
+        return TRI_T, Fraction(1)
+
+    monkeypatch.setattr(solver, "_checksat", body)
+    s = ForAll("y", bound, parse("1 >= 0"))
+    got = solver._univ(s, ("x",), [(1, 2, 3)], r, IterationRecord(0, r, TRI_TF))
+    assert got == (TRI_T, Fraction(1))
+    count = max(1, math.ceil(bound.width / r))
+    g = Grid(box(bound), (count,))
+    assert [(pnames, env[0]) for pnames, env in seen] == [(("x", "y"), (1, 2, 3))] * count
+    assert [(Fraction(lo, d), Fraction(hi, d)) for _, (_, (lo, hi, d)) in seen] == [
+        (grid_cut(g, 0, i), grid_cut(g, 0, i + 1)) for i in range(count)]
+
+
+def slab_reference(s, p_box, r, pnames):
+    """`checksat`, with each universal cut into slabs lo + w*i/count and
+    each slab appended to the parameter box as a `RatBox` of `Fraction`s."""
+    if not isinstance(s, ForAll):
+        return checksat(s, p_box, r, pnames)
+    count = max(1, math.ceil(s.bound.width / r))
+    acc = TRI_T
+    for i in range(count):
+        slab = ival(s.bound.lo + s.bound.width * i / count,
+                    s.bound.lo + s.bound.width * (i + 1) / count)
+        acc = tri_and(acc, slab_reference(s.body, p_box.product(box(slab)), r,
+                                          tuple(pnames) + (s.var,)))
+    return acc
+
+
+def test_checksat_with_a_non_dyadic_parameter_box():
+    """Over x in [1/3, 5/7], the verdicts equal the slab-by-slab `RatBox`
+    reference."""
+    texts = ["forall y in [1/5,4/5] . exists z in [-2,2] . z - x*y = 0",
+             "forall y in [1/3,2/3] . exists z in [0,1] . z - x - y = 0",
+             "forall y in [1/3,1/3] . exists z in [0,1] . z - x*y = 0",
+             "forall y in [1/5,4/5] . exists z in [0,1] . z - x - y - 1 = 0",
+             "exists z in [-1,1] . 3*z - x = 0"]
+    got = []
+    for text in texts:
+        s = parse(text, params={"x": NON_DYADIC})
+        for r in (Fraction(1), Fraction(1, 3), Fraction(1, 16)):
+            verdict = checksat(s, box(NON_DYADIC), r, ("x",))
+            assert verdict == slab_reference(s, box(NON_DYADIC), r, ("x",)), (text, r)
+            got.append(verdict)
+    assert {TRI_T, TRI_F, TRI_TF} <= set(got)
 
 
 def test_checksat_rejects_bad_input():
@@ -217,6 +280,16 @@ def test_pruning_evaluates_few_cells_of_a_fine_grid():
     assert grid_cover(s.bounds, rec.eps).n_cells == 32768
     assert 0 < rec.cells_evaluated < 512
     assert 0 < rec.faces_evaluated < 512
+
+
+def test_a_degenerate_bound_tests_each_face_once():
+    """On the degenerate axis y in [1/2,1/2] a cell's lower and upper face
+    are one face, so iteration 1 tests 3 faces, one of them a zero face."""
+    s = parse("exists x in [0,1], y in [1/2,1/2] . x - y = 0 and y - 1/2 = 0")
+    v = quasi_decide(s, budget=20)
+    first = v.trace[0]
+    assert (first.faces_evaluated, first.zero_faces) == (3, 1)
+    assert v.outcome == "UNKNOWN"
 
 
 def test_a_900_term_sum_is_solved():
