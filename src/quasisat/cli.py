@@ -160,7 +160,7 @@ def _corpus(args) -> int:
             verdict = quasi_decide(sentence,
                                    budget=budget or args.budget,
                                    eps=args.epsilon)
-        except (ParseError, DomainError, ValueError, RecursionError) as exc:
+        except (ParseError, DomainError, ValueError, RecursionError, OSError) as exc:
             print(f"FAIL  {path.name}: {exc}")
             failures += 1
             continue

@@ -16,8 +16,11 @@ each refinement bisects every cell and doubles `dens`.  The evaluator
 gets the numerators directly; a `Fraction` is built only for a
 certificate's bound.
 
-Certificates a caller already holds for boundary cells (the solver's
-face walk) seed the top level: a cell found there is not evaluated again.
+The map comes as the solver's compiled tapes, with `env`, the intervals
+of the variables before the complex's own, prepended to every cell (the
+solver passes the slice centre as degenerate intervals).  Certificates a
+caller already holds for boundary cells (the solver's face walk) seed
+the top level: a cell found there is not evaluated again.
 """
 from __future__ import annotations
 
@@ -25,10 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .evaluation import Cert, Evaluator, Ival, cell_env, certify, compile_term
-from .geometry import BoxComplex, Cell, _add_cell_boundary, bisect_box, oriented_boundary
-from .intervals import Precision
-from . import terms as T
+from .evaluation import Cert, Evaluator, Ival, cell_env, certify
+from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
 
 _MAX_PREC = 4096
 
@@ -75,18 +76,19 @@ def _deg_cycle(
     cycle: dict[Cell, int],
     dens: tuple[int, ...],
     p: int,
+    env: list[Ival],
     budget: _Budget,
     top_bounds: Optional[list[Cert]],
     known: Mapping[Cell, Cert] = {},
 ) -> Optional[int]:
-    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`;
-    the cells in `known` come certified."""
+    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`,
+    evaluated on `env` + the cell; the cells in `known` come certified."""
     if not cycle:  # e.g. a region boundary that cancelled out entirely
         return 0
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():
-            cert = known.get(cell) or _sign_at_point(fs[0], cell_env(cell, dens), p, budget)
+            cert = known.get(cell) or _sign_at_point(fs[0], env + cell_env(cell, dens), p, budget)
             if cert is None:
                 return None
             total += coef * cert[1]
@@ -109,7 +111,7 @@ def _deg_cycle(
         for k, (cell, _) in enumerate(cells):
             cert = certs[k]
             if cert is None:
-                cert = certs[k] = certify(fs, cell_env(cell, dens), p)
+                cert = certs[k] = certify(fs, env + cell_env(cell, dens), p)
             if cert is not None:
                 counts[cert[0]] = counts.get(cert[0], 0) + 1
         if None not in certs:
@@ -138,32 +140,34 @@ def _deg_cycle(
             _add_cell_boundary(gamma, cell, coef)
 
     reduced = fs[:i_star] + fs[i_star + 1:]
-    sub = _deg_cycle(reduced, gamma, dens, p, budget, None)
+    sub = _deg_cycle(reduced, gamma, dens, p, env, budget, None)
     if sub is None:
         return None
     return sub if i_star % 2 == 0 else -sub
 
 
 def degree(
-    fs: Sequence[T.Term],
-    names: Sequence[str],
-    complex: BoxComplex,
-    prec: Precision,
+    fs: Sequence[Evaluator],
+    cells: Sequence[Cell],
+    dens: tuple[int, ...],
+    p: int,
+    env: Sequence[Ival] = (),
     budget: int = 1000,
     certs: Mapping[Cell, Cert] = {},
 ) -> Optional[DegreeResult]:
-    """Degree of fs over the complex, or None when the boundary cannot be
-    certified nonzero within the subdivision budget.  `certs` maps
-    boundary cells over `complex.dens` to certificates that hold for fs."""
-    if len(fs) != complex.dim:
+    """Degree of fs over the complex of `cells` on `dens` at precision p,
+    with `env` before each cell's intervals; None when the boundary
+    cannot be certified nonzero within the subdivision budget.  `certs`
+    maps boundary cells over `dens` to certificates that hold for fs."""
+    if len(fs) != len(dens):
         raise ValueError("map and complex dimension differ")
+    if p < 1:
+        raise ValueError("precision must be >= 1")
     state = _Budget(budget)
     bounds: list[Cert] = []
-    cycle = oriented_boundary(complex.cells)
-    evals = [compile_term(f, names) for f in fs]
-    value = _deg_cycle(evals, cycle, complex.dens, prec.p, state, bounds, certs)
+    cycle = oriented_boundary(cells)
+    value = _deg_cycle(list(fs), cycle, dens, p, list(env), state, bounds, certs)
     if value is None:
         return None
     lb = min(Fraction(num, den) for _, _, num, den in bounds)
     return DegreeResult(value, lb, state.used)
-

@@ -83,17 +83,8 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class BlockShape:
-    """(m, n, k) of one exists block: variables, equations, inequalities."""
-    m: int
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
 class ClassBReport:
     in_class: bool
-    blocks: tuple[BlockShape, ...] = ()
     violations: tuple[str, ...] = ()
 
 
@@ -114,13 +105,10 @@ def validate_class_b(f: Formula) -> ClassBReport:
     """Check membership in the solvable fragment: exists blocks are
     conjunctions of equations and inequalities with n >= m or n = 0,
     composed under forall, and, or."""
-    blocks: list[BlockShape] = []
     violations: list[str] = []
 
     def walk(g: Formula, seen: frozenset[str]) -> None:
         if isinstance(g, Atom):
-            blocks.append(BlockShape(0, 1 if isinstance(g, Eq) else 0,
-                                     1 if isinstance(g, Geq) else 0))
             return
         if isinstance(g, (And, Or)):
             walk(g.left, seen)
@@ -145,15 +133,13 @@ def validate_class_b(f: Formula) -> ClassBReport:
             return
         m = len(g.vars)
         n = sum(1 for a in atoms if isinstance(a, Eq))
-        k = len(atoms) - n
-        blocks.append(BlockShape(m, n, k))
         if n != 0 and n < m:
             violations.append(
                 f"exists block has {n} equation(s) for {m} variable(s); "
                 "need n >= m or n = 0")
 
     walk(f, frozenset())
-    return ClassBReport(not violations, tuple(blocks), tuple(violations))
+    return ClassBReport(not violations, tuple(violations))
 
 
 def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:

@@ -96,18 +96,6 @@ def grid_cover(b: RatBox, r) -> Grid:
     return Grid(b, counts)
 
 
-@dataclass(frozen=True)
-class BoxComplex:
-    """A face-connected union of congruent aligned grid cells: integer
-    cells over the per-axis denominators `dens`."""
-    cells: tuple[Cell, ...]
-    dens: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.dens)
-
-
 def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
     """Outward-oriented boundary of a union of congruent aligned cells on
     one `dens`, as face -> integer coefficient.

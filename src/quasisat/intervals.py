@@ -5,7 +5,7 @@ the package's one interval arithmetic is `evaluation`'s, on integer
 numerators, which converts to these classes only at the edges (the
 `Fraction` reference arithmetic lives in tests/oracles.py).  The
 transcendental enclosures of `series` return them, with widths
-controlled by a `Precision`.
+bounded by 2**-p for an integer precision p >= 1.
 """
 from __future__ import annotations
 
@@ -49,16 +49,8 @@ class RatInterval:
         return self.hi - self.lo
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -80,22 +72,6 @@ class RatBox:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    @property
-    def width(self) -> Fraction:
-        """Maximum component width; the 0-dimensional box has width 0."""
-        if not self.intervals:
-            return Fraction(0)
-        return max(iv.width for iv in self.intervals)
-
-    @property
-    def center(self) -> tuple[Fraction, ...]:
-        return tuple(iv.mid for iv in self.intervals)
-
-    @property
-    def contains_zero(self) -> bool:
-        """True iff the origin lies in the box (vacuously for dim 0)."""
-        return all(iv.contains_zero for iv in self.intervals)
 
     def product(self, other: "RatBox") -> "RatBox":
         """Concatenating Cartesian product; {()} x B == B."""
@@ -119,17 +95,3 @@ def box(*intervals: RatInterval) -> RatBox:
 
 
 EMPTY_BOX = RatBox(())  # the singleton tuple {()}
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Transcendental enclosure slack bound 2**-p."""
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("precision must be >= 1")
-
-    @property
-    def slack(self) -> Fraction:
-        return Fraction(1, 2 ** self.p)

@@ -16,7 +16,9 @@ is dropped whole (its bound enters the FALSE separation), and any other
 block is halved along the axis that holds the most cells until single
 plausible cells remain.  The zero-face merge then walks outward from the
 plausible cells only, so the work of an iteration follows the cells
-still in play, not the grid size.
+still in play, not the grid size.  Each block's terms are compiled once:
+the refutation, the face walk and the degree (at the slice centre, as
+degenerate parameter intervals) all run on the same tapes.
 """
 from __future__ import annotations
 
@@ -28,10 +30,9 @@ from .evaluation import (Cert, Evaluator, Ival, box_env, cell_env, certify,
                          compile_term, positive_lower_bound)
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
-from .geometry import BoxComplex, Cell, Grid, faces_around, grid_cover, halve_block
-from .intervals import EMPTY_BOX, Precision, RatBox, box, rat
+from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
+from .intervals import EMPTY_BOX, RatBox, box, rat
 from .degree import degree
-from . import terms as T
 
 TriValue = frozenset
 TRI_T: TriValue = frozenset((True,))
@@ -47,13 +48,13 @@ def tri_or(u: TriValue, v: TriValue) -> TriValue:
     return frozenset(a or b for a in u for b in v)
 
 
-def prec_for(r: Fraction) -> Precision:
-    """Precision with transcendental slack <= r/8."""
+def prec_for(r: Fraction) -> int:
+    """The least p >= 1 with transcendental slack 2**-p <= r/8."""
     need = Fraction(8) / r
     p = 1
     while (1 << p) < need:
         p += 1
-    return Precision(p)
+    return p
 
 
 @dataclass
@@ -125,7 +126,7 @@ def _soei(
     eqs, ineqs = block_parts(s)
     names = pnames + s.vars
     m, n = len(s.vars), len(eqs)
-    p = prec_for(r).p
+    p = prec_for(r)
     record.precision = p
     grid = grid_cover(s.bounds, r)
     fs = [compile_term(f, names) for f in eqs]
@@ -141,8 +142,7 @@ def _soei(
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(s, eqs, fs, gs, pnames, p_env, p, grid,
-                              plausible, record)
+    return _soei_degree_phase(fs, gs, p_env, p, grid, plausible, record)
 
 
 def _plausible_cells(
@@ -247,23 +247,22 @@ def _candidate_complexes(
 
 
 def _soei_degree_phase(
-    s: Exists, eqs, fs: list[Evaluator], gs: list[Evaluator], pnames,
-    p_env: list[Ival], p: int, grid: Grid,
-    plausible: list[Cell], record: IterationRecord,
+    fs: list[Evaluator], gs: list[Evaluator], p_env: list[Ival], p: int,
+    grid: Grid, plausible: list[Cell], record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     """Zero-face merging plus the degree test on candidate complexes.
 
-    The degree is taken at the slice centre p0, which is sound because no
-    boundary face of the complex holds a zero anywhere on the slice.  The
-    face walk's certificates hold on the whole slice, so they seed the
-    degree's top level, and its `boundary_min_lb`, the least of them over
-    the complex's boundary, is a certificate for every parameter value."""
-    p0 = {nm: Fraction(lo + hi, 2 * d) for nm, (lo, hi, d) in zip(pnames, p_env)}
-    f0 = [T.substitute(f, p0) for f in eqs] if pnames else list(eqs)
+    The degree runs on the block's own tapes at the slice centre, each
+    parameter the degenerate interval of its midpoint, which is sound
+    because no boundary face of the complex holds a zero anywhere on the
+    slice.  The face walk's certificates hold on the whole slice, so they
+    seed the degree's top level, and its `boundary_min_lb`, the least of
+    them over the complex's boundary, is a certificate for every
+    parameter value."""
+    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env]
     certs: dict[Cell, Cert] = {}
     for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs):
-        result = degree(f0, s.vars, BoxComplex(tuple(cells), grid.dens), Precision(p),
-                        certs=certs)
+        result = degree(fs, cells, grid.dens, p, centre, certs=certs)
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
         if result is None:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 
 class Term:
@@ -102,21 +101,6 @@ def free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Pow):
         return free_vars(t.base)
     return free_vars(t.arg)  # Neg, Sin, Cos, Exp, Sqrt
-
-
-def substitute(t: Term, env: Mapping[str, Fraction]) -> Term:
-    """Replace variables by exact rational constants."""
-    if isinstance(t, Var):
-        if t.name in env:
-            return Const(env[t.name])
-        return t
-    if isinstance(t, (Const, Pi)):
-        return t
-    if isinstance(t, (Add, Sub, Mul, Div)):
-        return type(t)(substitute(t.left, env), substitute(t.right, env))
-    if isinstance(t, Pow):
-        return Pow(substitute(t.base, env), t.exponent)
-    return type(t)(substitute(t.arg, env))
 
 
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity

@@ -1,6 +1,7 @@
 """Independent reference implementations the tests compare the solver
 against: interval arithmetic and evaluation on `Fraction` endpoints,
-exact and float term evaluation, a float winding count for planar degrees, full sweeps
+exact and float term evaluation, substitution of rational constants for
+variables, a float winding count for planar degrees, full sweeps
 over every cell and face of a grid in index space (cells addressed by
 multi-index, with the map from an index to its integer cell), and the
 degree, oriented boundary, bisection and supremum enclosure on `RatBox`es
@@ -16,9 +17,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, box_env, compile_term, to_interval
-from quasisat.geometry import BoxComplex, Cell, Grid
-from quasisat.intervals import (DomainError, Precision, RatBox, RatInterval, RatLike,
-                                ival, rat)
+from quasisat.geometry import Cell, Grid
+from quasisat.intervals import DomainError, RatBox, RatInterval, RatLike, ival, rat
 from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
                              sin_enclosure, sqrt_enclosure)
 
@@ -45,7 +45,7 @@ def mul(a: RatInterval, b: RatInterval) -> RatInterval:
 
 
 def divide(a: RatInterval, b: RatInterval) -> RatInterval:
-    if b.contains_zero:
+    if b.lo <= 0 <= b.hi:
         raise DomainError("division by an interval containing zero")
     return mul(a, RatInterval(1 / b.hi, 1 / b.lo))
 
@@ -72,7 +72,8 @@ def abs_interval(a: RatInterval) -> RatInterval:
 
 
 def split(a: RatInterval) -> tuple[RatInterval, RatInterval]:
-    return RatInterval(a.lo, a.mid), RatInterval(a.mid, a.hi)
+    mid = (a.lo + a.hi) / 2
+    return RatInterval(a.lo, mid), RatInterval(mid, a.hi)
 
 
 def contains(a: RatInterval, x: RatLike) -> bool:
@@ -103,36 +104,55 @@ def box_issubset(a: RatBox, b: RatBox) -> bool:
 # term evaluation
 
 
-def eval_env(t: T.Term, env: Mapping[str, RatInterval], prec: Precision) -> RatInterval:
-    """Natural interval extension under a name -> interval binding, by
-    recursion over the term and the interval arithmetic above."""
+def eval_env(t: T.Term, env: Mapping[str, RatInterval], p: int) -> RatInterval:
+    """Natural interval extension under a name -> interval binding at
+    precision p, by recursion over the term and the interval arithmetic
+    above."""
     if isinstance(t, T.Const):
         return ival(t.value, t.value)
     if isinstance(t, T.Pi):
-        return pi_enclosure(prec.p)
+        return pi_enclosure(p)
     if isinstance(t, T.Var):
         return env[t.name]
     if isinstance(t, T.Add):
-        return add(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
+        return add(eval_env(t.left, env, p), eval_env(t.right, env, p))
     if isinstance(t, T.Sub):
-        return sub(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
+        return sub(eval_env(t.left, env, p), eval_env(t.right, env, p))
     if isinstance(t, T.Neg):
-        return neg(eval_env(t.arg, env, prec))
+        return neg(eval_env(t.arg, env, p))
     if isinstance(t, T.Mul):
-        return mul(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
+        return mul(eval_env(t.left, env, p), eval_env(t.right, env, p))
     if isinstance(t, T.Div):
-        return divide(eval_env(t.left, env, prec), eval_env(t.right, env, prec))
+        return divide(eval_env(t.left, env, p), eval_env(t.right, env, p))
     if isinstance(t, T.Pow):
-        return pow_nat(eval_env(t.base, env, prec), t.exponent)
+        return pow_nat(eval_env(t.base, env, p), t.exponent)
     if isinstance(t, T.Sin):
-        return sin_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return sin_enclosure(eval_env(t.arg, env, p), p)
     if isinstance(t, T.Cos):
-        return cos_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return cos_enclosure(eval_env(t.arg, env, p), p)
     if isinstance(t, T.Exp):
-        return exp_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return exp_enclosure(eval_env(t.arg, env, p), p)
     if isinstance(t, T.Sqrt):
-        return sqrt_enclosure(eval_env(t.arg, env, prec), prec.p)
+        return sqrt_enclosure(eval_env(t.arg, env, p), p)
     raise TypeError(f"unknown term node: {type(t).__name__}")
+
+
+def substitute(t: T.Term, env: Mapping[str, Fraction]) -> T.Term:
+    """Replace the variables named in env by exact rational constants."""
+    if isinstance(t, T.Var):
+        return T.Const(env[t.name]) if t.name in env else t
+    if isinstance(t, (T.Const, T.Pi)):
+        return t
+    if isinstance(t, (T.Add, T.Sub, T.Mul, T.Div)):
+        return type(t)(substitute(t.left, env), substitute(t.right, env))
+    if isinstance(t, T.Pow):
+        return T.Pow(substitute(t.base, env), t.exponent)
+    return type(t)(substitute(t.arg, env))
+
+
+def tapes(fs: Sequence[T.Term], names: Sequence[str]) -> list[Evaluator]:
+    """The compiled evaluators of fs over `names`, as `degree` takes them."""
+    return [compile_term(f, names) for f in fs]
 
 
 def is_polynomial(t: T.Term) -> bool:
@@ -200,12 +220,12 @@ def float_eval(t: T.Term, env: Mapping[str, float]) -> float:
 def winding_oracle_2d(
     fs: Sequence[T.Term],
     names: Sequence[str],
-    complex: BoxComplex,
+    complex: tuple[Sequence[Cell], tuple[int, ...]],
     samples: int = 64,
 ) -> int:
     """Non-rigorous test oracle: total winding of (f1, f2) along the
-    oriented boundary, by float sampling."""
-    if len(fs) != 2 or complex.dim != 2:
+    oriented boundary of the complex `(cells, dens)`, by float sampling."""
+    if len(fs) != 2 or len(complex[1]) != 2:
         raise ValueError("winding oracle needs a planar map")
     total = 0.0
     for face, coef in oriented_boundary(ratboxes(complex)).items():
@@ -277,9 +297,9 @@ def index_cell(grid: Grid, idx: CellIndex) -> Cell:
     return index_block(grid, idx, tuple(i + 1 for i in idx))
 
 
-def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> BoxComplex:
-    """The grid cells at the indices `idxs` as a complex on `grid.dens`."""
-    return BoxComplex(tuple(index_cell(grid, idx) for idx in idxs), grid.dens)
+def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> tuple[list[Cell], tuple[int, ...]]:
+    """The grid cells at the indices `idxs` as a complex `(cells, dens)`."""
+    return [index_cell(grid, idx) for idx in idxs], grid.dens
 
 
 def halve_index_block(lo: CellIndex, hi: CellIndex):
@@ -338,17 +358,18 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
             yield (i,) + rest
 
 
-def single_box(b: RatBox) -> BoxComplex:
-    """The box b as a one-cell complex."""
+def single_box(b: RatBox) -> tuple[list[Cell], tuple[int, ...]]:
+    """The box b as a one-cell complex `(cells, dens)`."""
     g = Grid(b, (1,) * b.dim)
-    return BoxComplex((g.whole,), g.dens)
+    return [g.whole], g.dens
 
 
-def ratboxes(complex: BoxComplex) -> tuple[RatBox, ...]:
-    """The cells of a complex as `RatBox`es of `Fraction`s."""
+def ratboxes(complex: tuple[Sequence[Cell], tuple[int, ...]]) -> tuple[RatBox, ...]:
+    """The cells of a complex `(cells, dens)` as `RatBox`es of `Fraction`s."""
+    cells, dens = complex
     return tuple(RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
-                              for (lo, hi), d in zip(cell, complex.dens)))
-                 for cell in complex.cells)
+                              for (lo, hi), d in zip(cell, dens)))
+                 for cell in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +528,7 @@ def degree(
     fs: Sequence[T.Term],
     names: Sequence[str],
     cells: Sequence[RatBox],
-    prec: Precision,
+    p: int,
     budget: int = 1000,
 ) -> Optional[DegreeResult]:
     """Degree of fs over the union of the congruent aligned `cells`, or
@@ -519,7 +540,7 @@ def degree(
     bounds: list[Fraction] = []
     cycle = oriented_boundary(cells)
     evals = [compile_term(f, names) for f in fs]
-    value = _deg_cycle(evals, cycle, prec.p, state, bounds)
+    value = _deg_cycle(evals, cycle, p, state, bounds)
     if value is None:
         return None
     return DegreeResult(value, min(bounds), state.used)

@@ -17,12 +17,12 @@ from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
 from quasisat.evaluation import box_env, compile_term, to_interval
 from quasisat.formulas import aligned_terms
 from quasisat.geometry import Grid
-from quasisat.intervals import Precision, RatBox, box, ival, rat_str
+from quasisat.intervals import RatBox, box, ival, rat_str
 from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
-from oracles import complex_of, contains, single_box, winding_oracle_2d
+from oracles import complex_of, contains, single_box, tapes, winding_oracle_2d
 
 mpmath.mp.dps = 60
 
@@ -103,7 +103,7 @@ def test_c03_nonrobust_sentences_stay_unknown(corpus_runs):
 
 def test_c04_degree_fixture_and_identity_boxes():
     fs = [T.Sub(T.Pow(X, 2), T.Pow(Y, 2)), T.Mul(T.Const(2), T.Mul(X, Y))]
-    res = degree(fs, ("x", "y"), single_box(UNIT2), Precision(20))
+    res = degree(tapes(fs, ("x", "y")), *single_box(UNIT2), 20)
     assert res is not None and res.value == 2
 
     rng = random.Random(42)
@@ -115,7 +115,7 @@ def test_c04_degree_fixture_and_identity_boxes():
             continue
         b = box(ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        got = degree([X, Y], ("x", "y"), single_box(b), Precision(20))
+        got = degree(tapes([X, Y], ("x", "y")), *single_box(b), 20)
         assert got is not None
         assert got.value == (1 if interior else 0)
         done += 1
@@ -137,7 +137,7 @@ def test_c05_degree_agrees_with_independent_oracles():
     agree = 0
     while agree < 50:
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        res = degree(fs, ("x", "y"), single_box(UNIT2), Precision(20),
+        res = degree(tapes(fs, ("x", "y")), *single_box(UNIT2), 20,
                      budget=800)
         if res is None:
             continue
@@ -170,8 +170,8 @@ def test_c05_degree_agrees_with_independent_oracles():
         t = T.Const(coeffs[0])
         for k in coeffs[1:]:
             t = T.Add(T.Mul(t, X), T.Const(k))
-        res = degree([t], ("x",), single_box(box(ival(lo, hi))),
-                     Precision(30), budget=5000)
+        res = degree(tapes([t], ("x",)), *single_box(box(ival(lo, hi))),
+                     30, budget=5000)
         if res is None:
             continue
         sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
@@ -188,7 +188,7 @@ def test_c06_degree_additive_over_split_complexes():
         w = Fraction(rng.randint(1, 8), 4)
         g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        results = [degree(fs, ("x", "y"), complex_of(g, cells), Precision(20), budget=600)
+        results = [degree(tapes(fs, ("x", "y")), *complex_of(g, cells), 20, budget=600)
                    for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)])]
         if any(r is None for r in results):
             continue
@@ -213,7 +213,7 @@ def test_c07_enclosure_soundness_and_convergence():
             continue
         # convergence: width at box width 2^-i and precision i decays
         # like C * 2^-i; fit C on i <= 10 and verify through i = 20
-        center = b.center
+        center = [(iv.lo + iv.hi) / 2 for iv in b.intervals]
         widths = []
         for i in range(1, 21):
             h = Fraction(1, 2 ** (i + 1))

@@ -99,6 +99,19 @@ def test_corpus_missing_sidecar_errors(tmp_path, capsys):
     assert main(["corpus", str(tmp_path)]) == 1
 
 
+def test_corpus_unreadable_entry_fails_without_traceback(tmp_path, capsys):
+    # a directory named like a sentence cannot be read: a FAIL line, and
+    # the run goes on to the next entry
+    (tmp_path / "a.sent").mkdir()
+    (tmp_path / "a.expect").write_text("EXPECT TRUE\n")
+    (tmp_path / "b.sent").write_text(TRUE_S)
+    (tmp_path / "b.expect").write_text("EXPECT TRUE\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  a.sent:" in out and "PASS  b.sent:" in out
+    assert "1/2 passed" in out
+
+
 def test_missing_file_treated_as_inline_sentence(capsys):
     # a path that does not exist is parsed as sentence text and rejected
     assert main(["solve", "/no/such/file.sent"]) == 1

@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
-from quasisat.evaluation import compile_term
-from quasisat.geometry import Grid
-from quasisat.intervals import Precision, RatBox, box, ival
+from quasisat.evaluation import box_env, cell_env, certify, compile_term
+from quasisat.formulas import block_parts
+from quasisat.geometry import Grid, oriented_boundary
+from quasisat.intervals import RatBox, box, ival
 from quasisat.parser import parse
 
 import oracles
-from oracles import complex_of, grid_cells, ratboxes, single_box, winding_oracle_2d
+from oracles import (complex_of, grid_cells, ratboxes, single_box, substitute, tapes,
+                     winding_oracle_2d)
 
 X, Y = T.Var("x"), T.Var("y")
-P20 = Precision(20)
+P20 = 20
 
 
 def c(v) -> T.Const:
@@ -36,32 +38,32 @@ def term_of(text: str) -> T.Term:
 
 
 def test_identity_map_degree_one_when_origin_interior():
-    res = degree([X], ("x",), single_box(box(ival(-1, 1))), P20)
+    res = degree(tapes([X], ("x",)), *single_box(box(ival(-1, 1))), P20)
     assert res.value == 1
     assert res.boundary_min_lb == 1
 
 
 def test_degree_zero_when_no_root():
-    res = degree([T.Sub(T.Pow(X, 2), c(2))], ("x",),
-                 single_box(box(ival(0, 1))), P20)
+    res = degree(tapes([T.Sub(T.Pow(X, 2), c(2))], ("x",)),
+                 *single_box(box(ival(0, 1))), P20)
     assert res.value == 0
 
 
 def test_planar_identity_degree_one():
-    res = degree([X, Y], ("x", "y"),
-                 single_box(box(ival(-1, 1), ival(-1, 1))), P20)
+    res = degree(tapes([X, Y], ("x", "y")),
+                 *single_box(box(ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 1
 
 
 def test_planar_origin_exterior_degree_zero():
-    res = degree([X, Y], ("x", "y"),
-                 single_box(box(ival(1, 2), ival(1, 2))), P20)
+    res = degree(tapes([X, Y], ("x", "y")),
+                 *single_box(box(ival(1, 2), ival(1, 2))), P20)
     assert res.value == 0
 
 
 def test_complex_squaring_has_degree_two():
     fs = [term_of("x^2 - y^2"), term_of("2*x*y")]
-    res = degree(fs, ("x", "y"), single_box(box(ival(-1, 1), ival(-1, 1))), P20)
+    res = degree(tapes(fs, ("x", "y")), *single_box(box(ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 2
     assert res.subdivisions > 0
     assert winding_oracle_2d(fs, ("x", "y"),
@@ -72,20 +74,26 @@ def test_degree_on_l_shaped_complex():
     g = Grid(box(ival(-1, 1), ival(-1, 1)), (2, 2))
     ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     shifted = [T.Sub(X, c(Fraction(-1, 2))), T.Sub(Y, c(Fraction(-1, 2)))]
-    res = degree(shifted, ("x", "y"), ell, P20)
+    res = degree(tapes(shifted, ("x", "y")), *ell, P20)
     assert res.value == 1
     assert winding_oracle_2d(shifted, ("x", "y"), ell) == 1
 
 
 def test_uncertifiable_boundary_returns_none():
     # x vanishes on the boundary: no budget can certify it away
-    res = degree([X], ("x",), single_box(box(ival(0, 1))), P20, budget=50)
+    res = degree(tapes([X], ("x",)), *single_box(box(ival(0, 1))), P20, budget=50)
     assert res is None
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        degree([X, Y], ("x", "y"), single_box(box(ival(0, 1))), P20)
+        degree(tapes([X, Y], ("x", "y")), *single_box(box(ival(0, 1))), P20)
+
+
+def test_precision_below_one_rejected():
+    # at p = 0 the point sign test would double p forever
+    with pytest.raises(ValueError):
+        degree(tapes([X], ("x",)), *single_box(box(ival(-1, 1))), p=0)
 
 
 def test_result_requires_positive_bound():
@@ -104,7 +112,7 @@ def test_identity_random_boxes_match_point_membership():
             continue  # origin on the boundary: degree undefined
         b = box(ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        res = degree([X, Y], ("x", "y"), single_box(b), P20)
+        res = degree(tapes([X, Y], ("x", "y")), *single_box(b), P20)
         assert res is not None
         assert res.value == (1 if interior else 0)
         done += 1
@@ -138,8 +146,8 @@ def test_1d_degree_matches_exact_sign_formula():
             return v
         if ev(lo) == 0 or ev(hi) == 0:
             continue
-        res = degree([poly_1d(coeffs)], ("x",), single_box(box(ival(lo, hi))),
-                     Precision(30), budget=5000)
+        res = degree(tapes([poly_1d(coeffs)], ("x",)), *single_box(box(ival(lo, hi))),
+                     30, budget=5000)
         if res is None:
             continue  # interior-boundary zeros exhaust any budget honestly
         assert res.value == sign_formula_1d(coeffs, lo, hi)
@@ -162,7 +170,7 @@ def test_2d_degree_matches_winding_oracle():
     agree = 0
     while agree < 50:
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
-        res = degree(fs, ("x", "y"), single_box(b), P20, budget=800)
+        res = degree(tapes(fs, ("x", "y")), *single_box(b), P20, budget=800)
         if res is None:
             continue  # boundary zero or budget exhausted: no claim made
         try:
@@ -185,7 +193,7 @@ def test_degree_is_additive_across_splits():
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
         parts = []
         for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)]):
-            parts.append(degree(fs, ("x", "y"), complex_of(g, cells), P20, budget=600))
+            parts.append(degree(tapes(fs, ("x", "y")), *complex_of(g, cells), P20, budget=600))
         if any(p is None for p in parts):
             continue
         assert parts[0].value == parts[1].value + parts[2].value
@@ -198,13 +206,13 @@ def test_degree_stable_under_grid_refinement():
     for n in (1, 2):
         g = Grid(b, (n, n))
         comp = complex_of(g, [idx for idx, _ in grid_cells(g)])
-        res = degree(fs, ("x", "y"), comp, P20)
+        res = degree(tapes(fs, ("x", "y")), *comp, P20)
         assert res is not None and res.value == 2
 
 
 def test_empty_cycle_has_degree_zero():
     fs = [compile_term(term_of(text), ("x", "y", "z")) for text in ("x", "y", "x - y")]
-    assert _deg_cycle(fs, {}, (1, 1, 1), 20, _Budget(10), None) == 0
+    assert _deg_cycle(fs, {}, (1, 1, 1), 20, [], _Budget(10), None) == 0
 
 
 def random_map(rng, names, centre) -> list[T.Term]:
@@ -243,5 +251,56 @@ def test_degree_equals_the_ratbox_reference(dim, seed):
     centre = [iv.lo + iv.width * Fraction(rng.randint(1, 9), 10) for iv in bounds]
     fs = random_map(rng, names, centre)
     comp = complex_of(g, cells)
-    got = degree(fs, names, comp, P20, budget=200)
+    got = degree(tapes(fs, names), *comp, P20, budget=200)
     assert got == oracles.degree(fs, names, ratboxes(comp), P20, budget=200)
+
+
+# equations over the parameters a, b and the block variables x (and y)
+PARAM_MAPS = [
+    ("sin(x) - a/4",),
+    ("exp(a)*x - sin(b)",),
+    ("x - a/3 - sin(b)/2",),
+    ("sin(x*y) - 1/3", "exp(x)*y - 2"),
+    ("x - a*cos(y)/3", "y - b/3 + sin(x)/2"),
+    ("x^2 - y - a/3", "exp(x - b/4) - y - 1"),
+]
+ends = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+# block boxes mostly around the zeros of the maps, near the origin
+los = st.fractions(min_value=-2, max_value=0, max_denominator=7)
+widths = st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)
+
+
+@given(st.sampled_from(PARAM_MAPS), st.lists(st.tuples(ends, ends), min_size=2, max_size=2),
+       st.lists(st.tuples(los, widths), min_size=2, max_size=2),
+       st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=2),
+       st.lists(st.booleans(), min_size=4, max_size=4), st.integers(min_value=4, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_degree_on_tapes_at_the_centre_equals_the_substituted_terms(
+        eqs, p_ends, block_ends, counts, keep, p):
+    """With the parameters as the degenerate intervals of a non-dyadic
+    slice's centre, the degree on the block's tapes is the degree of the
+    terms with the centre substituted: the same value (or None),
+    boundary bound and subdivision count, fresh or seeded with
+    certificates that hold on the whole slice."""
+    a, b = [ival(min(lo, hi), max(lo, hi)) for lo, hi in p_ends]
+    bounds = [ival(lo, lo + w) for lo, w in block_ends]
+    names = ("x", "y")[:len(eqs)]
+    block = parse(f"exists {', '.join(f'{v} in {bd}' for v, bd in zip(names, bounds))} . "
+                  + " and ".join(f"{t} = 0" for t in eqs), params={"a": a, "b": b})
+    terms, _ = block_parts(block)
+    fs = tapes(terms, ("a", "b") + names)
+    f0 = tapes([substitute(t, {"a": (a.lo + a.hi) / 2, "b": (b.lo + b.hi) / 2})
+                for t in terms], names)
+    g = Grid(block.bounds, tuple(counts[:len(names)]))
+    cells, dens = complex_of(g, [idx for (idx, _), k in zip(grid_cells(g), keep) if k]
+                            or [(0,) * len(names)])
+    p_env = box_env(box(a, b))
+    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env]
+    certs = {}
+    for face in oriented_boundary(cells):
+        cert = certify(fs, p_env + cell_env(face, dens), p, best=True)
+        if cert is not None:
+            certs[face] = cert
+    for seeds in ({}, certs):
+        got = degree(fs, cells, dens, p, centre, budget=200, certs=seeds)
+        assert got == degree(f0, cells, dens, p, budget=200, certs=seeds)

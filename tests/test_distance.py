@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.intervals import Precision, RatBox, box, ival
+from quasisat.intervals import RatBox, box, ival
 from quasisat.parser import parse
 
 import oracles
@@ -164,7 +164,7 @@ def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
     axes = [[iv.lo + iv.width * i / 4 for i in range(5)] for iv in bounds]
     for node in product(*axes):
         env = {n: ival(v, v) for n, v in zip(names, node)}
-        assert oracles.abs_interval(oracles.eval_env(t, env, Precision(64))).lo <= enc.hi
+        assert oracles.abs_interval(oracles.eval_env(t, env, 64)).lo <= enc.hi
 
 
 def test_constant_difference_with_pi_meets_the_tolerance():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quasisat import terms as T
 from quasisat.evaluation import (box_env, certify, compile_term, positive_lower_bound,
                                  to_interval)
-from quasisat.intervals import DomainError, Precision, RatBox, box, ival
+from quasisat.intervals import DomainError, RatBox, box, ival
 from quasisat.parser import parse
 
 from oracles import eval_env
@@ -150,7 +150,7 @@ def _outcome(fn):
 @settings(max_examples=400, deadline=None)
 def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
     env = dict(zip(NAMES, b.intervals))
-    want = _outcome(lambda: eval_env(t, env, Precision(p)))
+    want = _outcome(lambda: eval_env(t, env, p))
     got = _outcome(lambda: compile_term(t, NAMES)(box_env(b), p))
     if want is DomainError:
         assert got is DomainError

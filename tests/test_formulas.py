@@ -42,11 +42,9 @@ def test_unsolvable_shapes_are_reported(text):
 def test_block_shape_counts():
     f = parse("exists x in [0,1], y in [-1,1] . x - y = 0 and x + y = 0"
               " and x >= 0")
-    report = validate_class_b(f)
-    shape = report.blocks[0]
-    assert (shape.m, shape.n, shape.k) == (2, 2, 1)
+    assert validate_class_b(f).in_class
     eqs, ineqs = block_parts(f)
-    assert len(eqs) == 2 and len(ineqs) == 1
+    assert (len(f.vars), len(eqs), len(ineqs)) == (2, 2, 1)
 
 
 def test_free_and_bound_vars():

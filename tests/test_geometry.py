@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from quasisat.evaluation import cell_env
-from quasisat.geometry import (BoxComplex, Grid, bisect_box, faces_around, grid_cover,
+from quasisat.geometry import (Grid, bisect_box, faces_around, grid_cover,
                                halve_block, oriented_boundary)
 from quasisat.intervals import RatBox, box, ival
 
@@ -93,7 +93,7 @@ def test_integer_axes_reproduce_the_cuts(spec):
 def test_integer_axes_of_a_non_dyadic_box():
     g = Grid(box(ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
     assert (g.whole, g.steps, g.dens) == (((21, 45), (-2, 2)), (8, 1), (63, 2))
-    assert complex_of(g, [(2, 3)]) == BoxComplex((((37, 45), (1, 2)),), (63, 2))
+    assert complex_of(g, [(2, 3)]) == ([((37, 45), (1, 2))], (63, 2))
     assert ratboxes(complex_of(g, [(2, 3)])) == (box(ival(Fraction(37, 63), Fraction(5, 7)),
                                                      ival(Fraction(1, 2), 1)),)
     flat = Grid(box(ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
@@ -179,7 +179,7 @@ def check_faces_around(g: Grid) -> None:
             assert fb[f.axis].is_degenerate
             assert all(fb[a] == cell[a] for a in range(len(g.counts)) if a != f.axis)
             assert axis == f.axis
-            assert ratboxes(BoxComplex((face,), g.dens)) == (fb,)
+            assert ratboxes(([face], g.dens)) == (fb,)
             assert face[axis][0] == face[axis][1]
             assert (other is None) == f.on_boundary
             if other is not None:
@@ -202,20 +202,20 @@ def test_faces_around_match_the_index_faces(spec):
 
 
 def test_boundary_face_counts():
-    one = single_box(UNIT2)
-    assert len(oriented_boundary(one.cells)) == 4
+    one, _ = single_box(UNIT2)
+    assert len(oriented_boundary(one)) == 4
     g = Grid(UNIT2, (2, 1))
-    two = complex_of(g, [(0, 0), (1, 0)])
-    assert len(oriented_boundary(two.cells)) == 6  # shared face cancels
+    two, _ = complex_of(g, [(0, 0), (1, 0)])
+    assert len(oriented_boundary(two)) == 6  # shared face cancels
     # L-shape of three cells: 8 boundary edges
     g = Grid(UNIT2, (2, 2))
-    ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
-    assert len(oriented_boundary(ell.cells)) == 8
+    ell, _ = complex_of(g, [(0, 0), (1, 0), (0, 1)])
+    assert len(oriented_boundary(ell)) == 8
 
 
 def test_boundary_of_3d_cube():
-    cube = single_box(box(ival(0, 1), ival(0, 1), ival(0, 1)))
-    faces = oriented_boundary(cube.cells)
+    cube, _ = single_box(box(ival(0, 1), ival(0, 1), ival(0, 1)))
+    faces = oriented_boundary(cube)
     assert len(faces) == 6
     assert all(c in (-1, 1) for c in faces.values())
     # each face is degenerate in exactly one axis, at the cube's ends
@@ -240,10 +240,10 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
     cells = [idx for idx, _ in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
-    comp = complex_of(g, cells)
-    faces = oriented_boundary(comp.cells)
+    cells, dens = complex_of(g, cells)
+    faces = oriented_boundary(cells)
     for axis in range(2):
-        total = sum(_signed_edge_measure(f, c, axis, comp.dens[axis])
+        total = sum(_signed_edge_measure(f, c, axis, dens[axis])
                     for f, c in faces.items())
         assert total == 0
 
@@ -254,26 +254,27 @@ def test_shared_faces_cancel_exactly():
     outer = single_box(UNIT2)
 
     def rim(comp):
-        return sum(Fraction(hi - lo, d) for face in oriented_boundary(comp.cells)
-                   for (lo, hi), d in zip(face, comp.dens))
+        cells, dens = comp
+        return sum(Fraction(hi - lo, d) for face in oriented_boundary(cells)
+                   for (lo, hi), d in zip(face, dens))
 
     # the union's boundary covers exactly the outer rim, subdivided
     assert rim(whole) == rim(outer)
-    assert all(any(lo != hi for lo, hi in f) for f in oriented_boundary(whole.cells))
-    assert len(oriented_boundary(whole.cells)) == 8
+    assert all(any(lo != hi for lo, hi in f) for f in oriented_boundary(whole[0]))
+    assert len(oriented_boundary(whole[0])) == 8
 
 
 def test_bisect_box_halves_every_free_axis():
     b = single_box(box(ival(0, 1), ival(0, Fraction(1, 2))))
-    assert b == BoxComplex((((0, 1), (0, 1)),), (1, 2))
-    halves = bisect_box(b.cells[0])  # over the doubled dens (2, 4)
+    assert b == ([((0, 1), (0, 1))], (1, 2))
+    halves = bisect_box(b[0][0])  # over the doubled dens (2, 4)
     assert halves == [((0, 1), (0, 1)), ((0, 1), (1, 2)),
                       ((1, 2), (0, 1)), ((1, 2), (1, 2))]
     assert sum(Fraction((x1 - x0) * (y1 - y0), 2 * 4)
                for (x0, x1), (y0, y1) in halves) == Fraction(1, 2)
     # degenerate axes are preserved, not split
-    flat = single_box(box(ival(0, 1), ival(Fraction(1, 2))))
-    assert bisect_box(flat.cells[0]) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
+    (flat,), _ = single_box(box(ival(0, 1), ival(Fraction(1, 2))))
+    assert bisect_box(flat) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
 
 
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=3)),
@@ -286,14 +287,14 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
     face, coefficient for coefficient and in the same order."""
     g = grid_of(spec)
     idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * len(g.counts)]
-    comp = complex_of(g, idxs)
-    got = oriented_boundary(comp.cells)
+    comp = cells, dens = complex_of(g, idxs)
+    got = oriented_boundary(cells)
     want = oracles.oriented_boundary(ratboxes(comp))
-    faces = ratboxes(BoxComplex(tuple(got), comp.dens))
+    faces = ratboxes((got, dens))
     assert list(zip(faces, got.values())) == list(want.items())
-    halves = tuple(2 * d for d in comp.dens)
-    for cell, ref in zip(comp.cells, ratboxes(comp)):
-        assert list(ratboxes(BoxComplex(tuple(bisect_box(cell)), halves))) == oracles.bisect_box(ref)
+    halves = tuple(2 * d for d in dens)
+    for cell, ref in zip(cells, ratboxes(comp)):
+        assert list(ratboxes((bisect_box(cell), halves))) == oracles.bisect_box(ref)
 
 
 def test_grid_lazy_scaling():

@@ -13,7 +13,7 @@ import pytest
 from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
-from quasisat.geometry import BoxComplex, grid_cover
+from quasisat.geometry import grid_cover
 from quasisat.intervals import EMPTY_BOX, RatBox, box, ival
 from quasisat.parser import parse
 from quasisat.evaluation import box_env, compile_term
@@ -21,7 +21,8 @@ from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
                              _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial
+from oracles import (eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial,
+                     substitute, tapes)
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -47,18 +48,21 @@ def env_of(names, p_box, b):
     return dict(zip(names, p_box.product(b).intervals))
 
 
-def sweep_plausible(eqs, ineqs, names, p_box, grid, prec):
+def holds_zero(e) -> bool:
+    return e.lo <= 0 <= e.hi
+
+
+def sweep_plausible(eqs, ineqs, names, p_box, grid, p):
     """Every cell, in index order, whose `Fraction` enclosures leave a
     solution possible: each equation's holds zero, no inequality's is
     negative."""
     return [idx for idx, cell in grid_cells(grid)
-            if all(eval_env(f, env_of(names, p_box, cell), prec).contains_zero
-                   for f in eqs)
-            and all(eval_env(g, env_of(names, p_box, cell), prec).hi >= 0
+            if all(holds_zero(eval_env(f, env_of(names, p_box, cell), p)) for f in eqs)
+            and all(eval_env(g, env_of(names, p_box, cell), p).hi >= 0
                     for g in ineqs)]
 
 
-def sweep_complexes(eqs, names, p_box, grid, prec, plausible):
+def sweep_complexes(eqs, names, p_box, grid, p, plausible):
     """Union-find over every grid face: the components that hold a
     plausible cell and no zero face on the grid boundary."""
     parent = {}
@@ -71,7 +75,7 @@ def sweep_complexes(eqs, names, p_box, grid, prec, plausible):
     doomed = set()
     for face in grid_faces(grid):
         env = env_of(names, p_box, face_box(grid, face))
-        if not all(eval_env(f, env, prec).contains_zero for f in eqs):
+        if not all(holds_zero(eval_env(f, env, p)) for f in eqs):
             continue
         if face.on_boundary:
             doomed.update(c for c in (face.lower_cell, face.upper_cell)
@@ -122,23 +126,22 @@ def test_pruning_matches_full_sweep(block):
     finest = {1: 7, 2: 4, 3: 3}[len(s.vars)]  # 2^-k widths per dimension
     for k in range(finest + 1):
         r = Fraction(1, 2 ** k)
-        grid, prec = grid_cover(s.bounds, r), prec_for(r)
+        grid, p = grid_cover(s.bounds, r), prec_for(r)
         record = IterationRecord(0, r, TRI_TF)
-        plausible, _ = _plausible_cells(fs, gs, box_env(p_box), grid, prec.p,
-                                        record)
-        want = sweep_plausible(eqs, ineqs, names, p_box, grid, prec)
+        plausible, _ = _plausible_cells(fs, gs, box_env(p_box), grid, p, record)
+        want = sweep_plausible(eqs, ineqs, names, p_box, grid, p)
         assert plausible == [index_cell(grid, idx) for idx in want]
         if len(eqs) == len(s.vars):
             certs = {}
-            got = _candidate_complexes(fs, box_env(p_box), grid, prec.p,
+            got = _candidate_complexes(fs, box_env(p_box), grid, p,
                                        plausible, record, certs)
             assert got == [[index_cell(grid, idx) for idx in cells]
-                           for cells in sweep_complexes(eqs, names, p_box, grid, prec, want)]
-            check_face_certificates(eqs, names, p_box, grid, prec, certs)
-            check_seeded_degree(eqs, s.vars, pnames, p_box, grid, prec, got, certs)
+                           for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
+            check_face_certificates(eqs, names, p_box, grid, p, certs)
+            check_seeded_degree(fs, eqs, s.vars, pnames, p_box, grid, p, got, certs)
 
 
-def check_face_certificates(eqs, names, p_box, grid, prec, certs):
+def check_face_certificates(eqs, names, p_box, grid, p, certs):
     """Each certificate of the walk names the first component whose
     `Fraction` enclosure on the face excludes zero, or with parameters
     the one of largest mignitude over the slice, with its sign and its
@@ -146,7 +149,7 @@ def check_face_certificates(eqs, names, p_box, grid, prec, certs):
     for cell, (i, sign, num, den) in certs.items():
         face = RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
                             for (lo, hi), d in zip(cell, grid.dens)))
-        encs = [eval_env(f, env_of(names, p_box, face), prec) for f in eqs]
+        encs = [eval_env(f, env_of(names, p_box, face), p) for f in eqs]
         migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
         want = (migs.index(max(migs)) if p_box.dim
                 else next(k for k, m in enumerate(migs) if m))
@@ -154,15 +157,20 @@ def check_face_certificates(eqs, names, p_box, grid, prec, certs):
                                                  migs[want])
 
 
-def check_seeded_degree(eqs, names, pnames, p_box, grid, prec, complexes, certs):
-    """The walk's certificates change no degree value or subdivision
-    count; without parameters they change nothing at all."""
-    p0 = dict(zip(pnames, p_box.center))
-    f0 = [T.substitute(f, p0) for f in eqs]
+def check_seeded_degree(fs, eqs, names, pnames, p_box, grid, p, complexes, certs):
+    """The degree on the solver's tapes with the slice centre as point
+    intervals, as the solver takes it, is the degree of the terms with
+    the centre substituted, seeded with the walk's certificates or not.
+    The certificates change no degree value or subdivision count;
+    without parameters they change nothing at all."""
+    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in box_env(p_box)]
+    p0 = {nm: (iv.lo + iv.hi) / 2 for nm, iv in zip(pnames, p_box.intervals)}
+    f0 = tapes([substitute(f, p0) for f in eqs], names)
     for cells in complexes:
-        complex = BoxComplex(tuple(cells), grid.dens)
-        seeded = degree(f0, names, complex, prec, certs=certs)
-        fresh = degree(f0, names, complex, prec)
+        seeded = degree(fs, cells, grid.dens, p, centre, certs=certs)
+        fresh = degree(fs, cells, grid.dens, p, centre)
+        assert seeded == degree(f0, cells, grid.dens, p, certs=certs)
+        assert fresh == degree(f0, cells, grid.dens, p)
         if pnames:
             assert (seeded is None) == (fresh is None)
             if fresh is not None:

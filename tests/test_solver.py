@@ -8,7 +8,7 @@ import pytest
 
 from quasisat import solver
 from quasisat.degree import DegreeResult
-from quasisat.formulas import ForAll
+from quasisat.formulas import ForAll, block_parts
 from quasisat.geometry import Grid, grid_cover
 from quasisat.intervals import EMPTY_BOX, box, ival
 from quasisat.parser import parse
@@ -16,7 +16,7 @@ from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, pr
                              quasi_decide, tri_and, tri_or)
 
 from conftest import CORPUS_DIR
-from oracles import grid_cut
+from oracles import grid_cut, substitute, tapes
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -48,8 +48,8 @@ def test_tri_ops_are_exhaustively_lattice_like():
 def test_prec_for_slack_is_at_most_an_eighth():
     for r in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 100)):
         p = prec_for(r)
-        assert p.slack <= r / 8
-        assert Fraction(2) ** (p.p - 1) < Fraction(8) / r  # smallest such p
+        assert Fraction(1, 2 ** p) <= r / 8
+        assert Fraction(2) ** (p - 1) < Fraction(8) / r  # smallest such p
 
 
 def test_checksat_singletons_and_indecision():
@@ -323,3 +323,30 @@ def test_iteration_record_sums_degree_subdivisions(monkeypatch):
         assert r.degree_subdivisions == sum(res.subdivisions for res in results
                                             if res is not None)
     assert sum(r.degree_subdivisions for r in v.trace) >= 5 * 3
+
+
+def test_degree_runs_on_the_block_tapes_at_the_slice_centre(monkeypatch):
+    """With a parameter, the solver hands `degree` the block's own tapes
+    and the parameter as the degenerate interval of its slice's midpoint:
+    each result is the degree of the terms with the midpoint substituted."""
+    real = solver.degree
+    calls: list = []
+
+    def spy(fs, cells, dens, p, env=(), **kwargs):
+        certs = dict(kwargs.get("certs", {}))  # the walk adds more later
+        res = real(fs, cells, dens, p, env, **kwargs)
+        calls.append((cells, dens, p, env, certs, res))
+        return res
+
+    monkeypatch.setattr(solver, "degree", spy)
+    a = ival(Fraction(1, 3), Fraction(1, 2))
+    s = parse("exists x in [-1,1], y in [-1,1] . x - a*y/2 - 1/5 = 0 and sin(y) - a/3 = 0",
+              params={"a": a})
+    checksat(s, box(a), Fraction(1, 4), ("a",))
+    assert calls
+    eqs, _ = block_parts(s)
+    f0 = tapes([substitute(t, {"a": Fraction(5, 12)}) for t in eqs], ("x", "y"))
+    for cells, dens, p, env, certs, res in calls:
+        assert [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in env] == [
+            (Fraction(5, 12), Fraction(5, 12))]
+        assert res == real(f0, cells, dens, p, certs=certs)
