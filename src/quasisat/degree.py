@@ -158,14 +158,19 @@ def degree(
     """Degree of fs over the complex of `cells` on `dens` at precision p,
     with `env` before each cell's intervals; None when the boundary
     cannot be certified nonzero within the subdivision budget.  `certs`
-    maps boundary cells over `dens` to certificates that hold for fs."""
+    maps boundary cells over `dens` to certificates that hold for fs.
+    A complex whose boundary is empty (every cell degenerate) has no
+    boundary bound and raises ValueError."""
     if len(fs) != len(dens):
         raise ValueError("map and complex dimension differ")
     if p < 1:
         raise ValueError("precision must be >= 1")
+    cycle = oriented_boundary(cells)
+    if not cycle:
+        raise ValueError("the complex has an empty boundary (its cells are degenerate), "
+                         "so no bound on the boundary exists")
     state = _Budget(budget)
     bounds: list[Cert] = []
-    cycle = oriented_boundary(cells)
     value = _deg_cycle(list(fs), cycle, dens, p, list(env), state, bounds, certs)
     if value is None:
         return None

@@ -4,8 +4,8 @@ An interval is a triple `(lo, hi, den)` of integers with `den > 0`,
 standing for [lo/den, hi/den].  This is the only interval arithmetic of
 the package: it works on the numerators and never reduces by a gcd, so
 every result is the same rational interval as the `Fraction` reference
-in tests/oracles.py, only unnormalized.  sin, cos, exp, sqrt and pi go
-through `series`, whose enclosures are `RatInterval` values.
+in tests/oracles.py, only unnormalized.  sin, cos, exp, sqrt and pi are
+the enclosures of `series`, which take and return this format too.
 
 `compile_term` turns a term, once, into a flat tape of operations in
 evaluation order; running the tape needs no recursion, so deep terms
@@ -17,11 +17,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .intervals import DomainError, RatBox, RatInterval
+from .intervals import DomainError, Ival, RatBox, RatInterval
 from .series import cos_enclosure, exp_enclosure, pi_enclosure, sin_enclosure, sqrt_enclosure
 from . import terms as T
 
-Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
 Evaluator = Callable[[Sequence[Ival], int], Ival]  # (env, precision p)
 # (component i, sign s, num, den): s * f_i >= num/den > 0 on the box
 Cert = tuple[int, int, int, int]
@@ -43,10 +42,6 @@ def box_env(b: RatBox) -> list[Ival]:
 def cell_env(cell: Sequence[tuple[int, int]], dens: Sequence[int]) -> list[Ival]:
     """The intervals of an integer cell over the per-axis denominators."""
     return [(lo, hi, d) for (lo, hi), d in zip(cell, dens)]
-
-
-def to_interval(x: Ival) -> RatInterval:
-    return RatInterval(Fraction(x[0], x[2]), Fraction(x[1], x[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +99,8 @@ def _pow(a: Ival, n: int, p: int) -> Ival:
     return 0, max(lo ** n, hi ** n), d ** n
 
 
-def _series(enclosure):
-    def op(a: Ival, _b, p: int) -> Ival:
-        return ival_of(enclosure(to_interval(a), p))
-    return op
-
-
 def _pi(_a, _b, p: int) -> Ival:
-    return ival_of(pi_enclosure(p))
+    return pi_enclosure(p)
 
 
 _BINARY = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
@@ -121,15 +110,11 @@ def _unary_op(t: T.Term):
     # looked up at compile time, so wrappers set on this module's names apply
     if isinstance(t, T.Neg):
         return _neg
-    if isinstance(t, T.Sin):
-        return _series(sin_enclosure)
-    if isinstance(t, T.Cos):
-        return _series(cos_enclosure)
-    if isinstance(t, T.Exp):
-        return _series(exp_enclosure)
-    if isinstance(t, T.Sqrt):
-        return _series(sqrt_enclosure)
-    raise TypeError(f"unknown term node: {type(t).__name__}")
+    enclosure = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
+                 T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}.get(type(t))
+    if enclosure is None:
+        raise TypeError(f"unknown term node: {type(t).__name__}")
+    return lambda a, _b, p: enclosure(a, p)
 
 
 def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:

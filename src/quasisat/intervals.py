@@ -1,11 +1,13 @@
-"""Closed intervals and boxes with exact rational endpoints.
+"""Closed intervals and boxes with exact rational endpoints, and the
+integer interval format.
 
-All endpoints are `fractions.Fraction`.  These are plain exact values:
-the package's one interval arithmetic is `evaluation`'s, on integer
-numerators, which converts to these classes only at the edges (the
-`Fraction` reference arithmetic lives in tests/oracles.py).  The
-transcendental enclosures of `series` return them, with widths
-bounded by 2**-p for an integer precision p >= 1.
+`Ival = (lo, hi, den)`, integers with `den > 0` standing for
+[lo/den, hi/den], is the package's one interval arithmetic format:
+`evaluation` computes on it and the transcendental enclosures of
+`series` take and return it.  `RatInterval` and `RatBox`, with
+`fractions.Fraction` endpoints, are plain exact values that serve the
+quantifier bounds of sentences and the public API; the `Fraction`
+reference arithmetic lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 RatLike = Union[Fraction, int, str]
+Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
 
 
 class DomainError(ValueError):

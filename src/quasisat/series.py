@@ -1,32 +1,24 @@
-"""Rigorous enclosures of pi, sin, cos, exp and sqrt over rational intervals.
+"""Rigorous enclosures of pi, sin, cos, exp and sqrt over integer intervals.
 
-Everything is computed in exact rational arithmetic: truncated Taylor
-series with Lagrange remainder bounds, evaluated in fixed-point integer
-arithmetic with directed rounding (denominators are powers of two), so
-results stay rational and the slack added by one enclosure is below
-2**-p for precision p.
+Arguments and results are the package's one interval format, integer
+triples `(lo, hi, den)` with `den > 0` standing for [lo/den, hi/den]
+(`intervals.Ival`).  Everything is exact integer arithmetic: truncated
+Taylor series with Lagrange remainder bounds, evaluated in fixed point
+with directed rounding (result denominators are powers of two), so the
+slack added by one enclosure is below 2**-p for precision p.  Arguments
+are never reduced by a gcd, and a rational gets the same enclosure over
+whatever denominator it is given.  pi's Machin series alone runs on
+`Fraction`s, once per precision; its enclosure is cached.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .intervals import DomainError, RatInterval
+from .intervals import DomainError, Ival
 
 # ---------------------------------------------------------------------------
 # fixed-point helpers: an integer n at scale q represents n / 2**q
-
-
-def _fix_floor(x: Fraction, q: int) -> int:
-    return (x.numerator << q) // x.denominator
-
-
-def _fix_ceil(x: Fraction, q: int) -> int:
-    return -((-x.numerator << q) // x.denominator)
-
-
-def _from_fix(n: int, q: int) -> Fraction:
-    return Fraction(n, 1 << q)
 
 
 def _imul(a: tuple[int, int], b: tuple[int, int], q: int) -> tuple[int, int]:
@@ -42,7 +34,7 @@ def _isub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # pi via Machin's formula, cached per precision
 
-_pi_cache: dict[int, RatInterval] = {}
+_pi_cache: dict[int, Ival] = {}
 
 
 def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
@@ -71,8 +63,8 @@ def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
-def pi_enclosure(p: int) -> RatInterval:
-    """Enclosure of pi with width <= 2**-p and dyadic endpoints."""
+def pi_enclosure(p: int) -> Ival:
+    """Enclosure of pi with width <= 2**-p over the denominator 2**(p+4)."""
     q = p + 4
     cached = _pi_cache.get(q)
     if cached is not None:
@@ -81,7 +73,8 @@ def pi_enclosure(p: int) -> RatInterval:
     a239 = _arctan_inv(239, q + 6)
     lo = 16 * a5[0] - 4 * a239[1]
     hi = 16 * a5[1] - 4 * a239[0]
-    enc = RatInterval(_from_fix(_fix_floor(lo, q), q), _from_fix(_fix_ceil(hi, q), q))
+    enc = ((lo.numerator << q) // lo.denominator,
+           -((-hi.numerator << q) // hi.denominator), 1 << q)
     _pi_cache[q] = enc
     return enc
 
@@ -100,11 +93,11 @@ def _series_terms(q: int, odd: bool, cache: dict[int, int]) -> int:
     got = cache.get(q)
     if got is not None:
         return got
-    bound = Fraction(1, 1 << (q + 2))
     j = 0
     while True:
         deg = 2 * j + 3 if odd else 2 * j + 2
-        if Fraction(9, 2) ** deg / math.factorial(deg) <= bound:
+        # 9**deg / (2**deg * deg!) <= 2**-(q+2), multiplied out
+        if 9 ** deg << (q + 2) <= math.factorial(deg) << deg:
             cache[q] = j
             return j
         j += 1
@@ -131,10 +124,11 @@ _rem_cache: dict[tuple[int, int], int] = {}
 
 
 def _remainder_fix(q: int, deg: int) -> int:
+    """ceil(4.5**deg / deg! * 2**q) + 1."""
     key = (q, deg)
     got = _rem_cache.get(key)
     if got is None:
-        got = _fix_ceil(Fraction(9, 2) ** deg / math.factorial(deg), q) + 1
+        got = -((-9 ** deg << q) // (math.factorial(deg) << deg)) + 1
         _rem_cache[key] = got
     return got
 
@@ -165,14 +159,6 @@ def _horner_fix(y: tuple[int, int], q: int, odd: bool) -> tuple[int, int]:
     return (acc[0] >> extra) - r, -((-acc[1]) >> extra) + r
 
 
-def _sin_fix(y: tuple[int, int], q: int) -> tuple[int, int]:
-    return _horner_fix(y, q, odd=True)
-
-
-def _cos_fix(y: tuple[int, int], q: int) -> tuple[int, int]:
-    return _horner_fix(y, q, odd=False)
-
-
 def _extra_bits(n: int) -> int:
     """Extra bits of pi for multiples of pi up to about n: none below 64,
     then one per doubling of n (Brent & Zimmermann, Modern Computer
@@ -180,33 +166,40 @@ def _extra_bits(n: int) -> int:
     return max(0, n.bit_length() - 6)
 
 
-def _reduce_mod_2pi(x: Fraction, q: int) -> tuple[int, int]:
-    """Fixed-point interval for x reduced into roughly [-pi, pi].
+def _reduce_mod_2pi(num: int, den: int, q: int) -> tuple[int, int]:
+    """Fixed-point interval for x = num/den reduced into roughly [-pi, pi].
 
     x - 2*pi*k is off by at most 2*|k| <= |x| times pi's width, so pi's
     precision grows with x's bit length and the reduction error stays
     below 2**-(q+2) for every rational x."""
-    if abs(x) <= 4:
-        return _fix_floor(x, q), _fix_ceil(x, q)
-    pi = pi_enclosure(q + 8 + _extra_bits(abs(x.numerator) // x.denominator))
-    two_pi_lo, two_pi_hi = 2 * pi.lo, 2 * pi.hi
-    k = round(x / (two_pi_lo + two_pi_hi) * 2)
-    p1, p2 = k * two_pi_lo, k * two_pi_hi
-    y_lo, y_hi = x - max(p1, p2), x - min(p1, p2)
-    return _fix_floor(y_lo, q), _fix_ceil(y_hi, q)
+    if abs(num) <= 4 * den:
+        return (num << q) // den, -((-num << q) // den)
+    pl, ph, pd = pi_enclosure(q + 8 + _extra_bits(abs(num) // den))
+    # k = round(x / 2pi) for pi's midpoint, halves to even
+    d = den * (pl + ph)
+    k, r = divmod(num * pd, d)
+    if 2 * r > d or (2 * r == d and k % 2):
+        k += 1
+    # x - 2*k*[pl, ph]/pd over the denominator den*pd
+    a, b = 2 * den * k * pl, 2 * den * k * ph
+    if k < 0:
+        a, b = b, a
+    x = num * pd
+    return ((x - b) << q) // (den * pd), -(((a - x) << q) // (den * pd))
 
 
-_point_cache: dict[tuple[Fraction, int, bool], tuple[int, int]] = {}
+_point_cache: dict[tuple[int, int, int, bool], tuple[int, int]] = {}
 _POINT_CACHE_MAX = 700_000
 
 
-def _trig_point(x: Fraction, q: int, is_sin: bool) -> tuple[int, int]:
-    key = (x, q, is_sin)
+def _trig_point(num: int, den: int, q: int, is_sin: bool) -> tuple[int, int]:
+    # the cells of one grid share a denominator, so the key is not reduced
+    key = (num, den, q, is_sin)
     got = _point_cache.get(key)
     if got is not None:
         return got
-    y = _reduce_mod_2pi(x, q)
-    val = _sin_fix(y, q) if is_sin else _cos_fix(y, q)
+    y = _reduce_mod_2pi(num, den, q)
+    val = _horner_fix(y, q, odd=is_sin)
     val = (max(val[0], -(1 << q)), min(val[1], 1 << q))
     if len(_point_cache) >= _POINT_CACHE_MAX:
         _point_cache.clear()
@@ -214,7 +207,7 @@ def _trig_point(x: Fraction, q: int, is_sin: bool) -> tuple[int, int]:
     return val
 
 
-def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, bool]:
+def _critical_hits(x: Ival, p: int, half_offset: bool) -> tuple[bool, bool]:
     """Whether a maximum (+1) or minimum (-1) of sin/cos may lie inside x.
 
     The extrema are at pi*m with m = j + 1/2 (sin) or m = j (cos), a
@@ -225,16 +218,14 @@ def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, boo
     counts as a hit.  pi's precision grows with |x|, so that pi*m is
     known to about 2**-p.
     """
-    mag = max(abs(x.lo), abs(x.hi))
-    pi = pi_enclosure(p + 4 + _extra_bits(mag.numerator // mag.denominator))
+    lo, hi, den = x
+    pl, ph, pd = pi_enclosure(p + 4 + _extra_bits(max(abs(lo), abs(hi)) // den))
     off2 = 1 if half_offset else 0  # twice the offset of m from j
-    # x/e - off2/2 as the fraction num/den, den > 0, for the pi endpoint e
-    lo_e = pi.hi if x.lo >= 0 else pi.lo
-    hi_e = pi.lo if x.hi >= 0 else pi.hi
-    num = 2 * x.lo.numerator * lo_e.denominator - off2 * x.lo.denominator * lo_e.numerator
-    j_lo = -(-num // (2 * x.lo.denominator * lo_e.numerator))
-    num = 2 * x.hi.numerator * hi_e.denominator - off2 * x.hi.denominator * hi_e.numerator
-    j_hi = num // (2 * x.hi.denominator * hi_e.numerator)
+    # x/e - off2/2 = (2*x*pd - off2*den*e) / (2*den*e) for the pi numerator e
+    e = ph if lo >= 0 else pl
+    j_lo = -((off2 * den * e - 2 * lo * pd) // (2 * den * e))
+    e = pl if hi >= 0 else ph
+    j_hi = (2 * hi * pd - off2 * den * e) // (2 * den * e)
     if j_lo > j_hi:
         return False, False
     if j_lo < j_hi:
@@ -242,98 +233,89 @@ def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, boo
     return j_lo % 2 == 0, j_lo % 2 == 1
 
 
-def _trig_enclosure(x: RatInterval, p: int, is_sin: bool) -> RatInterval:
-    one = Fraction(1)
-    if x.width >= 7:  # wider than a full period
-        return RatInterval(-one, one)
+def _trig_enclosure(x: Ival, p: int, is_sin: bool) -> Ival:
+    lo, hi, den = x
+    if hi - lo >= 7 * den:  # wider than a full period
+        return -1, 1, 1
     q = p + 4
-    a = _trig_point(x.lo, q, is_sin)
-    if x.is_degenerate:
-        b = a
-    else:
-        b = _trig_point(x.hi, q, is_sin)
-    lo = min(a[0], b[0])
-    hi = max(a[1], b[1])
+    a = _trig_point(lo, den, q, is_sin)
+    b = a if lo == hi else _trig_point(hi, den, q, is_sin)
     hit_max, hit_min = _critical_hits(x, p, half_offset=is_sin)
-    if hit_max:
-        hi = 1 << q
-    if hit_min:
-        lo = -(1 << q)
-    return RatInterval(max(_from_fix(lo, q), -one), min(_from_fix(hi, q), one))
+    one = 1 << q
+    return (-one if hit_min else min(a[0], b[0]),
+            one if hit_max else max(a[1], b[1]), one)
 
 
-def sin_enclosure(x: RatInterval, p: int) -> RatInterval:
+def sin_enclosure(x: Ival, p: int) -> Ival:
     return _trig_enclosure(x, p, is_sin=True)
 
 
-def cos_enclosure(x: RatInterval, p: int) -> RatInterval:
+def cos_enclosure(x: Ival, p: int) -> Ival:
     return _trig_enclosure(x, p, is_sin=False)
 
 
 # ---------------------------------------------------------------------------
 # exp
 
-_exp_cache: dict[tuple[Fraction, int], RatInterval] = {}
+_exp_cache: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
 
-def _exp_point(x: Fraction, p: int) -> RatInterval:
-    key = (x, p)
+def _exp_point(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, q) with exp(num/den) in [lo, hi] / 2**q."""
+    key = (num, den, p)
     got = _exp_cache.get(key)
     if got is not None:
         return got
     # halve the argument until |y| <= 1/2, square back afterwards
     k = 0
-    y = x
-    while abs(y) > Fraction(1, 2):
-        y /= 2
+    while 2 * abs(num) > den << k:
         k += 1
-    mag_bits = int(Fraction(3, 2) * abs(x)) + 2
-    q = p + k + mag_bits + 12
-    # Taylor with tail bound: |x|<=1/2 gives tail <= 2 * |y|**(J+1)/(J+1)!
-    total = Fraction(1)
-    term = Fraction(1)
+    dy = den << k  # y = num / dy
+    q = p + k + (3 * abs(num)) // (2 * den) + 2 + 12
+    # exact partial sum s/t_den of the Taylor series with last term
+    # t/t_den; |y| <= 1/2 bounds the tail by 2*|t|/t_den
+    s = t = t_den = 1
     j = 0
-    tol = Fraction(1, 1 << (q + 2))
     while True:
         j += 1
-        term *= y / j
-        total += term
-        if 2 * abs(term) <= tol:
+        step = dy * j
+        t *= num
+        t_den *= step
+        s = s * step + t
+        if abs(t) << (q + 3) <= t_den:
             break
-    rem = 2 * abs(term)
-    lo, hi = total - rem, total + rem
-    lo = _from_fix(_fix_floor(lo, q), q)
-    hi = _from_fix(_fix_ceil(hi, q), q)
+    rem = 2 * abs(t)
+    lo = ((s - rem) << q) // t_den
+    hi = -((-(s + rem) << q) // t_den)
     for _ in range(k):
-        lo, hi = lo * lo, hi * hi
-        lo = _from_fix(_fix_floor(lo, q), q)
-        hi = _from_fix(_fix_ceil(hi, q), q)
-    enc = RatInterval(lo, hi)
+        lo, hi = (lo * lo) >> q, -((-(hi * hi)) >> q)
+    enc = lo, hi, q
     if len(_exp_cache) >= 100_000:
         _exp_cache.clear()
     _exp_cache[key] = enc
     return enc
 
 
-def exp_enclosure(x: RatInterval, p: int) -> RatInterval:
-    lo = _exp_point(x.lo, p)
-    hi = lo if x.is_degenerate else _exp_point(x.hi, p)
-    return RatInterval(lo.lo, hi.hi)
+def exp_enclosure(x: Ival, p: int) -> Ival:
+    lo, hi, den = x
+    a, b, qa = _exp_point(lo, den, p)
+    if lo == hi:
+        return a, b, 1 << qa
+    _, b, qb = _exp_point(hi, den, p)
+    if qa < qb:
+        return a << (qb - qa), b, 1 << qb
+    return a, b << (qa - qb), 1 << qa
 
 
 # ---------------------------------------------------------------------------
 # sqrt
 
-def _sqrt_point(x: Fraction, p: int) -> RatInterval:
-    q = p + 2
-    m = (x.numerator << (2 * q)) // x.denominator
-    s = math.isqrt(m)
-    return RatInterval(Fraction(s, 1 << q), Fraction(s + 1, 1 << q))
 
-
-def sqrt_enclosure(x: RatInterval, p: int) -> RatInterval:
-    if x.lo < 0:
+def sqrt_enclosure(x: Ival, p: int) -> Ival:
+    lo, hi, den = x
+    if lo < 0:
         raise DomainError("sqrt of an interval containing negative values")
-    lo = _sqrt_point(x.lo, p)
-    hi = lo if x.is_degenerate else _sqrt_point(x.hi, p)
-    return RatInterval(lo.lo, hi.hi)
+    q = p + 2
+    s = math.isqrt((lo << 2 * q) // den)
+    t = s if lo == hi else math.isqrt((hi << 2 * q) // den)
+    return s, t + 1, 1 << q

@@ -1,6 +1,6 @@
 """Independent reference implementations the tests compare the solver
-against: interval arithmetic and evaluation on `Fraction` endpoints,
-exact and float term evaluation, substitution of rational constants for
+against: interval arithmetic, the pi, sin, cos, exp and sqrt enclosures
+and term evaluation on `Fraction` endpoints, exact and float term evaluation, substitution of rational constants for
 variables, a float winding count for planar degrees, full sweeps
 over every cell and face of a grid in index space (cells addressed by
 multi-index, with the map from an index to its integer cell), and the
@@ -16,11 +16,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
-from quasisat.evaluation import Evaluator, box_env, compile_term, to_interval
+from quasisat.evaluation import Evaluator, box_env, compile_term
 from quasisat.geometry import Cell, Grid
-from quasisat.intervals import DomainError, RatBox, RatInterval, RatLike, ival, rat
-from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
-                             sin_enclosure, sqrt_enclosure)
+from quasisat.intervals import DomainError, Ival, RatBox, RatInterval, RatLike, ival, rat
+from quasisat.series import _arctan_inv, _coeffs, _extra_bits, _imul, _isub
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +97,180 @@ def box_contains(b: RatBox, point: Sequence[RatLike]) -> bool:
 
 def box_issubset(a: RatBox, b: RatBox) -> bool:
     return all(issubset(x, y) for x, y in zip(a.intervals, b.intervals))
+
+
+def to_interval(x: Ival) -> RatInterval:
+    return RatInterval(Fraction(x[0], x[2]), Fraction(x[1], x[2]))
+
+
+# ---------------------------------------------------------------------------
+# pi, sin, cos, exp and sqrt on `Fraction` endpoints: the reference for
+# the integer enclosures of `quasisat.series`, which must return exactly
+# the same rationals.  The Horner coefficients and pi's Machin brackets
+# are shared; the number of Taylor terms, the remainder bound, argument
+# reduction, the extremum test, exp and sqrt are computed here on
+# `Fraction`s.
+
+
+def _fix_floor(x: Fraction, q: int) -> int:
+    return (x.numerator << q) // x.denominator
+
+
+def _fix_ceil(x: Fraction, q: int) -> int:
+    return -((-x.numerator << q) // x.denominator)
+
+
+def _from_fix(n: int, q: int) -> Fraction:
+    return Fraction(n, 1 << q)
+
+
+def pi_enclosure(p: int) -> RatInterval:
+    q = p + 4
+    a5 = _arctan_inv(5, q + 6)
+    a239 = _arctan_inv(239, q + 6)
+    lo = 16 * a5[0] - 4 * a239[1]
+    hi = 16 * a5[1] - 4 * a239[0]
+    return RatInterval(_from_fix(_fix_floor(lo, q), q), _from_fix(_fix_ceil(hi, q), q))
+
+
+def series_terms(q: int, odd: bool) -> int:
+    """Smallest J with 4.5**deg / deg! <= 2**-(q+2) for the remainder degree."""
+    bound = Fraction(1, 1 << (q + 2))
+    j = 0
+    while True:
+        deg = 2 * j + 3 if odd else 2 * j + 2
+        if Fraction(9, 2) ** deg / math.factorial(deg) <= bound:
+            return j
+        j += 1
+
+
+def remainder_fix(q: int, deg: int) -> int:
+    return _fix_ceil(Fraction(9, 2) ** deg / math.factorial(deg), q) + 1
+
+
+def _horner_fix(y: tuple[int, int], q: int, odd: bool) -> tuple[int, int]:
+    j_max = series_terms(q, odd)
+    extra = 5 * (j_max + 1) + 16
+    q2 = q + extra
+    y2 = (y[0] << extra, y[1] << extra)
+    u = _imul(y2, y2, q2)
+    u = (max(u[0], 0), u[1])
+    coeffs = _coeffs(q2, j_max, odd)
+    acc = coeffs[j_max]
+    for j in range(j_max - 1, -1, -1):
+        acc = _isub(coeffs[j], _imul(u, acc, q2))
+    if odd:
+        acc = _imul(y2, acc, q2)
+        r = remainder_fix(q, 2 * j_max + 3)
+    else:
+        r = remainder_fix(q, 2 * j_max + 2)
+    return (acc[0] >> extra) - r, -((-acc[1]) >> extra) + r
+
+
+def _reduce_mod_2pi(x: Fraction, q: int) -> tuple[int, int]:
+    if abs(x) <= 4:
+        return _fix_floor(x, q), _fix_ceil(x, q)
+    pi = pi_enclosure(q + 8 + _extra_bits(abs(x.numerator) // x.denominator))
+    two_pi_lo, two_pi_hi = 2 * pi.lo, 2 * pi.hi
+    k = round(x / (two_pi_lo + two_pi_hi) * 2)
+    p1, p2 = k * two_pi_lo, k * two_pi_hi
+    y_lo, y_hi = x - max(p1, p2), x - min(p1, p2)
+    return _fix_floor(y_lo, q), _fix_ceil(y_hi, q)
+
+
+def _trig_point(x: Fraction, q: int, is_sin: bool) -> tuple[int, int]:
+    val = _horner_fix(_reduce_mod_2pi(x, q), q, is_sin)
+    return max(val[0], -(1 << q)), min(val[1], 1 << q)
+
+
+def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, bool]:
+    mag = max(abs(x.lo), abs(x.hi))
+    pi = pi_enclosure(p + 4 + _extra_bits(mag.numerator // mag.denominator))
+    off2 = 1 if half_offset else 0
+    lo_e = pi.hi if x.lo >= 0 else pi.lo
+    hi_e = pi.lo if x.hi >= 0 else pi.hi
+    num = 2 * x.lo.numerator * lo_e.denominator - off2 * x.lo.denominator * lo_e.numerator
+    j_lo = -(-num // (2 * x.lo.denominator * lo_e.numerator))
+    num = 2 * x.hi.numerator * hi_e.denominator - off2 * x.hi.denominator * hi_e.numerator
+    j_hi = num // (2 * x.hi.denominator * hi_e.numerator)
+    if j_lo > j_hi:
+        return False, False
+    if j_lo < j_hi:
+        return True, True
+    return j_lo % 2 == 0, j_lo % 2 == 1
+
+
+def _trig_enclosure(x: RatInterval, p: int, is_sin: bool) -> RatInterval:
+    one = Fraction(1)
+    if x.width >= 7:
+        return RatInterval(-one, one)
+    q = p + 4
+    a = _trig_point(x.lo, q, is_sin)
+    b = a if x.is_degenerate else _trig_point(x.hi, q, is_sin)
+    lo = min(a[0], b[0])
+    hi = max(a[1], b[1])
+    hit_max, hit_min = _critical_hits(x, p, half_offset=is_sin)
+    if hit_max:
+        hi = 1 << q
+    if hit_min:
+        lo = -(1 << q)
+    return RatInterval(max(_from_fix(lo, q), -one), min(_from_fix(hi, q), one))
+
+
+def sin_enclosure(x: RatInterval, p: int) -> RatInterval:
+    return _trig_enclosure(x, p, is_sin=True)
+
+
+def cos_enclosure(x: RatInterval, p: int) -> RatInterval:
+    return _trig_enclosure(x, p, is_sin=False)
+
+
+def _exp_point(x: Fraction, p: int) -> RatInterval:
+    k = 0
+    y = x
+    while abs(y) > Fraction(1, 2):
+        y /= 2
+        k += 1
+    mag_bits = int(Fraction(3, 2) * abs(x)) + 2
+    q = p + k + mag_bits + 12
+    # Taylor with tail bound: |y| <= 1/2 gives tail <= 2 * |y|**(J+1)/(J+1)!
+    total = Fraction(1)
+    term = Fraction(1)
+    j = 0
+    tol = Fraction(1, 1 << (q + 2))
+    while True:
+        j += 1
+        term *= y / j
+        total += term
+        if 2 * abs(term) <= tol:
+            break
+    rem = 2 * abs(term)
+    lo = _from_fix(_fix_floor(total - rem, q), q)
+    hi = _from_fix(_fix_ceil(total + rem, q), q)
+    for _ in range(k):
+        lo = _from_fix(_fix_floor(lo * lo, q), q)
+        hi = _from_fix(_fix_ceil(hi * hi, q), q)
+    return RatInterval(lo, hi)
+
+
+def exp_enclosure(x: RatInterval, p: int) -> RatInterval:
+    lo = _exp_point(x.lo, p)
+    hi = lo if x.is_degenerate else _exp_point(x.hi, p)
+    return RatInterval(lo.lo, hi.hi)
+
+
+def _sqrt_point(x: Fraction, p: int) -> RatInterval:
+    q = p + 2
+    s = math.isqrt((x.numerator << (2 * q)) // x.denominator)
+    return RatInterval(Fraction(s, 1 << q), Fraction(s + 1, 1 << q))
+
+
+def sqrt_enclosure(x: RatInterval, p: int) -> RatInterval:
+    if x.lo < 0:
+        raise DomainError("sqrt of an interval containing negative values")
+    lo = _sqrt_point(x.lo, p)
+    hi = lo if x.is_degenerate else _sqrt_point(x.hi, p)
+    return RatInterval(lo.lo, hi.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import mpmath
 from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.evaluation import box_env, compile_term, to_interval
+from quasisat.evaluation import box_env, compile_term
 from quasisat.formulas import aligned_terms
 from quasisat.geometry import Grid
 from quasisat.intervals import RatBox, box, ival, rat_str
@@ -22,7 +22,7 @@ from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
-from oracles import complex_of, contains, single_box, tapes, winding_oracle_2d
+from oracles import complex_of, contains, single_box, tapes, to_interval, winding_oracle_2d
 
 mpmath.mp.dps = 60
 

@@ -96,6 +96,12 @@ def test_precision_below_one_rejected():
         degree(tapes([X], ("x",)), *single_box(box(ival(-1, 1))), p=0)
 
 
+def test_all_degenerate_complex_is_rejected_by_name():
+    # the boundary of the point cell cancels to an empty cycle: no bound
+    with pytest.raises(ValueError, match="empty boundary"):
+        degree(tapes([X], ("x",)), [((0, 0),)], (1,), 4)
+
+
 def test_result_requires_positive_bound():
     with pytest.raises(ValueError):
         DegreeResult(1, Fraction(0), 0)

@@ -7,12 +7,11 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import (box_env, certify, compile_term, positive_lower_bound,
-                                 to_interval)
+from quasisat.evaluation import box_env, certify, compile_term, positive_lower_bound
 from quasisat.intervals import DomainError, RatBox, box, ival
 from quasisat.parser import parse
 
-from oracles import eval_env
+from oracles import eval_env, to_interval
 
 mpmath.mp.dps = 60
 

@@ -7,9 +7,28 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasisat import series
+from quasisat.evaluation import ival_of
 from quasisat.intervals import DomainError, ival
-from quasisat.series import (cos_enclosure, exp_enclosure, pi_enclosure,
-                             sin_enclosure, sqrt_enclosure)
+
+import oracles
+from oracles import to_interval
+
+
+def _on_ratintervals(enclosure):
+    """The enclosure taking and returning `RatInterval`s, for the checks
+    below that state their arguments and results as rationals."""
+    return lambda x, p: to_interval(enclosure(ival_of(x), p))
+
+
+sin_enclosure = _on_ratintervals(series.sin_enclosure)
+cos_enclosure = _on_ratintervals(series.cos_enclosure)
+exp_enclosure = _on_ratintervals(series.exp_enclosure)
+sqrt_enclosure = _on_ratintervals(series.sqrt_enclosure)
+
+
+def pi_enclosure(p):
+    return to_interval(series.pi_enclosure(p))
 
 mpmath.mp.dps = 60
 
@@ -152,3 +171,106 @@ def test_enclosures_shrink_with_precision(x):
         fine = fn(ival(x), 32)
         assert fine.lo <= coarse.hi and coarse.lo <= fine.hi  # they overlap
         assert fine.width <= coarse.width
+
+
+# ---------------------------------------------------------------------------
+# exactness: the integer enclosures return the rationals of the `Fraction`
+# reference in tests/oracles.py
+
+precs = st.integers(min_value=1, max_value=80)
+multipliers = st.integers(min_value=2, max_value=10 ** 4)
+dens = st.one_of(st.integers(min_value=0, max_value=40).map(lambda k: 1 << k),
+                 st.integers(min_value=1, max_value=10 ** 6))
+
+
+@st.composite
+def ivals(draw, mag=2 ** 60, nonneg=False):
+    """(lo, hi, den) with |x| up to `mag`: dyadic or not, a point, a
+    narrow interval, or one of width up to 10 (past a full period)."""
+    den = draw(dens)
+    bound = draw(st.sampled_from([m for m in (8, 2 ** 20, 2 ** 40, 2 ** 60) if m <= mag]))
+    lo = draw(st.integers(min_value=0 if nonneg else -bound * den, max_value=bound * den))
+    width = draw(st.sampled_from([0, 1, 10]))
+    return lo, lo + draw(st.integers(min_value=0, max_value=width * den)), den
+
+
+def assert_matches_reference(name, x, p, m=7):
+    want = getattr(oracles, name)(to_interval(x), p)
+    assert to_interval(getattr(series, name)(x, p)) == want
+    # the same rational over a multiple of its denominator
+    assert to_interval(getattr(series, name)((x[0] * m, x[1] * m, x[2] * m), p)) == want
+
+
+@pytest.mark.parametrize("name", ["sin_enclosure", "cos_enclosure"])
+@given(x=ivals(), p=precs, m=multipliers)
+@settings(max_examples=250, deadline=None)
+def test_trig_equals_the_fraction_reference(name, x, p, m):
+    assert_matches_reference(name, x, p, m)
+
+
+@given(x=ivals(mag=8), p=precs, m=multipliers)
+@settings(max_examples=150, deadline=None)
+def test_exp_equals_the_fraction_reference(x, p, m):
+    assert_matches_reference("exp_enclosure", x, p, m)
+
+
+@given(x=ivals(nonneg=True), p=precs, m=multipliers)
+@settings(max_examples=150, deadline=None)
+def test_sqrt_equals_the_fraction_reference(x, p, m):
+    assert_matches_reference("sqrt_enclosure", x, p, m)
+
+
+def test_pi_and_series_bounds_equal_the_fraction_reference():
+    for p in range(1, 200, 7):
+        assert to_interval(series.pi_enclosure(p)) == oracles.pi_enclosure(p)
+    for q in range(1, 400):
+        for odd in (True, False):
+            assert series._series_terms(q, odd, {}) == oracles.series_terms(q, odd)
+        for deg in (2, 3, 17, 40):
+            assert series._remainder_fix(q, deg) == oracles.remainder_fix(q, deg)
+
+
+@pytest.mark.parametrize("x", [(8, 8, 2), (9, 9, 2), (-9, 9, 2), (2 ** 61 + 1, 2 ** 61 + 1, 3),
+                               (-(2 ** 62), -(2 ** 62) + 1, 4), (0, 14, 2)])
+def test_edge_arguments_equal_the_fraction_reference(x):
+    """Arguments at 4 and 9/2, either side of the bound below which no
+    reduction is made, straddling zero, huge and non-dyadic, and exactly
+    7 wide."""
+    for name in ("sin_enclosure", "cos_enclosure"):
+        for p in (1, 13, 64):
+            assert_matches_reference(name, x, p)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("p", [3, 20])
+def test_reduction_rounds_a_half_to_even(j, p):
+    """At x = (j + 1/2) * 2*m, m the midpoint of the pi enclosure that the
+    reduction uses, k = round(x / 2m) is a half and goes to the even
+    neighbour, as round() of a `Fraction` does."""
+    pl, ph, pd = series.pi_enclosure(p + 12)
+    n = (2 * j + 1) * (pl + ph)
+    for name in ("sin_enclosure", "cos_enclosure"):
+        assert_matches_reference(name, (n, n, 2 * pd), p)
+
+
+def test_no_fraction_is_built_per_call(monkeypatch):
+    """Once pi's enclosure is cached for a precision, sin, cos, exp and
+    sqrt build no `Fraction`, even when their point caches are cold."""
+    calls = [(series.sin_enclosure, (3, 5, 7)), (series.cos_enclosure, (3, 5, 7)),
+             (series.sin_enclosure, (2 ** 61 + 1, 2 ** 61 + 9, 3)),
+             (series.cos_enclosure, (-9, 9, 2)), (series.exp_enclosure, (-9, 20, 4)),
+             (series.sqrt_enclosure, (5, 11, 3))]
+    for fn, x in calls:
+        fn(x, 40)
+    for cache in (series._point_cache, series._exp_cache, series._sin_terms_cache,
+                  series._cos_terms_cache, series._rem_cache):
+        cache.clear()
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    assert Fraction(1, 2) == Fraction(2, 4) and len(built) == 2  # the hook counts
+    built.clear()
+    for fn, x in calls:
+        fn(x, 40)
+    assert built == []
