@@ -4,7 +4,7 @@ the reals: rigorous interval arithmetic plus topological-degree tests."""
 from .distance import INFINITE, distance_enclosure
 from .formulas import (ClassBReport, Formula, free_vars, formula_text,
                        same_structure, validate_class_b)
-from .intervals import DomainError, RatBox, RatInterval, box, ival
+from .intervals import DomainError, RatInterval, ival
 from .parser import ParseError, parse
 from .solver import TRI_F, TRI_T, TRI_TF, Verdict, checksat, quasi_decide
 from .degree import DegreeResult, degree
@@ -13,7 +13,7 @@ __all__ = [
     "INFINITE", "distance_enclosure",
     "ClassBReport", "Formula", "free_vars", "formula_text",
     "same_structure", "validate_class_b",
-    "DomainError", "RatBox", "RatInterval", "box", "ival",
+    "DomainError", "RatInterval", "ival",
     "ParseError", "parse",
     "TRI_F", "TRI_T", "TRI_TF", "Verdict", "checksat", "quasi_decide",
     "DegreeResult", "degree",

@@ -64,6 +64,23 @@ def _load_sentence(source: str) -> Formula:
     return parse(text)
 
 
+def _cert_text(c: Fraction) -> str:
+    """A printable margin no larger than the certificate c: min(c, 2**64),
+    after rounding c down to a dyadic of 64 significant bits, and to a
+    multiple of 2**-4096 (0 below it), when its numerator or denominator
+    is over 256 bits.  A smaller margin is still sound, and Python
+    refuses to print an integer of over 4300 digits."""
+    n, d = c.numerator, c.denominator
+    if max(n.bit_length(), d.bit_length()) > 256:
+        # c / 2**e < 2**65
+        e = max(n.bit_length() - d.bit_length() - 64, -4096)
+        m = n // (d << e) if e >= 0 else (n << -e) // d
+        if m.bit_length() > 64:
+            m, e = m >> 1, e + 1
+        c = Fraction(m) * Fraction(2) ** e
+    return rat_str(min(c, Fraction(2 ** 64)))
+
+
 def _tri_text(result: frozenset) -> str:
     return "".join(sorted(("T" if v else "F" for v in result), reverse=True))
 
@@ -92,7 +109,7 @@ def _report(verdict: Verdict, args) -> None:
         }
         if args.certificate:
             payload["certificate"] = (None if verdict.certificate is None
-                                      else rat_str(verdict.certificate))
+                                      else _cert_text(verdict.certificate))
         if args.trace:
             payload["trace"] = _trace_json(verdict.trace)
         print(json.dumps(payload, indent=2))
@@ -101,7 +118,7 @@ def _report(verdict: Verdict, args) -> None:
           f"final epsilon: {rat_str(verdict.final_eps)})")
     if args.certificate:
         cert = ("none" if verdict.certificate is None
-                else rat_str(verdict.certificate))
+                else _cert_text(verdict.certificate))
         kind = ("robustness margin" if verdict.outcome == "TRUE"
                 else "separation bound")
         print(f"certificate ({kind}): {cert}")

@@ -8,9 +8,9 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .evaluation import Ival, cell_env, compile_term
-from .intervals import RatBox, RatInterval, ival, rat
+from .intervals import RatInterval, rat
 from .formulas import Formula, aligned_terms, same_structure
-from .geometry import Grid, bisect_box
+from .geometry import bisect_box
 from . import terms as T
 
 
@@ -31,7 +31,7 @@ INFINITE = _Infinite()
 
 
 def sup_abs_enclosure(
-    t: T.Term, names: Sequence[str], box: RatBox, tol: Fraction
+    t: T.Term, names: Sequence[str], box: Sequence[Ival], tol: Fraction
 ) -> RatInterval:
     """Enclosure of sup |t| over the box, of width <= tol.
 
@@ -55,14 +55,12 @@ def sup_abs_enclosure(
     # an axis the term does not mention only multiplies the cells
     used = T.free_vars(t)
     kept = [i for i, v in enumerate(names) if v in used]
-    names = [names[i] for i in kept]
-    box = RatBox(tuple(box[i] for i in kept))
-    evaluate = compile_term(t, names)
+    box = [box[i] for i in kept]
+    evaluate = compile_term(t, [names[i] for i in kept])
     bracket: RatInterval | None = None
-    grid = Grid(box, (1,) * box.dim)
-    active, dens = [grid.whole], grid.dens
+    active, dens = [tuple((lo, hi) for lo, hi, _ in box)], tuple(d for _, _, d in box)
     # (num, den) of the best lower bound on sup |t| so far
-    best_lo: Optional[tuple[int, int]] = (0, 1) if box.dim else None
+    best_lo: Optional[tuple[int, int]] = (0, 1) if kept else None
     depth = 0
     while True:
         p = depth + 10
@@ -82,7 +80,7 @@ def sup_abs_enclosure(
             if a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
         hi_q = Fraction(*hi)
-        step = ival(min(Fraction(*best_lo), hi_q), hi_q)
+        step = RatInterval(min(Fraction(*best_lo), hi_q), hi_q)
         bracket = step if bracket is None else _intersect(bracket, step)
         if bracket.width <= tol:
             return bracket
@@ -106,7 +104,7 @@ def _abs(x: Ival) -> Ival:
 
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
-    return ival(max(a.lo, b.lo), min(a.hi, b.hi))
+    return RatInterval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def distance_enclosure(
@@ -130,4 +128,4 @@ def distance_enclosure(
         enc = sup_abs_enclosure(diff, names, box, tol)
         lo = max(lo, enc.lo)
         hi = max(hi, enc.hi)
-    return ival(lo, hi)
+    return RatInterval(lo, hi)

@@ -17,26 +17,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .intervals import DomainError, Ival, RatBox, RatInterval
+from .intervals import DomainError, Ival
 from .series import cos_enclosure, exp_enclosure, pi_enclosure, sin_enclosure, sqrt_enclosure
 from . import terms as T
 
 Evaluator = Callable[[Sequence[Ival], int], Ival]  # (env, precision p)
 # (component i, sign s, num, den): s * f_i >= num/den > 0 on the box
 Cert = tuple[int, int, int, int]
-
-
-def ival_of(iv: RatInterval) -> Ival:
-    lo, hi = iv.lo, iv.hi
-    dl, dh = lo.denominator, hi.denominator
-    if dl == dh:
-        return lo.numerator, hi.numerator, dl
-    d = lcm(dl, dh)
-    return lo.numerator * (d // dl), hi.numerator * (d // dh), d
-
-
-def box_env(b: RatBox) -> list[Ival]:
-    return [ival_of(iv) for iv in b.intervals]
 
 
 def cell_env(cell: Sequence[tuple[int, int]], dens: Sequence[int]) -> list[Ival]:

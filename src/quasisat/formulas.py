@@ -5,7 +5,9 @@ term = 0) and ``t1 >= t2`` as ``Geq(t1 - t2)`` (term >= 0).  Quantifier
 bodies are arbitrary formulas; the solvable fragment (existential blocks
 whose body is a conjunction of atoms, with at least as many equations as
 variables or none at all, composed under forall/and/or) is checked by
-`validate_class_b`.
+`validate_class_b`.  A quantifier bound is an `Ival` built by
+`intervals.ival`, so equal rational bounds are equal triples and
+structural comparison is plain equality.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .intervals import RatBox, RatInterval
+from .intervals import Ival
 from . import terms as T
 
 
@@ -36,11 +38,11 @@ class Geq(Formula):
 @dataclass(frozen=True)
 class Exists(Formula):
     vars: tuple[str, ...]
-    bounds: RatBox
+    bounds: tuple[Ival, ...]
     body: Formula
 
     def __post_init__(self) -> None:
-        if len(self.vars) != self.bounds.dim:
+        if len(self.vars) != len(self.bounds):
             raise ValueError("variable count and bounds dimension differ")
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable in one exists block")
@@ -49,7 +51,7 @@ class Exists(Formula):
 @dataclass(frozen=True)
 class ForAll(Formula):
     var: str
-    bound: RatInterval
+    bound: Ival
     body: Formula
 
 
@@ -172,25 +174,22 @@ def same_structure(f: Formula, g: Formula) -> bool:
 
 def aligned_terms(
     f: Formula, g: Formula
-) -> Iterator[tuple[T.Term, T.Term, tuple[str, ...], RatBox]]:
+) -> Iterator[tuple[T.Term, T.Term, tuple[str, ...], tuple[Ival, ...]]]:
     """Positionally paired atom terms of two same-structure formulas,
     each with the quantified variables in scope and their box."""
-    from .intervals import box as make_box
 
-    def walk(a: Formula, b: Formula, names: tuple[str, ...], bx: RatBox):
+    def walk(a: Formula, b: Formula, names: tuple[str, ...], bx: tuple[Ival, ...]):
         if isinstance(a, Atom):
             yield a.term, b.term, names, bx
         elif isinstance(a, Exists):
-            yield from walk(a.body, b.body, names + a.vars,
-                            bx.product(a.bounds))
+            yield from walk(a.body, b.body, names + a.vars, bx + a.bounds)
         elif isinstance(a, ForAll):
-            yield from walk(a.body, b.body, names + (a.var,),
-                            bx.product(make_box(a.bound)))
+            yield from walk(a.body, b.body, names + (a.var,), bx + (a.bound,))
         else:
             yield from walk(a.left, b.left, names, bx)
             yield from walk(a.right, b.right, names, bx)
 
-    yield from walk(f, g, (), RatBox(()))
+    yield from walk(f, g, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +204,11 @@ def formula_text(f: Formula, _parent: int = 0) -> str:
     if isinstance(f, Geq):
         return f"{T.term_text(f.term)} >= 0"
     if isinstance(f, Exists):
-        binders = ", ".join(
-            f"{v} in [{_rat(iv.lo)},{_rat(iv.hi)}]"
-            for v, iv in zip(f.vars, f.bounds.intervals))
+        binders = ", ".join(f"{v} in {_bound(iv)}" for v, iv in zip(f.vars, f.bounds))
         s = f"exists {binders} . {formula_text(f.body)}"
         return f"({s})" if _parent else s
     if isinstance(f, ForAll):
-        iv = f.bound
-        s = f"forall {f.var} in [{_rat(iv.lo)},{_rat(iv.hi)}] . {formula_text(f.body)}"
+        s = f"forall {f.var} in {_bound(f.bound)} . {formula_text(f.body)}"
         return f"({s})" if _parent else s
     if isinstance(f, And):
         s = f"{formula_text(f.left, 2)} and {formula_text(f.right, 2)}"
@@ -221,5 +217,6 @@ def formula_text(f: Formula, _parent: int = 0) -> str:
     return f"({s})" if _parent else s
 
 
-def _rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _bound(iv: Ival) -> str:
+    lo, hi, d = iv
+    return f"[{Fraction(lo, d)},{Fraction(hi, d)}]"

@@ -7,7 +7,8 @@ complex (an axis with lo == hi is degenerate).  A block of grid cells,
 a single cell and a face are all cells of this one form: a face has
 `(end, end)` on its axis.  Bisecting a cell doubles every denominator,
 so cells refined together stay on one `dens` and equal faces have equal
-keys, with no `Fraction` built.
+keys.  A grid's base box is a tuple of `Ival` bounds and `grid_cover`
+counts its cells by integer ceil-division, so no `Fraction` is built.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .intervals import RatBox, rat
+from .intervals import Ival, rat
 
 Cell = tuple[tuple[int, int], ...]  # (lo, hi) numerators, one pair per axis
 
@@ -30,21 +31,19 @@ class Grid:
     made on demand, so a grid with millions of cells costs nothing to
     build.
     """
-    base: RatBox
+    base: tuple[Ival, ...]
     counts: tuple[int, ...]
     whole: Cell = field(init=False, repr=False, compare=False)
     steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
     dens: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.counts) != self.base.dim:
+        if len(self.counts) != len(self.base):
             raise ValueError("counts and box dimension differ")
         if any(c < 1 for c in self.counts):
             raise ValueError("each axis needs at least one cell")
         whole, steps, dens = [], [], []
-        for iv, c in zip(self.base.intervals, self.counts):
-            d = math.lcm(iv.lo.denominator, iv.hi.denominator)
-            lo, hi = int(iv.lo * d), int(iv.hi * d)
+        for (lo, hi, d), c in zip(self.base, self.counts):
             # lo + (hi - lo)*i/c over the common denominator d*c
             g = math.gcd(lo * c, hi - lo, d * c)
             whole.append((lo * c // g, hi * c // g))
@@ -87,12 +86,14 @@ def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Optional[C
             yield axis, cell[:axis] + ((end, end),) + cell[axis + 1:], other
 
 
-def grid_cover(b: RatBox, r) -> Grid:
+def grid_cover(b: tuple[Ival, ...], r) -> Grid:
     """Uniform grid over b with every cell width <= r."""
     r = rat(r)
     if r <= 0:
         raise ValueError("grid width must be positive")
-    counts = tuple(max(1, math.ceil(iv.width / r)) for iv in b.intervals)
+    # ceil((hi - lo)/d / r) by integer ceil-division
+    counts = tuple(max(1, -((lo - hi) * r.denominator // (d * r.numerator)))
+                   for lo, hi, d in b)
     return Grid(b, counts)
 
 

@@ -42,8 +42,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from .evaluation import Ival, compile_term, ival_of
-from .intervals import DomainError, RatBox, RatInterval, ival
+from .evaluation import compile_term
+from .intervals import DomainError, Ival, ival
 from . import formulas as F
 from . import terms as T
 
@@ -169,10 +169,9 @@ class _Parser:
             for v, iv in reversed(binders):
                 out = F.ForAll(v, iv, out)
             return out
-        return F.Exists(tuple(names),
-                        RatBox(tuple(iv for _, iv in binders)), body)
+        return F.Exists(tuple(names), tuple(iv for _, iv in binders), body)
 
-    def binder(self) -> tuple[str, RatInterval]:
+    def binder(self) -> tuple[str, Ival]:
         at = self.i
         name = self.toks[at]
         if name[:1] not in _NAME_START or name in _KEYWORDS or name in _FUNCS:
@@ -313,12 +312,11 @@ def _diff(lhs: T.Term, rhs: T.Term) -> T.Term:
 _GUARD_PREC = 30
 
 
-def _enclose(t: T.Term, env: dict[str, RatInterval]) -> Ival:
-    return compile_term(t, tuple(env))([ival_of(iv) for iv in env.values()],
-                                       _GUARD_PREC)
+def _enclose(t: T.Term, env: dict[str, Ival]) -> Ival:
+    return compile_term(t, tuple(env))(list(env.values()), _GUARD_PREC)
 
 
-def _check_domains(f: F.Formula, env: dict[str, RatInterval]) -> None:
+def _check_domains(f: F.Formula, env: dict[str, Ival]) -> None:
     """Reject formulas whose division or sqrt can leave its domain
     anywhere on the quantification box.  The walk recurses once per
     nesting level, so a term nested too deeply ends in RecursionError."""
@@ -327,7 +325,7 @@ def _check_domains(f: F.Formula, env: dict[str, RatInterval]) -> None:
         return
     if isinstance(f, F.Exists):
         inner = dict(env)
-        inner.update(zip(f.vars, f.bounds.intervals))
+        inner.update(zip(f.vars, f.bounds))
         _check_domains(f.body, inner)
         return
     if isinstance(f, F.ForAll):
@@ -339,7 +337,7 @@ def _check_domains(f: F.Formula, env: dict[str, RatInterval]) -> None:
     _check_domains(f.right, env)
 
 
-def _check_term(t: T.Term, env: dict[str, RatInterval]) -> None:
+def _check_term(t: T.Term, env: dict[str, Ival]) -> None:
     if isinstance(t, (T.Const, T.Pi, T.Var)):
         return
     if isinstance(t, (T.Add, T.Sub, T.Mul, T.Div)):
@@ -368,9 +366,9 @@ def _check_term(t: T.Term, env: dict[str, RatInterval]) -> None:
                 "quantification box")
 
 
-def parse(text: str, params: dict[str, RatInterval] | None = None) -> F.Formula:
+def parse(text: str, params: dict[str, Ival] | None = None) -> F.Formula:
     """Parse a formula; `params` declares free variables with their ranges
-    (used for the domain checks)."""
+    as `Ival`s (used for the domain checks)."""
     params = params or {}
     p = _Parser(text, params)
     try:

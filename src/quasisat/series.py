@@ -8,12 +8,15 @@ with directed rounding (result denominators are powers of two), so the
 slack added by one enclosure is below 2**-p for precision p.  Arguments
 are never reduced by a gcd, and a rational gets the same enclosure over
 whatever denominator it is given.  pi's Machin series alone runs on
-`Fraction`s, once per precision; its enclosure is cached.
+`Fraction`s, once per precision; its enclosure is cached, as are the
+series constants per precision.  The sin, cos and exp values at interval
+endpoints are kept in least-recently-used caches of 2**16 entries each.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, lru_cache
 
 from .intervals import DomainError, Ival
 
@@ -33,8 +36,6 @@ def _isub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # pi via Machin's formula, cached per precision
-
-_pi_cache: dict[int, Ival] = {}
 
 
 def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
@@ -63,74 +64,50 @@ def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
+@cache
 def pi_enclosure(p: int) -> Ival:
     """Enclosure of pi with width <= 2**-p over the denominator 2**(p+4)."""
     q = p + 4
-    cached = _pi_cache.get(q)
-    if cached is not None:
-        return cached
     a5 = _arctan_inv(5, q + 6)
     a239 = _arctan_inv(239, q + 6)
     lo = 16 * a5[0] - 4 * a239[1]
     hi = 16 * a5[1] - 4 * a239[0]
-    enc = ((lo.numerator << q) // lo.denominator,
-           -((-hi.numerator << q) // hi.denominator), 1 << q)
-    _pi_cache[q] = enc
-    return enc
+    return ((lo.numerator << q) // lo.denominator,
+            -((-hi.numerator << q) // hi.denominator), 1 << q)
 
 
 # ---------------------------------------------------------------------------
 # sin / cos on a reduced argument |y| <= 4.5 (integer fixed-point Taylor)
 
-_sin_terms_cache: dict[int, int] = {}
-_cos_terms_cache: dict[int, int] = {}
-_sin_coeff_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
-_cos_coeff_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-
-def _series_terms(q: int, odd: bool, cache: dict[int, int]) -> int:
+@cache
+def _series_terms(q: int, odd: bool) -> int:
     """Smallest J with 4.5**deg / deg! <= 2**-(q+2) for the remainder degree."""
-    got = cache.get(q)
-    if got is not None:
-        return got
     j = 0
     while True:
         deg = 2 * j + 3 if odd else 2 * j + 2
         # 9**deg / (2**deg * deg!) <= 2**-(q+2), multiplied out
         if 9 ** deg << (q + 2) <= math.factorial(deg) << deg:
-            cache[q] = j
             return j
         j += 1
 
 
-def _coeffs(q: int, j_max: int, odd: bool) -> list[tuple[int, int]]:
+@cache
+def _coeffs(q: int, j_max: int, odd: bool) -> tuple[tuple[int, int], ...]:
     """Fixed-point brackets of 1/(2j+1)! resp. 1/(2j)! for Horner evaluation."""
-    cache = _sin_coeff_cache if odd else _cos_coeff_cache
-    key = (q, j_max)
-    got = cache.get(key)
-    if got is not None:
-        return got
     out = []
     for j in range(j_max + 1):
         f = math.factorial(2 * j + 1 if odd else 2 * j)
         lo = (1 << q) // f
         hi = lo if lo * f == (1 << q) else lo + 1
         out.append((lo, hi))
-    cache[key] = out
-    return out
+    return tuple(out)
 
 
-_rem_cache: dict[tuple[int, int], int] = {}
-
-
+@cache
 def _remainder_fix(q: int, deg: int) -> int:
     """ceil(4.5**deg / deg! * 2**q) + 1."""
-    key = (q, deg)
-    got = _rem_cache.get(key)
-    if got is None:
-        got = -((-9 ** deg << q) // (math.factorial(deg) << deg)) + 1
-        _rem_cache[key] = got
-    return got
+    return -((-9 ** deg << q) // (math.factorial(deg) << deg)) + 1
 
 
 def _horner_fix(y: tuple[int, int], q: int, odd: bool) -> tuple[int, int]:
@@ -140,8 +117,7 @@ def _horner_fix(y: tuple[int, int], q: int, odd: bool) -> tuple[int, int]:
     per-level rounding by |u|, so the loop runs at an extra-wide scale and
     the result is rounded outward to scale q at the end.
     """
-    terms_cache = _sin_terms_cache if odd else _cos_terms_cache
-    j_max = _series_terms(q, odd, terms_cache)
+    j_max = _series_terms(q, odd)
     extra = 5 * (j_max + 1) + 16  # |u| <= 20.25 < 2**4.4 per Horner level
     q2 = q + extra
     y2 = (y[0] << extra, y[1] << extra)
@@ -188,23 +164,12 @@ def _reduce_mod_2pi(num: int, den: int, q: int) -> tuple[int, int]:
     return ((x - b) << q) // (den * pd), -(((a - x) << q) // (den * pd))
 
 
-_point_cache: dict[tuple[int, int, int, bool], tuple[int, int]] = {}
-_POINT_CACHE_MAX = 700_000
-
-
+@lru_cache(maxsize=1 << 16)
 def _trig_point(num: int, den: int, q: int, is_sin: bool) -> tuple[int, int]:
     # the cells of one grid share a denominator, so the key is not reduced
-    key = (num, den, q, is_sin)
-    got = _point_cache.get(key)
-    if got is not None:
-        return got
     y = _reduce_mod_2pi(num, den, q)
     val = _horner_fix(y, q, odd=is_sin)
-    val = (max(val[0], -(1 << q)), min(val[1], 1 << q))
-    if len(_point_cache) >= _POINT_CACHE_MAX:
-        _point_cache.clear()
-    _point_cache[key] = val
-    return val
+    return max(val[0], -(1 << q)), min(val[1], 1 << q)
 
 
 def _critical_hits(x: Ival, p: int, half_offset: bool) -> tuple[bool, bool]:
@@ -257,15 +222,10 @@ def cos_enclosure(x: Ival, p: int) -> Ival:
 # ---------------------------------------------------------------------------
 # exp
 
-_exp_cache: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
-
+@lru_cache(maxsize=1 << 16)
 def _exp_point(num: int, den: int, p: int) -> tuple[int, int, int]:
     """(lo, hi, q) with exp(num/den) in [lo, hi] / 2**q."""
-    key = (num, den, p)
-    got = _exp_cache.get(key)
-    if got is not None:
-        return got
     # halve the argument until |y| <= 1/2, square back afterwards
     k = 0
     while 2 * abs(num) > den << k:
@@ -289,11 +249,7 @@ def _exp_point(num: int, den: int, p: int) -> tuple[int, int, int]:
     hi = -((-(s + rem) << q) // t_den)
     for _ in range(k):
         lo, hi = (lo * lo) >> q, -((-(hi * hi)) >> q)
-    enc = lo, hi, q
-    if len(_exp_cache) >= 100_000:
-        _exp_cache.clear()
-    _exp_cache[key] = enc
-    return enc
+    return lo, hi, q
 
 
 def exp_enclosure(x: Ival, p: int) -> Ival:

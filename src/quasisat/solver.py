@@ -6,19 +6,19 @@ the current refinement cannot decide.  The driver halves the refinement
 parameter until a singleton appears or the iteration budget runs out;
 non-robust sentences stay undecided forever, which is the honest answer.
 
-Below `checksat` and `quasi_decide` everything is an integer cell of
-`geometry` or an integer interval of `evaluation`: the parameter box is a
-list of `Ival`s, and a universal's slabs are the cells of
-`grid_cover(bound, r)`.  An existential block is checked on the grid
-`grid_cover(bounds, r)` without visiting all of it.  Blocks of cells are
-refuted top-down: a block whose interval evaluation excludes a solution
-is dropped whole (its bound enters the FALSE separation), and any other
-block is halved along the axis that holds the most cells until single
-plausible cells remain.  The zero-face merge then walks outward from the
-plausible cells only, so the work of an iteration follows the cells
-still in play, not the grid size.  Each block's terms are compiled once:
-the refutation, the face walk and the degree (at the slice centre, as
-degenerate parameter intervals) all run on the same tapes.
+Everything here is an integer cell of `geometry` or an `Ival`: the
+parameter box and the quantifier bounds are `Ival`s from the parser on,
+and a universal's slabs are the cells of `grid_cover((bound,), r)`.  An
+existential block is checked on the grid `grid_cover(bounds, r)` without
+visiting all of it.  Blocks of cells are refuted top-down: a block
+whose interval evaluation excludes a solution is dropped whole (its
+bound enters the FALSE separation), and any other block is halved along
+the axis that holds the most cells until single plausible cells remain.
+The zero-face merge then walks outward from the plausible cells only, so
+the work of an iteration follows the cells still in play, not the grid
+size.  Each block's terms are compiled once: the refutation, the face
+walk and the degree (at the slice centre, as degenerate parameter
+intervals) all run on the same tapes.
 """
 from __future__ import annotations
 
@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import (Cert, Evaluator, Ival, box_env, cell_env, certify,
-                         compile_term, positive_lower_bound)
+from .evaluation import (Cert, Evaluator, Ival, cell_env, certify, compile_term,
+                         positive_lower_bound)
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
 from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
-from .intervals import EMPTY_BOX, RatBox, box, rat
+from .intervals import rat
 from .degree import degree
 
 TriValue = frozenset
@@ -100,17 +100,17 @@ def _checksat(
     return _combine(s, pnames, p_env, r, record, tri_or)
 
 
-def checksat(s: Formula, p_box: RatBox, r, pnames: Sequence[str] = ()) -> TriValue:
-    """Three-valued check of s over the parameter box (free variables in
-    quantification order); a singleton answer holds for every parameter
-    value in the box."""
+def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
+    """Three-valued check of s over the parameter box, one `Ival` per free
+    variable in quantification order; a singleton answer holds for every
+    parameter value in the box."""
     r = rat(r)
     if r <= 0:
         raise ValueError("refinement parameter must be positive")
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, tuple(pnames), box_env(p_box), r,
+    return _checksat(s, tuple(pnames), list(p_box), r,
                      IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
@@ -122,7 +122,7 @@ def _soei(
     s: Formula, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, Atom):  # a ground atom is a block with no variables
-        s = Exists((), EMPTY_BOX, s)
+        s = Exists((), (), s)
     eqs, ineqs = block_parts(s)
     names = pnames + s.vars
     m, n = len(s.vars), len(eqs)
@@ -288,7 +288,7 @@ def _soei_degree_phase(
 def _univ(
     s: ForAll, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
 ) -> tuple[TriValue, Optional[Fraction]]:
-    grid = grid_cover(box(s.bound), r)
+    grid = grid_cover((s.bound,), r)
     ((lo, _),), (step,), (d,) = grid.whole, grid.steps, grid.dens
     acc = TRI_T
     cert: Optional[Fraction] = None

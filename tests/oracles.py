@@ -1,11 +1,12 @@
 """Independent reference implementations the tests compare the solver
-against: interval arithmetic, the pi, sin, cos, exp and sqrt enclosures
-and term evaluation on `Fraction` endpoints, exact and float term evaluation, substitution of rational constants for
-variables, a float winding count for planar degrees, full sweeps
-over every cell and face of a grid in index space (cells addressed by
-multi-index, with the map from an index to its integer cell), and the
-degree, oriented boundary, bisection and supremum enclosure on `RatBox`es
-of `Fraction`s."""
+against: boxes of `Fraction` intervals (`RatBox`) and interval
+arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
+evaluation on `Fraction` endpoints, exact and float term evaluation,
+substitution of rational constants for variables, a float winding count
+for planar degrees, full sweeps over every cell and face of a grid in
+index space (cells addressed by multi-index, with the map from an index
+to its integer cell), and the degree, oriented boundary, bisection and
+supremum enclosure on `RatBox`es."""
 from __future__ import annotations
 
 import math
@@ -16,10 +17,59 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
-from quasisat.evaluation import Evaluator, box_env, compile_term
+from quasisat.evaluation import Evaluator, compile_term
 from quasisat.geometry import Cell, Grid
-from quasisat.intervals import DomainError, Ival, RatBox, RatInterval, RatLike, ival, rat
+from quasisat.intervals import DomainError, Ival, RatInterval, RatLike, ival, rat
 from quasisat.series import _arctan_inv, _coeffs, _extra_bits, _imul, _isub
+
+
+# ---------------------------------------------------------------------------
+# intervals and boxes with `Fraction` endpoints
+
+
+def rival(lo: RatLike, hi: RatLike | None = None) -> RatInterval:
+    """Shorthand `RatInterval`; a single argument makes a point."""
+    lo = rat(lo)
+    return RatInterval(lo, lo if hi is None else rat(hi))
+
+
+@dataclass(frozen=True)
+class RatBox:
+    intervals: tuple[RatInterval, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.intervals)
+
+    def product(self, other: "RatBox") -> "RatBox":
+        """Concatenating Cartesian product; {()} x B == B."""
+        return RatBox(self.intervals + other.intervals)
+
+    def __iter__(self) -> Iterator[RatInterval]:
+        return iter(self.intervals)
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def __getitem__(self, i: int) -> RatInterval:
+        return self.intervals[i]
+
+
+def box(*intervals: RatInterval) -> RatBox:
+    return RatBox(tuple(intervals))
+
+
+EMPTY_BOX = RatBox(())  # the singleton tuple {()}
+
+
+def ratbox(bounds: Sequence[Ival]) -> RatBox:
+    """The box of `Ival` bounds, with `Fraction` endpoints."""
+    return RatBox(tuple(to_interval(b) for b in bounds))
+
+
+def box_env(b: RatBox) -> list[Ival]:
+    """The `Ival`s the solver evaluates on for the box b."""
+    return [ival(iv.lo, iv.hi) for iv in b.intervals]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +256,7 @@ def _trig_enclosure(x: RatInterval, p: int, is_sin: bool) -> RatInterval:
         return RatInterval(-one, one)
     q = p + 4
     a = _trig_point(x.lo, q, is_sin)
-    b = a if x.is_degenerate else _trig_point(x.hi, q, is_sin)
+    b = a if x.lo == x.hi else _trig_point(x.hi, q, is_sin)
     lo = min(a[0], b[0])
     hi = max(a[1], b[1])
     hit_max, hit_min = _critical_hits(x, p, half_offset=is_sin)
@@ -255,7 +305,7 @@ def _exp_point(x: Fraction, p: int) -> RatInterval:
 
 def exp_enclosure(x: RatInterval, p: int) -> RatInterval:
     lo = _exp_point(x.lo, p)
-    hi = lo if x.is_degenerate else _exp_point(x.hi, p)
+    hi = lo if x.lo == x.hi else _exp_point(x.hi, p)
     return RatInterval(lo.lo, hi.hi)
 
 
@@ -269,7 +319,7 @@ def sqrt_enclosure(x: RatInterval, p: int) -> RatInterval:
     if x.lo < 0:
         raise DomainError("sqrt of an interval containing negative values")
     lo = _sqrt_point(x.lo, p)
-    hi = lo if x.is_degenerate else _sqrt_point(x.hi, p)
+    hi = lo if x.lo == x.hi else _sqrt_point(x.hi, p)
     return RatInterval(lo.lo, hi.hi)
 
 
@@ -282,7 +332,7 @@ def eval_env(t: T.Term, env: Mapping[str, RatInterval], p: int) -> RatInterval:
     precision p, by recursion over the term and the interval arithmetic
     above."""
     if isinstance(t, T.Const):
-        return ival(t.value, t.value)
+        return rival(t.value, t.value)
     if isinstance(t, T.Pi):
         return pi_enclosure(p)
     if isinstance(t, T.Var):
@@ -402,7 +452,7 @@ def winding_oracle_2d(
         raise ValueError("winding oracle needs a planar map")
     total = 0.0
     for face, coef in oriented_boundary(ratboxes(complex)).items():
-        free = [a for a, iv in enumerate(face.intervals) if not iv.is_degenerate]
+        free = [a for a, iv in enumerate(face.intervals) if iv.lo != iv.hi]
         if len(free) != 1:
             raise ValueError("boundary face is not an edge")
         axis = free[0]
@@ -447,7 +497,7 @@ class Face:
 
 def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
     """Cut i of `axis`, from the base box's `Fraction` endpoints."""
-    iv = grid.base[axis]
+    iv = to_interval(grid.base[axis])
     return iv.lo + iv.width * i / grid.counts[axis]
 
 
@@ -455,7 +505,7 @@ def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
     """Every cell of the grid, in index order, with its box built from
     `grid_cut`."""
     for idx in _multi_range(list(grid.counts)):
-        yield idx, RatBox(tuple(ival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
+        yield idx, RatBox(tuple(rival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
                                 for a, i in enumerate(idx)))
 
 
@@ -507,8 +557,8 @@ def index_cell_faces(grid: Grid, idx: CellIndex) -> Iterator[Face]:
 def face_box(grid: Grid, face: Face) -> RatBox:
     """The box of a grid face, degenerate in its axis."""
     return RatBox(tuple(
-        ival(grid_cut(grid, a, i)) if a == face.axis
-        else ival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
+        rival(grid_cut(grid, a, i)) if a == face.axis
+        else rival(grid_cut(grid, a, i), grid_cut(grid, a, i + 1))
         for a, i in enumerate(face.at)))
 
 
@@ -531,16 +581,16 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
             yield (i,) + rest
 
 
-def single_box(b: RatBox) -> tuple[list[Cell], tuple[int, ...]]:
+def single_box(b: tuple[Ival, ...]) -> tuple[list[Cell], tuple[int, ...]]:
     """The box b as a one-cell complex `(cells, dens)`."""
-    g = Grid(b, (1,) * b.dim)
+    g = Grid(b, (1,) * len(b))
     return [g.whole], g.dens
 
 
 def ratboxes(complex: tuple[Sequence[Cell], tuple[int, ...]]) -> tuple[RatBox, ...]:
     """The cells of a complex `(cells, dens)` as `RatBox`es of `Fraction`s."""
     cells, dens = complex
-    return tuple(RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
+    return tuple(RatBox(tuple(rival(Fraction(lo, d), Fraction(hi, d))
                               for (lo, hi), d in zip(cell, dens)))
                  for cell in cells)
 
@@ -567,12 +617,12 @@ def oriented_boundary(cells: Iterable[RatBox]) -> dict[RatBox, int]:
 def _add_cell_boundary(acc: dict[RatBox, int], cell: RatBox, coef: int) -> None:
     t = 0
     for axis, iv in enumerate(cell.intervals):
-        if iv.is_degenerate:
+        if iv.lo == iv.hi:
             continue
         t += 1
         sign = -1 if t % 2 == 0 else 1
-        hi_face = box_replace(cell, axis, ival(iv.hi))
-        lo_face = box_replace(cell, axis, ival(iv.lo))
+        hi_face = box_replace(cell, axis, rival(iv.hi))
+        lo_face = box_replace(cell, axis, rival(iv.lo))
         for face, s in ((hi_face, sign * coef), (lo_face, -sign * coef)):
             got = acc.get(face, 0) + s
             if got:
@@ -585,7 +635,7 @@ def bisect_box(b: RatBox) -> list[RatBox]:
     """Split a box in half along every non-degenerate axis."""
     out = [()]
     for iv in b.intervals:
-        pieces = split(iv) if not iv.is_degenerate else (iv,)
+        pieces = split(iv) if iv.lo != iv.hi else (iv,)
         out = [combo + (piece,) for combo in out for piece in pieces]
     return [RatBox(combo) for combo in out]
 
@@ -753,10 +803,10 @@ def sup_abs_enclosure(
                 best_lo = enc.lo
             corners.update(product(*((iv.lo, iv.hi) for iv in cell.intervals)))
         for corner in corners:
-            point = RatBox(tuple(ival(c, c) for c in corner))
+            point = RatBox(tuple(rival(c, c) for c in corner))
             best_lo = max(best_lo, abs_interval(to_interval(evaluate(box_env(point), p))).lo)
         hi = max(enc.hi for _, enc in scored)
-        step = ival(min(best_lo, hi), hi)
+        step = rival(min(best_lo, hi), hi)
         bracket = step if bracket is None else _intersect(bracket, step)
         if bracket.width <= tol:
             return bracket
@@ -769,4 +819,4 @@ def sup_abs_enclosure(
 
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
-    return ival(max(a.lo, b.lo), min(a.hi, b.hi))
+    return rival(max(a.lo, b.lo), min(a.hi, b.hi))

@@ -14,20 +14,21 @@ import mpmath
 from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.evaluation import box_env, compile_term
+from quasisat.evaluation import compile_term
 from quasisat.formulas import aligned_terms
 from quasisat.geometry import Grid
-from quasisat.intervals import RatBox, box, ival, rat_str
+from quasisat.intervals import ival, rat_str
 from quasisat.parser import parse
 from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
-from oracles import complex_of, contains, single_box, tapes, to_interval, winding_oracle_2d
+from oracles import (complex_of, contains, ratbox, single_box, tapes, to_interval,
+                     winding_oracle_2d)
 
 mpmath.mp.dps = 60
 
 X, Y = T.Var("x"), T.Var("y")
-UNIT2 = box(ival(-1, 1), ival(-1, 1))
+UNIT2 = (ival(-1, 1), ival(-1, 1))
 
 
 def mpf(x: Fraction) -> mpmath.mpf:
@@ -113,7 +114,7 @@ def test_c04_degree_fixture_and_identity_boxes():
         his = [lo + Fraction(rng.randint(1, 16), 8) for lo in los]
         if any(lo == 0 or hi == 0 for lo, hi in zip(los, his)):
             continue
-        b = box(ival(los[0], his[0]), ival(los[1], his[1]))
+        b = (ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
         got = degree(tapes([X, Y], ("x", "y")), *single_box(b), 20)
         assert got is not None
@@ -170,7 +171,7 @@ def test_c05_degree_agrees_with_independent_oracles():
         t = T.Const(coeffs[0])
         for k in coeffs[1:]:
             t = T.Add(T.Mul(t, X), T.Const(k))
-        res = degree(tapes([t], ("x",)), *single_box(box(ival(lo, hi))),
+        res = degree(tapes([t], ("x",)), *single_box((ival(lo, hi),)),
                      30, budget=5000)
         if res is None:
             continue
@@ -186,7 +187,7 @@ def test_c06_degree_additive_over_split_complexes():
         x0 = Fraction(rng.randint(-8, 4), 4)
         y0 = Fraction(rng.randint(-8, 4), 4)
         w = Fraction(rng.randint(1, 8), 4)
-        g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
+        g = Grid((ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
         results = [degree(tapes(fs, ("x", "y")), *complex_of(g, cells), 20, budget=600)
                    for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)])]
@@ -198,15 +199,15 @@ def test_c06_degree_additive_over_split_complexes():
 
 def test_c07_enclosure_soundness_and_convergence():
     rng = random.Random(8)
-    for t, names, b in corpus_atom_terms():
+    for t, names, bounds in corpus_atom_terms():
         evaluate = compile_term(t, names)
+        b = ratbox(bounds)
         # soundness: the interval value contains the true value at 1000
         # random rational points of the quantification box
         for _ in range(1000):
             point = [iv.lo + iv.width * Fraction(rng.randint(0, 4096), 4096)
                      for iv in b.intervals]
-            cell = RatBox(tuple(ival(xv) for xv in point))
-            enc = to_interval(evaluate(box_env(cell), 30))
+            enc = to_interval(evaluate([ival(xv) for xv in point], 30))
             true = mp_eval(t, {n: mpf(xv) for n, xv in zip(names, point)})
             assert mpf(enc.lo) <= true <= mpf(enc.hi), T.term_text(t)
         if not names:
@@ -217,10 +218,9 @@ def test_c07_enclosure_soundness_and_convergence():
         widths = []
         for i in range(1, 21):
             h = Fraction(1, 2 ** (i + 1))
-            cell = RatBox(tuple(
-                ival(max(iv.lo, cv - h), min(iv.hi, cv + h))
-                for iv, cv in zip(b.intervals, center)))
-            widths.append(to_interval(evaluate(box_env(cell), i)).width)
+            cell = [ival(max(iv.lo, cv - h), min(iv.hi, cv + h))
+                    for iv, cv in zip(b.intervals, center)]
+            widths.append(to_interval(evaluate(cell, i)).width)
         fitted = max(w * 2 ** i for i, w in enumerate(widths[:10], start=1))
         for i, w in enumerate(widths, start=1):
             assert w <= fitted * Fraction(1, 2 ** i) * 2, T.term_text(t)
@@ -265,7 +265,7 @@ def test_c10_distance_fixture():
     assert contains(enc, 1)
     assert enc.width <= tol
     # the second atom pair reduces to the parabola gap max |y - y^2| = 1/4
-    sub = sup_abs_enclosure(T.Sub(Y, T.Pow(Y, 2)), ("y",), box(ival(0, 1)),
+    sub = sup_abs_enclosure(T.Sub(Y, T.Pow(Y, 2)), ("y",), (ival(0, 1),),
                             tol)
     assert Fraction(1, 4) - tol <= sub.lo
     assert sub.hi <= Fraction(1, 4) + tol

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, corpus runner."""
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasisat import cli
 from quasisat.cli import main
@@ -11,6 +13,9 @@ FALSE_S = "exists x in [0,1] . x - 2 = 0"
 UNKNOWN_S = "exists x in [0,2] . x - 1 = 0 and x - 1 = 0"
 # at eps 1 the root sits on the face between the grid's two cells
 JOINED_S = "exists x in [0,2] . x - 1 = 0"
+# TRUE with a margin of about 2^1000000, resp. about 3^-100000
+HUGE_S = "exists x in [2,3] . x^1000000 - 5 >= 0"
+TINY_S = "exists x in [1/3,1/2] . x^100000 >= 0"
 
 
 def test_exit_codes(capsys):
@@ -57,6 +62,28 @@ def test_certificate_text_output(capsys):
     assert main(["solve", TRUE_S, "--certificate"]) == 0
     out = capsys.readouterr().out
     assert "certificate" in out and "/" in out
+
+
+@pytest.mark.parametrize("text, cert", [(HUGE_S, "18446744073709551616/1"), (TINY_S, "0/1")])
+def test_certificates_too_long_to_print_print_a_smaller_margin(capsys, text, cert):
+    assert main(["solve", text, "--certificate"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"certificate (robustness margin): {cert}"
+    assert main(["solve", text, "--certificate", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == cert
+
+
+@given(st.integers(min_value=1, max_value=2 ** 700), st.integers(min_value=1, max_value=2 ** 700))
+def test_printed_certificate_is_a_lower_bound_of_64_bits(n, d):
+    """Up to 256 bits the printed margin is min(c, 2**64) exactly; past
+    them it is c rounded down to 64 significant bits, then capped."""
+    c = Fraction(n, d)
+    num, den = map(int, cli._cert_text(c).split("/"))
+    got = Fraction(num, den)
+    if max(c.numerator.bit_length(), c.denominator.bit_length()) <= 256:
+        assert got == min(c, 2 ** 64)
+    else:
+        assert got <= c
+        assert got == 2 ** 64 or (got.numerator.bit_length() <= 64 and c - got < c / 2 ** 63)
 
 
 def test_epsilon_flag(capsys):

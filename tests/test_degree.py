@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
-from quasisat.evaluation import box_env, cell_env, certify, compile_term
+from quasisat.evaluation import cell_env, certify, compile_term
 from quasisat.formulas import block_parts
 from quasisat.geometry import Grid, oriented_boundary
-from quasisat.intervals import RatBox, box, ival
+from quasisat.intervals import ival
 from quasisat.parser import parse
 
 import oracles
@@ -38,40 +38,40 @@ def term_of(text: str) -> T.Term:
 
 
 def test_identity_map_degree_one_when_origin_interior():
-    res = degree(tapes([X], ("x",)), *single_box(box(ival(-1, 1))), P20)
+    res = degree(tapes([X], ("x",)), *single_box((ival(-1, 1),)), P20)
     assert res.value == 1
     assert res.boundary_min_lb == 1
 
 
 def test_degree_zero_when_no_root():
     res = degree(tapes([T.Sub(T.Pow(X, 2), c(2))], ("x",)),
-                 *single_box(box(ival(0, 1))), P20)
+                 *single_box((ival(0, 1),)), P20)
     assert res.value == 0
 
 
 def test_planar_identity_degree_one():
     res = degree(tapes([X, Y], ("x", "y")),
-                 *single_box(box(ival(-1, 1), ival(-1, 1))), P20)
+                 *single_box((ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 1
 
 
 def test_planar_origin_exterior_degree_zero():
     res = degree(tapes([X, Y], ("x", "y")),
-                 *single_box(box(ival(1, 2), ival(1, 2))), P20)
+                 *single_box((ival(1, 2), ival(1, 2))), P20)
     assert res.value == 0
 
 
 def test_complex_squaring_has_degree_two():
     fs = [term_of("x^2 - y^2"), term_of("2*x*y")]
-    res = degree(tapes(fs, ("x", "y")), *single_box(box(ival(-1, 1), ival(-1, 1))), P20)
+    res = degree(tapes(fs, ("x", "y")), *single_box((ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 2
     assert res.subdivisions > 0
     assert winding_oracle_2d(fs, ("x", "y"),
-                             single_box(box(ival(-1, 1), ival(-1, 1)))) == 2
+                             single_box((ival(-1, 1), ival(-1, 1)))) == 2
 
 
 def test_degree_on_l_shaped_complex():
-    g = Grid(box(ival(-1, 1), ival(-1, 1)), (2, 2))
+    g = Grid((ival(-1, 1), ival(-1, 1)), (2, 2))
     ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     shifted = [T.Sub(X, c(Fraction(-1, 2))), T.Sub(Y, c(Fraction(-1, 2)))]
     res = degree(tapes(shifted, ("x", "y")), *ell, P20)
@@ -81,19 +81,19 @@ def test_degree_on_l_shaped_complex():
 
 def test_uncertifiable_boundary_returns_none():
     # x vanishes on the boundary: no budget can certify it away
-    res = degree(tapes([X], ("x",)), *single_box(box(ival(0, 1))), P20, budget=50)
+    res = degree(tapes([X], ("x",)), *single_box((ival(0, 1),)), P20, budget=50)
     assert res is None
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        degree(tapes([X, Y], ("x", "y")), *single_box(box(ival(0, 1))), P20)
+        degree(tapes([X, Y], ("x", "y")), *single_box((ival(0, 1),)), P20)
 
 
 def test_precision_below_one_rejected():
     # at p = 0 the point sign test would double p forever
     with pytest.raises(ValueError):
-        degree(tapes([X], ("x",)), *single_box(box(ival(-1, 1))), p=0)
+        degree(tapes([X], ("x",)), *single_box((ival(-1, 1),)), p=0)
 
 
 def test_all_degenerate_complex_is_rejected_by_name():
@@ -116,7 +116,7 @@ def test_identity_random_boxes_match_point_membership():
         his = [lo + Fraction(rng.randint(1, 16), 8) for lo in los]
         if any(lo == 0 or hi == 0 for lo, hi in zip(los, his)):
             continue  # origin on the boundary: degree undefined
-        b = box(ival(los[0], his[0]), ival(los[1], his[1]))
+        b = (ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
         res = degree(tapes([X, Y], ("x", "y")), *single_box(b), P20)
         assert res is not None
@@ -152,7 +152,7 @@ def test_1d_degree_matches_exact_sign_formula():
             return v
         if ev(lo) == 0 or ev(hi) == 0:
             continue
-        res = degree(tapes([poly_1d(coeffs)], ("x",)), *single_box(box(ival(lo, hi))),
+        res = degree(tapes([poly_1d(coeffs)], ("x",)), *single_box((ival(lo, hi),)),
                      30, budget=5000)
         if res is None:
             continue  # interior-boundary zeros exhaust any budget honestly
@@ -172,7 +172,7 @@ def random_poly_2d(rng) -> T.Term:
 
 def test_2d_degree_matches_winding_oracle():
     rng = random.Random(11)
-    b = box(ival(-1, 1), ival(-1, 1))
+    b = (ival(-1, 1), ival(-1, 1))
     agree = 0
     while agree < 50:
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
@@ -195,7 +195,7 @@ def test_degree_is_additive_across_splits():
         x0 = Fraction(rng.randint(-8, 4), 4)
         y0 = Fraction(rng.randint(-8, 4), 4)
         w = Fraction(rng.randint(1, 8), 4)
-        g = Grid(box(ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
+        g = Grid((ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
         parts = []
         for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)]):
@@ -208,7 +208,7 @@ def test_degree_is_additive_across_splits():
 
 def test_degree_stable_under_grid_refinement():
     fs = [term_of("x^2 - y^2"), term_of("2*x*y")]
-    b = box(ival(-1, 1), ival(-1, 1))
+    b = (ival(-1, 1), ival(-1, 1))
     for n in (1, 2):
         g = Grid(b, (n, n))
         comp = complex_of(g, [idx for idx, _ in grid_cells(g)])
@@ -252,9 +252,10 @@ def test_degree_equals_the_ratbox_reference(dim, seed):
     for _ in range(dim):
         lo = Fraction(rng.randint(-12, 6), rng.randint(1, 7))
         bounds.append(ival(lo, lo + Fraction(rng.randint(1, 12), rng.randint(1, 7))))
-    g = Grid(RatBox(tuple(bounds)), tuple(rng.randint(1, 3) for _ in range(dim)))
+    g = Grid(tuple(bounds), tuple(rng.randint(1, 3) for _ in range(dim)))
     cells = [idx for idx, _ in grid_cells(g) if rng.random() < 0.7] or [(0,) * dim]
-    centre = [iv.lo + iv.width * Fraction(rng.randint(1, 9), 10) for iv in bounds]
+    centre = [iv.lo + iv.width * Fraction(rng.randint(1, 9), 10)
+              for iv in oracles.ratbox(bounds)]
     fs = random_map(rng, names, centre)
     comp = complex_of(g, cells)
     got = degree(tapes(fs, names), *comp, P20, budget=200)
@@ -288,19 +289,20 @@ def test_degree_on_tapes_at_the_centre_equals_the_substituted_terms(
     terms with the centre substituted: the same value (or None),
     boundary bound and subdivision count, fresh or seeded with
     certificates that hold on the whole slice."""
-    a, b = [ival(min(lo, hi), max(lo, hi)) for lo, hi in p_ends]
-    bounds = [ival(lo, lo + w) for lo, w in block_ends]
+    (alo, ahi), (blo, bhi) = [sorted(e) for e in p_ends]
+    a, b = ival(alo, ahi), ival(blo, bhi)
     names = ("x", "y")[:len(eqs)]
-    block = parse(f"exists {', '.join(f'{v} in {bd}' for v, bd in zip(names, bounds))} . "
-                  + " and ".join(f"{t} = 0" for t in eqs), params={"a": a, "b": b})
+    bounds = ", ".join(f"{v} in [{lo},{lo + w}]" for v, (lo, w) in zip(names, block_ends))
+    block = parse(f"exists {bounds} . " + " and ".join(f"{t} = 0" for t in eqs),
+                  params={"a": a, "b": b})
     terms, _ = block_parts(block)
     fs = tapes(terms, ("a", "b") + names)
-    f0 = tapes([substitute(t, {"a": (a.lo + a.hi) / 2, "b": (b.lo + b.hi) / 2})
+    f0 = tapes([substitute(t, {"a": (alo + ahi) / 2, "b": (blo + bhi) / 2})
                 for t in terms], names)
     g = Grid(block.bounds, tuple(counts[:len(names)]))
     cells, dens = complex_of(g, [idx for (idx, _), k in zip(grid_cells(g), keep) if k]
                             or [(0,) * len(names)])
-    p_env = box_env(box(a, b))
+    p_env = [a, b]
     centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env]
     certs = {}
     for face in oriented_boundary(cells):

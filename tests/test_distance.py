@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.intervals import RatBox, box, ival
+from quasisat.intervals import ival
 from quasisat.parser import parse
 
 import oracles
@@ -24,23 +24,23 @@ PAIR_B = ("exists x in [0,1] . forall y in [0,1] . "
 def test_sup_abs_enclosure_on_parabola():
     # max |y - y^2| over [0,1] is 1/4, attained at y = 1/2
     t = T.Sub(T.Var("y"), T.Pow(T.Var("y"), 2))
-    enc = sup_abs_enclosure(t, ("y",), box(ival(0, 1)), TOL)
+    enc = sup_abs_enclosure(t, ("y",), (ival(0, 1),), TOL)
     assert oracles.contains(enc, Fraction(1, 4))
     assert enc.width <= TOL
 
 
 def test_sup_abs_enclosure_trivial_cases():
     t = T.Const(Fraction(-3, 2))
-    enc = sup_abs_enclosure(t, (), box(ival(0, 1)), TOL)
+    enc = sup_abs_enclosure(t, (), (ival(0, 1),), TOL)
     assert oracles.contains(enc, Fraction(3, 2))
-    enc = sup_abs_enclosure(T.Var("y"), ("y",), box(ival(-2, 1)), TOL)
+    enc = sup_abs_enclosure(T.Var("y"), ("y",), (ival(-2, 1),), TOL)
     assert oracles.contains(enc, 2) and enc.width <= TOL
 
 
 def test_sup_abs_nested_refinement_is_consistent():
     """Tightening the tolerance yields a sub-interval of the looser run."""
     t = T.Sub(T.Sin(T.Var("y")), T.Mul(T.Var("y"), T.Var("y")))
-    b = box(ival(0, 2))
+    b = (ival(0, 2),)
     loose = sup_abs_enclosure(t, ("y",), b, Fraction(1, 10))
     tight = sup_abs_enclosure(t, ("y",), b, Fraction(1, 10000))
     assert oracles.issubset(tight, loose)
@@ -73,7 +73,7 @@ def test_distance_requires_positive_tolerance():
     with pytest.raises(ValueError):
         distance_enclosure(f, f, Fraction(0))
     with pytest.raises(ValueError):
-        sup_abs_enclosure(T.Var("y"), ("y",), box(ival(0, 1)), Fraction(-1))
+        sup_abs_enclosure(T.Var("y"), ("y",), (ival(0, 1),), Fraction(-1))
 
 
 def test_distance_with_pure_constant_shift():
@@ -108,10 +108,11 @@ def test_sup_abs_enclosure_equals_the_ratbox_reference(dim, seed):
         lo = Fraction(rng.randint(-9, 6), rng.randint(1, 7))
         # narrower boxes in more dimensions keep the reference's cost down
         bounds.append(ival(lo, lo + Fraction(rng.randint(0, 9 // dim), rng.randint(1, 7))))
-    b = RatBox(tuple(bounds))
+    b = tuple(bounds)
     t = _random_term(rng, vs)
     tol = Fraction(1, rng.choice((3, 16, 100)[:max(1, 3 - dim)]))  # 3-D costs most
-    assert sup_abs_enclosure(t, names, b, tol) == oracles.sup_abs_enclosure(t, names, b, tol)
+    assert sup_abs_enclosure(t, names, b, tol) == oracles.sup_abs_enclosure(
+        t, names, oracles.ratbox(b), tol)
 
 
 def _affine(coeffs, const, names):
@@ -136,7 +137,7 @@ def test_affine_difference_is_exact_at_depth_zero(coeffs, const, bounds):
     t = _affine(coeffs, const, names)
     s = max(abs(const + sum(a * v for a, v in zip(coeffs, corner)))
             for corner in product(*bounds))
-    enc = sup_abs_enclosure(t, names, RatBox(tuple(ival(lo, hi) for lo, hi in bounds)),
+    enc = sup_abs_enclosure(t, names, tuple(ival(lo, hi) for lo, hi in bounds),
                             Fraction(1, 2 ** 40))
     assert enc.lo == enc.hi == s
 
@@ -156,14 +157,14 @@ def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
         # narrower boxes in more dimensions: `_random_term` can hold
         # x*y - y*x, whose maximum fills a plane of cells
         bounds.append(ival(lo, lo + Fraction(rng.randint(0, 9 // dim), rng.randint(1, 7))))
-    b = RatBox(tuple(bounds))
+    b = tuple(bounds)
     t = _random_term(rng, vs)
     tol = Fraction(1, rng.choice((3, 16, 100)))
     enc = sup_abs_enclosure(t, names, b, tol)
     assert enc.width <= tol
-    axes = [[iv.lo + iv.width * i / 4 for i in range(5)] for iv in bounds]
+    axes = [[iv.lo + iv.width * i / 4 for i in range(5)] for iv in oracles.ratbox(b)]
     for node in product(*axes):
-        env = {n: ival(v, v) for n, v in zip(names, node)}
+        env = {n: oracles.rival(v) for n, v in zip(names, node)}
         assert oracles.abs_interval(oracles.eval_env(t, env, 64)).lo <= enc.hi
 
 
@@ -183,6 +184,6 @@ def test_axes_the_term_does_not_mention_change_nothing():
     t = T.Add(T.Const(Fraction(2, 3)), T.Add(T.Mul(T.Const(Fraction(-2, 3)), T.Var("x")),
                                              T.Mul(T.Const(Fraction(3, 4)), T.Var("x"))))
     xs = ival(Fraction(-5, 4), Fraction(13, 4))
-    wide = RatBox((xs, ival(Fraction(-1, 3), Fraction(16, 15)), ival(Fraction(4, 5), Fraction(23, 10))))
+    wide = (xs, ival(Fraction(-1, 3), Fraction(16, 15)), ival(Fraction(4, 5), Fraction(23, 10)))
     tol = Fraction(1, 100)
-    assert sup_abs_enclosure(t, ("x", "y", "z"), wide, tol) == sup_abs_enclosure(t, ("x",), box(xs), tol)
+    assert sup_abs_enclosure(t, ("x", "y", "z"), wide, tol) == sup_abs_enclosure(t, ("x",), (xs,), tol)

@@ -7,11 +7,11 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import box_env, certify, compile_term, positive_lower_bound
-from quasisat.intervals import DomainError, RatBox, box, ival
+from quasisat.evaluation import certify, compile_term, positive_lower_bound
+from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
-from oracles import eval_env, to_interval
+from oracles import eval_env, ratbox, to_interval
 
 mpmath.mp.dps = 60
 
@@ -48,7 +48,7 @@ def mp_eval(t: T.Term, env: dict) -> mpmath.mpf:
 
 
 def enclose(t, b, names, p):
-    return to_interval(compile_term(t, names)(box_env(b), p))
+    return to_interval(compile_term(t, names)(list(b), p))
 
 
 def test_point_evaluation_soundness_random():
@@ -59,7 +59,7 @@ def test_point_evaluation_soundness_random():
     for _ in range(300):
         xv = Fraction(rng.randint(0, 4096), 1024)
         yv = Fraction(rng.randint(-2048, 2048), 1024)
-        enc = to_interval(evaluate(box_env(box(ival(xv), ival(yv))), 40))
+        enc = to_interval(evaluate([ival(xv), ival(yv)], 40))
         true = mp_eval(t, {"x": mpf(xv), "y": mpf(yv)})
         assert mpf(enc.lo) <= true <= mpf(enc.hi)
         assert enc.width <= Fraction(1, 2 ** 30)
@@ -67,7 +67,7 @@ def test_point_evaluation_soundness_random():
 
 def test_interval_evaluation_contains_sampled_values():
     t = parse("exists x in [0,4] . cos(x)*x - 1/2 = 0").body.term
-    enc = enclose(t, box(ival(0, 4)), ("x",), 20)
+    enc = enclose(t, (ival(0, 4),), ("x",), 20)
     for k in range(17):
         xv = Fraction(k, 4)
         true = mp_eval(t, {"x": mpf(xv)})
@@ -75,7 +75,7 @@ def test_interval_evaluation_contains_sampled_values():
 
 
 def test_positive_lower_bound_is_verified():
-    env = box_env(box(ival(0, 1)))
+    env = [ival(0, 1)]
     g = T.Add(T.Pow(X, 2), T.Const(1))  # x^2 + 1 >= 1 on [0,1]
     lb = positive_lower_bound([compile_term(g, ("x",))], env, 10)
     assert lb is not None and 0 < lb <= 1
@@ -83,7 +83,7 @@ def test_positive_lower_bound_is_verified():
 
 
 def test_certify_first_or_best_component():
-    env = box_env(box(ival(0, 1)))
+    env = [ival(0, 1)]
     below, above, across = (compile_term(parse(f"exists x in [0,1] . {t} = 0").body.term,
                                          ("x",))
                             for t in ("x - 2", "2*x + 3", "x - 1/2"))
@@ -135,7 +135,7 @@ def _boxes(draw):
     for _ in NAMES:
         a, b = draw(endpoints), draw(endpoints)
         ivs.append(ival(min(a, b), max(a, b)))  # a == b gives a point
-    return RatBox(tuple(ivs))
+    return tuple(ivs)
 
 
 def _outcome(fn):
@@ -148,9 +148,9 @@ def _outcome(fn):
 @given(_terms(), _boxes(), st.sampled_from([4, 12, 30]))
 @settings(max_examples=400, deadline=None)
 def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
-    env = dict(zip(NAMES, b.intervals))
+    env = dict(zip(NAMES, ratbox(b).intervals))
     want = _outcome(lambda: eval_env(t, env, p))
-    got = _outcome(lambda: compile_term(t, NAMES)(box_env(b), p))
+    got = _outcome(lambda: compile_term(t, NAMES)(list(b), p))
     if want is DomainError:
         assert got is DomainError
     else:
@@ -162,5 +162,5 @@ def test_evaluation_depth_is_not_bounded_by_the_stack():
     t = X
     for _ in range(20_000):  # far deeper than the recursion limit
         t = T.Add(t, T.Neg(X))
-    lo, hi, den = compile_term(t, ("x",))(box_env(box(ival(0, 1))), 10)
+    lo, hi, den = compile_term(t, ("x",))([ival(0, 1)], 10)
     assert (Fraction(lo, den), Fraction(hi, den)) == (-20_000, 1)

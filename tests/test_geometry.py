@@ -1,5 +1,6 @@
 """Grids, the halving of grid blocks, cell faces, and oriented boundaries
 of box complexes, against the index-space references of `oracles`."""
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -7,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 from quasisat.evaluation import cell_env
 from quasisat.geometry import (Grid, bisect_box, faces_around, grid_cover,
                                halve_block, oriented_boundary)
-from quasisat.intervals import RatBox, box, ival
+from quasisat.intervals import ival
 
 import oracles
-from oracles import (complex_of, face_box, grid_cells, grid_cut, grid_faces,
+from oracles import (RatBox, box, complex_of, face_box, grid_cells, grid_cut, grid_faces,
                      halve_index_block, index_block, index_cell, index_cell_faces,
-                     ratboxes, single_box)
+                     ratbox, ratboxes, rival, single_box)
 
-UNIT2 = box(ival(0, 1), ival(0, 1))
+UNIT2 = (ival(0, 1), ival(0, 1))
 
 
 def test_grid_cover_cell_widths():
-    g = grid_cover(box(ival(0, 1), ival(0, 3)), Fraction(1, 2))
+    g = grid_cover((ival(0, 1), ival(0, 3)), Fraction(1, 2))
     assert g.counts == (2, 6)
     for _, cell in grid_cells(g):
         assert all(iv.width <= Fraction(1, 2) for iv in cell.intervals)
@@ -26,13 +27,25 @@ def test_grid_cover_cell_widths():
 
 
 def test_grid_cells_tile_the_base_box():
-    g = grid_cover(box(ival(-1, 2)), Fraction(1, 4))
+    g = grid_cover((ival(-1, 2),), Fraction(1, 4))
     cells = [cell for _, cell in grid_cells(g)]
     assert cells[0][0].lo == -1 and cells[-1][0].hi == 2
     for a, b in zip(cells, cells[1:]):
         assert a[0].hi == b[0].lo  # contiguous, no gaps or overlaps
     total = sum(c[0].width for c in cells)
     assert total == 3
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+                          st.fractions(min_value=0, max_value=50, max_denominator=1000)),
+                min_size=1, max_size=3),
+       st.fractions(min_value=Fraction(1, 10 ** 6), max_value=60, max_denominator=10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_grid_cover_counts_by_integer_ceil_division(axes, r):
+    """`grid_cover` counts the cells of each axis on integers; the counts
+    are ceil(width / r) on `Fraction`s, and 1 on a degenerate axis."""
+    g = grid_cover(tuple(ival(lo, lo + w) for lo, w in axes), r)
+    assert g.counts == tuple(max(1, math.ceil(w / r)) for _, w in axes)
 
 
 def test_face_count_and_boundary_flags():
@@ -63,14 +76,13 @@ def specs(max_cells: int):
 
 
 def grid_of(spec) -> Grid:
-    return Grid(RatBox(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec)),
+    return Grid(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec),
                 tuple(c for _, _, c in spec))
 
 
 def env_box(block, dens) -> RatBox:
     """The box of the integer intervals the solver evaluates on a block."""
-    return RatBox(tuple(ival(Fraction(a, d), Fraction(b, d))
-                        for a, b, d in cell_env(block, dens)))
+    return ratbox(cell_env(block, dens))
 
 
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=9)),
@@ -91,28 +103,28 @@ def test_integer_axes_reproduce_the_cuts(spec):
 
 
 def test_integer_axes_of_a_non_dyadic_box():
-    g = Grid(box(ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
+    g = Grid((ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
     assert (g.whole, g.steps, g.dens) == (((21, 45), (-2, 2)), (8, 1), (63, 2))
     assert complex_of(g, [(2, 3)]) == ([((37, 45), (1, 2))], (63, 2))
-    assert ratboxes(complex_of(g, [(2, 3)])) == (box(ival(Fraction(37, 63), Fraction(5, 7)),
-                                                     ival(Fraction(1, 2), 1)),)
-    flat = Grid(box(ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
+    assert ratboxes(complex_of(g, [(2, 3)])) == (box(rival(Fraction(37, 63), Fraction(5, 7)),
+                                                     rival(Fraction(1, 2), 1)),)
+    flat = Grid((ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
     assert (flat.whole, flat.steps, flat.dens) == (((1, 1), (0, 2)), (0, 1), (3, 2))
 
 
 def test_block_box_spans_its_cells():
     """The integer intervals the solver builds for a block of cells span
     exactly the cells lo..hi of the grid."""
-    g = Grid(box(ival(0, 3), ival(-1, 1)), (3, 4))
+    g = Grid((ival(0, 3), ival(-1, 1)), (3, 4))
 
     def block(lo, hi):
         return env_box(index_block(g, lo, hi), g.dens)
 
-    assert block((1, 0), (3, 2)) == box(ival(1, 3), ival(-1, 0))
+    assert block((1, 0), (3, 2)) == box(rival(1, 3), rival(-1, 0))
     assert (block((2, 3), (3, 4)),) == ratboxes(complex_of(g, [(2, 3)]))
-    assert block((0, 0), g.counts) == g.base
+    assert block((0, 0), g.counts) == ratbox(g.base)
     assert index_block(g, (0, 0), g.counts) == g.whole
-    assert env_box(g.whole, g.dens) == g.base
+    assert env_box(g.whole, g.dens) == ratbox(g.base)
 
 
 def test_halve_block_splits_the_longest_index_range():
@@ -142,7 +154,7 @@ def test_halve_block_follows_the_index_halving(spec):
         block, (lo, hi) = pairs.pop()
         assert block == index_block(g, lo, hi)
         assert env_box(block, g.dens) == RatBox(tuple(
-            ival(grid_cut(g, a, i), grid_cut(g, a, j)) for a, (i, j) in enumerate(zip(lo, hi))))
+            rival(grid_cut(g, a, i), grid_cut(g, a, j)) for a, (i, j) in enumerate(zip(lo, hi))))
         halves, want = halve_block(block, g.steps), halve_index_block(lo, hi)
         assert (halves is None) == (want is None)
         if halves is None:
@@ -153,7 +165,7 @@ def test_halve_block_follows_the_index_halving(spec):
 
 
 def test_repeated_halving_reaches_every_cell_once():
-    g = Grid(box(ival(0, 1), ival(0, 1), ival(0, 1)), (3, 2, 5))
+    g = Grid((ival(0, 1), ival(0, 1), ival(0, 1)), (3, 2, 5))
     blocks, cells = [g.whole], []
     while blocks:
         block = blocks.pop()
@@ -176,7 +188,7 @@ def check_faces_around(g: Grid) -> None:
         for (axis, face, other), f in zip(got, faces):
             assert idx in (f.lower_cell, f.upper_cell)
             fb = face_box(g, f)
-            assert fb[f.axis].is_degenerate
+            assert fb[f.axis].lo == fb[f.axis].hi
             assert all(fb[a] == cell[a] for a in range(len(g.counts)) if a != f.axis)
             assert axis == f.axis
             assert ratboxes(([face], g.dens)) == (fb,)
@@ -190,7 +202,7 @@ def check_faces_around(g: Grid) -> None:
 
 
 def test_cell_faces_are_the_grid_faces_around_a_cell():
-    check_faces_around(Grid(box(ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1)))
+    check_faces_around(Grid((ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1)))
 
 
 @given(specs(3))
@@ -214,7 +226,7 @@ def test_boundary_face_counts():
 
 
 def test_boundary_of_3d_cube():
-    cube, _ = single_box(box(ival(0, 1), ival(0, 1), ival(0, 1)))
+    cube, _ = single_box((ival(0, 1), ival(0, 1), ival(0, 1)))
     faces = oriented_boundary(cube)
     assert len(faces) == 6
     assert all(c in (-1, 1) for c in faces.values())
@@ -265,7 +277,7 @@ def test_shared_faces_cancel_exactly():
 
 
 def test_bisect_box_halves_every_free_axis():
-    b = single_box(box(ival(0, 1), ival(0, Fraction(1, 2))))
+    b = single_box((ival(0, 1), ival(0, Fraction(1, 2))))
     assert b == ([((0, 1), (0, 1))], (1, 2))
     halves = bisect_box(b[0][0])  # over the doubled dens (2, 4)
     assert halves == [((0, 1), (0, 1)), ((0, 1), (1, 2)),
@@ -273,7 +285,7 @@ def test_bisect_box_halves_every_free_axis():
     assert sum(Fraction((x1 - x0) * (y1 - y0), 2 * 4)
                for (x0, x1), (y0, y1) in halves) == Fraction(1, 2)
     # degenerate axes are preserved, not split
-    (flat,), _ = single_box(box(ival(0, 1), ival(Fraction(1, 2))))
+    (flat,), _ = single_box((ival(0, 1), ival(Fraction(1, 2))))
     assert bisect_box(flat) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
 
 
@@ -298,7 +310,7 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
 
 
 def test_grid_lazy_scaling():
-    g = grid_cover(box(ival(0, 1)), Fraction(1, 2 ** 20))
+    g = grid_cover((ival(0, 1),), Fraction(1, 2 ** 20))
     assert g.n_cells == 2 ** 20  # constructing the grid is O(1)
     idx, cell = next(iter(grid_cells(g)))
     assert cell[0].lo == 0 and cell[0].width == Fraction(1, 2 ** 20)

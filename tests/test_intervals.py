@@ -1,14 +1,17 @@
-"""Exact rational intervals and boxes, and the `Fraction` reference
-arithmetic of tests/oracles.py: algebra, containment, soundness."""
+"""The canonical `Ival` constructor, exact rational intervals, and the
+`Fraction` boxes and reference arithmetic of tests/oracles.py: algebra,
+containment, soundness."""
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quasisat.intervals import DomainError, EMPTY_BOX, box, ival, rat, rat_str
+from quasisat.intervals import DomainError, ival, rat, rat_str
 
-from oracles import (abs_interval, add, box_contains, box_issubset, box_replace,
-                     contains, divide, issubset, mul, neg, pow_nat, split, sub)
+from oracles import (EMPTY_BOX, abs_interval, add, box, box_contains, box_issubset,
+                     box_replace, contains, divide, issubset, mul, neg, pow_nat, rival,
+                     split, sub, to_interval)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -17,7 +20,7 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 def intervals(draw):
     a = draw(rationals)
     b = draw(rationals)
-    return ival(min(a, b), max(a, b))
+    return rival(min(a, b), max(a, b))
 
 
 @st.composite
@@ -28,42 +31,62 @@ def points_in(draw, iv):
 
 def test_constructor_rejects_inverted_bounds():
     with pytest.raises(ValueError):
+        rival(1, 0)
+    with pytest.raises(ValueError):
         ival(1, 0)
 
 
 def test_basic_queries():
-    iv = ival(Fraction(-1, 2), Fraction(3, 2))
+    iv = rival(Fraction(-1, 2), Fraction(3, 2))
     assert iv.width == 2
-    assert not iv.is_degenerate
+    assert iv.lo != iv.hi
     assert contains(iv, Fraction(3, 2)) and not contains(iv, 2)
-    assert ival(5).is_degenerate
+    assert rival(5).lo == rival(5).hi
+
+
+def test_ival_is_over_the_lcm_of_reduced_denominators():
+    assert ival(Fraction(1, 3), Fraction(1, 2)) == (2, 3, 6)
+    assert ival(Fraction(2, 4), "1.0") == ival("1/2", 1) == (1, 2, 2)
+    assert ival(-3) == (-3, -3, 1)
+    assert ival(Fraction(-4, 6), Fraction(1, 5)) == (-10, 3, 15)
+
+
+@given(rationals, rationals, st.integers(min_value=1, max_value=50))
+def test_ival_is_canonical(a, b, m):
+    """One rational interval gives one triple, whatever form its endpoints
+    are given in, with no common factor left in (lo, hi, den)."""
+    lo, hi = min(a, b), max(a, b)
+    got = ival(lo, hi)
+    assert got == ival(Fraction(lo.numerator * m, lo.denominator * m), str(hi))
+    assert to_interval(got) == rival(lo, hi)
+    assert math.gcd(*got) == 1
 
 
 def test_exact_arithmetic_oracles():
-    a = ival(Fraction(1, 3), Fraction(1, 2))
-    b = ival(Fraction(-2), Fraction(1, 4))
-    assert add(a, b) == ival(Fraction(-5, 3), Fraction(3, 4))
-    assert sub(a, b) == ival(Fraction(1, 12), Fraction(5, 2))
-    assert mul(a, b) == ival(Fraction(-1), Fraction(1, 8))
-    assert neg(a) == ival(Fraction(-1, 2), Fraction(-1, 3))
-    assert divide(a, ival(2, 4)) == ival(Fraction(1, 12), Fraction(1, 4))
+    a = rival(Fraction(1, 3), Fraction(1, 2))
+    b = rival(Fraction(-2), Fraction(1, 4))
+    assert add(a, b) == rival(Fraction(-5, 3), Fraction(3, 4))
+    assert sub(a, b) == rival(Fraction(1, 12), Fraction(5, 2))
+    assert mul(a, b) == rival(Fraction(-1), Fraction(1, 8))
+    assert neg(a) == rival(Fraction(-1, 2), Fraction(-1, 3))
+    assert divide(a, rival(2, 4)) == rival(Fraction(1, 12), Fraction(1, 4))
 
 
 def test_division_by_interval_containing_zero_raises():
     with pytest.raises(DomainError):
-        divide(ival(1, 2), ival(-1, 1))
+        divide(rival(1, 2), rival(-1, 1))
 
 
 def test_pow_nat_even_is_nonnegative():
-    assert pow_nat(ival(-3, 2), 2) == ival(0, 9)
-    assert pow_nat(ival(-3, 2), 3) == ival(-27, 8)
-    assert pow_nat(ival(-3, 2), 0) == ival(1, 1)
+    assert pow_nat(rival(-3, 2), 2) == rival(0, 9)
+    assert pow_nat(rival(-3, 2), 3) == rival(-27, 8)
+    assert pow_nat(rival(-3, 2), 0) == rival(1, 1)
 
 
 def test_abs_and_split():
-    assert abs_interval(ival(-3, 2)) == ival(0, 3)
-    lo, hi = split(ival(0, 1))
-    assert lo == ival(0, Fraction(1, 2)) and hi == ival(Fraction(1, 2), 1)
+    assert abs_interval(rival(-3, 2)) == rival(0, 3)
+    lo, hi = split(rival(0, 1))
+    assert lo == rival(0, Fraction(1, 2)) and hi == rival(Fraction(1, 2), 1)
 
 
 @given(intervals(), intervals(), st.data())
@@ -88,20 +111,20 @@ def test_issubset_compares_endpoints(a, b):
 
 
 def test_box_queries():
-    b = box(ival(0, 1), ival(-1, 1))
+    b = box(rival(0, 1), rival(-1, 1))
     assert b.dim == 2 and len(b) == 2
     assert box_contains(b, (0, 0))  # 0 lies on the closed edge of [0,1]
-    assert not box_contains(box(ival(1, 2), ival(-1, 1)), (0, 0))
+    assert not box_contains(box(rival(1, 2), rival(-1, 1)), (0, 0))
     assert box_contains(b, (Fraction(1, 2), 0))
-    assert box_replace(b, 0, ival(5)) == box(ival(5), ival(-1, 1))
-    assert b.product(box(ival(7))) == box(ival(0, 1), ival(-1, 1), ival(7))
-    assert b[1] == ival(-1, 1)
+    assert box_replace(b, 0, rival(5)) == box(rival(5), rival(-1, 1))
+    assert b.product(box(rival(7))) == box(rival(0, 1), rival(-1, 1), rival(7))
+    assert b[1] == rival(-1, 1)
 
 
 def test_empty_box_is_the_zero_dimensional_point():
     assert EMPTY_BOX.dim == 0
     assert box_contains(EMPTY_BOX, ())  # vacuously: no axis excludes zero
-    assert EMPTY_BOX.product(box(ival(7))) == box(ival(7))
+    assert EMPTY_BOX.product(box(rival(7))) == box(rival(7))
 
 
 def test_rat_parsing_and_printing():

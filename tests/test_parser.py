@@ -5,7 +5,7 @@ import pytest
 
 from quasisat import terms as T
 from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
-                               formula_text, free_vars)
+                               formula_text, free_vars, same_structure)
 from quasisat.intervals import DomainError, ival
 from quasisat.parser import ParseError, parse
 
@@ -46,7 +46,7 @@ def test_inequality_directions_normalize_to_geq():
 
 def test_decimal_literals_are_exact():
     f = parse("exists x in [0, 0.75] . x = 0.1")
-    assert f.bounds[0].hi == Fraction(3, 4)
+    assert f.bounds[0] == (0, 3, 4)
     assert f.body.term == T.Sub(T.Var("x"), T.Const(Fraction(1, 10)))
 
 
@@ -182,6 +182,27 @@ def test_formula_text_roundtrip():
     for text in texts:
         f = parse(text)
         assert parse(formula_text(f)) == f
+
+
+def test_equal_rational_bounds_parse_to_equal_formulas():
+    """A bound is the canonical `Ival` of its rationals, however they are
+    written."""
+    a = parse("exists x in [2/4,1] . x >= 0")
+    b = parse("exists x in [1/2,1.0] . x >= 0")
+    assert a == b and same_structure(a, b)
+    assert a.bounds == ((1, 2, 2),)
+    assert parse("forall x in [-0.5,6/6] . x <= 1").bound == ival(Fraction(-1, 2), 1)
+
+
+@pytest.mark.parametrize("text", [
+    "exists x in [-7/3,-2/9] . x + 1 >= 0",
+    "exists x in [1/3,5/7], y in [-10/7,0.35] . x - y = 0 and x + y - 1/2 = 0",
+    "forall x in [-1/3,5/7] . exists y in [-2,-1/6] . y + x*x + 1/5 = 0",
+    "exists x in [-3/11,-3/11] . 11*x + 3 = 0",
+])
+def test_non_dyadic_and_negative_bounds_roundtrip(text):
+    f = parse(text)
+    assert parse(formula_text(f)) == f
 
 
 def test_formula_text_reparses_every_corpus_and_benchmark_text():

@@ -14,15 +14,14 @@ from quasisat import terms as T
 from quasisat.degree import degree
 from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
 from quasisat.geometry import grid_cover
-from quasisat.intervals import EMPTY_BOX, RatBox, box, ival
 from quasisat.parser import parse
-from quasisat.evaluation import box_env, compile_term
+from quasisat.evaluation import compile_term
 from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
                              _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import (eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial,
-                     substitute, tapes)
+from oracles import (RatBox, eval_env, face_box, grid_cells, grid_faces, index_cell,
+                     is_polynomial, ratbox, rival, substitute, tapes)
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -45,7 +44,8 @@ EXTRA_BLOCKS = {
 
 
 def env_of(names, p_box, b):
-    return dict(zip(names, p_box.product(b).intervals))
+    """The `Fraction` intervals of the `Ival` parameter box and the box b."""
+    return dict(zip(names, ratbox(p_box).product(b).intervals))
 
 
 def holds_zero(e) -> bool:
@@ -91,14 +91,14 @@ def sweep_complexes(eqs, names, p_box, grid, p, plausible):
             if root not in doomed_roots and keep.intersection(cells)]
 
 
-def existential_blocks(f, pnames=(), p_box=EMPTY_BOX):
+def existential_blocks(f, pnames=(), p_box=()):
     """(block, parameter names, parameter box) for each existential
     block, with a universal variable ranging over its whole bound."""
     if isinstance(f, Exists):
         yield f, pnames, p_box
     elif isinstance(f, ForAll):
         yield from existential_blocks(f.body, pnames + (f.var,),
-                                      p_box.product(box(f.bound)))
+                                      p_box + (f.bound,))
     elif isinstance(f, (And, Or)):
         yield from existential_blocks(f.left, pnames, p_box)
         yield from existential_blocks(f.right, pnames, p_box)
@@ -128,12 +128,12 @@ def test_pruning_matches_full_sweep(block):
         r = Fraction(1, 2 ** k)
         grid, p = grid_cover(s.bounds, r), prec_for(r)
         record = IterationRecord(0, r, TRI_TF)
-        plausible, _ = _plausible_cells(fs, gs, box_env(p_box), grid, p, record)
+        plausible, _ = _plausible_cells(fs, gs, list(p_box), grid, p, record)
         want = sweep_plausible(eqs, ineqs, names, p_box, grid, p)
         assert plausible == [index_cell(grid, idx) for idx in want]
         if len(eqs) == len(s.vars):
             certs = {}
-            got = _candidate_complexes(fs, box_env(p_box), grid, p,
+            got = _candidate_complexes(fs, list(p_box), grid, p,
                                        plausible, record, certs)
             assert got == [[index_cell(grid, idx) for idx in cells]
                            for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
@@ -147,11 +147,11 @@ def check_face_certificates(eqs, names, p_box, grid, p, certs):
     the one of largest mignitude over the slice, with its sign and its
     exact mignitude."""
     for cell, (i, sign, num, den) in certs.items():
-        face = RatBox(tuple(ival(Fraction(lo, d), Fraction(hi, d))
+        face = RatBox(tuple(rival(Fraction(lo, d), Fraction(hi, d))
                             for (lo, hi), d in zip(cell, grid.dens)))
         encs = [eval_env(f, env_of(names, p_box, face), p) for f in eqs]
         migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
-        want = (migs.index(max(migs)) if p_box.dim
+        want = (migs.index(max(migs)) if p_box
                 else next(k for k, m in enumerate(migs) if m))
         assert (i, sign, Fraction(num, den)) == (want, 1 if encs[want].lo > 0 else -1,
                                                  migs[want])
@@ -163,8 +163,8 @@ def check_seeded_degree(fs, eqs, names, pnames, p_box, grid, p, complexes, certs
     the centre substituted, seeded with the walk's certificates or not.
     The certificates change no degree value or subdivision count;
     without parameters they change nothing at all."""
-    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in box_env(p_box)]
-    p0 = {nm: (iv.lo + iv.hi) / 2 for nm, iv in zip(pnames, p_box.intervals)}
+    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_box]
+    p0 = {nm: (iv.lo + iv.hi) / 2 for nm, iv in zip(pnames, ratbox(p_box).intervals)}
     f0 = tapes([substitute(f, p0) for f in eqs], names)
     for cells in complexes:
         seeded = degree(fs, cells, grid.dens, p, centre, certs=certs)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import series
-from quasisat.evaluation import ival_of
 from quasisat.intervals import DomainError, ival
 
 import oracles
@@ -16,9 +15,9 @@ from oracles import to_interval
 
 
 def _on_ratintervals(enclosure):
-    """The enclosure taking and returning `RatInterval`s, for the checks
-    below that state their arguments and results as rationals."""
-    return lambda x, p: to_interval(enclosure(ival_of(x), p))
+    """The enclosure returning `RatInterval`s, for the checks below that
+    state their results as rationals."""
+    return lambda x, p: to_interval(enclosure(x, p))
 
 
 sin_enclosure = _on_ratintervals(series.sin_enclosure)
@@ -225,7 +224,7 @@ def test_pi_and_series_bounds_equal_the_fraction_reference():
         assert to_interval(series.pi_enclosure(p)) == oracles.pi_enclosure(p)
     for q in range(1, 400):
         for odd in (True, False):
-            assert series._series_terms(q, odd, {}) == oracles.series_terms(q, odd)
+            assert series._series_terms(q, odd) == oracles.series_terms(q, odd)
         for deg in (2, 3, 17, 40):
             assert series._remainder_fix(q, deg) == oracles.remainder_fix(q, deg)
 
@@ -262,9 +261,9 @@ def test_no_fraction_is_built_per_call(monkeypatch):
              (series.sqrt_enclosure, (5, 11, 3))]
     for fn, x in calls:
         fn(x, 40)
-    for cache in (series._point_cache, series._exp_cache, series._sin_terms_cache,
-                  series._cos_terms_cache, series._rem_cache):
-        cache.clear()
+    for cached in (series._trig_point, series._exp_point, series._series_terms,
+                   series._remainder_fix):
+        cached.cache_clear()
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",

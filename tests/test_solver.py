@@ -10,13 +10,13 @@ from quasisat import solver
 from quasisat.degree import DegreeResult
 from quasisat.formulas import ForAll, block_parts
 from quasisat.geometry import Grid, grid_cover
-from quasisat.intervals import EMPTY_BOX, box, ival
+from quasisat.intervals import ival
 from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, prec_for,
                              quasi_decide, tri_and, tri_or)
 
 from conftest import CORPUS_DIR
-from oracles import grid_cut, substitute, tapes
+from oracles import grid_cut, substitute, tapes, to_interval
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -54,18 +54,18 @@ def test_prec_for_slack_is_at_most_an_eighth():
 
 def test_checksat_singletons_and_indecision():
     t = parse("exists x in [0,1] . x - 1/2 = 0")
-    assert checksat(t, EMPTY_BOX, Fraction(1, 4)) == TRI_T
+    assert checksat(t, (), Fraction(1, 4)) == TRI_T
     f = parse("exists x in [0,1] . x - 2 = 0")
-    assert checksat(f, EMPTY_BOX, Fraction(1)) == TRI_F
+    assert checksat(f, (), Fraction(1)) == TRI_F
     n = parse("exists x in [1,2] . sin(x) = 1")
-    assert checksat(n, EMPTY_BOX, Fraction(1, 8)) == TRI_TF
+    assert checksat(n, (), Fraction(1, 8)) == TRI_TF
 
 
 def test_checksat_with_parameters():
     body = parse("exists y in [-2,2] . y - x = 0", params={"x": ival(0, 1)})
-    assert checksat(body, box(ival(0, 1)), Fraction(1, 4), ("x",)) == TRI_T
+    assert checksat(body, (ival(0, 1),), Fraction(1, 4), ("x",)) == TRI_T
     far = parse("exists y in [0,1] . y - x = 0", params={"x": ival(2, 3)})
-    assert checksat(far, box(ival(2, 3)), Fraction(1, 2), ("x",)) == TRI_F
+    assert checksat(far, (ival(2, 3),), Fraction(1, 2), ("x",)) == TRI_F
 
 
 NON_DYADIC = ival(Fraction(1, 3), Fraction(5, 7))
@@ -88,31 +88,32 @@ def test_universal_slabs_are_the_fraction_cuts(monkeypatch, bound, r):
     s = ForAll("y", bound, parse("1 >= 0"))
     got = solver._univ(s, ("x",), [(1, 2, 3)], r, IterationRecord(0, r, TRI_TF))
     assert got == (TRI_T, Fraction(1))
-    count = max(1, math.ceil(bound.width / r))
-    g = Grid(box(bound), (count,))
+    count = max(1, math.ceil(to_interval(bound).width / r))
+    g = Grid((bound,), (count,))
     assert [(pnames, env[0]) for pnames, env in seen] == [(("x", "y"), (1, 2, 3))] * count
     assert [(Fraction(lo, d), Fraction(hi, d)) for _, (_, (lo, hi, d)) in seen] == [
         (grid_cut(g, 0, i), grid_cut(g, 0, i + 1)) for i in range(count)]
 
 
 def slab_reference(s, p_box, r, pnames):
-    """`checksat`, with each universal cut into slabs lo + w*i/count and
-    each slab appended to the parameter box as a `RatBox` of `Fraction`s."""
+    """`checksat`, with each universal cut into slabs lo + w*i/count on
+    `Fraction`s and each slab appended to the parameter box."""
     if not isinstance(s, ForAll):
         return checksat(s, p_box, r, pnames)
-    count = max(1, math.ceil(s.bound.width / r))
+    bound = to_interval(s.bound)
+    count = max(1, math.ceil(bound.width / r))
     acc = TRI_T
     for i in range(count):
-        slab = ival(s.bound.lo + s.bound.width * i / count,
-                    s.bound.lo + s.bound.width * (i + 1) / count)
-        acc = tri_and(acc, slab_reference(s.body, p_box.product(box(slab)), r,
+        slab = ival(bound.lo + bound.width * i / count,
+                    bound.lo + bound.width * (i + 1) / count)
+        acc = tri_and(acc, slab_reference(s.body, p_box + (slab,), r,
                                           tuple(pnames) + (s.var,)))
     return acc
 
 
 def test_checksat_with_a_non_dyadic_parameter_box():
-    """Over x in [1/3, 5/7], the verdicts equal the slab-by-slab `RatBox`
-    reference."""
+    """Over x in [1/3, 5/7], the verdicts equal the slab-by-slab
+    `Fraction` reference."""
     texts = ["forall y in [1/5,4/5] . exists z in [-2,2] . z - x*y = 0",
              "forall y in [1/3,2/3] . exists z in [0,1] . z - x - y = 0",
              "forall y in [1/3,1/3] . exists z in [0,1] . z - x*y = 0",
@@ -122,18 +123,18 @@ def test_checksat_with_a_non_dyadic_parameter_box():
     for text in texts:
         s = parse(text, params={"x": NON_DYADIC})
         for r in (Fraction(1), Fraction(1, 3), Fraction(1, 16)):
-            verdict = checksat(s, box(NON_DYADIC), r, ("x",))
-            assert verdict == slab_reference(s, box(NON_DYADIC), r, ("x",)), (text, r)
+            verdict = checksat(s, (NON_DYADIC,), r, ("x",))
+            assert verdict == slab_reference(s, (NON_DYADIC,), r, ("x",)), (text, r)
             got.append(verdict)
     assert {TRI_T, TRI_F, TRI_TF} <= set(got)
 
 
 def test_checksat_rejects_bad_input():
     with pytest.raises(ValueError):
-        checksat(parse("1 >= 0"), EMPTY_BOX, Fraction(0))
+        checksat(parse("1 >= 0"), (), Fraction(0))
     out_of_class = parse("exists x in [0,1], y in [0,1] . x - y = 0")
     with pytest.raises(ValueError):
-        checksat(out_of_class, EMPTY_BOX, Fraction(1))
+        checksat(out_of_class, (), Fraction(1))
 
 
 def test_driver_true_verdict_with_certificate():
@@ -342,7 +343,7 @@ def test_degree_runs_on_the_block_tapes_at_the_slice_centre(monkeypatch):
     a = ival(Fraction(1, 3), Fraction(1, 2))
     s = parse("exists x in [-1,1], y in [-1,1] . x - a*y/2 - 1/5 = 0 and sin(y) - a/3 = 0",
               params={"a": a})
-    checksat(s, box(a), Fraction(1, 4), ("a",))
+    checksat(s, (a,), Fraction(1, 4), ("a",))
     assert calls
     eqs, _ = block_parts(s)
     f0 = tapes([substitute(t, {"a": Fraction(5, 12)}) for t in eqs], ("x", "y"))
