@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,17 +87,7 @@ def _tri_text(result: frozenset) -> str:
 
 
 def _trace_json(records: list[IterationRecord]) -> list[dict]:
-    return [{"iteration": r.iteration,
-             "eps": rat_str(r.eps),
-             "result": _tri_text(r.result),
-             "precision": r.precision,
-             "complexes": r.complexes,
-             "cells_evaluated": r.cells_evaluated,
-             "cells_plausible": r.cells_plausible,
-             "faces_evaluated": r.faces_evaluated,
-             "zero_faces": r.zero_faces,
-             "degree_subdivisions": r.degree_subdivisions,
-             "degrees": r.degrees}
+    return [{**asdict(r), "eps": rat_str(r.eps), "result": _tri_text(r.result)}
             for r in records]
 
 

@@ -10,11 +10,10 @@ component i* removed, up to the sign (-1)**(i*-1).  Dimension 0 counts
 signs directly.  Orientation conventions follow `geometry.oriented_boundary`
 and are cross-checked against independent oracles in the test suite.
 
-Cells are the integer cells of `geometry`: a cycle is a dict keyed by
-tuples of `(lo, hi)` numerators over one `dens` for the whole cycle, and
-each refinement bisects every cell and doubles `dens`.  The evaluator
-gets the numerators directly; a `Fraction` is built only for a
-certificate's bound.
+Cells are the `Ival` cells of `geometry`: a cycle is a dict keyed by
+cells that share one `den` per axis, and each refinement bisects every
+cell, doubling every `den`.  The evaluator runs on `env + cell` as it
+stands; a `Fraction` is built only for a certificate's bound.
 
 The map comes as the solver's compiled tapes, with `env`, the intervals
 of the variables before the complex's own, prepended to every cell (the
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .evaluation import Cert, Evaluator, Ival, cell_env, certify
+from .evaluation import Cert, Evaluator, Ival, certify
 from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
 
 _MAX_PREC = 4096
@@ -56,7 +55,7 @@ class _Budget:
 
 
 def _sign_at_point(
-    f: Evaluator, env: list[Ival], p: int, budget: _Budget
+    f: Evaluator, env: tuple[Ival, ...], p: int, budget: _Budget
 ) -> Optional[Cert]:
     """Sign of f at a degenerate cell, escalating precision as needed."""
     while p <= _MAX_PREC:
@@ -74,21 +73,20 @@ def _sign_at_point(
 def _deg_cycle(
     fs: list[Evaluator],
     cycle: dict[Cell, int],
-    dens: tuple[int, ...],
     p: int,
-    env: list[Ival],
+    env: tuple[Ival, ...],
     budget: _Budget,
     top_bounds: Optional[list[Cert]],
     known: Mapping[Cell, Cert] = {},
 ) -> Optional[int]:
-    """Degree of fs over an oriented cycle of (len(fs)-1)-cells on `dens`,
-    evaluated on `env` + the cell; the cells in `known` come certified."""
+    """Degree of fs over an oriented cycle of (len(fs)-1)-cells, evaluated
+    on `env` + the cell; the cells in `known` come certified."""
     if not cycle:  # e.g. a region boundary that cancelled out entirely
         return 0
     if len(fs) == 1:
         total = 0
         for cell, coef in cycle.items():
-            cert = known.get(cell) or _sign_at_point(fs[0], env + cell_env(cell, dens), p, budget)
+            cert = known.get(cell) or _sign_at_point(fs[0], env + cell, p, budget)
             if cert is None:
                 return None
             total += coef * cert[1]
@@ -111,7 +109,7 @@ def _deg_cycle(
         for k, (cell, _) in enumerate(cells):
             cert = certs[k]
             if cert is None:
-                cert = certs[k] = certify(fs, env + cell_env(cell, dens), p)
+                cert = certs[k] = certify(fs, env + cell, p)
             if cert is not None:
                 counts[cert[0]] = counts.get(cert[0], 0) + 1
         if None not in certs:
@@ -127,7 +125,6 @@ def _deg_cycle(
                 refined.append((child, coef))
                 inherited.append(cert)  # a subset keeps the bound
         cells, certs = refined, inherited
-        dens = tuple(2 * d for d in dens)
         p += 2
 
     if top_bounds is not None:  # every certificate made lives on in a child
@@ -140,7 +137,7 @@ def _deg_cycle(
             _add_cell_boundary(gamma, cell, coef)
 
     reduced = fs[:i_star] + fs[i_star + 1:]
-    sub = _deg_cycle(reduced, gamma, dens, p, env, budget, None)
+    sub = _deg_cycle(reduced, gamma, p, env, budget, None)
     if sub is None:
         return None
     return sub if i_star % 2 == 0 else -sub
@@ -149,20 +146,23 @@ def _deg_cycle(
 def degree(
     fs: Sequence[Evaluator],
     cells: Sequence[Cell],
-    dens: tuple[int, ...],
     p: int,
     env: Sequence[Ival] = (),
     budget: int = 1000,
     certs: Mapping[Cell, Cert] = {},
 ) -> Optional[DegreeResult]:
-    """Degree of fs over the complex of `cells` on `dens` at precision p,
-    with `env` before each cell's intervals; None when the boundary
-    cannot be certified nonzero within the subdivision budget.  `certs`
-    maps boundary cells over `dens` to certificates that hold for fs.
-    A complex whose boundary is empty (every cell degenerate) has no
-    boundary bound and raises ValueError."""
-    if len(fs) != len(dens):
+    """Degree of fs over the complex of `cells` at precision p, with `env`
+    before each cell's intervals; None when the boundary cannot be
+    certified nonzero within the subdivision budget.  `certs` maps
+    boundary cells to certificates that hold for fs.  Cells of another
+    dimension than len(fs), or without one shared `den` per axis (their
+    shared faces would not cancel), raise ValueError, and so does a
+    complex whose boundary is empty (every cell degenerate), which has
+    no boundary bound."""
+    if any(len(cell) != len(fs) for cell in cells):
         raise ValueError("map and complex dimension differ")
+    if len({tuple(d for _, _, d in cell) for cell in cells}) > 1:
+        raise ValueError("the cells do not share one denominator per axis")
     if p < 1:
         raise ValueError("precision must be >= 1")
     cycle = oriented_boundary(cells)
@@ -171,7 +171,7 @@ def degree(
                          "so no bound on the boundary exists")
     state = _Budget(budget)
     bounds: list[Cert] = []
-    value = _deg_cycle(list(fs), cycle, dens, p, list(env), state, bounds, certs)
+    value = _deg_cycle(list(fs), cycle, p, tuple(env), state, bounds, certs)
     if value is None:
         return None
     lb = min(Fraction(num, den) for _, _, num, den in bounds)

@@ -1,13 +1,13 @@
 """Structural distance between sentences: max over aligned atom positions
 of sup |f_i - g_i| over the quantification box, enclosed by bisecting
-integer cells (see `geometry`)."""
+`Ival` cells (see `geometry`)."""
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .evaluation import Ival, cell_env, compile_term
+from .evaluation import Ival, compile_term
 from .intervals import RatInterval, rat
 from .formulas import Formula, aligned_terms, same_structure
 from .geometry import bisect_box
@@ -44,10 +44,10 @@ def sup_abs_enclosure(
     bounds the supremum from below.  So an expanded affine t, whose cell
     enclosure is exact and whose supremum sits at a corner, closes at
     depth 0.  Axes that t does not mention are dropped, and with no axis
-    left only the precision deepens.  The cells are integer cells on one
-    shared `dens` (see `geometry`); bounds are compared by
-    cross-multiplication and only each depth's bracket is built from
-    `Fraction`s.
+    left only the precision deepens.  The cells are `Ival` cells, and
+    the active cells of a depth share their denominators (see
+    `geometry`); bounds are compared by cross-multiplication and only
+    each depth's bracket is built from `Fraction`s.
     """
     tol = rat(tol)
     if tol <= 0:
@@ -55,10 +55,9 @@ def sup_abs_enclosure(
     # an axis the term does not mention only multiplies the cells
     used = T.free_vars(t)
     kept = [i for i, v in enumerate(names) if v in used]
-    box = [box[i] for i in kept]
     evaluate = compile_term(t, [names[i] for i in kept])
     bracket: RatInterval | None = None
-    active, dens = [tuple((lo, hi) for lo, hi, _ in box)], tuple(d for _, _, d in box)
+    active = [tuple(box[i] for i in kept)]
     # (num, den) of the best lower bound on sup |t| so far
     best_lo: Optional[tuple[int, int]] = (0, 1) if kept else None
     depth = 0
@@ -68,15 +67,16 @@ def sup_abs_enclosure(
         hi = None
         corners: set[tuple[int, ...]] = set()
         for cell in active:
-            a, b, d = _abs(evaluate(cell_env(cell, dens), p))
+            a, b, d = _abs(evaluate(cell, p))
             scored.append((cell, b, d))
             if best_lo is None or a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
             if hi is None or b * hi[1] > hi[0] * d:
                 hi = b, d
-            corners.update(product(*cell))
+            corners.update(product(*(iv[:2] for iv in cell)))
+        first = active[0]  # the active cells share their denominators
         for corner in corners:  # degenerate cells: point values of |t|
-            a, _, d = _abs(evaluate([(c, c, e) for c, e in zip(corner, dens)], p))
+            a, _, d = _abs(evaluate([(c, c, iv[2]) for c, iv in zip(corner, first)], p))
             if a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
         hi_q = Fraction(*hi)
@@ -89,7 +89,6 @@ def sup_abs_enclosure(
         for cell, b, d in scored:
             if b * best_lo[1] >= best_lo[0] * d:
                 active.extend(bisect_box(cell))
-        dens = tuple(2 * x for x in dens)
         depth += 1
 
 

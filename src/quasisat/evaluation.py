@@ -26,11 +26,6 @@ Evaluator = Callable[[Sequence[Ival], int], Ival]  # (env, precision p)
 Cert = tuple[int, int, int, int]
 
 
-def cell_env(cell: Sequence[tuple[int, int]], dens: Sequence[int]) -> list[Ival]:
-    """The intervals of an integer cell over the per-axis denominators."""
-    return [(lo, hi, d) for (lo, hi), d in zip(cell, dens)]
-
-
 # ---------------------------------------------------------------------------
 # operations: op(a, b, p) for the operand intervals a, b and precision p
 

@@ -1,14 +1,14 @@
 """Uniform grids, the halving of grid blocks, and oriented boundaries of
 box complexes.
 
-A cell lives on integers: one `(lo, hi)` pair of numerators per axis
-over per-axis denominators `dens` shared by every cell of a grid or
-complex (an axis with lo == hi is degenerate).  A block of grid cells,
-a single cell and a face are all cells of this one form: a face has
-`(end, end)` on its axis.  Bisecting a cell doubles every denominator,
-so cells refined together stay on one `dens` and equal faces have equal
-keys.  A grid's base box is a tuple of `Ival` bounds and `grid_cover`
-counts its cells by integer ceil-division, so no `Fraction` is built.
+A cell is a tuple of `Ival`s, one `(lo, hi, den)` per axis (an axis
+with lo == hi is degenerate), and every cell of a grid or complex has
+the same `den` on each axis.  A block of grid cells, a single cell and
+a face are all cells of this one form: a face has `(end, end, den)` on
+its axis.  Bisecting a cell doubles every `den`, so cells refined
+together stay on shared denominators, equal faces have equal keys and
+cells compare in the order of their numerators.  `grid_cover` counts a
+grid's cells by integer ceil-division, so no `Fraction` is built.
 """
 from __future__ import annotations
 
@@ -18,16 +18,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Ival, rat
 
-Cell = tuple[tuple[int, int], ...]  # (lo, hi) numerators, one pair per axis
+Cell = tuple[Ival, ...]  # one (lo, hi, den) per axis
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over `base`: axis i is cut into counts[i] equal parts.
 
-    Its integer form is `whole`, the grid as one cell over `dens`, and
-    `steps`, the width of a cell on each axis over the same `dens`: cut
-    i of axis a is whole[a][0] + steps[a]*i over dens[a].  Cells are
+    Its integer form is `whole`, the grid as one cell, and `steps`, the
+    width of a cell on each axis over the `den` of `whole` there: cut i
+    of axis a is whole[a][0] + steps[a]*i over whole[a][2].  Cells are
     made on demand, so a grid with millions of cells costs nothing to
     build.
     """
@@ -35,23 +35,20 @@ class Grid:
     counts: tuple[int, ...]
     whole: Cell = field(init=False, repr=False, compare=False)
     steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    dens: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.counts) != len(self.base):
             raise ValueError("counts and box dimension differ")
         if any(c < 1 for c in self.counts):
             raise ValueError("each axis needs at least one cell")
-        whole, steps, dens = [], [], []
+        whole, steps = [], []
         for (lo, hi, d), c in zip(self.base, self.counts):
             # lo + (hi - lo)*i/c over the common denominator d*c
             g = math.gcd(lo * c, hi - lo, d * c)
-            whole.append((lo * c // g, hi * c // g))
+            whole.append((lo * c // g, hi * c // g, d * c // g))
             steps.append((hi - lo) // g)
-            dens.append(d * c // g)
         object.__setattr__(self, "whole", tuple(whole))
         object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "dens", tuple(dens))
 
     @property
     def n_cells(self) -> int:
@@ -62,28 +59,29 @@ def halve_block(block: Cell, steps: Sequence[int]) -> Optional[tuple[Cell, Cell]
     """Split a block of grid cells in half along the axis that holds the
     most cells (the first such axis); None when the block is one cell.
     An axis of step 0 is degenerate and holds one cell."""
-    sizes = [(hi - lo) // s if s else 1 for (lo, hi), s in zip(block, steps)]
+    sizes = [(hi - lo) // s if s else 1 for (lo, hi, _), s in zip(block, steps)]
     n = max(sizes, default=1)
     if n == 1:
         return None
     axis = sizes.index(n)
-    lo, hi = block[axis]
+    lo, hi, d = block[axis]
     mid = lo + n // 2 * steps[axis]
-    return (block[:axis] + ((lo, mid),) + block[axis + 1:],
-            block[:axis] + ((mid, hi),) + block[axis + 1:])
+    return (block[:axis] + ((lo, mid, d),) + block[axis + 1:],
+            block[:axis] + ((mid, hi, d),) + block[axis + 1:])
 
 
 def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Optional[Cell]]]:
     """The 2*dim faces of a grid cell, lower before upper on each axis, as
-    (axis, face, neighbour).  A face is the cell with `(end, end)` on its
-    axis; the neighbour across it is the cell shifted by one step along
-    the axis, None when `end` is an end of the grid (a degenerate axis
-    gives the same boundary face twice)."""
-    for axis, ((lo, hi), step, ends) in enumerate(zip(cell, grid.steps, grid.whole)):
+    (axis, face, neighbour).  A face is the cell with `(end, end, den)`
+    on its axis; the neighbour across it is the cell shifted by one step
+    along the axis, None when `end` is an end of the grid (a degenerate
+    axis gives the same boundary face twice)."""
+    for axis, ((lo, hi, d), step, (first, last, _)) in enumerate(
+            zip(cell, grid.steps, grid.whole)):
         for end, shift in ((lo, -step), (hi, step)):
-            other = None if end in ends else (
-                cell[:axis] + ((lo + shift, hi + shift),) + cell[axis + 1:])
-            yield axis, cell[:axis] + ((end, end),) + cell[axis + 1:], other
+            other = None if end == first or end == last else (
+                cell[:axis] + ((lo + shift, hi + shift, d),) + cell[axis + 1:])
+            yield axis, cell[:axis] + ((end, end, d),) + cell[axis + 1:], other
 
 
 def grid_cover(b: tuple[Ival, ...], r) -> Grid:
@@ -99,7 +97,7 @@ def grid_cover(b: tuple[Ival, ...], r) -> Grid:
 
 def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
     """Outward-oriented boundary of a union of congruent aligned cells on
-    one `dens`, as face -> integer coefficient.
+    shared denominators, as face -> integer coefficient.
 
     Each cell contributes its faces with the induced orientation of the
     standard frame: on the t-th non-degenerate axis (1-based), the upper
@@ -116,13 +114,13 @@ def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
     """Add coef times the oriented boundary of `cell` to `acc`, dropping
     faces whose coefficient cancels to zero."""
     t = 0
-    for axis, (lo, hi) in enumerate(cell):
+    for axis, (lo, hi, d) in enumerate(cell):
         if lo == hi:
             continue
         t += 1
         sign = -coef if t % 2 == 0 else coef
         for end, s in ((hi, sign), (lo, -sign)):
-            face = cell[:axis] + ((end, end),) + cell[axis + 1:]
+            face = cell[:axis] + ((end, end, d),) + cell[axis + 1:]
             got = acc.get(face, 0) + s
             if got:
                 acc[face] = got
@@ -132,10 +130,11 @@ def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
 
 def bisect_box(cell: Cell) -> list[Cell]:
     """Split a cell in half along every non-degenerate axis.  The halves
-    are over the doubled denominators: (lo, hi) becomes (2lo, lo+hi) and
-    (lo+hi, 2hi), a degenerate (c, c) becomes (2c, 2c)."""
+    are over the doubled denominators: (lo, hi, d) becomes (2lo, lo+hi, 2d)
+    and (lo+hi, 2hi, 2d), a degenerate (c, c, d) becomes (2c, 2c, 2d)."""
     out: list[Cell] = [()]
-    for lo, hi in cell:
-        pieces = ((2 * lo, lo + hi), (lo + hi, 2 * hi)) if lo != hi else ((2 * lo, 2 * lo),)
+    for lo, hi, d in cell:
+        pieces = (((2 * lo, lo + hi, 2 * d), (lo + hi, 2 * hi, 2 * d)) if lo != hi
+                  else ((2 * lo, 2 * lo, 2 * d),))
         out = [combo + (piece,) for combo in out for piece in pieces]
     return out

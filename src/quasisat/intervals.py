@@ -3,9 +3,9 @@ endpoints.
 
 `Ival = (lo, hi, den)`, integers with `den > 0` standing for
 [lo/den, hi/den], is the package's one interval format: quantifier
-bounds, parameter boxes and the cells of `geometry` are `Ival`s,
-`evaluation` computes on them and the transcendental enclosures of
-`series` take and return them.  `ival` is the one place where rational
+bounds and parameter boxes are `Ival`s, a cell of `geometry` is a tuple
+of them, `evaluation` computes on them and the enclosures of `series`
+take and return them.  `ival` is the one place where rational
 endpoints become an `Ival`.  `RatInterval`, with `fractions.Fraction`
 endpoints, is only the result of `distance_enclosure`; the `Fraction`
 reference arithmetic lives in tests/oracles.py.

@@ -6,19 +6,21 @@ the current refinement cannot decide.  The driver halves the refinement
 parameter until a singleton appears or the iteration budget runs out;
 non-robust sentences stay undecided forever, which is the honest answer.
 
-Everything here is an integer cell of `geometry` or an `Ival`: the
-parameter box and the quantifier bounds are `Ival`s from the parser on,
-and a universal's slabs are the cells of `grid_cover((bound,), r)`.  An
-existential block is checked on the grid `grid_cover(bounds, r)` without
-visiting all of it.  Blocks of cells are refuted top-down: a block
-whose interval evaluation excludes a solution is dropped whole (its
-bound enters the FALSE separation), and any other block is halved along
-the axis that holds the most cells until single plausible cells remain.
-The zero-face merge then walks outward from the plausible cells only, so
-the work of an iteration follows the cells still in play, not the grid
-size.  Each block's terms are compiled once: the refutation, the face
-walk and the degree (at the slice centre, as degenerate parameter
-intervals) all run on the same tapes.
+Everything here is an `Ival` or a cell of `geometry`, a tuple of
+`Ival`s: the parameter box and the quantifier bounds are `Ival`s from
+the parser on, and a universal's slabs are the cells of
+`grid_cover((bound,), r)`.  Every environment is a tuple, so each
+evaluation runs on `p_env + cell` as it stands.  An existential block is
+checked on the grid `grid_cover(bounds, r)` without visiting all of it.
+Blocks of cells are refuted top-down: a block whose interval evaluation
+excludes a solution is dropped whole (its bound enters the FALSE
+separation), and any other block is halved along the axis that holds the
+most cells until single plausible cells remain.  The zero-face merge
+then walks outward from the plausible cells only, so the work of an
+iteration follows the cells still in play, not the grid size.  Each
+block's terms are compiled once: the refutation, the face walk and the
+degree (at the slice centre, as degenerate parameter intervals) all run
+on the same tapes.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .evaluation import (Cert, Evaluator, Ival, cell_env, certify, compile_term,
-                         positive_lower_bound)
+from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
                        free_vars, validate_class_b)
 from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
@@ -88,7 +89,8 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 
 
 def _checksat(
-    s: Formula, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
+    s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
+    record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, (Exists, Atom)):
         return _soei(s, pnames, p_env, r, record)
@@ -102,16 +104,27 @@ def _checksat(
 
 def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
     """Three-valued check of s over the parameter box, one `Ival` per free
-    variable in quantification order; a singleton answer holds for every
-    parameter value in the box."""
+    variable in quantification order, named by `pnames`; a singleton
+    answer holds for every parameter value in the box.  A box that does
+    not fit the sentence raises ValueError."""
     r = rat(r)
     if r <= 0:
         raise ValueError("refinement parameter must be positive")
+    pnames, p_box = tuple(pnames), tuple(p_box)
+    missing = free_vars(s) - set(pnames)
+    if missing:
+        raise ValueError(f"free variables without a parameter name: {sorted(missing)}")
+    if len(p_box) != len(pnames):
+        raise ValueError(f"{len(p_box)} parameter intervals for {len(pnames)} parameter names")
+    for name, (lo, hi, d) in zip(pnames, p_box):
+        if d <= 0:
+            raise ValueError(f"parameter {name}: denominator {d} is not positive")
+        if lo > hi:
+            raise ValueError(f"parameter {name}: endpoints out of order: [{lo}/{d}, {hi}/{d}]")
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, tuple(pnames), list(p_box), r,
-                     IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return _checksat(s, pnames, p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +132,8 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 
 
 def _soei(
-    s: Formula, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
+    s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
+    record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, Atom):  # a ground atom is a block with no variables
         s = Exists((), (), s)
@@ -137,7 +151,7 @@ def _soei(
         return TRI_F, separation
     if n == 0:
         for cell in plausible:
-            lb = positive_lower_bound(gs, p_env + cell_env(cell, grid.dens), p)
+            lb = positive_lower_bound(gs, p_env + cell, p)
             if lb is not None:  # every inequality strictly positive here
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
@@ -146,7 +160,7 @@ def _soei(
 
 
 def _plausible_cells(
-    fs: list[Evaluator], gs: list[Evaluator], p_env: list[Ival], grid: Grid,
+    fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid,
     p: int, record: IterationRecord,
 ) -> tuple[list[Cell], Optional[Fraction]]:
     """Refute the grid top-down: a refuted block drops all of its cells,
@@ -158,7 +172,7 @@ def _plausible_cells(
     blocks = [grid.whole]
     while blocks:
         block = blocks.pop()
-        bound = _refutation_bound(fs, gs, p_env + cell_env(block, grid.dens), p)
+        bound = _refutation_bound(fs, gs, p_env + block, p)
         record.cells_evaluated += 1
         if bound is not None:
             separation = bound if separation is None else min(separation, bound)
@@ -188,7 +202,7 @@ def _refutation_bound(
 
 
 def _candidate_complexes(
-    fs: list[Evaluator], p_env: list[Ival], grid: Grid, p: int,
+    fs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid, p: int,
     plausible: list[Cell], record: IterationRecord,
     certs: dict[Cell, Cert],
 ) -> list[list[Cell]]:
@@ -213,7 +227,7 @@ def _candidate_complexes(
                 continue
             tested.add(face)
             record.faces_evaluated += 1
-            cert = certify(fs, p_env + cell_env(face, grid.dens), p, best=bool(p_env))
+            cert = certify(fs, p_env + face, p, best=bool(p_env))
             if cert is not None:
                 certs[face] = cert
                 continue
@@ -247,7 +261,7 @@ def _candidate_complexes(
 
 
 def _soei_degree_phase(
-    fs: list[Evaluator], gs: list[Evaluator], p_env: list[Ival], p: int,
+    fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], p: int,
     grid: Grid, plausible: list[Cell], record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     """Zero-face merging plus the degree test on candidate complexes.
@@ -259,10 +273,10 @@ def _soei_degree_phase(
     seed the degree's top level, and its `boundary_min_lb`, the least of
     them over the complex's boundary, is a certificate for every
     parameter value."""
-    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env]
+    centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
     certs: dict[Cell, Cert] = {}
     for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs):
-        result = degree(fs, cells, grid.dens, p, centre, certs=certs)
+        result = degree(fs, cells, p, centre, certs=certs)
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
         if result is None:
@@ -272,7 +286,7 @@ def _soei_degree_phase(
             continue
         cert = result.boundary_min_lb
         for cell in cells if gs else ():
-            lb = positive_lower_bound(gs, p_env + cell_env(cell, grid.dens), p)
+            lb = positive_lower_bound(gs, p_env + cell, p)
             if lb is None:  # an inequality may fail inside this complex
                 break
             cert = min(cert, lb)
@@ -286,15 +300,16 @@ def _soei_degree_phase(
 
 
 def _univ(
-    s: ForAll, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord
+    s: ForAll, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
+    record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
     grid = grid_cover((s.bound,), r)
-    ((lo, _),), (step,), (d,) = grid.whole, grid.steps, grid.dens
+    ((lo, _, d),), (step,) = grid.whole, grid.steps
     acc = TRI_T
     cert: Optional[Fraction] = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + [slab], r, record)
+        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + (slab,), r, record)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
@@ -304,7 +319,7 @@ def _univ(
 
 
 def _combine(
-    s, pnames: tuple[str, ...], p_env: list[Ival], r: Fraction, record: IterationRecord, op
+    s, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord, op
 ) -> tuple[TriValue, Optional[Fraction]]:
     results = []
     certs = []
@@ -312,7 +327,7 @@ def _combine(
         fv = free_vars(side)
         keep = [i for i, nm in enumerate(pnames) if nm in fv]
         res, cert = _checksat(side, tuple(pnames[i] for i in keep),
-                              [p_env[i] for i in keep], r, record)
+                              tuple(p_env[i] for i in keep), r, record)
         results.append(res)
         certs.append(cert)
     combined = op(results[0], results[1])
@@ -351,7 +366,7 @@ def quasi_decide(
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        result, cert = _checksat(s, (), [], eps, record)
+        result, cert = _checksat(s, (), (), eps, record)
         record.result = result
         trace.append(record)
         if len(result) == 1:

@@ -5,7 +5,7 @@ evaluation on `Fraction` endpoints, exact and float term evaluation,
 substitution of rational constants for variables, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
-to its integer cell), and the degree, oriented boundary, bisection and
+to its `Ival` cell), and the degree, oriented boundary, bisection and
 supremum enclosure on `RatBox`es."""
 from __future__ import annotations
 
@@ -443,15 +443,15 @@ def float_eval(t: T.Term, env: Mapping[str, float]) -> float:
 def winding_oracle_2d(
     fs: Sequence[T.Term],
     names: Sequence[str],
-    complex: tuple[Sequence[Cell], tuple[int, ...]],
+    cells: Sequence[Cell],
     samples: int = 64,
 ) -> int:
     """Non-rigorous test oracle: total winding of (f1, f2) along the
-    oriented boundary of the complex `(cells, dens)`, by float sampling."""
-    if len(fs) != 2 or len(complex[1]) != 2:
+    oriented boundary of the complex of `cells`, by float sampling."""
+    if len(fs) != 2 or len(cells[0]) != 2:
         raise ValueError("winding oracle needs a planar map")
     total = 0.0
-    for face, coef in oriented_boundary(ratboxes(complex)).items():
+    for face, coef in oriented_boundary(ratboxes(cells)).items():
         free = [a for a, iv in enumerate(face.intervals) if iv.lo != iv.hi]
         if len(free) != 1:
             raise ValueError("boundary face is not an edge")
@@ -510,9 +510,9 @@ def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
 
 
 def index_block(grid: Grid, lo: CellIndex, hi: CellIndex) -> Cell:
-    """The integer cell over `grid.dens` spanning the cells lo <= idx < hi."""
-    return tuple((w + s * i, w + s * j)
-                 for (w, _), s, i, j in zip(grid.whole, grid.steps, lo, hi))
+    """The `Ival` cell spanning the grid cells lo <= idx < hi."""
+    return tuple((w + s * i, w + s * j, d)
+                 for (w, _, d), s, i, j in zip(grid.whole, grid.steps, lo, hi))
 
 
 def index_cell(grid: Grid, idx: CellIndex) -> Cell:
@@ -520,9 +520,9 @@ def index_cell(grid: Grid, idx: CellIndex) -> Cell:
     return index_block(grid, idx, tuple(i + 1 for i in idx))
 
 
-def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> tuple[list[Cell], tuple[int, ...]]:
-    """The grid cells at the indices `idxs` as a complex `(cells, dens)`."""
-    return [index_cell(grid, idx) for idx in idxs], grid.dens
+def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> list[Cell]:
+    """The cells of the grid at the indices `idxs`, as a complex."""
+    return [index_cell(grid, idx) for idx in idxs]
 
 
 def halve_index_block(lo: CellIndex, hi: CellIndex):
@@ -581,18 +581,14 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
             yield (i,) + rest
 
 
-def single_box(b: tuple[Ival, ...]) -> tuple[list[Cell], tuple[int, ...]]:
-    """The box b as a one-cell complex `(cells, dens)`."""
-    g = Grid(b, (1,) * len(b))
-    return [g.whole], g.dens
+def single_box(b: tuple[Ival, ...]) -> list[Cell]:
+    """The box b as a one-cell complex."""
+    return [Grid(b, (1,) * len(b)).whole]
 
 
-def ratboxes(complex: tuple[Sequence[Cell], tuple[int, ...]]) -> tuple[RatBox, ...]:
-    """The cells of a complex `(cells, dens)` as `RatBox`es of `Fraction`s."""
-    cells, dens = complex
-    return tuple(RatBox(tuple(rival(Fraction(lo, d), Fraction(hi, d))
-                              for (lo, hi), d in zip(cell, dens)))
-                 for cell in cells)
+def ratboxes(cells: Iterable[Cell]) -> tuple[RatBox, ...]:
+    """`Ival` cells as `RatBox`es of `Fraction`s."""
+    return tuple(ratbox(cell) for cell in cells)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_c03_nonrobust_sentences_stay_unknown(corpus_runs):
 
 def test_c04_degree_fixture_and_identity_boxes():
     fs = [T.Sub(T.Pow(X, 2), T.Pow(Y, 2)), T.Mul(T.Const(2), T.Mul(X, Y))]
-    res = degree(tapes(fs, ("x", "y")), *single_box(UNIT2), 20)
+    res = degree(tapes(fs, ("x", "y")), single_box(UNIT2), 20)
     assert res is not None and res.value == 2
 
     rng = random.Random(42)
@@ -116,7 +116,7 @@ def test_c04_degree_fixture_and_identity_boxes():
             continue
         b = (ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        got = degree(tapes([X, Y], ("x", "y")), *single_box(b), 20)
+        got = degree(tapes([X, Y], ("x", "y")), single_box(b), 20)
         assert got is not None
         assert got.value == (1 if interior else 0)
         done += 1
@@ -138,7 +138,7 @@ def test_c05_degree_agrees_with_independent_oracles():
     agree = 0
     while agree < 50:
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        res = degree(tapes(fs, ("x", "y")), *single_box(UNIT2), 20,
+        res = degree(tapes(fs, ("x", "y")), single_box(UNIT2), 20,
                      budget=800)
         if res is None:
             continue
@@ -171,7 +171,7 @@ def test_c05_degree_agrees_with_independent_oracles():
         t = T.Const(coeffs[0])
         for k in coeffs[1:]:
             t = T.Add(T.Mul(t, X), T.Const(k))
-        res = degree(tapes([t], ("x",)), *single_box((ival(lo, hi),)),
+        res = degree(tapes([t], ("x",)), single_box((ival(lo, hi),)),
                      30, budget=5000)
         if res is None:
             continue
@@ -189,7 +189,7 @@ def test_c06_degree_additive_over_split_complexes():
         w = Fraction(rng.randint(1, 8), 4)
         g = Grid((ival(x0, x0 + 2 * w), ival(y0, y0 + w)), (2, 1))
         fs = [_random_poly_2d(rng), _random_poly_2d(rng)]
-        results = [degree(tapes(fs, ("x", "y")), *complex_of(g, cells), 20, budget=600)
+        results = [degree(tapes(fs, ("x", "y")), complex_of(g, cells), 20, budget=600)
                    for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)])]
         if any(r is None for r in results):
             continue

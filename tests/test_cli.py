@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, corpus runner."""
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from quasisat import cli
 from quasisat.cli import main
+from quasisat.solver import IterationRecord
 
 TRUE_S = "exists x in [0,1] . x - 1/2 = 0"
 FALSE_S = "exists x in [0,1] . x - 2 = 0"
@@ -56,6 +58,13 @@ def test_json_output_round_trips(capsys):
     assert main(["solve", JOINED_S, "--format", "json", "--trace"]) == 0
     (record,) = json.loads(capsys.readouterr().out)["trace"]
     assert record["cells_plausible"] == 2 and record["zero_faces"] == 1
+
+
+def test_json_trace_keys_are_the_iteration_record_fields(capsys):
+    """A counter added to `IterationRecord` shows up in the JSON trace."""
+    assert main(["solve", TRUE_S, "--format", "json", "--trace"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert [list(r) for r in trace] == [[f.name for f in fields(IterationRecord)]] * len(trace)
 
 
 def test_certificate_text_output(capsys):

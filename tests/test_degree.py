@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
-from quasisat.evaluation import cell_env, certify, compile_term
+from quasisat.evaluation import certify, compile_term
 from quasisat.formulas import block_parts
 from quasisat.geometry import Grid, oriented_boundary
 from quasisat.intervals import ival
@@ -38,32 +38,32 @@ def term_of(text: str) -> T.Term:
 
 
 def test_identity_map_degree_one_when_origin_interior():
-    res = degree(tapes([X], ("x",)), *single_box((ival(-1, 1),)), P20)
+    res = degree(tapes([X], ("x",)), single_box((ival(-1, 1),)), P20)
     assert res.value == 1
     assert res.boundary_min_lb == 1
 
 
 def test_degree_zero_when_no_root():
     res = degree(tapes([T.Sub(T.Pow(X, 2), c(2))], ("x",)),
-                 *single_box((ival(0, 1),)), P20)
+                 single_box((ival(0, 1),)), P20)
     assert res.value == 0
 
 
 def test_planar_identity_degree_one():
     res = degree(tapes([X, Y], ("x", "y")),
-                 *single_box((ival(-1, 1), ival(-1, 1))), P20)
+                 single_box((ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 1
 
 
 def test_planar_origin_exterior_degree_zero():
     res = degree(tapes([X, Y], ("x", "y")),
-                 *single_box((ival(1, 2), ival(1, 2))), P20)
+                 single_box((ival(1, 2), ival(1, 2))), P20)
     assert res.value == 0
 
 
 def test_complex_squaring_has_degree_two():
     fs = [term_of("x^2 - y^2"), term_of("2*x*y")]
-    res = degree(tapes(fs, ("x", "y")), *single_box((ival(-1, 1), ival(-1, 1))), P20)
+    res = degree(tapes(fs, ("x", "y")), single_box((ival(-1, 1), ival(-1, 1))), P20)
     assert res.value == 2
     assert res.subdivisions > 0
     assert winding_oracle_2d(fs, ("x", "y"),
@@ -74,32 +74,46 @@ def test_degree_on_l_shaped_complex():
     g = Grid((ival(-1, 1), ival(-1, 1)), (2, 2))
     ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     shifted = [T.Sub(X, c(Fraction(-1, 2))), T.Sub(Y, c(Fraction(-1, 2)))]
-    res = degree(tapes(shifted, ("x", "y")), *ell, P20)
+    res = degree(tapes(shifted, ("x", "y")), ell, P20)
     assert res.value == 1
     assert winding_oracle_2d(shifted, ("x", "y"), ell) == 1
 
 
 def test_uncertifiable_boundary_returns_none():
     # x vanishes on the boundary: no budget can certify it away
-    res = degree(tapes([X], ("x",)), *single_box((ival(0, 1),)), P20, budget=50)
+    res = degree(tapes([X], ("x",)), single_box((ival(0, 1),)), P20, budget=50)
     assert res is None
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        degree(tapes([X, Y], ("x", "y")), *single_box((ival(0, 1),)), P20)
+        degree(tapes([X, Y], ("x", "y")), single_box((ival(0, 1),)), P20)
+
+
+def test_cells_of_another_dimension_rejected():
+    # one cell of the complex is planar, the map is one-dimensional
+    with pytest.raises(ValueError, match="dimension"):
+        degree(tapes([X], ("x",)), [((0, 1, 1),), ((1, 2, 1), (0, 1, 1))], P20)
+
+
+def test_cells_with_mixed_denominators_rejected():
+    # [0, 1] and [1, 2] over 2 on one axis: their shared face 1 = 2/2
+    # would not cancel as a key
+    with pytest.raises(ValueError, match="denominator"):
+        degree(tapes([T.Sub(X, c(Fraction(1, 2)))], ("x",)),
+               [((0, 1, 1),), ((2, 4, 2),)], P20)
 
 
 def test_precision_below_one_rejected():
     # at p = 0 the point sign test would double p forever
     with pytest.raises(ValueError):
-        degree(tapes([X], ("x",)), *single_box((ival(-1, 1),)), p=0)
+        degree(tapes([X], ("x",)), single_box((ival(-1, 1),)), p=0)
 
 
 def test_all_degenerate_complex_is_rejected_by_name():
     # the boundary of the point cell cancels to an empty cycle: no bound
     with pytest.raises(ValueError, match="empty boundary"):
-        degree(tapes([X], ("x",)), [((0, 0),)], (1,), 4)
+        degree(tapes([X], ("x",)), [((0, 0, 1),)], 4)
 
 
 def test_result_requires_positive_bound():
@@ -118,7 +132,7 @@ def test_identity_random_boxes_match_point_membership():
             continue  # origin on the boundary: degree undefined
         b = (ival(los[0], his[0]), ival(los[1], his[1]))
         interior = all(lo < 0 < hi for lo, hi in zip(los, his))
-        res = degree(tapes([X, Y], ("x", "y")), *single_box(b), P20)
+        res = degree(tapes([X, Y], ("x", "y")), single_box(b), P20)
         assert res is not None
         assert res.value == (1 if interior else 0)
         done += 1
@@ -152,7 +166,7 @@ def test_1d_degree_matches_exact_sign_formula():
             return v
         if ev(lo) == 0 or ev(hi) == 0:
             continue
-        res = degree(tapes([poly_1d(coeffs)], ("x",)), *single_box((ival(lo, hi),)),
+        res = degree(tapes([poly_1d(coeffs)], ("x",)), single_box((ival(lo, hi),)),
                      30, budget=5000)
         if res is None:
             continue  # interior-boundary zeros exhaust any budget honestly
@@ -176,7 +190,7 @@ def test_2d_degree_matches_winding_oracle():
     agree = 0
     while agree < 50:
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
-        res = degree(tapes(fs, ("x", "y")), *single_box(b), P20, budget=800)
+        res = degree(tapes(fs, ("x", "y")), single_box(b), P20, budget=800)
         if res is None:
             continue  # boundary zero or budget exhausted: no claim made
         try:
@@ -199,7 +213,7 @@ def test_degree_is_additive_across_splits():
         fs = [random_poly_2d(rng), random_poly_2d(rng)]
         parts = []
         for cells in ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)]):
-            parts.append(degree(tapes(fs, ("x", "y")), *complex_of(g, cells), P20, budget=600))
+            parts.append(degree(tapes(fs, ("x", "y")), complex_of(g, cells), P20, budget=600))
         if any(p is None for p in parts):
             continue
         assert parts[0].value == parts[1].value + parts[2].value
@@ -212,13 +226,13 @@ def test_degree_stable_under_grid_refinement():
     for n in (1, 2):
         g = Grid(b, (n, n))
         comp = complex_of(g, [idx for idx, _ in grid_cells(g)])
-        res = degree(tapes(fs, ("x", "y")), *comp, P20)
+        res = degree(tapes(fs, ("x", "y")), comp, P20)
         assert res is not None and res.value == 2
 
 
 def test_empty_cycle_has_degree_zero():
     fs = [compile_term(term_of(text), ("x", "y", "z")) for text in ("x", "y", "x - y")]
-    assert _deg_cycle(fs, {}, (1, 1, 1), 20, [], _Budget(10), None) == 0
+    assert _deg_cycle(fs, {}, 20, (), _Budget(10), None) == 0
 
 
 def random_map(rng, names, centre) -> list[T.Term]:
@@ -258,7 +272,7 @@ def test_degree_equals_the_ratbox_reference(dim, seed):
               for iv in oracles.ratbox(bounds)]
     fs = random_map(rng, names, centre)
     comp = complex_of(g, cells)
-    got = degree(tapes(fs, names), *comp, P20, budget=200)
+    got = degree(tapes(fs, names), comp, P20, budget=200)
     assert got == oracles.degree(fs, names, ratboxes(comp), P20, budget=200)
 
 
@@ -300,15 +314,15 @@ def test_degree_on_tapes_at_the_centre_equals_the_substituted_terms(
     f0 = tapes([substitute(t, {"a": (alo + ahi) / 2, "b": (blo + bhi) / 2})
                 for t in terms], names)
     g = Grid(block.bounds, tuple(counts[:len(names)]))
-    cells, dens = complex_of(g, [idx for (idx, _), k in zip(grid_cells(g), keep) if k]
-                            or [(0,) * len(names)])
-    p_env = [a, b]
-    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env]
+    cells = complex_of(g, [idx for (idx, _), k in zip(grid_cells(g), keep) if k]
+                       or [(0,) * len(names)])
+    p_env = (a, b)
+    centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
     certs = {}
     for face in oriented_boundary(cells):
-        cert = certify(fs, p_env + cell_env(face, dens), p, best=True)
+        cert = certify(fs, p_env + face, p, best=True)
         if cert is not None:
             certs[face] = cert
     for seeds in ({}, certs):
-        got = degree(fs, cells, dens, p, centre, budget=200, certs=seeds)
-        assert got == degree(f0, cells, dens, p, budget=200, certs=seeds)
+        got = degree(fs, cells, p, centre, budget=200, certs=seeds)
+        assert got == degree(f0, cells, p, budget=200, certs=seeds)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quasisat.evaluation import cell_env
 from quasisat.geometry import (Grid, bisect_box, faces_around, grid_cover,
                                halve_block, oriented_boundary)
 from quasisat.intervals import ival
@@ -80,20 +79,15 @@ def grid_of(spec) -> Grid:
                 tuple(c for _, _, c in spec))
 
 
-def env_box(block, dens) -> RatBox:
-    """The box of the integer intervals the solver evaluates on a block."""
-    return ratbox(cell_env(block, dens))
-
-
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=9)),
                 min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_integer_axes_reproduce_the_cuts(spec):
-    """Cut i of every axis, whole[a][0] + steps[a]*i over dens[a], is the
-    `Fraction` cut, also for non-dyadic and degenerate bounds, and the
+    """Cut i of every axis, whole[a][0] + steps[a]*i over whole[a][2], is
+    the `Fraction` cut, also for non-dyadic and degenerate bounds, and the
     cells agree."""
     g = grid_of(spec)
-    for axis, ((lo, hi), step, den) in enumerate(zip(g.whole, g.steps, g.dens)):
+    for axis, ((lo, hi, den), step) in enumerate(zip(g.whole, g.steps)):
         assert den > 0
         for i in range(g.counts[axis] + 1):
             assert Fraction(lo + step * i, den) == grid_cut(g, axis, i)
@@ -104,12 +98,12 @@ def test_integer_axes_reproduce_the_cuts(spec):
 
 def test_integer_axes_of_a_non_dyadic_box():
     g = Grid((ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
-    assert (g.whole, g.steps, g.dens) == (((21, 45), (-2, 2)), (8, 1), (63, 2))
-    assert complex_of(g, [(2, 3)]) == ([((37, 45), (1, 2))], (63, 2))
+    assert (g.whole, g.steps) == (((21, 45, 63), (-2, 2, 2)), (8, 1))
+    assert complex_of(g, [(2, 3)]) == [((37, 45, 63), (1, 2, 2))]
     assert ratboxes(complex_of(g, [(2, 3)])) == (box(rival(Fraction(37, 63), Fraction(5, 7)),
                                                      rival(Fraction(1, 2), 1)),)
     flat = Grid((ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
-    assert (flat.whole, flat.steps, flat.dens) == (((1, 1), (0, 2)), (0, 1), (3, 2))
+    assert (flat.whole, flat.steps) == (((1, 1, 3), (0, 2, 2)), (0, 1))
 
 
 def test_block_box_spans_its_cells():
@@ -118,28 +112,31 @@ def test_block_box_spans_its_cells():
     g = Grid((ival(0, 3), ival(-1, 1)), (3, 4))
 
     def block(lo, hi):
-        return env_box(index_block(g, lo, hi), g.dens)
+        return ratbox(index_block(g, lo, hi))
 
     assert block((1, 0), (3, 2)) == box(rival(1, 3), rival(-1, 0))
     assert (block((2, 3), (3, 4)),) == ratboxes(complex_of(g, [(2, 3)]))
     assert block((0, 0), g.counts) == ratbox(g.base)
     assert index_block(g, (0, 0), g.counts) == g.whole
-    assert env_box(g.whole, g.dens) == ratbox(g.base)
+    assert ratbox(g.whole) == ratbox(g.base)
 
 
 def test_halve_block_splits_the_longest_index_range():
     """The longest index range is the axis that holds the most cells."""
-    # cells of width 2 on axis 0 and 3 on axis 1
+    # cells of width 2 on axis 0 and 3 on axis 1, over 5 and 7
     steps = (2, 3)
-    assert halve_block(((0, 6), (0, 12)), steps) == (((0, 6), (0, 6)), ((0, 6), (6, 12)))
-    assert halve_block(((0, 8), (0, 12)), steps) == (((0, 4), (0, 12)), ((4, 8), (0, 12)))
-    assert halve_block(((4, 10), (15, 18)), steps) == (((4, 6), (15, 18)),
-                                                       ((6, 10), (15, 18)))
-    assert halve_block(((10, 12), (3, 6)), steps) is None
+    assert halve_block(((0, 6, 5), (0, 12, 7)), steps) == (((0, 6, 5), (0, 6, 7)),
+                                                           ((0, 6, 5), (6, 12, 7)))
+    assert halve_block(((0, 8, 5), (0, 12, 7)), steps) == (((0, 4, 5), (0, 12, 7)),
+                                                           ((4, 8, 5), (0, 12, 7)))
+    assert halve_block(((4, 10, 5), (15, 18, 7)), steps) == (((4, 6, 5), (15, 18, 7)),
+                                                             ((6, 10, 5), (15, 18, 7)))
+    assert halve_block(((10, 12, 5), (3, 6, 7)), steps) is None
     assert halve_block((), ()) is None
     # a degenerate axis has step 0 and holds one cell
-    assert halve_block(((0, 4), (3, 3)), (1, 0)) == (((0, 2), (3, 3)), ((2, 4), (3, 3)))
-    assert halve_block(((1, 2), (3, 3)), (1, 0)) is None
+    assert halve_block(((0, 4, 1), (3, 3, 2)), (1, 0)) == (((0, 2, 1), (3, 3, 2)),
+                                                          ((2, 4, 1), (3, 3, 2)))
+    assert halve_block(((1, 2, 1), (3, 3, 2)), (1, 0)) is None
 
 
 @given(specs(9))
@@ -153,7 +150,7 @@ def test_halve_block_follows_the_index_halving(spec):
     while pairs:
         block, (lo, hi) = pairs.pop()
         assert block == index_block(g, lo, hi)
-        assert env_box(block, g.dens) == RatBox(tuple(
+        assert ratbox(block) == RatBox(tuple(
             rival(grid_cut(g, a, i), grid_cut(g, a, j)) for a, (i, j) in enumerate(zip(lo, hi))))
         halves, want = halve_block(block, g.steps), halve_index_block(lo, hi)
         assert (halves is None) == (want is None)
@@ -191,7 +188,7 @@ def check_faces_around(g: Grid) -> None:
             assert fb[f.axis].lo == fb[f.axis].hi
             assert all(fb[a] == cell[a] for a in range(len(g.counts)) if a != f.axis)
             assert axis == f.axis
-            assert ratboxes(([face], g.dens)) == (fb,)
+            assert ratboxes([face]) == (fb,)
             assert face[axis][0] == face[axis][1]
             assert (other is None) == f.on_boundary
             if other is not None:
@@ -214,31 +211,31 @@ def test_faces_around_match_the_index_faces(spec):
 
 
 def test_boundary_face_counts():
-    one, _ = single_box(UNIT2)
+    one = single_box(UNIT2)
     assert len(oriented_boundary(one)) == 4
     g = Grid(UNIT2, (2, 1))
-    two, _ = complex_of(g, [(0, 0), (1, 0)])
+    two = complex_of(g, [(0, 0), (1, 0)])
     assert len(oriented_boundary(two)) == 6  # shared face cancels
     # L-shape of three cells: 8 boundary edges
     g = Grid(UNIT2, (2, 2))
-    ell, _ = complex_of(g, [(0, 0), (1, 0), (0, 1)])
+    ell = complex_of(g, [(0, 0), (1, 0), (0, 1)])
     assert len(oriented_boundary(ell)) == 8
 
 
 def test_boundary_of_3d_cube():
-    cube, _ = single_box((ival(0, 1), ival(0, 1), ival(0, 1)))
+    cube = single_box((ival(0, 1), ival(0, 1), ival(0, 1)))
     faces = oriented_boundary(cube)
     assert len(faces) == 6
     assert all(c in (-1, 1) for c in faces.values())
     # each face is degenerate in exactly one axis, at the cube's ends
     assert {f for f in faces} == {
-        tuple((e, e) if a == axis else (0, 1) for a in range(3))
+        tuple((e, e, 1) if a == axis else (0, 1, 1) for a in range(3))
         for axis in range(3) for e in (0, 1)}
 
 
-def _signed_edge_measure(face, coef: int, axis: int, den: int) -> Fraction:
+def _signed_edge_measure(face, coef: int, axis: int) -> Fraction:
     """coef * (length along `axis`), 0 when the face is degenerate there."""
-    lo, hi = face[axis]
+    lo, hi, den = face[axis]
     return coef * Fraction(hi - lo, den)
 
 
@@ -252,10 +249,9 @@ def test_boundary_telescopes_to_zero(nx, ny, drop):
     cells = [idx for idx, _ in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
-    cells, dens = complex_of(g, cells)
-    faces = oriented_boundary(cells)
+    faces = oriented_boundary(complex_of(g, cells))
     for axis in range(2):
-        total = sum(_signed_edge_measure(f, c, axis, dens[axis])
+        total = sum(_signed_edge_measure(f, c, axis)
                     for f, c in faces.items())
         assert total == 0
 
@@ -265,28 +261,27 @@ def test_shared_faces_cancel_exactly():
     whole = complex_of(g, [idx for idx, _ in grid_cells(g)])
     outer = single_box(UNIT2)
 
-    def rim(comp):
-        cells, dens = comp
+    def rim(cells):
         return sum(Fraction(hi - lo, d) for face in oriented_boundary(cells)
-                   for (lo, hi), d in zip(face, dens))
+                   for lo, hi, d in face)
 
     # the union's boundary covers exactly the outer rim, subdivided
     assert rim(whole) == rim(outer)
-    assert all(any(lo != hi for lo, hi in f) for f in oriented_boundary(whole[0]))
-    assert len(oriented_boundary(whole[0])) == 8
+    assert all(any(lo != hi for lo, hi, _ in f) for f in oriented_boundary(whole))
+    assert len(oriented_boundary(whole)) == 8
 
 
 def test_bisect_box_halves_every_free_axis():
     b = single_box((ival(0, 1), ival(0, Fraction(1, 2))))
-    assert b == ([((0, 1), (0, 1))], (1, 2))
-    halves = bisect_box(b[0][0])  # over the doubled dens (2, 4)
-    assert halves == [((0, 1), (0, 1)), ((0, 1), (1, 2)),
-                      ((1, 2), (0, 1)), ((1, 2), (1, 2))]
-    assert sum(Fraction((x1 - x0) * (y1 - y0), 2 * 4)
-               for (x0, x1), (y0, y1) in halves) == Fraction(1, 2)
+    assert b == [((0, 1, 1), (0, 1, 2))]
+    halves = bisect_box(b[0])  # over the doubled denominators 2 and 4
+    assert halves == [((0, 1, 2), (0, 1, 4)), ((0, 1, 2), (1, 2, 4)),
+                      ((1, 2, 2), (0, 1, 4)), ((1, 2, 2), (1, 2, 4))]
+    assert sum(Fraction((x1 - x0) * (y1 - y0), dx * dy)
+               for (x0, x1, dx), (y0, y1, dy) in halves) == Fraction(1, 2)
     # degenerate axes are preserved, not split
-    (flat,), _ = single_box((ival(0, 1), ival(Fraction(1, 2))))
-    assert bisect_box(flat) == [((0, 1), (2, 2)), ((1, 2), (2, 2))]
+    (flat,) = single_box((ival(0, 1), ival(Fraction(1, 2))))
+    assert bisect_box(flat) == [((0, 1, 2), (2, 2, 4)), ((1, 2, 2), (2, 2, 4))]
 
 
 @given(st.lists(st.tuples(bounds, bounds, st.integers(min_value=1, max_value=3)),
@@ -299,14 +294,13 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
     face, coefficient for coefficient and in the same order."""
     g = grid_of(spec)
     idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * len(g.counts)]
-    comp = cells, dens = complex_of(g, idxs)
+    cells = complex_of(g, idxs)
     got = oriented_boundary(cells)
-    want = oracles.oriented_boundary(ratboxes(comp))
-    faces = ratboxes((got, dens))
+    want = oracles.oriented_boundary(ratboxes(cells))
+    faces = ratboxes(got)
     assert list(zip(faces, got.values())) == list(want.items())
-    halves = tuple(2 * d for d in dens)
-    for cell, ref in zip(cells, ratboxes(comp)):
-        assert list(ratboxes((bisect_box(cell), halves))) == oracles.bisect_box(ref)
+    for cell, ref in zip(cells, ratboxes(cells)):
+        assert list(ratboxes(bisect_box(cell))) == oracles.bisect_box(ref)
 
 
 def test_grid_lazy_scaling():

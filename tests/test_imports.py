@@ -1,6 +1,8 @@
 """Every name a module of src/quasisat imports is used in that module or
-listed in its `__all__`: a stdlib AST scan, so that an import left behind
-by a refactor fails the suite."""
+listed in its `__all__`, and every top-level function, class or method
+is read by some module of src/quasisat or listed in an `__all__`: stdlib
+AST scans, so that an import left behind by a refactor, or a helper only
+the tests use, fails the suite."""
 import ast
 from pathlib import Path
 
@@ -41,3 +43,59 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+# read outside src/quasisat only, each with the reason it stays
+UNREAD_EXEMPT = {
+    "Grid.n_cells": "bench/tracing.py reads it from solver.grid_cover's result",
+}
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes, as 'module.name', and their
+    methods, as 'module.Class.name', whose name no module reads outside
+    the definition itself and no `__all__` lists; dunder methods, which
+    Python calls itself, do not count."""
+    defs: list[tuple[str, str, ast.AST]] = []  # (label, name, node)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((f"{module}.{node.name}.{m.name}", m.name, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__")))
+    reads: list[tuple[str, ast.AST]] = []  # (name, node that reads it)
+    listed: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, node))
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                listed.update(e.value for e in node.value.elts)
+    unread = []
+    for label, name, node in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if name not in listed and not any(r == name and id(n) not in own for r, n in reads):
+            unread.append(label)
+    return sorted(unread)
+
+
+def test_the_scan_finds_unread_definitions():
+    sources = {"a": "__all__ = ['pub']\ndef pub(): return _used()\ndef _used(): pass\n"
+                    "def _rec(n): return _rec(n - 1)\n"
+                    "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
+                    "    def read(self): pass\n",
+               "b": "from a import C\nC().read()\n"}
+    assert unread_definitions(sources) == ["a.C.m", "a._rec"]
+
+
+def test_no_definition_is_read_only_by_tests():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    unread = unread_definitions(sources)
+    assert [d for d in unread if d.split(".", 1)[1] not in UNREAD_EXEMPT] == []
+    assert {d.split(".", 1)[1] for d in unread} == set(UNREAD_EXEMPT)

@@ -1,6 +1,6 @@
 """The top-down refutation and the face walk of `solver` against a sweep
 over every cell and every face of the same grid in index space, each
-index mapped to its integer cell.
+index mapped to its `Ival` cell.
 
 The blocks are polynomial, where interval evaluation is inclusion-isotone:
 a block whose box is refuted has every cell refuted, so the pruned search
@@ -20,8 +20,8 @@ from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
                              _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import (RatBox, eval_env, face_box, grid_cells, grid_faces, index_cell,
-                     is_polynomial, ratbox, rival, substitute, tapes)
+from oracles import (eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial,
+                     ratbox, substitute, tapes)
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "
@@ -128,12 +128,12 @@ def test_pruning_matches_full_sweep(block):
         r = Fraction(1, 2 ** k)
         grid, p = grid_cover(s.bounds, r), prec_for(r)
         record = IterationRecord(0, r, TRI_TF)
-        plausible, _ = _plausible_cells(fs, gs, list(p_box), grid, p, record)
+        plausible, _ = _plausible_cells(fs, gs, p_box, grid, p, record)
         want = sweep_plausible(eqs, ineqs, names, p_box, grid, p)
         assert plausible == [index_cell(grid, idx) for idx in want]
         if len(eqs) == len(s.vars):
             certs = {}
-            got = _candidate_complexes(fs, list(p_box), grid, p,
+            got = _candidate_complexes(fs, p_box, grid, p,
                                        plausible, record, certs)
             assert got == [[index_cell(grid, idx) for idx in cells]
                            for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
@@ -147,9 +147,7 @@ def check_face_certificates(eqs, names, p_box, grid, p, certs):
     the one of largest mignitude over the slice, with its sign and its
     exact mignitude."""
     for cell, (i, sign, num, den) in certs.items():
-        face = RatBox(tuple(rival(Fraction(lo, d), Fraction(hi, d))
-                            for (lo, hi), d in zip(cell, grid.dens)))
-        encs = [eval_env(f, env_of(names, p_box, face), p) for f in eqs]
+        encs = [eval_env(f, env_of(names, p_box, ratbox(cell)), p) for f in eqs]
         migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
         want = (migs.index(max(migs)) if p_box
                 else next(k for k, m in enumerate(migs) if m))
@@ -163,14 +161,14 @@ def check_seeded_degree(fs, eqs, names, pnames, p_box, grid, p, complexes, certs
     the centre substituted, seeded with the walk's certificates or not.
     The certificates change no degree value or subdivision count;
     without parameters they change nothing at all."""
-    centre = [(lo + hi, lo + hi, 2 * d) for lo, hi, d in p_box]
+    centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_box)
     p0 = {nm: (iv.lo + iv.hi) / 2 for nm, iv in zip(pnames, ratbox(p_box).intervals)}
     f0 = tapes([substitute(f, p0) for f in eqs], names)
     for cells in complexes:
-        seeded = degree(fs, cells, grid.dens, p, centre, certs=certs)
-        fresh = degree(fs, cells, grid.dens, p, centre)
-        assert seeded == degree(f0, cells, grid.dens, p, certs=certs)
-        assert fresh == degree(f0, cells, grid.dens, p)
+        seeded = degree(fs, cells, p, centre, certs=certs)
+        fresh = degree(fs, cells, p, centre)
+        assert seeded == degree(f0, cells, p, certs=certs)
+        assert fresh == degree(f0, cells, p)
         if pnames:
             assert (seeded is None) == (fresh is None)
             if fresh is not None:

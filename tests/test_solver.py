@@ -9,7 +9,7 @@ import pytest
 from quasisat import solver
 from quasisat.degree import DegreeResult
 from quasisat.formulas import ForAll, block_parts
-from quasisat.geometry import Grid, grid_cover
+from quasisat.geometry import Grid, grid_cover, oriented_boundary
 from quasisat.intervals import ival
 from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, prec_for,
@@ -86,7 +86,7 @@ def test_universal_slabs_are_the_fraction_cuts(monkeypatch, bound, r):
 
     monkeypatch.setattr(solver, "_checksat", body)
     s = ForAll("y", bound, parse("1 >= 0"))
-    got = solver._univ(s, ("x",), [(1, 2, 3)], r, IterationRecord(0, r, TRI_TF))
+    got = solver._univ(s, ("x",), ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF))
     assert got == (TRI_T, Fraction(1))
     count = max(1, math.ceil(to_interval(bound).width / r))
     g = Grid((bound,), (count,))
@@ -135,6 +135,23 @@ def test_checksat_rejects_bad_input():
     out_of_class = parse("exists x in [0,1], y in [0,1] . x - y = 0")
     with pytest.raises(ValueError):
         checksat(out_of_class, (), Fraction(1))
+
+
+PARAM_S = "exists y in [-2,2] . y - x = 0"
+
+
+@pytest.mark.parametrize("p_box, pnames, fault", [
+    ((ival(0, 1),), (), "without a parameter name: \\['x'\\]"),
+    ((), ("x",), "0 parameter intervals for 1 parameter names"),
+    (((0, 1, 0),), ("x",), "parameter x: denominator 0 is not positive"),
+    (((1, 0, 1),), ("x",), "parameter x: endpoints out of order"),
+    (((0, 1, -1),), ("x",), "parameter x: denominator -1 is not positive"),
+    ((ival(0, 1), ival(0, 1)), ("x",), "2 parameter intervals for 1 parameter names"),
+], ids=["missing-name", "short-box", "zero-den", "lo-above-hi", "negative-den", "extra-entry"])
+def test_checksat_rejects_a_parameter_box_that_does_not_fit(p_box, pnames, fault):
+    s = parse(PARAM_S, params={"x": ival(0, 1)})
+    with pytest.raises(ValueError, match=fault):
+        checksat(s, p_box, Fraction(1, 4), pnames)
 
 
 def test_driver_true_verdict_with_certificate():
@@ -272,6 +289,52 @@ def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
     assert calls == []
 
 
+SEEDED_BLOCKS = {
+    "1d": "exists x in [0,1] . x^2 - 1/3 = 0",
+    "2d": "exists x in [-1,1], y in [-1,1] . x^2 + y^2 - 1/2 = 0 and x - y - 1/10 = 0",
+    "3d": "exists x in [1/2,3/2], y in [3/4,7/4], z in [0,1] . x + y + z - 43/16 = 0 "
+          "and x - y + 1/8 = 0 and x - y + 1/4*z - 3/64 = 0",
+    "1d-parameter": "forall a in [0,1] . exists x in [-1,2] . x - a/2 - 1/3 = 0",
+}
+
+
+@pytest.mark.parametrize("text", SEEDED_BLOCKS.values(), ids=SEEDED_BLOCKS.keys())
+def test_seeded_degree_evaluates_no_boundary_face_again(monkeypatch, text):
+    """The face walk certifies every top-level boundary face of a complex
+    under the key the degree looks up, so the seeded degree evaluates
+    none of them again.  Unseeded, the same spies see every one of them
+    evaluated, so a key mismatch between faces and cells would show."""
+    seen = []
+    real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
+
+    def certify(fs, env, p, best=False):
+        seen.append(tuple(env))
+        return real_certify(fs, env, p, best)
+
+    def sign_at_point(f, env, p, budget):
+        seen.append(tuple(env))
+        return real_sign(f, env, p, budget)
+
+    monkeypatch.setattr(degree_module, "certify", certify)
+    monkeypatch.setattr(degree_module, "_sign_at_point", sign_at_point)
+    real = solver.degree
+    checked = []
+
+    def spy(fs, cells, p, env=(), budget=1000, certs={}):
+        faces = oriented_boundary(cells).keys()
+        assert faces <= certs.keys()
+        for seeds, again in (({}, faces), (certs, set())):
+            seen.clear()
+            res = real(fs, cells, p, env, budget, seeds)
+            assert {cell[len(env):] for cell in seen} & faces == again
+        checked.append(len(faces))
+        return res
+
+    monkeypatch.setattr(solver, "degree", spy)
+    assert quasi_decide(parse(text), budget=12).outcome == "TRUE"
+    assert checked
+
+
 def test_pruning_evaluates_few_cells_of_a_fine_grid():
     """At iteration 16 the grid of sin(x) = 1 on [1,2] has 32768 cells;
     the top-down refutation visits only blocks around pi/2."""
@@ -333,10 +396,10 @@ def test_degree_runs_on_the_block_tapes_at_the_slice_centre(monkeypatch):
     real = solver.degree
     calls: list = []
 
-    def spy(fs, cells, dens, p, env=(), **kwargs):
+    def spy(fs, cells, p, env=(), **kwargs):
         certs = dict(kwargs.get("certs", {}))  # the walk adds more later
-        res = real(fs, cells, dens, p, env, **kwargs)
-        calls.append((cells, dens, p, env, certs, res))
+        res = real(fs, cells, p, env, **kwargs)
+        calls.append((cells, p, env, certs, res))
         return res
 
     monkeypatch.setattr(solver, "degree", spy)
@@ -347,7 +410,7 @@ def test_degree_runs_on_the_block_tapes_at_the_slice_centre(monkeypatch):
     assert calls
     eqs, _ = block_parts(s)
     f0 = tapes([substitute(t, {"a": Fraction(5, 12)}) for t in eqs], ("x", "y"))
-    for cells, dens, p, env, certs, res in calls:
+    for cells, p, env, certs, res in calls:
         assert [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in env] == [
             (Fraction(5, 12), Fraction(5, 12))]
-        assert res == real(f0, cells, dens, p, certs=certs)
+        assert res == real(f0, cells, p, certs=certs)
