@@ -13,7 +13,8 @@ and are cross-checked against independent oracles in the test suite.
 Cells are the `Ival` cells of `geometry`: a cycle is a dict keyed by
 cells that share one `den` per axis, and each refinement bisects every
 cell, doubling every `den`.  The evaluator runs on `env + cell` as it
-stands; a `Fraction` is built only for a certificate's bound.
+stands; the least certificate bound is found on integers, and one
+`Fraction` is built for it.
 
 The map comes as the solver's compiled tapes, with `env`, the intervals
 of the variables before the complex's own, prepended to every cell (the
@@ -174,5 +175,8 @@ def degree(
     value = _deg_cycle(list(fs), cycle, p, tuple(env), state, bounds, certs)
     if value is None:
         return None
-    lb = min(Fraction(num, den) for _, _, num, den in bounds)
-    return DegreeResult(value, lb, state.used)
+    _, _, num, den = bounds[0]
+    for _, _, n, d in bounds:
+        if n * den < num * d:
+            num, den = n, d
+    return DegreeResult(value, Fraction(num, den), state.used)

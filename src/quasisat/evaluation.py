@@ -5,11 +5,15 @@ standing for [lo/den, hi/den].  This is the only interval arithmetic of
 the package: it works on the numerators and never reduces by a gcd, so
 every result is the same rational interval as the `Fraction` reference
 in tests/oracles.py, only unnormalized.  sin, cos, exp, sqrt and pi are
-the enclosures of `series`, which take and return this format too.
+the enclosures of `series`, which take and return this format too; pi
+is computed on integers as well.
 
 `compile_term` turns a term, once, into a flat tape of operations in
 evaluation order; running the tape needs no recursion, so deep terms
-cost no stack.
+cost no stack.  The solver compiles each block's terms once per
+sentence and runs the same tapes in every slab and iteration.  Bounds
+are compared as integer pairs num/den by cross-multiplication; a
+`Fraction` is built only for a result.
 """
 from __future__ import annotations
 
@@ -194,12 +198,11 @@ def positive_lower_bound(
     evals: Sequence[Evaluator], env: Sequence[Ival], p: int
 ) -> Optional[Fraction]:
     """min over components of the enclosure lower bound, if all positive."""
-    best: Optional[Fraction] = None
+    num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     for ev in evals:
         lo, _, d = ev(env, p)
         if lo <= 0:
             return None
-        lb = Fraction(lo, d)
-        if best is None or lb < best:
-            best = lb
-    return best
+        if not den or lo * den < num * d:
+            num, den = lo, d
+    return Fraction(num, den) if den else None

@@ -7,15 +7,16 @@ Taylor series with Lagrange remainder bounds, evaluated in fixed point
 with directed rounding (result denominators are powers of two), so the
 slack added by one enclosure is below 2**-p for precision p.  Arguments
 are never reduced by a gcd, and a rational gets the same enclosure over
-whatever denominator it is given.  pi's Machin series alone runs on
-`Fraction`s, once per precision; its enclosure is cached, as are the
-series constants per precision.  The sin, cos and exp values at interval
-endpoints are kept in least-recently-used caches of 2**16 entries each.
+whatever denominator it is given.  pi is computed on integers too: its
+Machin series sums exact partial sums over a common integer denominator,
+once per precision, and its enclosure is cached, as are the series
+constants per precision.  No `Fraction` is built here.  The sin, cos and
+exp values at interval endpoints are kept in least-recently-used caches
+of 2**16 entries each.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, lru_cache
 
 from .intervals import DomainError, Ival
@@ -30,50 +31,41 @@ def _imul(a: tuple[int, int], b: tuple[int, int], q: int) -> tuple[int, int]:
     return min(p) >> q, -((-max(p)) >> q)
 
 
-def _isub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return a[0] - b[1], a[1] - b[0]
-
-
 # ---------------------------------------------------------------------------
 # pi via Machin's formula, cached per precision
 
 
-def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
-    """Bracket of arctan(1/n) from the alternating series."""
-    total = Fraction(0)
-    k = 0
-    inv = Fraction(1, n)
-    power = inv
-    inv2 = inv * inv
-    tol = Fraction(1, 1 << (q + 6))
-    lo = hi = total
-    while True:
-        term = power / (2 * k + 1)
-        if k % 2 == 0:
-            total += term
-            hi = total
-            lo = total - term  # next partial sum is below
-        else:
-            total -= term
-            lo = total
-            hi = total + term
-        if term <= tol:
-            # consecutive partial sums bracket the limit
-            return min(lo, total), max(hi, total)
-        power *= inv2
+def _arctan_inv(n: int, q: int) -> tuple[int, int, int]:
+    """Bracket (lo, hi, den) of arctan(1/n) by the alternating series:
+    the last two partial sums, once a term is <= 2**-(q+6).
+
+    Over den = n**(2k+1) * 1*3*...*(2k+1) the k-th term 1/(n**(2k+1) * (2k+1))
+    has the numerator 1*3*...*(2k-1), so the partial sums are exact
+    integers over a common denominator, never reduced."""
+    k, den = 0, n
+    term = total = 1  # the k-th term and partial sum, over den
+    prev = 0  # the partial sum before the k-th
+    while term << (q + 6) > den:
         k += 1
+        scale = n * n * (2 * k + 1)
+        term *= 2 * k - 1
+        prev, den = total * scale, den * scale
+        total = prev - term if k % 2 else prev + term
+    # consecutive partial sums bracket the limit
+    return min(prev, total), max(prev, total), den
 
 
 @cache
 def pi_enclosure(p: int) -> Ival:
     """Enclosure of pi with width <= 2**-p over the denominator 2**(p+4)."""
     q = p + 4
-    a5 = _arctan_inv(5, q + 6)
-    a239 = _arctan_inv(239, q + 6)
-    lo = 16 * a5[0] - 4 * a239[1]
-    hi = 16 * a5[1] - 4 * a239[0]
-    return ((lo.numerator << q) // lo.denominator,
-            -((-hi.numerator << q) // hi.denominator), 1 << q)
+    l5, h5, d5 = _arctan_inv(5, q + 6)
+    l239, h239, d239 = _arctan_inv(239, q + 6)
+    # 16*arctan(1/5) - 4*arctan(1/239) over the denominator d5*d239
+    lo = 16 * l5 * d239 - 4 * h239 * d5
+    hi = 16 * h5 * d239 - 4 * l239 * d5
+    d = d5 * d239
+    return (lo << q) // d, -((-hi << q) // d), 1 << q
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +107,26 @@ def _horner_fix(y: tuple[int, int], q: int, odd: bool) -> tuple[int, int]:
 
     Requires |y| <= 4.5 * 2**q.  Horner with u = y**2 up to ~20 amplifies
     per-level rounding by |u|, so the loop runs at an extra-wide scale and
-    the result is rounded outward to scale q at the end.
+    the result is rounded outward to scale q at the end.  As u >= 0, the
+    least of the four products of u and acc = [a0, a1] is a0 times u's
+    upper end if a0 < 0, else times its lower end, and the greatest is a1
+    times u's upper end if a1 > 0, else times its lower end: each step
+    takes two products.
     """
     j_max = _series_terms(q, odd)
     extra = 5 * (j_max + 1) + 16  # |u| <= 20.25 < 2**4.4 per Horner level
     q2 = q + extra
     y2 = (y[0] << extra, y[1] << extra)
-    u = _imul(y2, y2, q2)
-    u = (max(u[0], 0), u[1])
+    u0, u1 = _imul(y2, y2, q2)
+    u0 = max(u0, 0)
     coeffs = _coeffs(q2, j_max, odd)
     acc = coeffs[j_max]
     for j in range(j_max - 1, -1, -1):
-        acc = _isub(coeffs[j], _imul(u, acc, q2))
+        # c - u*acc, with u*acc rounded outward to scale q2
+        a0, a1 = acc
+        c0, c1 = coeffs[j]
+        acc = (c0 + (-(a1 * (u1 if a1 > 0 else u0)) >> q2),
+               c1 - (a0 * (u1 if a0 < 0 else u0) >> q2))
     if odd:
         acc = _imul(y2, acc, q2)
         r = _remainder_fix(q, 2 * j_max + 3)

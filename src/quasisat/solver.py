@@ -17,10 +17,17 @@ excludes a solution is dropped whole (its bound enters the FALSE
 separation), and any other block is halved along the axis that holds the
 most cells until single plausible cells remain.  The zero-face merge
 then walks outward from the plausible cells only, so the work of an
-iteration follows the cells still in play, not the grid size.  Each
-block's terms are compiled once: the refutation, the face walk and the
-degree (at the slice centre, as degenerate parameter intervals) all run
-on the same tapes.
+iteration follows the cells still in play, not the grid size.  An
+overdetermined block (more equations than variables) is undecided as
+soon as one cell is plausible, so its search stops there; with no
+plausible cell it runs in full.  The separation bounds are compared as
+integer pairs, and one `Fraction` is built for a FALSE block.
+
+Each block's terms are compiled once per sentence: one `quasi_decide`
+or `checksat` call keeps the tapes, keyed by the block and its names,
+and the refutation, the face walk and the degree (at the slice centre,
+as degenerate parameter intervals) of every universal slab and every
+iteration run on them.  Nothing outlives the call.
 """
 from __future__ import annotations
 
@@ -50,12 +57,11 @@ def tri_or(u: TriValue, v: TriValue) -> TriValue:
 
 
 def prec_for(r: Fraction) -> int:
-    """The least p >= 1 with transcendental slack 2**-p <= r/8."""
-    need = Fraction(8) / r
-    p = 1
-    while (1 << p) < need:
-        p += 1
-    return p
+    """The least p >= 1 with transcendental slack 2**-p <= r/8, that is
+    with num << p >= 8 * den for r = num/den."""
+    num, eight_den = r.numerator, 8 * r.denominator
+    p = max(1, eight_den.bit_length() - num.bit_length())
+    return p if num << p >= eight_den else p + 1
 
 
 @dataclass
@@ -66,7 +72,10 @@ class IterationRecord:
     complexes: int = 0
     precision: int = 0  # p of the interval evaluations
     cells_evaluated: int = 0  # grid blocks and cells given the refutation test
-    cells_plausible: int = 0  # single cells the refutation test left standing
+    # single cells the refutation test left standing; the test of an
+    # overdetermined block (more equations than variables) stops at the
+    # first one
+    cells_plausible: int = 0
     faces_evaluated: int = 0  # cell faces given the zero-face test
     zero_faces: int = 0  # tested faces that joined two cells or doomed one
     degree_subdivisions: int = 0  # DegreeResult.subdivisions, over decided degrees
@@ -88,18 +97,26 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
     return min(a, b)
 
 
+# the compiled equation and inequality tapes of each block, kept for one
+# `quasi_decide` or `checksat` call and keyed by the block object's
+# identity and its names: the names are fixed by where the block sits,
+# so each block is compiled once, and one object placed twice in a
+# formula still gets the tapes of its names
+Tapes = dict[tuple[int, tuple[str, ...]], tuple[list[Evaluator], list[Evaluator]]]
+
+
 def _checksat(
     s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord,
+    record: IterationRecord, tapes: Tapes,
 ) -> tuple[TriValue, Optional[Fraction]]:
     if isinstance(s, (Exists, Atom)):
-        return _soei(s, pnames, p_env, r, record)
+        return _soei(s, pnames, p_env, r, record, tapes)
     if isinstance(s, ForAll):
-        return _univ(s, pnames, p_env, r, record)
+        return _univ(s, pnames, p_env, r, record, tapes)
     if isinstance(s, And):
-        return _combine(s, pnames, p_env, r, record, tri_and)
+        return _combine(s, pnames, p_env, r, record, tapes, tri_and)
     assert isinstance(s, Or)
-    return _combine(s, pnames, p_env, r, record, tri_or)
+    return _combine(s, pnames, p_env, r, record, tapes, tri_or)
 
 
 def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
@@ -114,6 +131,9 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     missing = free_vars(s) - set(pnames)
     if missing:
         raise ValueError(f"free variables without a parameter name: {sorted(missing)}")
+    repeated = sorted({name for name in pnames if pnames.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated parameter names: {repeated}")
     if len(p_box) != len(pnames):
         raise ValueError(f"{len(p_box)} parameter intervals for {len(pnames)} parameter names")
     for name, (lo, hi, d) in zip(pnames, p_box):
@@ -124,7 +144,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, pnames, p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return _checksat(s, pnames, p_box, r, IterationRecord(0, Fraction(0), TRI_TF), {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +153,24 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 
 def _soei(
     s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord,
+    record: IterationRecord, tapes: Tapes,
 ) -> tuple[TriValue, Optional[Fraction]]:
+    key = (id(s), pnames)
     if isinstance(s, Atom):  # a ground atom is a block with no variables
         s = Exists((), (), s)
-    eqs, ineqs = block_parts(s)
-    names = pnames + s.vars
-    m, n = len(s.vars), len(eqs)
+    if key not in tapes:
+        eqs, ineqs = block_parts(s)
+        names = pnames + s.vars
+        tapes[key] = ([compile_term(f, names) for f in eqs],
+                      [compile_term(g, names) for g in ineqs])
+    fs, gs = tapes[key]
+    m, n = len(s.vars), len(fs)
     p = prec_for(r)
     record.precision = p
     grid = grid_cover(s.bounds, r)
-    fs = [compile_term(f, names) for f in eqs]
-    gs = [compile_term(g, names) for g in ineqs]
 
-    plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record)
+    # an overdetermined block (n > m) is undecided once one cell is plausible
+    plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record, first=n > m)
     if not plausible:
         return TRI_F, separation
     if n == 0:
@@ -154,20 +178,21 @@ def _soei(
             lb = positive_lower_bound(gs, p_env + cell, p)
             if lb is not None:  # every inequality strictly positive here
                 return TRI_T, lb
-    if n == 0 or n != m:  # n = 0 undecided, or underdetermined n > m
+    if n == 0 or n != m:  # n = 0 undecided, or overdetermined n > m
         return TRI_TF, None
     return _soei_degree_phase(fs, gs, p_env, p, grid, plausible, record)
 
 
 def _plausible_cells(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid,
-    p: int, record: IterationRecord,
+    p: int, record: IterationRecord, first: bool = False,
 ) -> tuple[list[Cell], Optional[Fraction]]:
     """Refute the grid top-down: a refuted block drops all of its cells,
     a plausible one is halved until single cells remain.  Returns the
-    plausible cells in grid order and the least separation bound of the
-    refuted blocks."""
-    separation: Optional[Fraction] = None
+    plausible cells in grid order and, when there are none, the least
+    separation bound of the refuted blocks.  With `first`, the search
+    stops at the first plausible cell."""
+    num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     plausible: list[Cell] = []
     blocks = [grid.whole]
     while blocks:
@@ -175,29 +200,34 @@ def _plausible_cells(
         bound = _refutation_bound(fs, gs, p_env + block, p)
         record.cells_evaluated += 1
         if bound is not None:
-            separation = bound if separation is None else min(separation, bound)
+            if not den or bound[0] * den < num * bound[1]:
+                num, den = bound
             continue
         halves = halve_block(block, grid.steps)
         if halves is None:
             plausible.append(block)
             record.cells_plausible += 1
+            if first:
+                break
         else:
             blocks.extend(halves)
-    return sorted(plausible), separation
+    if plausible:
+        return sorted(plausible), None
+    return [], Fraction(num, den)  # no plausible cell: some block was refuted
 
 
 def _refutation_bound(
-    fs: list[Evaluator], gs: list[Evaluator], env: list[Ival], p: int
-) -> Optional[Fraction]:
-    """A positive separation bound when the box admits no solution;
-    None when the box stays plausible."""
+    fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
+) -> Optional[tuple[int, int]]:
+    """A positive separation bound (num, den) when the box admits no
+    solution; None when the box stays plausible."""
     cert = certify(fs, env, p)
     if cert is not None:
-        return Fraction(cert[2], cert[3])
+        return cert[2], cert[3]
     for g in gs:
         _, hi, d = g(env, p)
         if hi < 0:
-            return Fraction(-hi, d)
+            return -hi, d
     return None
 
 
@@ -301,7 +331,7 @@ def _soei_degree_phase(
 
 def _univ(
     s: ForAll, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord,
+    record: IterationRecord, tapes: Tapes,
 ) -> tuple[TriValue, Optional[Fraction]]:
     grid = grid_cover((s.bound,), r)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
@@ -309,7 +339,8 @@ def _univ(
     cert: Optional[Fraction] = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + (slab,), r, record)
+        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + (slab,), r, record,
+                                  tapes)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
@@ -319,7 +350,8 @@ def _univ(
 
 
 def _combine(
-    s, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord, op
+    s, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
+    tapes: Tapes, op,
 ) -> tuple[TriValue, Optional[Fraction]]:
     results = []
     certs = []
@@ -327,7 +359,7 @@ def _combine(
         fv = free_vars(side)
         keep = [i for i, nm in enumerate(pnames) if nm in fv]
         res, cert = _checksat(side, tuple(pnames[i] for i in keep),
-                              tuple(p_env[i] for i in keep), r, record)
+                              tuple(p_env[i] for i in keep), r, record, tapes)
         results.append(res)
         certs.append(cert)
     combined = op(results[0], results[1])
@@ -364,9 +396,10 @@ def quasi_decide(
         raise ValueError("; ".join(report.violations))
 
     trace: list[IterationRecord] = []
+    tapes: Tapes = {}
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        result, cert = _checksat(s, (), (), eps, record)
+        result, cert = _checksat(s, (), (), eps, record, tapes)
         record.result = result
         trace.append(record)
         if len(result) == 1:

@@ -20,7 +20,7 @@ from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, compile_term
 from quasisat.geometry import Cell, Grid
 from quasisat.intervals import DomainError, Ival, RatInterval, RatLike, ival, rat
-from quasisat.series import _arctan_inv, _coeffs, _extra_bits, _imul, _isub
+from quasisat.series import _coeffs, _extra_bits, _imul
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,40 @@ def to_interval(x: Ival) -> RatInterval:
 # ---------------------------------------------------------------------------
 # pi, sin, cos, exp and sqrt on `Fraction` endpoints: the reference for
 # the integer enclosures of `quasisat.series`, which must return exactly
-# the same rationals.  The Horner coefficients and pi's Machin brackets
-# are shared; the number of Taylor terms, the remainder bound, argument
-# reduction, the extremum test, exp and sqrt are computed here on
-# `Fraction`s.
+# the same rationals.  The Horner coefficients are shared; pi's Machin
+# series, the number of Taylor terms, the remainder bound, the Horner
+# step (four products), argument reduction, the extremum test, exp and
+# sqrt are computed here on `Fraction`s.
+
+
+def _arctan_inv(n: int, q: int) -> tuple[Fraction, Fraction]:
+    """Bracket of arctan(1/n) from the alternating series."""
+    total = Fraction(0)
+    k = 0
+    inv = Fraction(1, n)
+    power = inv
+    inv2 = inv * inv
+    tol = Fraction(1, 1 << (q + 6))
+    lo = hi = total
+    while True:
+        term = power / (2 * k + 1)
+        if k % 2 == 0:
+            total += term
+            hi = total
+            lo = total - term  # next partial sum is below
+        else:
+            total -= term
+            lo = total
+            hi = total + term
+        if term <= tol:
+            # consecutive partial sums bracket the limit
+            return min(lo, total), max(hi, total)
+        power *= inv2
+        k += 1
+
+
+def _isub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] - b[1], a[1] - b[0]
 
 
 def _fix_floor(x: Fraction, q: int) -> int:

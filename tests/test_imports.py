@@ -99,3 +99,24 @@ def test_no_definition_is_read_only_by_tests():
     unread = unread_definitions(sources)
     assert [d for d in unread if d.split(".", 1)[1] not in UNREAD_EXEMPT] == []
     assert {d.split(".", 1)[1] for d in unread} == set(UNREAD_EXEMPT)
+
+
+def fraction_imports(source: str) -> list[str]:
+    """The imports of the `fractions` module or of names from it, as
+    'line n'."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import)
+                and any(a.name == "fractions" for a in node.names))]
+
+
+def test_the_scan_finds_fraction_imports():
+    source = ("import math\nfrom fractions import Fraction\n"
+              "def f():\n    import fractions\n")
+    assert fraction_imports(source) == ["line 2", "line 4"]
+
+
+def test_the_series_kernels_import_no_fraction():
+    """The enclosure kernels run on integers only, pi's Machin series
+    included."""
+    assert fraction_imports((SRC / "series.py").read_text()) == []

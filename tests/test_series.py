@@ -220,7 +220,7 @@ def test_sqrt_equals_the_fraction_reference(x, p, m):
 
 
 def test_pi_and_series_bounds_equal_the_fraction_reference():
-    for p in range(1, 200, 7):
+    for p in range(1, 401):
         assert to_interval(series.pi_enclosure(p)) == oracles.pi_enclosure(p)
     for q in range(1, 400):
         for odd in (True, False):
@@ -253,8 +253,8 @@ def test_reduction_rounds_a_half_to_even(j, p):
 
 
 def test_no_fraction_is_built_per_call(monkeypatch):
-    """Once pi's enclosure is cached for a precision, sin, cos, exp and
-    sqrt build no `Fraction`, even when their point caches are cold."""
+    """sin, cos, exp, sqrt and pi build no `Fraction`, even when their
+    caches, pi's among them, are cold."""
     calls = [(series.sin_enclosure, (3, 5, 7)), (series.cos_enclosure, (3, 5, 7)),
              (series.sin_enclosure, (2 ** 61 + 1, 2 ** 61 + 9, 3)),
              (series.cos_enclosure, (-9, 9, 2)), (series.exp_enclosure, (-9, 20, 4)),
@@ -262,7 +262,7 @@ def test_no_fraction_is_built_per_call(monkeypatch):
     for fn, x in calls:
         fn(x, 40)
     for cached in (series._trig_point, series._exp_point, series._series_terms,
-                   series._remainder_fix):
+                   series._remainder_fix, series.pi_enclosure):
         cached.cache_clear()
     built = []
     new = Fraction.__new__

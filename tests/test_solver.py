@@ -46,10 +46,12 @@ def test_tri_ops_are_exhaustively_lattice_like():
 
 
 def test_prec_for_slack_is_at_most_an_eighth():
-    for r in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 100)):
+    for r in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 100),
+              Fraction(1, 2 ** 200), Fraction(1, 10 ** 30), Fraction(3, 7), Fraction(1000),
+              Fraction(10 ** 9, 7)):
         p = prec_for(r)
         assert Fraction(1, 2 ** p) <= r / 8
-        assert Fraction(2) ** (p - 1) < Fraction(8) / r  # smallest such p
+        assert p == 1 or Fraction(2) ** (p - 1) < Fraction(8) / r  # smallest such p >= 1
 
 
 def test_checksat_singletons_and_indecision():
@@ -80,13 +82,13 @@ def test_universal_slabs_are_the_fraction_cuts(monkeypatch, bound, r):
     was given; non-dyadic and degenerate bounds included."""
     seen = []
 
-    def body(s, pnames, p_env, r, record):
+    def body(s, pnames, p_env, r, record, tapes):
         seen.append((pnames, p_env))
         return TRI_T, Fraction(1)
 
     monkeypatch.setattr(solver, "_checksat", body)
     s = ForAll("y", bound, parse("1 >= 0"))
-    got = solver._univ(s, ("x",), ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF))
+    got = solver._univ(s, ("x",), ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF), {})
     assert got == (TRI_T, Fraction(1))
     count = max(1, math.ceil(to_interval(bound).width / r))
     g = Grid((bound,), (count,))
@@ -147,7 +149,12 @@ PARAM_S = "exists y in [-2,2] . y - x = 0"
     (((1, 0, 1),), ("x",), "parameter x: endpoints out of order"),
     (((0, 1, -1),), ("x",), "parameter x: denominator -1 is not positive"),
     ((ival(0, 1), ival(0, 1)), ("x",), "2 parameter intervals for 1 parameter names"),
-], ids=["missing-name", "short-box", "zero-den", "lo-above-hi", "negative-den", "extra-entry"])
+    # a name given twice leaves one interval unread: [0,1] alone proves
+    # {True} and [5,6] alone {False}, so either order must be refused
+    ((ival(5, 6), ival(0, 1)), ("x", "x"), "repeated parameter names: \\['x'\\]"),
+    ((ival(0, 1), ival(5, 6)), ("x", "x"), "repeated parameter names: \\['x'\\]"),
+], ids=["missing-name", "short-box", "zero-den", "lo-above-hi", "negative-den", "extra-entry",
+        "repeated-name", "repeated-name-swapped"])
 def test_checksat_rejects_a_parameter_box_that_does_not_fit(p_box, pnames, fault):
     s = parse(PARAM_S, params={"x": ival(0, 1)})
     with pytest.raises(ValueError, match=fault):
@@ -414,3 +421,69 @@ def test_degree_runs_on_the_block_tapes_at_the_slice_centre(monkeypatch):
         assert [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in env] == [
             (Fraction(5, 12), Fraction(5, 12))]
         assert res == real(f0, cells, p, certs=certs)
+
+
+@pytest.mark.parametrize("text, budget, terms, checks", [
+    ((CORPUS_DIR / "sin_one.sent").read_text(), 11, 1, 11),
+    # 1 + 2 + ... + 128 slabs over the eight iterations
+    ("forall x in [0,1] . exists y in [0,1] . y - x*x = 0 and y + 1 >= 0", 8, 2, 255),
+], ids=["sin_one", "forall-exists"])
+def test_each_block_term_is_compiled_once_per_sentence(monkeypatch, text, budget, terms,
+                                                       checks):
+    """`quasi_decide` compiles each block's terms once and reuses the tapes
+    in every iteration and every universal slab."""
+    compiled, blocks = [], []
+    real_compile, real_soei = solver.compile_term, solver._soei
+
+    def compile_spy(t, names):
+        compiled.append(t)
+        return real_compile(t, names)
+
+    def soei_spy(*args):
+        blocks.append(args[0])
+        return real_soei(*args)
+
+    monkeypatch.setattr(solver, "compile_term", compile_spy)
+    monkeypatch.setattr(solver, "_soei", soei_spy)
+    v = quasi_decide(parse(text), budget=budget)
+    assert v.outcome == "UNKNOWN" and v.iterations == budget
+    assert len(compiled) == terms
+    assert len(blocks) == checks
+
+
+def test_checksat_compiles_each_block_term_once(monkeypatch):
+    compiled = []
+    real = solver.compile_term
+    monkeypatch.setattr(solver, "compile_term",
+                        lambda t, names: compiled.append(t) or real(t, names))
+    s = parse("forall y in [0,1] . exists z in [0,2] . z - x - y = 0", params={"x": ival(0, 1)})
+    assert checksat(s, (ival(0, 1),), Fraction(1, 8), ("x",)) == TRI_TF
+    assert len(compiled) == 1
+
+
+def test_an_overdetermined_block_stops_at_its_first_plausible_cell():
+    """Two equations in one variable are undecided as soon as one cell is
+    plausible, so each iteration keeps one plausible cell."""
+    v = quasi_decide(parse((CORPUS_DIR / "double_zero.sent").read_text()), budget=11)
+    assert v.outcome == "UNKNOWN" and len(v.trace) == 11
+    assert [r.cells_plausible for r in v.trace] == [1] * 11
+
+
+@pytest.mark.parametrize("text, iterations, cert", [
+    ("exists x in [0,1] . x - 2 = 0 and x - 3 = 0", 1, Fraction(1)),
+    # undecided, each at its first plausible cell, until iteration 5
+    ("exists x in [0,4] . x*x - 9/2 = 0 and x - 2 = 0", 5, Fraction(1, 64)),
+])
+def test_a_false_overdetermined_block_keeps_the_full_sweep_certificate(text, iterations, cert):
+    """An empty result still sweeps the whole grid, so a FALSE verdict and
+    its separation are those of the full pass."""
+    s = parse(text)
+    v = quasi_decide(s, budget=11)
+    assert (v.outcome, v.iterations) == ("FALSE", iterations)
+    eqs, _ = block_parts(s)
+    record = IterationRecord(0, v.final_eps, TRI_TF)
+    plausible, separation = solver._plausible_cells(
+        tapes(eqs, ("x",)), [], (), grid_cover(s.bounds, v.final_eps),
+        prec_for(v.final_eps), record)
+    assert plausible == [] and v.certificate == separation == cert
+    assert v.trace[-1].cells_evaluated == record.cells_evaluated
