@@ -141,13 +141,18 @@ def _solve(args) -> int:
 
 
 def _parse_expect(text: str) -> tuple[str, int | None]:
+    """The label and budget of a sidecar line `EXPECT LABEL[@budget]`;
+    None when the line names no budget."""
     parts = text.strip().split()
     if len(parts) != 2 or parts[0] != "EXPECT":
         raise ValueError(f"malformed sidecar line: {text.strip()!r}")
-    label, _, budget = parts[1].partition("@")
+    label, at, budget = parts[1].partition("@")
     if label not in ("TRUE", "FALSE", "UNKNOWN"):
         raise ValueError(f"unknown expected label: {label!r}")
-    return label, int(budget) if budget else None
+    if at and not (budget.isdecimal() and int(budget) > 0):
+        raise ValueError(f"malformed sidecar line: {text.strip()!r}: "
+                         "the budget after @ must be a positive integer")
+    return label, int(budget) if at else None
 
 
 def _corpus(args) -> int:
@@ -166,7 +171,7 @@ def _corpus(args) -> int:
             expected, budget = _parse_expect(sidecar.read_text())
             sentence = parse(path.read_text())
             verdict = quasi_decide(sentence,
-                                   budget=budget or args.budget,
+                                   budget=budget if budget is not None else args.budget,
                                    eps=args.epsilon)
         except (ParseError, DomainError, ValueError, RecursionError, OSError) as exc:
             print(f"FAIL  {path.name}: {exc}")

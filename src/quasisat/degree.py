@@ -18,7 +18,9 @@ stands; the least certificate bound is found on integers, and one
 
 The map comes as the solver's compiled tapes, with `env`, the intervals
 of the variables before the complex's own, prepended to every cell (the
-solver passes the slice centre as degenerate intervals).  Certificates a
+solver passes the slice centre as degenerate intervals); an `env` of
+another length than the tapes' names before the complex's own raises
+ValueError from the tapes.  Certificates a
 caller already holds for boundary cells (the solver's face walk) seed
 the top level: a cell found there is not evaluated again.
 """

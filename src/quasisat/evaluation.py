@@ -8,10 +8,16 @@ in tests/oracles.py, only unnormalized.  sin, cos, exp, sqrt and pi are
 the enclosures of `series`, which take and return this format too; pi
 is computed on integers as well.
 
-`compile_term` turns a term, once, into a flat tape of operations in
-evaluation order; running the tape needs no recursion, so deep terms
-cost no stack.  The solver compiles each block's terms once per
-sentence and runs the same tapes in every slab and iteration.  Bounds
+`compile_term` turns a term, once, into a flat tape of steps
+`(op, i, j, k)`, `regs[k] = op(regs[i], regs[j], p)`, in evaluation
+order.  Every register is fixed at compile time: the environment's
+intervals come first, one per name, then one register per constant and
+per step result in the order of the walk.  A run copies a template that
+holds the constants, with the environment in front, and needs no
+recursion, so deep terms cost no stack; an environment of another
+length than the names raises ValueError.  The solver compiles each
+block's terms once per sentence and runs the same tapes in every slab
+and iteration.  Bounds
 are compared as integer pairs num/den by cross-multiplication; a
 `Fraction` is built only for a result.
 """
@@ -106,30 +112,37 @@ def _unary_op(t: T.Term):
 def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     """The natural interval extension of t, as a function of the
     intervals of `names` (in that order) and the precision p."""
+    names = tuple(names)
     slot = {name: i for i, name in enumerate(names)}
-    consts: list = []
-    code: list[tuple] = []  # (op, operand, operand); its result is appended
-    # operands are ("env", i), ("const", i) or ("op", i) until resolved
+    n = len(names)
+    # registers: the environment, then one per constant and per operation
+    # result in the order of the walk; `template` holds those after the
+    # environment, with the constants in place
+    template: list = []
+    tape: list[tuple] = []  # (op, i, j, k): regs[k] = op(regs[i], regs[j], p)
+    done: list[int] = []  # the registers of the operands computed so far
 
-    def const(value) -> tuple[str, int]:
-        consts.append(value)
-        return "const", len(consts) - 1
+    def new(value=None) -> int:
+        template.append(value)
+        return n + len(template) - 1
+
+    def emit(op, i: int, j: int) -> None:
+        k = new()
+        tape.append((op, i, j, k))
+        done.append(k)
 
     # post-order walk (a node is revisited once its operands are done),
     # so operations run in the order of a recursive evaluation
-    done: list[tuple[str, int]] = []
     stack: list[tuple[T.Term, bool]] = [(t, False)]
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, T.Var):
-            done.append(("env", slot[node.name]))
+            done.append(slot[node.name])
         elif isinstance(node, T.Const):
             v = node.value
-            done.append(const((v.numerator, v.numerator, v.denominator)))
+            done.append(new((v.numerator, v.numerator, v.denominator)))
         elif isinstance(node, T.Pi):
-            unused = const(None)
-            code.append((_pi, unused, unused))
-            done.append(("op", len(code) - 1))
+            emit(_pi, 0, 0)  # pi reads no operand
         elif not expanded:
             stack.append((node, True))
             if isinstance(node, (T.Add, T.Sub, T.Mul, T.Div)):
@@ -139,34 +152,21 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
                 stack.append((node.base if isinstance(node, T.Pow) else node.arg,
                               False))
         elif isinstance(node, T.Pow):
-            code.append((_pow, done.pop(), const(node.exponent)))
-            done.append(("op", len(code) - 1))
+            emit(_pow, done.pop(), new(node.exponent))
         elif type(node) in _BINARY:
             right = done.pop()
-            code.append((_BINARY[type(node)], done.pop(), right))
-            done.append(("op", len(code) - 1))
+            emit(_BINARY[type(node)], done.pop(), right)
         else:
             arg = done.pop()
-            code.append((_unary_op(node), arg, arg))
-            done.append(("op", len(code) - 1))
-
-    # registers: the constants, then the environment, then one result per
-    # operation, addressed from the end so that a longer environment
-    # (extra trailing variables) changes nothing
-    base = {"const": 0, "env": len(consts)}
-
-    def reg(operand: tuple[str, int], at: int) -> int:
-        kind, i = operand
-        return i - at if kind == "op" else base[kind] + i
-
-    tape = [(op, reg(a, m), reg(b, m)) for m, (op, a, b) in enumerate(code)]
-    result = reg(done.pop(), len(code))
+            emit(_unary_op(node), arg, arg)
+    result = done.pop()
 
     def evaluate(env: Sequence[Ival], p: int) -> Ival:
-        regs = [*consts, *env]
-        push = regs.append
-        for op, i, j in tape:
-            push(op(regs[i], regs[j], p))
+        if len(env) != n:
+            raise ValueError(f"{len(env)} intervals for the {n} variables {names}")
+        regs = [*env, *template]
+        for op, i, j, k in tape:
+            regs[k] = op(regs[i], regs[j], p)
         return regs[result]
 
     return evaluate

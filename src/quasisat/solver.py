@@ -23,17 +23,18 @@ soon as one cell is plausible, so its search stops there; with no
 plausible cell it runs in full.  The separation bounds are compared as
 integer pairs, and one `Fraction` is built for a FALSE block.
 
-Each block's terms are compiled once per sentence: one `quasi_decide`
-or `checksat` call keeps the tapes, keyed by the block and its names,
-and the refutation, the face walk and the degree (at the slice centre,
-as degenerate parameter intervals) of every universal slab and every
-iteration run on them.  Nothing outlives the call.
+A sentence is compiled once per `quasi_decide` or `checksat` call into a
+tree of checks `(p_env, r, record) -> (verdict, certificate)` that holds
+each block's tapes and each and/or side's parameter positions, so every
+universal slab and every iteration runs the same tree, and nothing reads
+the formula again.  The refutation, the face walk and the degree (at the
+slice centre, as degenerate parameter intervals) run on the same tapes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
@@ -97,26 +98,31 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
     return min(a, b)
 
 
-# the compiled equation and inequality tapes of each block, kept for one
-# `quasi_decide` or `checksat` call and keyed by the block object's
-# identity and its names: the names are fixed by where the block sits,
-# so each block is compiled once, and one object placed twice in a
-# formula still gets the tapes of its names
-Tapes = dict[tuple[int, tuple[str, ...]], tuple[list[Evaluator], list[Evaluator]]]
+# a compiled sentence: (p_env, r, record) -> (verdict, certificate)
+Check = Callable[[tuple[Ival, ...], Fraction, IterationRecord],
+                 tuple[TriValue, Optional[Fraction]]]
 
 
-def _checksat(
-    s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord, tapes: Tapes,
-) -> tuple[TriValue, Optional[Fraction]]:
-    if isinstance(s, (Exists, Atom)):
-        return _soei(s, pnames, p_env, r, record, tapes)
+def _compile(s: Formula, pnames: tuple[str, ...]) -> Check:
+    """The tree of checks for s under the parameters `pnames`: each block's
+    tapes and each and/or side's kept parameter positions are fixed here,
+    so a run reads neither the formula nor the names."""
     if isinstance(s, ForAll):
-        return _univ(s, pnames, p_env, r, record, tapes)
-    if isinstance(s, And):
-        return _combine(s, pnames, p_env, r, record, tapes, tri_and)
-    assert isinstance(s, Or)
-    return _combine(s, pnames, p_env, r, record, tapes, tri_or)
+        bound, body = s.bound, _compile(s.body, pnames + (s.var,))
+        return lambda p_env, r, record: _univ(bound, body, p_env, r, record)
+    if isinstance(s, (And, Or)):
+        sides = []
+        for side in (s.left, s.right):
+            fv = free_vars(side)
+            keep = tuple(i for i, name in enumerate(pnames) if name in fv)
+            sides.append((keep, _compile(side, tuple(pnames[i] for i in keep))))
+        op = tri_and if isinstance(s, And) else tri_or
+        return lambda p_env, r, record: _combine(sides, op, p_env, r, record)
+    if isinstance(s, Atom):  # a ground atom is a block with no variables
+        s = Exists((), (), s)
+    names, bounds = pnames + s.vars, s.bounds
+    fs, gs = ([compile_term(t, names) for t in terms] for terms in block_parts(s))
+    return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record)
 
 
 def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
@@ -144,7 +150,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _checksat(s, pnames, p_box, r, IterationRecord(0, Fraction(0), TRI_TF), {})[0]
+    return _compile(s, pnames)(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +158,13 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 
 
 def _soei(
-    s: Formula, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord, tapes: Tapes,
+    bounds: tuple[Ival, ...], fs: list[Evaluator], gs: list[Evaluator],
+    p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
-    key = (id(s), pnames)
-    if isinstance(s, Atom):  # a ground atom is a block with no variables
-        s = Exists((), (), s)
-    if key not in tapes:
-        eqs, ineqs = block_parts(s)
-        names = pnames + s.vars
-        tapes[key] = ([compile_term(f, names) for f in eqs],
-                      [compile_term(g, names) for g in ineqs])
-    fs, gs = tapes[key]
-    m, n = len(s.vars), len(fs)
+    m, n = len(bounds), len(fs)
     p = prec_for(r)
     record.precision = p
-    grid = grid_cover(s.bounds, r)
+    grid = grid_cover(bounds, r)
 
     # an overdetermined block (n > m) is undecided once one cell is plausible
     plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record, first=n > m)
@@ -330,17 +327,16 @@ def _soei_degree_phase(
 
 
 def _univ(
-    s: ForAll, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction,
-    record: IterationRecord, tapes: Tapes,
+    bound: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction,
+    record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
-    grid = grid_cover((s.bound,), r)
+    grid = grid_cover((bound,), r)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
     acc = TRI_T
     cert: Optional[Fraction] = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = _checksat(s.body, pnames + (s.var,), p_env + (slab,), r, record,
-                                  tapes)
+        sub, sub_cert = body(p_env + (slab,), r, record)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
@@ -350,23 +346,17 @@ def _univ(
 
 
 def _combine(
-    s, pnames: tuple[str, ...], p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
-    tapes: Tapes, op,
+    sides: list[tuple[tuple[int, ...], Check]], op, p_env: tuple[Ival, ...], r: Fraction,
+    record: IterationRecord,
 ) -> tuple[TriValue, Optional[Fraction]]:
-    results = []
-    certs = []
-    for side in (s.left, s.right):
-        fv = free_vars(side)
-        keep = [i for i, nm in enumerate(pnames) if nm in fv]
-        res, cert = _checksat(side, tuple(pnames[i] for i in keep),
-                              tuple(p_env[i] for i in keep), r, record, tapes)
-        results.append(res)
-        certs.append(cert)
-    combined = op(results[0], results[1])
+    outs = []
+    for keep, check in sides:  # a loop, not a comprehension: no frame per level
+        outs.append(check(tuple(p_env[i] for i in keep), r, record))
+    combined = op(outs[0][0], outs[1][0])
     if len(combined) != 1:
         return combined, None
     # the verdict's certificate combines the sides that forced it
-    decisive = [c for res, c in zip(results, certs) if res == combined]
+    decisive = [c for res, c in outs if res == combined]
     if not decisive or any(c is None for c in decisive):
         return combined, None
     return combined, min(decisive)
@@ -388,18 +378,18 @@ def quasi_decide(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("initial epsilon must be positive")
-    if free_vars(s):
-        raise ValueError(
-            f"not a sentence; free variables: {sorted(free_vars(s))}")
+    free = free_vars(s)
+    if free:
+        raise ValueError(f"not a sentence; free variables: {sorted(free)}")
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
 
+    check = _compile(s, ())
     trace: list[IterationRecord] = []
-    tapes: Tapes = {}
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        result, cert = _checksat(s, (), (), eps, record, tapes)
+        result, cert = check((), eps, record)
         record.result = result
         trace.append(record)
         if len(result) == 1:

@@ -5,6 +5,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# a failing draw, a MemoryError included, prints the @reproduce_failure
+# blob that replays it
+settings.register_profile("quasisat", print_blob=True)
+settings.load_profile("quasisat")
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -13,15 +19,12 @@ _acceptance_reports: dict[str, str] = {}
 
 def corpus_entries() -> list[tuple[str, str, str, int]]:
     """(name, sentence text, expected label, expect budget) per corpus file."""
+    from quasisat.cli import _parse_expect
+
     out = []
     for sent in sorted(CORPUS_DIR.glob("*.sent")):
-        expect = sent.with_suffix(".expect").read_text().split()
-        label = expect[1]
-        budget = 20
-        if "@" in label:
-            label, at = label.split("@")
-            budget = int(at)
-        out.append((sent.stem, sent.read_text(), label, budget))
+        label, budget = _parse_expect(sent.with_suffix(".expect").read_text())
+        out.append((sent.stem, sent.read_text(), label, 20 if budget is None else budget))
     return out
 
 

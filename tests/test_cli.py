@@ -130,6 +130,19 @@ def test_corpus_flags_mismatches(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("suffix", ["@0", "@", "@-2", "@x", "@1.5"])
+def test_corpus_sidecar_without_a_positive_budget_fails(tmp_path, capsys, suffix):
+    """A budget after @ must be a positive integer: `UNKNOWN@0` or a bare
+    `@` is a malformed sidecar, not the default budget."""
+    (tmp_path / "a.sent").write_text(UNKNOWN_S)
+    (tmp_path / "a.expect").write_text(f"EXPECT UNKNOWN{suffix}\n")
+    assert main(["corpus", str(tmp_path), "--budget", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  a.sent: malformed sidecar line" in out and "0/1 passed" in out
+    with pytest.raises(ValueError, match="positive integer"):
+        cli._parse_expect(f"EXPECT UNKNOWN{suffix}")
+
+
 def test_corpus_missing_sidecar_errors(tmp_path, capsys):
     (tmp_path / "a.sent").write_text(TRUE_S)
     assert main(["corpus", str(tmp_path)]) == 1

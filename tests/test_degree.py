@@ -104,6 +104,15 @@ def test_cells_with_mixed_denominators_rejected():
                [((0, 1, 1),), ((2, 4, 2),)], P20)
 
 
+@pytest.mark.parametrize("env", [(), (ival(0, 1), ival(0, 1))])
+def test_an_env_that_does_not_fit_the_tapes_is_rejected(env):
+    # the tapes take one parameter before the cell's axis
+    fs = tapes([T.Sub(X, T.Var("a"))], ("a", "x"))
+    with pytest.raises(ValueError, match="intervals for the 2 variables"):
+        degree(fs, single_box((ival(-1, 1),)), P20, env)
+    assert degree(fs, single_box((ival(-1, 1),)), P20, (ival(0),)).value == 1
+
+
 def test_precision_below_one_rejected():
     # at p = 0 the point sign test would double p forever
     with pytest.raises(ValueError):

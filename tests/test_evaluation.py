@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
@@ -156,6 +157,16 @@ def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
     else:
         assert got is not DomainError and got[2] > 0
         assert to_interval(got) == want
+
+
+@pytest.mark.parametrize("env", [[], [ival(0, 1)], [ival(0, 1)] * 3])
+def test_a_tape_rejects_an_environment_of_the_wrong_length(env):
+    """A tape takes exactly one interval per name: a shorter or a longer
+    environment is a ValueError, not an IndexError or a silent shift."""
+    evaluate = compile_term(T.Sub(X, Y), ("x", "y"))
+    with pytest.raises(ValueError, match=f"{len(env)} intervals for the 2 variables"):
+        evaluate(env, 10)
+    assert evaluate([ival(1, 2), ival(0, 1)], 10) == (0, 2, 1)
 
 
 def test_evaluation_depth_is_not_bounded_by_the_stack():

@@ -76,24 +76,22 @@ NON_DYADIC = ival(Fraction(1, 3), Fraction(5, 7))
 @pytest.mark.parametrize("bound", [NON_DYADIC, ival(Fraction(-2, 3), Fraction(1, 5)),
                                    ival(Fraction(1, 3))])
 @pytest.mark.parametrize("r", [Fraction(1), Fraction(1, 3), Fraction(1, 8)])
-def test_universal_slabs_are_the_fraction_cuts(monkeypatch, bound, r):
+def test_universal_slabs_are_the_fraction_cuts(bound, r):
     """The slabs a universal hands its body are the cuts lo + w*i/count
     of its bound, count = max(1, ceil(w / r)), after the parameters it
     was given; non-dyadic and degenerate bounds included."""
     seen = []
 
-    def body(s, pnames, p_env, r, record, tapes):
-        seen.append((pnames, p_env))
+    def body(p_env, r, record):
+        seen.append(p_env)
         return TRI_T, Fraction(1)
 
-    monkeypatch.setattr(solver, "_checksat", body)
-    s = ForAll("y", bound, parse("1 >= 0"))
-    got = solver._univ(s, ("x",), ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF), {})
+    got = solver._univ(bound, body, ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF))
     assert got == (TRI_T, Fraction(1))
     count = max(1, math.ceil(to_interval(bound).width / r))
     g = Grid((bound,), (count,))
-    assert [(pnames, env[0]) for pnames, env in seen] == [(("x", "y"), (1, 2, 3))] * count
-    assert [(Fraction(lo, d), Fraction(hi, d)) for _, (_, (lo, hi, d)) in seen] == [
+    assert [env[0] for env in seen] == [(1, 2, 3)] * count
+    assert [(Fraction(lo, d), Fraction(hi, d)) for _, (lo, hi, d) in seen] == [
         (grid_cut(g, 0, i), grid_cut(g, 0, i + 1)) for i in range(count)]
 
 
@@ -459,6 +457,49 @@ def test_checksat_compiles_each_block_term_once(monkeypatch):
     s = parse("forall y in [0,1] . exists z in [0,2] . z - x - y = 0", params={"x": ival(0, 1)})
     assert checksat(s, (ival(0, 1),), Fraction(1, 8), ("x",)) == TRI_TF
     assert len(compiled) == 1
+
+
+def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
+    """The kept parameters of each and/or side are found once per
+    sentence, not again in every slab and iteration."""
+    walked = []
+    real = solver.free_vars
+    monkeypatch.setattr(solver, "free_vars", lambda f: walked.append(f) or real(f))
+    s = parse("forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0")
+    v = quasi_decide(s, budget=6)
+    assert v.iterations == 6 and sum(len(r.degrees) for r in v.trace) > 6
+    assert walked == [s, s.body.left, s.body.right]
+
+
+def test_a_long_and_chain_stays_within_the_stack():
+    """A check tree costs no more stack per and/or level than the formula
+    walk it replaced: 400 conjoined blocks still solve."""
+    s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * 400))
+    assert quasi_decide(s, budget=1).outcome == "TRUE"
+
+
+A, B = ival(Fraction(1, 3), Fraction(1, 2)), ival(Fraction(5, 4), Fraction(3, 2))
+# each side mentions one parameter; the left side names the later one
+LEFT, RIGHT = "exists x in [0,1/2] . x - b/2 = 0", "exists y in [1,2] . y - a = 0"
+
+
+@pytest.mark.parametrize("a, b", [(A, B), (B, A), (A, A), (B, B)])
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1, 8)])
+def test_and_or_sides_get_their_own_parameters(a, b, r):
+    """With two parameters mentioned by different sides, in swapped
+    order, each side is checked on its own parameter: an and/or verdict
+    is that of the sides checked alone."""
+    params = {"a": a, "b": b}
+    left, right = parse(LEFT, params={"b": b}), parse(RIGHT, params={"a": a})
+    alone = (checksat(left, (b,), r, ("b",)), checksat(right, (a,), r, ("a",)))
+    assert set(alone) <= {TRI_T, TRI_F}
+    for word, op in (("and", tri_and), ("or", tri_or)):
+        s = parse(f"({LEFT}) {word} ({RIGHT})", params=params)
+        assert checksat(s, (a, b), r, ("a", "b")) == op(*alone)
+        # under a universal, the slab comes after both parameters
+        u = parse(f"forall z in [0,1] . (({LEFT}) {word} ({RIGHT})) and z + 1 >= 0",
+                  params=params)
+        assert checksat(u, (a, b), r, ("a", "b")) == op(*alone)
 
 
 def test_an_overdetermined_block_stops_at_its_first_plausible_cell():
