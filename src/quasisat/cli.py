@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,8 +86,8 @@ def _tri_text(result: frozenset) -> str:
 
 
 def _trace_json(records: list[IterationRecord]) -> list[dict]:
-    return [{**asdict(r), "eps": rat_str(r.eps), "result": _tri_text(r.result)}
-            for r in records]
+    return [{name: getattr(r, name) for name in IterationRecord._fields}
+            | {"eps": rat_str(r.eps), "result": _tri_text(r.result)} for r in records]
 
 
 def _report(verdict: Verdict, args) -> None:

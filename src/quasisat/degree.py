@@ -26,25 +26,26 @@ the top level: a cell found there is not evaluated again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify
 from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
+from .record import Frozen, init_field
 
 _MAX_PREC = 4096
 
 
-@dataclass(frozen=True)
-class DegreeResult:
-    value: int
-    boundary_min_lb: Fraction  # verified lower bound on min over the boundary of |f|
-    subdivisions: int
+class DegreeResult(Frozen):
+    __slots__ = _fields = ("value", "boundary_min_lb", "subdivisions")
 
-    def __post_init__(self) -> None:
-        if self.boundary_min_lb <= 0:
+    def __init__(self, value: int, boundary_min_lb: Fraction, subdivisions: int) -> None:
+        # boundary_min_lb: verified lower bound on min over the boundary of |f|
+        if boundary_min_lb <= 0:
             raise ValueError("degree result requires a positive boundary bound")
+        init_field(self, "value", value)
+        init_field(self, "boundary_min_lb", boundary_min_lb)
+        init_field(self, "subdivisions", subdivisions)
 
 
 class _Budget:

@@ -11,63 +11,73 @@ structural comparison is plain equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .intervals import Ival
+from .record import Frozen, init_field
 from . import terms as T
 
 
-class Formula:
+class Formula(Frozen):
+    """An immutable formula node; `==` and `hash` are structural."""
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
+class Atom(Formula):
+    """Eq or Geq of a term."""
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term: T.Term) -> None:
+        init_field(self, "term", term)
+
+
+class Eq(Atom):
     """term = 0"""
-    term: T.Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Geq(Formula):
+class Geq(Atom):
     """term >= 0"""
-    term: T.Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    vars: tuple[str, ...]
-    bounds: tuple[Ival, ...]
-    body: Formula
+    __slots__ = _fields = ("vars", "bounds", "body")
 
-    def __post_init__(self) -> None:
-        if len(self.vars) != len(self.bounds):
+    def __init__(self, vars: tuple[str, ...], bounds: tuple[Ival, ...], body: Formula) -> None:
+        if len(vars) != len(bounds):
             raise ValueError("variable count and bounds dimension differ")
-        if len(set(self.vars)) != len(self.vars):
+        if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable in one exists block")
+        init_field(self, "vars", vars)
+        init_field(self, "bounds", bounds)
+        init_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
-    var: str
-    bound: Ival
-    body: Formula
+    __slots__ = _fields = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Ival, body: Formula) -> None:
+        init_field(self, "var", var)
+        init_field(self, "bound", bound)
+        init_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Connective(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Connective):
+    __slots__ = ()
 
 
-Atom = (Eq, Geq)
+class Or(_Connective):
+    __slots__ = ()
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -84,10 +94,12 @@ def free_vars(f: Formula) -> frozenset[str]:
 # solvable-fragment validation
 
 
-@dataclass(frozen=True)
-class ClassBReport:
-    in_class: bool
-    violations: tuple[str, ...] = ()
+class ClassBReport(Frozen):
+    __slots__ = _fields = ("in_class", "violations")
+
+    def __init__(self, in_class: bool, violations: tuple[str, ...] = ()) -> None:
+        init_field(self, "in_class", in_class)
+        init_field(self, "violations", violations)
 
 
 def _conjunct_atoms(f: Formula) -> list[Formula] | None:

@@ -13,42 +13,41 @@ grid's cells by integer ceil-division, so no `Fraction` is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Ival, rat
+from .record import Frozen, init_field
 
 Cell = tuple[Ival, ...]  # one (lo, hi, den) per axis
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Uniform grid over `base`: axis i is cut into counts[i] equal parts.
 
     Its integer form is `whole`, the grid as one cell, and `steps`, the
     width of a cell on each axis over the `den` of `whole` there: cut i
     of axis a is whole[a][0] + steps[a]*i over whole[a][2].  Cells are
     made on demand, so a grid with millions of cells costs nothing to
-    build.
+    build.  Grids are equal when their `base` and `counts` are.
     """
-    base: tuple[Ival, ...]
-    counts: tuple[int, ...]
-    whole: Cell = field(init=False, repr=False, compare=False)
-    steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "counts", "whole", "steps")
+    _fields = ("base", "counts")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != len(self.base):
+    def __init__(self, base: tuple[Ival, ...], counts: tuple[int, ...]) -> None:
+        if len(counts) != len(base):
             raise ValueError("counts and box dimension differ")
-        if any(c < 1 for c in self.counts):
+        if any(c < 1 for c in counts):
             raise ValueError("each axis needs at least one cell")
         whole, steps = [], []
-        for (lo, hi, d), c in zip(self.base, self.counts):
+        for (lo, hi, d), c in zip(base, counts):
             # lo + (hi - lo)*i/c over the common denominator d*c
             g = math.gcd(lo * c, hi - lo, d * c)
             whole.append((lo * c // g, hi * c // g, d * c // g))
             steps.append((hi - lo) // g)
-        object.__setattr__(self, "whole", tuple(whole))
-        object.__setattr__(self, "steps", tuple(steps))
+        init_field(self, "base", base)
+        init_field(self, "counts", counts)
+        init_field(self, "whole", tuple(whole))
+        init_field(self, "steps", tuple(steps))
 
     @property
     def n_cells(self) -> int:

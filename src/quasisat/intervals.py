@@ -12,10 +12,11 @@ reference arithmetic lives in tests/oracles.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Union
+
+from .record import Frozen, init_field
 
 RatLike = Union[Fraction, int, str]
 Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
@@ -49,17 +50,15 @@ def ival(lo: RatLike, hi: RatLike | None = None) -> Ival:
     return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Fraction
-    hi: Fraction
+class RatInterval(Frozen):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = rat(self.lo), rat(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: RatLike, hi: RatLike) -> None:
+        lo, hi = rat(lo), rat(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:

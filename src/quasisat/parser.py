@@ -37,7 +37,6 @@ check rejects.
 from __future__ import annotations
 
 import re
-import string
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable
@@ -61,7 +60,7 @@ _TOKEN_RE = re.compile(_TOKEN + r"|\S")  # any other character is a token of its
 
 _KEYWORDS = {"exists", "forall", "in", "and", "or", "pi"}
 _FUNCS = {"sin": T.Sin, "cos": T.Cos, "exp": T.Exp, "sqrt": T.Sqrt}
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _FORMULA_ONLY = {"=", ">=", "<=", "exists", "forall"}  # never inside a term
 
 

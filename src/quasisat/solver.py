@@ -32,7 +32,6 @@ slice centre, as degenerate parameter intervals) run on the same tapes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -42,6 +41,7 @@ from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
 from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
 from .intervals import rat
 from .degree import degree
+from .record import Record
 
 TriValue = frozenset
 TRI_T: TriValue = frozenset((True,))
@@ -65,31 +65,47 @@ def prec_for(r: Fraction) -> int:
     return p if num << p >= eight_den else p + 1
 
 
-@dataclass
-class IterationRecord:
-    iteration: int
-    eps: Fraction
-    result: TriValue
-    complexes: int = 0
-    precision: int = 0  # p of the interval evaluations
-    cells_evaluated: int = 0  # grid blocks and cells given the refutation test
-    # single cells the refutation test left standing; the test of an
-    # overdetermined block (more equations than variables) stops at the
-    # first one
-    cells_plausible: int = 0
-    faces_evaluated: int = 0  # cell faces given the zero-face test
-    zero_faces: int = 0  # tested faces that joined two cells or doomed one
-    degree_subdivisions: int = 0  # DegreeResult.subdivisions, over decided degrees
-    degrees: list[Optional[int]] = field(default_factory=list)
+class IterationRecord(Record):
+    """What one epsilon-iteration did; the JSON trace of the CLI prints
+    the fields in this order."""
+    __slots__ = _fields = (
+        "iteration", "eps", "result", "complexes",
+        "precision",  # p of the interval evaluations
+        "cells_evaluated",  # grid blocks and cells given the refutation test
+        # single cells the refutation test left standing; the test of an
+        # overdetermined block (more equations than variables) stops at
+        # the first one
+        "cells_plausible",
+        "faces_evaluated",  # cell faces given the zero-face test
+        "zero_faces",  # tested faces that joined two cells or doomed one
+        "degree_subdivisions",  # DegreeResult.subdivisions, over decided degrees
+        "degrees",
+    )
+
+    def __init__(
+        self, iteration: int, eps: Fraction, result: TriValue, complexes: int = 0,
+        precision: int = 0, cells_evaluated: int = 0, cells_plausible: int = 0,
+        faces_evaluated: int = 0, zero_faces: int = 0, degree_subdivisions: int = 0,
+        degrees: Optional[list[Optional[int]]] = None,
+    ) -> None:
+        self.iteration, self.eps, self.result = iteration, eps, result
+        self.complexes, self.precision = complexes, precision
+        self.cells_evaluated, self.cells_plausible = cells_evaluated, cells_plausible
+        self.faces_evaluated, self.zero_faces = faces_evaluated, zero_faces
+        self.degree_subdivisions = degree_subdivisions
+        self.degrees = [] if degrees is None else degrees
 
 
-@dataclass
-class Verdict:
-    outcome: str  # "TRUE" | "FALSE" | "UNKNOWN"
-    iterations: int
-    final_eps: Fraction
-    certificate: Optional[Fraction]
-    trace: list[IterationRecord]
+class Verdict(Record):
+    __slots__ = _fields = ("outcome", "iterations", "final_eps", "certificate", "trace")
+
+    def __init__(
+        self, outcome: str, iterations: int, final_eps: Fraction,
+        certificate: Optional[Fraction], trace: list[IterationRecord],
+    ) -> None:
+        self.outcome = outcome  # "TRUE" | "FALSE" | "UNKNOWN"
+        self.iterations, self.final_eps = iterations, final_eps
+        self.certificate, self.trace = certificate, trace
 
 
 def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
@@ -101,28 +117,42 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 # a compiled sentence: (p_env, r, record) -> (verdict, certificate)
 Check = Callable[[tuple[Ival, ...], Fraction, IterationRecord],
                  tuple[TriValue, Optional[Fraction]]]
+# the check of a formula under the parameter names it is given
+Builder = Callable[[tuple[str, ...]], Check]
 
 
-def _compile(s: Formula, pnames: tuple[str, ...]) -> Check:
-    """The tree of checks for s under the parameters `pnames`: each block's
-    tapes and each and/or side's kept parameter positions are fixed here,
-    so a run reads neither the formula nor the names."""
+def _compile(s: Formula) -> tuple[frozenset[str], Builder]:
+    """The free variables of s and the builder of its tree of checks,
+    both made bottom-up: each block's free variables are found once, and
+    an and/or node's are the union of its sides'.  The builder fixes each
+    block's tapes and each and/or side's kept parameter positions, so a
+    run reads neither the formula nor the names."""
     if isinstance(s, ForAll):
-        bound, body = s.bound, _compile(s.body, pnames + (s.var,))
-        return lambda p_env, r, record: _univ(bound, body, p_env, r, record)
+        free, body = _compile(s.body)
+        bound, var = s.bound, s.var
+
+        def build(pnames):
+            check = body(pnames + (var,))
+            return lambda p_env, r, record: _univ(bound, check, p_env, r, record)
+        return free - {var}, build
     if isinstance(s, (And, Or)):
-        sides = []
-        for side in (s.left, s.right):
-            fv = free_vars(side)
-            keep = tuple(i for i, name in enumerate(pnames) if name in fv)
-            sides.append((keep, _compile(side, tuple(pnames[i] for i in keep))))
+        sides = (_compile(s.left), _compile(s.right))
         op = tri_and if isinstance(s, And) else tri_or
-        return lambda p_env, r, record: _combine(sides, op, p_env, r, record)
-    if isinstance(s, Atom):  # a ground atom is a block with no variables
-        s = Exists((), (), s)
-    names, bounds = pnames + s.vars, s.bounds
-    fs, gs = ([compile_term(t, names) for t in terms] for terms in block_parts(s))
-    return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record)
+
+        def build(pnames):
+            checks = []
+            for free, side in sides:
+                keep = tuple(i for i, name in enumerate(pnames) if name in free)
+                checks.append((keep, side(tuple(pnames[i] for i in keep))))
+            return lambda p_env, r, record: _combine(checks, op, p_env, r, record)
+        return sides[0][0] | sides[1][0], build
+    block = Exists((), (), s) if isinstance(s, Atom) else s  # a ground atom has no variables
+
+    def build(pnames):
+        names, bounds = pnames + block.vars, block.bounds
+        fs, gs = ([compile_term(t, names) for t in terms] for terms in block_parts(block))
+        return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record)
+    return free_vars(block.body) - frozenset(block.vars), build
 
 
 def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
@@ -134,7 +164,8 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     if r <= 0:
         raise ValueError("refinement parameter must be positive")
     pnames, p_box = tuple(pnames), tuple(p_box)
-    missing = free_vars(s) - set(pnames)
+    free, build = _compile(s)
+    missing = free - set(pnames)
     if missing:
         raise ValueError(f"free variables without a parameter name: {sorted(missing)}")
     repeated = sorted({name for name in pnames if pnames.count(name) > 1})
@@ -150,7 +181,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
-    return _compile(s, pnames)(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return build(pnames)(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +409,14 @@ def quasi_decide(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("initial epsilon must be positive")
-    free = free_vars(s)
+    free, build = _compile(s)
     if free:
         raise ValueError(f"not a sentence; free variables: {sorted(free)}")
     report = validate_class_b(s)
     if not report.in_class:
         raise ValueError("; ".join(report.violations))
 
-    check = _compile(s, ())
+    check = build(())
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)

@@ -5,90 +5,137 @@ natural powers, exp, sin, cos and sqrt (guarded).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Frozen, init_field
 
-class Term:
+
+class Term(Frozen):
+    """An immutable term node with structural, type-sensitive `==` and
+    `hash`.  Each class with fields compares and hashes them directly,
+    not through `Frozen`'s generic methods, as `expand_normal` does both
+    over whole trees."""
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction) -> None:
+        init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.value.as_integer_ratio() == other.value.as_integer_ratio()
+
+    def __hash__(self) -> int:
+        # not Fraction.__hash__, which is Python code with a modular inverse
+        return hash(self.value.as_integer_ratio())
 
 
-@dataclass(frozen=True)
 class Pi(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        init_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((Var, self.name))
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class _Binary(Term):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class _Unary(Term):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        init_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arg == other.arg
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self.arg))
 
 
-@dataclass(frozen=True)
-class Neg(Term):
-    arg: Term
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Term):
-    left: Term
-    right: Term
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Term):
-    base: Term
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, base: Term, exponent: int) -> None:
+        if exponent < 0:
             raise ValueError("only natural exponents are allowed")
+        init_field(self, "base", base)
+        init_field(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not Pow:
+            return NotImplemented
+        return self.exponent == other.exponent and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((Pow, self.base, self.exponent))
 
 
-@dataclass(frozen=True)
-class Sin(Term):
-    arg: Term
+class Sin(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cos(Term):
-    arg: Term
+class Cos(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exp(Term):
-    arg: Term
+class Exp(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sqrt(Term):
-    arg: Term
+class Sqrt(_Unary):
+    __slots__ = ()
 
 
 def free_vars(t: Term) -> frozenset[str]:

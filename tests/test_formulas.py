@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.formulas import (aligned_terms, block_parts, free_vars,
+from quasisat.formulas import (And, ClassBReport, Eq, Exists, ForAll, Geq, Or,
+                               aligned_terms, block_parts, free_vars,
                                same_structure, validate_class_b)
 from quasisat.intervals import ival
 from quasisat.parser import parse
@@ -45,6 +46,26 @@ def test_block_shape_counts():
     assert validate_class_b(f).in_class
     eqs, ineqs = block_parts(f)
     assert (len(f.vars), len(eqs), len(ineqs)) == (2, 2, 1)
+
+
+def test_formulas_are_immutable_structural_values():
+    """Formula nodes compare and hash by class and fields, refuse
+    assignment, and an exists block checks its binders."""
+    x, b = T.Var("x"), ival(0, 1)
+    nodes = [Eq(x), Geq(x), Exists(("x",), (b,), Eq(x)), ForAll("x", b, Eq(x)),
+             And(Eq(x), Geq(x)), Or(Eq(x), Geq(x)), ClassBReport(True)]
+    for node in nodes:
+        copy = type(node)(*(getattr(node, name) for name in node._fields))
+        assert copy == node and hash(copy) == hash(node)
+        assert [n for n in nodes if n == node] == [node]
+        with pytest.raises(AttributeError):
+            setattr(node, node._fields[0], None)
+    assert repr(Eq(x)) == "Eq(term=Var(name='x'))"
+    assert ClassBReport(True).violations == ()
+    with pytest.raises(ValueError, match="dimension"):
+        Exists(("x", "y"), (b,), Eq(x))
+    with pytest.raises(ValueError, match="duplicate"):
+        Exists(("x", "x"), (b, b), Eq(x))
 
 
 def test_free_and_bound_vars():

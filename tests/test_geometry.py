@@ -3,6 +3,7 @@ of box complexes, against the index-space references of `oracles`."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat.geometry import (Grid, bisect_box, faces_around, grid_cover,
@@ -308,3 +309,17 @@ def test_grid_lazy_scaling():
     assert g.n_cells == 2 ** 20  # constructing the grid is O(1)
     idx, cell = next(iter(grid_cells(g)))
     assert cell[0].lo == 0 and cell[0].width == Fraction(1, 2 ** 20)
+
+
+def test_grid_checks_its_counts_and_compares_by_base_and_counts():
+    g = Grid(UNIT2, (2, 4))
+    assert g == Grid(UNIT2, (2, 4)) and hash(g) == hash(Grid(UNIT2, (2, 4)))
+    assert g != Grid(UNIT2, (4, 2))
+    assert (g.whole, g.steps, g.n_cells) == (((0, 2, 2), (0, 4, 4)), (1, 1), 8)
+    assert repr(g) == "Grid(base=((0, 1, 1), (0, 1, 1)), counts=(2, 4))"
+    with pytest.raises(AttributeError):
+        g.counts = (1, 1)
+    with pytest.raises(ValueError, match="dimension"):
+        Grid(UNIT2, (2,))
+    with pytest.raises(ValueError, match="at least one"):
+        Grid(UNIT2, (2, 0))

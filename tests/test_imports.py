@@ -4,6 +4,8 @@ is read by some module of src/quasisat or listed in an `__all__`: stdlib
 AST scans, so that an import left behind by a refactor, or a helper only
 the tests use, fails the suite."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,22 +103,41 @@ def test_no_definition_is_read_only_by_tests():
     assert {d.split(".", 1)[1] for d in unread} == set(UNREAD_EXEMPT)
 
 
-def fraction_imports(source: str) -> list[str]:
-    """The imports of the `fractions` module or of names from it, as
-    'line n'."""
+def module_imports(source: str, module: str) -> list[str]:
+    """The imports of `module` or of names from it, as 'line n'."""
     return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
-            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            if (isinstance(node, ast.ImportFrom) and node.module == module)
             or (isinstance(node, ast.Import)
-                and any(a.name == "fractions" for a in node.names))]
+                and any(a.name == module for a in node.names))]
 
 
 def test_the_scan_finds_fraction_imports():
     source = ("import math\nfrom fractions import Fraction\n"
               "def f():\n    import fractions\n")
-    assert fraction_imports(source) == ["line 2", "line 4"]
+    assert module_imports(source, "fractions") == ["line 2", "line 4"]
+    assert module_imports(source, "math") == ["line 1"]
 
 
 def test_the_series_kernels_import_no_fraction():
     """The enclosure kernels run on integers only, pi's Machin series
     included."""
-    assert fraction_imports((SRC / "series.py").read_text()) == []
+    assert module_imports((SRC / "series.py").read_text(), "fractions") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    """Term, formula and record classes are plain slotted classes, so the
+    package loads no `dataclasses` (which brings `inspect` with it)."""
+    assert module_imports((SRC / module).read_text(), "dataclasses") == []
+
+
+@pytest.mark.parametrize("statement", ["import quasisat", "import quasisat.cli"])
+def test_the_import_loads_neither_dataclasses_nor_inspect(statement):
+    """A fresh interpreter without `site` (whose hooks may load anything)
+    imports the package, and the CLI with it, without `dataclasses` or
+    `inspect`: they cost as much as the package itself."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statement}; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

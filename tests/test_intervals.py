@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quasisat.intervals import DomainError, ival, rat, rat_str
+from quasisat.intervals import DomainError, RatInterval, ival, rat, rat_str
 
 from oracles import (EMPTY_BOX, abs_interval, add, box, box_contains, box_issubset,
                      box_replace, contains, divide, issubset, mul, neg, pow_nat, rival,
@@ -132,3 +132,15 @@ def test_rat_parsing_and_printing():
     assert rat(2) == Fraction(2)
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5/1"  # the wire format is always num/den
+
+
+def test_rat_interval_coerces_orders_and_is_frozen():
+    iv = RatInterval("1/2", 1)
+    assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(1))
+    assert isinstance(iv.lo, Fraction) and isinstance(iv.hi, Fraction)
+    assert iv == RatInterval(Fraction(2, 4), Fraction(1)) and hash(iv) == hash(RatInterval("0.5", 1))
+    assert repr(iv) == "[1/2, 1]"
+    with pytest.raises(AttributeError):
+        iv.lo = Fraction(0)
+    with pytest.raises(ValueError, match="out of order"):
+        RatInterval(1, 0)

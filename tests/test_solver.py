@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quasisat import solver
+from quasisat import terms as T
 from quasisat.degree import DegreeResult
 from quasisat.formulas import ForAll, block_parts
 from quasisat.geometry import Grid, grid_cover, oriented_boundary
@@ -459,16 +460,53 @@ def test_checksat_compiles_each_block_term_once(monkeypatch):
     assert len(compiled) == 1
 
 
+def test_records_keep_their_defaults_and_mutability():
+    """An `IterationRecord` is a mutable, unhashable record with zero
+    counters and its own list of degrees; a `Verdict` compares by fields."""
+    a, b = IterationRecord(1, Fraction(1), TRI_TF), IterationRecord(1, Fraction(1), TRI_TF)
+    assert a == b and a.degrees == [] and a.degrees is not b.degrees
+    assert (a.complexes, a.precision, a.zero_faces, a.degree_subdivisions) == (0, 0, 0, 0)
+    a.result, a.complexes = TRI_T, 2
+    a.degrees.append(1)
+    assert a != b and (a.result, a.complexes, b.degrees) == (TRI_T, 2, [])
+    with pytest.raises(TypeError):
+        hash(a)
+    v = quasi_decide(parse("exists x in [0,1] . x - 1/2 = 0"), budget=3)
+    assert v == quasi_decide(parse("exists x in [0,1] . x - 1/2 = 0"), budget=3)
+    assert repr(v).startswith("Verdict(outcome='TRUE', iterations=1, ")
+
+
 def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
     """The kept parameters of each and/or side are found once per
-    sentence, not again in every slab and iteration."""
+    sentence, not again in every slab and iteration: each block's body is
+    walked once, and the sentence and its sides take their free variables
+    from their blocks'."""
     walked = []
     real = solver.free_vars
     monkeypatch.setattr(solver, "free_vars", lambda f: walked.append(f) or real(f))
     s = parse("forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0")
     v = quasi_decide(s, budget=6)
     assert v.iterations == 6 and sum(len(r.degrees) for r in v.trace) > 6
-    assert walked == [s, s.body.left, s.body.right]
+    assert walked == [s.body.left.body, s.body.right]
+
+
+def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
+    """Deciding a chain of k conjoined blocks visits each term node once
+    for its free variables, so the visits grow linearly in k (they grew
+    as k^2 when each and/or side was walked from scratch)."""
+    visits = {}
+    real = T.free_vars
+
+    def counted(t):
+        visits[k] += 1
+        return real(t)
+    monkeypatch.setattr(T, "free_vars", counted)
+    for k in (25, 50, 100, 200):
+        s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * k))
+        visits[k] = 0
+        assert quasi_decide(s, budget=1).outcome == "TRUE"
+    # x - 1/2 is three term nodes
+    assert visits == {25: 75, 50: 150, 100: 300, 200: 600}
 
 
 def test_a_long_and_chain_stays_within_the_stack():

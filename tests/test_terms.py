@@ -1,5 +1,7 @@
 """Term AST: evaluation, substitution, printing, polynomial expansion."""
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,39 @@ def test_const_normalizes_and_pow_requires_natural():
                                                           Fraction)
     with pytest.raises(ValueError):
         T.Pow(X, -1)
+
+
+NODES = [c(Fraction(-3, 4)), T.Pi(), X, T.Add(X, Y), T.Sub(X, Y), T.Mul(X, Y),
+         T.Div(X, Y), T.Neg(X), T.Pow(X, 3), T.Sin(X), T.Cos(X), T.Exp(X), T.Sqrt(X)]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda t: type(t).__name__)
+def test_nodes_are_immutable_structural_values(node):
+    """Each node equals and hashes like a rebuilt copy, differs from
+    every other class with the same fields, refuses assignment and shows
+    its fields by name."""
+    fields = [getattr(node, name) for name in node._fields]
+    rebuilt = type(node)(*fields)
+    assert rebuilt == node and hash(rebuilt) == hash(node) and not rebuilt != node
+    assert [t for t in NODES if t == node] == [node]
+    with pytest.raises(AttributeError):
+        node.value = 1
+    for name in node._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, X)
+    assert repr(node) == f"{type(node).__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(node._fields, fields)) + ")"
+    assert node != tuple(fields) and node != fields
+    assert pickle.loads(pickle.dumps(node)) == node and copy.deepcopy(node) == node
+
+
+@given(st.fractions(), st.integers(min_value=-5, max_value=5))
+def test_equal_constants_hash_equal(q, n):
+    """`Const` hashes its numerator and denominator: equal values, from
+    any coercion, give equal hashes."""
+    assert hash(T.Const(q)) == hash(T.Const(Fraction(q.numerator, q.denominator)))
+    assert T.Const(n) == T.Const(Fraction(n)) and hash(T.Const(n)) == hash(T.Const(Fraction(n)))
+    assert (T.Const(q) == T.Const(n)) == (q == n)
 
 
 def test_free_vars_and_substitute():
