@@ -2,19 +2,19 @@
 the reals: rigorous interval arithmetic plus topological-degree tests."""
 
 from .distance import INFINITE, distance_enclosure
-from .formulas import (ClassBReport, Formula, free_vars, formula_text,
-                       same_structure, validate_class_b)
+from .formulas import Formula, free_vars, formula_text, same_structure
 from .intervals import DomainError, RatInterval, ival
 from .parser import ParseError, parse
-from .solver import TRI_F, TRI_T, TRI_TF, Verdict, checksat, quasi_decide
+from .solver import (TRI_F, TRI_T, TRI_TF, ClassBReport, Verdict, checksat, quasi_decide,
+                     validate_class_b)
 from .degree import DegreeResult, degree
 
 __all__ = [
     "INFINITE", "distance_enclosure",
-    "ClassBReport", "Formula", "free_vars", "formula_text",
-    "same_structure", "validate_class_b",
+    "Formula", "free_vars", "formula_text", "same_structure",
     "DomainError", "RatInterval", "ival",
     "ParseError", "parse",
-    "TRI_F", "TRI_T", "TRI_TF", "Verdict", "checksat", "quasi_decide",
+    "TRI_F", "TRI_T", "TRI_TF", "ClassBReport", "Verdict", "checksat", "quasi_decide",
+    "validate_class_b",
     "DegreeResult", "degree",
 ]

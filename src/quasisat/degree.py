@@ -27,7 +27,7 @@ the top level: a cell found there is not evaluated again.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify
 from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
@@ -60,7 +60,7 @@ class _Budget:
 
 def _sign_at_point(
     f: Evaluator, env: tuple[Ival, ...], p: int, budget: _Budget
-) -> Optional[Cert]:
+) -> Cert | None:
     """Sign of f at a degenerate cell, escalating precision as needed."""
     while p <= _MAX_PREC:
         lo, hi, d = f(env, p)
@@ -80,9 +80,9 @@ def _deg_cycle(
     p: int,
     env: tuple[Ival, ...],
     budget: _Budget,
-    top_bounds: Optional[list[Cert]],
+    top_bounds: list[Cert] | None,
     known: Mapping[Cell, Cert] = {},
-) -> Optional[int]:
+) -> int | None:
     """Degree of fs over an oriented cycle of (len(fs)-1)-cells, evaluated
     on `env` + the cell; the cells in `known` come certified."""
     if not cycle:  # e.g. a region boundary that cancelled out entirely
@@ -101,7 +101,7 @@ def _deg_cycle(
         return total // 2
 
     cells: list[tuple[Cell, int]] = list(cycle.items())
-    certs: list[Optional[Cert]] = [known.get(cell) for cell, _ in cells]
+    certs: list[Cert | None] = [known.get(cell) for cell, _ in cells]
     # how often each component certifies a cell, summed over every level
     # of refinement: a cell certified before it was split still counts,
     # and its halves, which inherit its certificate, count again.  This is
@@ -123,7 +123,7 @@ def _deg_cycle(
         if not budget.spend(len(cells)):
             return None
         refined: list[tuple[Cell, int]] = []
-        inherited: list[Optional[Cert]] = []
+        inherited: list[Cert | None] = []
         for (cell, coef), cert in zip(cells, certs):
             for child in bisect_box(cell):
                 refined.append((child, coef))
@@ -154,7 +154,7 @@ def degree(
     env: Sequence[Ival] = (),
     budget: int = 1000,
     certs: Mapping[Cell, Cert] = {},
-) -> Optional[DegreeResult]:
+) -> DegreeResult | None:
     """Degree of fs over the complex of `cells` at precision p, with `env`
     before each cell's intervals; None when the boundary cannot be
     certified nonzero within the subdivision budget.  `certs` maps

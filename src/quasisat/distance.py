@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .evaluation import Ival, compile_term
 from .intervals import RatInterval, rat
-from .formulas import Formula, aligned_terms, same_structure
+from .formulas import Formula, aligned_terms
 from .geometry import bisect_box
 from . import terms as T
 
@@ -59,7 +59,7 @@ def sup_abs_enclosure(
     bracket: RatInterval | None = None
     active = [tuple(box[i] for i in kept)]
     # (num, den) of the best lower bound on sup |t| so far
-    best_lo: Optional[tuple[int, int]] = (0, 1) if kept else None
+    best_lo: tuple[int, int] | None = (0, 1) if kept else None
     depth = 0
     while True:
         p = depth + 10
@@ -108,15 +108,15 @@ def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
 
 def distance_enclosure(
     f: Formula, g: Formula, tol: Fraction
-) -> Union[RatInterval, _Infinite]:
+) -> RatInterval | _Infinite:
     """Interval of width <= tol around d(f, g); INFINITE when the two
     sentences do not share a structure."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not same_structure(f, g):
+    pairs = aligned_terms(f, g)
+    if pairs is None:
         return INFINITE
-    pairs = list(aligned_terms(f, g))
     lo = hi = Fraction(0)
     for tf, tg, names, box in pairs:
         diff = T.expand_normal(T.Sub(tf, tg))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .intervals import DomainError, Ival
 from .series import cos_enclosure, exp_enclosure, pi_enclosure, sin_enclosure, sqrt_enclosure
@@ -174,11 +174,11 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
 
 def certify(
     fs: Sequence[Evaluator], env: Sequence[Ival], p: int, best: bool = False
-) -> Optional[Cert]:
+) -> Cert | None:
     """The first component whose enclosure excludes zero, or with `best`
     the one of largest mignitude (the first of equals); None when every
     enclosure holds zero."""
-    found: Optional[Cert] = None
+    found: Cert | None = None
     for i, f in enumerate(fs):
         lo, hi, d = f(env, p)
         if lo > 0:
@@ -196,7 +196,7 @@ def certify(
 
 def positive_lower_bound(
     evals: Sequence[Evaluator], env: Sequence[Ival], p: int
-) -> Optional[Fraction]:
+) -> Fraction | None:
     """min over components of the enclosure lower bound, if all positive."""
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     for ev in evals:

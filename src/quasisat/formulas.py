@@ -5,14 +5,15 @@ term = 0) and ``t1 >= t2`` as ``Geq(t1 - t2)`` (term >= 0).  Quantifier
 bodies are arbitrary formulas; the solvable fragment (existential blocks
 whose body is a conjunction of atoms, with at least as many equations as
 variables or none at all, composed under forall/and/or) is checked by
-`validate_class_b`.  A quantifier bound is an `Ival` built by
-`intervals.ival`, so equal rational bounds are equal triples and
-structural comparison is plain equality.
+the solver's compile walk, which `solver.validate_class_b` runs on its
+own.  A quantifier bound is an `Ival` built by `intervals.ival`, so
+equal rational bounds are equal triples and structural comparison is
+plain equality; `aligned_terms` pairs the atom terms of two formulas in
+one walk that also compares their structure.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .intervals import Ival
 from .record import Frozen, init_field
@@ -91,117 +92,40 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# solvable-fragment validation
-
-
-class ClassBReport(Frozen):
-    __slots__ = _fields = ("in_class", "violations")
-
-    def __init__(self, in_class: bool, violations: tuple[str, ...] = ()) -> None:
-        init_field(self, "in_class", in_class)
-        init_field(self, "violations", violations)
-
-
-def _conjunct_atoms(f: Formula) -> list[Formula] | None:
-    """Flatten an and-tree of atoms; None if anything else appears."""
-    if isinstance(f, Atom):
-        return [f]
-    if isinstance(f, And):
-        left = _conjunct_atoms(f.left)
-        right = _conjunct_atoms(f.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return None
-
-
-def validate_class_b(f: Formula) -> ClassBReport:
-    """Check membership in the solvable fragment: exists blocks are
-    conjunctions of equations and inequalities with n >= m or n = 0,
-    composed under forall, and, or."""
-    violations: list[str] = []
-
-    def walk(g: Formula, seen: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            return
-        if isinstance(g, (And, Or)):
-            walk(g.left, seen)
-            walk(g.right, seen)
-            return
-        if isinstance(g, ForAll):
-            if g.var in seen:
-                violations.append(f"variable {g.var!r} shadows an outer binding")
-            walk(g.body, seen | {g.var})
-            return
-        assert isinstance(g, Exists)
-        clash = set(g.vars) & seen
-        if clash:
-            violations.append(
-                f"variable {sorted(clash)[0]!r} shadows an outer binding")
-        atoms = _conjunct_atoms(g.body)
-        if atoms is None:
-            violations.append(
-                "exists body must be a conjunction of equations and "
-                "inequalities")
-            walk(g.body, seen | set(g.vars))
-            return
-        m = len(g.vars)
-        n = sum(1 for a in atoms if isinstance(a, Eq))
-        if n != 0 and n < m:
-            violations.append(
-                f"exists block has {n} equation(s) for {m} variable(s); "
-                "need n >= m or n = 0")
-
-    walk(f, frozenset())
-    return ClassBReport(not violations, tuple(violations))
-
-
-def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:
-    """Equation terms and inequality terms of a conjunctive exists block."""
-    atoms = _conjunct_atoms(b.body)
-    if atoms is None:
-        raise ValueError("exists body is not a conjunction of atoms")
-    eqs = tuple(a.term for a in atoms if isinstance(a, Eq))
-    ineqs = tuple(a.term for a in atoms if isinstance(a, Geq))
-    return eqs, ineqs
-
-
-# ---------------------------------------------------------------------------
 # structural comparison (terms are ignored, everything else must match)
-
-
-def same_structure(f: Formula, g: Formula) -> bool:
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Exists):
-        return (f.vars == g.vars and f.bounds == g.bounds
-                and same_structure(f.body, g.body))
-    if isinstance(f, ForAll):
-        return (f.var == g.var and f.bound == g.bound
-                and same_structure(f.body, g.body))
-    return same_structure(f.left, g.left) and same_structure(f.right, g.right)
 
 
 def aligned_terms(
     f: Formula, g: Formula
-) -> Iterator[tuple[T.Term, T.Term, tuple[str, ...], tuple[Ival, ...]]]:
-    """Positionally paired atom terms of two same-structure formulas,
-    each with the quantified variables in scope and their box."""
+) -> list[tuple[T.Term, T.Term, tuple[str, ...], tuple[Ival, ...]]] | None:
+    """Positionally paired atom terms of f and g, each with the quantified
+    variables in scope and their box; None when the formulas differ in
+    anything but their terms."""
+    pairs: list = []
+    return pairs if _align(f, g, (), (), pairs) else None
 
-    def walk(a: Formula, b: Formula, names: tuple[str, ...], bx: tuple[Ival, ...]):
-        if isinstance(a, Atom):
-            yield a.term, b.term, names, bx
-        elif isinstance(a, Exists):
-            yield from walk(a.body, b.body, names + a.vars, bx + a.bounds)
-        elif isinstance(a, ForAll):
-            yield from walk(a.body, b.body, names + (a.var,), bx + (a.bound,))
-        else:
-            yield from walk(a.left, b.left, names, bx)
-            yield from walk(a.right, b.right, names, bx)
 
-    yield from walk(f, g, (), ())
+def _align(a: Formula, b: Formula, names: tuple[str, ...], bx: tuple[Ival, ...],
+           pairs: list) -> bool:
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle, and it would keep `pairs` alive until a collection
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Atom):
+        pairs.append((a.term, b.term, names, bx))
+        return True
+    if isinstance(a, Exists):
+        return (a.vars == b.vars and a.bounds == b.bounds
+                and _align(a.body, b.body, names + a.vars, bx + a.bounds, pairs))
+    if isinstance(a, ForAll):
+        return (a.var == b.var and a.bound == b.bound
+                and _align(a.body, b.body, names + (a.var,), bx + (a.bound,), pairs))
+    return (_align(a.left, b.left, names, bx, pairs)
+            and _align(a.right, b.right, names, bx, pairs))
+
+
+def same_structure(f: Formula, g: Formula) -> bool:
+    return aligned_terms(f, g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ grid's cells by integer ceil-division, so no `Fraction` is built.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .intervals import Ival, rat
 from .record import Frozen, init_field
@@ -54,7 +54,7 @@ class Grid(Frozen):
         return math.prod(self.counts)
 
 
-def halve_block(block: Cell, steps: Sequence[int]) -> Optional[tuple[Cell, Cell]]:
+def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
     """Split a block of grid cells in half along the axis that holds the
     most cells (the first such axis); None when the block is one cell.
     An axis of step 0 is degenerate and holds one cell."""
@@ -69,7 +69,7 @@ def halve_block(block: Cell, steps: Sequence[int]) -> Optional[tuple[Cell, Cell]
             block[:axis] + ((mid, hi, d),) + block[axis + 1:])
 
 
-def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Optional[Cell]]]:
+def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Cell | None]]:
     """The 2*dim faces of a grid cell, lower before upper on each axis, as
     (axis, face, neighbour).  A face is the cell with `(end, end, den)`
     on its axis; the neighbour across it is the cell shifted by one step

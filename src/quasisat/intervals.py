@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
 from .record import Frozen, init_field
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 Ival = tuple[int, int, int]  # (lo, hi, den): [lo/den, hi/den], den > 0
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable
+from collections.abc import Iterable
 
 from .evaluation import compile_term
 from .intervals import DomainError, Ival, ival

@@ -27,21 +27,24 @@ A sentence is compiled once per `quasi_decide` or `checksat` call into a
 tree of checks `(p_env, r, record) -> (verdict, certificate)` that holds
 each block's tapes and each and/or side's parameter positions, so every
 universal slab and every iteration runs the same tree, and nothing reads
-the formula again.  The refutation, the face walk and the degree (at the
-slice centre, as degenerate parameter intervals) run on the same tapes.
+the formula again.  That compile walk is the only walk of the formula:
+it also finds the free variables and checks the solvable fragment, whose
+violations `validate_class_b` reports on their own.  The refutation, the
+face walk and the degree (at the slice centre, as degenerate parameter
+intervals) run on the same tapes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
-from .formulas import (And, Atom, Exists, ForAll, Formula, Or, block_parts,
-                       free_vars, validate_class_b)
+from .formulas import And, Atom, Eq, ForAll, Formula, Geq, Or
 from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
 from .intervals import rat
 from .degree import degree
-from .record import Record
+from .record import Frozen, Record, init_field
+from . import terms as T
 
 TriValue = frozenset
 TRI_T: TriValue = frozenset((True,))
@@ -86,7 +89,7 @@ class IterationRecord(Record):
         self, iteration: int, eps: Fraction, result: TriValue, complexes: int = 0,
         precision: int = 0, cells_evaluated: int = 0, cells_plausible: int = 0,
         faces_evaluated: int = 0, zero_faces: int = 0, degree_subdivisions: int = 0,
-        degrees: Optional[list[Optional[int]]] = None,
+        degrees: list[int | None] | None = None,
     ) -> None:
         self.iteration, self.eps, self.result = iteration, eps, result
         self.complexes, self.precision = complexes, precision
@@ -101,14 +104,14 @@ class Verdict(Record):
 
     def __init__(
         self, outcome: str, iterations: int, final_eps: Fraction,
-        certificate: Optional[Fraction], trace: list[IterationRecord],
+        certificate: Fraction | None, trace: list[IterationRecord],
     ) -> None:
         self.outcome = outcome  # "TRUE" | "FALSE" | "UNKNOWN"
         self.iterations, self.final_eps = iterations, final_eps
         self.certificate, self.trace = certificate, trace
 
 
-def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _min_cert(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     if a is None or b is None:
         return None
     return min(a, b)
@@ -116,27 +119,35 @@ def _min_cert(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 
 # a compiled sentence: (p_env, r, record) -> (verdict, certificate)
 Check = Callable[[tuple[Ival, ...], Fraction, IterationRecord],
-                 tuple[TriValue, Optional[Fraction]]]
+                 tuple[TriValue, Fraction | None]]
 # the check of a formula under the parameter names it is given
 Builder = Callable[[tuple[str, ...]], Check]
 
 
-def _compile(s: Formula) -> tuple[frozenset[str], Builder]:
-    """The free variables of s and the builder of its tree of checks,
-    both made bottom-up: each block's free variables are found once, and
-    an and/or node's are the union of its sides'.  The builder fixes each
-    block's tapes and each and/or side's kept parameter positions, so a
-    run reads neither the formula nor the names."""
+def _compile(s: Formula, bound: frozenset[str],
+             violations: list[str]) -> tuple[frozenset[str], Builder | None]:
+    """The free variables of s and the builder of its tree of checks, in
+    one walk: `bound` holds the variables bound above s, and each way s
+    leaves the solvable fragment is appended to `violations`, in walk
+    order.  Free variables are made bottom-up, an and/or node's as the
+    union of its sides'.  A block's conjunction is split once into its
+    equation and inequality terms, and each term is walked once for its
+    free variables.  The builder fixes each block's tapes and each and/or
+    side's kept parameter positions, so a run reads neither the formula
+    nor the names; it is None for a block outside the fragment, which is
+    never built."""
     if isinstance(s, ForAll):
-        free, body = _compile(s.body)
-        bound, var = s.bound, s.var
+        var, box = s.var, s.bound
+        if var in bound:
+            violations.append(f"variable {var!r} shadows an outer binding")
+        free, body = _compile(s.body, bound | {var}, violations)
 
         def build(pnames):
             check = body(pnames + (var,))
-            return lambda p_env, r, record: _univ(bound, check, p_env, r, record)
+            return lambda p_env, r, record: _univ(box, check, p_env, r, record)
         return free - {var}, build
     if isinstance(s, (And, Or)):
-        sides = (_compile(s.left), _compile(s.right))
+        sides = (_compile(s.left, bound, violations), _compile(s.right, bound, violations))
         op = tri_and if isinstance(s, And) else tri_or
 
         def build(pnames):
@@ -146,13 +157,58 @@ def _compile(s: Formula) -> tuple[frozenset[str], Builder]:
                 checks.append((keep, side(tuple(pnames[i] for i in keep))))
             return lambda p_env, r, record: _combine(checks, op, p_env, r, record)
         return sides[0][0] | sides[1][0], build
-    block = Exists((), (), s) if isinstance(s, Atom) else s  # a ground atom has no variables
+    if isinstance(s, Atom):  # a ground atom: a block without variables
+        block_vars, bounds, atoms = (), (), [s]
+    else:
+        block_vars, bounds, atoms = s.vars, s.bounds, []
+        clash = bound.intersection(block_vars)
+        if clash:
+            violations.append(f"variable {sorted(clash)[0]!r} shadows an outer binding")
+        if not _conjuncts(s.body, atoms):
+            violations.append(
+                "exists body must be a conjunction of equations and inequalities")
+            free, _ = _compile(s.body, bound.union(block_vars), violations)
+            return free.difference(block_vars), None
+    eqs = [a.term for a in atoms if isinstance(a, Eq)]
+    ineqs = [a.term for a in atoms if isinstance(a, Geq)]
+    n, m = len(eqs), len(block_vars)
+    if 0 < n < m:
+        violations.append(
+            f"exists block has {n} equation(s) for {m} variable(s); need n >= m or n = 0")
 
     def build(pnames):
-        names, bounds = pnames + block.vars, block.bounds
-        fs, gs = ([compile_term(t, names) for t in terms] for terms in block_parts(block))
+        names = pnames + block_vars
+        fs, gs = ([compile_term(t, names) for t in terms] for terms in (eqs, ineqs))
         return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record)
-    return free_vars(block.body) - frozenset(block.vars), build
+    free = frozenset().union(*(T.free_vars(a.term) for a in atoms))
+    return free.difference(block_vars), build
+
+
+def _conjuncts(f: Formula, atoms: list[Atom]) -> bool:
+    """Append the atoms of an and-tree to `atoms`, left to right; False
+    when anything else appears."""
+    if isinstance(f, Atom):
+        atoms.append(f)
+        return True
+    return isinstance(f, And) and _conjuncts(f.left, atoms) and _conjuncts(f.right, atoms)
+
+
+class ClassBReport(Frozen):
+    __slots__ = _fields = ("in_class", "violations")
+
+    def __init__(self, in_class: bool, violations: tuple[str, ...] = ()) -> None:
+        init_field(self, "in_class", in_class)
+        init_field(self, "violations", violations)
+
+
+def validate_class_b(f: Formula) -> ClassBReport:
+    """Check membership in the solvable fragment, with the checks of the
+    compile walk: exists blocks are conjunctions of equations and
+    inequalities with n >= m or n = 0, composed under forall, and, or,
+    and no quantifier rebinds a variable bound above it."""
+    violations: list[str] = []
+    _compile(f, frozenset(), violations)
+    return ClassBReport(not violations, tuple(violations))
 
 
 def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -> TriValue:
@@ -164,7 +220,8 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     if r <= 0:
         raise ValueError("refinement parameter must be positive")
     pnames, p_box = tuple(pnames), tuple(p_box)
-    free, build = _compile(s)
+    violations: list[str] = []
+    free, build = _compile(s, frozenset(), violations)
     missing = free - set(pnames)
     if missing:
         raise ValueError(f"free variables without a parameter name: {sorted(missing)}")
@@ -178,9 +235,8 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
             raise ValueError(f"parameter {name}: denominator {d} is not positive")
         if lo > hi:
             raise ValueError(f"parameter {name}: endpoints out of order: [{lo}/{d}, {hi}/{d}]")
-    report = validate_class_b(s)
-    if not report.in_class:
-        raise ValueError("; ".join(report.violations))
+    if violations:
+        raise ValueError("; ".join(violations))
     return build(pnames)(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
@@ -191,7 +247,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 def _soei(
     bounds: tuple[Ival, ...], fs: list[Evaluator], gs: list[Evaluator],
     p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
-) -> tuple[TriValue, Optional[Fraction]]:
+) -> tuple[TriValue, Fraction | None]:
     m, n = len(bounds), len(fs)
     p = prec_for(r)
     record.precision = p
@@ -214,7 +270,7 @@ def _soei(
 def _plausible_cells(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid,
     p: int, record: IterationRecord, first: bool = False,
-) -> tuple[list[Cell], Optional[Fraction]]:
+) -> tuple[list[Cell], Fraction | None]:
     """Refute the grid top-down: a refuted block drops all of its cells,
     a plausible one is halved until single cells remain.  Returns the
     plausible cells in grid order and, when there are none, the least
@@ -246,7 +302,7 @@ def _plausible_cells(
 
 def _refutation_bound(
     fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """A positive separation bound (num, den) when the box admits no
     solution; None when the box stays plausible."""
     cert = certify(fs, env, p)
@@ -321,7 +377,7 @@ def _candidate_complexes(
 def _soei_degree_phase(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], p: int,
     grid: Grid, plausible: list[Cell], record: IterationRecord,
-) -> tuple[TriValue, Optional[Fraction]]:
+) -> tuple[TriValue, Fraction | None]:
     """Zero-face merging plus the degree test on candidate complexes.
 
     The degree runs on the block's own tapes at the slice centre, each
@@ -360,11 +416,11 @@ def _soei_degree_phase(
 def _univ(
     bound: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction,
     record: IterationRecord,
-) -> tuple[TriValue, Optional[Fraction]]:
+) -> tuple[TriValue, Fraction | None]:
     grid = grid_cover((bound,), r)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
     acc = TRI_T
-    cert: Optional[Fraction] = None
+    cert: Fraction | None = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
         sub, sub_cert = body(p_env + (slab,), r, record)
@@ -379,7 +435,7 @@ def _univ(
 def _combine(
     sides: list[tuple[tuple[int, ...], Check]], op, p_env: tuple[Ival, ...], r: Fraction,
     record: IterationRecord,
-) -> tuple[TriValue, Optional[Fraction]]:
+) -> tuple[TriValue, Fraction | None]:
     outs = []
     for keep, check in sides:  # a loop, not a comprehension: no frame per level
         outs.append(check(tuple(p_env[i] for i in keep), r, record))
@@ -409,12 +465,12 @@ def quasi_decide(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("initial epsilon must be positive")
-    free, build = _compile(s)
+    violations: list[str] = []
+    free, build = _compile(s, frozenset(), violations)
     if free:
         raise ValueError(f"not a sentence; free variables: {sorted(free)}")
-    report = validate_class_b(s)
-    if not report.in_class:
-        raise ValueError("; ".join(report.violations))
+    if violations:
+        raise ValueError("; ".join(violations))
 
     check = build(())
     trace: list[IterationRecord] = []

@@ -2,7 +2,8 @@
 against: boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
-substitution of rational constants for variables, a float winding count
+substitution of rational constants for variables, the equation and
+inequality terms of an exists block, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), and the degree, oriented boundary, bisection and
@@ -18,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, compile_term
+from quasisat.formulas import And, Atom, Eq, Exists, Formula, Geq
 from quasisat.geometry import Cell, Grid
 from quasisat.intervals import DomainError, Ival, RatInterval, RatLike, ival, rat
 from quasisat.series import _coeffs, _extra_bits, _imul
@@ -401,6 +403,21 @@ def substitute(t: T.Term, env: Mapping[str, Fraction]) -> T.Term:
     if isinstance(t, T.Pow):
         return T.Pow(substitute(t.base, env), t.exponent)
     return type(t)(substitute(t.arg, env))
+
+
+def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:
+    """Equation terms and inequality terms of a conjunctive exists block,
+    left to right."""
+    def atoms(f: Formula) -> list[Atom]:
+        if isinstance(f, Atom):
+            return [f]
+        if isinstance(f, And):
+            return atoms(f.left) + atoms(f.right)
+        raise ValueError("exists body is not a conjunction of atoms")
+
+    found = atoms(b.body)
+    return (tuple(a.term for a in found if isinstance(a, Eq)),
+            tuple(a.term for a in found if isinstance(a, Geq)))
 
 
 def tapes(fs: Sequence[T.Term], names: Sequence[str]) -> list[Evaluator]:

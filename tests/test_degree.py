@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget, _deg_cycle, degree
 from quasisat.evaluation import certify, compile_term
-from quasisat.formulas import block_parts
 from quasisat.geometry import Grid, oriented_boundary
 from quasisat.intervals import ival
 from quasisat.parser import parse
 
 import oracles
-from oracles import (complex_of, grid_cells, ratboxes, single_box, substitute, tapes,
-                     winding_oracle_2d)
+from oracles import (block_parts, complex_of, grid_cells, ratboxes, single_box, substitute,
+                     tapes, winding_oracle_2d)
 
 X, Y = T.Var("x"), T.Var("y")
 P20 = 20

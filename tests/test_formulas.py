@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.formulas import (And, ClassBReport, Eq, Exists, ForAll, Geq, Or,
-                               aligned_terms, block_parts, free_vars,
-                               same_structure, validate_class_b)
+from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or, aligned_terms, free_vars,
+                               same_structure)
 from quasisat.intervals import ival
 from quasisat.parser import parse
+from quasisat.solver import ClassBReport, validate_class_b
+
+from oracles import block_parts
 
 SOLVABLE = [
     "exists x in [-1,1] . sin(x) = 0",

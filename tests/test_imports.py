@@ -135,9 +135,10 @@ def test_no_module_imports_dataclasses(module):
 def test_the_import_loads_neither_dataclasses_nor_inspect(statement):
     """A fresh interpreter without `site` (whose hooks may load anything)
     imports the package, and the CLI with it, without `dataclasses` or
-    `inspect`: they cost as much as the package itself."""
+    `inspect`, which cost as much as the package itself, and without
+    `typing`: annotations and aliases use `collections.abc` and `X | None`."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statement}; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -12,7 +12,7 @@ import pytest
 
 from quasisat import terms as T
 from quasisat.degree import degree
-from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or, block_parts
+from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or
 from quasisat.geometry import grid_cover
 from quasisat.parser import parse
 from quasisat.evaluation import compile_term
@@ -20,8 +20,8 @@ from quasisat.solver import (TRI_TF, IterationRecord, _candidate_complexes,
                              _plausible_cells, prec_for, quasi_decide)
 
 from conftest import corpus_entries
-from oracles import (eval_env, face_box, grid_cells, grid_faces, index_cell, is_polynomial,
-                     ratbox, substitute, tapes)
+from oracles import (block_parts, eval_env, face_box, grid_cells, grid_faces, index_cell,
+                     is_polynomial, ratbox, substitute, tapes)
 
 EXTRA_BLOCKS = {
     "sphere_3d": "exists x in [-1,1], y in [-1,1], z in [-1,1] . "

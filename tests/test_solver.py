@@ -1,4 +1,5 @@
 """Three-valued checks and the epsilon-halving driver."""
+import gc
 import importlib
 import itertools
 import math
@@ -6,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from quasisat import solver
+from quasisat import distance_enclosure, solver, validate_class_b
 from quasisat import terms as T
 from quasisat.degree import DegreeResult
-from quasisat.formulas import ForAll, block_parts
+from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or
 from quasisat.geometry import Grid, grid_cover, oriented_boundary
 from quasisat.intervals import ival
 from quasisat.parser import parse
@@ -17,7 +18,7 @@ from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, pr
                              quasi_decide, tri_and, tri_or)
 
 from conftest import CORPUS_DIR
-from oracles import grid_cut, substitute, tapes, to_interval
+from oracles import block_parts, grid_cut, substitute, tapes, to_interval
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -478,22 +479,64 @@ def test_records_keep_their_defaults_and_mutability():
 
 def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
     """The kept parameters of each and/or side are found once per
-    sentence, not again in every slab and iteration: each block's body is
-    walked once, and the sentence and its sides take their free variables
-    from their blocks'."""
-    walked = []
-    real = solver.free_vars
-    monkeypatch.setattr(solver, "free_vars", lambda f: walked.append(f) or real(f))
+    sentence, not again in every slab and iteration: the compile walk
+    walks each atom's term once, and blocks, sides and the sentence take
+    their free variables bottom-up from their atoms'."""
+    walked, depth = [], [0]
+    real = T.free_vars
+
+    def spy(t):  # records the outermost call only; the recursion comes back here
+        if not depth[0]:
+            walked.append(t)
+        depth[0] += 1
+        try:
+            return real(t)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(T, "free_vars", spy)
     s = parse("forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0")
     v = quasi_decide(s, budget=6)
     assert v.iterations == 6 and sum(len(r.degrees) for r in v.trace) > 6
-    assert walked == [s.body.left.body, s.body.right]
+    assert walked == [s.body.left.body.term, s.body.right.term]
+
+
+def formula_nodes(f):
+    """Every node of a formula, atoms included, in preorder."""
+    children = {ForAll: ("body",), Exists: ("body",), And: ("left", "right"),
+                Or: ("left", "right")}.get(type(f), ())
+    return [f] + [n for name in children for n in formula_nodes(getattr(f, name))]
+
+
+@pytest.mark.parametrize("decide", [
+    lambda s: quasi_decide(s, budget=3),
+    lambda s: checksat(s, (), Fraction(1, 4)),
+], ids=["quasi_decide", "checksat"])
+def test_deciding_a_sentence_visits_each_formula_node_once(monkeypatch, decide):
+    """One compile walk before the first iteration: `_compile` visits each
+    node outside the blocks and each block, `_conjuncts` the and-tree of
+    each block's body, and no node is visited twice, by them or by any
+    iteration."""
+    visits = []
+
+    def spied(real):
+        def spy(f, *rest):
+            visits.append(f)
+            return real(f, *rest)
+        return spy
+    for name in ("_compile", "_conjuncts"):
+        monkeypatch.setattr(solver, name, spied(getattr(solver, name)))
+    s = parse("forall x in [0,1] . ((exists y in [0,1] . y - x*x = 0 and y >= 0 and "
+              "1 - y >= 0) or x - 2 >= 0) and 1 >= 0")
+    decide(s)
+    assert sorted(map(id, visits)) == sorted(map(id, formula_nodes(s)))
+    assert len(visits) == 11
 
 
 def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
     """Deciding a chain of k conjoined blocks visits each term node once
-    for its free variables, so the visits grow linearly in k (they grew
-    as k^2 when each and/or side was walked from scratch)."""
+    for its free variables, in the compile walk, so the visits grow
+    linearly in k (they grew as k^2 when each and/or side was walked from
+    scratch)."""
     visits = {}
     real = T.free_vars
 
@@ -507,6 +550,87 @@ def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
         assert quasi_decide(s, budget=1).outcome == "TRUE"
     # x - 1/2 is three term nodes
     assert visits == {25: 75, 50: 150, 100: 300, 200: 600}
+
+
+SHADOW = "variable 'x' shadows an outer binding"
+NOT_CONJ = "exists body must be a conjunction of equations and inequalities"
+UNDER = "exists block has 1 equation(s) for 2 variable(s); need n >= m or n = 0"
+X, Y, BOX = T.Var("x"), T.Var("y"), ival(0, 1)
+
+
+@pytest.mark.parametrize("f, violations", [
+    # parse rejects a rebound name, so the shadowing cases are built by hand
+    pytest.param(ForAll("x", BOX, ForAll("x", BOX, Geq(X))), [SHADOW], id="forall-shadow"),
+    pytest.param(ForAll("y", BOX, ForAll("x", BOX, Exists(
+        ("y", "x"), (BOX, BOX), And(Eq(T.Sub(X, Y)), Eq(T.Add(X, Y)))))),
+        [SHADOW], id="exists-shadow"),
+    pytest.param(parse("exists x in [0,1] . (x = 0 or x - 1 = 0)"), [NOT_CONJ], id="or-body"),
+    pytest.param(parse("exists x in [0,1] . exists y in [0,1] . x - y = 0"), [NOT_CONJ],
+                 id="exists-body"),
+    pytest.param(parse("exists x in [0,1], y in [0,1] . x - y = 0"), [UNDER],
+                 id="underdetermined"),
+    pytest.param(parse("(exists x in [0,1] . (x = 0 or x - 1 = 0)) and "
+                       "exists y in [0,1], z in [0,1] . y - z = 0"),
+                 [NOT_CONJ, UNDER], id="two-in-order"),
+    pytest.param(parse("exists x in [0,1] . (exists y in [0,1], z in [0,1] . x - y = 0) "
+                       "or x >= 0"), [NOT_CONJ, UNDER], id="inside-a-disjunctive-body"),
+    pytest.param(Exists(("x",), (BOX,), Or(Exists(("x",), (BOX,), Eq(X)), Geq(X))),
+                 [NOT_CONJ, SHADOW], id="shadow-inside-a-disjunctive-body"),
+])
+def test_class_b_messages_are_pinned(f, violations):
+    """Each violation of the solvable fragment is reported with its exact
+    text, in walk order, and `quasi_decide` and `checksat` raise them
+    joined by '; '."""
+    assert validate_class_b(f).violations == tuple(violations)
+    for decide in (lambda: quasi_decide(f), lambda: checksat(f, (), 1)):
+        with pytest.raises(ValueError) as err:
+            decide()
+        assert str(err.value) == "; ".join(violations)
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("exists x in [0,1], y in [0,1] . x - a = 0", UNDER),
+    ("exists x in [0,1] . (x - a = 0 or x >= 0)", NOT_CONJ),
+])
+def test_a_free_variable_is_reported_before_a_violation(text, violation):
+    """A sentence check comes first, also when the free variable sits in a
+    block outside the fragment."""
+    f = parse(text, params={"a": BOX})
+    assert validate_class_b(f).violations == (violation,)
+    with pytest.raises(ValueError) as err:
+        quasi_decide(f)
+    assert str(err.value) == "not a sentence; free variables: ['a']"
+    with pytest.raises(ValueError) as err:
+        checksat(f, (), 1)
+    assert str(err.value) == "free variables without a parameter name: ['a']"
+    with pytest.raises(ValueError) as err:  # with the name given, the violation
+        checksat(f, (BOX,), 1, ("a",))
+    assert str(err.value) == violation
+
+
+CYCLE_F = "forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0 or 1 >= 0"
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: quasi_decide(f, budget=3),
+    lambda f: checksat(f, (), Fraction(1, 4)),
+    validate_class_b,
+    lambda f: distance_enclosure(f, parse(CYCLE_F.replace("x*x", "x*x - 1/64")),
+                                 Fraction(1, 64)),
+], ids=["quasi_decide", "checksat", "validate_class_b", "distance_enclosure"])
+def test_the_formula_walks_leave_no_reference_cycles(call):
+    """The walks are module-level functions, not recursive closures, which
+    are reference cycles: garbage that stays alive, with all it holds (the
+    pairs of `aligned_terms`, say), until a collection, and that makes the
+    collections during the next solves come sooner."""
+    f = parse(CYCLE_F)
+    gc.collect()
+    gc.disable()
+    try:
+        call(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_long_and_chain_stays_within_the_stack():
