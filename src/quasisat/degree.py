@@ -31,6 +31,7 @@ from collections.abc import Mapping, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify
 from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
+from .intervals import DomainError
 from .record import Frozen, init_field
 
 _MAX_PREC = 4096
@@ -61,9 +62,12 @@ class _Budget:
 def _sign_at_point(
     f: Evaluator, env: tuple[Ival, ...], p: int, budget: _Budget
 ) -> Cert | None:
-    """Sign of f at a degenerate cell, escalating precision as needed."""
+    """Sign of f at a degenerate cell, escalating precision (also past a DomainError)."""
     while p <= _MAX_PREC:
-        lo, hi, d = f(env, p)
+        try:
+            lo, hi, d = f(env, p)
+        except DomainError:
+            lo = hi = 0
         if lo > 0:
             return 0, 1, lo, d
         if hi < 0:

@@ -8,7 +8,7 @@ from itertools import product
 from collections.abc import Sequence
 
 from .evaluation import Ival, compile_term
-from .intervals import RatInterval, rat
+from .intervals import DomainError, RatInterval, rat
 from .formulas import Formula, aligned_terms
 from .geometry import bisect_box
 from . import terms as T
@@ -44,8 +44,10 @@ def sup_abs_enclosure(
     bounds the supremum from below.  So an expanded affine t, whose cell
     enclosure is exact and whose supremum sits at a corner, closes at
     depth 0.  Axes that t does not mention are dropped, and with no axis
-    left only the precision deepens.  The cells are `Ival` cells, and
-    the active cells of a depth share their denominators (see
+    left only the precision deepens.  A cell where t leaves its domain
+    (DomainError) has no upper bound, so its depth builds no bracket and
+    it is kept; such a corner gives no lower bound.  The cells are `Ival`
+    cells, and the active cells of a depth share their denominators (see
     `geometry`); bounds are compared by cross-multiplication and only
     each depth's bracket is built from `Fraction`s.
     """
@@ -58,32 +60,38 @@ def sup_abs_enclosure(
     evaluate = compile_term(t, [names[i] for i in kept])
     bracket: RatInterval | None = None
     active = [tuple(box[i] for i in kept)]
-    # (num, den) of the best lower bound on sup |t| so far
-    best_lo: tuple[int, int] | None = (0, 1) if kept else None
+    best_lo = 0, 1  # (num, den) of the best lower bound on sup |t| so far
     depth = 0
     while True:
         p = depth + 10
-        scored = []  # (cell, numerator of the upper bound of |t|, den)
-        hi = None
+        scored = []  # (cell, num, den) of each cell's upper bound on |t|; den 0: none
+        hi = 0, 1  # the largest upper bound, (1, 0) when some cell has none
         corners: set[tuple[int, ...]] = set()
         for cell in active:
-            a, b, d = _abs(evaluate(cell, p))
+            try:
+                a, b, d = _abs(evaluate(cell, p))
+            except DomainError:
+                a, b, d = 0, 1, 0
             scored.append((cell, b, d))
-            if best_lo is None or a * best_lo[1] > best_lo[0] * d:
+            if a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
-            if hi is None or b * hi[1] > hi[0] * d:
+            if b * hi[1] > hi[0] * d:
                 hi = b, d
             corners.update(product(*(iv[:2] for iv in cell)))
         first = active[0]  # the active cells share their denominators
         for corner in corners:  # degenerate cells: point values of |t|
-            a, _, d = _abs(evaluate([(c, c, iv[2]) for c, iv in zip(corner, first)], p))
+            try:
+                a, _, d = _abs(evaluate([(c, c, iv[2]) for c, iv in zip(corner, first)], p))
+            except DomainError:
+                continue
             if a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
-        hi_q = Fraction(*hi)
-        step = RatInterval(min(Fraction(*best_lo), hi_q), hi_q)
-        bracket = step if bracket is None else _intersect(bracket, step)
-        if bracket.width <= tol:
-            return bracket
+        if hi[1]:
+            hi_q = Fraction(*hi)
+            step = RatInterval(min(Fraction(*best_lo), hi_q), hi_q)
+            bracket = step if bracket is None else _intersect(bracket, step)
+            if bracket.width <= tol:
+                return bracket
         # keep only cells that can still carry the supremum, then bisect
         active = []
         for cell, b, d in scored:

@@ -17,9 +17,11 @@ holds the constants, with the environment in front, and needs no
 recursion, so deep terms cost no stack; an environment of another
 length than the names raises ValueError.  The solver compiles each
 block's terms once per sentence and runs the same tapes in every slab
-and iteration.  Bounds
-are compared as integer pairs num/den by cross-multiplication; a
-`Fraction` is built only for a result.
+and iteration.  Bounds are compared as integer pairs num/den by
+cross-multiplication; a `Fraction` is built only for a result.  A
+division by an interval that holds zero, or a sqrt of one that holds a
+negative, raises DomainError; `certify` and `positive_lower_bound` read
+it as an enclosure that holds zero.
 """
 from __future__ import annotations
 
@@ -177,10 +179,13 @@ def certify(
 ) -> Cert | None:
     """The first component whose enclosure excludes zero, or with `best`
     the one of largest mignitude (the first of equals); None when every
-    enclosure holds zero."""
+    enclosure holds zero, as one that leaves a domain (DomainError) does."""
     found: Cert | None = None
     for i, f in enumerate(fs):
-        lo, hi, d = f(env, p)
+        try:
+            lo, hi, d = f(env, p)
+        except DomainError:
+            continue
         if lo > 0:
             cert = i, 1, lo, d
         elif hi < 0:
@@ -197,10 +202,13 @@ def certify(
 def positive_lower_bound(
     evals: Sequence[Evaluator], env: Sequence[Ival], p: int
 ) -> Fraction | None:
-    """min over components of the enclosure lower bound, if all positive."""
+    """min over components of the enclosure lower bound, if all positive (no DomainError)."""
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     for ev in evals:
-        lo, _, d = ev(env, p)
+        try:
+            lo, _, d = ev(env, p)
+        except DomainError:
+            return None
         if lo <= 0:
             return None
         if not den or lo * den < num * d:

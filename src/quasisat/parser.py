@@ -19,8 +19,12 @@ Numbers are integer or decimal literals and parse to exact rationals.
 FUNC is one of sin, cos, exp, sqrt.  Every variable must be bound by an
 enclosing quantifier (or listed in `params`); rebinding a name inside
 its own scope is an error.  Division and sqrt are accepted only when
-interval evaluation shows the denominator excludes zero (resp. the
-radicand is nonnegative) over the whole quantification box.
+interval evaluation at precision 30 shows the denominator excludes zero
+(resp. the radicand is nonnegative) on the box of the variables in
+scope, checked as the parser builds them.  A term more than `_MAX_HEIGHT`
+operations high is a ParseError, whatever the caller's stack.  A syntax
+error comes first, then a term too high, then the first domain fault in
+reading order, a DomainError.
 
 A sentence is read in one forward pass with no backtracking.  A '(' where
 a formula may start opens a formula exactly when its group, up to the
@@ -39,7 +43,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from collections.abc import Iterable
 
 from .evaluation import compile_term
 from .intervals import DomainError, Ival, ival
@@ -94,16 +97,23 @@ def _formula_groups(toks: list[str]) -> set[int]:
     return holds
 
 
-class _Parser:
-    __slots__ = ("text", "toks", "i", "scope", "formula_groups")
+_GUARD_PREC = 30
+_MAX_HEIGHT = 900  # a sum this high still decides and prints under 80 caller frames
 
-    def __init__(self, text: str, params: Iterable[str]):
+
+class _Parser:
+    __slots__ = ("text", "toks", "i", "scope", "formula_groups", "height", "too_deep", "fault")
+
+    def __init__(self, text: str, params: dict[str, Ival]):
         self.text = text
         self.toks = _TOKEN_RE.findall(text)
         self.toks.append("")  # the end of the input
         self.i = 0
-        self.scope: list[str] = list(params)
+        self.scope = dict(params)  # every variable in scope, with its box
         self.formula_groups: set[int] | None = None  # built at the first '('
+        self.height = 0  # the height of the term last returned
+        self.too_deep = False  # some atom's term is higher than _MAX_HEIGHT
+        self.fault: tuple[str, T.Term] | None = None  # the first domain fault
 
     def error(self, message: str, at: int | None = None) -> ParseError:
         """The error at token `at` (default: the current one).  A character
@@ -159,16 +169,16 @@ class _Parser:
             self.i += 1
             binders.append(self.binder())
         self.expect(".")
-        names = [v for v, _ in binders]
-        self.scope.extend(names)
+        outer = self.scope
+        self.scope = {**outer, **dict(binders)}  # a repeated name: its last box
         body = self.formula()
-        del self.scope[len(self.scope) - len(names):]
+        self.scope = outer
         if kw == "forall":
             out = body
             for v, iv in reversed(binders):
                 out = F.ForAll(v, iv, out)
             return out
-        return F.Exists(tuple(names), tuple(iv for _, iv in binders), body)
+        return F.Exists(*zip(*binders), body)
 
     def binder(self) -> tuple[str, Ival]:
         at = self.i
@@ -210,24 +220,33 @@ class _Parser:
         return value
 
     def atom(self) -> F.Formula:
-        lhs = self.sum()
+        """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
+        lhs, lh = self.sum(), self.height
         rel = self.toks[self.i]
-        if rel == "=":
-            self.i += 1
-            return F.Eq(_diff(lhs, self.sum()))
-        if rel == ">=":
-            self.i += 1
-            return F.Geq(_diff(lhs, self.sum()))
+        if rel != "=" and rel != ">=" and rel != "<=":
+            raise self.error("expected '=', '>=' or '<='")
+        self.i += 1
+        rhs, rh = self.sum(), self.height
         if rel == "<=":
-            self.i += 1
-            return F.Geq(_diff(self.sum(), lhs))
-        raise self.error("expected '=', '>=' or '<='")
+            lhs, rhs, lh, rh = rhs, lhs, rh, lh
+        if type(rhs) is not T.Const or rhs.value:
+            lhs, lh = T.Sub(lhs, rhs), max(lh, rh) + 1
+        self.too_deep |= lh > _MAX_HEIGHT
+        return F.Eq(lhs) if rel == "=" else F.Geq(lhs)
 
     # -- terms --
 
+    def enclose(self, t: T.Term) -> Ival:
+        """t's enclosure on the box of the variables in scope."""
+        if type(t) is T.Const:
+            v = t.value
+            return v.numerator, v.numerator, v.denominator
+        scope = self.scope
+        return compile_term(t, scope)(tuple(scope.values()), _GUARD_PREC)
+
     def sum(self) -> T.Term:
         toks = self.toks
-        left = self.product()
+        left, height = self.product(), self.height
         while True:
             op = toks[self.i]
             if op == "+":
@@ -237,11 +256,13 @@ class _Parser:
                 self.i += 1
                 left = T.Sub(left, self.product())
             else:
+                self.height = height
                 return left
+            height = max(height, self.height) + 1
 
     def product(self) -> T.Term:
         toks = self.toks
-        left = self.unary()
+        left, height = self.unary(), self.height
         while True:
             op = toks[self.i]
             if op == "*":
@@ -252,10 +273,16 @@ class _Parser:
                 right = self.unary()
                 if type(left) is T.Const and type(right) is T.Const and right.value:
                     left = T.Const(left.value / right.value)
-                else:
-                    left = T.Div(left, right)
+                    continue  # two constants, of height 0
+                if self.fault is None:
+                    lo, hi, _ = self.enclose(right)
+                    if lo <= 0 <= hi:
+                        self.fault = ("denominator {} may vanish", right)
+                left = T.Div(left, right)
             else:
+                self.height = height
                 return left
+            height = max(height, self.height) + 1
 
     def unary(self) -> T.Term:
         """A unary, with its power rule parsed in the same call."""
@@ -263,7 +290,10 @@ class _Parser:
         if toks[self.i] == "-":
             self.i += 1
             arg = self.unary()
-            return T.Const(-arg.value) if type(arg) is T.Const else T.Neg(arg)
+            if type(arg) is T.Const:
+                return T.Const(-arg.value)
+            self.height += 1
+            return T.Neg(arg)
         base = self.item()
         if toks[self.i] != "^":
             return base
@@ -271,6 +301,7 @@ class _Parser:
         if not toks[self.i].isdecimal():
             raise self.error("expected a natural-number exponent")
         self.i += 1
+        self.height += 1
         return T.Pow(base, int(toks[self.i - 1]))
 
     def item(self) -> T.Term:
@@ -278,6 +309,7 @@ class _Parser:
         tok = self.toks[at]
         if tok[:1].isdecimal():
             self.i += 1
+            self.height = 0
             return T.Const(_number(tok))
         if tok == "(":
             self.i += 1
@@ -291,7 +323,11 @@ class _Parser:
             self.expect("(")
             arg = self.sum()
             self.expect(")")
+            self.height += 1
+            if tok == "sqrt" and self.fault is None and self.enclose(arg)[0] < 0:
+                self.fault = ("sqrt argument {} may be negative", arg)
             return _FUNCS[tok](arg)
+        self.height = 0
         if tok == "pi":
             return T.Pi()
         if tok in _KEYWORDS:
@@ -301,80 +337,19 @@ class _Parser:
         return T.Var(tok)
 
 
-def _diff(lhs: T.Term, rhs: T.Term) -> T.Term:
-    """Normalize t1 ~ t2 to (t1 - t2) ~ 0, keeping literal zeros tidy."""
-    if isinstance(rhs, T.Const) and rhs.value == 0:
-        return lhs
-    return T.Sub(lhs, rhs)
-
-
-_GUARD_PREC = 30
-
-
-def _enclose(t: T.Term, env: dict[str, Ival]) -> Ival:
-    return compile_term(t, tuple(env))(list(env.values()), _GUARD_PREC)
-
-
-def _check_domains(f: F.Formula, env: dict[str, Ival]) -> None:
-    """Reject formulas whose division or sqrt can leave its domain
-    anywhere on the quantification box.  The walk recurses once per
-    nesting level, so a term nested too deeply ends in RecursionError."""
-    if isinstance(f, F.Atom):
-        _check_term(f.term, env)
-        return
-    if isinstance(f, F.Exists):
-        inner = dict(env)
-        inner.update(zip(f.vars, f.bounds))
-        _check_domains(f.body, inner)
-        return
-    if isinstance(f, F.ForAll):
-        inner = dict(env)
-        inner[f.var] = f.bound
-        _check_domains(f.body, inner)
-        return
-    _check_domains(f.left, env)
-    _check_domains(f.right, env)
-
-
-def _check_term(t: T.Term, env: dict[str, Ival]) -> None:
-    if isinstance(t, (T.Const, T.Pi, T.Var)):
-        return
-    if isinstance(t, (T.Add, T.Sub, T.Mul, T.Div)):
-        _check_term(t.left, env)
-        _check_term(t.right, env)
-        if isinstance(t, T.Div):
-            den = t.right
-            if isinstance(den, T.Const):
-                vanishes = den.value == 0
-            else:
-                lo, hi, _ = _enclose(den, env)
-                vanishes = lo <= 0 <= hi
-            if vanishes:
-                raise DomainError(
-                    f"denominator {T.term_text(den)} may vanish on the "
-                    "quantification box")
-        return
-    if isinstance(t, T.Pow):
-        _check_term(t.base, env)
-        return
-    _check_term(t.arg, env)
-    if isinstance(t, T.Sqrt):
-        if _enclose(t.arg, env)[0] < 0:
-            raise DomainError(
-                f"sqrt argument {T.term_text(t.arg)} may be negative on the "
-                "quantification box")
-
-
 def parse(text: str, params: dict[str, Ival] | None = None) -> F.Formula:
     """Parse a formula; `params` declares free variables with their ranges
     as `Ival`s (used for the domain checks)."""
-    params = params or {}
-    p = _Parser(text, params)
+    p = _Parser(text, params or {})
     try:
         out = p.formula()
-        if p.toks[p.i]:
-            raise p.error(f"unexpected trailing input {p.toks[p.i]!r}")
-        _check_domains(out, dict(params))
     except RecursionError:
         raise p.error("term nested too deeply") from None
+    if p.toks[p.i]:
+        raise p.error(f"unexpected trailing input {p.toks[p.i]!r}")
+    if p.too_deep:
+        raise p.error("term nested too deeply")
+    if p.fault is not None:
+        message, term = p.fault
+        raise DomainError(f"{message.format(T.term_text(term))} on the quantification box")
     return out

@@ -31,7 +31,9 @@ the formula again.  That compile walk is the only walk of the formula:
 it also finds the free variables and checks the solvable fragment, whose
 violations `validate_class_b` reports on their own.  The refutation, the
 face walk and the degree (at the slice centre, as degenerate parameter
-intervals) run on the same tapes.
+intervals) run on the same tapes.  A division or sqrt that the parser
+admitted at precision 30 may leave its domain on a box at a lower
+precision (DomainError); that box then decides nothing.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from collections.abc import Callable, Sequence
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import And, Atom, Eq, ForAll, Formula, Geq, Or
 from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
-from .intervals import rat
+from .intervals import DomainError, rat
 from .degree import degree
 from .record import Frozen, Record, init_field
 from . import terms as T
@@ -304,12 +306,15 @@ def _refutation_bound(
     fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
 ) -> tuple[int, int] | None:
     """A positive separation bound (num, den) when the box admits no
-    solution; None when the box stays plausible."""
+    solution; None when it stays plausible (a DomainError refutes nothing)."""
     cert = certify(fs, env, p)
     if cert is not None:
         return cert[2], cert[3]
     for g in gs:
-        _, hi, d = g(env, p)
+        try:
+            _, hi, d = g(env, p)
+        except DomainError:
+            continue
         if hi < 0:
             return -hi, d
     return None

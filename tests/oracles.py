@@ -3,7 +3,8 @@ against: boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
 substitution of rational constants for variables, the equation and
-inequality terms of an exists block, a float winding count
+inequality terms of an exists block, the parser's domain check as a
+walk over the parsed formula, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), and the degree, oriented boundary, bisection and
@@ -19,9 +20,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from quasisat import terms as T
 from quasisat.degree import DegreeResult, _Budget
 from quasisat.evaluation import Evaluator, compile_term
-from quasisat.formulas import And, Atom, Eq, Exists, Formula, Geq
+from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Formula, Geq
 from quasisat.geometry import Cell, Grid
 from quasisat.intervals import DomainError, Ival, RatInterval, RatLike, ival, rat
+from quasisat.parser import _GUARD_PREC
 from quasisat.series import _coeffs, _extra_bits, _imul
 
 
@@ -418,6 +420,63 @@ def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:
     found = atoms(b.body)
     return (tuple(a.term for a in found if isinstance(a, Eq)),
             tuple(a.term for a in found if isinstance(a, Geq)))
+
+
+def _enclose(t: T.Term, env: dict[str, Ival]) -> Ival:
+    return compile_term(t, tuple(env))(list(env.values()), _GUARD_PREC)
+
+
+def check_domains(f: Formula, env: dict[str, Ival]) -> None:
+    """Reject formulas whose division or sqrt can leave its domain
+    anywhere on the box of the variables in scope: the check `parse`
+    makes as it builds each division and sqrt, as a second walk over the
+    parsed formula.  Its messages are the parser's.  It visits each
+    atom's term in post-order, so in `a <= b`, parsed as `b - a >= 0`,
+    b's fault comes before a's, where the parser reports a's."""
+    if isinstance(f, Atom):
+        check_term(f.term, env)
+        return
+    if isinstance(f, Exists):
+        inner = dict(env)
+        inner.update(zip(f.vars, f.bounds))
+        check_domains(f.body, inner)
+        return
+    if isinstance(f, ForAll):
+        inner = dict(env)
+        inner[f.var] = f.bound
+        check_domains(f.body, inner)
+        return
+    check_domains(f.left, env)
+    check_domains(f.right, env)
+
+
+def check_term(t: T.Term, env: dict[str, Ival]) -> None:
+    if isinstance(t, (T.Const, T.Pi, T.Var)):
+        return
+    if isinstance(t, (T.Add, T.Sub, T.Mul, T.Div)):
+        check_term(t.left, env)
+        check_term(t.right, env)
+        if isinstance(t, T.Div):
+            den = t.right
+            if isinstance(den, T.Const):
+                vanishes = den.value == 0
+            else:
+                lo, hi, _ = _enclose(den, env)
+                vanishes = lo <= 0 <= hi
+            if vanishes:
+                raise DomainError(
+                    f"denominator {T.term_text(den)} may vanish on the "
+                    "quantification box")
+        return
+    if isinstance(t, T.Pow):
+        check_term(t.base, env)
+        return
+    check_term(t.arg, env)
+    if isinstance(t, T.Sqrt):
+        if _enclose(t.arg, env)[0] < 0:
+            raise DomainError(
+                f"sqrt argument {T.term_text(t.arg)} may be negative on the "
+                "quantification box")
 
 
 def tapes(fs: Sequence[T.Term], names: Sequence[str]) -> list[Evaluator]:

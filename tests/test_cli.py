@@ -184,6 +184,13 @@ def test_deep_terms_exit_one_without_traceback(tmp_path, capsys, term):
     assert "FAIL  deep.sent" in capsys.readouterr().out
 
 
+def test_a_sentence_whose_low_precision_enclosures_leave_the_domain_is_solved(capsys):
+    """sin(x) on [1/1000,1] excludes zero at the parser's precision but
+    not at iteration 1's, which leaves that box undecided, not an error."""
+    assert main(["solve", "exists x in [1/1000,1] . 1/sin(x) - 2 = 0"]) == 0
+    assert capsys.readouterr().out.startswith("TRUE")
+
+
 def test_recursion_while_solving_is_reported(tmp_path, capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -84,6 +84,15 @@ def test_uncertifiable_boundary_returns_none():
     assert res is None
 
 
+def test_a_point_that_leaves_the_domain_raises_the_precision():
+    """At p = 3 the enclosure of sin(1/1000) holds zero, so 1/sin(x)
+    leaves its domain at that boundary point: the sign is sought at a
+    higher precision, and each raise counts as a subdivision."""
+    f = parse("exists x in [1/1000,1] . 1/sin(x) - 2 = 0").body.term
+    res = degree(tapes([f], ("x",)), single_box((ival(Fraction(1, 1000), 1),)), 3)
+    assert (res.value, res.subdivisions) == (-1, 2)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         degree(tapes([X, Y], ("x", "y")), single_box((ival(0, 1),)), P20)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,3 +188,28 @@ def test_axes_the_term_does_not_mention_change_nothing():
     wide = (xs, ival(Fraction(-1, 3), Fraction(16, 15)), ival(Fraction(4, 5), Fraction(23, 10)))
     tol = Fraction(1, 100)
     assert sup_abs_enclosure(t, ("x", "y", "z"), wide, tol) == sup_abs_enclosure(t, ("x",), (xs,), tol)
+
+
+def _mpf(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("f_text, g_text, want", [
+    # depth 0 runs at p = 10, where sin(x) + 1/100000 may be negative near 0
+    ("exists x in [0,1] . sqrt(sin(x) + 1/100000) - 1/2 = 0",
+     "exists x in [0,1] . 2*sqrt(sin(x) + 1/100000) - 1/2 = 0",
+     lambda: mpmath.sqrt(mpmath.sin(1) + mpmath.mpf(1) / 100000)),
+    # no axis: the difference is a constant that only the precision settles
+    ("exists x in [0,1] . x - sqrt(sin(1) - 8414709/10000000) = 0",
+     "exists x in [0,1] . x = 0",
+     lambda: mpmath.sqrt(mpmath.sin(1) - mpmath.mpf(8414709) / 10000000)),
+], ids=["sqrt_near_zero", "no_axis"])
+def test_a_cell_that_leaves_the_domain_is_kept_and_bisected(f_text, g_text, want):
+    """Both sentences parse, as the parser checks their sqrt at precision
+    30; a cell or corner whose evaluation leaves the domain at the lower
+    precision of a depth bounds nothing, and the next depth bisects it."""
+    tol = Fraction(1, 1000)
+    with mpmath.workdps(40):
+        enc = distance_enclosure(parse(f_text), parse(g_text), tol)
+        assert enc.width <= tol
+        assert _mpf(enc.lo) <= want() <= _mpf(enc.hi)

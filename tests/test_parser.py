@@ -2,15 +2,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
                                formula_text, free_vars, same_structure)
 from quasisat.intervals import DomainError, ival
-from quasisat.parser import ParseError, parse
+from quasisat.parser import _MAX_HEIGHT, ParseError, parse
 
 from conftest import CORPUS_DIR
-from oracles import exact_eval
+from oracles import check_domains, exact_eval
 from test_identity import ROOT, _workloads
 
 X = T.Var("x")
@@ -118,6 +119,27 @@ def test_deep_terms_are_parse_errors(term):
         parse(f"exists x in [0,2] . {term} - 1 = 0")
 
 
+def _under(frames: int, fn):
+    """fn() called under `frames` extra frames of the caller's own."""
+    return fn() if frames == 0 else _under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("atom", ["{} - 1 = 0", "0 <= x+{}"], ids=["sub", "leq_zero"])
+def test_the_height_bound_does_not_depend_on_the_stack(frames, atom):
+    """A sum of height `_MAX_HEIGHT` parses and one level more does not,
+    at top level and under 300 extra frames alike.  `0 <= t` reads as
+    t >= 0, of t's height."""
+    def sentence(height):  # height - 1 additions, then one more operation
+        return "exists x in [0,2] . " + atom.format("+".join(["x"] * height))
+
+    f = _under(frames, lambda: parse(sentence(_MAX_HEIGHT)))
+    assert isinstance(f.body.term, (T.Sub, T.Add))
+    with pytest.raises(ParseError, match="term nested too deeply") as e:
+        _under(frames, lambda: parse(sentence(_MAX_HEIGHT + 1)))
+    assert (e.value.line, e.value.col) == (1, len(sentence(_MAX_HEIGHT + 1)) + 1)
+
+
 @pytest.mark.parametrize("text, body", [
     ("(x+1)*x = 0", Eq(T.Mul(T.Add(X, c(1)), X))),
     ("(x) = 0", Eq(X)),
@@ -156,6 +178,44 @@ def test_literals_fold_into_one_constant(text, term):
 def test_zero_denominators_are_domain_errors(term):
     with pytest.raises(DomainError, match="may vanish"):
         parse(f"exists x in [1,2] . {term} = 0")
+
+
+DEEP_AFTER_A_FAULT = "exists x in [-1,1] . 1/x = 0 and " + "+".join(["x"] * 1000) + " = 0"
+
+
+@pytest.mark.parametrize("text, error", [
+    # a syntax error after a domain fault comes first
+    ("exists x in [-1,1] . 1/x = 0 and", "ParseError: 1:33: expected a term"),
+    ("exists x in [-1,1] . 1/x = 0 )", "ParseError: 1:30: unexpected trailing input ')'"),
+    # so does a term nested too deeply, reported at the end of the text
+    (DEEP_AFTER_A_FAULT,
+     f"ParseError: 1:{len(DEEP_AFTER_A_FAULT) + 1}: term nested too deeply"),
+    # of two domain faults, the first in reading order; in `a <= b` that
+    # is a's, though the atom is b - a >= 0
+    ("exists x in [-1,1] . 1/x + sqrt(x) = 0",
+     "DomainError: denominator x may vanish on the quantification box"),
+    ("exists x in [-1,1] . sqrt(x) + 1/x = 0",
+     "DomainError: sqrt argument x may be negative on the quantification box"),
+    ("exists x in [-1,1] . 1/x <= sqrt(x)",
+     "DomainError: denominator x may vanish on the quantification box"),
+    ("exists x in [-1,1] . 1/(1/x) = 0",
+     "DomainError: denominator x may vanish on the quantification box"),
+], ids=["syntax", "trailing", "too_deep", "div_sqrt", "sqrt_div", "leq", "nested_div"])
+def test_the_first_fault_is_reported(text, error):
+    with pytest.raises((ParseError, DomainError)) as e:
+        parse(text)
+    assert f"{type(e.value).__name__}: {e.value}" == error
+
+
+def test_a_name_repeated_in_one_block_is_checked_on_its_last_box():
+    """The parser leaves a repeated name in one block to the formula
+    classes and the solver; the domain check sees its last box."""
+    f = parse("forall x in [-1,1], x in [1,2] . 1/x >= 0")
+    assert f.body.bound == ival(1, 2)
+    with pytest.raises(DomainError, match="denominator x may vanish"):
+        parse("forall x in [1,2], x in [-1,1] . 1/x >= 0")
+    with pytest.raises(ValueError, match="duplicate variable in one exists block"):
+        parse("exists x in [0,1], x in [-1,2] . 1/x = 0")
 
 
 def test_division_by_possible_zero_is_rejected():
@@ -218,3 +278,80 @@ def test_formula_text_reparses_every_corpus_and_benchmark_text():
 def test_parameterized_parse_with_free_variables():
     f = parse("exists y in [-2,2] . y - x = 0", params={"x": ival(0, 1)})
     assert free_vars(f) == {"x"}
+
+
+# ---------------------------------------------------------------------------
+# the domain check against the reference walk of tests/oracles.py
+
+NEAR_ZERO = st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(-1, 1000),
+                             Fraction(1, 100000), Fraction(-1, 100000), Fraction(1, 2)])
+ENDS = st.sampled_from([Fraction(-3, 2), -1, Fraction(-1, 3), 0, Fraction(1, 1000),
+                        Fraction(1, 4), Fraction(1, 2), 1, Fraction(7, 4)])
+
+
+def _div(a: T.Term, b: T.Term) -> T.Term:
+    # the parser folds a constant over a nonzero constant
+    if type(a) is T.Const and type(b) is T.Const and b.value:
+        return T.Const(a.value / b.value)
+    return T.Div(a, b)
+
+
+def _neg(a: T.Term) -> T.Term:
+    return T.Const(-a.value) if type(a) is T.Const else T.Neg(a)  # folded too
+
+
+def _terms(names):
+    """Terms in the form `parse` builds, with operands that approach zero
+    on the box, such as x - c and sin(x) + c for small c."""
+    v = st.sampled_from([T.Var(n) for n in names])
+    leaves = st.one_of(
+        v, st.just(T.Pi()), st.builds(T.Exp, v),  # exp of a leaf only: a huge argument is slow
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(T.Const),
+        st.builds(T.Sub, v, st.builds(T.Const, NEAR_ZERO)),
+        st.builds(lambda x, k: T.Add(T.Sin(x), T.Const(k)), v, NEAR_ZERO))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(T.Add, sub, sub), st.builds(T.Sub, sub, sub),
+        st.builds(T.Mul, sub, sub), st.builds(_div, sub, sub), st.builds(_neg, sub),
+        st.builds(T.Pow, sub, st.integers(min_value=0, max_value=3)),
+        st.builds(T.Sqrt, sub), st.builds(T.Sin, sub), st.builds(T.Cos, sub)),
+        max_leaves=8)
+
+
+TERMS = {names: _terms(names) for names in [("x",), ("a", "x")]}
+
+
+@st.composite
+def _sentences(draw):
+    """(text, params, the formula it reads as, the same with the atom's
+    sides in reading order)."""
+    names = draw(st.sampled_from(sorted(TERMS)))
+    ends = [sorted((draw(ENDS), draw(ENDS))) for _ in names]
+    lhs, rhs = draw(TERMS[names]), draw(TERMS[names])
+    kw, rel = draw(st.sampled_from(["exists", "forall"])), draw(st.sampled_from(["=", ">=", "<="]))
+    text = f"{kw} x in [{ends[-1][0]},{ends[-1][1]}] . {T.term_text(lhs)} {rel} {T.term_text(rhs)}"
+    a, b = (rhs, lhs) if rel == "<=" else (lhs, rhs)
+    atom = (Eq if rel == "=" else Geq)(a if b == T.Const(Fraction(0)) else T.Sub(a, b))
+    iv = ival(*ends[-1])
+
+    def block(body):
+        return Exists(("x",), (iv,), body) if kw == "exists" else ForAll("x", iv, body)
+
+    params = {"a": ival(*ends[0])} if len(names) == 2 else {}
+    return text, params, block(atom), block(Eq(T.Sub(lhs, rhs)))
+
+
+@given(_sentences())
+@settings(max_examples=300, deadline=None)
+def test_parse_accepts_exactly_what_the_reference_walk_accepts(drawn):
+    """`parse` returns the formula when the reference walk accepts it,
+    and otherwise raises the reference's DomainError: its first fault
+    with the atom's sides in reading order."""
+    text, params, f, in_order = drawn
+    try:
+        check_domains(in_order, dict(params))
+    except DomainError as e:
+        with pytest.raises(DomainError) as got:
+            parse(text, params=params)
+        assert str(got.value) == str(e)
+    else:
+        assert parse(text, params=params) == f
