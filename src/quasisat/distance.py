@@ -35,32 +35,29 @@ def sup_abs_enclosure(
 ) -> RatInterval:
     """Enclosure of sup |t| over the box, of width <= tol.
 
-    Iterative deepening over uniform grids: the bracket sequence depends
-    only on the term and the box, and successive brackets are
-    intersected, so a tighter tolerance always yields a sub-interval of
-    a looser one's result.  The upper bound is the largest |t| over the
-    active cells; the lower bound is the largest mignitude of |t| over
-    those cells and over their corners, since the value at any point
-    bounds the supremum from below.  So an expanded affine t, whose cell
-    enclosure is exact and whose supremum sits at a corner, closes at
-    depth 0.  Axes that t does not mention are dropped, and with no axis
-    left only the precision deepens.  A cell where t leaves its domain
-    (DomainError) has no upper bound, so its depth builds no bracket and
-    it is kept; such a corner gives no lower bound.  The cells are `Ival`
-    cells, and the active cells of a depth share their denominators (see
-    `geometry`); bounds are compared by cross-multiplication and only
-    each depth's bracket is built from `Fraction`s.
-    """
+    Iterative deepening over uniform grids of `Ival` cells (the active
+    cells of a depth share their denominators, see `geometry`).  The
+    bracket is the best lower and the least upper bound so far, so a
+    tighter tolerance yields a sub-interval of a looser one's result.  An
+    upper bound is the largest |t| over a depth's active cells; a lower
+    bound is the largest mignitude of |t| over those cells and their
+    corners, as any point value bounds the supremum from below.  So an
+    expanded affine t closes at depth 0.  Axes that t does not mention
+    are dropped.  A cell where t leaves its domain (DomainError) has no
+    upper bound, so its depth gives none and it is kept; such a corner
+    gives no lower bound.  Bounds are integer pairs (num, den), compared
+    by cross-multiplication; one `RatInterval` is built at the end."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    tn, td = tol.numerator, tol.denominator
     # an axis the term does not mention only multiplies the cells
     used = T.free_vars(t)
     kept = [i for i, v in enumerate(names) if v in used]
     evaluate = compile_term(t, [names[i] for i in kept])
-    bracket: RatInterval | None = None
     active = [tuple(box[i] for i in kept)]
     best_lo = 0, 1  # (num, den) of the best lower bound on sup |t| so far
+    best_hi = 1, 0  # and of the least upper bound, 1/0 until a depth gives one
     depth = 0
     while True:
         p = depth + 10
@@ -86,12 +83,12 @@ def sup_abs_enclosure(
                 continue
             if a * best_lo[1] > best_lo[0] * d:
                 best_lo = a, d
-        if hi[1]:
-            hi_q = Fraction(*hi)
-            step = RatInterval(min(Fraction(*best_lo), hi_q), hi_q)
-            bracket = step if bracket is None else _intersect(bracket, step)
-            if bracket.width <= tol:
-                return bracket
+        if hi[1]:  # a depth with an upper bound ends when the bracket is narrow
+            if hi[0] * best_hi[1] < best_hi[0] * hi[1]:
+                best_hi = hi
+            (ln, ld), (hn, hd) = best_lo, best_hi
+            if (hn * ld - ln * hd) * td <= tn * hd * ld:
+                return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
         # keep only cells that can still carry the supremum, then bisect
         active = []
         for cell, b, d in scored:
@@ -110,10 +107,6 @@ def _abs(x: Ival) -> Ival:
     return 0, max(-lo, hi), d
 
 
-def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
-    return RatInterval(max(a.lo, b.lo), min(a.hi, b.hi))
-
-
 def distance_enclosure(
     f: Formula, g: Formula, tol: Fraction
 ) -> RatInterval | _Infinite:
@@ -125,14 +118,16 @@ def distance_enclosure(
     pairs = aligned_terms(f, g)
     if pairs is None:
         return INFINITE
-    lo = hi = Fraction(0)
+    lo = hi = 0, 1  # the largest bounds so far, as (num, den)
     for tf, tg, names, box in pairs:
         diff = T.expand_normal(T.Sub(tf, tg))
-        if isinstance(diff, T.Const):
-            lo = max(lo, abs(diff.value))
-            hi = max(hi, abs(diff.value))
-            continue
-        enc = sup_abs_enclosure(diff, names, box, tol)
-        lo = max(lo, enc.lo)
-        hi = max(hi, enc.hi)
-    return RatInterval(lo, hi)
+        if diff.__class__ is T.Const:
+            a = b = abs(diff.value).as_integer_ratio()
+        else:
+            enc = sup_abs_enclosure(diff, names, box, tol)
+            a, b = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        if a[0] * lo[1] > lo[0] * a[1]:
+            lo = a
+        if b[0] * hi[1] > hi[0] * b[1]:
+            hi = b
+    return RatInterval(Fraction(*lo), Fraction(*hi))

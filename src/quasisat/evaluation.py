@@ -97,23 +97,24 @@ def _pi(_a, _b, p: int) -> Ival:
     return pi_enclosure(p)
 
 
+def _apply(a: Ival, enclosure, p: int) -> Ival:
+    return enclosure(a, p)
+
+
 _BINARY = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
-
-
-def _unary_op(t: T.Term):
-    # looked up at compile time, so wrappers set on this module's names apply
-    if isinstance(t, T.Neg):
-        return _neg
-    enclosure = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
-                 T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}.get(type(t))
-    if enclosure is None:
-        raise TypeError(f"unknown term node: {type(t).__name__}")
-    return lambda a, _b, p: enclosure(a, p)
+_OPERANDS_DONE = object()  # on the walk's stack: the node below it is next
 
 
 def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     """The natural interval extension of t, as a function of the
-    intervals of `names` (in that order) and the precision p."""
+    intervals of `names` (in that order) and the precision p.  One
+    post-order walk, dispatched on each node's class: an operation goes
+    back on the stack under a marker, below its operands, and its step
+    is emitted when the marker comes off.  A power's exponent and a
+    function's enclosure are constants in registers of their own."""
+    # looked up at compile time, so wrappers set on this module's names apply
+    enclosures = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
+                  T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}
     names = tuple(names)
     slot = {name: i for i, name in enumerate(names)}
     n = len(names)
@@ -123,44 +124,44 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     template: list = []
     tape: list[tuple] = []  # (op, i, j, k): regs[k] = op(regs[i], regs[j], p)
     done: list[int] = []  # the registers of the operands computed so far
-
-    def new(value=None) -> int:
-        template.append(value)
-        return n + len(template) - 1
-
-    def emit(op, i: int, j: int) -> None:
-        k = new()
-        tape.append((op, i, j, k))
-        done.append(k)
-
-    # post-order walk (a node is revisited once its operands are done),
-    # so operations run in the order of a recursive evaluation
-    stack: list[tuple[T.Term, bool]] = [(t, False)]
+    stack: list = [t]
     while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, T.Var):
+        node = stack.pop()
+        cls = node.__class__
+        if cls is T.Var:
             done.append(slot[node.name])
-        elif isinstance(node, T.Const):
+        elif cls is T.Const:
             v = node.value
-            done.append(new((v.numerator, v.numerator, v.denominator)))
-        elif isinstance(node, T.Pi):
-            emit(_pi, 0, 0)  # pi reads no operand
-        elif not expanded:
-            stack.append((node, True))
-            if isinstance(node, (T.Add, T.Sub, T.Mul, T.Div)):
-                stack.append((node.right, False))
-                stack.append((node.left, False))
+            done.append(n + len(template))
+            template.append((v.numerator, v.numerator, v.denominator))
+        elif node is _OPERANDS_DONE:
+            node = stack.pop()
+            cls = node.__class__
+            if cls in _BINARY:
+                j = done.pop()
+                op, i = _BINARY[cls], done.pop()
+            elif cls is T.Neg:
+                op, i = _neg, done.pop()
+                j = i
+            elif cls is T.Pi:
+                op, i, j = _pi, 0, 0
             else:
-                stack.append((node.base if isinstance(node, T.Pow) else node.arg,
-                              False))
-        elif isinstance(node, T.Pow):
-            emit(_pow, done.pop(), new(node.exponent))
-        elif type(node) in _BINARY:
-            right = done.pop()
-            emit(_BINARY[type(node)], done.pop(), right)
+                template.append(node.exponent if cls is T.Pow else enclosures[cls])
+                op, i, j = _pow if cls is T.Pow else _apply, done.pop(), n + len(template) - 1
+            k = n + len(template)
+            template.append(None)
+            tape.append((op, i, j, k))
+            done.append(k)
+        elif cls in _BINARY:
+            stack += (node, _OPERANDS_DONE, node.right, node.left)
+        elif cls is T.Pow:
+            stack += (node, _OPERANDS_DONE, node.base)
+        elif cls is T.Neg or cls in enclosures:
+            stack += (node, _OPERANDS_DONE, node.arg)
+        elif cls is T.Pi:
+            stack += (node, _OPERANDS_DONE)  # an operation without operands
         else:
-            arg = done.pop()
-            emit(_unary_op(node), arg, arg)
+            raise TypeError(f"unknown term node: {cls.__name__}")
     result = done.pop()
 
     def evaluate(env: Sequence[Ival], p: int) -> Ival:

@@ -59,9 +59,5 @@ class RatInterval(Frozen):
         init_field(self, "lo", lo)
         init_field(self, "hi", hi)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

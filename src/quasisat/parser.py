@@ -43,9 +43,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from .evaluation import compile_term
-from .intervals import DomainError, Ival, ival
+from .intervals import DomainError, Ival
 from . import formulas as F
 from . import terms as T
 
@@ -67,11 +68,10 @@ _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _FORMULA_ONLY = {"=", ">=", "<=", "exists", "forall"}  # never inside a term
 
 
-def _number(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(text))
+def _number(text: str) -> tuple[int, int]:
+    """A literal as (num, den), den 10 to the number of its decimals."""
+    whole, _, frac = text.partition(".")
+    return int(whole + frac), 10 ** len(frac)
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -190,15 +190,18 @@ class _Parser:
         self.i += 1
         self.expect("in")
         self.expect("[")
-        lo = self.signed_rational()
+        ln, ld = self.signed_rational()
         self.expect(",")
-        hi = self.signed_rational()
+        hn, hd = self.signed_rational()
         self.expect("]")
-        if lo > hi:
-            raise self.error(f"empty interval [{lo},{hi}] for {name!r}", at)
-        return name, ival(lo, hi)
+        if ln * hd > hn * ld:
+            raise self.error(
+                f"empty interval [{Fraction(ln, ld)},{Fraction(hn, hd)}] for {name!r}", at)
+        d = lcm(ld, hd)  # the Ival that `ival` builds
+        return name, (ln * (d // ld), hn * (d // hd), d)
 
-    def signed_rational(self) -> Fraction:
+    def signed_rational(self) -> tuple[int, int]:
+        """A bound, as a reduced pair (num, den) with den > 0."""
         toks = self.toks
         sign = 1
         while toks[self.i] == "-":
@@ -206,18 +209,19 @@ class _Parser:
             self.i += 1
         if not toks[self.i][:1].isdecimal():
             raise self.error("expected a number")
-        value = sign * _number(toks[self.i])
+        num, den = _number(toks[self.i])
         self.i += 1
         if toks[self.i] == "/":
             self.i += 1
             if not toks[self.i][:1].isdecimal():
                 raise self.error("expected a denominator")
-            den = _number(toks[self.i])
-            if not den:
+            n, d = _number(toks[self.i])
+            if not n:
                 raise self.error("zero denominator")
-            value /= den
+            num, den = num * d, den * n
             self.i += 1
-        return value
+        g = gcd(num, den)
+        return sign * num // g, den // g
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
@@ -310,7 +314,7 @@ class _Parser:
         if tok[:1].isdecimal():
             self.i += 1
             self.height = 0
-            return T.Const(_number(tok))
+            return T.Const(Fraction(int(tok)) if tok.isdecimal() else Fraction(*_number(tok)))
         if tok == "(":
             self.i += 1
             inner = self.sum()

@@ -187,12 +187,18 @@ def _compile(s: Formula, bound: frozenset[str],
 
 
 def _conjuncts(f: Formula, atoms: list[Atom]) -> bool:
-    """Append the atoms of an and-tree to `atoms`, left to right; False
-    when anything else appears."""
-    if isinstance(f, Atom):
-        atoms.append(f)
-        return True
-    return isinstance(f, And) and _conjuncts(f.left, atoms) and _conjuncts(f.right, atoms)
+    """Append the atoms of an and-tree to `atoms`, left to right, from an
+    explicit stack; False when anything else appears."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            atoms.append(f)
+        elif isinstance(f, And):
+            stack += (f.right, f.left)
+        else:
+            return False
+    return True
 
 
 class ClassBReport(Frozen):

@@ -199,13 +199,16 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
 def _add_into(
     acc: dict[_Monomial, Fraction], part: dict[_Monomial, Fraction], k: int
 ) -> None:
-    """acc += k * part, dropping monomials whose coefficient cancels."""
+    """acc += k * part (nonzero coefficients), dropping those that cancel."""
     for mono, c in part.items():
-        got = acc.get(mono, Fraction(0)) + k * c
+        if k != 1:
+            c = -c if k == -1 else k * c
+        got = acc.get(mono)
+        got = c if got is None else got + c
         if got:
             acc[mono] = got
         else:
-            acc.pop(mono, None)
+            del acc[mono]
 
 
 def _convolve(
@@ -214,45 +217,58 @@ def _convolve(
     out: dict[_Monomial, Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(sorted(ma + mb, key=term_text))
-            got = out.get(mono, Fraction(0)) + ca * cb
-            if got:
-                out[mono] = got
+            mono = ma + mb
+            if len(mono) > 1:
+                mono = tuple(sorted(mono, key=term_text))
+            got = out.get(mono)
+            c = ca * cb if got is None else got + ca * cb
+            if c:
+                out[mono] = c
             else:
-                out.pop(mono, None)
+                del out[mono]
     return out
 
 
-def _signed_summands(t: Term) -> dict[Term, int]:
-    """t as a sum of k * s over the summands s below its Add/Sub/Neg
-    nodes, keyed by structural equality and in left-to-right order;
-    summands that cancel keep a count of 0."""
-    counts: dict[Term, int] = {}
-    stack: list[tuple[Term, int]] = [(t, 1)]
+def _summands(t: Term, k: int) -> list[tuple[Term, int]]:
+    """k * t as (summand, sign) pairs over the summands below t's
+    Add/Sub/Neg nodes, left to right."""
+    out: list[tuple[Term, int]] = []
+    stack: list[tuple[Term, int]] = [(t, k)]
     while stack:
         node, k = stack.pop()
-        if isinstance(node, (Add, Sub)):
-            stack.append((node.right, k if isinstance(node, Add) else -k))
+        cls = node.__class__
+        if cls is Add or cls is Sub:
+            stack.append((node.right, k if cls is Add else -k))
             stack.append((node.left, k))
-        elif isinstance(node, Neg):
+        elif cls is Neg:
             stack.append((node.arg, -k))
         else:
-            counts[node] = counts.get(node, 0) + k
-    return counts
+            out.append((node, k))
+    return out
 
 
 def expand_normal(t: Term) -> Term:
     """Canonical sum-of-monomials form over atomic subterms, so that
-    syntactically common parts of differences cancel exactly.
-
-    Structurally equal summands cancel before anything is expanded, so
-    the difference of two sentences that share most of their terms costs
-    only the expansion of the summands in which they differ.  Expansion
-    is linear and exact, so the result is the full expansion whenever
-    that exists.  A term with a non-constant divisor in a summand that
-    does not cancel is returned unchanged."""
+    syntactically common parts of differences cancel exactly.  For a - b,
+    aligned summands of a and b that are equal, with equal signs, cancel
+    after one `==` walk; the rest are counted by structural equality,
+    and only counts that do not cancel are expanded.  So a difference
+    costs only the summands in which its sides differ.  Expansion is
+    exact; a summand left with a non-constant divisor returns t
+    unchanged.  Monomials are ordered by their atoms' `term_text`, which
+    tells apart the atoms of any parsed term."""
+    if t.__class__ is Sub:
+        left, right = _summands(t.left, 1), _summands(t.right, -1)
+        n = min(len(left), len(right))
+        kept = [i for i in range(n) if left[i][1] + right[i][1] or left[i][0] != right[i][0]]
+        summands = [left[i] for i in kept] + left[n:] + [right[i] for i in kept] + right[n:]
+    else:
+        summands = _summands(t, 1)
+    counts: dict[Term, int] = {}
+    for s, k in summands:
+        counts[s] = counts.get(s, 0) + k
     poly: dict[_Monomial, Fraction] = {}
-    for s, k in _signed_summands(t).items():
+    for s, k in counts.items():
         if not k:
             continue
         part = _expand(s)

@@ -2,7 +2,8 @@
 against: boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
-substitution of rational constants for variables, the equation and
+substitution of rational constants for variables, the polynomial
+normal form with every summand counted in one dict, the equation and
 inequality terms of an exists block, the parser's domain check as a
 walk over the parsed formula, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
@@ -35,6 +36,10 @@ def rival(lo: RatLike, hi: RatLike | None = None) -> RatInterval:
     """Shorthand `RatInterval`; a single argument makes a point."""
     lo = rat(lo)
     return RatInterval(lo, lo if hi is None else rat(hi))
+
+
+def width(a: RatInterval) -> Fraction:
+    return a.hi - a.lo
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ def _critical_hits(x: RatInterval, p: int, half_offset: bool) -> tuple[bool, boo
 
 def _trig_enclosure(x: RatInterval, p: int, is_sin: bool) -> RatInterval:
     one = Fraction(1)
-    if x.width >= 7:
+    if width(x) >= 7:
         return RatInterval(-one, one)
     q = p + 4
     a = _trig_point(x.lo, q, is_sin)
@@ -405,6 +410,57 @@ def substitute(t: T.Term, env: Mapping[str, Fraction]) -> T.Term:
     if isinstance(t, T.Pow):
         return T.Pow(substitute(t.base, env), t.exponent)
     return type(t)(substitute(t.arg, env))
+
+
+def signed_summands(t: T.Term) -> dict[T.Term, int]:
+    """t as a sum of k * s over the summands s below its Add/Sub/Neg
+    nodes, keyed by structural equality and in left-to-right order;
+    summands that cancel keep a count of 0."""
+    counts: dict[T.Term, int] = {}
+    stack: list[tuple[T.Term, int]] = [(t, 1)]
+    while stack:
+        node, k = stack.pop()
+        if isinstance(node, (T.Add, T.Sub)):
+            stack.append((node.right, k if isinstance(node, T.Add) else -k))
+            stack.append((node.left, k))
+        elif isinstance(node, T.Neg):
+            stack.append((node.arg, -k))
+        else:
+            counts[node] = counts.get(node, 0) + k
+    return counts
+
+
+def _add_into(acc: dict, part: dict, k: int) -> None:
+    """acc += k * part, dropping monomials whose coefficient cancels."""
+    for mono, c in part.items():
+        got = acc.get(mono, Fraction(0)) + k * c
+        if got:
+            acc[mono] = got
+        else:
+            acc.pop(mono, None)
+
+
+def expand_normal(t: T.Term) -> T.Term:
+    """`terms.expand_normal` with every summand of t counted in one dict:
+    summands whose count cancels are dropped, the rest are expanded by
+    `terms._expand`, and t comes back unchanged when one of them has a
+    non-constant divisor."""
+    poly: dict = {}
+    for s, k in signed_summands(t).items():
+        if not k:
+            continue
+        part = T._expand(s)
+        if part is None:
+            return t
+        _add_into(poly, part, k)
+    total: T.Term | None = None
+    for mono in sorted(poly, key=lambda m: (len(m), tuple(map(T.term_text, m)))):
+        c = poly[mono]
+        factor: T.Term | None = None if c == 1 and mono else T.Const(c)
+        for atom in mono:
+            factor = atom if factor is None else T.Mul(factor, atom)
+        total = factor if total is None else T.Add(total, factor)
+    return total if total is not None else T.Const(Fraction(0))
 
 
 def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:
@@ -563,13 +619,13 @@ def winding_oracle_2d(
             raise ValueError("boundary face is not an edge")
         axis = free[0]
         iv = face.intervals[axis]
-        lo, width = float(iv.lo), float(iv.width)
+        lo, span = float(iv.lo), float(width(iv))
         fixed = {names[a]: float(face[a].lo) for a in range(2) if a != axis}
         prev = None
         delta = 0.0
         for k in range(samples + 1):
             env = dict(fixed)
-            env[names[axis]] = lo + width * k / samples
+            env[names[axis]] = lo + span * k / samples
             u = float_eval(fs[0], env)
             v = float_eval(fs[1], env)
             if math.hypot(u, v) < 1e-12:
@@ -604,7 +660,7 @@ class Face:
 def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
     """Cut i of `axis`, from the base box's `Fraction` endpoints."""
     iv = to_interval(grid.base[axis])
-    return iv.lo + iv.width * i / grid.counts[axis]
+    return iv.lo + width(iv) * i / grid.counts[axis]
 
 
 def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
@@ -910,7 +966,7 @@ def sup_abs_enclosure(
         hi = max(enc.hi for _, enc in scored)
         step = rival(min(best_lo, hi), hi)
         bracket = step if bracket is None else _intersect(bracket, step)
-        if bracket.width <= tol:
+        if width(bracket) <= tol:
             return bracket
         # keep only cells that can still carry the supremum, then bisect
         active = []

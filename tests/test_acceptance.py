@@ -23,7 +23,7 @@ from quasisat.solver import TRI_TF, quasi_decide
 
 from conftest import corpus_entries
 from oracles import (complex_of, contains, ratbox, single_box, tapes, to_interval,
-                     winding_oracle_2d)
+                     width, winding_oracle_2d)
 
 mpmath.mp.dps = 60
 
@@ -205,7 +205,7 @@ def test_c07_enclosure_soundness_and_convergence():
         # soundness: the interval value contains the true value at 1000
         # random rational points of the quantification box
         for _ in range(1000):
-            point = [iv.lo + iv.width * Fraction(rng.randint(0, 4096), 4096)
+            point = [iv.lo + width(iv) * Fraction(rng.randint(0, 4096), 4096)
                      for iv in b.intervals]
             enc = to_interval(evaluate([ival(xv) for xv in point], 30))
             true = mp_eval(t, {n: mpf(xv) for n, xv in zip(names, point)})
@@ -220,7 +220,7 @@ def test_c07_enclosure_soundness_and_convergence():
             h = Fraction(1, 2 ** (i + 1))
             cell = [ival(max(iv.lo, cv - h), min(iv.hi, cv + h))
                     for iv, cv in zip(b.intervals, center)]
-            widths.append(to_interval(evaluate(cell, i)).width)
+            widths.append(width(to_interval(evaluate(cell, i))))
         fitted = max(w * 2 ** i for i, w in enumerate(widths[:10], start=1))
         for i, w in enumerate(widths, start=1):
             assert w <= fitted * Fraction(1, 2 ** i) * 2, T.term_text(t)
@@ -263,7 +263,7 @@ def test_c10_distance_fixture():
     enc = distance_enclosure(f, g, tol)
     assert enc is not INFINITE
     assert contains(enc, 1)
-    assert enc.width <= tol
+    assert width(enc) <= tol
     # the second atom pair reduces to the parabola gap max |y - y^2| = 1/4
     sub = sup_abs_enclosure(T.Sub(Y, T.Pow(Y, 2)), ("y",), (ival(0, 1),),
                             tol)

@@ -1,5 +1,6 @@
 """Structural distance between sentences and supremum enclosures."""
 import random
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from quasisat.intervals import ival
 from quasisat.parser import parse
 
 import oracles
+from oracles import width
 
 TOL = Fraction(1, 1000)
 
@@ -27,7 +29,7 @@ def test_sup_abs_enclosure_on_parabola():
     t = T.Sub(T.Var("y"), T.Pow(T.Var("y"), 2))
     enc = sup_abs_enclosure(t, ("y",), (ival(0, 1),), TOL)
     assert oracles.contains(enc, Fraction(1, 4))
-    assert enc.width <= TOL
+    assert width(enc) <= TOL
 
 
 def test_sup_abs_enclosure_trivial_cases():
@@ -35,7 +37,7 @@ def test_sup_abs_enclosure_trivial_cases():
     enc = sup_abs_enclosure(t, (), (ival(0, 1),), TOL)
     assert oracles.contains(enc, Fraction(3, 2))
     enc = sup_abs_enclosure(T.Var("y"), ("y",), (ival(-2, 1),), TOL)
-    assert oracles.contains(enc, 2) and enc.width <= TOL
+    assert oracles.contains(enc, 2) and width(enc) <= TOL
 
 
 def test_sup_abs_nested_refinement_is_consistent():
@@ -45,13 +47,13 @@ def test_sup_abs_nested_refinement_is_consistent():
     loose = sup_abs_enclosure(t, ("y",), b, Fraction(1, 10))
     tight = sup_abs_enclosure(t, ("y",), b, Fraction(1, 10000))
     assert oracles.issubset(tight, loose)
-    assert tight.width <= Fraction(1, 10000)
+    assert width(tight) <= Fraction(1, 10000)
 
 
 def test_distance_of_sentence_to_itself_is_zero():
     f = parse(PAIR_A)
     enc = distance_enclosure(f, f, TOL)
-    assert oracles.contains(enc, 0) and enc.width <= TOL
+    assert oracles.contains(enc, 0) and width(enc) <= TOL
 
 
 def test_distance_of_structurally_different_sentences_is_infinite():
@@ -66,7 +68,36 @@ def test_distance_fixture_pair():
     enc = distance_enclosure(parse(PAIR_A), parse(PAIR_B), TOL)
     assert enc is not INFINITE
     assert oracles.contains(enc, 1)
-    assert enc.width <= TOL
+    assert width(enc) <= TOL
+
+
+def _at_top_level(fn):
+    """fn() at the stack depth of a script's top level, not of the test
+    runner's: in a thread of its own, whose depth starts at zero."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as e:  # re-raised in the calling thread
+            out["error"] = e
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_distance_between_two_parses_of_a_480_factor_product():
+    """Depth pin: the same deep product parsed twice is at distance 0
+    when queried from a script's top level.  The aligned summands are
+    compared by a recursive `==`, which must not bring the depth that
+    `distance_enclosure` handles below 480 (about 500 raises
+    RecursionError, see ROADMAP)."""
+    text = "exists x in [1,2] . " + "*".join(["x"] * 480) + " - 1 = 0"
+    enc = _at_top_level(lambda: distance_enclosure(parse(text), parse(text), TOL))
+    assert (enc.lo, enc.hi) == (0, 0)
 
 
 def test_distance_requires_positive_tolerance():
@@ -162,8 +193,8 @@ def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
     t = _random_term(rng, vs)
     tol = Fraction(1, rng.choice((3, 16, 100)))
     enc = sup_abs_enclosure(t, names, b, tol)
-    assert enc.width <= tol
-    axes = [[iv.lo + iv.width * i / 4 for i in range(5)] for iv in oracles.ratbox(b)]
+    assert width(enc) <= tol
+    axes = [[iv.lo + width(iv) * i / 4 for i in range(5)] for iv in oracles.ratbox(b)]
     for node in product(*axes):
         env = {n: oracles.rival(v) for n, v in zip(names, node)}
         assert oracles.abs_interval(oracles.eval_env(t, env, 64)).lo <= enc.hi
@@ -176,7 +207,7 @@ def test_constant_difference_with_pi_meets_the_tolerance():
     g = parse("exists x in [0,1] . x - 3 = 0")
     tol = Fraction(1, 10 ** 6)
     enc = distance_enclosure(f, g, tol)
-    assert enc.width <= tol
+    assert width(enc) <= tol
     assert enc.lo <= Fraction(314159265, 10 ** 8) - 3 and Fraction(314159266, 10 ** 8) - 3 <= enc.hi
 
 
@@ -211,5 +242,5 @@ def test_a_cell_that_leaves_the_domain_is_kept_and_bisected(f_text, g_text, want
     tol = Fraction(1, 1000)
     with mpmath.workdps(40):
         enc = distance_enclosure(parse(f_text), parse(g_text), tol)
-        assert enc.width <= tol
+        assert width(enc) <= tol
         assert _mpf(enc.lo) <= want() <= _mpf(enc.hi)

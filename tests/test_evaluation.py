@@ -12,7 +12,7 @@ from quasisat.evaluation import certify, compile_term, positive_lower_bound
 from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
-from oracles import eval_env, ratbox, to_interval
+from oracles import eval_env, ratbox, to_interval, width
 
 mpmath.mp.dps = 60
 
@@ -63,7 +63,7 @@ def test_point_evaluation_soundness_random():
         enc = to_interval(evaluate([ival(xv), ival(yv)], 40))
         true = mp_eval(t, {"x": mpf(xv), "y": mpf(yv)})
         assert mpf(enc.lo) <= true <= mpf(enc.hi)
-        assert enc.width <= Fraction(1, 2 ** 30)
+        assert width(enc) <= Fraction(1, 2 ** 30)
 
 
 def test_interval_evaluation_contains_sampled_values():

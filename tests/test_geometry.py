@@ -13,7 +13,7 @@ from quasisat.intervals import ival
 import oracles
 from oracles import (RatBox, box, complex_of, face_box, grid_cells, grid_cut, grid_faces,
                      halve_index_block, index_block, index_cell, index_cell_faces,
-                     ratbox, ratboxes, rival, single_box)
+                     ratbox, ratboxes, rival, single_box, width)
 
 UNIT2 = (ival(0, 1), ival(0, 1))
 
@@ -22,7 +22,7 @@ def test_grid_cover_cell_widths():
     g = grid_cover((ival(0, 1), ival(0, 3)), Fraction(1, 2))
     assert g.counts == (2, 6)
     for _, cell in grid_cells(g):
-        assert all(iv.width <= Fraction(1, 2) for iv in cell.intervals)
+        assert all(width(iv) <= Fraction(1, 2) for iv in cell.intervals)
     assert g.n_cells == 12
 
 
@@ -32,7 +32,7 @@ def test_grid_cells_tile_the_base_box():
     assert cells[0][0].lo == -1 and cells[-1][0].hi == 2
     for a, b in zip(cells, cells[1:]):
         assert a[0].hi == b[0].lo  # contiguous, no gaps or overlaps
-    total = sum(c[0].width for c in cells)
+    total = sum(width(c[0]) for c in cells)
     assert total == 3
 
 
@@ -308,7 +308,7 @@ def test_grid_lazy_scaling():
     g = grid_cover((ival(0, 1),), Fraction(1, 2 ** 20))
     assert g.n_cells == 2 ** 20  # constructing the grid is O(1)
     idx, cell = next(iter(grid_cells(g)))
-    assert cell[0].lo == 0 and cell[0].width == Fraction(1, 2 ** 20)
+    assert cell[0].lo == 0 and width(cell[0]) == Fraction(1, 2 ** 20)
 
 
 def test_grid_checks_its_counts_and_compares_by_base_and_counts():

@@ -1,6 +1,8 @@
 """Verdicts against a checked-in golden: the outcome, iteration count and
 certificate of every corpus sentence at budget 20 and of every seed-1
-item of the three benchmark workloads (`bench/workloads.py`).
+item of the three benchmark workloads (`bench/workloads.py`), and each
+workload item's distance bracket against its perturbed copy at the
+workloads' tolerance.
 
 A change that moves any of them shows up as a diff of
 `identity_golden.json`.  To record a new golden, run this file:
@@ -14,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from quasisat.distance import distance_enclosure
 from quasisat.intervals import rat_str
 from quasisat.parser import parse
 from quasisat.solver import quasi_decide
@@ -31,21 +34,28 @@ def _workloads():
     return module
 
 
-def sentences() -> list[tuple[str, str, int]]:
-    """(id, sentence text, budget) for every sentence of the golden."""
-    out = [(f"corpus/{sent.stem}", sent.read_text(), 20)
+def sentences() -> list[tuple[str, str, int, str | None]]:
+    """(id, sentence text, budget, perturbed copy or None) for every
+    sentence of the golden."""
+    out = [(f"corpus/{sent.stem}", sent.read_text(), 20, None)
            for sent in sorted((ROOT / "corpus").glob("*.sent"))]
     for name, build in _workloads().WORKLOADS.items():
-        out += [(f"{name}/{item.id}", item.text, item.budget) for item in build(ROOT, 1)]
+        out += [(f"{name}/{item.id}", item.text, item.budget, item.perturbed)
+                for item in build(ROOT, 1)]
     return out
 
 
 def verdicts() -> dict[str, list]:
+    tol = _workloads().DISTANCE_TOL
     out = {}
-    for key, text, budget in sentences():
-        v = quasi_decide(parse(text), budget=budget)
+    for key, text, budget, perturbed in sentences():
+        f = parse(text)
+        v = quasi_decide(f, budget=budget)
         cert = None if v.certificate is None else rat_str(v.certificate)
         out[key] = [v.outcome, v.iterations, cert]
+        if perturbed is not None:
+            d = distance_enclosure(f, parse(perturbed), tol)
+            out[key].append([rat_str(d.lo), rat_str(d.hi)])
     return out
 
 

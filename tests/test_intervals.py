@@ -11,7 +11,7 @@ from quasisat.intervals import DomainError, RatInterval, ival, rat, rat_str
 
 from oracles import (EMPTY_BOX, abs_interval, add, box, box_contains, box_issubset,
                      box_replace, contains, divide, issubset, mul, neg, pow_nat, rival,
-                     split, sub, to_interval)
+                     split, sub, to_interval, width)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -38,7 +38,7 @@ def test_constructor_rejects_inverted_bounds():
 
 def test_basic_queries():
     iv = rival(Fraction(-1, 2), Fraction(3, 2))
-    assert iv.width == 2
+    assert width(iv) == 2
     assert iv.lo != iv.hi
     assert contains(iv, Fraction(3, 2)) and not contains(iv, 2)
     assert rival(5).lo == rival(5).hi

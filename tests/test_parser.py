@@ -104,6 +104,17 @@ def test_syntax_error_positions():
     # a character that starts no token is reported first, wherever it is
     ("exists x in [0,1/0] . x \u00e9 = 0", "1:25: unexpected character '\u00e9'"),
     ("exists x in [0,1/0] . x = 0", "1:18: zero denominator"),
+    # bounds: an empty interval shows its rationals reduced
+    ("exists x in [1/2,1/4] . x = 0", "1:8: empty interval [1/2,1/4] for 'x'"),
+    ("exists x in [3,-4] . x = 0", "1:8: empty interval [3,-4] for 'x'"),
+    ("exists x in [0.75,0.50] . x = 0", "1:8: empty interval [3/4,1/2] for 'x'"),
+    ("exists x in [--3,2] . x = 0", "1:8: empty interval [3,2] for 'x'"),
+    ("exists x in [0.5/0.25,1] . x = 0", "1:8: empty interval [2,1] for 'x'"),
+    ("exists x in [a,1] . x = 0", "1:14: expected a number"),
+    ("exists x in [1/-2,1] . x = 0", "1:16: expected a denominator"),
+    ("exists x in [0,1/0.0] . x = 0", "1:18: zero denominator"),
+    ("exists in in [0,1] . 1 = 0", "1:8: expected a variable name"),
+    ("exists x in [0,1] . exists x in [0,1] . x = 0", "1:28: variable 'x' is already bound"),
 ])
 def test_error_messages_name_the_fault(text, message):
     with pytest.raises(ParseError) as e:
@@ -252,6 +263,26 @@ def test_equal_rational_bounds_parse_to_equal_formulas():
     assert a == b and same_structure(a, b)
     assert a.bounds == ((1, 2, 2),)
     assert parse("forall x in [-0.5,6/6] . x <= 1").bound == ival(Fraction(-1, 2), 1)
+
+
+def _bound(text: str) -> Fraction:
+    """A bound literal read with `Fraction`: leading minus signs, then a
+    number over an optional number."""
+    sign = (-1) ** (len(text) - len(text.lstrip("-")))
+    num, _, den = text.lstrip("-").partition("/")
+    return sign * Fraction(num) / Fraction(den or 1)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ("0", "3"), ("-2", "7"), ("1/2", "3/4"), ("-7/3", "2/9"), ("6/4", "6/4"),
+    ("0.50", "1.25"), ("-0.5", "0.50"), ("--3", "4"), ("---1/6", "0"),
+    ("-0.5/3", "2/0.5"), ("12/18", "100/3"), ("-0", "0.0"),
+])
+def test_bounds_are_the_ival_of_their_rationals(lo, hi):
+    """Integer, fraction, decimal and repeated-minus literals give the
+    `Ival` that `ival` builds from their `Fraction` values."""
+    f = parse(f"exists x in [{lo},{hi}] . x >= 0")
+    assert f.bounds == (ival(_bound(lo), _bound(hi)),)
 
 
 @pytest.mark.parametrize("text", [

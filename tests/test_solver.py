@@ -18,7 +18,7 @@ from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, pr
                              quasi_decide, tri_and, tri_or)
 
 from conftest import CORPUS_DIR
-from oracles import block_parts, grid_cut, substitute, tapes, to_interval
+from oracles import block_parts, grid_cut, substitute, tapes, to_interval, width
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -90,7 +90,7 @@ def test_universal_slabs_are_the_fraction_cuts(bound, r):
 
     got = solver._univ(bound, body, ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF))
     assert got == (TRI_T, Fraction(1))
-    count = max(1, math.ceil(to_interval(bound).width / r))
+    count = max(1, math.ceil(width(to_interval(bound)) / r))
     g = Grid((bound,), (count,))
     assert [env[0] for env in seen] == [(1, 2, 3)] * count
     assert [(Fraction(lo, d), Fraction(hi, d)) for _, (lo, hi, d) in seen] == [
@@ -103,11 +103,11 @@ def slab_reference(s, p_box, r, pnames):
     if not isinstance(s, ForAll):
         return checksat(s, p_box, r, pnames)
     bound = to_interval(s.bound)
-    count = max(1, math.ceil(bound.width / r))
+    count = max(1, math.ceil(width(bound) / r))
     acc = TRI_T
     for i in range(count):
-        slab = ival(bound.lo + bound.width * i / count,
-                    bound.lo + bound.width * (i + 1) / count)
+        slab = ival(bound.lo + width(bound) * i / count,
+                    bound.lo + width(bound) * (i + 1) / count)
         acc = tri_and(acc, slab_reference(s.body, p_box + (slab,), r,
                                           tuple(pnames) + (s.var,)))
     return acc
@@ -532,18 +532,19 @@ def formula_nodes(f):
 ], ids=["quasi_decide", "checksat"])
 def test_deciding_a_sentence_visits_each_formula_node_once(monkeypatch, decide):
     """One compile walk before the first iteration: `_compile` visits each
-    node outside the blocks and each block, `_conjuncts` the and-tree of
-    each block's body, and no node is visited twice, by them or by any
-    iteration."""
+    node outside the blocks and each block, one `_conjuncts` call the
+    and-tree of each block's body, and no node is visited twice, by them
+    or by any iteration."""
     visits = []
 
-    def spied(real):
+    def spied(real, record):
         def spy(f, *rest):
-            visits.append(f)
+            record(f)
             return real(f, *rest)
         return spy
-    for name in ("_compile", "_conjuncts"):
-        monkeypatch.setattr(solver, name, spied(getattr(solver, name)))
+    monkeypatch.setattr(solver, "_compile", spied(solver._compile, visits.append))
+    monkeypatch.setattr(solver, "_conjuncts", spied(
+        solver._conjuncts, lambda f: visits.extend(formula_nodes(f))))
     s = parse("forall x in [0,1] . ((exists y in [0,1] . y - x*x = 0 and y >= 0 and "
               "1 - y >= 0) or x - 2 >= 0) and 1 >= 0")
     decide(s)
@@ -657,6 +658,15 @@ def test_a_long_and_chain_stays_within_the_stack():
     walk it replaced: 400 conjoined blocks still solve."""
     s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * 400))
     assert quasi_decide(s, budget=1).outcome == "TRUE"
+
+
+@pytest.mark.parametrize("copies", [1000, 3000])
+def test_a_long_conjunction_in_one_block_decides(copies):
+    """A block's conjunction is split without recursion: 1,000 and 3,000
+    conjoined inequalities after one equation decide TRUE (1,000 raised
+    RecursionError while the split recursed once per `and`)."""
+    s = parse("exists x in [0,1] . x - 1/2 = 0" + " and x + 1 >= 0" * copies)
+    assert quasi_decide(s).outcome == "TRUE"
 
 
 A, B = ival(Fraction(1, 3), Fraction(1, 2)), ival(Fraction(5, 4), Fraction(3, 2))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 
+import oracles
 from oracles import exact_eval, float_eval, is_polynomial, substitute
 
 X, Y = T.Var("x"), T.Var("y")
@@ -146,6 +147,55 @@ def test_cancelled_divisor_no_longer_blocks_expansion():
     # a divisor that survives still leaves the term as it is
     kept = T.Sub(f, X)
     assert T.expand_normal(kept) is kept
+
+
+# summands whose atoms all print differently, as those of parsed terms do
+SUMMANDS = [X, Y, c(2), c(Fraction(-1, 3)), T.Pi(), T.Sin(X), T.Mul(X, Y), T.Pow(Y, 3),
+            T.Mul(c(3), T.Pow(T.Sub(X, c(1)), 2)), T.Div(X, c(2)),
+            T.Cos(T.Add(X, Y)), T.Mul(T.Exp(Y), T.Sub(X, Y)),
+            T.Div(c(1), T.Add(c(2), T.Pow(X, 2)))]  # the last has a non-constant divisor
+SIGNED = st.tuples(st.sampled_from(SUMMANDS), st.sampled_from([1, -1]))
+
+
+def _sum(draw, summands):
+    """The left-to-right sum of (summand, sign) pairs; a negative summand
+    is subtracted or added under a Neg."""
+    s, k = summands[0]
+    acc = s if k > 0 else T.Neg(s)
+    for s, k in summands[1:]:
+        acc = T.Add(acc, s) if k > 0 else draw(st.sampled_from([T.Sub(acc, s),
+                                                               T.Add(acc, T.Neg(s))]))
+    return acc
+
+
+@st.composite
+def differences(draw):
+    """a - b, with b a copy of a's summand list (repeats allowed) that may
+    be reordered, have signs flipped and one summand added or removed."""
+    left = draw(st.lists(SIGNED, min_size=1, max_size=7))
+    right = draw(st.permutations(left)) if draw(st.booleans()) else list(left)
+    for i in draw(st.lists(st.integers(0, len(right) - 1), max_size=2)):
+        right[i] = right[i][0], -right[i][1]
+    edit = draw(st.sampled_from(["keep", "add", "remove"]))
+    if edit == "add":
+        right.insert(draw(st.integers(0, len(right))), draw(SIGNED))
+    elif edit == "remove" and len(right) > 1:
+        del right[draw(st.integers(0, len(right) - 1))]
+    if draw(st.booleans()):
+        left, right = right, left
+    return T.Sub(_sum(draw, left), _sum(draw, right))
+
+
+@given(differences())
+@settings(max_examples=300, deadline=None)
+def test_expand_normal_equals_the_dict_reference(t):
+    """Positional cancellation gives the term of the reference that counts
+    every summand in one dict, and returns the input itself exactly when
+    the reference does; so does a sum that is not a difference."""
+    for term in (t, t.left):
+        got, want = T.expand_normal(term), oracles.expand_normal(term)
+        assert got == want
+        assert (got is term) == (want is term)
 
 
 def test_expand_normal_keeps_transcendental_atoms():
