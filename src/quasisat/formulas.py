@@ -9,7 +9,7 @@ the solver's compile walk, which `solver.validate_class_b` runs on its
 own.  A quantifier bound is an `Ival` built by `intervals.ival`, so
 equal rational bounds are equal triples and structural comparison is
 plain equality; `aligned_terms` pairs the atom terms of two formulas in
-one walk that also compares their structure.
+one walk, on an explicit stack, that also compares their structure.
 """
 from __future__ import annotations
 
@@ -98,30 +98,29 @@ def free_vars(f: Formula) -> frozenset[str]:
 def aligned_terms(
     f: Formula, g: Formula
 ) -> list[tuple[T.Term, T.Term, tuple[str, ...], tuple[Ival, ...]]] | None:
-    """Positionally paired atom terms of f and g, each with the quantified
-    variables in scope and their box; None when the formulas differ in
-    anything but their terms."""
+    """Positionally paired atom terms of f and g, left to right, each with
+    the quantified variables in scope and their box; None when the
+    formulas differ in anything but their terms.  The walk keeps its own
+    stack, so a long conjunction does not recurse once per `and`."""
     pairs: list = []
-    return pairs if _align(f, g, (), (), pairs) else None
-
-
-def _align(a: Formula, b: Formula, names: tuple[str, ...], bx: tuple[Ival, ...],
-           pairs: list) -> bool:
-    # a module-level function, not a closure: a recursive closure is a
-    # reference cycle, and it would keep `pairs` alive until a collection
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Atom):
-        pairs.append((a.term, b.term, names, bx))
-        return True
-    if isinstance(a, Exists):
-        return (a.vars == b.vars and a.bounds == b.bounds
-                and _align(a.body, b.body, names + a.vars, bx + a.bounds, pairs))
-    if isinstance(a, ForAll):
-        return (a.var == b.var and a.bound == b.bound
-                and _align(a.body, b.body, names + (a.var,), bx + (a.bound,), pairs))
-    return (_align(a.left, b.left, names, bx, pairs)
-            and _align(a.right, b.right, names, bx, pairs))
+    stack = [(f, g, (), ())]
+    while stack:
+        a, b, names, bx = stack.pop()
+        if type(a) is not type(b):
+            return None
+        if isinstance(a, Atom):
+            pairs.append((a.term, b.term, names, bx))
+        elif isinstance(a, Exists):
+            if a.vars != b.vars or a.bounds != b.bounds:
+                return None
+            stack.append((a.body, b.body, names + a.vars, bx + a.bounds))
+        elif isinstance(a, ForAll):
+            if a.var != b.var or a.bound != b.bound:
+                return None
+            stack.append((a.body, b.body, names + (a.var,), bx + (a.bound,)))
+        else:
+            stack += ((a.right, b.right, names, bx), (a.left, b.left, names, bx))
+    return pairs
 
 
 def same_structure(f: Formula, g: Formula) -> bool:

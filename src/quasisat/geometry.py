@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import product
 
 from .intervals import Ival, rat
 from .record import Frozen, init_field
@@ -67,6 +68,31 @@ def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
     mid = lo + n // 2 * steps[axis]
     return (block[:axis] + ((lo, mid, d),) + block[axis + 1:],
             block[:axis] + ((mid, hi, d),) + block[axis + 1:])
+
+
+def covering_block(block: Cell, grid: Grid) -> Cell:
+    """The block of `grid`'s cells whose interiors meet the interior of
+    `block`, a block of another grid over the same base; a cell that only
+    touches `block` on a face is left out.  Grids of different widths do
+    not nest, so the ends are found by integer cross-multiplication."""
+    out = []
+    for (lo, hi, d), whole, step, count in zip(block, grid.whole, grid.steps, grid.counts):
+        if not step:  # a degenerate axis holds one cell
+            out.append(whole)
+            continue
+        first, _, e = whole
+        # cell i spans (first + step*i)/e to (first + step*(i + 1))/e: from
+        # the first cell ending above lo/d to one past the last starting below hi/d
+        i = max(0, (lo * e - first * d) // (step * d))
+        j = min(count, -((first * d - hi * e) // (step * d)))
+        out.append((first + step * i, first + step * j, e))
+    return tuple(out)
+
+
+def block_cells(block: Cell, steps: Sequence[int]) -> Iterator[Cell]:
+    """The single grid cells of a block, in grid order."""
+    return product(*([(lo + s * i, lo + s * (i + 1), d) for i in range((hi - lo) // s)]
+                     if s else [(lo, hi, d)] for (lo, hi, d), s in zip(block, steps)))
 
 
 def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Cell | None]]:

@@ -23,6 +23,16 @@ soon as one cell is plausible, so its search stops there; with no
 plausible cell it runs in full.  The separation bounds are compared as
 integer pairs, and one `Fraction` is built for a FALSE block.
 
+A block without parameters carries its frontier across ε-iterations:
+the plausible cells of its last pass.  The next pass starts from the
+cells of the new grid that meet the carried cells, so a block with two
+plausible cells evaluates a handful of cells per iteration, not a
+descent from the whole grid.  When that pass finds no plausible cell, a
+full pass from the whole grid decides the iteration, so a FALSE verdict
+and its separation are always those of a full pass.  A block with
+parameters, under a universal, sees a new slab at every call and is
+searched from the whole grid each time.
+
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
 tree of checks `(p_env, r, record) -> (verdict, certificate)` that holds
 each block's tapes and each and/or side's parameter positions, so every
@@ -42,7 +52,8 @@ from collections.abc import Callable, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import And, Atom, Eq, ForAll, Formula, Geq, Or
-from .geometry import Cell, Grid, faces_around, grid_cover, halve_block
+from .geometry import (Cell, Grid, block_cells, covering_block, faces_around, grid_cover,
+                       halve_block)
 from .intervals import DomainError, rat
 from .degree import degree
 from .record import Frozen, Record, init_field
@@ -76,7 +87,10 @@ class IterationRecord(Record):
     __slots__ = _fields = (
         "iteration", "eps", "result", "complexes",
         "precision",  # p of the interval evaluations
-        "cells_evaluated",  # grid blocks and cells given the refutation test
+        # grid blocks and cells given the refutation test: those of the
+        # pass from the carried frontier and, when it finds no plausible
+        # cell, those of the full pass after it
+        "cells_evaluated",
         # single cells the refutation test left standing; the test of an
         # overdetermined block (more equations than variables) stops at
         # the first one
@@ -181,7 +195,10 @@ def _compile(s: Formula, bound: frozenset[str],
     def build(pnames):
         names = pnames + block_vars
         fs, gs = ([compile_term(t, names) for t in terms] for terms in (eqs, ineqs))
-        return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record)
+        # a block without parameters is the same block at every iteration,
+        # so it carries its frontier from one to the next
+        frontier = None if pnames else []
+        return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record, frontier)
     free = frozenset().union(*(T.free_vars(a.term) for a in atoms))
     return free.difference(block_vars), build
 
@@ -255,14 +272,26 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 def _soei(
     bounds: tuple[Ival, ...], fs: list[Evaluator], gs: list[Evaluator],
     p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
+    frontier: list[Cell] | None,
 ) -> tuple[TriValue, Fraction | None]:
+    """Decide a block on the grid of width r.  A `frontier` list (None for
+    a block with parameters) holds the plausible cells of the last pass:
+    this pass starts from them, and only when it finds no plausible cell
+    does a full pass decide."""
     m, n = len(bounds), len(fs)
     p = prec_for(r)
     record.precision = p
     grid = grid_cover(bounds, r)
 
     # an overdetermined block (n > m) is undecided once one cell is plausible
-    plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record, first=n > m)
+    first = n > m
+    plausible: list[Cell] = []
+    if frontier:
+        plausible, _ = _plausible_cells(fs, gs, p_env, grid, p, record, first, frontier)
+    if not plausible:
+        plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record, first)
+    if frontier is not None:
+        frontier[:] = plausible
     if not plausible:
         return TRI_F, separation
     if n == 0:
@@ -278,15 +307,24 @@ def _soei(
 def _plausible_cells(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid,
     p: int, record: IterationRecord, first: bool = False,
+    carried: list[Cell] | None = None,
 ) -> tuple[list[Cell], Fraction | None]:
     """Refute the grid top-down: a refuted block drops all of its cells,
     a plausible one is halved until single cells remain.  Returns the
     plausible cells in grid order and, when there are none, the least
     separation bound of the refuted blocks.  With `first`, the search
-    stops at the first plausible cell."""
+    stops at the first plausible cell.
+
+    With `carried`, the plausible cells of a pass on an earlier grid over
+    the same box, the search starts from this grid's cells that meet a
+    carried cell, each once; everything else was refuted there."""
+    if carried is None:
+        blocks = [grid.whole]
+    else:
+        blocks = sorted({c for cell in carried
+                         for c in block_cells(covering_block(cell, grid), grid.steps)})
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     plausible: list[Cell] = []
-    blocks = [grid.whole]
     while blocks:
         block = blocks.pop()
         bound = _refutation_bound(fs, gs, p_env + block, p)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisat.geometry import (Grid, bisect_box, faces_around, grid_cover,
-                               halve_block, oriented_boundary)
+from quasisat.geometry import (Grid, bisect_box, block_cells, covering_block, faces_around,
+                               grid_cover, halve_block, oriented_boundary)
 from quasisat.intervals import ival
 
 import oracles
@@ -173,6 +173,57 @@ def test_repeated_halving_reaches_every_cell_once():
         else:
             blocks.extend(halves)
     assert sorted(cells) == [index_cell(g, idx) for idx, _ in grid_cells(g)]
+
+
+NINE_EIGHTHS = ival(0, Fraction(9, 8))  # 2, 3, 5, 9 and 18 cells at widths 1 to 1/16
+
+
+def halving_blocks(g: Grid) -> list:
+    """Every block that repeated halving reaches from the whole grid."""
+    out, blocks = [], [g.whole]
+    while blocks:
+        block = blocks.pop()
+        out.append(block)
+        blocks.extend(halve_block(block, g.steps) or ())
+    return out
+
+
+def meeting_cells(block, g: Grid) -> list:
+    """The cells of g, in index order, whose interiors meet the interior
+    of `block`, found from the `Fraction` cuts of `grid_cut`; a
+    degenerate axis meets itself."""
+    b = ratbox(block)
+    return [index_cell(g, idx) for idx, cell in grid_cells(g)
+            if all(c.lo == c.hi or (c.lo < iv.hi and iv.lo < c.hi) for c, iv in zip(cell, b))]
+
+
+@pytest.mark.parametrize("base, finest", [
+    ((NINE_EIGHTHS,), 4),
+    ((NINE_EIGHTHS, ival(Fraction(-1, 3), 1)), 2),
+    ((ival(Fraction(1, 3)), NINE_EIGHTHS), 4),
+])
+def test_covering_block_takes_the_cells_that_meet_a_block_of_another_grid(base, finest):
+    """From every block of one grid to every other grid of widths 1 to
+    2^-finest over a box 9/8 wide, where a cell of one grid need not nest
+    in a cell of the other, `covering_block` spans exactly the cells whose
+    interiors meet the block's."""
+    grids = [grid_cover(base, Fraction(1, 2 ** k)) for k in range(finest + 1)]
+    for old in grids:
+        for block in halving_blocks(old):
+            for new in grids:
+                assert list(block_cells(covering_block(block, new), new.steps)) == \
+                    meeting_cells(block, new)
+
+
+def test_covering_block_leaves_out_a_cell_that_touches_on_a_face():
+    three, five, nine = (grid_cover((NINE_EIGHTHS,), Fraction(1, 2 ** k)) for k in (1, 2, 3))
+    # cell [3/8, 3/4] of three: the cells [1/4, 3/8] and [3/4, 7/8] of
+    # nine touch it on a face only
+    assert ratbox(covering_block(index_cell(three, (1,)), nine)) == \
+        box(rival(Fraction(3, 8), Fraction(3, 4)))
+    # cell [9/40, 9/20] of five meets [1/8, 1/4] and [3/8, 1/2] in part
+    assert ratbox(covering_block(index_cell(five, (1,)), nine)) == \
+        box(rival(Fraction(1, 8), Fraction(1, 2)))
 
 
 def check_faces_around(g: Grid) -> None:

@@ -8,18 +8,24 @@ A change that moves any of them shows up as a diff of
 `identity_golden.json`.  To record a new golden, run this file:
 
     PYTHONPATH=src python tests/test_identity.py
+
+The same sentences also hold the frontier that a block without
+parameters carries from one iteration to the next to a reference that
+builds the check tree anew at every iteration, and so carries nothing.
 """
 from __future__ import annotations
 
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from quasisat import solver
 from quasisat.distance import distance_enclosure
 from quasisat.intervals import rat_str
 from quasisat.parser import parse
-from quasisat.solver import quasi_decide
+from quasisat.solver import TRI_TF, IterationRecord, quasi_decide
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -71,6 +77,39 @@ def test_verdicts_and_certificates_match_the_golden():
     assert list(got) == list(want)
     changed = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
     assert not changed
+
+
+def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | None]:
+    """The iterations of `quasi_decide` with the check tree built anew at
+    each one, so that no block starts from an earlier frontier: the trace
+    and the last certificate."""
+    trace, eps, cert = [], Fraction(1), None
+    for i in range(1, budget + 1):
+        record = IterationRecord(i, eps, TRI_TF)
+        record.result, cert = solver._compile(f, frozenset(), [])[1](())((), eps, record)
+        trace.append(record)
+        if len(record.result) == 1:
+            break
+        eps /= 2
+    return trace, cert
+
+
+def test_carried_frontiers_change_nothing_but_cells_evaluated():
+    """Every record field but `cells_evaluated`, and the verdict, are
+    those of the reference that carries nothing; in all the carry
+    evaluates fewer blocks."""
+    fields = [k for k in IterationRecord._fields if k != "cells_evaluated"]
+    carried = fresh = 0
+    for key, text, budget, _ in sentences():
+        f = parse(text)
+        v = quasi_decide(f, budget=budget)
+        trace, cert = fresh_tree_run(f, budget)
+        assert [[getattr(r, k) for k in fields] for r in v.trace] == \
+            [[getattr(r, k) for k in fields] for r in trace], key
+        assert v.certificate == (cert if v.outcome != "UNKNOWN" else None), key
+        carried += sum(r.cells_evaluated for r in v.trace)
+        fresh += sum(r.cells_evaluated for r in trace)
+    assert carried < fresh
 
 
 if __name__ == "__main__":

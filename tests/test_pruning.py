@@ -36,6 +36,9 @@ EXTRA_BLOCKS = {
     "two_conics": "exists x in [-2,2], y in [-2,2] . "
                   "2*x^2 + y^2 + 2*x*y + x + 2*y - 2/3 = 0 and "
                   "-x^2 + y^2 + x*y - x + 1/2 = 0",
+    # a box 9/8 wide: the grids of widths 1, 1/2, 1/4 and 1/8 have 2, 3,
+    # 5 and 9 cells, so a cell of one grid does not nest in the last's
+    "non_nesting_1d": "exists x in [0,9/8] . x*x - 1/2 = 0",
     # a parameterized planar block whose faces often have a second
     # component of larger mignitude than the first
     "param_planar": "forall p in [0,1] . exists x in [-1,1], y in [-1,1] . "
@@ -124,6 +127,7 @@ def test_pruning_matches_full_sweep(block):
     fs = [compile_term(f, names) for f in eqs]
     gs = [compile_term(g, names) for g in ineqs]
     finest = {1: 7, 2: 4, 3: 3}[len(s.vars)]  # 2^-k widths per dimension
+    last = []
     for k in range(finest + 1):
         r = Fraction(1, 2 ** k)
         grid, p = grid_cover(s.bounds, r), prec_for(r)
@@ -131,6 +135,10 @@ def test_pruning_matches_full_sweep(block):
         plausible, _ = _plausible_cells(fs, gs, p_box, grid, p, record)
         want = sweep_plausible(eqs, ineqs, names, p_box, grid, p)
         assert plausible == [index_cell(grid, idx) for idx in want]
+        if last:  # a pass from the last grid's plausible cells finds the same
+            assert _plausible_cells(fs, gs, p_box, grid, p, record,
+                                    carried=last)[0] == plausible
+        last = plausible
         if len(eqs) == len(s.vars):
             certs = {}
             got = _candidate_complexes(fs, p_box, grid, p,

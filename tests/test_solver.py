@@ -662,11 +662,16 @@ def test_a_long_and_chain_stays_within_the_stack():
 
 @pytest.mark.parametrize("copies", [1000, 3000])
 def test_a_long_conjunction_in_one_block_decides(copies):
-    """A block's conjunction is split without recursion: 1,000 and 3,000
-    conjoined inequalities after one equation decide TRUE (1,000 raised
-    RecursionError while the split recursed once per `and`)."""
-    s = parse("exists x in [0,1] . x - 1/2 = 0" + " and x + 1 >= 0" * copies)
+    """A block's conjunction is split, and the atoms of two blocks are
+    paired, without recursion: 1,000 and 3,000 conjoined inequalities
+    after one equation decide TRUE, and are at distance 1/4 from the copy
+    whose equation is shifted by 1/4 (1,000 raised RecursionError while
+    the split, and later the pairing, recursed once per `and`)."""
+    tail = " and x + 1 >= 0" * copies
+    s = parse("exists x in [0,1] . x - 1/2 = 0" + tail)
     assert quasi_decide(s).outcome == "TRUE"
+    d = distance_enclosure(s, parse("exists x in [0,1] . x - 1/4 = 0" + tail), Fraction(1, 1024))
+    assert (d.lo, d.hi) == (Fraction(1, 4), Fraction(1, 4))
 
 
 A, B = ival(Fraction(1, 3), Fraction(1, 2)), ival(Fraction(5, 4), Fraction(3, 2))
@@ -701,14 +706,50 @@ def test_an_overdetermined_block_stops_at_its_first_plausible_cell():
     assert [r.cells_plausible for r in v.trace] == [1] * 11
 
 
-@pytest.mark.parametrize("text, iterations, cert", [
-    ("exists x in [0,1] . x - 2 = 0 and x - 3 = 0", 1, Fraction(1)),
-    # undecided, each at its first plausible cell, until iteration 5
-    ("exists x in [0,4] . x*x - 9/2 = 0 and x - 2 = 0", 5, Fraction(1, 64)),
+def test_a_touching_inequality_carries_its_two_cells():
+    """The two plausible cells around the touching point are carried, so
+    each iteration evaluates the four cells of the next grid that meet
+    them instead of descending from the whole grid (63 blocks at
+    iteration 20)."""
+    v = quasi_decide(parse((CORPUS_DIR / "touching_ineq.sent").read_text()), budget=20)
+    assert v.outcome == "UNKNOWN" and len(v.trace) == 20
+    assert max(r.cells_evaluated for r in v.trace) <= 4
+
+
+def test_an_overdetermined_block_whose_carried_cell_is_refuted_runs_a_full_pass(monkeypatch):
+    """The search from the top finds the cell near x = 2, where both
+    equations are small, before the common root 1/2.  Only that cell is
+    carried; once it is refuted at iteration 5, a full pass finds the
+    cell at 1/2, which is carried from then on, so no iteration is FALSE."""
+    full_passes = []
+    plausible_cells = solver._plausible_cells
+
+    def counted(*args, **kwargs):
+        if len(args) + len(kwargs) < 8:  # no carried frontier
+            full_passes.append(args[3])
+        return plausible_cells(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_plausible_cells", counted)
+    v = quasi_decide(parse("exists x in [0,4] . (x*x - 9/2)*(x - 1/2) = 0 and "
+                           "(x - 2)*(x - 1/2) = 0"), budget=20)
+    assert v.outcome == "UNKNOWN" and len(v.trace) == 20
+    assert [r.cells_plausible for r in v.trace] == [1] * 20
+    assert full_passes == [grid_cover(((0, 4, 1),), r) for r in (1, Fraction(1, 16))]
+
+
+@pytest.mark.parametrize("text, iterations, cert, carried", [
+    ("exists x in [0,1] . x - 2 = 0 and x - 3 = 0", 1, Fraction(1), 0),
+    # undecided, each at its first plausible cell, until iteration 5,
+    # whose pass from iteration 4's frontier refutes the two cells over
+    # iteration 4's plausible cell
+    ("exists x in [0,4] . x*x - 9/2 = 0 and x - 2 = 0", 5, Fraction(1, 64), 2),
 ])
-def test_a_false_overdetermined_block_keeps_the_full_sweep_certificate(text, iterations, cert):
-    """An empty result still sweeps the whole grid, so a FALSE verdict and
-    its separation are those of the full pass."""
+def test_a_false_overdetermined_block_keeps_the_full_sweep_certificate(
+        text, iterations, cert, carried):
+    """A pass from the last frontier that finds no plausible cell is
+    followed by a full pass over the whole grid, so a FALSE verdict and its
+    separation are those of the full pass, and the iteration evaluates
+    the carried pass's blocks and the full pass's."""
     s = parse(text)
     v = quasi_decide(s, budget=11)
     assert (v.outcome, v.iterations) == ("FALSE", iterations)
@@ -718,4 +759,4 @@ def test_a_false_overdetermined_block_keeps_the_full_sweep_certificate(text, ite
         tapes(eqs, ("x",)), [], (), grid_cover(s.bounds, v.final_eps),
         prec_for(v.final_eps), record)
     assert plausible == [] and v.certificate == separation == cert
-    assert v.trace[-1].cells_evaluated == record.cells_evaluated
+    assert v.trace[-1].cells_evaluated == record.cells_evaluated + carried
