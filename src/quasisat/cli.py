@@ -36,16 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="maximum number of refinement iterations")
     common.add_argument("--epsilon", type=_rational, default=Fraction(1),
                         help="initial refinement parameter (rational)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--certificate", action="store_true",
-                        help="report the robustness margin / separation bound")
-    common.add_argument("--trace", action="store_true",
-                        help="include the per-iteration trace")
 
     solve = sub.add_parser("solve", parents=[common],
                            help="decide one sentence")
     solve.add_argument("input", help="a sentence, or a path to a file "
                                      "containing one")
+    solve.add_argument("--format", choices=("text", "json"), default="text")
+    solve.add_argument("--certificate", action="store_true",
+                       help="report the robustness margin / separation bound")
+    solve.add_argument("--trace", action="store_true",
+                       help="include the per-iteration trace")
 
     corpus = sub.add_parser("corpus", parents=[common],
                             help="run a directory of labeled sentences")

@@ -9,7 +9,7 @@ non-robust sentences stay undecided forever, which is the honest answer.
 Everything here is an `Ival` or a cell of `geometry`, a tuple of
 `Ival`s: the parameter box and the quantifier bounds are `Ival`s from
 the parser on, and a universal's slabs are the cells of
-`grid_cover((bound,), r)`.  Every environment is a tuple, so each
+`grid_cover((box,), r)`.  Every environment is a tuple, so each
 evaluation runs on `p_env + cell` as it stands.  An existential block is
 checked on the grid `grid_cover(bounds, r)` without visiting all of it.
 Blocks of cells are refuted top-down: a block whose interval evaluation
@@ -23,21 +23,22 @@ soon as one cell is plausible, so its search stops there; with no
 plausible cell it runs in full.  The separation bounds are compared as
 integer pairs, and one `Fraction` is built for a FALSE block.
 
-A block without parameters carries its frontier across ε-iterations:
-the plausible cells of its last pass.  The next pass starts from the
-cells of the new grid that meet the carried cells, so a block with two
-plausible cells evaluates a handful of cells per iteration, not a
-descent from the whole grid.  When that pass finds no plausible cell, a
-full pass from the whole grid decides the iteration, so a FALSE verdict
-and its separation are always those of a full pass.  A block with
-parameters, under a universal, sees a new slab at every call and is
-searched from the whole grid each time.
+A block that reads no parameter (no variable bound outside it) carries
+its frontier across universal slabs and ε-iterations: the plausible
+cells of its last pass.  The next pass starts from the cells of the
+current grid that meet the carried cells, so a block with two plausible
+cells evaluates a handful of cells per call, not a descent from the
+whole grid.  When that pass finds no plausible cell, a full pass from
+the whole grid decides the call, so a FALSE verdict and its separation
+are always those of a full pass.  A block that reads a parameter sees a
+new slice at every call and is searched from the whole grid each time.
 
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
 tree of checks `(p_env, r, record) -> (verdict, certificate)` that holds
-each block's tapes and each and/or side's parameter positions, so every
-universal slab and every iteration runs the same tree, and nothing reads
-the formula again.  That compile walk is the only walk of the formula:
+each block's tapes, compiled over all the parameters and bound variables
+above it, so every node runs on `p_env` as it is given, every universal
+slab and every iteration runs the same tree, and nothing reads the
+formula again.  That compile walk is the only walk of the formula:
 it also finds the free variables and checks the solvable fragment, whose
 violations `validate_class_b` reports on their own.  The refutation, the
 face walk and the degree (at the slice centre, as degenerate parameter
@@ -136,54 +137,45 @@ def _min_cert(a: Fraction | None, b: Fraction | None) -> Fraction | None:
 # a compiled sentence: (p_env, r, record) -> (verdict, certificate)
 Check = Callable[[tuple[Ival, ...], Fraction, IterationRecord],
                  tuple[TriValue, Fraction | None]]
-# the check of a formula under the parameter names it is given
-Builder = Callable[[tuple[str, ...]], Check]
 
 
-def _compile(s: Formula, bound: frozenset[str],
-             violations: list[str]) -> tuple[frozenset[str], Builder | None]:
-    """The free variables of s and the builder of its tree of checks, in
-    one walk: `bound` holds the variables bound above s, and each way s
-    leaves the solvable fragment is appended to `violations`, in walk
-    order.  Free variables are made bottom-up, an and/or node's as the
-    union of its sides'.  A block's conjunction is split once into its
-    equation and inequality terms, and each term is walked once for its
-    free variables.  The builder fixes each block's tapes and each and/or
-    side's kept parameter positions, so a run reads neither the formula
-    nor the names; it is None for a block outside the fragment, which is
-    never built."""
+def _compile(s: Formula, names: tuple[str, ...],
+             violations: list[str]) -> tuple[frozenset[str], Check | None]:
+    """The free variables of s and its tree of checks, in one walk:
+    `names` holds the parameter names, then the variables bound above s,
+    in order, and each way s leaves the solvable fragment is appended to
+    `violations`, in walk order.  Free variables are made bottom-up, an
+    and/or node's as the union of its sides', and both sides run on the
+    environment of `names` as it is.  A block's conjunction is split once
+    into its equation and inequality terms, each term is walked once for
+    its free variables, and the tapes are compiled over `names` and the
+    block's variables, so a run reads neither the formula nor the names.
+    The check is None when a violation has been found or a free variable
+    is not in `names`; the caller then raises before anything runs."""
     if isinstance(s, ForAll):
         var, box = s.var, s.bound
-        if var in bound:
+        if var in names:
             violations.append(f"variable {var!r} shadows an outer binding")
-        free, body = _compile(s.body, bound | {var}, violations)
-
-        def build(pnames):
-            check = body(pnames + (var,))
-            return lambda p_env, r, record: _univ(box, check, p_env, r, record)
-        return free - {var}, build
+        free, body = _compile(s.body, names + (var,), violations)
+        return free - {var}, None if body is None else (
+            lambda p_env, r, record: _univ(box, body, p_env, r, record))
     if isinstance(s, (And, Or)):
-        sides = (_compile(s.left, bound, violations), _compile(s.right, bound, violations))
+        (lfree, left), (rfree, right) = (_compile(s.left, names, violations),
+                                         _compile(s.right, names, violations))
         op = tri_and if isinstance(s, And) else tri_or
-
-        def build(pnames):
-            checks = []
-            for free, side in sides:
-                keep = tuple(i for i, name in enumerate(pnames) if name in free)
-                checks.append((keep, side(tuple(pnames[i] for i in keep))))
-            return lambda p_env, r, record: _combine(checks, op, p_env, r, record)
-        return sides[0][0] | sides[1][0], build
+        return lfree | rfree, None if left is None or right is None else (
+            lambda p_env, r, record: _combine(left, right, op, p_env, r, record))
     if isinstance(s, Atom):  # a ground atom: a block without variables
         block_vars, bounds, atoms = (), (), [s]
     else:
         block_vars, bounds, atoms = s.vars, s.bounds, []
-        clash = bound.intersection(block_vars)
+        clash = set(block_vars).intersection(names)
         if clash:
             violations.append(f"variable {sorted(clash)[0]!r} shadows an outer binding")
         if not _conjuncts(s.body, atoms):
             violations.append(
                 "exists body must be a conjunction of equations and inequalities")
-            free, _ = _compile(s.body, bound.union(block_vars), violations)
+            free, _ = _compile(s.body, names + block_vars, violations)
             return free.difference(block_vars), None
     eqs = [a.term for a in atoms if isinstance(a, Eq)]
     ineqs = [a.term for a in atoms if isinstance(a, Geq)]
@@ -191,16 +183,14 @@ def _compile(s: Formula, bound: frozenset[str],
     if 0 < n < m:
         violations.append(
             f"exists block has {n} equation(s) for {m} variable(s); need n >= m or n = 0")
-
-    def build(pnames):
-        names = pnames + block_vars
-        fs, gs = ([compile_term(t, names) for t in terms] for terms in (eqs, ineqs))
-        # a block without parameters is the same block at every iteration,
-        # so it carries its frontier from one to the next
-        frontier = None if pnames else []
-        return lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record, frontier)
-    free = frozenset().union(*(T.free_vars(a.term) for a in atoms))
-    return free.difference(block_vars), build
+    free = frozenset().union(*(T.free_vars(a.term) for a in atoms)).difference(block_vars)
+    if violations or not free.issubset(names):
+        return free, None
+    fs, gs = ([compile_term(t, names + block_vars) for t in terms] for terms in (eqs, ineqs))
+    # a block that reads no parameter is the same block at every call, so
+    # it carries its frontier from one to the next
+    frontier = None if free else []
+    return free, lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record, frontier)
 
 
 def _conjuncts(f: Formula, atoms: list[Atom]) -> bool:
@@ -232,7 +222,7 @@ def validate_class_b(f: Formula) -> ClassBReport:
     inequalities with n >= m or n = 0, composed under forall, and, or,
     and no quantifier rebinds a variable bound above it."""
     violations: list[str] = []
-    _compile(f, frozenset(), violations)
+    _compile(f, (), violations)
     return ClassBReport(not violations, tuple(violations))
 
 
@@ -240,13 +230,14 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     """Three-valued check of s over the parameter box, one `Ival` per free
     variable in quantification order, named by `pnames`; a singleton
     answer holds for every parameter value in the box.  A box that does
-    not fit the sentence raises ValueError."""
+    not fit the sentence, or a quantifier that rebinds a parameter name,
+    raises ValueError."""
     r = rat(r)
     if r <= 0:
         raise ValueError("refinement parameter must be positive")
     pnames, p_box = tuple(pnames), tuple(p_box)
     violations: list[str] = []
-    free, build = _compile(s, frozenset(), violations)
+    free, check = _compile(s, pnames, violations)
     missing = free - set(pnames)
     if missing:
         raise ValueError(f"free variables without a parameter name: {sorted(missing)}")
@@ -262,7 +253,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
             raise ValueError(f"parameter {name}: endpoints out of order: [{lo}/{d}, {hi}/{d}]")
     if violations:
         raise ValueError("; ".join(violations))
-    return build(pnames)(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return check(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +266,9 @@ def _soei(
     frontier: list[Cell] | None,
 ) -> tuple[TriValue, Fraction | None]:
     """Decide a block on the grid of width r.  A `frontier` list (None for
-    a block with parameters) holds the plausible cells of the last pass:
-    this pass starts from them, and only when it finds no plausible cell
-    does a full pass decide."""
+    a block that reads a parameter) holds the plausible cells of the last
+    pass: this pass starts from them, and only when it finds no plausible
+    cell does a full pass decide."""
     m, n = len(bounds), len(fs)
     p = prec_for(r)
     record.precision = p
@@ -301,7 +292,7 @@ def _soei(
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or overdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(fs, gs, p_env, p, grid, plausible, record)
+    return _soei_degree_phase(fs, gs, p_env, p, grid, plausible, record, frontier is None)
 
 
 def _plausible_cells(
@@ -367,7 +358,7 @@ def _refutation_bound(
 def _candidate_complexes(
     fs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid, p: int,
     plausible: list[Cell], record: IterationRecord,
-    certs: dict[Cell, Cert],
+    certs: dict[Cell, Cert], best: bool,
 ) -> list[list[Cell]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary.
@@ -376,8 +367,8 @@ def _candidate_complexes(
     of refuted cells only has no zero, hence degree 0, and is skipped.
     Every face of every member cell is tested once; the certificate of
     each face that is not a zero face goes into `certs`, keyed by the
-    face.  With parameters it holds on the whole slice and names the
-    component of largest mignitude."""
+    face.  With `best`, for a block that reads a parameter, it holds on
+    the whole slice and names the component of largest mignitude."""
     members = set(plausible)
     walk = list(plausible)
     tested: set[Cell] = set()
@@ -390,7 +381,7 @@ def _candidate_complexes(
                 continue
             tested.add(face)
             record.faces_evaluated += 1
-            cert = certify(fs, p_env + face, p, best=bool(p_env))
+            cert = certify(fs, p_env + face, p, best)
             if cert is not None:
                 certs[face] = cert
                 continue
@@ -425,7 +416,7 @@ def _candidate_complexes(
 
 def _soei_degree_phase(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], p: int,
-    grid: Grid, plausible: list[Cell], record: IterationRecord,
+    grid: Grid, plausible: list[Cell], record: IterationRecord, best: bool,
 ) -> tuple[TriValue, Fraction | None]:
     """Zero-face merging plus the degree test on candidate complexes.
 
@@ -438,7 +429,7 @@ def _soei_degree_phase(
     parameter value."""
     centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
     certs: dict[Cell, Cert] = {}
-    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs):
+    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs, best):
         result = degree(fs, cells, p, centre, certs=certs)
         record.complexes += 1
         record.degrees.append(None if result is None else result.value)
@@ -463,10 +454,10 @@ def _soei_degree_phase(
 
 
 def _univ(
-    bound: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction,
+    box: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction,
     record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    grid = grid_cover((bound,), r)
+    grid = grid_cover((box,), r)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
     acc = TRI_T
     cert: Fraction | None = None
@@ -482,12 +473,10 @@ def _univ(
 
 
 def _combine(
-    sides: list[tuple[tuple[int, ...], Check]], op, p_env: tuple[Ival, ...], r: Fraction,
+    left: Check, right: Check, op, p_env: tuple[Ival, ...], r: Fraction,
     record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    outs = []
-    for keep, check in sides:  # a loop, not a comprehension: no frame per level
-        outs.append(check(tuple(p_env[i] for i in keep), r, record))
+    outs = left(p_env, r, record), right(p_env, r, record)
     combined = op(outs[0][0], outs[1][0])
     if len(combined) != 1:
         return combined, None
@@ -515,13 +504,12 @@ def quasi_decide(
     if eps <= 0:
         raise ValueError("initial epsilon must be positive")
     violations: list[str] = []
-    free, build = _compile(s, frozenset(), violations)
+    free, check = _compile(s, (), violations)
     if free:
         raise ValueError(f"not a sentence; free variables: {sorted(free)}")
     if violations:
         raise ValueError("; ".join(violations))
 
-    check = build(())
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)

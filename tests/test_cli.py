@@ -121,6 +121,21 @@ def test_corpus_runner(tmp_path, capsys):
     assert "3/3 passed" in out
 
 
+@pytest.mark.parametrize("flags", [["--trace"], ["--certificate"], ["--format", "json"]])
+def test_output_flags_belong_to_solve_only(tmp_path, capsys, flags):
+    """The corpus runner prints one line per sentence and reads no output
+    flag, so it rejects each with argparse's usage error; `solve` takes
+    all three."""
+    (tmp_path / "a.sent").write_text(TRUE_S)
+    (tmp_path / "a.expect").write_text("EXPECT TRUE\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["corpus", str(tmp_path), *flags])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    assert main(["solve", TRUE_S, "--format", "json", "--certificate", "--trace"]) == 0
+    assert json.loads(capsys.readouterr().out).keys() >= {"certificate", "trace"}
+
+
 def test_corpus_flags_mismatches(tmp_path, capsys):
     (tmp_path / "a.sent").write_text(TRUE_S)
     (tmp_path / "a.expect").write_text("EXPECT FALSE\n")

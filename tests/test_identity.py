@@ -86,7 +86,7 @@ def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | No
     trace, eps, cert = [], Fraction(1), None
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        record.result, cert = solver._compile(f, frozenset(), [])[1](())((), eps, record)
+        record.result, cert = solver._compile(f, (), [])[1]((), eps, record)
         trace.append(record)
         if len(record.result) == 1:
             break

@@ -142,7 +142,7 @@ def test_pruning_matches_full_sweep(block):
         if len(eqs) == len(s.vars):
             certs = {}
             got = _candidate_complexes(fs, p_box, grid, p,
-                                       plausible, record, certs)
+                                       plausible, record, certs, bool(p_box))
             assert got == [[index_cell(grid, idx) for idx in cells]
                            for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
             check_face_certificates(eqs, names, p_box, grid, p, certs)

@@ -497,10 +497,10 @@ def test_records_keep_their_defaults_and_mutability():
 
 
 def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
-    """The kept parameters of each and/or side are found once per
-    sentence, not again in every slab and iteration: the compile walk
-    walks each atom's term once, and blocks, sides and the sentence take
-    their free variables bottom-up from their atoms'."""
+    """Free variables are found once per sentence, not again in every
+    slab and iteration: the compile walk walks each atom's term once, and
+    blocks, and/or sides and the sentence take their free variables
+    bottom-up from their atoms'."""
     walked, depth = [], [0]
     real = T.free_vars
 
@@ -714,6 +714,64 @@ def test_a_touching_inequality_carries_its_two_cells():
     v = quasi_decide(parse((CORPUS_DIR / "touching_ineq.sent").read_text()), budget=20)
     assert v.outcome == "UNKNOWN" and len(v.trace) == 20
     assert max(r.cells_evaluated for r in v.trace) <= 4
+
+
+WIDE_CARRY = "forall z in [0,3] . exists x in [0,1] . (x - 1/2)^2 = 0"
+
+
+def test_a_block_that_reads_no_parameter_carries_its_frontier_across_slabs(monkeypatch):
+    """A block under a universal whose variable it does not read is the
+    same block at every slab, so one full pass finds its frontier and it
+    is carried across slabs and iterations: iteration 8 evaluates 770
+    blocks over 384 slabs, where a full pass per slab evaluated 10,368."""
+    full_passes = []
+    plausible_cells = solver._plausible_cells
+
+    def counted(*args, **kwargs):
+        if len(args) + len(kwargs) < 8:  # no carried frontier
+            full_passes.append(args[3])
+        return plausible_cells(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_plausible_cells", counted)
+    v = quasi_decide(parse(WIDE_CARRY), budget=8)
+    assert (v.outcome, v.iterations) == ("UNKNOWN", 8)
+    assert full_passes == [grid_cover(((0, 1, 1),), Fraction(1))]
+    assert v.trace[-1].cells_evaluated <= 800
+
+
+@pytest.mark.parametrize("text, outcome, cert, iterations", [
+    # (precision, complexes, degrees) of each iteration
+    (WIDE_CARRY, "UNKNOWN", None,
+     [(k + 2, 3 * 2 ** (k - 1), [0] * 3 * 2 ** (k - 1)) for k in range(1, 9)]),
+    ("forall z in [0,1] . exists x in [-1,1], y in [-1,1] . "
+     "x*x + y*y - 1/2 = 0 and x - y = 0", "TRUE", Fraction(1, 4),
+     [(3, 1, [0]), (4, 2, [1, 1])]),
+    ("forall z in [0,1] . exists x in [0,1] . x*x + 1/4 = 0", "FALSE", Fraction(1, 4),
+     [(3, 0, [])]),
+    ("forall z in [0,1] . forall w in [0,1] . exists x in [0,1] . x - 1/3 = 0 and x >= 0",
+     "TRUE", Fraction(1, 12), [(3, 1, [1]), (4, 4, [1] * 4), (5, 16, [1] * 16)]),
+], ids=["double-root", "circle-line", "no-root", "two-universals"])
+def test_blocks_that_read_no_parameter_keep_the_verdicts_of_a_pass_per_slab(
+        text, outcome, cert, iterations):
+    """A block under universals that it does not read carries its frontier
+    and picks each face certificate's first component, and its verdicts,
+    certificates and degrees are those it had when it was searched from
+    the whole grid at every slab and kept the component of largest
+    mignitude."""
+    v = quasi_decide(parse(text), budget=8)
+    assert (v.outcome, v.iterations, v.certificate) == (outcome, len(iterations), cert)
+    assert [(r.precision, r.complexes, r.degrees) for r in v.trace] == iterations
+
+
+@pytest.mark.parametrize("quantifier", [
+    lambda body: Exists(("a",), (ival(-1, 1),), body),
+    lambda body: ForAll("a", ival(-1, 1), body),
+], ids=["exists", "forall"])
+def test_checksat_rejects_a_quantifier_that_rebinds_a_parameter(quantifier):
+    """A parameter name is bound above the whole sentence, so rebinding it
+    is the shadowing violation, as `parse` with that parameter rejects it."""
+    with pytest.raises(ValueError, match="^variable 'a' shadows an outer binding$"):
+        checksat(quantifier(Eq(T.Var("a"))), (ival(0, 1),), 1, ("a",))
 
 
 def test_an_overdetermined_block_whose_carried_cell_is_refuted_runs_a_full_pass(monkeypatch):
