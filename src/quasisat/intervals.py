@@ -26,10 +26,15 @@ class DomainError(ValueError):
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce to an exact rational. Strings may be 'num/den' or decimal."""
+    """Coerce to an exact rational. Strings may be 'num/den' or decimal.
+    A zero denominator or an infinite float is a ValueError, as any other
+    malformed rational is."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite rational: {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:

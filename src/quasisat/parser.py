@@ -8,12 +8,11 @@ Grammar (ASCII, case-sensitive keywords)::
     primary  := '(' formula ')' | block | atom
     block    := ('exists' | 'forall') binder (',' binder)* '.' formula
     binder   := NAME 'in' '[' rational ',' rational ']'
-    atom     := sum ('=' | '>=' | '<=') sum
-    sum      := product (('+' | '-') product)*
-    product  := unary (('*' | '/') unary)*
-    unary    := '-' unary | power
-    power    := item ('^' NAT)?
-    item     := NUMBER | 'pi' | NAME | FUNC '(' sum ')' | '(' sum ')'
+    atom     := term ('=' | '>=' | '<=') term
+    term     := product (('+' | '-') product)*
+    product  := signed (('*' | '/') signed)*
+    signed   := '-'* item ('^' NAT)?
+    item     := NUMBER | 'pi' | NAME | FUNC '(' term ')' | '(' term ')'
 
 Numbers are integer or decimal literals and parse to exact rationals.
 FUNC is one of sin, cos, exp, sqrt.  Every variable must be bound by an
@@ -30,18 +29,22 @@ A sentence is read in one forward pass with no backtracking.  A '(' where
 a formula may start opens a formula exactly when its group, up to the
 matching ')', holds '=', '>=', '<=', 'exists' or 'forall': a term can hold
 none of them.  Otherwise it opens the first term of an atom, as in
-``(x+1)*y = 0``.
+``(x+1)*y = 0``.  One method reads a term in local loops and recurses
+only into a parenthesis or a function argument, so a run of minus signs
+is counted: before a non-constant it is as high as it is long.
 
 Literals fold into one constant: a minus sign on a constant, and a
 constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
 and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
 ``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
-check rejects.
+check rejects.  Literals, variable names and folded quotients come from
+small caches and are shared between parses.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -72,6 +75,13 @@ def _number(text: str) -> tuple[int, int]:
     """A literal as (num, den), den 10 to the number of its decimals."""
     whole, _, frac = text.partition(".")
     return int(whole + frac), 10 ** len(frac)
+
+
+# term nodes are immutable, so parses share these leaves and quotients
+_literal = lru_cache(maxsize=1024)(lambda tok: T.Const(Fraction(*_number(tok))))
+_quotient = lru_cache(maxsize=1024)(lambda a, b: T.Const(a.value / b.value))
+_var = lru_cache(maxsize=256)(T.Var)
+_PI = T.Pi()
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -225,12 +235,12 @@ class _Parser:
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
-        lhs, lh = self.sum(), self.height
+        lhs, lh = self.term(), self.height
         rel = self.toks[self.i]
         if rel != "=" and rel != ">=" and rel != "<=":
             raise self.error("expected '=', '>=' or '<='")
         self.i += 1
-        rhs, rh = self.sum(), self.height
+        rhs, rh = self.term(), self.height
         if rel == "<=":
             lhs, rhs, lh, rh = rhs, lhs, rh, lh
         if type(rhs) is not T.Const or rhs.value:
@@ -248,97 +258,87 @@ class _Parser:
         scope = self.scope
         return compile_term(t, scope)(tuple(scope.values()), _GUARD_PREC)
 
-    def sum(self) -> T.Term:
+    def term(self) -> T.Term:
+        """A sum of products of signed powers, read in local loops; only a
+        parenthesis and a function argument recurse.  Leaves the term's
+        height in `self.height`."""
         toks = self.toks
-        left, height = self.product(), self.height
+        i = self.i
+        total = add = None
         while True:
-            op = toks[self.i]
-            if op == "+":
-                self.i += 1
-                left = T.Add(left, self.product())
-            elif op == "-":
-                self.i += 1
-                left = T.Sub(left, self.product())
+            product = mul = None
+            while True:
+                signs = 0
+                while toks[i] == "-":
+                    signs += 1
+                    i += 1
+                tok, h = toks[i], 0
+                if tok[:1].isdecimal():
+                    base = _literal(tok)
+                elif tok == "(" or tok in _FUNCS:
+                    if tok != "(":
+                        i += 1
+                        if toks[i] != "(":
+                            raise self.error("expected '('", i)
+                    self.i = i + 1
+                    base, h = self.term(), self.height
+                    i = self.i
+                    if toks[i] != ")":
+                        raise self.error("expected ')'", i)
+                    if tok != "(":
+                        if tok == "sqrt" and self.fault is None and self.enclose(base)[0] < 0:
+                            self.fault = ("sqrt argument {} may be negative", base)
+                        base, h = _FUNCS[tok](base), h + 1
+                elif tok == "pi":
+                    base = _PI
+                elif tok[:1] not in _NAME_START:
+                    raise self.error("expected a term", i)
+                elif tok in _KEYWORDS:
+                    raise self.error(f"unexpected keyword {tok!r}", i)
+                elif tok in self.scope:
+                    base = _var(tok)
+                else:
+                    raise self.error(f"unbound variable {tok!r}", i)
+                i += 1
+                if toks[i] == "^":
+                    i += 1
+                    if not toks[i].isdecimal():
+                        raise self.error("expected a natural-number exponent", i)
+                    base, h = T.Pow(base, int(toks[i])), h + 1
+                    i += 1
+                if type(base) is T.Const:
+                    if signs & 1:
+                        base = T.Const(-base.value)
+                elif signs:
+                    h += signs
+                    for _ in range(signs):
+                        base = T.Neg(base)
+                if mul is None:
+                    product, height = base, h
+                elif mul == "*":
+                    product, height = T.Mul(product, base), max(height, h) + 1
+                elif type(product) is T.Const and type(base) is T.Const and base.value:
+                    product = _quotient(product, base)  # two constants, of height 0
+                else:
+                    if self.fault is None:
+                        lo, hi, _ = self.enclose(base)
+                        if lo <= 0 <= hi:
+                            self.fault = ("denominator {} may vanish", base)
+                    product, height = T.Div(product, base), max(height, h) + 1
+                mul = toks[i]
+                if mul != "*" and mul != "/":
+                    break
+                i += 1
+            if add is None:
+                total, total_h = product, height
             else:
-                self.height = height
-                return left
-            height = max(height, self.height) + 1
-
-    def product(self) -> T.Term:
-        toks = self.toks
-        left, height = self.unary(), self.height
-        while True:
-            op = toks[self.i]
-            if op == "*":
-                self.i += 1
-                left = T.Mul(left, self.unary())
-            elif op == "/":
-                self.i += 1
-                right = self.unary()
-                if type(left) is T.Const and type(right) is T.Const and right.value:
-                    left = T.Const(left.value / right.value)
-                    continue  # two constants, of height 0
-                if self.fault is None:
-                    lo, hi, _ = self.enclose(right)
-                    if lo <= 0 <= hi:
-                        self.fault = ("denominator {} may vanish", right)
-                left = T.Div(left, right)
-            else:
-                self.height = height
-                return left
-            height = max(height, self.height) + 1
-
-    def unary(self) -> T.Term:
-        """A unary, with its power rule parsed in the same call."""
-        toks = self.toks
-        if toks[self.i] == "-":
-            self.i += 1
-            arg = self.unary()
-            if type(arg) is T.Const:
-                return T.Const(-arg.value)
-            self.height += 1
-            return T.Neg(arg)
-        base = self.item()
-        if toks[self.i] != "^":
-            return base
-        self.i += 1
-        if not toks[self.i].isdecimal():
-            raise self.error("expected a natural-number exponent")
-        self.i += 1
-        self.height += 1
-        return T.Pow(base, int(toks[self.i - 1]))
-
-    def item(self) -> T.Term:
-        at = self.i
-        tok = self.toks[at]
-        if tok[:1].isdecimal():
-            self.i += 1
-            self.height = 0
-            return T.Const(Fraction(int(tok)) if tok.isdecimal() else Fraction(*_number(tok)))
-        if tok == "(":
-            self.i += 1
-            inner = self.sum()
-            self.expect(")")
-            return inner
-        if tok[:1] not in _NAME_START:
-            raise self.error("expected a term")
-        self.i += 1
-        if tok in _FUNCS:
-            self.expect("(")
-            arg = self.sum()
-            self.expect(")")
-            self.height += 1
-            if tok == "sqrt" and self.fault is None and self.enclose(arg)[0] < 0:
-                self.fault = ("sqrt argument {} may be negative", arg)
-            return _FUNCS[tok](arg)
-        self.height = 0
-        if tok == "pi":
-            return T.Pi()
-        if tok in _KEYWORDS:
-            raise self.error(f"unexpected keyword {tok!r}", at)
-        if tok not in self.scope:
-            raise self.error(f"unbound variable {tok!r}", at)
-        return T.Var(tok)
+                total = (T.Add if add == "+" else T.Sub)(total, product)
+                total_h = max(total_h, height) + 1
+            add = toks[i]
+            if add != "+" and add != "-":
+                self.i, self.height = i, total_h
+                return total
+            i += 1
 
 
 def parse(text: str, params: dict[str, Ival] | None = None) -> F.Formula:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, corpus runner."""
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 from quasisat import cli
 from quasisat.cli import main
 from quasisat.solver import IterationRecord
+
+from conftest import CORPUS_DIR
 
 TRUE_S = "exists x in [0,1] . x - 1/2 = 0"
 FALSE_S = "exists x in [0,1] . x - 2 = 0"
@@ -235,3 +238,21 @@ def test_text_trace_reports_work_counters(capsys):
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         main(["solve", TRUE_S, "--workers", "2"])
+
+
+def _readme_solve_examples() -> list[tuple[str, str]]:
+    """Each README `quasisat solve` line that a `# ...` line follows,
+    with that comment: the first line the command prints."""
+    lines = (CORPUS_DIR.parent / "README.md").read_text().splitlines()
+    return [(cmd, out[2:]) for cmd, out in zip(lines, lines[1:])
+            if cmd.startswith("quasisat solve ") and out.startswith("# ")]
+
+
+@pytest.mark.parametrize("command, first_line", _readme_solve_examples())
+def test_readme_solve_examples_print_what_they_claim(command, first_line, capsys):
+    main(shlex.split(command)[1:])
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+def test_readme_has_solve_examples_with_output():
+    assert _readme_solve_examples()

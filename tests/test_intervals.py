@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quasisat import checksat, distance_enclosure, parse, quasi_decide
 from quasisat.intervals import DomainError, RatInterval, ival, rat, rat_str
 
 from oracles import (EMPTY_BOX, abs_interval, add, box, box_contains, box_issubset,
@@ -132,6 +133,25 @@ def test_rat_parsing_and_printing():
     assert rat(2) == Fraction(2)
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5/1"  # the wire format is always num/den
+
+
+ONE_ROOT = "exists x in [0,1] . x - 1/2 = 0"
+
+
+@pytest.mark.parametrize("bad", ["1/0", float("inf"), float("-inf"), float("nan"), "x"])
+@pytest.mark.parametrize("call", [
+    rat,
+    ival,
+    lambda q: ival(0, q),
+    lambda q: quasi_decide(parse(ONE_ROOT), eps=q),
+    lambda q: checksat(parse(ONE_ROOT), (), q),
+    lambda q: distance_enclosure(parse(ONE_ROOT), parse(ONE_ROOT), tol=q),
+], ids=["rat", "ival", "ival_hi", "quasi_decide", "checksat", "distance_enclosure"])
+def test_a_malformed_rational_is_a_value_error(call, bad):
+    """A zero denominator and an infinite float are malformed rationals
+    like any other, at every entry point that reads one."""
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 def test_rat_interval_coerces_orders_and_is_frozen():

@@ -151,6 +151,37 @@ def test_the_height_bound_does_not_depend_on_the_stack(frames, atom):
     assert (e.value.line, e.value.col) == (1, len(sentence(_MAX_HEIGHT + 1)) + 1)
 
 
+@pytest.mark.parametrize("frames", [0, 300])
+def test_a_long_minus_chain_is_counted_not_recursed(frames):
+    """1,200 minus signs before a variable are a term 1,200 high, reported
+    at the end of the text like any term too high; before a literal they
+    fold into one constant."""
+    text = "exists x in [0,2] . " + "-" * 1200 + "x - 1 = 0"
+    with pytest.raises(ParseError, match="term nested too deeply") as e:
+        _under(frames, lambda: parse(text))
+    assert (e.value.line, e.value.col) == (1, len(text) + 1)
+    f = _under(frames, lambda: parse("exists x in [0,2] . " + "-" * 1200 + "3/4 - x = 0"))
+    assert f.body.term == T.Sub(c(Fraction(3, 4)), X)
+    f = _under(frames, lambda: parse("exists x in [0,2] . " + "-" * 1201 + "3/4 - x = 0"))
+    assert f.body.term == T.Sub(c(Fraction(-3, 4)), X)
+
+
+def test_cached_leaves_are_shared_but_scoped_and_frozen():
+    """Parses share their literal and variable leaves: two parses of one
+    text are equal and hash alike, a name parsed before is still unbound
+    without a binder, and a shared leaf refuses assignment."""
+    text = "exists x in [0,2], y in [1,2] . -3/4*x + sin(y) - 0.5/y + 7 = 0"
+    f, g = parse(text), parse(text)
+    assert f == g and hash(f) == hash(g)
+    with pytest.raises(ParseError, match="1:21: unbound variable 'y'"):
+        parse("exists x in [0,2] . y - x = 0")
+    seven, x = f.body.term.right, f.body.term.left.left.left.right
+    assert (seven, x) == (c(7), X) and seven is g.body.term.right
+    for leaf, field in [(seven, "value"), (x, "name")]:
+        with pytest.raises(AttributeError):
+            setattr(leaf, field, None)
+
+
 @pytest.mark.parametrize("text, body", [
     ("(x+1)*x = 0", Eq(T.Mul(T.Add(X, c(1)), X))),
     ("(x) = 0", Eq(X)),
