@@ -11,8 +11,16 @@ is computed on integers as well.
 `compile_term` turns a term, once, into a flat tape of steps
 `(op, i, j, k)`, `regs[k] = op(regs[i], regs[j], p)`, in evaluation
 order.  Every register is fixed at compile time: the environment's
-intervals come first, one per name, then one register per constant and
-per step result in the order of the walk.  A run copies a template that
+intervals come first, one per name, then one register per constant,
+step parameter and step result in the order of the walk.  Each step's
+operation follows from the kinds of its operands.  A sum or difference
+with an integer constant shifts both endpoints by the constant times the
+denominator, with no lcm (`_shift`, `_rsub`).  A product with a
+constant, or a quotient by a nonzero one, scales by the constant's
+integers, and the constant's sign picks the endpoint order (`_scale`).
+A square has its own step (`_square`).  Each returns the very triple of
+the generic operation it replaces; every other step, a division by a
+zero constant among them, is generic.  A run copies a template that
 holds the constants, with the environment in front, and needs no
 recursion, so deep terms cost no stack; an environment of another
 length than the names raises ValueError.  The solver compiles each
@@ -101,26 +109,87 @@ def _apply(a: Ival, enclosure, p: int) -> Ival:
     return enclosure(a, p)
 
 
-_BINARY = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
-_OPERANDS_DONE = object()  # on the walk's stack: the node below it is next
+# steps with an operand known at compile time; each returns the very
+# triple of the generic operation it stands for
+
+
+def _shift(a: Ival, c: int, p: int) -> Ival:
+    """a + c for an integer c: _add with (c, c, 1), no lcm."""
+    s = c * a[2]
+    return a[0] + s, a[1] + s, a[2]
+
+
+def _rsub(a: Ival, c: int, p: int) -> Ival:
+    """c - a for an integer c: _sub of (c, c, 1) and a."""
+    s = c * a[2]
+    return s - a[1], s - a[0], a[2]
+
+
+def _scale(a: Ival, c: tuple[int, int], p: int) -> Ival:
+    """a * k/e for c = (k, e), e > 0: _mul with (k, k, e); a division by
+    the constant n/d is the scale (n*d, n*n), as _div builds it."""
+    k, e = c
+    if k >= 0:
+        return a[0] * k, a[1] * k, a[2] * e
+    return a[1] * k, a[0] * k, a[2] * e
+
+
+def _square(a: Ival, _b, p: int) -> Ival:
+    """_pow(a, 2)."""
+    lo, hi, d = a
+    if lo >= 0:
+        return lo * lo, hi * hi, d * d
+    if hi <= 0:
+        return hi * hi, lo * lo, d * d
+    return 0, max(lo * lo, hi * hi), d * d
+
+
+def _constant_step(cls, c: Fraction, right: bool):
+    """The (operation, parameter) of a `cls` step whose right operand (or,
+    with `right` false, whose left one) is the constant c, or None where
+    the generic operation stays: a sum or difference with a non-integer,
+    a division by zero and a constant over a term."""
+    n, d = c.as_integer_ratio()
+    if cls is T.Mul:
+        return _scale, (n, d)
+    if cls is T.Div:
+        return (_scale, (n * d, n * n)) if right and n else None
+    if d != 1:
+        return None
+    if cls is T.Add:
+        return _shift, n
+    return (_shift, -n) if right else (_rsub, n)
+
+
+_BOTH = object()  # the parameter of a step that reads two operand registers
+_BINARY = {T.Add: (_add, _BOTH), T.Sub: (_sub, _BOTH),
+           T.Mul: (_mul, _BOTH), T.Div: (_div, _BOTH)}
+_NEGATE, _SQUARE = (_neg, None), (_square, None)  # steps that read one register
+_OPERANDS_DONE = object()  # on the walk's stack: the step below it is next
 
 
 def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     """The natural interval extension of t, as a function of the
     intervals of `names` (in that order) and the precision p.  One
-    post-order walk, dispatched on each node's class: an operation goes
-    back on the stack under a marker, below its operands, and its step
-    is emitted when the marker comes off.  A power's exponent and a
-    function's enclosure are constants in registers of their own."""
+    post-order walk, dispatched on each node's class: a step goes on the
+    stack as an (operation, parameter) pair under a marker, below its
+    operands, and is emitted when the marker comes off.  The pair is
+    chosen when the node is pushed; a constant operand that a specialised
+    step reads (`_constant_step`) becomes its parameter, not a leaf.  The
+    parameter is `_BOTH` for two operand registers, None for one, and
+    otherwise a register of its own after the operand's: a power's
+    exponent, a function's enclosure or a constant's integers."""
     # looked up at compile time, so wrappers set on this module's names apply
     enclosures = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
                   T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}
     names = tuple(names)
     slot = {name: i for i, name in enumerate(names)}
     n = len(names)
-    # registers: the environment, then one per constant and per operation
-    # result in the order of the walk; `template` holds those after the
-    # environment, with the constants in place
+    # locals, since every node tests them and many tapes run only a few times
+    Var, Const, Pi, Pow, Neg = T.Var, T.Const, T.Pi, T.Pow, T.Neg
+    # registers: the environment, then one per constant, parameter and
+    # step result in the order of the walk; `template` holds those after
+    # the environment, with the constants and parameters in place
     template: list = []
     tape: list[tuple] = []  # (op, i, j, k): regs[k] = op(regs[i], regs[j], p)
     done: list[int] = []  # the registers of the operands computed so far
@@ -128,38 +197,42 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     while stack:
         node = stack.pop()
         cls = node.__class__
-        if cls is T.Var:
+        if cls is Var:
             done.append(slot[node.name])
-        elif cls is T.Const:
-            v = node.value
+        elif cls is Const:
+            num, den = node.value.as_integer_ratio()
             done.append(n + len(template))
-            template.append((v.numerator, v.numerator, v.denominator))
-        elif node is _OPERANDS_DONE:
-            node = stack.pop()
-            cls = node.__class__
-            if cls in _BINARY:
-                j = done.pop()
-                op, i = _BINARY[cls], done.pop()
-            elif cls is T.Neg:
-                op, i = _neg, done.pop()
-                j = i
-            elif cls is T.Pi:
+            template.append((num, num, den))
+        elif node is _OPERANDS_DONE or cls is Pi:
+            if cls is Pi:  # a step without operands
                 op, i, j = _pi, 0, 0
             else:
-                template.append(node.exponent if cls is T.Pow else enclosures[cls])
-                op, i, j = _pow if cls is T.Pow else _apply, done.pop(), n + len(template) - 1
+                op, c = stack.pop()
+                i = j = done.pop()
+                if c is _BOTH:  # j is the right operand
+                    i = done.pop()
+                elif c is not None:
+                    j = n + len(template)
+                    template.append(c)
             k = n + len(template)
             template.append(None)
             tape.append((op, i, j, k))
             done.append(k)
         elif cls in _BINARY:
-            stack += (node, _OPERANDS_DONE, node.right, node.left)
-        elif cls is T.Pow:
-            stack += (node, _OPERANDS_DONE, node.base)
-        elif cls is T.Neg or cls in enclosures:
-            stack += (node, _OPERANDS_DONE, node.arg)
-        elif cls is T.Pi:
-            stack += (node, _OPERANDS_DONE)  # an operation without operands
+            left, right = node.left, node.right
+            if right.__class__ is Const and (step := _constant_step(cls, right.value, True)):
+                stack += (step, _OPERANDS_DONE, left)
+            elif left.__class__ is Const and (step := _constant_step(cls, left.value, False)):
+                stack += (step, _OPERANDS_DONE, right)
+            else:
+                stack += (_BINARY[cls], _OPERANDS_DONE, right, left)
+        elif cls is Pow:
+            e = node.exponent
+            stack += (_SQUARE if e == 2 else (_pow, e), _OPERANDS_DONE, node.base)
+        elif cls is Neg:
+            stack += (_NEGATE, _OPERANDS_DONE, node.arg)
+        elif cls in enclosures:
+            stack += ((_apply, enclosures[cls]), _OPERANDS_DONE, node.arg)
         else:
             raise TypeError(f"unknown term node: {cls.__name__}")
     result = done.pop()

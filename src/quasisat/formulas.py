@@ -82,13 +82,21 @@ class Or(_Connective):
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return T.free_vars(f.term)
-    if isinstance(f, Exists):
-        return free_vars(f.body) - frozenset(f.vars)
-    if isinstance(f, ForAll):
-        return free_vars(f.body) - frozenset((f.var,))
-    return free_vars(f.left) | free_vars(f.right)
+    """The variables of f's atoms that no quantifier above them binds,
+    from an explicit stack of (formula, names bound above it)."""
+    found: set[str] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, Atom):
+            found.update(T.free_vars(f.term) - bound)
+        elif isinstance(f, Exists):
+            stack.append((f.body, bound.union(f.vars)))
+        elif isinstance(f, ForAll):
+            stack.append((f.body, bound | {f.var}))
+        else:
+            stack += ((f.right, bound), (f.left, bound))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

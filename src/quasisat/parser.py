@@ -37,8 +37,9 @@ Literals fold into one constant: a minus sign on a constant, and a
 constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
 and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
 ``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
-check rejects.  Literals, variable names and folded quotients come from
-small caches and are shared between parses.
+check rejects.  Literals, variable names, folded quotients and the
+unsigned rationals of quantifier bounds come from small caches and are
+shared between parses.
 """
 from __future__ import annotations
 
@@ -82,6 +83,18 @@ _literal = lru_cache(maxsize=1024)(lambda tok: T.Const(Fraction(*_number(tok))))
 _quotient = lru_cache(maxsize=1024)(lambda a, b: T.Const(a.value / b.value))
 _var = lru_cache(maxsize=256)(T.Var)
 _PI = T.Pi()
+
+
+@lru_cache(maxsize=1024)
+def _ratio(num: str, den: str) -> tuple[int, int] | None:
+    """The unsigned bound num/den of two literal tokens as a reduced pair;
+    None for a zero denominator."""
+    (a, b), (c, d) = _number(num), _number(den)
+    if not c:
+        return None
+    a, b = a * d, b * c
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -217,21 +230,20 @@ class _Parser:
         while toks[self.i] == "-":
             sign = -sign
             self.i += 1
-        if not toks[self.i][:1].isdecimal():
+        num, den = toks[self.i], "1"
+        if not num[:1].isdecimal():
             raise self.error("expected a number")
-        num, den = _number(toks[self.i])
         self.i += 1
         if toks[self.i] == "/":
             self.i += 1
-            if not toks[self.i][:1].isdecimal():
+            den = toks[self.i]
+            if not den[:1].isdecimal():
                 raise self.error("expected a denominator")
-            n, d = _number(toks[self.i])
-            if not n:
-                raise self.error("zero denominator")
-            num, den = num * d, den * n
             self.i += 1
-        g = gcd(num, den)
-        return sign * num // g, den // g
+        ratio = _ratio(num, den)
+        if ratio is None:
+            raise self.error("zero denominator", self.i - 1)
+        return sign * ratio[0], ratio[1]
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""

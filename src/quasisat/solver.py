@@ -144,12 +144,14 @@ def _compile(s: Formula, names: tuple[str, ...],
     """The free variables of s and its tree of checks, in one walk:
     `names` holds the parameter names, then the variables bound above s,
     in order, and each way s leaves the solvable fragment is appended to
-    `violations`, in walk order.  Free variables are made bottom-up, an
-    and/or node's as the union of its sides', and both sides run on the
-    environment of `names` as it is.  A block's conjunction is split once
-    into its equation and inequality terms, each term is walked once for
-    its free variables, and the tapes are compiled over `names` and the
-    block's variables, so a run reads neither the formula nor the names.
+    `violations`, in walk order.  Free variables are made bottom-up.  A
+    chain of one connective is gathered on an explicit stack into one
+    node, whose free variables are the union of its sides' and whose
+    sides all run on the environment of `names` as it is.  A block's
+    conjunction is split once into its equation and inequality terms,
+    each term is walked once for its free variables, and the tapes are
+    compiled over `names` and the block's variables, so a run reads
+    neither the formula nor the names.
     The check is None when a violation has been found or a free variable
     is not in `names`; the caller then raises before anything runs."""
     if isinstance(s, ForAll):
@@ -160,11 +162,19 @@ def _compile(s: Formula, names: tuple[str, ...],
         return free - {var}, None if body is None else (
             lambda p_env, r, record: _univ(box, body, p_env, r, record))
     if isinstance(s, (And, Or)):
-        (lfree, left), (rfree, right) = (_compile(s.left, names, violations),
-                                         _compile(s.right, names, violations))
+        # a chain of one connective is one node, its sides left to right
+        sides, stack = [], [s]
+        while stack:
+            f = stack.pop()
+            if f.__class__ is s.__class__:
+                stack += (f.right, f.left)
+            else:
+                sides.append(_compile(f, names, violations))
+        free = frozenset().union(*(free for free, _ in sides))
+        checks = [check for _, check in sides]
         op = tri_and if isinstance(s, And) else tri_or
-        return lfree | rfree, None if left is None or right is None else (
-            lambda p_env, r, record: _combine(left, right, op, p_env, r, record))
+        return free, None if None in checks else (
+            lambda p_env, r, record: _combine(checks, op, p_env, r, record))
     if isinstance(s, Atom):  # a ground atom: a block without variables
         block_vars, bounds, atoms = (), (), [s]
     else:
@@ -473,11 +483,17 @@ def _univ(
 
 
 def _combine(
-    left: Check, right: Check, op, p_env: tuple[Ival, ...], r: Fraction,
+    sides: list[Check], op, p_env: tuple[Ival, ...], r: Fraction,
     record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    outs = left(p_env, r, record), right(p_env, r, record)
-    combined = op(outs[0][0], outs[1][0])
+    """Run every side in order and fold the verdicts with `op`.  The
+    certificate is the least over the sides whose verdict is the result:
+    as in the nested binary fold, where a pair whose verdict differs from
+    the result holds no side that agrees with it."""
+    outs = [side(p_env, r, record) for side in sides]
+    combined = outs[0][0]
+    for res, _ in outs[1:]:
+        combined = op(combined, res)
     if len(combined) != 1:
         return combined, None
     # the verdict's certificate combines the sides that forced it

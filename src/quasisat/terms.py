@@ -139,15 +139,20 @@ class Sqrt(_Unary):
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (Const, Pi)):
-        return frozenset()
-    if isinstance(t, (Add, Sub, Mul, Div)):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, Pow):
-        return free_vars(t.base)
-    return free_vars(t.arg)  # Neg, Sin, Cos, Exp, Sqrt
+    """The names of the variables of t, from an explicit stack, so a deep
+    term costs no recursion."""
+    found, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Var:
+            found.add(t.name)
+        elif isinstance(t, _Binary):
+            stack += (t.left, t.right)
+        elif t.__class__ is Pow:
+            stack.append(t.base)
+        elif isinstance(t, _Unary):  # Neg, Sin, Cos, Exp, Sqrt
+            stack.append(t.arg)
+    return frozenset(found)
 
 
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import certify, compile_term, positive_lower_bound
+from quasisat.evaluation import (_add, _constant_step, _div, _mul, _pow, _square, _sub, certify,
+                                 compile_term, positive_lower_bound)
 from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
@@ -115,17 +116,22 @@ def _terms():
     leaves = st.one_of(st.builds(T.Const, constants), st.just(T.Pi()),
                        st.sampled_from([T.Var(n) for n in NAMES]))
 
+    const = st.builds(T.Const, constants)
+
     def arithmetic(sub):
-        return st.one_of(
-            st.builds(T.Add, sub, sub), st.builds(T.Sub, sub, sub),
-            st.builds(T.Mul, sub, sub), st.builds(T.Div, sub, sub),
-            st.builds(T.Neg, sub))
+        # a constant as the left or the right operand gets a step of its
+        # own kind where the compiler has one (`_constant_step`)
+        return st.one_of(*(
+            st.builds(op, *operands)
+            for op in (T.Add, T.Sub, T.Mul, T.Div)
+            for operands in ((sub, sub), (const, sub), (sub, const))), st.builds(T.Neg, sub))
 
     # exp gets small arguments: a huge one makes its enclosure slow
     small = st.recursive(leaves, arithmetic, max_leaves=3)
     return st.recursive(leaves, lambda sub: st.one_of(
         arithmetic(sub),
-        st.builds(T.Pow, sub, st.integers(min_value=0, max_value=4)),
+        # the square has a step of its own
+        st.builds(T.Pow, sub, st.just(2) | st.integers(min_value=0, max_value=4)),
         st.builds(T.Sqrt, sub), st.builds(T.Sin, sub),
         st.builds(T.Cos, sub), st.builds(T.Exp, small)), max_leaves=10)
 
@@ -175,3 +181,45 @@ def test_evaluation_depth_is_not_bounded_by_the_stack():
         t = T.Add(t, T.Neg(X))
     lo, hi, den = compile_term(t, ("x",))([ival(0, 1)], 10)
     assert (Fraction(lo, den), Fraction(hi, den)) == (-20_000, 1)
+
+
+# ---------------------------------------------------------------------------
+# step kinds: a step with a constant operand, and the square, return the
+# very triple of the generic operation they replace
+
+GENERIC = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
+
+
+@st.composite
+def _triples(draw):
+    """An interval of any sign; denominator 1 meets an integer constant's."""
+    lo, hi = sorted((draw(st.integers(-40, 40)), draw(st.integers(-40, 40))))
+    return lo, hi, draw(st.sampled_from([1, 1, 2, 3, 12, 2 ** 20]))
+
+
+@given(_triples(), st.sampled_from(list(GENERIC)), st.booleans(),
+       constants | st.fractions(-30, 30, max_denominator=20))
+@settings(max_examples=600, deadline=None)
+def test_a_constant_operand_step_returns_the_generic_triple(a, cls, right, c):
+    c = Fraction(c)
+    const = (c.numerator, c.numerator, c.denominator)
+    operands = (a, const) if right else (const, a)
+    step = _constant_step(cls, c, right)
+    if step is None:  # a non-integer sum or difference, c / t and t / 0 stay generic
+        assert (cls in (T.Add, T.Sub) and c.denominator > 1
+                or cls is T.Div and not (right and c))
+        return
+    op, parameter = step
+    assert op(a, parameter, 10) == GENERIC[cls](*operands, 10)
+
+
+@given(_triples())
+def test_the_square_step_returns_the_generic_triple(a):
+    assert _square(a, None, 10) == _pow(a, 2, 10)
+
+
+@pytest.mark.parametrize("t", [T.Div(X, T.Const(0)), T.Div(T.Const(1), T.Const(0)),
+                               T.Div(T.Add(X, T.Const(2)), T.Const(0))])
+def test_a_division_by_a_zero_constant_raises_domain_error(t):
+    with pytest.raises(DomainError):
+        compile_term(t, ("x",))([ival(0, 1)], 10)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasisat import distance_enclosure, solver, validate_class_b
+from quasisat import distance_enclosure, free_vars, solver, validate_class_b
 from quasisat import terms as T
 from quasisat.degree import DegreeResult
 from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or
@@ -552,16 +552,23 @@ def test_deciding_a_sentence_visits_each_formula_node_once(monkeypatch, decide):
     assert len(visits) == 11
 
 
+def term_size(t):
+    """The number of nodes of a term."""
+    return 1 + sum(term_size(getattr(t, name)) for name in ("left", "right", "arg", "base")
+                   if hasattr(t, name))
+
+
 def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
     """Deciding a chain of k conjoined blocks visits each term node once
     for its free variables, in the compile walk, so the visits grow
     linearly in k (they grew as k^2 when each and/or side was walked from
-    scratch)."""
+    scratch).  Each call walks its whole term on its own stack, so a call
+    counts the nodes of its term."""
     visits = {}
     real = T.free_vars
 
     def counted(t):
-        visits[k] += 1
+        visits[k] += term_size(t)
         return real(t)
     monkeypatch.setattr(T, "free_vars", counted)
     for k in (25, 50, 100, 200):
@@ -658,6 +665,46 @@ def test_a_long_and_chain_stays_within_the_stack():
     walk it replaced: 400 conjoined blocks still solve."""
     s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * 400))
     assert quasi_decide(s, budget=1).outcome == "TRUE"
+
+
+def _under(frames: int, fn):
+    """fn() called under `frames` extra frames of the caller's own."""
+    return fn() if frames == 0 else _under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("word", ["or", "and"])
+def test_a_long_chain_of_one_connective_is_one_node(word):
+    """A chain of one connective compiles into one node that runs its
+    sides in order, so 1,500 blocks decide under 300 extra frames (494
+    raised RecursionError when each connective was a node of its own)."""
+    s = parse(f" {word} ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * 1500))
+    assert _under(300, lambda: quasi_decide(s, budget=1)).outcome == "TRUE"
+    assert _under(300, lambda: checksat(s, (), Fraction(1, 4))) == TRI_T
+    assert _under(300, lambda: validate_class_b(s)).in_class
+
+
+BLOCK = "(exists x in [0,1] . x - {} = 0)"
+
+
+@pytest.mark.parametrize("word, roots", [
+    ("or", ["3", "1/2", "-2", "1/4"]), ("or", ["3", "2", "-5/2"]),
+    ("and", ["1/2", "1/4", "3/4"]), ("and", ["1/2", "3", "1/4", "-5/2"]),
+])
+def test_a_chain_certificate_is_the_least_of_the_agreeing_sides(word, roots):
+    """The certificate of a decided chain is the least over the sides
+    whose verdict is the result, as folding the sides pairwise gives it."""
+    alone = [quasi_decide(parse(BLOCK.format(c)), budget=1) for c in roots]
+    v = quasi_decide(parse(f" {word} ".join(BLOCK.format(c) for c in roots)), budget=1)
+    assert v.outcome != "UNKNOWN" and all(a.outcome != "UNKNOWN" for a in alone)
+    assert v.certificate == min(a.certificate for a in alone if a.outcome == v.outcome)
+
+
+def test_a_deep_term_is_walked_for_its_free_variables_without_recursion():
+    """850 nested sin, within the parser's height bound, decide FALSE under
+    300 extra frames: the free-variable walks keep their own stacks."""
+    s = parse("exists x in [0,1] . " + "sin(" * 850 + "x" + ")" * 850 + " - 2 = 0")
+    assert _under(300, lambda: quasi_decide(s)).outcome == "FALSE"
+    assert _under(300, lambda: free_vars(s)) == frozenset()
 
 
 @pytest.mark.parametrize("copies", [1000, 3000])
