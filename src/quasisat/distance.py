@@ -43,16 +43,20 @@ def sup_abs_enclosure(
     bound is the largest mignitude of |t| over those cells and their
     corners, as any point value bounds the supremum from below.  So an
     expanded affine t closes at depth 0.  Axes that t does not mention
-    are dropped.  A cell where t leaves its domain (DomainError) has no
-    upper bound, so its depth gives none and it is kept; such a corner
-    gives no lower bound.  Bounds are integer pairs (num, den), compared
-    by cross-multiplication; one `RatInterval` is built at the end."""
+    are dropped; a variable of t not in `names` raises ValueError.  A
+    cell where t leaves its domain (DomainError) has no upper bound, so
+    its depth gives none and it is kept; such a corner gives no lower
+    bound.  Bounds are integer pairs (num, den), compared by
+    cross-multiplication; one `RatInterval` is built at the end."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tn, td = tol.numerator, tol.denominator
-    # an axis the term does not mention only multiplies the cells
     used = T.free_vars(t)
+    unbound = used.difference(names)
+    if unbound:
+        raise ValueError(f"free variables bound by no quantifier: {sorted(unbound)}")
+    # an axis the term does not mention only multiplies the cells
     kept = [i for i, v in enumerate(names) if v in used]
     evaluate = compile_term(t, [names[i] for i in kept])
     active = [tuple(box[i] for i in kept)]

@@ -141,7 +141,9 @@ def same_structure(f: Formula, g: Formula) -> bool:
 
 def formula_text(f: Formula, _parent: int = 0) -> str:
     """Render in the concrete grammar; a formula as `parse` builds it
-    reparses to an equal AST."""
+    reparses to an equal AST.  A left-deep chain of one connective is one
+    flat run, gathered in a loop, so it costs no recursion; a
+    right-nested side keeps its parentheses."""
     if isinstance(f, Eq):
         return f"{T.term_text(f.term)} = 0"
     if isinstance(f, Geq):
@@ -153,11 +155,15 @@ def formula_text(f: Formula, _parent: int = 0) -> str:
     if isinstance(f, ForAll):
         s = f"forall {f.var} in {_bound(f.bound)} . {formula_text(f.body)}"
         return f"({s})" if _parent else s
-    if isinstance(f, And):
-        s = f"{formula_text(f.left, 2)} and {formula_text(f.right, 2)}"
-        return f"({s})" if _parent >= 2 else s
-    s = f"{formula_text(f.left, 1)} or {formula_text(f.right, 1)}"
-    return f"({s})" if _parent else s
+    cls = f.__class__
+    level, word = (2, " and ") if cls is And else (1, " or ")
+    sides = []  # right to left
+    while f.__class__ is cls:
+        sides.append(f.right)
+        f = f.left
+    sides.append(f)
+    s = word.join(formula_text(side, level) for side in reversed(sides))
+    return f"({s})" if _parent >= level else s
 
 
 def _bound(iv: Ival) -> str:

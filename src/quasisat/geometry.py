@@ -95,18 +95,18 @@ def block_cells(block: Cell, steps: Sequence[int]) -> Iterator[Cell]:
                      if s else [(lo, hi, d)] for (lo, hi, d), s in zip(block, steps)))
 
 
-def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[int, Cell, Cell | None]]:
+def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[Cell, Cell | None]]:
     """The 2*dim faces of a grid cell, lower before upper on each axis, as
-    (axis, face, neighbour).  A face is the cell with `(end, end, den)`
-    on its axis; the neighbour across it is the cell shifted by one step
-    along the axis, None when `end` is an end of the grid (a degenerate
-    axis gives the same boundary face twice)."""
+    (face, neighbour).  A face is the cell with `(end, end, den)` on its
+    axis; the neighbour across it is the cell shifted by one step along
+    the axis, None when `end` is an end of the grid (a degenerate axis
+    gives the same boundary face twice)."""
     for axis, ((lo, hi, d), step, (first, last, _)) in enumerate(
             zip(cell, grid.steps, grid.whole)):
         for end, shift in ((lo, -step), (hi, step)):
             other = None if end == first or end == last else (
                 cell[:axis] + ((lo + shift, hi + shift, d),) + cell[axis + 1:])
-            yield axis, cell[:axis] + ((end, end, d),) + cell[axis + 1:], other
+            yield cell[:axis] + ((end, end, d),) + cell[axis + 1:], other
 
 
 def grid_cover(b: tuple[Ival, ...], r) -> Grid:

@@ -15,9 +15,10 @@ checked on the grid `grid_cover(bounds, r)` without visiting all of it.
 Blocks of cells are refuted top-down: a block whose interval evaluation
 excludes a solution is dropped whole (its bound enters the FALSE
 separation), and any other block is halved along the axis that holds the
-most cells until single plausible cells remain.  The zero-face merge
-then walks outward from the plausible cells only, so the work of an
-iteration follows the cells still in play, not the grid size.  An
+most cells until single plausible cells remain.  A flood across zero
+faces from each plausible cell not yet reached, in grid order, finds the
+candidate complexes in the grid order of their least plausible cell, so
+the work of an iteration follows the cells still in play.  An
 overdetermined block (more equations than variables) is undecided as
 soon as one cell is plausible, so its search stops there; with no
 plausible cell it runs in full.  The separation bounds are compared as
@@ -371,57 +372,42 @@ def _candidate_complexes(
     certs: dict[Cell, Cert], best: bool,
 ) -> list[list[Cell]]:
     """The cells of each zero-face component that holds a plausible cell
-    and no zero face on the grid boundary.
-
-    The components are grown outward from the plausible cells; one made
-    of refuted cells only has no zero, hence degree 0, and is skipped.
-    Every face of every member cell is tested once; the certificate of
-    each face that is not a zero face goes into `certs`, keyed by the
-    face.  With `best`, for a block that reads a parameter, it holds on
-    the whole slice and names the component of largest mignitude."""
-    members = set(plausible)
-    walk = list(plausible)
+    and no zero face on the grid boundary, in grid order, the components
+    in the grid order of their least plausible cell: each plausible cell
+    not yet reached starts a flood, which a zero face on the grid
+    boundary dooms.  A component of refuted cells only has no zero, hence
+    degree 0, and is never reached.  Every face of every reached cell is
+    tested once; the certificate of each face that is not a zero face
+    goes into `certs`, keyed by the face.  With `best`, for a block that
+    reads a parameter, it holds on the whole slice and names the equation
+    of largest mignitude."""
+    reached: set[Cell] = set()
     tested: set[Cell] = set()
-    joins: list[tuple[int, int, Cell, Cell]] = []  # axis, end, lower, upper
-    doomed: set[Cell] = set()
-    while walk:
-        cell = walk.pop()
-        for axis, face, other in faces_around(cell, grid):
-            if face in tested:
-                continue
-            tested.add(face)
-            record.faces_evaluated += 1
-            cert = certify(fs, p_env + face, p, best)
-            if cert is not None:
-                certs[face] = cert
-                continue
-            record.zero_faces += 1
-            if other is None:
-                doomed.add(cell)
-                continue
-            joins.append((axis, face[axis][0], min(cell, other), max(cell, other)))
-            if other not in members:
-                members.add(other)
-                walk.append(other)
-
-    parent: dict[Cell, Cell] = {}
-
-    def find(i):
-        while parent.get(i, i) != i:
-            parent[i] = parent.get(parent[i], parent[i])  # path halving
-            i = parent[i]
-        return i
-
-    # union in full-sweep order (axis, plane, cell), so that each
-    # component's root, and with it the order of the complexes, is fixed
-    for _, _, lower, upper in sorted(joins):
-        parent[find(lower)] = find(upper)
-    doomed_roots = {find(c) for c in doomed}
-    candidates: dict[Cell, list[Cell]] = {}
-    for cell in sorted(members):
-        if find(cell) not in doomed_roots:
-            candidates.setdefault(find(cell), []).append(cell)
-    return [candidates[root] for root in sorted(candidates)]
+    complexes: list[list[Cell]] = []
+    for seed in plausible:
+        if seed in reached:
+            continue
+        reached.add(seed)
+        cells, doomed = [seed], False
+        for cell in cells:  # the flood appends the cells it reaches
+            for face, other in faces_around(cell, grid):
+                if face in tested:
+                    continue
+                tested.add(face)
+                record.faces_evaluated += 1
+                cert = certify(fs, p_env + face, p, best)
+                if cert is not None:
+                    certs[face] = cert
+                    continue
+                record.zero_faces += 1
+                if other is None:
+                    doomed = True
+                elif other not in reached:
+                    reached.add(other)
+                    cells.append(other)
+        if not doomed:
+            complexes.append(sorted(cells))
+    return complexes
 
 
 def _soei_degree_phase(

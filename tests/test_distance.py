@@ -108,6 +108,21 @@ def test_distance_requires_positive_tolerance():
         sup_abs_enclosure(T.Var("y"), ("y",), (ival(0, 1),), Fraction(-1))
 
 
+def test_a_variable_bound_by_no_quantifier_raises_value_error():
+    """A difference that mentions a free variable is named in a
+    ValueError, as `quasi_decide` names it, not a KeyError of the tape."""
+    env = {"x": ival(0, 1)}
+    with pytest.raises(ValueError, match=r"free variables.*\['x'\]"):
+        distance_enclosure(parse("x >= 0", env), parse("2*x >= 0", env), TOL)
+    f = parse("exists y in [0,1] . x*y >= 0", env)
+    g = parse("exists y in [0,1] . 2*x*y >= 0", env)
+    with pytest.raises(ValueError, match=r"free variables.*\['x'\]"):
+        distance_enclosure(f, g, TOL)
+    with pytest.raises(ValueError, match=r"free variables.*\['x', 'z'\]"):
+        sup_abs_enclosure(parse("x + y*z >= 0", {**env, "y": ival(0, 1), "z": ival(0, 1)}).term,
+                          ("y",), (ival(0, 1),), TOL)
+
+
 def test_distance_with_pure_constant_shift():
     f = parse("exists x in [0,1] . x = 0")
     g = parse("exists x in [0,1] . x = 3/2")

@@ -234,14 +234,13 @@ def check_faces_around(g: Grid) -> None:
         got = list(faces_around(index_cell(g, idx), g))
         faces = list(index_cell_faces(g, idx))
         assert len(got) == len(faces) == 2 * len(g.counts)
-        for (axis, face, other), f in zip(got, faces):
+        for (face, other), f in zip(got, faces):
             assert idx in (f.lower_cell, f.upper_cell)
             fb = face_box(g, f)
             assert fb[f.axis].lo == fb[f.axis].hi
             assert all(fb[a] == cell[a] for a in range(len(g.counts)) if a != f.axis)
-            assert axis == f.axis
             assert ratboxes([face]) == (fb,)
-            assert face[axis][0] == face[axis][1]
+            assert face[f.axis][0] == face[f.axis][1]
             assert (other is None) == f.on_boundary
             if other is not None:
                 neighbour = f.upper_cell if f.lower_cell == idx else f.lower_cell

@@ -286,6 +286,31 @@ def test_formula_text_roundtrip():
         assert parse(formula_text(f)) == f
 
 
+_BLOCK = "(exists x in [0,1] . x - 1/2 = 0)"
+
+
+@pytest.mark.parametrize("text", [
+    f"{_BLOCK} or {_BLOCK} or {_BLOCK}",
+    f"{_BLOCK} or ({_BLOCK} or {_BLOCK})",
+    f"{_BLOCK} and {_BLOCK} or {_BLOCK} and {_BLOCK}",
+    f"({_BLOCK} or {_BLOCK}) and {_BLOCK} and ({_BLOCK} or {_BLOCK})",
+    "exists x in [0,1] . x = 0 and x >= 0 or x - 1 = 0 and (x >= 0 and x >= 0)",
+], ids=["or_chain", "right_nested_or", "and_under_or", "or_under_and", "atoms"])
+def test_formula_text_prints_a_chain_flat_and_a_right_nested_side_in_parentheses(text):
+    assert formula_text(parse(text)) == text
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("word", [" or ", " and "])
+def test_formula_text_prints_a_long_chain_without_recursion(frames, word):
+    """A 1,500-block chain, which `parse` and `quasi_decide` accept, prints
+    as itself at top level and under 300 extra frames.  The text is
+    compared, not the formula: `==` and `hash` of it still recurse."""
+    text = word.join([_BLOCK] * 1500)
+    f = parse(text)
+    assert _under(frames, lambda: formula_text(f)) == text
+
+
 def test_equal_rational_bounds_parse_to_equal_formulas():
     """A bound is the canonical `Ival` of its rationals, however they are
     written."""

@@ -31,8 +31,8 @@ EXTRA_BLOCKS = {
     "ineq_refuted_1d": "exists x in [-1,1] . x*(x - 1/8) = 0 and -x - 1/64 >= 0",
     "ineq_refuted_2d": "exists x in [-1,1], y in [-1,1] . "
                        "x = 0 and y = 0 and x + y - 1/16 >= 0",
-    # two conics whose complexes come out in another order when the zero
-    # faces are not united in grid sweep order
+    # two conics whose complexes come out in another order when they are
+    # ordered by union-find root, not by their least plausible cell
     "two_conics": "exists x in [-2,2], y in [-2,2] . "
                   "2*x^2 + y^2 + 2*x*y + x + 2*y - 2/3 = 0 and "
                   "-x^2 + y^2 + x*y - x + 1/2 = 0",
@@ -67,7 +67,8 @@ def sweep_plausible(eqs, ineqs, names, p_box, grid, p):
 
 def sweep_complexes(eqs, names, p_box, grid, p, plausible):
     """Union-find over every grid face: the components that hold a
-    plausible cell and no zero face on the grid boundary."""
+    plausible cell and no zero face on the grid boundary, in the index
+    order of their least plausible cell."""
     parent = {}
 
     def find(i):
@@ -90,8 +91,9 @@ def sweep_complexes(eqs, names, p_box, grid, p, plausible):
     for idx, _ in grid_cells(grid):
         groups.setdefault(find(idx), []).append(idx)
     keep = set(plausible)
-    return [cells for root, cells in sorted(groups.items())
-            if root not in doomed_roots and keep.intersection(cells)]
+    return sorted((cells for root, cells in groups.items()
+                   if root not in doomed_roots and keep.intersection(cells)),
+                  key=lambda cells: min(keep.intersection(cells)))
 
 
 def existential_blocks(f, pnames=(), p_box=()):
@@ -184,6 +186,35 @@ def check_seeded_degree(fs, eqs, names, pnames, p_box, grid, p, complexes, certs
                                                                fresh.subdivisions)
         else:
             assert seeded == fresh
+
+
+def test_complexes_come_in_the_grid_order_of_their_least_plausible_cell():
+    """A hand-built block on the 4 x 4 grid of width 1/2 over [0,2]^2: one
+    equation, a product of squared distances, whose enclosure on a box
+    holds zero exactly when the box holds one of three points.  (1, 5/4)
+    lies on the face between cells (1,2) and (2,2), (5/4, 1/2) on the face
+    between (2,0) and (2,1), and (3/4, 2) on the top face of (1,3), on
+    the grid boundary.  Each two-cell component is returned once, the one
+    of the least plausible cell first, though a union-find rooted at the
+    upper cell of each join would put it second; the doomed component
+    (1,3) lies between the two in grid order and is dropped."""
+    s = parse("exists x in [0,2], y in [0,2] . "
+              "((x - 1)^2 + (y - 5/4)^2) * ((x - 5/4)^2 + (y - 1/2)^2)"
+              " * ((x - 3/4)^2 + (y - 2)^2) = 0")
+    fs = [compile_term(f, s.vars) for f in block_parts(s)[0]]
+    r = Fraction(1, 2)
+    grid, p = grid_cover(s.bounds, r), prec_for(r)
+    record = IterationRecord(0, r, TRI_TF)
+    plausible, _ = _plausible_cells(fs, [], (), grid, p, record)
+
+    def cells(*idxs):
+        return [index_cell(grid, idx) for idx in idxs]
+
+    assert plausible == cells((1, 2), (1, 3), (2, 0), (2, 1), (2, 2))
+    got = _candidate_complexes(fs, (), grid, p, plausible, record, {}, False)
+    assert got == [cells((1, 2), (2, 2)), cells((2, 0), (2, 1))]
+    # five cells with 16 faces, four of them shared; one zero face each
+    assert (record.faces_evaluated, record.zero_faces) == (16, 3)
 
 
 # ---------------------------------------------------------------------------
