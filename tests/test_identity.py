@@ -5,7 +5,10 @@ workload item's distance bracket against its perturbed copy at the
 workloads' tolerance.
 
 A change that moves any of them shows up as a diff of
-`identity_golden.json`.  To record a new golden, run this file:
+`identity_golden.json`.  `trace_golden.json` pins every
+`IterationRecord` field of the same runs: per sentence, the summed cell,
+face, complex and subdivision counts and a sha256 of the whole trace as
+canonical JSON.  To record new goldens, run this file:
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -15,6 +18,8 @@ builds the check tree anew at every iteration, and so carries nothing.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import importlib.util
 import json
 import sys
@@ -22,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from quasisat import solver
+from quasisat.cli import _trace_json
 from quasisat.distance import distance_enclosure
 from quasisat.intervals import rat_str
 from quasisat.parser import parse
@@ -30,6 +36,10 @@ from quasisat.solver import TRI_TF, IterationRecord, quasi_decide
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 GOLDEN = TESTS / "identity_golden.json"
+TRACE_GOLDEN = TESTS / "trace_golden.json"
+# the IterationRecord counts that a trace golden line sums
+SUMMED = ("cells_evaluated", "cells_plausible", "faces_evaluated", "zero_faces",
+          "complexes", "degree_subdivisions")
 
 
 def _workloads():
@@ -51,17 +61,37 @@ def sentences() -> list[tuple[str, str, int, str | None]]:
     return out
 
 
-def verdicts() -> dict[str, list]:
-    tol = _workloads().DISTANCE_TOL
+@functools.lru_cache(maxsize=1)
+def decided() -> dict[str, tuple]:
+    """(formula, verdict, perturbed copy or None) for every sentence of
+    the goldens, decided once per session."""
     out = {}
     for key, text, budget, perturbed in sentences():
         f = parse(text)
-        v = quasi_decide(f, budget=budget)
+        out[key] = f, quasi_decide(f, budget=budget), perturbed
+    return out
+
+
+def verdicts() -> dict[str, list]:
+    tol = _workloads().DISTANCE_TOL
+    out = {}
+    for key, (f, v, perturbed) in decided().items():
         cert = None if v.certificate is None else rat_str(v.certificate)
         out[key] = [v.outcome, v.iterations, cert]
         if perturbed is not None:
             d = distance_enclosure(f, parse(perturbed), tol)
             out[key].append([rat_str(d.lo), rat_str(d.hi)])
+    return out
+
+
+def traces() -> dict[str, list]:
+    """The summed counts of every sentence's trace and a sha256 of the
+    trace as canonical JSON, every field of every record."""
+    out = {}
+    for key, (_, v, _) in decided().items():
+        text = json.dumps(_trace_json(v.trace), sort_keys=True, separators=(",", ":"))
+        out[key] = ([sum(getattr(r, name) for r in v.trace) for name in SUMMED]
+                    + [hashlib.sha256(text.encode()).hexdigest()])
     return out
 
 
@@ -77,6 +107,24 @@ def test_verdicts_and_certificates_match_the_golden():
     assert list(got) == list(want)
     changed = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
     assert not changed
+
+
+def test_iteration_records_match_the_trace_golden():
+    want = json.loads(TRACE_GOLDEN.read_text())
+    got = traces()
+    assert list(got) == list(want)
+    changed = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
+    assert not changed
+
+
+def test_iteration_records_keep_their_field_types():
+    for key, (_, v, _) in decided().items():
+        for r in v.trace:
+            assert type(r.eps) is Fraction, key
+            assert type(r.result) is frozenset, key
+            assert all(type(getattr(r, name)) is int
+                       for name in ("iteration", "precision") + SUMMED), key
+            assert all(d is None or type(d) is int for d in r.degrees), key
 
 
 def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | None]:
@@ -101,8 +149,7 @@ def test_carried_frontiers_change_nothing_but_cells_evaluated():
     fields = [k for k in IterationRecord._fields if k != "cells_evaluated"]
     carried = fresh = 0
     for key, text, budget, _ in sentences():
-        f = parse(text)
-        v = quasi_decide(f, budget=budget)
+        f, v, _ = decided()[key]
         trace, cert = fresh_tree_run(f, budget)
         assert [[getattr(r, k) for k in fields] for r in v.trace] == \
             [[getattr(r, k) for k in fields] for r in trace], key
@@ -114,4 +161,5 @@ def test_carried_frontiers_change_nothing_but_cells_evaluated():
 
 if __name__ == "__main__":
     GOLDEN.write_text(dumps(verdicts()))
-    print(f"wrote {GOLDEN}")
+    TRACE_GOLDEN.write_text(dumps(traces()))
+    print(f"wrote {GOLDEN} and {TRACE_GOLDEN}")
