@@ -42,7 +42,7 @@ class DegreeResult(Frozen):
 
     def __init__(self, value: int, boundary_min_lb: Fraction, subdivisions: int) -> None:
         # boundary_min_lb: verified lower bound on min over the boundary of |f|
-        if boundary_min_lb <= 0:
+        if boundary_min_lb.numerator <= 0:
             raise ValueError("degree result requires a positive boundary bound")
         init_field(self, "value", value)
         init_field(self, "boundary_min_lb", boundary_min_lb)
@@ -167,12 +167,15 @@ def degree(
     shared faces would not cancel), raise ValueError, and so does a
     complex whose boundary is empty (every cell degenerate), which has
     no boundary bound."""
-    if any(len(cell) != len(fs) for cell in cells):
-        raise ValueError("map and complex dimension differ")
-    if len({tuple(d for _, _, d in cell) for cell in cells}) > 1:
-        raise ValueError("the cells do not share one denominator per axis")
     if p < 1:
         raise ValueError("precision must be >= 1")
+    m, first = len(fs), cells[0] if cells else ()
+    for cell in cells:
+        if len(cell) != m:
+            raise ValueError("map and complex dimension differ")
+        for (_, _, d), (_, _, e) in zip(cell, first):
+            if d != e:
+                raise ValueError("the cells do not share one denominator per axis")
     cycle = oriented_boundary(cells)
     if not cycle:
         raise ValueError("the complex has an empty boundary (its cells are degenerate), "

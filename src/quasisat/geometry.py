@@ -13,7 +13,7 @@ grid's cells by integer ceil-division, so no `Fraction` is built.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import product
 
 from .intervals import Ival, rat
@@ -37,10 +37,10 @@ class Grid(Frozen):
     def __init__(self, base: tuple[Ival, ...], counts: tuple[int, ...]) -> None:
         if len(counts) != len(base):
             raise ValueError("counts and box dimension differ")
-        if any(c < 1 for c in counts):
-            raise ValueError("each axis needs at least one cell")
         whole, steps = [], []
         for (lo, hi, d), c in zip(base, counts):
+            if c < 1:
+                raise ValueError("each axis needs at least one cell")
             # lo + (hi - lo)*i/c over the common denominator d*c
             g = math.gcd(lo * c, hi - lo, d * c)
             whole.append((lo * c // g, hi * c // g, d * c // g))
@@ -59,65 +59,76 @@ def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
     """Split a block of grid cells in half along the axis that holds the
     most cells (the first such axis); None when the block is one cell.
     An axis of step 0 is degenerate and holds one cell."""
-    sizes = [(hi - lo) // s if s else 1 for (lo, hi, _), s in zip(block, steps)]
-    n = max(sizes, default=1)
+    axis, n = 0, 1
+    for a, ((lo, hi, _), s) in enumerate(zip(block, steps)):
+        if s and (hi - lo) // s > n:
+            axis, n = a, (hi - lo) // s
     if n == 1:
         return None
-    axis = sizes.index(n)
     lo, hi, d = block[axis]
     mid = lo + n // 2 * steps[axis]
     return (block[:axis] + ((lo, mid, d),) + block[axis + 1:],
             block[:axis] + ((mid, hi, d),) + block[axis + 1:])
 
 
-def covering_block(block: Cell, grid: Grid) -> Cell:
-    """The block of `grid`'s cells whose interiors meet the interior of
-    `block`, a block of another grid over the same base; a cell that only
-    touches `block` on a face is left out.  Grids of different widths do
-    not nest, so the ends are found by integer cross-multiplication."""
-    out = []
-    for (lo, hi, d), whole, step, count in zip(block, grid.whole, grid.steps, grid.counts):
-        if not step:  # a degenerate axis holds one cell
-            out.append(whole)
-            continue
-        first, _, e = whole
-        # cell i spans (first + step*i)/e to (first + step*(i + 1))/e: from
-        # the first cell ending above lo/d to one past the last starting below hi/d
-        i = max(0, (lo * e - first * d) // (step * d))
-        j = min(count, -((first * d - hi * e) // (step * d)))
-        out.append((first + step * i, first + step * j, e))
-    return tuple(out)
+def covering_cells(cells: Sequence[Cell], grid: Grid) -> list[Cell]:
+    """The cells of `grid` whose interiors meet the interior of one of
+    `cells`, cells or blocks of another grid over the same base, each once
+    and in grid order; a cell that only touches them on a face is left
+    out.  Grids of different widths do not nest, so the ends are found by
+    integer cross-multiplication."""
+    whole, steps, counts = grid.whole, grid.steps, grid.counts
+    out: list[Cell] = []
+    for cell in cells:
+        axes = []
+        for (lo, hi, d), (first, last, e), step, count in zip(cell, whole, steps, counts):
+            if not step:  # a degenerate axis holds one cell
+                axes.append(((first, last, e),))
+                continue
+            # cell i spans (first + step*i)/e to (first + step*(i + 1))/e: from
+            # the first cell ending above lo/d to one past the last starting below hi/d
+            i = (lo * e - first * d) // (step * d)
+            j = -((first * d - hi * e) // (step * d))
+            at, end = first + step * max(i, 0), first + step * min(j, count)
+            cuts = []
+            while at < end:
+                cuts.append((at, at + step, e))
+                at += step
+            axes.append(cuts)
+        out += product(*axes)  # in grid order
+    # the cells over two of `cells` may overlap
+    return out if len(cells) == 1 else sorted(set(out))
 
 
-def block_cells(block: Cell, steps: Sequence[int]) -> Iterator[Cell]:
-    """The single grid cells of a block, in grid order."""
-    return product(*([(lo + s * i, lo + s * (i + 1), d) for i in range((hi - lo) // s)]
-                     if s else [(lo, hi, d)] for (lo, hi, d), s in zip(block, steps)))
-
-
-def faces_around(cell: Cell, grid: Grid) -> Iterator[tuple[Cell, Cell | None]]:
+def faces_around(cell: Cell, grid: Grid) -> list[tuple[Cell, Cell | None]]:
     """The 2*dim faces of a grid cell, lower before upper on each axis, as
     (face, neighbour).  A face is the cell with `(end, end, den)` on its
     axis; the neighbour across it is the cell shifted by one step along
     the axis, None when `end` is an end of the grid (a degenerate axis
     gives the same boundary face twice)."""
+    out = []
     for axis, ((lo, hi, d), step, (first, last, _)) in enumerate(
             zip(cell, grid.steps, grid.whole)):
-        for end, shift in ((lo, -step), (hi, step)):
-            other = None if end == first or end == last else (
-                cell[:axis] + ((lo + shift, hi + shift, d),) + cell[axis + 1:])
-            yield cell[:axis] + ((end, end, d),) + cell[axis + 1:], other
+        head, tail = cell[:axis], cell[axis + 1:]
+        out.append((head + ((lo, lo, d),) + tail, None if lo == first or lo == last
+                    else head + ((lo - step, hi - step, d),) + tail))
+        out.append((head + ((hi, hi, d),) + tail, None if hi == first or hi == last
+                    else head + ((lo + step, hi + step, d),) + tail))
+    return out
 
 
 def grid_cover(b: tuple[Ival, ...], r) -> Grid:
     """Uniform grid over b with every cell width <= r."""
     r = rat(r)
-    if r <= 0:
+    num, den = r.numerator, r.denominator
+    if num <= 0:
         raise ValueError("grid width must be positive")
     # ceil((hi - lo)/d / r) by integer ceil-division
-    counts = tuple(max(1, -((lo - hi) * r.denominator // (d * r.numerator)))
-                   for lo, hi, d in b)
-    return Grid(b, counts)
+    counts = []
+    for lo, hi, d in b:
+        c = -((lo - hi) * den // (d * num))
+        counts.append(c if c > 0 else 1)
+    return Grid(b, tuple(counts))
 
 
 def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
@@ -138,19 +149,19 @@ def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
 def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
     """Add coef times the oriented boundary of `cell` to `acc`, dropping
     faces whose coefficient cancels to zero."""
-    t = 0
+    sign = coef  # of the upper face on the t-th non-degenerate axis: (-1)**(t-1)*coef
     for axis, (lo, hi, d) in enumerate(cell):
         if lo == hi:
             continue
-        t += 1
-        sign = -coef if t % 2 == 0 else coef
-        for end, s in ((hi, sign), (lo, -sign)):
-            face = cell[:axis] + ((end, end, d),) + cell[axis + 1:]
+        head, tail = cell[:axis], cell[axis + 1:]
+        for face, s in ((head + ((hi, hi, d),) + tail, sign),
+                        (head + ((lo, lo, d),) + tail, -sign)):
             got = acc.get(face, 0) + s
             if got:
                 acc[face] = got
             else:
                 acc.pop(face, None)
+        sign = -sign
 
 
 def bisect_box(cell: Cell) -> list[Cell]:

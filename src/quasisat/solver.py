@@ -50,12 +50,12 @@ precision (DomainError); that box then decides nothing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from collections.abc import Callable, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import And, Atom, Eq, ForAll, Formula, Geq, Or
-from .geometry import (Cell, Grid, block_cells, covering_block, faces_around, grid_cover,
-                       halve_block)
+from .geometry import Cell, Grid, covering_cells, faces_around, grid_cover, halve_block
 from .intervals import DomainError, rat
 from .degree import degree
 from .record import Frozen, Record, init_field
@@ -135,8 +135,9 @@ def _min_cert(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     return min(a, b)
 
 
-# a compiled sentence: (p_env, r, record) -> (verdict, certificate)
-Check = Callable[[tuple[Ival, ...], Fraction, IterationRecord],
+# a compiled sentence: (p_env, r, p, record) -> (verdict, certificate), on
+# the grid width r and the precision p = prec_for(r) of the iteration
+Check = Callable[[tuple[Ival, ...], Fraction, int, IterationRecord],
                  tuple[TriValue, Fraction | None]]
 
 
@@ -160,8 +161,8 @@ def _compile(s: Formula, names: tuple[str, ...],
         if var in names:
             violations.append(f"variable {var!r} shadows an outer binding")
         free, body = _compile(s.body, names + (var,), violations)
-        return free - {var}, None if body is None else (
-            lambda p_env, r, record: _univ(box, body, p_env, r, record))
+        return free - {var}, None if body is None else partial(
+            _univ, box, body if free else _once_per_iteration(body))
     if isinstance(s, (And, Or)):
         # a chain of one connective is one node, its sides left to right
         sides, stack = [], [s]
@@ -172,10 +173,10 @@ def _compile(s: Formula, names: tuple[str, ...],
             else:
                 sides.append(_compile(f, names, violations))
         free = frozenset().union(*(free for free, _ in sides))
-        checks = [check for _, check in sides]
+        checks = [check if side_free or not names or check is None
+                  else _once_per_iteration(check) for side_free, check in sides]
         op = tri_and if isinstance(s, And) else tri_or
-        return free, None if None in checks else (
-            lambda p_env, r, record: _combine(checks, op, p_env, r, record))
+        return free, None if None in checks else partial(_combine, checks, op)
     if isinstance(s, Atom):  # a ground atom: a block without variables
         block_vars, bounds, atoms = (), (), [s]
     else:
@@ -200,8 +201,20 @@ def _compile(s: Formula, names: tuple[str, ...],
     fs, gs = ([compile_term(t, names + block_vars) for t in terms] for terms in (eqs, ineqs))
     # a block that reads no parameter is the same block at every call, so
     # it carries its frontier from one to the next
-    frontier = None if free else []
-    return free, lambda p_env, r, record: _soei(bounds, fs, gs, p_env, r, record, frontier)
+    return free, partial(_soei, bounds, fs, gs, None if free else [])
+
+
+def _once_per_iteration(check: Check) -> Check:
+    """A check below a binder that reads no variable bound above it: its
+    answer is the same for every slab, so it runs once per iteration (per
+    record) and every later call of that iteration returns its answer."""
+    last: list = [None, None]  # the record of the last run and its answer
+
+    def once(p_env, r, p, record):
+        if last[0] is not record:
+            last[0], last[1] = record, check(p_env, r, p, record)
+        return last[1]
+    return once
 
 
 def _conjuncts(f: Formula, atoms: list[Atom]) -> bool:
@@ -264,7 +277,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
             raise ValueError(f"parameter {name}: endpoints out of order: [{lo}/{d}, {hi}/{d}]")
     if violations:
         raise ValueError("; ".join(violations))
-    return check(p_box, r, IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return check(p_box, r, prec_for(r), IterationRecord(0, Fraction(0), TRI_TF))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +286,14 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 
 def _soei(
     bounds: tuple[Ival, ...], fs: list[Evaluator], gs: list[Evaluator],
-    p_env: tuple[Ival, ...], r: Fraction, record: IterationRecord,
-    frontier: list[Cell] | None,
+    frontier: list[Cell] | None, p_env: tuple[Ival, ...], r: Fraction, p: int,
+    record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    """Decide a block on the grid of width r.  A `frontier` list (None for
-    a block that reads a parameter) holds the plausible cells of the last
-    pass: this pass starts from them, and only when it finds no plausible
-    cell does a full pass decide."""
+    """Decide a block on the grid of width r at precision p.  A `frontier`
+    list (None for a block that reads a parameter) holds the plausible
+    cells of the last pass: this pass starts from them, and only when it
+    finds no plausible cell does a full pass decide."""
     m, n = len(bounds), len(fs)
-    p = prec_for(r)
     record.precision = p
     grid = grid_cover(bounds, r)
 
@@ -320,42 +332,51 @@ def _plausible_cells(
     With `carried`, the plausible cells of a pass on an earlier grid over
     the same box, the search starts from this grid's cells that meet a
     carried cell, each once; everything else was refuted there."""
-    if carried is None:
-        blocks = [grid.whole]
-    else:
-        blocks = sorted({c for cell in carried
-                         for c in block_cells(covering_block(cell, grid), grid.steps)})
+    steps = grid.steps
+    blocks = [grid.whole] if carried is None else covering_cells(carried, grid)
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
+    evaluated = 0
     plausible: list[Cell] = []
     while blocks:
         block = blocks.pop()
         bound = _refutation_bound(fs, gs, p_env + block, p)
-        record.cells_evaluated += 1
+        evaluated += 1
         if bound is not None:
             if not den or bound[0] * den < num * bound[1]:
                 num, den = bound
             continue
-        halves = halve_block(block, grid.steps)
+        halves = halve_block(block, steps)
         if halves is None:
             plausible.append(block)
-            record.cells_plausible += 1
             if first:
                 break
         else:
-            blocks.extend(halves)
+            blocks += halves
+    record.cells_evaluated += evaluated
     if plausible:
-        return sorted(plausible), None
-    return [], Fraction(num, den)  # no plausible cell: some block was refuted
+        record.cells_plausible += len(plausible)
+        plausible.sort()
+        return plausible, None
+    return plausible, Fraction(num, den)  # no plausible cell: some block was refuted
 
 
 def _refutation_bound(
     fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
 ) -> tuple[int, int] | None:
     """A positive separation bound (num, den) when the box admits no
-    solution; None when it stays plausible (a DomainError refutes nothing)."""
-    cert = certify(fs, env, p)
-    if cert is not None:
-        return cert[2], cert[3]
+    solution: the mignitude of the first equation whose enclosure
+    excludes zero, or else of the first inequality whose enclosure lies
+    below zero; None when it stays plausible (a DomainError refutes
+    nothing)."""
+    for f in fs:
+        try:
+            lo, hi, d = f(env, p)
+        except DomainError:
+            continue
+        if lo > 0:
+            return lo, d
+        if hi < 0:
+            return -hi, d
     for g in gs:
         try:
             _, hi, d = g(env, p)
@@ -383,6 +404,7 @@ def _candidate_complexes(
     of largest mignitude."""
     reached: set[Cell] = set()
     tested: set[Cell] = set()
+    zeros = 0
     complexes: list[list[Cell]] = []
     for seed in plausible:
         if seed in reached:
@@ -394,19 +416,21 @@ def _candidate_complexes(
                 if face in tested:
                     continue
                 tested.add(face)
-                record.faces_evaluated += 1
                 cert = certify(fs, p_env + face, p, best)
                 if cert is not None:
                     certs[face] = cert
                     continue
-                record.zero_faces += 1
+                zeros += 1
                 if other is None:
                     doomed = True
                 elif other not in reached:
                     reached.add(other)
                     cells.append(other)
         if not doomed:
-            complexes.append(sorted(cells))
+            cells.sort()
+            complexes.append(cells)
+    record.faces_evaluated += len(tested)
+    record.zero_faces += zeros
     return complexes
 
 
@@ -450,7 +474,7 @@ def _soei_degree_phase(
 
 
 def _univ(
-    box: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction,
+    box: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction, p: int,
     record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
     grid = grid_cover((box,), r)
@@ -459,7 +483,7 @@ def _univ(
     cert: Fraction | None = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = body(p_env + (slab,), r, record)
+        sub, sub_cert = body(p_env + (slab,), r, p, record)
         acc = tri_and(acc, sub)
         if acc == TRI_F:
             # one definitely-false slice falsifies the universal
@@ -469,14 +493,14 @@ def _univ(
 
 
 def _combine(
-    sides: list[Check], op, p_env: tuple[Ival, ...], r: Fraction,
+    sides: list[Check], op, p_env: tuple[Ival, ...], r: Fraction, p: int,
     record: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
     """Run every side in order and fold the verdicts with `op`.  The
     certificate is the least over the sides whose verdict is the result:
     as in the nested binary fold, where a pair whose verdict differs from
     the result holds no side that agrees with it."""
-    outs = [side(p_env, r, record) for side in sides]
+    outs = [side(p_env, r, p, record) for side in sides]
     combined = outs[0][0]
     for res, _ in outs[1:]:
         combined = op(combined, res)
@@ -500,8 +524,8 @@ def quasi_decide(
 ) -> Verdict:
     """Halve the refinement parameter until checksat returns a singleton;
     report UNKNOWN when the iteration budget runs out."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    if not isinstance(budget, int) or budget < 1:
+        raise ValueError("budget must be a positive integer")
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("initial epsilon must be positive")
@@ -512,14 +536,20 @@ def quasi_decide(
     if violations:
         raise ValueError("; ".join(violations))
 
+    # eps = num/den in lowest terms is halved on the integers; the record
+    # holds the one Fraction of each iteration, which is also its grid width
+    num, den = eps.numerator, eps.denominator
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        result, cert = check((), eps, record)
+        result, cert = check((), eps, prec_for(eps), record)
         record.result = result
         trace.append(record)
         if len(result) == 1:
-            outcome = "TRUE" if True in result else "FALSE"
-            return Verdict(outcome, i, eps, cert, trace)
-        eps = eps / 2
-    return Verdict("UNKNOWN", budget, eps * 2, None, trace)
+            return Verdict("TRUE" if True in result else "FALSE", i, eps, cert, trace)
+        if num & 1:
+            den <<= 1
+        else:
+            num >>= 1
+        eps = Fraction(num, den)
+    return Verdict("UNKNOWN", budget, record.eps, None, trace)

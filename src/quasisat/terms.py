@@ -12,10 +12,64 @@ from .record import Frozen, init_field
 
 class Term(Frozen):
     """An immutable term node with structural, type-sensitive `==` and
-    `hash`.  Each class with fields compares and hashes them directly,
-    not through `Frozen`'s generic methods, as `expand_normal` does both
-    over whole trees."""
-    __slots__ = ()
+    `hash`, both on an explicit stack, so a term as high as `parse`
+    admits costs no recursion.  A node's hash is computed once, from its
+    class, its own data and its subterms' hashes, and kept in `_hash`
+    (None until then); `==` walks two trees side by side, left subterm
+    first, and stops at the first pair of nodes whose classes, computed
+    hashes or data differ."""
+    __slots__ = ("_hash",)
+
+    def __init__(self) -> None:
+        init_field(self, "_hash", None)
+
+    def _own_hash(self) -> int:
+        """The hash of this node from its subterms' cached hashes."""
+        return hash(self.__class__)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            order, stack = [], [self]  # the nodes without a hash, parents first
+            while stack:
+                node = stack.pop()
+                if node._hash is None:
+                    order.append(node)
+                    if isinstance(node, _Binary):
+                        stack += (node.left, node.right)
+                    elif isinstance(node, _Unary):
+                        stack.append(node.arg)
+                    elif node.__class__ is Pow:
+                        stack.append(node.base)
+            for node in reversed(order):
+                init_field(node, "_hash", node._own_hash())
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__ or (
+                    a._hash != b._hash and a._hash is not None and b._hash is not None):
+                return False
+            if isinstance(a, _Binary):
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif isinstance(a, _Unary):
+                stack.append((a.arg, b.arg))
+            elif cls is Pow:
+                if a.exponent != b.exponent:
+                    return False
+                stack.append((a.base, b.base))
+            elif cls is Const:
+                if a.value != b.value:
+                    return False
+            elif cls is Var and a.name != b.name:
+                return False
+        return True
 
 
 class Const(Term):
@@ -23,13 +77,9 @@ class Const(Term):
 
     def __init__(self, value: Fraction) -> None:
         init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+        init_field(self, "_hash", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self.value.as_integer_ratio() == other.value.as_integer_ratio()
-
-    def __hash__(self) -> int:
+    def _own_hash(self) -> int:
         # not Fraction.__hash__, which is Python code with a modular inverse
         return hash(self.value.as_integer_ratio())
 
@@ -43,13 +93,9 @@ class Var(Term):
 
     def __init__(self, name: str) -> None:
         init_field(self, "name", name)
+        init_field(self, "_hash", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
+    def _own_hash(self) -> int:
         return hash((Var, self.name))
 
 
@@ -59,14 +105,10 @@ class _Binary(Term):
     def __init__(self, left: Term, right: Term) -> None:
         init_field(self, "left", left)
         init_field(self, "right", right)
+        init_field(self, "_hash", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self.left, self.right))
+    def _own_hash(self) -> int:
+        return hash((self.__class__, self.left._hash, self.right._hash))
 
 
 class _Unary(Term):
@@ -74,14 +116,10 @@ class _Unary(Term):
 
     def __init__(self, arg: Term) -> None:
         init_field(self, "arg", arg)
+        init_field(self, "_hash", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.arg == other.arg
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self.arg))
+    def _own_hash(self) -> int:
+        return hash((self.__class__, self.arg._hash))
 
 
 class Add(_Binary):
@@ -112,14 +150,10 @@ class Pow(Term):
             raise ValueError("only natural exponents are allowed")
         init_field(self, "base", base)
         init_field(self, "exponent", exponent)
+        init_field(self, "_hash", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not Pow:
-            return NotImplemented
-        return self.exponent == other.exponent and self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash((Pow, self.base, self.exponent))
+    def _own_hash(self) -> int:
+        return hash((Pow, self.base._hash, self.exponent))
 
 
 class Sin(_Unary):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisat.geometry import (Grid, bisect_box, block_cells, covering_block, faces_around,
-                               grid_cover, halve_block, oriented_boundary)
+from quasisat.geometry import (Grid, bisect_box, covering_cells, faces_around, grid_cover,
+                               halve_block, oriented_boundary)
 from quasisat.intervals import ival
 
 import oracles
@@ -202,28 +202,31 @@ def meeting_cells(block, g: Grid) -> list:
     ((NINE_EIGHTHS, ival(Fraction(-1, 3), 1)), 2),
     ((ival(Fraction(1, 3)), NINE_EIGHTHS), 4),
 ])
-def test_covering_block_takes_the_cells_that_meet_a_block_of_another_grid(base, finest):
+def test_covering_cells_take_the_cells_that_meet_blocks_of_another_grid(base, finest):
     """From every block of one grid to every other grid of widths 1 to
     2^-finest over a box 9/8 wide, where a cell of one grid need not nest
-    in a cell of the other, `covering_block` spans exactly the cells whose
-    interiors meet the block's."""
+    in a cell of the other, `covering_cells` gives exactly the cells whose
+    interiors meet the block's; for a list of blocks, the cells that meet
+    any of them, each once and in grid order."""
     grids = [grid_cover(base, Fraction(1, 2 ** k)) for k in range(finest + 1)]
     for old in grids:
-        for block in halving_blocks(old):
-            for new in grids:
-                assert list(block_cells(covering_block(block, new), new.steps)) == \
-                    meeting_cells(block, new)
+        blocks = halving_blocks(old)
+        for new in grids:
+            for block in blocks:
+                assert covering_cells([block], new) == meeting_cells(block, new)
+            assert covering_cells(blocks[::3], new) == sorted(
+                {cell for block in blocks[::3] for cell in meeting_cells(block, new)})
 
 
-def test_covering_block_leaves_out_a_cell_that_touches_on_a_face():
+def test_covering_cells_leave_out_a_cell_that_touches_on_a_face():
     three, five, nine = (grid_cover((NINE_EIGHTHS,), Fraction(1, 2 ** k)) for k in (1, 2, 3))
     # cell [3/8, 3/4] of three: the cells [1/4, 3/8] and [3/4, 7/8] of
     # nine touch it on a face only
-    assert ratbox(covering_block(index_cell(three, (1,)), nine)) == \
-        box(rival(Fraction(3, 8), Fraction(3, 4)))
+    assert ratboxes(covering_cells([index_cell(three, (1,))], nine)) == tuple(
+        box(rival(Fraction(k, 8), Fraction(k + 1, 8))) for k in (3, 4, 5))
     # cell [9/40, 9/20] of five meets [1/8, 1/4] and [3/8, 1/2] in part
-    assert ratbox(covering_block(index_cell(five, (1,)), nine)) == \
-        box(rival(Fraction(1, 8), Fraction(1, 2)))
+    assert ratboxes(covering_cells([index_cell(five, (1,))], nine)) == tuple(
+        box(rival(Fraction(k, 8), Fraction(k + 1, 8))) for k in (1, 2, 3))
 
 
 def check_faces_around(g: Grid) -> None:

@@ -31,7 +31,7 @@ from quasisat.cli import _trace_json
 from quasisat.distance import distance_enclosure
 from quasisat.intervals import rat_str
 from quasisat.parser import parse
-from quasisat.solver import TRI_TF, IterationRecord, quasi_decide
+from quasisat.solver import TRI_TF, IterationRecord, prec_for, quasi_decide
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -134,7 +134,7 @@ def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | No
     trace, eps, cert = [], Fraction(1), None
     for i in range(1, budget + 1):
         record = IterationRecord(i, eps, TRI_TF)
-        record.result, cert = solver._compile(f, (), [])[1]((), eps, record)
+        record.result, cert = solver._compile(f, (), [])[1]((), eps, prec_for(eps), record)
         trace.append(record)
         if len(record.result) == 1:
             break

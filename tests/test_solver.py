@@ -84,11 +84,11 @@ def test_universal_slabs_are_the_fraction_cuts(bound, r):
     was given; non-dyadic and degenerate bounds included."""
     seen = []
 
-    def body(p_env, r, record):
+    def body(p_env, r, p, record):
         seen.append(p_env)
         return TRI_T, Fraction(1)
 
-    got = solver._univ(bound, body, ((1, 2, 3),), r, IterationRecord(0, r, TRI_TF))
+    got = solver._univ(bound, body, ((1, 2, 3),), r, prec_for(r), IterationRecord(0, r, TRI_TF))
     assert got == (TRI_T, Fraction(1))
     count = max(1, math.ceil(width(to_interval(bound)) / r))
     g = Grid((bound,), (count,))
@@ -254,6 +254,13 @@ def test_driver_rejects_free_variables_and_bad_budget():
         quasi_decide(parse("1 >= 0"), budget=0)
     with pytest.raises(ValueError):
         quasi_decide(parse("1 >= 0"), eps=Fraction(-1))
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, 1.0, "3", None])
+def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
+    """A float budget once escaped from `range` as a TypeError."""
+    with pytest.raises(ValueError, match="^budget must be a positive integer$"):
+        quasi_decide(parse("1 >= 0"), budget=budget)
 
 
 def test_true_verdict_certificate_is_a_robustness_margin():
@@ -771,8 +778,9 @@ WIDE_CARRY = "forall z in [0,3] . exists x in [0,1] . (x - 1/2)^2 = 0"
 def test_a_block_that_reads_no_parameter_carries_its_frontier_across_slabs(monkeypatch):
     """A block under a universal whose variable it does not read is the
     same block at every slab, so one full pass finds its frontier and it
-    is carried across slabs and iterations: iteration 8 evaluates 770
-    blocks over 384 slabs, where a full pass per slab evaluated 10,368."""
+    is carried across iterations, and it is checked once per iteration:
+    iteration 8 evaluates 4 blocks, where a full pass per slab evaluated
+    10,368 over its 384 slabs."""
     full_passes = []
     plausible_cells = solver._plausible_cells
 
@@ -785,28 +793,55 @@ def test_a_block_that_reads_no_parameter_carries_its_frontier_across_slabs(monke
     v = quasi_decide(parse(WIDE_CARRY), budget=8)
     assert (v.outcome, v.iterations) == ("UNKNOWN", 8)
     assert full_passes == [grid_cover(((0, 1, 1),), Fraction(1))]
-    assert v.trace[-1].cells_evaluated <= 800
+    assert v.trace[-1].cells_evaluated == 4
+
+
+@pytest.mark.parametrize("text, budget, calls", [
+    (WIDE_CARRY, 8, 8),
+    # the exists side once per iteration, `z + 1 >= 0` once per slab
+    ("forall z in [0,1] . (exists x in [7/16,9/16] . (x - 1/2)^2 <= 0) and z + 1 >= 0",
+     12, 12 + (2 ** 12 - 1)),
+], ids=["exists", "and-side"])
+def test_a_check_that_reads_no_parameter_runs_once_per_iteration(monkeypatch, text, budget,
+                                                                  calls):
+    """Every slab of an iteration would give a check that reads no
+    variable bound above it the same answer, so it runs once per
+    iteration and its answer is reused; a side that reads the slab still
+    runs at every slab."""
+    blocks = []
+    real = solver._soei
+
+    def spy(*args):
+        blocks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_soei", spy)
+    v = quasi_decide(parse(text), budget=budget)
+    assert (v.outcome, v.iterations) == ("UNKNOWN", budget)
+    assert len(blocks) == calls
 
 
 @pytest.mark.parametrize("text, outcome, cert, iterations", [
-    # (precision, complexes, degrees) of each iteration
-    (WIDE_CARRY, "UNKNOWN", None,
-     [(k + 2, 3 * 2 ** (k - 1), [0] * 3 * 2 ** (k - 1)) for k in range(1, 9)]),
+    # (precision, complexes, degrees) of each iteration: one complex per
+    # block check, not one per slab
+    (WIDE_CARRY, "UNKNOWN", None, [(k + 2, 1, [0]) for k in range(1, 9)]),
     ("forall z in [0,1] . exists x in [-1,1], y in [-1,1] . "
      "x*x + y*y - 1/2 = 0 and x - y = 0", "TRUE", Fraction(1, 4),
-     [(3, 1, [0]), (4, 2, [1, 1])]),
+     [(3, 1, [0]), (4, 1, [1])]),
     ("forall z in [0,1] . exists x in [0,1] . x*x + 1/4 = 0", "FALSE", Fraction(1, 4),
      [(3, 0, [])]),
     ("forall z in [0,1] . forall w in [0,1] . exists x in [0,1] . x - 1/3 = 0 and x >= 0",
-     "TRUE", Fraction(1, 12), [(3, 1, [1]), (4, 4, [1] * 4), (5, 16, [1] * 16)]),
+     "TRUE", Fraction(1, 12), [(3, 1, [1]), (4, 1, [1]), (5, 1, [1])]),
 ], ids=["double-root", "circle-line", "no-root", "two-universals"])
 def test_blocks_that_read_no_parameter_keep_the_verdicts_of_a_pass_per_slab(
         text, outcome, cert, iterations):
-    """A block under universals that it does not read carries its frontier
-    and picks each face certificate's first component, and its verdicts,
-    certificates and degrees are those it had when it was searched from
-    the whole grid at every slab and kept the component of largest
-    mignitude."""
+    """A block under universals that it does not read is checked once per
+    iteration, carries its frontier and picks each face certificate's
+    first component, and its verdicts, certificates and degrees are those
+    it had when it was searched from the whole grid at every slab and
+    kept the component of largest mignitude (that pass found 3*2^(k-1),
+    2 and 4^(k-1) complexes at iteration k of the first, second and last
+    sentence, every one with the same degree)."""
     v = quasi_decide(parse(text), budget=8)
     assert (v.outcome, v.iterations, v.certificate) == (outcome, len(iterations), cert)
     assert [(r.precision, r.complexes, r.degrees) for r in v.trace] == iterations

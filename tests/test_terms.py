@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
+from quasisat.parser import _MAX_HEIGHT, parse
 
 import oracles
 from oracles import exact_eval, float_eval, is_polynomial, substitute
@@ -67,6 +68,31 @@ def test_nodes_are_immutable_structural_values(node):
         f"{name}={value!r}" for name, value in zip(node._fields, fields)) + ")"
     assert node != tuple(fields) and node != fields
     assert pickle.loads(pickle.dumps(node)) == node and copy.deepcopy(node) == node
+
+
+def _under(frames: int, fn):
+    """fn() called under `frames` extra frames of the caller's own."""
+    return fn() if frames == 0 else _under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("op", ["+", "*"], ids=["sum", "product"])
+def test_hash_and_eq_of_a_term_at_the_height_bound_need_no_recursion(frames, op):
+    """A sum or product of height `_MAX_HEIGHT` hashes and compares at top
+    level and under 300 extra frames alike: equal before and after the
+    hashes are computed, and unequal to a copy whose deepest leaf
+    differs, which `==` finds by walking down before the hashes exist and
+    rejects at the root once they do."""
+    def term(first):
+        return parse(f"exists x in [0,2] . {op.join([first] + ['x'] * (_MAX_HEIGHT - 1))} "
+                     "- 1 = 0").body.term
+
+    a, b, other = term("x"), term("x"), term("2")
+    assert a is not b
+    assert _under(frames, lambda: a == b) and _under(frames, lambda: a != other)
+    assert _under(frames, lambda: hash(a)) == _under(frames, lambda: hash(b))
+    _under(frames, lambda: hash(other))
+    assert _under(frames, lambda: a == b) and _under(frames, lambda: a != other)
 
 
 @given(st.fractions(), st.integers(min_value=-5, max_value=5))
