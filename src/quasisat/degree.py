@@ -22,7 +22,9 @@ solver passes the slice centre as degenerate intervals); an `env` of
 another length than the tapes' names before the complex's own raises
 ValueError from the tapes.  Certificates a
 caller already holds for boundary cells (the solver's face walk) seed
-the top level: a cell found there is not evaluated again.
+the top level: a cell found there is not evaluated again.  The solver
+calls `degree` for every candidate complex in every iteration, often on
+one or two cells, so the input checks are one pass over the cells.
 """
 from __future__ import annotations
 

@@ -8,11 +8,14 @@ a face are all cells of this one form: a face has `(end, end, den)` on
 its axis.  Bisecting a cell doubles every `den`, so cells refined
 together stay on shared denominators, equal faces have equal keys and
 cells compare in the order of their numerators.  `grid_cover` counts a
-grid's cells by integer ceil-division, so no `Fraction` is built.
+grid's cells by integer ceil-division on the numerator and denominator
+of its width, so no `Fraction` is built or compared.  The solver calls
+`grid_cover`, `halve_block` and `covering_cells` for every block in
+every iteration, so each is one loop over the axes.
 """
 from __future__ import annotations
 
-import math
+from math import gcd, prod
 from collections.abc import Iterable, Sequence
 from itertools import product
 
@@ -42,7 +45,7 @@ class Grid(Frozen):
             if c < 1:
                 raise ValueError("each axis needs at least one cell")
             # lo + (hi - lo)*i/c over the common denominator d*c
-            g = math.gcd(lo * c, hi - lo, d * c)
+            g = gcd(lo * c, hi - lo, d * c)
             whole.append((lo * c // g, hi * c // g, d * c // g))
             steps.append((hi - lo) // g)
         init_field(self, "base", base)
@@ -52,17 +55,18 @@ class Grid(Frozen):
 
     @property
     def n_cells(self) -> int:
-        return math.prod(self.counts)
+        return prod(self.counts)
 
 
 def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
     """Split a block of grid cells in half along the axis that holds the
     most cells (the first such axis); None when the block is one cell.
     An axis of step 0 is degenerate and holds one cell."""
-    axis, n = 0, 1
-    for a, ((lo, hi, _), s) in enumerate(zip(block, steps)):
-        if s and (hi - lo) // s > n:
+    axis, n, a = 0, 1, 0  # n cells along `axis`; a counts the axes
+    for (lo, hi, _), s in zip(block, steps):
+        if s and hi - lo > n * s:  # more than n cells along axis a
             axis, n = a, (hi - lo) // s
+        a += 1
     if n == 1:
         return None
     lo, hi, d = block[axis]

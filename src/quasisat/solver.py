@@ -25,21 +25,28 @@ plausible cell it runs in full.  The separation bounds are compared as
 integer pairs, and one `Fraction` is built for a FALSE block.
 
 A block that reads no parameter (no variable bound outside it) carries
-its frontier across universal slabs and ε-iterations: the plausible
-cells of its last pass.  The next pass starts from the cells of the
-current grid that meet the carried cells, so a block with two plausible
-cells evaluates a handful of cells per call, not a descent from the
+its frontier across ε-iterations: the plausible cells of its last pass.
+The next pass starts from the cells of the current grid that meet the
+carried cells (`covering_cells`), so a block with two plausible cells
+evaluates a handful of cells per iteration, not a descent from the
 whole grid.  When that pass finds no plausible cell, a full pass from
 the whole grid decides the call, so a FALSE verdict and its separation
 are always those of a full pass.  A block that reads a parameter sees a
 new slice at every call and is searched from the whole grid each time.
+A check below a universal that reads no variable bound above it, a
+block or a larger subtree, gives every slab the same answer, so it runs
+once per iteration and the other slabs of that iteration reuse it.
 
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
-tree of checks `(p_env, r, record) -> (verdict, certificate)` that holds
-each block's tapes, compiled over all the parameters and bound variables
-above it, so every node runs on `p_env` as it is given, every universal
-slab and every iteration runs the same tree, and nothing reads the
-formula again.  That compile walk is the only walk of the formula:
+tree of checks `(p_env, r, p, record) -> (verdict, certificate)` that
+holds each block's tapes, compiled over all the parameters and bound
+variables above it, so every node runs on `p_env` as it is given, every
+universal slab and every iteration runs the same tree, and nothing
+reads the formula again.  Its nodes are `functools.partial`s, so a call
+through the tree adds no frame of its own.  The driver halves ε on an
+integer pair and builds the one `Fraction` its `IterationRecord` holds,
+which every check reads as its grid width r; p = `prec_for(r)` is found
+once per iteration.  That compile walk is the only walk of the formula:
 it also finds the free variables and checks the solvable fragment, whose
 violations `validate_class_b` reports on their own.  The refutation, the
 face walk and the degree (at the slice centre, as degenerate parameter
@@ -257,7 +264,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
     not fit the sentence, or a quantifier that rebinds a parameter name,
     raises ValueError."""
     r = rat(r)
-    if r <= 0:
+    if r.numerator <= 0:
         raise ValueError("refinement parameter must be positive")
     pnames, p_box = tuple(pnames), tuple(p_box)
     violations: list[str] = []
@@ -364,10 +371,9 @@ def _refutation_bound(
     fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
 ) -> tuple[int, int] | None:
     """A positive separation bound (num, den) when the box admits no
-    solution: the mignitude of the first equation whose enclosure
-    excludes zero, or else of the first inequality whose enclosure lies
-    below zero; None when it stays plausible (a DomainError refutes
-    nothing)."""
+    solution, from the first equation that excludes zero or else the
+    first inequality below zero; None when it stays plausible (a
+    DomainError refutes nothing)."""
     for f in fs:
         try:
             lo, hi, d = f(env, p)
@@ -527,7 +533,7 @@ def quasi_decide(
     if not isinstance(budget, int) or budget < 1:
         raise ValueError("budget must be a positive integer")
     eps = rat(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise ValueError("initial epsilon must be positive")
     violations: list[str] = []
     free, check = _compile(s, (), violations)

@@ -23,10 +23,6 @@ class Term(Frozen):
     def __init__(self) -> None:
         init_field(self, "_hash", None)
 
-    def _own_hash(self) -> int:
-        """The hash of this node from its subterms' cached hashes."""
-        return hash(self.__class__)
-
     def __hash__(self) -> int:
         if self._hash is None:
             order, stack = [], [self]  # the nodes without a hash, parents first
@@ -40,36 +36,53 @@ class Term(Frozen):
                         stack.append(node.arg)
                     elif node.__class__ is Pow:
                         stack.append(node.base)
-            for node in reversed(order):
-                init_field(node, "_hash", node._own_hash())
+            for node in reversed(order):  # from the subterms' cached hashes
+                cls = node.__class__
+                if isinstance(node, _Binary):
+                    h = hash((cls, node.left._hash, node.right._hash))
+                elif isinstance(node, _Unary):
+                    h = hash((cls, node.arg._hash))
+                elif cls is Pow:
+                    h = hash((cls, node.base._hash, node.exponent))
+                elif cls is Const:
+                    # not Fraction.__hash__, which is Python code with a modular inverse
+                    h = hash(node.value.as_integer_ratio())
+                else:
+                    h = hash((cls, node.name)) if cls is Var else hash(cls)
+                init_field(node, "_hash", h)
         return self._hash
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
+        stack = []  # the right subterms still to compare
+        a, b = self, other
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__ or (
+                        a._hash != b._hash and a._hash is not None and b._hash is not None):
+                    return False
+                if isinstance(a, _Binary):
+                    stack.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if isinstance(a, _Unary):
+                    a, b = a.arg, b.arg
+                    continue
+                if cls is Pow:
+                    if a.exponent != b.exponent:
+                        return False
+                    a, b = a.base, b.base
+                    continue
+                if cls is Const:
+                    if a.value != b.value:
+                        return False
+                elif cls is Var and a.name != b.name:
+                    return False
+            if not stack:
+                return True
             a, b = stack.pop()
-            if a is b:
-                continue
-            cls = a.__class__
-            if cls is not b.__class__ or (
-                    a._hash != b._hash and a._hash is not None and b._hash is not None):
-                return False
-            if isinstance(a, _Binary):
-                stack += ((a.right, b.right), (a.left, b.left))
-            elif isinstance(a, _Unary):
-                stack.append((a.arg, b.arg))
-            elif cls is Pow:
-                if a.exponent != b.exponent:
-                    return False
-                stack.append((a.base, b.base))
-            elif cls is Const:
-                if a.value != b.value:
-                    return False
-            elif cls is Var and a.name != b.name:
-                return False
-        return True
 
 
 class Const(Term):
@@ -78,10 +91,6 @@ class Const(Term):
     def __init__(self, value: Fraction) -> None:
         init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
         init_field(self, "_hash", None)
-
-    def _own_hash(self) -> int:
-        # not Fraction.__hash__, which is Python code with a modular inverse
-        return hash(self.value.as_integer_ratio())
 
 
 class Pi(Term):
@@ -95,9 +104,6 @@ class Var(Term):
         init_field(self, "name", name)
         init_field(self, "_hash", None)
 
-    def _own_hash(self) -> int:
-        return hash((Var, self.name))
-
 
 class _Binary(Term):
     __slots__ = _fields = ("left", "right")
@@ -107,9 +113,6 @@ class _Binary(Term):
         init_field(self, "right", right)
         init_field(self, "_hash", None)
 
-    def _own_hash(self) -> int:
-        return hash((self.__class__, self.left._hash, self.right._hash))
-
 
 class _Unary(Term):
     __slots__ = _fields = ("arg",)
@@ -117,9 +120,6 @@ class _Unary(Term):
     def __init__(self, arg: Term) -> None:
         init_field(self, "arg", arg)
         init_field(self, "_hash", None)
-
-    def _own_hash(self) -> int:
-        return hash((self.__class__, self.arg._hash))
 
 
 class Add(_Binary):
@@ -151,9 +151,6 @@ class Pow(Term):
         init_field(self, "base", base)
         init_field(self, "exponent", exponent)
         init_field(self, "_hash", None)
-
-    def _own_hash(self) -> int:
-        return hash((Pow, self.base._hash, self.exponent))
 
 
 class Sin(_Unary):
