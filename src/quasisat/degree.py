@@ -44,7 +44,7 @@ class DegreeResult(Frozen):
 
     def __init__(self, value: int, boundary_min_lb: Fraction, subdivisions: int) -> None:
         # boundary_min_lb: verified lower bound on min over the boundary of |f|
-        if boundary_min_lb.numerator <= 0:
+        if boundary_min_lb <= 0:
             raise ValueError("degree result requires a positive boundary bound")
         init_field(self, "value", value)
         init_field(self, "boundary_min_lb", boundary_min_lb)
