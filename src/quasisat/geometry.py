@@ -114,10 +114,9 @@ def faces_around(cell: Cell, grid: Grid) -> list[tuple[Cell, Cell | None]]:
     for axis, ((lo, hi, d), step, (first, last, _)) in enumerate(
             zip(cell, grid.steps, grid.whole)):
         head, tail = cell[:axis], cell[axis + 1:]
-        out.append((head + ((lo, lo, d),) + tail, None if lo == first or lo == last
-                    else head + ((lo - step, hi - step, d),) + tail))
-        out.append((head + ((hi, hi, d),) + tail, None if hi == first or hi == last
-                    else head + ((lo + step, hi + step, d),) + tail))
+        for end, shift in ((lo, -step), (hi, step)):
+            out.append((head + ((end, end, d),) + tail, None if end == first or end == last
+                        else head + ((lo + shift, hi + shift, d),) + tail))
     return out
 
 
