@@ -160,7 +160,9 @@ def _compile(s: Formula, names: tuple[str, ...],
     conjunction is split once into its equation and inequality terms,
     each term is walked once for its free variables, and the tapes are
     compiled over `names` and the block's variables, so a run reads
-    neither the formula nor the names.
+    neither the formula nor the names.  A universal's body, or an and/or
+    side below a binder, that reads none of `names` runs once per
+    iteration (`_once_per_iteration`).
     The check is None when a violation has been found or a free variable
     is not in `names`; the caller then raises before anything runs."""
     if isinstance(s, ForAll):
