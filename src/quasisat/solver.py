@@ -9,9 +9,9 @@ non-robust sentences stay undecided forever, which is the honest answer.
 Everything here is an `Ival` or a cell of `geometry`, a tuple of
 `Ival`s: the parameter box and the quantifier bounds are `Ival`s from
 the parser on, and a universal's slabs are the cells of
-`grid_cover((box,), r)`.  Every environment is a tuple, so each
+`grid_cover((box,), ε)`.  Every environment is a tuple, so each
 evaluation runs on `p_env + cell` as it stands.  An existential block is
-checked on the grid `grid_cover(bounds, r)` without visiting all of it.
+checked on the grid `grid_cover(bounds, ε)` without visiting all of it.
 Blocks of cells are refuted top-down: a block whose interval evaluation
 excludes a solution is dropped whole (its bound enters the FALSE
 separation), and any other block is halved along the axis that holds the
@@ -38,21 +38,22 @@ block or a larger subtree, gives every slab the same answer, so it runs
 once per iteration and the other slabs of that iteration reuse it.
 
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
-tree of checks `(p_env, r, p, record) -> (verdict, certificate)` that
-holds each block's tapes, compiled over all the parameters and bound
-variables above it, so every node runs on `p_env` as it is given, every
-universal slab and every iteration runs the same tree, and nothing
-reads the formula again.  Its nodes are `functools.partial`s, so a call
-through the tree adds no frame of its own.  The driver halves ε on an
-integer pair and builds the one `Fraction` its `IterationRecord` holds,
-which every check reads as its grid width r; p = `prec_for(r)` is found
-once per iteration.  That compile walk is the only walk of the formula:
-it also finds the free variables and checks the solvable fragment, whose
-violations `validate_class_b` reports on their own.  The refutation, the
-face walk and the degree (at the slice centre, as degenerate parameter
-intervals) run on the same tapes.  A division or sqrt that the parser
-admitted at precision 30 may leave its domain on a box at a lower
-precision (DomainError); that box then decides nothing.
+tree of checks `(p_env, it) -> (verdict, certificate)` that holds each
+block's tapes, compiled over all the parameters and bound variables
+above it, so every node runs on `p_env` as it is given, every universal
+slab and every iteration runs the same tree, and nothing reads the
+formula again.  Its nodes are `functools.partial`s, so a call through
+the tree adds no frame of its own.  The iteration's `IterationRecord`
+`it` is the one context of every check: the driver halves ε on an
+integer pair and builds each record with its one `Fraction` ε, the grid
+width, and its precision p = `prec_for(ε)`, and every check reads both
+there and adds its counts to it.  That compile walk is the only walk of
+the formula: it also finds the free variables and checks the solvable
+fragment, whose violations `validate_class_b` reports on their own.  The
+refutation, the face walk and the degree (at the slice centre, as
+degenerate parameter intervals) run on the same tapes.  A division or
+sqrt that the parser admitted at precision 30 may leave its domain on a
+box at a lower precision (DomainError); that box then decides nothing.
 """
 from __future__ import annotations
 
@@ -91,8 +92,9 @@ def prec_for(r: Fraction) -> int:
 
 
 class IterationRecord(Record):
-    """What one epsilon-iteration did; the JSON trace of the CLI prints
-    the fields in this order."""
+    """What one epsilon-iteration did, and the context that every check of
+    the iteration reads: the grid width `eps` and the precision.  The
+    JSON trace of the CLI prints the fields in this order."""
     __slots__ = _fields = (
         "iteration", "eps", "result", "complexes",
         "precision",  # p of the interval evaluations
@@ -136,16 +138,9 @@ class Verdict(Record):
         self.certificate, self.trace = certificate, trace
 
 
-def _min_cert(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None or b is None:
-        return None
-    return min(a, b)
-
-
-# a compiled sentence: (p_env, r, p, record) -> (verdict, certificate), on
-# the grid width r and the precision p = prec_for(r) of the iteration
-Check = Callable[[tuple[Ival, ...], Fraction, int, IterationRecord],
-                 tuple[TriValue, Fraction | None]]
+# a compiled sentence: (p_env, it) -> (verdict, certificate), on the grid
+# width it.eps and the precision it.precision of the iteration record it
+Check = Callable[[tuple[Ival, ...], IterationRecord], tuple[TriValue, Fraction | None]]
 
 
 def _compile(s: Formula, names: tuple[str, ...],
@@ -219,9 +214,9 @@ def _once_per_iteration(check: Check) -> Check:
     record) and every later call of that iteration returns its answer."""
     last: list = [None, None]  # the record of the last run and its answer
 
-    def once(p_env, r, p, record):
-        if last[0] is not record:
-            last[0], last[1] = record, check(p_env, r, p, record)
+    def once(p_env, it):
+        if last[0] is not it:
+            last[0], last[1] = it, check(p_env, it)
         return last[1]
     return once
 
@@ -286,7 +281,7 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
             raise ValueError(f"parameter {name}: endpoints out of order: [{lo}/{d}, {hi}/{d}]")
     if violations:
         raise ValueError("; ".join(violations))
-    return check(p_box, r, prec_for(r), IterationRecord(0, Fraction(0), TRI_TF))[0]
+    return check(p_box, IterationRecord(0, r, TRI_TF, precision=prec_for(r)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +290,24 @@ def checksat(s: Formula, p_box: Sequence[Ival], r, pnames: Sequence[str] = ()) -
 
 def _soei(
     bounds: tuple[Ival, ...], fs: list[Evaluator], gs: list[Evaluator],
-    frontier: list[Cell] | None, p_env: tuple[Ival, ...], r: Fraction, p: int,
-    record: IterationRecord,
+    frontier: list[Cell] | None, p_env: tuple[Ival, ...], it: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    """Decide a block on the grid of width r at precision p.  A `frontier`
-    list (None for a block that reads a parameter) holds the plausible
-    cells of the last pass: this pass starts from them, and only when it
-    finds no plausible cell does a full pass decide."""
+    """Decide a block on the grid of width `it.eps` at precision
+    `it.precision`.  A `frontier` list (None for a block that reads a
+    parameter) holds the plausible cells of the last pass: this pass
+    starts from them, and only when it finds no plausible cell does a
+    full pass decide."""
     m, n = len(bounds), len(fs)
-    record.precision = p
-    grid = grid_cover(bounds, r)
+    p = it.precision
+    grid = grid_cover(bounds, it.eps)
 
     # an overdetermined block (n > m) is undecided once one cell is plausible
     first = n > m
     plausible: list[Cell] = []
     if frontier:
-        plausible, _ = _plausible_cells(fs, gs, p_env, grid, p, record, first, frontier)
+        plausible, _ = _plausible_cells(fs, gs, p_env, grid, it, first, frontier)
     if not plausible:
-        plausible, separation = _plausible_cells(fs, gs, p_env, grid, p, record, first)
+        plausible, separation = _plausible_cells(fs, gs, p_env, grid, it, first)
     if frontier is not None:
         frontier[:] = plausible
     if not plausible:
@@ -324,13 +319,38 @@ def _soei(
                 return TRI_T, lb
     if n == 0 or n != m:  # n = 0 undecided, or overdetermined n > m
         return TRI_TF, None
-    return _soei_degree_phase(fs, gs, p_env, p, grid, plausible, record, frontier is None)
+    # The degree of each candidate complex runs on the block's own tapes
+    # at the slice centre, each parameter the degenerate interval of its
+    # midpoint, which is sound because no boundary face of the complex
+    # holds a zero anywhere on the slice.  The face walk's certificates
+    # hold on the whole slice, so they seed the degree's top level, and
+    # its `boundary_min_lb`, the least of them over the complex's
+    # boundary, is a certificate for every parameter value.
+    centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
+    certs: dict[Cell, Cert] = {}
+    for cells in _candidate_complexes(fs, p_env, grid, it, plausible, certs, frontier is None):
+        result = degree(fs, cells, p, centre, certs=certs)
+        it.complexes += 1
+        it.degrees.append(None if result is None else result.value)
+        if result is None:
+            continue
+        it.degree_subdivisions += result.subdivisions
+        if result.value == 0:
+            continue
+        cert = result.boundary_min_lb
+        for cell in cells if gs else ():
+            lb = positive_lower_bound(gs, p_env + cell, p)
+            if lb is None:  # an inequality may fail inside this complex
+                break
+            cert = min(cert, lb)
+        else:
+            return TRI_T, cert
+    return TRI_TF, None
 
 
 def _plausible_cells(
     fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid,
-    p: int, record: IterationRecord, first: bool = False,
-    carried: list[Cell] | None = None,
+    it: IterationRecord, first: bool = False, carried: list[Cell] | None = None,
 ) -> tuple[list[Cell], Fraction | None]:
     """Refute the grid top-down: a refuted block drops all of its cells,
     a plausible one is halved until single cells remain.  Returns the
@@ -341,7 +361,7 @@ def _plausible_cells(
     With `carried`, the plausible cells of a pass on an earlier grid over
     the same box, the search starts from this grid's cells that meet a
     carried cell, each once; everything else was refuted there."""
-    steps = grid.steps
+    steps, p = grid.steps, it.precision
     blocks = [grid.whole] if carried is None else covering_cells(carried, grid)
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     evaluated = 0
@@ -361,9 +381,9 @@ def _plausible_cells(
                 break
         else:
             blocks += halves
-    record.cells_evaluated += evaluated
+    it.cells_evaluated += evaluated
     if plausible:
-        record.cells_plausible += len(plausible)
+        it.cells_plausible += len(plausible)
         plausible.sort()
         return plausible, None
     return plausible, Fraction(num, den)  # no plausible cell: some block was refuted
@@ -396,9 +416,8 @@ def _refutation_bound(
 
 
 def _candidate_complexes(
-    fs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid, p: int,
-    plausible: list[Cell], record: IterationRecord,
-    certs: dict[Cell, Cert], best: bool,
+    fs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid, it: IterationRecord,
+    plausible: list[Cell], certs: dict[Cell, Cert], best: bool,
 ) -> list[list[Cell]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary, in grid order, the components
@@ -410,6 +429,7 @@ def _candidate_complexes(
     goes into `certs`, keyed by the face.  With `best`, for a block that
     reads a parameter, it holds on the whole slice and names the equation
     of largest mignitude."""
+    p = it.precision
     reached: set[Cell] = set()
     tested: set[Cell] = set()
     zeros = 0
@@ -437,44 +457,9 @@ def _candidate_complexes(
         if not doomed:
             cells.sort()
             complexes.append(cells)
-    record.faces_evaluated += len(tested)
-    record.zero_faces += zeros
+    it.faces_evaluated += len(tested)
+    it.zero_faces += zeros
     return complexes
-
-
-def _soei_degree_phase(
-    fs: list[Evaluator], gs: list[Evaluator], p_env: tuple[Ival, ...], p: int,
-    grid: Grid, plausible: list[Cell], record: IterationRecord, best: bool,
-) -> tuple[TriValue, Fraction | None]:
-    """Zero-face merging plus the degree test on candidate complexes.
-
-    The degree runs on the block's own tapes at the slice centre, each
-    parameter the degenerate interval of its midpoint, which is sound
-    because no boundary face of the complex holds a zero anywhere on the
-    slice.  The face walk's certificates hold on the whole slice, so they
-    seed the degree's top level, and its `boundary_min_lb`, the least of
-    them over the complex's boundary, is a certificate for every
-    parameter value."""
-    centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
-    certs: dict[Cell, Cert] = {}
-    for cells in _candidate_complexes(fs, p_env, grid, p, plausible, record, certs, best):
-        result = degree(fs, cells, p, centre, certs=certs)
-        record.complexes += 1
-        record.degrees.append(None if result is None else result.value)
-        if result is None:
-            continue
-        record.degree_subdivisions += result.subdivisions
-        if result.value == 0:
-            continue
-        cert = result.boundary_min_lb
-        for cell in cells if gs else ():
-            lb = positive_lower_bound(gs, p_env + cell, p)
-            if lb is None:  # an inequality may fail inside this complex
-                break
-            cert = min(cert, lb)
-        else:
-            return TRI_T, cert
-    return TRI_TF, None
 
 
 # ---------------------------------------------------------------------------
@@ -482,43 +467,41 @@ def _soei_degree_phase(
 
 
 def _univ(
-    box: Ival, body: Check, p_env: tuple[Ival, ...], r: Fraction, p: int,
-    record: IterationRecord,
+    box: Ival, body: Check, p_env: tuple[Ival, ...], it: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    grid = grid_cover((box,), r)
+    grid = grid_cover((box,), it.eps)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
     acc = TRI_T
     cert: Fraction | None = None
     for i in range(grid.counts[0]):
         slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = body(p_env + (slab,), r, p, record)
+        sub, sub_cert = body(p_env + (slab,), it)
+        if sub == TRI_F:  # one definitely-false slice falsifies the universal
+            return TRI_F, sub_cert
         acc = tri_and(acc, sub)
-        if acc == TRI_F:
-            # one definitely-false slice falsifies the universal
-            return TRI_F, sub_cert if sub == TRI_F else None
-        cert = sub_cert if i == 0 else _min_cert(cert, sub_cert)
+        # the least certificate so far, None once a slab has none
+        if i == 0 or sub_cert is None or cert is not None and sub_cert < cert:
+            cert = sub_cert
     return acc, cert if acc == TRI_T else None
 
 
 def _combine(
-    sides: list[Check], op, p_env: tuple[Ival, ...], r: Fraction, p: int,
-    record: IterationRecord,
+    sides: list[Check], op, p_env: tuple[Ival, ...], it: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
     """Run every side in order and fold the verdicts with `op`.  The
     certificate is the least over the sides whose verdict is the result:
     as in the nested binary fold, where a pair whose verdict differs from
     the result holds no side that agrees with it."""
-    outs = [side(p_env, r, p, record) for side in sides]
+    outs = [side(p_env, it) for side in sides]
     combined = outs[0][0]
     for res, _ in outs[1:]:
         combined = op(combined, res)
     if len(combined) != 1:
         return combined, None
-    # the verdict's certificate combines the sides that forced it
+    # the verdict's certificate combines the sides that forced it, and a
+    # singleton fold always has a side with its verdict
     decisive = [c for res, c in outs if res == combined]
-    if not decisive or any(c is None for c in decisive):
-        return combined, None
-    return combined, min(decisive)
+    return combined, None if None in decisive else min(decisive)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +515,7 @@ def quasi_decide(
 ) -> Verdict:
     """Halve the refinement parameter until checksat returns a singleton;
     report UNKNOWN when the iteration budget runs out."""
-    if not isinstance(budget, int) or budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError("budget must be a positive integer")
     eps = rat(eps)
     if eps.numerator <= 0:
@@ -544,13 +527,13 @@ def quasi_decide(
     if violations:
         raise ValueError("; ".join(violations))
 
-    # eps = num/den in lowest terms is halved on the integers; the record
-    # holds the one Fraction of each iteration, which is also its grid width
+    # eps = num/den in lowest terms is halved on the integers; each record
+    # holds the one Fraction of its iteration, the grid width, and p
     num, den = eps.numerator, eps.denominator
     trace: list[IterationRecord] = []
     for i in range(1, budget + 1):
-        record = IterationRecord(i, eps, TRI_TF)
-        result, cert = check((), eps, prec_for(eps), record)
+        record = IterationRecord(i, eps, TRI_TF, precision=prec_for(eps))
+        result, cert = check((), record)
         record.result = result
         trace.append(record)
         if len(result) == 1:

@@ -8,8 +8,8 @@ inequality terms of an exists block, the parser's domain check as a
 walk over the parsed formula, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
-to its `Ival` cell), and the degree, oriented boundary, bisection and
-supremum enclosure on `RatBox`es."""
+to its `Ival` cell), the degree, oriented boundary, bisection and
+supremum enclosure on `RatBox`es, and the recursive `repr` of a record."""
 from __future__ import annotations
 
 import math
@@ -978,3 +978,14 @@ def sup_abs_enclosure(
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
     return rival(max(a.lo, b.lo), min(a.hi, b.hi))
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def recursive_repr(self) -> str:
+    """`Record.__repr__` as a recursion over the fields: installed on
+    `Record`, it prints every nested record by calling itself."""
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{type(self).__name__}({fields})"

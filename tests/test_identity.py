@@ -133,8 +133,8 @@ def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | No
     and the last certificate."""
     trace, eps, cert = [], Fraction(1), None
     for i in range(1, budget + 1):
-        record = IterationRecord(i, eps, TRI_TF)
-        record.result, cert = solver._compile(f, (), [])[1]((), eps, prec_for(eps), record)
+        record = IterationRecord(i, eps, TRI_TF, precision=prec_for(eps))
+        record.result, cert = solver._compile(f, (), [])[1]((), record)
         trace.append(record)
         if len(record.result) == 1:
             break

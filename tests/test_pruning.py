@@ -133,18 +133,18 @@ def test_pruning_matches_full_sweep(block):
     for k in range(finest + 1):
         r = Fraction(1, 2 ** k)
         grid, p = grid_cover(s.bounds, r), prec_for(r)
-        record = IterationRecord(0, r, TRI_TF)
-        plausible, _ = _plausible_cells(fs, gs, p_box, grid, p, record)
+        record = IterationRecord(0, r, TRI_TF, precision=p)
+        plausible, _ = _plausible_cells(fs, gs, p_box, grid, record)
         want = sweep_plausible(eqs, ineqs, names, p_box, grid, p)
         assert plausible == [index_cell(grid, idx) for idx in want]
         if last:  # a pass from the last grid's plausible cells finds the same
-            assert _plausible_cells(fs, gs, p_box, grid, p, record,
+            assert _plausible_cells(fs, gs, p_box, grid, record,
                                     carried=last)[0] == plausible
         last = plausible
         if len(eqs) == len(s.vars):
             certs = {}
-            got = _candidate_complexes(fs, p_box, grid, p,
-                                       plausible, record, certs, bool(p_box))
+            got = _candidate_complexes(fs, p_box, grid, record,
+                                       plausible, certs, bool(p_box))
             assert got == [[index_cell(grid, idx) for idx in cells]
                            for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
             check_face_certificates(eqs, names, p_box, grid, p, certs)
@@ -204,14 +204,14 @@ def test_complexes_come_in_the_grid_order_of_their_least_plausible_cell():
     fs = [compile_term(f, s.vars) for f in block_parts(s)[0]]
     r = Fraction(1, 2)
     grid, p = grid_cover(s.bounds, r), prec_for(r)
-    record = IterationRecord(0, r, TRI_TF)
-    plausible, _ = _plausible_cells(fs, [], (), grid, p, record)
+    record = IterationRecord(0, r, TRI_TF, precision=p)
+    plausible, _ = _plausible_cells(fs, [], (), grid, record)
 
     def cells(*idxs):
         return [index_cell(grid, idx) for idx in idxs]
 
     assert plausible == cells((1, 2), (1, 3), (2, 0), (2, 1), (2, 2))
-    got = _candidate_complexes(fs, (), grid, p, plausible, record, {}, False)
+    got = _candidate_complexes(fs, (), grid, record, plausible, {}, False)
     assert got == [cells((1, 2), (2, 2)), cells((2, 0), (2, 1))]
     # five cells with 16 faces, four of them shared; one zero face each
     assert (record.faces_evaluated, record.zero_faces) == (16, 3)

@@ -84,17 +84,70 @@ def test_universal_slabs_are_the_fraction_cuts(bound, r):
     was given; non-dyadic and degenerate bounds included."""
     seen = []
 
-    def body(p_env, r, p, record):
+    def body(p_env, it):
         seen.append(p_env)
         return TRI_T, Fraction(1)
 
-    got = solver._univ(bound, body, ((1, 2, 3),), r, prec_for(r), IterationRecord(0, r, TRI_TF))
+    it = IterationRecord(0, r, TRI_TF, precision=prec_for(r))
+    got = solver._univ(bound, body, ((1, 2, 3),), it)
     assert got == (TRI_T, Fraction(1))
     count = max(1, math.ceil(width(to_interval(bound)) / r))
     g = Grid((bound,), (count,))
     assert [env[0] for env in seen] == [(1, 2, 3)] * count
     assert [(Fraction(lo, d), Fraction(hi, d)) for _, (lo, hi, d) in seen] == [
         (grid_cut(g, 0, i), grid_cut(g, 0, i + 1)) for i in range(count)]
+
+
+@pytest.mark.parametrize("script, want, calls", [
+    ([(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 4))], (TRI_T, Fraction(1, 4)), 2),
+    ([(TRI_T, Fraction(1, 2)), (TRI_T, None)], (TRI_T, None), 2),
+    ([(TRI_T, None), (TRI_T, Fraction(1, 2))], (TRI_T, None), 2),
+    ([(TRI_T, Fraction(1, 2)), (TRI_TF, None), (TRI_F, Fraction(1, 8)), (TRI_T, Fraction(1))],
+     (TRI_F, Fraction(1, 8)), 3),
+    ([(TRI_TF, None), (TRI_T, Fraction(1, 2))], (TRI_TF, None), 2),
+], ids=["least-true", "true-without", "without-first", "false-stops", "undecided"])
+def test_a_universal_folds_its_slabs(script, want, calls):
+    """A universal is TRUE with the least certificate of its slabs (None
+    when one has none), FALSE with the certificate of its first FALSE
+    slab, at which it stops, and undecided otherwise."""
+    seen = []
+
+    def body(p_env, it):
+        seen.append(p_env)
+        return script[len(seen) - 1]
+
+    r = Fraction(1, len(script))
+    it = IterationRecord(0, r, TRI_TF, precision=prec_for(r))
+    got = solver._univ(ival(0, 1), body, (), it)
+    assert got == want and len(seen) == calls
+
+
+@pytest.mark.parametrize("op, outs, want", [
+    (tri_and, [(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 4))], (TRI_T, Fraction(1, 4))),
+    (tri_and, [(TRI_T, Fraction(1, 8)), (TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 4))],
+     (TRI_F, Fraction(1, 4))),
+    (tri_and, [(TRI_T, None), (TRI_TF, None), (TRI_F, Fraction(1, 2))], (TRI_F, Fraction(1, 2))),
+    (tri_and, [(TRI_F, None), (TRI_F, Fraction(1, 4))], (TRI_F, None)),
+    (tri_and, [(TRI_TF, None), (TRI_T, Fraction(1, 2))], (TRI_TF, None)),
+    (tri_or, [(TRI_F, Fraction(1, 8)), (TRI_T, Fraction(1, 2)), (TRI_TF, None)],
+     (TRI_T, Fraction(1, 2))),
+    (tri_or, [(TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 8))], (TRI_F, Fraction(1, 8))),
+    (tri_or, [(TRI_T, Fraction(1, 2)), (TRI_T, None)], (TRI_T, None)),
+    (tri_or, [(TRI_F, None), (TRI_TF, None)], (TRI_TF, None)),
+], ids=["and-true", "and-false", "and-false-past-none", "and-false-without", "and-undecided",
+        "or-true", "or-false", "or-true-without", "or-undecided"])
+def test_a_connective_folds_its_sides(op, outs, want):
+    """An and/or node runs every side in order; its certificate is the
+    least over the sides whose verdict is the result, None when one of
+    them has none."""
+    ran = []
+
+    def side(i):
+        return lambda p_env, it: ran.append(i) or outs[i]
+
+    got = solver._combine([side(i) for i in range(len(outs))], op, (),
+                          IterationRecord(0, Fraction(1), TRI_TF, precision=3))
+    assert got == want and ran == list(range(len(outs)))
 
 
 def slab_reference(s, p_box, r, pnames):
@@ -256,7 +309,7 @@ def test_driver_rejects_free_variables_and_bad_budget():
         quasi_decide(parse("1 >= 0"), eps=Fraction(-1))
 
 
-@pytest.mark.parametrize("budget", [0, -1, 2.5, 1.0, "3", None])
+@pytest.mark.parametrize("budget", [0, -1, 2.5, 1.0, "3", None, True])
 def test_a_budget_that_is_not_a_positive_integer_is_rejected(budget):
     """A float budget once escaped from `range` as a TypeError."""
     with pytest.raises(ValueError, match="^budget must be a positive integer$"):
@@ -785,7 +838,7 @@ def test_a_block_that_reads_no_parameter_carries_its_frontier_across_slabs(monke
     plausible_cells = solver._plausible_cells
 
     def counted(*args, **kwargs):
-        if len(args) + len(kwargs) < 8:  # no carried frontier
+        if len(args) + len(kwargs) < 7:  # no carried frontier
             full_passes.append(args[3])
         return plausible_cells(*args, **kwargs)
 
@@ -867,7 +920,7 @@ def test_an_overdetermined_block_whose_carried_cell_is_refuted_runs_a_full_pass(
     plausible_cells = solver._plausible_cells
 
     def counted(*args, **kwargs):
-        if len(args) + len(kwargs) < 8:  # no carried frontier
+        if len(args) + len(kwargs) < 7:  # no carried frontier
             full_passes.append(args[3])
         return plausible_cells(*args, **kwargs)
 
@@ -896,9 +949,8 @@ def test_a_false_overdetermined_block_keeps_the_full_sweep_certificate(
     v = quasi_decide(s, budget=11)
     assert (v.outcome, v.iterations) == ("FALSE", iterations)
     eqs, _ = block_parts(s)
-    record = IterationRecord(0, v.final_eps, TRI_TF)
+    record = IterationRecord(0, v.final_eps, TRI_TF, precision=prec_for(v.final_eps))
     plausible, separation = solver._plausible_cells(
-        tapes(eqs, ("x",)), [], (), grid_cover(s.bounds, v.final_eps),
-        prec_for(v.final_eps), record)
+        tapes(eqs, ("x",)), [], (), grid_cover(s.bounds, v.final_eps), record)
     assert plausible == [] and v.certificate == separation == cert
     assert v.trace[-1].cells_evaluated == record.cells_evaluated + carried

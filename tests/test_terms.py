@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
 from quasisat.parser import _MAX_HEIGHT, parse
+from quasisat.record import Record
+from quasisat.solver import quasi_decide
 
 import oracles
+from conftest import corpus_entries
 from oracles import exact_eval, float_eval, is_polynomial, substitute
 
 X, Y = T.Var("x"), T.Var("y")
@@ -93,6 +96,28 @@ def test_hash_and_eq_of_a_term_at_the_height_bound_need_no_recursion(frames, op)
     assert _under(frames, lambda: hash(a)) == _under(frames, lambda: hash(b))
     _under(frames, lambda: hash(other))
     assert _under(frames, lambda: a == b) and _under(frames, lambda: a != other)
+
+
+def test_repr_is_the_recursive_reference(monkeypatch):
+    """`repr` on its explicit stack prints every corpus sentence, and the
+    budget-3 `Verdict` of each with its trace, as the recursion over the
+    fields does."""
+    sentences = [parse(text) for _, text, _, _ in corpus_entries()]
+    values = sentences + [quasi_decide(f, budget=3) for f in sentences]
+    got = [repr(v) for v in values]
+    monkeypatch.setattr(Record, "__repr__", oracles.recursive_repr)
+    assert got == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_repr_of_a_sentence_at_the_height_bound_needs_no_recursion(frames):
+    """An 850-deep `sin` sentence, which `parse` accepts, prints at top
+    level and under 300 extra frames alike."""
+    f = parse("exists x in [0,1] . " + "sin(" * 850 + "x" + ")" * 850 + " - 2 = 0")
+    assert _under(frames, lambda: repr(f)) == (
+        "Exists(vars=('x',), bounds=((0, 1, 1),), body=Eq(term=Sub(left="
+        + "Sin(arg=" * 850 + "Var(name='x')" + ")" * 850
+        + ", right=Const(value=Fraction(2, 1)))))")
 
 
 @given(st.fractions(), st.integers(min_value=-5, max_value=5))
