@@ -4,11 +4,16 @@ A record's fields are named by its class attribute `_fields`, in the
 order its constructor takes them; its `__slots__` hold the fields and
 anything derived from them.  Two records are equal when they are of the
 same class and their fields are equal, and the `repr` shows the fields
-by name, on an explicit stack, so it does not recurse through nested
-records.  `Frozen` records refuse assignment with `AttributeError`, as a
-frozen dataclass does, and hash by their fields; a mutable `Record` is
-not hashable.  Classes that are compared or hashed in bulk (the term
-nodes) write their own `__eq__` and `__hash__`.
+by name.  `Frozen` records refuse assignment with `AttributeError`, as a
+frozen dataclass does, and hash by their class and fields; a mutable
+`Record` is not hashable.  `==`, `hash` and `repr` walk the records
+nested in the fields on an explicit stack, so a term or formula of any
+height costs no recursion, and this module holds the package's only
+`__eq__` and `__hash__`.  A frozen record keeps its hash in `_hash`,
+which stays unset until the first `hash`: as in Filliâtre and Conchon's
+hash-consing (without its table of shared nodes), a record's hash is
+computed once, from its class, its plain fields and the cached hashes
+of its frozen fields.
 """
 from __future__ import annotations
 
@@ -17,20 +22,34 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # a and b are records of one class; the stack holds the pairs of
+        # record fields still to compare, and any other field is compared
+        # with its own `!=` on the spot
+        stack = []
+        a, b = self, other
+        while True:
+            for name in a._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is not y:
+                    if isinstance(x, Record):
+                        if x.__class__ is not y.__class__:
+                            return False
+                        stack.append((x, y))
+                    elif x != y:
+                        return False
+            if not stack:
+                return True
+            a, b = stack.pop()
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        # an explicit stack of text and records, so a term of any height
-        # prints without recursion: a record whose class keeps this repr
-        # is pushed as its pieces, any other value is its own repr
+        # an explicit stack of text and records: a record whose class
+        # keeps this repr is pushed as its pieces, any other value is its
+        # own repr
         out: list[str] = []
         stack: list = [self]
         while stack:
@@ -48,14 +67,31 @@ class Record:
         return "".join(out)
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Frozen(Record):
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        h = getattr(self, "_hash", None)
+        if h is None:
+            order, stack = [], [self]  # the records without a hash, parents first
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                for name in node._fields:
+                    v = getattr(node, name)
+                    if isinstance(v, Frozen) and getattr(v, "_hash", None) is None:
+                        stack.append(v)
+            for node in reversed(order):  # from the fields' cached hashes
+                key = [node.__class__]
+                for name in node._fields:
+                    v = getattr(node, name)
+                    key.append(v._hash if isinstance(v, Frozen) else v)
+                init_field(node, "_hash", hash(tuple(key)))
+            h = self._hash
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -11,78 +11,10 @@ from .record import Frozen, init_field
 
 
 class Term(Frozen):
-    """An immutable term node with structural, type-sensitive `==` and
-    `hash`, both on an explicit stack, so a term as high as `parse`
-    admits costs no recursion.  A node's hash is computed once, from its
-    class, its own data and its subterms' hashes, and kept in `_hash`
-    (None until then); `==` walks two trees side by side, left subterm
-    first, and stops at the first pair of nodes whose classes, computed
-    hashes or data differ."""
-    __slots__ = ("_hash",)
-
-    def __init__(self) -> None:
-        init_field(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            order, stack = [], [self]  # the nodes without a hash, parents first
-            while stack:
-                node = stack.pop()
-                if node._hash is None:
-                    order.append(node)
-                    if isinstance(node, _Binary):
-                        stack += (node.left, node.right)
-                    elif isinstance(node, _Unary):
-                        stack.append(node.arg)
-                    elif node.__class__ is Pow:
-                        stack.append(node.base)
-            for node in reversed(order):  # from the subterms' cached hashes
-                cls = node.__class__
-                if isinstance(node, _Binary):
-                    h = hash((cls, node.left._hash, node.right._hash))
-                elif isinstance(node, _Unary):
-                    h = hash((cls, node.arg._hash))
-                elif cls is Pow:
-                    h = hash((cls, node.base._hash, node.exponent))
-                elif cls is Const:
-                    # not Fraction.__hash__, which is Python code with a modular inverse
-                    h = hash(node.value.as_integer_ratio())
-                else:
-                    h = hash((cls, node.name)) if cls is Var else hash(cls)
-                init_field(node, "_hash", h)
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = []  # the right subterms still to compare
-        a, b = self, other
-        while True:
-            if a is not b:
-                cls = a.__class__
-                if cls is not b.__class__ or (
-                        a._hash != b._hash and a._hash is not None and b._hash is not None):
-                    return False
-                if isinstance(a, _Binary):
-                    stack.append((a.right, b.right))
-                    a, b = a.left, b.left
-                    continue
-                if isinstance(a, _Unary):
-                    a, b = a.arg, b.arg
-                    continue
-                if cls is Pow:
-                    if a.exponent != b.exponent:
-                        return False
-                    a, b = a.base, b.base
-                    continue
-                if cls is Const:
-                    if a.value != b.value:
-                        return False
-                elif cls is Var and a.name != b.name:
-                    return False
-            if not stack:
-                return True
-            a, b = stack.pop()
+    """An immutable term node; `==` and `hash` are structural and
+    type-sensitive, and run on an explicit stack (see `record`), so a
+    term as high as `parse` admits costs no recursion."""
+    __slots__ = ()
 
 
 class Const(Term):
@@ -90,7 +22,6 @@ class Const(Term):
 
     def __init__(self, value: Fraction) -> None:
         init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
-        init_field(self, "_hash", None)
 
 
 class Pi(Term):
@@ -102,7 +33,6 @@ class Var(Term):
 
     def __init__(self, name: str) -> None:
         init_field(self, "name", name)
-        init_field(self, "_hash", None)
 
 
 class _Binary(Term):
@@ -111,7 +41,6 @@ class _Binary(Term):
     def __init__(self, left: Term, right: Term) -> None:
         init_field(self, "left", left)
         init_field(self, "right", right)
-        init_field(self, "_hash", None)
 
 
 class _Unary(Term):
@@ -119,7 +48,6 @@ class _Unary(Term):
 
     def __init__(self, arg: Term) -> None:
         init_field(self, "arg", arg)
-        init_field(self, "_hash", None)
 
 
 class Add(_Binary):
@@ -150,7 +78,6 @@ class Pow(Term):
             raise ValueError("only natural exponents are allowed")
         init_field(self, "base", base)
         init_field(self, "exponent", exponent)
-        init_field(self, "_hash", None)
 
 
 class Sin(_Unary):
@@ -324,34 +251,42 @@ def expand_normal(t: Term) -> Term:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW = 1, 2, 3, 4
 
 
-def term_text(t: Term, _parent: int = 0) -> str:
+def term_text(t: Term) -> str:
     """Canonical ASCII rendering; a term as `parse` builds it reparses to
-    a structurally equal term."""
-    if isinstance(t, Const):
-        v = t.value
-        if v.denominator == 1:
-            s = str(v.numerator)
-            return f"({s})" if v < 0 and _parent > _PREC_ADD else s
-        # a fraction literal is itself a division, so treat it like one
-        s = f"{v.numerator}/{v.denominator}"
-        return f"({s})" if _parent > _PREC_MUL else s
-    if isinstance(t, Pi):
-        return "pi"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, (Add, Sub)):
-        op = " + " if isinstance(t, Add) else " - "
-        s = term_text(t.left, _PREC_ADD) + op + term_text(t.right, _PREC_ADD + 1)
-        return f"({s})" if _parent > _PREC_ADD else s
-    if isinstance(t, Neg):
-        s = "-" + term_text(t.arg, _PREC_UNARY)
-        return f"({s})" if _parent >= _PREC_MUL else s
-    if isinstance(t, (Mul, Div)):
-        op = "*" if isinstance(t, Mul) else "/"
-        s = term_text(t.left, _PREC_MUL) + op + term_text(t.right, _PREC_MUL + 1)
-        return f"({s})" if _parent > _PREC_MUL else s
-    if isinstance(t, Pow):
-        s = term_text(t.base, _PREC_POW + 1) + f"^{t.exponent}"
-        return f"({s})" if _parent > _PREC_POW else s
-    name = type(t).__name__.lower()
-    return f"{name}({term_text(t.arg)})"
+    a structurally equal term.  Built on an explicit stack of text and
+    (subterm, binding level of its place) pairs, so a term of any height
+    prints without recursion."""
+    out: list[str] = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, parent = item
+        if isinstance(t, Const):
+            v = t.value
+            if v.denominator == 1:
+                pieces, wrap = [str(v.numerator)], v < 0 and parent > _PREC_ADD
+            else:  # a fraction literal is itself a division, so treat it like one
+                pieces, wrap = [f"{v.numerator}/{v.denominator}"], parent > _PREC_MUL
+        elif isinstance(t, Pi):
+            pieces, wrap = ["pi"], False
+        elif isinstance(t, Var):
+            pieces, wrap = [t.name], False
+        elif isinstance(t, (Add, Sub)):
+            op = " + " if isinstance(t, Add) else " - "
+            pieces, wrap = [(t.left, _PREC_ADD), op, (t.right, _PREC_ADD + 1)], parent > _PREC_ADD
+        elif isinstance(t, Neg):
+            pieces, wrap = ["-", (t.arg, _PREC_UNARY)], parent >= _PREC_MUL
+        elif isinstance(t, (Mul, Div)):
+            op = "*" if isinstance(t, Mul) else "/"
+            pieces, wrap = [(t.left, _PREC_MUL), op, (t.right, _PREC_MUL + 1)], parent > _PREC_MUL
+        elif isinstance(t, Pow):
+            pieces, wrap = [(t.base, _PREC_POW + 1), f"^{t.exponent}"], parent > _PREC_POW
+        else:
+            pieces, wrap = [f"{type(t).__name__.lower()}(", (t.arg, 0), ")"], False
+        if wrap:
+            pieces = ["(", *pieces, ")"]
+        stack += reversed(pieces)
+    return "".join(out)

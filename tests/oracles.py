@@ -9,7 +9,8 @@ walk over the parsed formula, a float winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), the degree, oriented boundary, bisection and
-supremum enclosure on `RatBox`es, and the recursive `repr` of a record."""
+supremum enclosure on `RatBox`es, the recursive `repr` and `==` of a
+record, and the recursive `term_text`."""
 from __future__ import annotations
 
 import math
@@ -989,3 +990,46 @@ def recursive_repr(self) -> str:
     `Record`, it prints every nested record by calling itself."""
     fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
     return f"{type(self).__name__}({fields})"
+
+
+def recursive_eq(self, other):
+    """`Record.__eq__` as a comparison of the field tuples: installed on
+    `Record`, it compares every nested record by calling itself."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (tuple(getattr(self, name) for name in self._fields)
+            == tuple(getattr(other, name) for name in other._fields))
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def recursive_term_text(t: T.Term, parent: int = 0) -> str:
+    """`terms.term_text` as a recursion, one call per term level."""
+    if isinstance(t, T.Const):
+        v = t.value
+        if v.denominator == 1:
+            s = str(v.numerator)
+            return f"({s})" if v < 0 and parent > T._PREC_ADD else s
+        s = f"{v.numerator}/{v.denominator}"
+        return f"({s})" if parent > T._PREC_MUL else s
+    if isinstance(t, T.Pi):
+        return "pi"
+    if isinstance(t, T.Var):
+        return t.name
+    if isinstance(t, (T.Add, T.Sub)):
+        op = " + " if isinstance(t, T.Add) else " - "
+        s = recursive_term_text(t.left, T._PREC_ADD) + op + recursive_term_text(t.right, T._PREC_ADD + 1)
+        return f"({s})" if parent > T._PREC_ADD else s
+    if isinstance(t, T.Neg):
+        s = "-" + recursive_term_text(t.arg, T._PREC_UNARY)
+        return f"({s})" if parent >= T._PREC_MUL else s
+    if isinstance(t, (T.Mul, T.Div)):
+        op = "*" if isinstance(t, T.Mul) else "/"
+        s = recursive_term_text(t.left, T._PREC_MUL) + op + recursive_term_text(t.right, T._PREC_MUL + 1)
+        return f"({s})" if parent > T._PREC_MUL else s
+    if isinstance(t, T.Pow):
+        s = recursive_term_text(t.base, T._PREC_POW + 1) + f"^{t.exponent}"
+        return f"({s})" if parent > T._PREC_POW else s
+    return f"{type(t).__name__.lower()}({recursive_term_text(t.arg)})"

@@ -1,4 +1,7 @@
-"""Formula AST: class membership validation, structure comparison, scoping."""
+"""Formula AST: class membership validation, structure comparison, scoping,
+structural `==` and `hash`."""
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +11,13 @@ from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or, aligned_terms, 
                                same_structure)
 from quasisat.intervals import ival
 from quasisat.parser import parse
+from quasisat.record import Record
 from quasisat.solver import ClassBReport, validate_class_b
 
+import oracles
+from conftest import corpus_entries
 from oracles import block_parts
+from test_terms import _under
 
 SOLVABLE = [
     "exists x in [-1,1] . sin(x) = 0",
@@ -68,6 +75,53 @@ def test_formulas_are_immutable_structural_values():
         Exists(("x", "y"), (b,), Eq(x))
     with pytest.raises(ValueError, match="duplicate"):
         Exists(("x", "x"), (b, b), Eq(x))
+
+
+def _chain(word: str, last: str):
+    """A parsed chain of 1,500 blocks under one connective, whose last
+    block's constant is `last`."""
+    block = "(exists x in [0,1] . x - {} = 0)"
+    return parse(word.join([block.format("1/2")] * 1499 + [block.format(last)]))
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("word", [" or ", " and "])
+def test_hash_and_eq_of_a_long_chain_need_no_recursion(frames, word):
+    """A 1,500-block chain, which `parse` accepts, compares and hashes at
+    top level and under 300 extra frames alike: equal to a second parse,
+    before and after the hashes are computed, and unequal to a copy that
+    differs only in its last block's constant."""
+    a, b, other = _chain(word, "1/2"), _chain(word, "1/2"), _chain(word, "1/3")
+    assert a is not b
+    for _ in range(2):  # once before any hash exists, once after
+        assert _under(frames, lambda: a == b) and not _under(frames, lambda: a != b)
+        assert _under(frames, lambda: a != other) and not _under(frames, lambda: a == other)
+        assert _under(frames, lambda: hash(a)) == _under(frames, lambda: hash(b))
+        _under(frames, lambda: hash(other))
+
+
+def test_eq_is_the_recursive_reference(monkeypatch):
+    """`==` on its explicit stack agrees with the comparison of the field
+    tuples on every pair of corpus sentences, each also against a second
+    parse of itself."""
+    sentences = [parse(text) for _, text, _, _ in corpus_entries()]
+    sentences += [parse(text) for _, text, _, _ in corpus_entries()]
+    got = [[f == g for g in sentences] for f in sentences]
+    monkeypatch.setattr(Record, "__eq__", oracles.recursive_eq)
+    assert got == [[f == g for g in sentences] for f in sentences]
+    assert sum(map(sum, got)) == 2 * len(sentences)
+
+
+def test_a_copy_of_a_hashed_formula_is_equal_and_hashes_alike():
+    """pickle and deepcopy of a corpus sentence whose hash is cached give
+    an equal formula with the same hash; the copy computes it anew, so
+    no hash is carried to a process that hashes strings differently."""
+    for _, text, _, _ in corpus_entries():
+        f = parse(text)
+        h = hash(f)
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert getattr(g, "_hash", None) is None
+            assert g == f and hash(g) == h
 
 
 def test_free_and_bound_vars():

@@ -1,8 +1,9 @@
 """Every name a module of src/quasisat imports is used in that module or
-listed in its `__all__`, and every top-level function, class or method
-is read by some module of src/quasisat or listed in an `__all__`: stdlib
-AST scans, so that an import left behind by a refactor, or a helper only
-the tests use, fails the suite."""
+listed in its `__all__`, every top-level function, class or method
+is read by some module of src/quasisat or listed in an `__all__`, and
+only `record.py` defines `__eq__` or `__hash__`: stdlib AST scans, so
+that an import left behind by a refactor, a helper only the tests use,
+or a second structural `==` or `hash`, fails the suite."""
 import ast
 import subprocess
 import sys
@@ -101,6 +102,38 @@ def test_no_definition_is_read_only_by_tests():
     unread = unread_definitions(sources)
     assert [d for d in unread if d.split(".", 1)[1] not in UNREAD_EXEMPT] == []
     assert {d.split(".", 1)[1] for d in unread} == set(UNREAD_EXEMPT)
+
+
+def eq_and_hash_definitions(source: str) -> list[str]:
+    """The definitions of `__eq__` or `__hash__`, by `def` or by
+    assignment, as 'name (line n)', in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in ("__eq__", "__hash__")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_scan_finds_eq_and_hash_definitions():
+    source = ("class A:\n    def __eq__(self, o): return True\n    __hash__ = None\n"
+              "class B:\n    __eq__: object = object.__eq__\n    def eq(self): pass\n"
+              "    __ne__ = __lt__ = None\n")
+    assert eq_and_hash_definitions(source) == [
+        "__eq__ (line 2)", "__hash__ (line 3)", "__eq__ (line 5)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_record_defines_eq_and_hash(module):
+    """`record.py` holds the package's one structural `==` and `hash`,
+    which every term, formula and other record inherits."""
+    names = [d.split()[0] for d in eq_and_hash_definitions((SRC / module).read_text())]
+    assert names == (["__eq__", "__hash__", "__hash__"] if module == "record.py" else [])
 
 
 def module_imports(source: str, module: str) -> list[str]:

@@ -304,8 +304,7 @@ def test_formula_text_prints_a_chain_flat_and_a_right_nested_side_in_parentheses
 @pytest.mark.parametrize("word", [" or ", " and "])
 def test_formula_text_prints_a_long_chain_without_recursion(frames, word):
     """A 1,500-block chain, which `parse` and `quasi_decide` accept, prints
-    as itself at top level and under 300 extra frames.  The text is
-    compared, not the formula: `==` and `hash` of it still recurse."""
+    as itself at top level and under 300 extra frames."""
     text = word.join([_BLOCK] * 1500)
     f = parse(text)
     assert _under(frames, lambda: formula_text(f)) == text

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
+from quasisat.formulas import aligned_terms, formula_text
 from quasisat.parser import _MAX_HEIGHT, parse
 from quasisat.record import Record
 from quasisat.solver import quasi_decide
@@ -15,6 +16,7 @@ from quasisat.solver import quasi_decide
 import oracles
 from conftest import corpus_entries
 from oracles import exact_eval, float_eval, is_polynomial, substitute
+from test_identity import sentences
 
 X, Y = T.Var("x"), T.Var("y")
 
@@ -84,8 +86,7 @@ def test_hash_and_eq_of_a_term_at_the_height_bound_need_no_recursion(frames, op)
     """A sum or product of height `_MAX_HEIGHT` hashes and compares at top
     level and under 300 extra frames alike: equal before and after the
     hashes are computed, and unequal to a copy whose deepest leaf
-    differs, which `==` finds by walking down before the hashes exist and
-    rejects at the root once they do."""
+    differs."""
     def term(first):
         return parse(f"exists x in [0,2] . {op.join([first] + ['x'] * (_MAX_HEIGHT - 1))} "
                      "- 1 = 0").body.term
@@ -120,10 +121,28 @@ def test_repr_of_a_sentence_at_the_height_bound_needs_no_recursion(frames):
         + ", right=Const(value=Fraction(2, 1)))))")
 
 
+def test_term_text_is_the_recursive_reference():
+    """`term_text` on its explicit stack prints every atom term of every
+    corpus sentence and of every seed-1 workload sentence and its
+    perturbed copy as the recursion does."""
+    texts = [s for _, text, _, perturbed in sentences() for s in (text, perturbed) if s]
+    terms = [t for f in map(parse, texts) for t, _, _, _ in aligned_terms(f, f)]
+    assert len(texts) > 1000
+    assert [T.term_text(t) for t in terms] == [oracles.recursive_term_text(t) for t in terms]
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_term_text_of_a_sentence_at_the_height_bound_needs_no_recursion(frames):
+    """The 850-deep `sin` sentence prints as itself at top level and under
+    300 extra frames alike."""
+    text = "exists x in [0,1] . " + "sin(" * 850 + "x" + ")" * 850 + " - 2 = 0"
+    f = parse(text)
+    assert _under(frames, lambda: formula_text(f)) == text
+
+
 @given(st.fractions(), st.integers(min_value=-5, max_value=5))
 def test_equal_constants_hash_equal(q, n):
-    """`Const` hashes its numerator and denominator: equal values, from
-    any coercion, give equal hashes."""
+    """Equal constants, from any coercion, give equal hashes."""
     assert hash(T.Const(q)) == hash(T.Const(Fraction(q.numerator, q.denominator)))
     assert T.Const(n) == T.Const(Fraction(n)) and hash(T.Const(n)) == hash(T.Const(Fraction(n)))
     assert (T.Const(q) == T.Const(n)) == (q == n)
