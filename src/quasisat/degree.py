@@ -33,7 +33,6 @@ from collections.abc import Mapping, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify
 from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
-from .intervals import DomainError
 from .record import Frozen, init_field
 
 _MAX_PREC = 4096
@@ -66,16 +65,9 @@ def _sign_at_point(
 ) -> Cert | None:
     """Sign of f at a degenerate cell, escalating precision (also past a DomainError)."""
     while p <= _MAX_PREC:
-        try:
-            lo, hi, d = f(env, p)
-        except DomainError:
-            lo = hi = 0
-        if lo > 0:
-            return 0, 1, lo, d
-        if hi < 0:
-            return 0, -1, -hi, d
-        if not budget.spend(1):
-            return None
+        cert = certify((f,), env, p)
+        if cert is not None or not budget.spend(1):
+            return cert
         p *= 2
     return None
 

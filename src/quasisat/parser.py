@@ -21,17 +21,22 @@ its own scope is an error.  Division and sqrt are accepted only when
 interval evaluation at precision 30 shows the denominator excludes zero
 (resp. the radicand is nonnegative) on the box of the variables in
 scope, checked as the parser builds them.  A term more than `_MAX_HEIGHT`
-operations high is a ParseError, whatever the caller's stack.  A syntax
-error comes first, then a term too high, then the first domain fault in
-reading order, a DomainError.
+operations high, or with more than `_MAX_HEIGHT` parentheses and calls
+open at once, is a ParseError, whatever the caller's stack.  A syntax
+error comes first, then a term too high or too deep, then the first
+domain fault in reading order, a DomainError.
 
 A sentence is read in one forward pass with no backtracking.  A '(' where
 a formula may start opens a formula exactly when its group, up to the
-matching ')', holds '=', '>=', '<=', 'exists' or 'forall': a term can hold
-none of them.  Otherwise it opens the first term of an atom, as in
-``(x+1)*y = 0``.  One method reads a term in local loops and recurses
-only into a parenthesis or a function argument, so a run of minus signs
-is counted: before a non-constant it is as high as it is long.
+matching ')' or the end of the input, holds '=', '>=', '<=', 'exists' or
+'forall': a term can hold none of them.  The pass decides this when it
+reaches the '(', reading its group up to the first such token.
+Otherwise the '(' opens the first term of an atom, as in ``(x+1)*y = 0``.
+One method reads a term in one loop: an opening '(' or call pushes the
+sum and the product read so far onto an explicit stack, and its ')' pops
+them, so no nesting of a term recurses.  A run of minus signs is counted:
+before a non-constant it is as high as it is long.  The formula rules
+recurse into quantifiers and formula parentheses.
 
 Literals fold into one constant: a minus sign on a constant, and a
 constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
@@ -101,31 +106,32 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _formula_groups(toks: list[str]) -> set[int]:
-    """The indices of the '(' whose group, up to the matching ')' or the
-    end of the input, holds a token of `_FORMULA_ONLY`."""
-    holds: set[int] = set()
-    open_: list[int] = []
-    for k, tok in enumerate(toks):
+def _opens_formula(toks: list[str], k: int) -> bool:
+    """Whether the group of the '(' at toks[k], up to the matching ')' or
+    the end of the input, holds a token of `_FORMULA_ONLY`; read up to the
+    first such token."""
+    depth = 0
+    while True:
+        k += 1
+        tok = toks[k]
+        if tok in _FORMULA_ONLY:
+            return True
+        if not tok or tok == ")" and not depth:  # the end of the input or of the group
+            return False
         if tok == "(":
-            open_.append(k)
+            depth += 1
         elif tok == ")":
-            if open_ and open_.pop() in holds and open_:
-                holds.add(open_[-1])
-        elif tok in _FORMULA_ONLY and open_:
-            holds.add(open_[-1])
-    while open_:
-        if open_.pop() in holds and open_:
-            holds.add(open_[-1])
-    return holds
+            depth -= 1
 
 
 _GUARD_PREC = 30
-_MAX_HEIGHT = 900  # a sum this high still decides and prints under 80 caller frames
+# bounds one term's cost: `distance_enclosure` of two 850-factor products,
+# quadratic in the factors, takes about 2 s (Python 3.11, shared 2-core host)
+_MAX_HEIGHT = 900
 
 
 class _Parser:
-    __slots__ = ("text", "toks", "i", "scope", "formula_groups", "height", "too_deep", "fault")
+    __slots__ = ("text", "toks", "i", "scope", "too_deep", "fault")
 
     def __init__(self, text: str, params: dict[str, Ival]):
         self.text = text
@@ -133,9 +139,7 @@ class _Parser:
         self.toks.append("")  # the end of the input
         self.i = 0
         self.scope = dict(params)  # every variable in scope, with its box
-        self.formula_groups: set[int] | None = None  # built at the first '('
-        self.height = 0  # the height of the term last returned
-        self.too_deep = False  # some atom's term is higher than _MAX_HEIGHT
+        self.too_deep = False  # some term is higher or nested deeper than _MAX_HEIGHT
         self.fault: tuple[str, T.Term] | None = None  # the first domain fault
 
     def error(self, message: str, at: int | None = None) -> ParseError:
@@ -173,9 +177,7 @@ class _Parser:
     def primary(self) -> F.Formula:
         tok = self.toks[self.i]
         if tok == "(":
-            if self.formula_groups is None:
-                self.formula_groups = _formula_groups(self.toks)
-            if self.i in self.formula_groups:
+            if _opens_formula(self.toks, self.i):
                 self.i += 1
                 inner = self.formula()
                 self.expect(")")
@@ -247,12 +249,12 @@ class _Parser:
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
-        lhs, lh = self.term(), self.height
+        lhs, lh = self.term()
         rel = self.toks[self.i]
         if rel != "=" and rel != ">=" and rel != "<=":
             raise self.error("expected '=', '>=' or '<='")
         self.i += 1
-        rhs, rh = self.term(), self.height
+        rhs, rh = self.term()
         if rel == "<=":
             lhs, rhs, lh, rh = rhs, lhs, rh, lh
         if type(rhs) is not T.Const or rhs.value:
@@ -270,48 +272,48 @@ class _Parser:
         scope = self.scope
         return compile_term(t, scope)(tuple(scope.values()), _GUARD_PREC)
 
-    def term(self) -> T.Term:
-        """A sum of products of signed powers, read in local loops; only a
-        parenthesis and a function argument recurse.  Leaves the term's
-        height in `self.height`."""
+    def term(self) -> tuple[T.Term, int]:
+        """A sum of products of signed powers, with its height, read in
+        one loop.  An opening '(' or call pushes the sum and the product
+        read so far onto an explicit stack, and its ')' pops them, so a
+        term nested to any depth costs no recursion."""
         toks = self.toks
         i = self.i
-        total = add = None
+        # per open '(' or call: the opener, its minus signs, and the sum and
+        # product around it with their heights and pending operators
+        stack: list[tuple] = []
+        total = add = product = mul = None
+        total_h = height = 0
         while True:
-            product = mul = None
-            while True:
-                signs = 0
-                while toks[i] == "-":
-                    signs += 1
-                    i += 1
-                tok, h = toks[i], 0
-                if tok[:1].isdecimal():
-                    base = _literal(tok)
-                elif tok == "(" or tok in _FUNCS:
-                    if tok != "(":
-                        i += 1
-                        if toks[i] != "(":
-                            raise self.error("expected '('", i)
-                    self.i = i + 1
-                    base, h = self.term(), self.height
-                    i = self.i
-                    if toks[i] != ")":
-                        raise self.error("expected ')'", i)
-                    if tok != "(":
-                        if tok == "sqrt" and self.fault is None and self.enclose(base)[0] < 0:
-                            self.fault = ("sqrt argument {} may be negative", base)
-                        base, h = _FUNCS[tok](base), h + 1
-                elif tok == "pi":
-                    base = _PI
-                elif tok[:1] not in _NAME_START:
-                    raise self.error("expected a term", i)
-                elif tok in _KEYWORDS:
-                    raise self.error(f"unexpected keyword {tok!r}", i)
-                elif tok in self.scope:
-                    base = _var(tok)
-                else:
-                    raise self.error(f"unbound variable {tok!r}", i)
+            signs = 0
+            while toks[i] == "-":
+                signs += 1
                 i += 1
+            tok, h = toks[i], 0
+            if tok[:1].isdecimal():
+                base = _literal(tok)
+            elif tok == "(" or tok in _FUNCS:
+                if tok != "(":
+                    i += 1
+                    if toks[i] != "(":
+                        raise self.error("expected '('", i)
+                stack.append((tok, signs, total, total_h, add, product, height, mul))
+                self.too_deep |= len(stack) > _MAX_HEIGHT
+                total = add = mul = None
+                i += 1
+                continue
+            elif tok == "pi":
+                base = _PI
+            elif tok[:1] not in _NAME_START:
+                raise self.error("expected a term", i)
+            elif tok in _KEYWORDS:
+                raise self.error(f"unexpected keyword {tok!r}", i)
+            elif tok in self.scope:
+                base = _var(tok)
+            else:
+                raise self.error(f"unbound variable {tok!r}", i)
+            i += 1
+            while True:  # base and h are a signed power's base, i the token after it
                 if toks[i] == "^":
                     i += 1
                     if not toks[i].isdecimal():
@@ -338,18 +340,29 @@ class _Parser:
                             self.fault = ("denominator {} may vanish", base)
                     product, height = T.Div(product, base), max(height, h) + 1
                 mul = toks[i]
-                if mul != "*" and mul != "/":
+                if mul == "*" or mul == "/":
                     break
+                if add is None:
+                    total, total_h = product, height
+                else:
+                    total = (T.Add if add == "+" else T.Sub)(total, product)
+                    total_h = max(total_h, height) + 1
+                add = toks[i]
+                if add == "+" or add == "-":
+                    mul = None
+                    break
+                if not stack:
+                    self.i = i
+                    return total, total_h
+                if add != ")":
+                    raise self.error("expected ')'", i)
+                base, h = total, total_h
+                tok, signs, total, total_h, add, product, height, mul = stack.pop()
+                if tok != "(":
+                    if tok == "sqrt" and self.fault is None and self.enclose(base)[0] < 0:
+                        self.fault = ("sqrt argument {} may be negative", base)
+                    base, h = _FUNCS[tok](base), h + 1
                 i += 1
-            if add is None:
-                total, total_h = product, height
-            else:
-                total = (T.Add if add == "+" else T.Sub)(total, product)
-                total_h = max(total_h, height) + 1
-            add = toks[i]
-            if add != "+" and add != "-":
-                self.i, self.height = i, total_h
-                return total
             i += 1
 
 

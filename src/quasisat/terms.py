@@ -118,45 +118,45 @@ _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity
 
 def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
     """Polynomial form of t over atomic factors; None when t contains a
-    division by a non-constant."""
-    if isinstance(t, Const):
-        return {(): t.value} if t.value else {}
-    if isinstance(t, (Add, Sub)):
-        left = _expand(t.left)
-        right = _expand(t.right)
-        if left is None or right is None:
-            return None
-        out = dict(left)
-        _add_into(out, right, 1 if isinstance(t, Add) else -1)
-        return out
-    if isinstance(t, Neg):
-        inner = _expand(t.arg)
-        if inner is None:
-            return None
-        return {m: -c for m, c in inner.items()}
-    if isinstance(t, Mul):
-        left = _expand(t.left)
-        right = _expand(t.right)
-        if left is None or right is None:
-            return None
-        return _convolve(left, right)
-    if isinstance(t, Div):
-        num = _expand(t.left)
-        den = _expand(t.right)
-        if num is None or den is None:
-            return None
-        if len(den) == 1 and () in den:
-            return {m: c / den[()] for m, c in num.items()}
-        return None
-    if isinstance(t, Pow):
-        base = _expand(t.base)
-        if base is None:
-            return None
-        out: dict[_Monomial, Fraction] = {(): Fraction(1)}
-        for _ in range(t.exponent):
-            out = _convolve(out, base)
-        return out
-    return {(t,): Fraction(1)}  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
+    division by a non-constant.  One post-order walk on an explicit
+    stack, as `compile_term` walks: an operation goes on the stack as a
+    1-tuple below its operands, and is applied to their forms when it
+    comes off."""
+    done: list[dict[_Monomial, Fraction]] = []  # the forms of the operands so far
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is tuple:
+            node, = node
+            cls = node.__class__
+            if cls is Neg:
+                done[-1] = {m: -c for m, c in done[-1].items()}
+            elif cls is Pow:
+                base, out = done[-1], {(): Fraction(1)}
+                for _ in range(node.exponent):
+                    out = _convolve(out, base)
+                done[-1] = out
+            else:
+                right = done.pop()
+                if cls is Mul:
+                    done[-1] = _convolve(done[-1], right)
+                elif cls is Div:
+                    if len(right) != 1 or () not in right:
+                        return None
+                    den = right[()]
+                    done[-1] = {m: c / den for m, c in done[-1].items()}
+                else:  # each form on `done` is a fresh dict, so the left takes the right in place
+                    _add_into(done[-1], right, 1 if cls is Add else -1)
+        elif cls is Const:
+            done.append({(): node.value} if node.value else {})
+        elif cls is Pow or cls is Neg:
+            stack += ((node,), node.base if cls is Pow else node.arg)
+        elif isinstance(node, _Binary):
+            stack += ((node,), node.right, node.left)
+        else:  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
+            done.append({(node,): Fraction(1)})
+    return done[0]
 
 
 def _add_into(
@@ -239,7 +239,8 @@ def expand_normal(t: Term) -> Term:
             return t
         _add_into(poly, part, k)
     total: Term | None = None
-    for mono in sorted(poly, key=lambda m: (len(m), tuple(map(term_text, m)))):
+    for mono in (poly if len(poly) < 2  # a lone monomial needs no sort key
+                 else sorted(poly, key=lambda m: (len(m), tuple(map(term_text, m))))):
         c = poly[mono]
         factor: Term | None = None if c == 1 and mono else Const(c)
         for atom in mono:

@@ -3,9 +3,11 @@ against: boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
 substitution of rational constants for variables, the polynomial
-normal form with every summand counted in one dict, the equation and
-inequality terms of an exists block, the parser's domain check as a
-walk over the parsed formula, a float winding count
+normal form with every summand counted in one dict and the recursive
+polynomial expansion, the equation and inequality terms of an exists
+block, the parser's domain check as a walk over the parsed formula and
+its whole-token-list scan for the '(' that open formulas, a float
+winding count
 for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), the degree, oriented boundary, bisection and
@@ -441,16 +443,59 @@ def _add_into(acc: dict, part: dict, k: int) -> None:
             acc.pop(mono, None)
 
 
+def recursive_expand(t: T.Term) -> dict | None:
+    """`terms._expand` by recursion over the term: the polynomial form of t
+    over atomic factors, None when t divides by a non-constant."""
+    if isinstance(t, T.Const):
+        return {(): t.value} if t.value else {}
+    if isinstance(t, (T.Add, T.Sub)):
+        left = recursive_expand(t.left)
+        right = recursive_expand(t.right)
+        if left is None or right is None:
+            return None
+        out = dict(left)
+        _add_into(out, right, 1 if isinstance(t, T.Add) else -1)
+        return out
+    if isinstance(t, T.Neg):
+        inner = recursive_expand(t.arg)
+        if inner is None:
+            return None
+        return {m: -c for m, c in inner.items()}
+    if isinstance(t, T.Mul):
+        left = recursive_expand(t.left)
+        right = recursive_expand(t.right)
+        if left is None or right is None:
+            return None
+        return T._convolve(left, right)
+    if isinstance(t, T.Div):
+        num = recursive_expand(t.left)
+        den = recursive_expand(t.right)
+        if num is None or den is None:
+            return None
+        if len(den) == 1 and () in den:
+            return {m: c / den[()] for m, c in num.items()}
+        return None
+    if isinstance(t, T.Pow):
+        base = recursive_expand(t.base)
+        if base is None:
+            return None
+        out = {(): Fraction(1)}
+        for _ in range(t.exponent):
+            out = T._convolve(out, base)
+        return out
+    return {(t,): Fraction(1)}  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
+
+
 def expand_normal(t: T.Term) -> T.Term:
     """`terms.expand_normal` with every summand of t counted in one dict:
     summands whose count cancels are dropped, the rest are expanded by
-    `terms._expand`, and t comes back unchanged when one of them has a
+    `recursive_expand`, and t comes back unchanged when one of them has a
     non-constant divisor."""
     poly: dict = {}
     for s, k in signed_summands(t).items():
         if not k:
             continue
-        part = T._expand(s)
+        part = recursive_expand(s)
         if part is None:
             return t
         _add_into(poly, part, k)
@@ -477,6 +522,27 @@ def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:
     found = atoms(b.body)
     return (tuple(a.term for a in found if isinstance(a, Eq)),
             tuple(a.term for a in found if isinstance(a, Geq)))
+
+
+def formula_groups(toks: list[str]) -> set[int]:
+    """The indices of the '(' whose group, up to the matching ')' or the
+    end of the input, holds '=', '>=', '<=', 'exists' or 'forall': one
+    scan of the whole token list, where a group that holds one makes its
+    enclosing group hold one too."""
+    holds: set[int] = set()
+    open_: list[int] = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            open_.append(k)
+        elif tok == ")":
+            if open_ and open_.pop() in holds and open_:
+                holds.add(open_[-1])
+        elif tok in ("=", ">=", "<=", "exists", "forall") and open_:
+            holds.add(open_[-1])
+    while open_:
+        if open_.pop() in holds and open_:
+            holds.add(open_[-1])
+    return holds
 
 
 def _enclose(t: T.Term, env: dict[str, Ival]) -> Ival:

@@ -100,6 +100,23 @@ def test_distance_between_two_parses_of_a_480_factor_product():
     assert (enc.lo, enc.hi) == (0, 0)
 
 
+def _under(frames: int, fn):
+    """fn() called under `frames` extra frames of the caller's own."""
+    return fn() if frames == 0 else _under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_the_distance_of_850_factor_products_needs_no_recursion(frames):
+    """x*…*x with 850 factors against 2*x*…*x with 849, each minus 1: the
+    difference expands on an explicit stack, so the distance brackets
+    sup |x^850 - 2*x^849| = 1 on [0,1] at a script's top level and under
+    300 extra frames alike."""
+    f = parse("exists x in [0,1] . " + "*".join(["x"] * 850) + " - 1 = 0")
+    g = parse("exists x in [0,1] . 2*" + "*".join(["x"] * 849) + " - 1 = 0")
+    enc = _at_top_level(lambda: _under(frames, lambda: distance_enclosure(f, g, TOL)))
+    assert oracles.contains(enc, 1) and width(enc) <= TOL
+
+
 def test_distance_requires_positive_tolerance():
     f = parse("1 >= 0")
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Every name a module of src/quasisat imports is used in that module or
 listed in its `__all__`, every top-level function, class or method
-is read by some module of src/quasisat or listed in an `__all__`, and
-only `record.py` defines `__eq__` or `__hash__`: stdlib AST scans, so
-that an import left behind by a refactor, a helper only the tests use,
-or a second structural `==` or `hash`, fails the suite."""
+is read by some module of src/quasisat or listed in an `__all__`, only
+`record.py` defines `__eq__` or `__hash__`, and only walks over formulas
+or dimensions call themselves: stdlib AST scans, so that an import left
+behind by a refactor, a helper only the tests use, a second structural
+`==` or `hash`, or a recursion over a term, fails the suite."""
 import ast
 import subprocess
 import sys
@@ -134,6 +135,51 @@ def test_only_record_defines_eq_and_hash(module):
     which every term, formula and other record inherits."""
     names = [d.split()[0] for d in eq_and_hash_definitions((SRC / module).read_text())]
     assert names == (["__eq__", "__hash__", "__hash__"] if module == "record.py" else [])
+
+
+def self_recursive_functions(source: str) -> list[str]:
+    """The functions, as 'name', and methods, as 'Class.name', that call
+    themselves: a function by its name, a method as `self.<name>`."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                for call in ast.walk(child):
+                    f = call.func if isinstance(call, ast.Call) else None
+                    if (not in_class and isinstance(f, ast.Name) and f.id == name) or (
+                            in_class and isinstance(f, ast.Attribute) and f.attr == name
+                            and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                        found.append(prefix + name)
+                        break
+                visit(child, f"{prefix}{name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_the_scan_finds_self_recursive_functions():
+    source = ("def f(n): return f(n - 1)\ndef g(): return f(0)\n"
+              "class C:\n    def m(self): return self.m()\n    def k(self): return m()\n"
+              "    def n(self):\n        def inner(): return inner()\n        return C.n(self)\n")
+    assert self_recursive_functions(source) == ["f", "C.m", "C.n.inner"]
+
+
+# each recurses on formula structure or on dimension, never on a term
+RECURSIVE_ALLOWED = ["degree._deg_cycle", "formulas.formula_text", "solver._compile"]
+
+
+def test_only_formula_and_dimension_walks_recurse():
+    """No walk over a term recurses: the parser's term method and the
+    polynomial expansion among them keep explicit stacks."""
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in self_recursive_functions(p.read_text())]
+    assert found == RECURSIVE_ALLOWED
 
 
 def module_imports(source: str, module: str) -> list[str]:

@@ -8,10 +8,10 @@ from quasisat import terms as T
 from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
                                formula_text, free_vars, same_structure)
 from quasisat.intervals import DomainError, ival
-from quasisat.parser import _MAX_HEIGHT, ParseError, parse
+from quasisat.parser import _MAX_HEIGHT, _TOKEN_RE, ParseError, _opens_formula, parse
 
 from conftest import CORPUS_DIR
-from oracles import check_domains, exact_eval
+from oracles import check_domains, exact_eval, formula_groups
 from test_identity import ROOT, _workloads
 
 X = T.Var("x")
@@ -164,6 +164,69 @@ def test_a_long_minus_chain_is_counted_not_recursed(frames):
     assert f.body.term == T.Sub(c(Fraction(3, 4)), X)
     f = _under(frames, lambda: parse("exists x in [0,2] . " + "-" * 1201 + "3/4 - x = 0"))
     assert f.body.term == T.Sub(c(Fraction(-3, 4)), X)
+
+
+DEEP_SIN = "exists x in [0,1] . " + "sin(" * 850 + "x" + ")" * 850 + " - 2 = 0"
+
+
+@pytest.mark.parametrize("frames", [0, 300, 800])
+def test_an_850_deep_call_parses_and_reprints_under_any_caller(frames):
+    """A term's calls and parentheses are read on an explicit stack, so
+    the 850-deep `sin` sentence parses, and its text reparses to it,
+    under 800 extra frames as at top level."""
+    f = _under(frames, lambda: parse(DEEP_SIN))
+    term = f.body.term.left
+    for _ in range(850):
+        assert isinstance(term, T.Sin)
+        term = term.arg
+    assert term == X
+    assert _under(frames, lambda: parse(formula_text(f))) == f
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_the_nesting_bound_is_the_height_bound(frames):
+    """`_MAX_HEIGHT` parentheses around x parse to x, and one more is a
+    term nested too deeply, reported at the end of the text, at top
+    level and under 300 extra frames alike."""
+    def sentence(depth):
+        return "exists x in [0,2] . " + "(" * depth + "x" + ")" * depth + " - 1 = 0"
+
+    f = _under(frames, lambda: parse(sentence(_MAX_HEIGHT)))
+    assert f.body.term == T.Sub(X, c(1))
+    with pytest.raises(ParseError, match="term nested too deeply") as e:
+        _under(frames, lambda: parse(sentence(_MAX_HEIGHT + 1)))
+    assert (e.value.line, e.value.col) == (1, len(sentence(_MAX_HEIGHT + 1)) + 1)
+
+
+def _decisions(toks: list[str]) -> list[tuple[int, bool, bool]]:
+    """(index, `_opens_formula`, the whole-list scan) for every '(' of
+    toks, which ends in the parser's end-of-input token ''."""
+    reference = formula_groups(toks)
+    return [(k, _opens_formula(toks, k), k in reference)
+            for k, tok in enumerate(toks) if tok == "("]
+
+
+def test_each_parenthesis_is_decided_as_the_whole_text_scan_decides():
+    """On every '(' of the corpus and the seed-1 workload texts, the
+    forward pass's decision from the group alone is the reference's."""
+    texts = [sent.read_text() for sent in sorted(CORPUS_DIR.glob("*.sent"))]
+    for build in _workloads().WORKLOADS.values():
+        for item in build(ROOT, 1):
+            texts += [item.text, item.perturbed] if item.perturbed else [item.text]
+    decided = 0
+    for text in texts:
+        for k, got, want in _decisions(_TOKEN_RE.findall(text) + [""]):
+            assert got == want, (text, k)
+            decided += got
+    assert decided
+
+
+@given(st.lists(st.sampled_from(["(", ")", "=", "exists", "x", "+", "and"]), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_parenthesis_decisions_agree_on_drawn_token_lists(toks):
+    """The same agreement on any token list, balanced or not."""
+    for k, got, want in _decisions(toks + [""]):
+        assert got == want, k
 
 
 def test_cached_leaves_are_shared_but_scoped_and_frozen():

@@ -341,19 +341,38 @@ def test_3d_system_whose_reduced_cycle_cancels_is_true():
 
 def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
     """Every top-level boundary face of a complex was certified by the
-    zero-face walk, so a block without parameters needs no certify call
-    in `degree`; its lower levels go through `_sign_at_point`."""
-    calls = []
-    real = degree_module.certify
+    zero-face walk, so a block without parameters makes no `certify`
+    call in `degree` on a top-level face: every call it makes comes from
+    `_sign_at_point`, on that point, at a lower level."""
+    calls, points = [], []
+    real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def certify(fs, env, p, best=False):
+        calls.append((tuple(fs), tuple(env), points[-1] if points else None))
+        return real_certify(fs, env, p, best)
 
-    monkeypatch.setattr(degree_module, "certify", counted)
+    def sign_at_point(f, env, p, budget):
+        points.append(((f,), tuple(env)))
+        try:
+            return real_sign(f, env, p, budget)
+        finally:
+            points.pop()
+
+    monkeypatch.setattr(degree_module, "certify", certify)
+    monkeypatch.setattr(degree_module, "_sign_at_point", sign_at_point)
+    real, faces = solver.degree, set()
+
+    def spy(fs, cells, p, env=(), budget=1000, certs={}):
+        faces.update(oriented_boundary(cells))
+        return real(fs, cells, p, env, budget, certs)
+
+    monkeypatch.setattr(solver, "degree", spy)
     v = quasi_decide(parse((CORPUS_DIR / "circle_line.sent").read_text()))
     assert v.outcome == "TRUE" and sum(r.complexes for r in v.trace) > 0
-    assert calls == []
+    assert calls and faces
+    for fs, env, caller in calls:
+        assert caller == (fs, env)  # made by `_sign_at_point`, on its own point
+        assert all(lo == hi for lo, hi, _ in env) and env not in faces
 
 
 SEEDED_BLOCKS = {

@@ -268,6 +268,19 @@ def test_expand_normal_equals_the_dict_reference(t):
         assert (got is term) == (want is term)
 
 
+def test_expand_is_the_recursive_reference():
+    """`_expand` on its explicit stack gives the recursion's polynomial on
+    every aligned atom-term difference of the corpus and seed-1 workload
+    sentences, each against its perturbed copy or, without one, itself."""
+    diffs = []
+    for _, text, _, perturbed in sentences():
+        f = parse(text)
+        diffs += [T.Sub(a, b) for a, b, _, _ in aligned_terms(f, parse(perturbed or text))]
+    got = [T._expand(d) for d in diffs]
+    assert got == [oracles.recursive_expand(d) for d in diffs]
+    assert len(diffs) > 500
+
+
 def test_expand_normal_keeps_transcendental_atoms():
     t = T.Sub(T.Mul(T.Sin(X), c(2)), T.Mul(T.Sin(X), c(2)))
     assert T.expand_normal(t) == c(0)
