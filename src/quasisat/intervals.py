@@ -48,10 +48,11 @@ def ival(lo: RatLike, hi: RatLike | None = None) -> Ival:
     give equal triples."""
     lo = rat(lo)
     hi = lo if hi is None else rat(hi)
-    if lo > hi:
+    (a, b), (c, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if a * e > c * b:
         raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-    d = lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+    d = lcm(b, e)
+    return a * (d // b), c * (d // e), d
 
 
 class RatInterval(Frozen):

@@ -42,9 +42,9 @@ Literals fold into one constant: a minus sign on a constant, and a
 constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
 and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
 ``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
-check rejects.  Literals, variable names, folded quotients and the
-unsigned rationals of quantifier bounds come from small caches and are
-shared between parses.
+check rejects.  Literals, those of quantifier bounds included, variable
+names and folded quotients come from small caches and are shared
+between parses.
 """
 from __future__ import annotations
 
@@ -52,10 +52,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, lcm
 
 from .evaluation import compile_term
-from .intervals import DomainError, Ival
+from .intervals import DomainError, Ival, ival
 from . import formulas as F
 from . import terms as T
 
@@ -78,7 +77,8 @@ _FORMULA_ONLY = {"=", ">=", "<=", "exists", "forall"}  # never inside a term
 
 
 def _number(text: str) -> tuple[int, int]:
-    """A literal as (num, den), den 10 to the number of its decimals."""
+    """A literal, or a literal after '-', as (num, den), den 10 to the
+    number of its decimals."""
     whole, _, frac = text.partition(".")
     return int(whole + frac), 10 ** len(frac)
 
@@ -88,18 +88,6 @@ _literal = lru_cache(maxsize=1024)(lambda tok: T.Const(Fraction(*_number(tok))))
 _quotient = lru_cache(maxsize=1024)(lambda a, b: T.Const(a.value / b.value))
 _var = lru_cache(maxsize=256)(T.Var)
 _PI = T.Pi()
-
-
-@lru_cache(maxsize=1024)
-def _ratio(num: str, den: str) -> tuple[int, int] | None:
-    """The unsigned bound num/den of two literal tokens as a reduced pair;
-    None for a zero denominator."""
-    (a, b), (c, d) = _number(num), _number(den)
-    if not c:
-        return None
-    a, b = a * d, b * c
-    g = gcd(a, b)
-    return a // g, b // g
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -215,37 +203,40 @@ class _Parser:
         self.i += 1
         self.expect("in")
         self.expect("[")
-        ln, ld = self.signed_rational()
+        lo = self.signed_rational()
         self.expect(",")
-        hn, hd = self.signed_rational()
+        hi = self.signed_rational()
         self.expect("]")
-        if ln * hd > hn * ld:
-            raise self.error(
-                f"empty interval [{Fraction(ln, ld)},{Fraction(hn, hd)}] for {name!r}", at)
-        d = lcm(ld, hd)  # the Ival that `ival` builds
-        return name, (ln * (d // ld), hn * (d // hd), d)
+        try:
+            return name, ival(lo, hi)
+        except ValueError:  # its endpoints are out of order
+            raise self.error(f"empty interval [{lo},{hi}] for {name!r}", at) from None
 
-    def signed_rational(self) -> tuple[int, int]:
-        """A bound, as a reduced pair (num, den) with den > 0."""
+    def signed_rational(self) -> Fraction:
+        """A bound, minus signs before a literal or a quotient of two
+        literals, as a `Fraction`: the signed literal and the quotient
+        come from the caches of term literals."""
         toks = self.toks
-        sign = 1
+        sign = ""
         while toks[self.i] == "-":
-            sign = -sign
+            sign = "" if sign else "-"
             self.i += 1
-        num, den = toks[self.i], "1"
+        num = toks[self.i]
         if not num[:1].isdecimal():
             raise self.error("expected a number")
         self.i += 1
+        literal = _literal(sign + num)
         if toks[self.i] == "/":
             self.i += 1
             den = toks[self.i]
             if not den[:1].isdecimal():
                 raise self.error("expected a denominator")
             self.i += 1
-        ratio = _ratio(num, den)
-        if ratio is None:
-            raise self.error("zero denominator", self.i - 1)
-        return sign * ratio[0], ratio[1]
+            try:
+                literal = _quotient(literal, _literal(den))
+            except ZeroDivisionError:
+                raise self.error("zero denominator", self.i - 1) from None
+        return literal.value
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""

@@ -5,6 +5,15 @@ proven verdict for every parameter value in P, while {True, False} means
 the current refinement cannot decide.  The driver halves the refinement
 parameter until a singleton appears or the iteration budget runs out;
 non-robust sentences stay undecided forever, which is the honest answer.
+A decided verdict carries a certificate, a positive `Fraction`: no
+sentence at a smaller distance gets the opposite verdict.
+
+A universal and an and/or node fold the (verdict, certificate) pairs of
+their slabs or sides in order (`_fold`).  The first FALSE slab or `and`
+side, or the first TRUE `or` side, decides the node with its own
+certificate, and the slabs or sides after it are not run.  Otherwise an
+undecided pair leaves the node undecided, and when every pair has the
+other verdict, the node carries their least certificate.
 
 Everything here is an `Ival` or a cell of `geometry`, a tuple of
 `Ival`s: the parameter box and the quantifier bounds are `Ival`s from
@@ -59,7 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify, compile_term, positive_lower_bound
 from .formulas import And, Atom, Eq, ForAll, Formula, Geq, Or
@@ -73,14 +82,6 @@ TriValue = frozenset
 TRI_T: TriValue = frozenset((True,))
 TRI_F: TriValue = frozenset((False,))
 TRI_TF: TriValue = frozenset((True, False))
-
-
-def tri_and(u: TriValue, v: TriValue) -> TriValue:
-    return frozenset(a and b for a in u for b in v)
-
-
-def tri_or(u: TriValue, v: TriValue) -> TriValue:
-    return frozenset(a or b for a in u for b in v)
 
 
 def prec_for(r: Fraction) -> int:
@@ -179,8 +180,8 @@ def _compile(s: Formula, names: tuple[str, ...],
         free = frozenset().union(*(free for free, _ in sides))
         checks = [check if side_free or not names or check is None
                   else _once_per_iteration(check) for side_free, check in sides]
-        op = tri_and if isinstance(s, And) else tri_or
-        return free, None if None in checks else partial(_combine, checks, op)
+        dominant = TRI_F if isinstance(s, And) else TRI_T
+        return free, None if None in checks else partial(_combine, checks, dominant)
     if isinstance(s, Atom):  # a ground atom: a block without variables
         block_vars, bounds, atoms = (), (), [s]
     else:
@@ -466,42 +467,45 @@ def _candidate_complexes(
 # universal quantification and connectives
 
 
+def _fold(
+    dominant: TriValue, pairs: Iterable[tuple[TriValue, Fraction | None]],
+) -> tuple[TriValue, Fraction | None]:
+    """The verdict of a universal or a connective from the (verdict,
+    certificate) pairs of its slabs or sides, read in order and made on
+    demand.  The first pair whose verdict is `dominant` (FALSE for a
+    universal or an `and`, TRUE for an `or`) decides at once, with its
+    own certificate, and no later pair is made: the result only flips
+    when every side with that verdict flips, so one side's margin is a
+    margin of the whole.  Otherwise an undecided pair leaves the result
+    undecided, and when every pair has the other verdict, the result
+    flips with any one of them and carries their least certificate."""
+    undecided, least = False, None
+    for verdict, cert in pairs:
+        if verdict == dominant:
+            return verdict, cert
+        if verdict == TRI_TF:
+            undecided = True
+        elif least is None or cert < least:
+            least = cert
+    return (TRI_TF, None) if undecided else (TRI_TF - dominant, least)
+
+
 def _univ(
     box: Ival, body: Check, p_env: tuple[Ival, ...], it: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
+    """The fold of the body over the slabs of `box` on the grid of width
+    `it.eps`, each slab appended to `p_env`."""
     grid = grid_cover((box,), it.eps)
     ((lo, _, d),), (step,) = grid.whole, grid.steps
-    acc = TRI_T
-    cert: Fraction | None = None
-    for i in range(grid.counts[0]):
-        slab = (lo + step * i, lo + step * (i + 1), d)
-        sub, sub_cert = body(p_env + (slab,), it)
-        if sub == TRI_F:  # one definitely-false slice falsifies the universal
-            return TRI_F, sub_cert
-        acc = tri_and(acc, sub)
-        # the least certificate so far, None once a slab has none
-        if i == 0 or sub_cert is None or cert is not None and sub_cert < cert:
-            cert = sub_cert
-    return acc, cert if acc == TRI_T else None
+    return _fold(TRI_F, (body(p_env + ((lo + step * i, lo + step * (i + 1), d),), it)
+                         for i in range(grid.counts[0])))
 
 
 def _combine(
-    sides: list[Check], op, p_env: tuple[Ival, ...], it: IterationRecord,
+    sides: list[Check], dominant: TriValue, p_env: tuple[Ival, ...], it: IterationRecord,
 ) -> tuple[TriValue, Fraction | None]:
-    """Run every side in order and fold the verdicts with `op`.  The
-    certificate is the least over the sides whose verdict is the result:
-    as in the nested binary fold, where a pair whose verdict differs from
-    the result holds no side that agrees with it."""
-    outs = [side(p_env, it) for side in sides]
-    combined = outs[0][0]
-    for res, _ in outs[1:]:
-        combined = op(combined, res)
-    if len(combined) != 1:
-        return combined, None
-    # the verdict's certificate combines the sides that forced it, and a
-    # singleton fold always has a side with its verdict
-    decisive = [c for res, c in outs if res == combined]
-    return combined, None if None in decisive else min(decisive)
+    """The fold of an and/or node's sides, run in order on `p_env`."""
+    return _fold(dominant, (side(p_env, it) for side in sides))
 
 
 # ---------------------------------------------------------------------------

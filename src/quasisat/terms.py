@@ -5,6 +5,7 @@ natural powers, exp, sin, cos and sqrt (guarded).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from .record import Frozen, init_field
@@ -121,7 +122,17 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
     division by a non-constant.  One post-order walk on an explicit
     stack, as `compile_term` walks: an operation goes on the stack as a
     1-tuple below its operands, and is applied to their forms when it
-    comes off."""
+    comes off.  Each atom's sort key, its `term_text`, is computed at most
+    once: the atoms are nodes of t, which outlives the walk, so their ids
+    stay theirs."""
+    texts: dict[int, str] = {}
+
+    def key(atom: Term) -> str:
+        text = texts.get(id(atom))
+        if text is None:
+            text = texts[id(atom)] = term_text(atom)
+        return text
+
     done: list[dict[_Monomial, Fraction]] = []  # the forms of the operands so far
     stack: list = [t]
     while stack:
@@ -135,12 +146,12 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
             elif cls is Pow:
                 base, out = done[-1], {(): Fraction(1)}
                 for _ in range(node.exponent):
-                    out = _convolve(out, base)
+                    out = _convolve(out, base, key)
                 done[-1] = out
             else:
                 right = done.pop()
                 if cls is Mul:
-                    done[-1] = _convolve(done[-1], right)
+                    done[-1] = _convolve(done[-1], right, key)
                 elif cls is Div:
                     if len(right) != 1 or () not in right:
                         return None
@@ -175,14 +186,15 @@ def _add_into(
 
 
 def _convolve(
-    a: dict[_Monomial, Fraction], b: dict[_Monomial, Fraction]
+    a: dict[_Monomial, Fraction], b: dict[_Monomial, Fraction], key: Callable[[Term], str],
 ) -> dict[_Monomial, Fraction]:
+    """a * b, each product monomial sorted by `key`, `term_text` or a cache of it."""
     out: dict[_Monomial, Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             mono = ma + mb
             if len(mono) > 1:
-                mono = tuple(sorted(mono, key=term_text))
+                mono = tuple(sorted(mono, key=key))
             got = out.get(mono)
             c = ca * cb if got is None else got + ca * cb
             if c:

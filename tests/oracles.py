@@ -1,5 +1,6 @@
 """Independent reference implementations the tests compare the solver
-against: boxes of `Fraction` intervals (`RatBox`) and interval
+against: the three-valued `and` and `or` on subsets of {True, False},
+boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
 substitution of rational constants for variables, the polynomial
@@ -466,7 +467,7 @@ def recursive_expand(t: T.Term) -> dict | None:
         right = recursive_expand(t.right)
         if left is None or right is None:
             return None
-        return T._convolve(left, right)
+        return T._convolve(left, right, T.term_text)
     if isinstance(t, T.Div):
         num = recursive_expand(t.left)
         den = recursive_expand(t.right)
@@ -481,7 +482,7 @@ def recursive_expand(t: T.Term) -> dict | None:
             return None
         out = {(): Fraction(1)}
         for _ in range(t.exponent):
-            out = T._convolve(out, base)
+            out = T._convolve(out, base, T.term_text)
         return out
     return {(t,): Fraction(1)}  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
 
@@ -507,6 +508,18 @@ def expand_normal(t: T.Term) -> T.Term:
             factor = atom if factor is None else T.Mul(factor, atom)
         total = factor if total is None else T.Add(total, factor)
     return total if total is not None else T.Const(Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the three-valued logic on subsets of {True, False}
+
+
+def tri_and(u: frozenset, v: frozenset) -> frozenset:
+    return frozenset(a and b for a in u for b in v)
+
+
+def tri_or(u: frozenset, v: frozenset) -> frozenset:
+    return frozenset(a or b for a in u for b in v)
 
 
 def block_parts(b: Exists) -> tuple[tuple[T.Term, ...], tuple[T.Term, ...]]:

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,10 +16,12 @@ from quasisat.geometry import Grid, grid_cover, oriented_boundary
 from quasisat.intervals import ival
 from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, prec_for,
-                             quasi_decide, tri_and, tri_or)
+                             quasi_decide)
 
 from conftest import CORPUS_DIR
-from oracles import block_parts, grid_cut, substitute, tapes, to_interval, width
+from test_identity import sentences
+from oracles import (block_parts, grid_cut, substitute, tapes, to_interval, tri_and, tri_or,
+                     width)
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -100,16 +103,14 @@ def test_universal_slabs_are_the_fraction_cuts(bound, r):
 
 @pytest.mark.parametrize("script, want, calls", [
     ([(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 4))], (TRI_T, Fraction(1, 4)), 2),
-    ([(TRI_T, Fraction(1, 2)), (TRI_T, None)], (TRI_T, None), 2),
-    ([(TRI_T, None), (TRI_T, Fraction(1, 2))], (TRI_T, None), 2),
     ([(TRI_T, Fraction(1, 2)), (TRI_TF, None), (TRI_F, Fraction(1, 8)), (TRI_T, Fraction(1))],
      (TRI_F, Fraction(1, 8)), 3),
     ([(TRI_TF, None), (TRI_T, Fraction(1, 2))], (TRI_TF, None), 2),
-], ids=["least-true", "true-without", "without-first", "false-stops", "undecided"])
+], ids=["least-true", "false-stops", "undecided"])
 def test_a_universal_folds_its_slabs(script, want, calls):
-    """A universal is TRUE with the least certificate of its slabs (None
-    when one has none), FALSE with the certificate of its first FALSE
-    slab, at which it stops, and undecided otherwise."""
+    """A universal is TRUE with the least certificate of its slabs, FALSE
+    with the certificate of its first FALSE slab, at which it stops, and
+    undecided otherwise."""
     seen = []
 
     def body(p_env, it):
@@ -122,32 +123,95 @@ def test_a_universal_folds_its_slabs(script, want, calls):
     assert got == want and len(seen) == calls
 
 
-@pytest.mark.parametrize("op, outs, want", [
-    (tri_and, [(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 4))], (TRI_T, Fraction(1, 4))),
-    (tri_and, [(TRI_T, Fraction(1, 8)), (TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 4))],
-     (TRI_F, Fraction(1, 4))),
-    (tri_and, [(TRI_T, None), (TRI_TF, None), (TRI_F, Fraction(1, 2))], (TRI_F, Fraction(1, 2))),
-    (tri_and, [(TRI_F, None), (TRI_F, Fraction(1, 4))], (TRI_F, None)),
-    (tri_and, [(TRI_TF, None), (TRI_T, Fraction(1, 2))], (TRI_TF, None)),
-    (tri_or, [(TRI_F, Fraction(1, 8)), (TRI_T, Fraction(1, 2)), (TRI_TF, None)],
-     (TRI_T, Fraction(1, 2))),
-    (tri_or, [(TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 8))], (TRI_F, Fraction(1, 8))),
-    (tri_or, [(TRI_T, Fraction(1, 2)), (TRI_T, None)], (TRI_T, None)),
-    (tri_or, [(TRI_F, None), (TRI_TF, None)], (TRI_TF, None)),
+@pytest.mark.parametrize("dominant, outs, want, runs", [
+    (TRI_F, [(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 4))], (TRI_T, Fraction(1, 4)), 2),
+    (TRI_F, [(TRI_T, Fraction(1, 8)), (TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 4))],
+     (TRI_F, Fraction(1, 2)), 2),
+    (TRI_F, [(TRI_T, Fraction(1, 8)), (TRI_TF, None), (TRI_F, Fraction(1, 2))],
+     (TRI_F, Fraction(1, 2)), 3),
+    (TRI_F, [(TRI_F, Fraction(1, 2)), (TRI_TF, None)], (TRI_F, Fraction(1, 2)), 1),
+    (TRI_F, [(TRI_TF, None), (TRI_T, Fraction(1, 2))], (TRI_TF, None), 2),
+    (TRI_T, [(TRI_F, Fraction(1, 8)), (TRI_T, Fraction(1, 2)), (TRI_TF, None)],
+     (TRI_T, Fraction(1, 2)), 2),
+    (TRI_T, [(TRI_F, Fraction(1, 2)), (TRI_F, Fraction(1, 8))], (TRI_F, Fraction(1, 8)), 2),
+    (TRI_T, [(TRI_T, Fraction(1, 2)), (TRI_T, Fraction(1, 8))], (TRI_T, Fraction(1, 2)), 1),
+    (TRI_T, [(TRI_F, Fraction(1, 2)), (TRI_TF, None)], (TRI_TF, None), 2),
 ], ids=["and-true", "and-false", "and-false-past-none", "and-false-without", "and-undecided",
         "or-true", "or-false", "or-true-without", "or-undecided"])
-def test_a_connective_folds_its_sides(op, outs, want):
-    """An and/or node runs every side in order; its certificate is the
-    least over the sides whose verdict is the result, None when one of
-    them has none."""
+def test_a_connective_folds_its_sides(dominant, outs, want, runs):
+    """An and/or node runs its sides in order up to the first whose
+    verdict dominates (FALSE for `and`, TRUE for `or`), which decides
+    with its own certificate; the sides after it are not run.  Without
+    one, an undecided side leaves the node undecided, and sides that all
+    agree give their least certificate."""
     ran = []
 
     def side(i):
         return lambda p_env, it: ran.append(i) or outs[i]
 
-    got = solver._combine([side(i) for i in range(len(outs))], op, (),
+    got = solver._combine([side(i) for i in range(len(outs))], dominant, (),
                           IterationRecord(0, Fraction(1), TRI_TF, precision=3))
-    assert got == want and ran == list(range(len(outs)))
+    assert got == want and ran == list(range(runs))
+
+
+# each decided pair of a fold's input gets its own certificate, in no order
+FOLD_CERTS = (Fraction(3, 8), Fraction(1, 8), Fraction(1, 2), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("kind", ["forall", "and", "or"])
+def test_every_short_fold_follows_the_fold_rule(kind):
+    """Over every sequence of 1 to 4 verdicts, a universal, an `and` and
+    an `or` give the verdict of the three-valued reference fold.  The
+    first dominating verdict decides with its own certificate and nothing
+    after it runs; otherwise the result is undecided without a
+    certificate, or it carries the least certificate of the sides."""
+    dominant, op = (TRI_T, tri_or) if kind == "or" else (TRI_F, tri_and)
+    for n in range(1, 5):
+        for verdicts in itertools.product(TRIS, repeat=n):
+            pairs = [(v, None if v == TRI_TF else FOLD_CERTS[i]) for i, v in enumerate(verdicts)]
+            ran = []
+
+            def run(i):
+                ran.append(i)
+                return pairs[i]
+
+            r = Fraction(1, n)
+            it = IterationRecord(0, r, TRI_TF, precision=prec_for(r))
+            if kind == "forall":
+                got = solver._univ(ival(0, 1), lambda p_env, it: run(len(ran)), (), it)
+            else:
+                got = solver._combine([partial(lambda i, p_env, it: run(i), i)
+                                       for i in range(n)], dominant, (), it)
+            want = verdicts[0]
+            for v in verdicts[1:]:
+                want = op(want, v)
+            assert got[0] == want, (kind, verdicts)
+            if dominant in verdicts:
+                first = verdicts.index(dominant)
+                assert got[1] == pairs[first][1] and ran == list(range(first + 1))
+            else:
+                assert ran == list(range(n))
+                assert got[1] == (None if want == TRI_TF else min(c for _, c in pairs))
+
+
+def test_every_decided_block_verdict_carries_a_positive_certificate(monkeypatch):
+    """No block check returns a decided verdict without a certificate, so
+    no fold reads one: every singleton that `_soei` returns on the corpus
+    and on the seed-1 items of the three workloads has a positive
+    `Fraction`.  `_compile` binds `_soei` when it builds the tree, so the
+    spy goes in before any sentence is compiled."""
+    real, returned = solver._soei, []
+
+    def spy(*args):
+        out = real(*args)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "_soei", spy)
+    for _, text, budget, _ in sentences():
+        quasi_decide(parse(text), budget=budget)
+    decided = [cert for verdict, cert in returned if len(verdict) == 1]
+    assert decided and all(type(c) is Fraction and c > 0 for c in decided)
 
 
 def slab_reference(s, p_box, r, pnames):
@@ -772,12 +836,18 @@ BLOCK = "(exists x in [0,1] . x - {} = 0)"
     ("and", ["1/2", "1/4", "3/4"]), ("and", ["1/2", "3", "1/4", "-5/2"]),
 ])
 def test_a_chain_certificate_is_the_least_of_the_agreeing_sides(word, roots):
-    """The certificate of a decided chain is the least over the sides
-    whose verdict is the result, as folding the sides pairwise gives it."""
+    """The certificate of a decided chain is that of its first side with
+    the dominating verdict (FALSE for `and`, TRUE for `or`), and the
+    least over the sides, which all agree, when no side dominates."""
     alone = [quasi_decide(parse(BLOCK.format(c)), budget=1) for c in roots]
     v = quasi_decide(parse(f" {word} ".join(BLOCK.format(c) for c in roots)), budget=1)
     assert v.outcome != "UNKNOWN" and all(a.outcome != "UNKNOWN" for a in alone)
-    assert v.certificate == min(a.certificate for a in alone if a.outcome == v.outcome)
+    dominant = "FALSE" if word == "and" else "TRUE"
+    first = next((a for a in alone if a.outcome == dominant), None)
+    if first is None:
+        assert v.certificate == min(a.certificate for a in alone)
+    else:
+        assert (v.outcome, v.certificate) == (dominant, first.certificate)
 
 
 def test_a_deep_term_is_walked_for_its_free_variables_without_recursion():
