@@ -248,29 +248,22 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     return evaluate
 
 
-def certify(
-    fs: Sequence[Evaluator], env: Sequence[Ival], p: int, best: bool = False
-) -> Cert | None:
-    """The first component whose enclosure excludes zero, or with `best`
-    the one of largest mignitude (the first of equals); None when every
-    enclosure holds zero, as one that leaves a domain (DomainError) does."""
-    found: Cert | None = None
+def certify(fs: Sequence[Evaluator], env: Sequence[Ival], p: int) -> Cert | None:
+    """The first component whose enclosure on the box excludes zero, with
+    its sign and mignitude; None when every enclosure holds zero, as one
+    that leaves a domain (DomainError) does.  This is the one rule of the
+    package for the component that certifies a box: the refutation, the
+    zero-face walk and the degree all read it here."""
     for i, f in enumerate(fs):
         try:
             lo, hi, d = f(env, p)
         except DomainError:
             continue
         if lo > 0:
-            cert = i, 1, lo, d
-        elif hi < 0:
-            cert = i, -1, -hi, d
-        else:
-            continue
-        if not best:
-            return cert
-        if found is None or cert[2] * found[3] > found[2] * cert[3]:
-            found = cert
-    return found
+            return i, 1, lo, d
+        if hi < 0:
+            return i, -1, -hi, d
+    return None
 
 
 def positive_lower_bound(

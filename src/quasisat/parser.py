@@ -22,9 +22,11 @@ interval evaluation at precision 30 shows the denominator excludes zero
 (resp. the radicand is nonnegative) on the box of the variables in
 scope, checked as the parser builds them.  A term more than `_MAX_HEIGHT`
 operations high, or with more than `_MAX_HEIGHT` parentheses and calls
-open at once, is a ParseError, whatever the caller's stack.  A syntax
-error comes first, then a term too high or too deep, then the first
-domain fault in reading order, a DomainError.
+open at once, is a ParseError, whatever the caller's stack.  Formula
+parentheses and quantifiers nested past Python's recursion limit are a
+ParseError "formula nested too deeply" at the token where the limit was
+reached.  A syntax error comes first, then a term too high or too deep,
+then the first domain fault in reading order, a DomainError.
 
 A sentence is read in one forward pass with no backtracking.  A '(' where
 a formula may start opens a formula exactly when its group, up to the
@@ -363,8 +365,8 @@ def parse(text: str, params: dict[str, Ival] | None = None) -> F.Formula:
     p = _Parser(text, params or {})
     try:
         out = p.formula()
-    except RecursionError:
-        raise p.error("term nested too deeply") from None
+    except RecursionError:  # only the formula rules recurse
+        raise p.error("formula nested too deeply") from None
     if p.toks[p.i]:
         raise p.error(f"unexpected trailing input {p.toks[p.i]!r}")
     if p.too_deep:

@@ -60,7 +60,8 @@ there and adds its counts to it.  That compile walk is the only walk of
 the formula: it also finds the free variables and checks the solvable
 fragment, whose violations `validate_class_b` reports on their own.  The
 refutation, the face walk and the degree (at the slice centre, as
-degenerate parameter intervals) run on the same tapes.  A division or
+degenerate parameter intervals) run on the same tapes, and each takes
+the equation that certifies a box from `certify`.  A division or
 sqrt that the parser admitted at precision 30 may leave its domain on a
 box at a lower precision (DomainError); that box then decides nothing.
 """
@@ -329,7 +330,7 @@ def _soei(
     # boundary, is a certificate for every parameter value.
     centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
     certs: dict[Cell, Cert] = {}
-    for cells in _candidate_complexes(fs, p_env, grid, it, plausible, certs, frontier is None):
+    for cells in _candidate_complexes(fs, p_env, grid, it, plausible, certs):
         result = degree(fs, cells, p, centre, certs=certs)
         it.complexes += 1
         it.degrees.append(None if result is None else result.value)
@@ -394,18 +395,12 @@ def _refutation_bound(
     fs: list[Evaluator], gs: list[Evaluator], env: tuple[Ival, ...], p: int
 ) -> tuple[int, int] | None:
     """A positive separation bound (num, den) when the box admits no
-    solution, from the first equation that excludes zero or else the
-    first inequality below zero; None when it stays plausible (a
-    DomainError refutes nothing)."""
-    for f in fs:
-        try:
-            lo, hi, d = f(env, p)
-        except DomainError:
-            continue
-        if lo > 0:
-            return lo, d
-        if hi < 0:
-            return -hi, d
+    solution: the mignitude of `certify`'s equation or else the distance
+    below zero of the first inequality below zero; None when the box
+    stays plausible (a DomainError refutes nothing)."""
+    cert = certify(fs, env, p)
+    if cert is not None:
+        return cert[2], cert[3]
     for g in gs:
         try:
             _, hi, d = g(env, p)
@@ -418,7 +413,7 @@ def _refutation_bound(
 
 def _candidate_complexes(
     fs: list[Evaluator], p_env: tuple[Ival, ...], grid: Grid, it: IterationRecord,
-    plausible: list[Cell], certs: dict[Cell, Cert], best: bool,
+    plausible: list[Cell], certs: dict[Cell, Cert],
 ) -> list[list[Cell]]:
     """The cells of each zero-face component that holds a plausible cell
     and no zero face on the grid boundary, in grid order, the components
@@ -426,10 +421,9 @@ def _candidate_complexes(
     not yet reached starts a flood, which a zero face on the grid
     boundary dooms.  A component of refuted cells only has no zero, hence
     degree 0, and is never reached.  Every face of every reached cell is
-    tested once; the certificate of each face that is not a zero face
-    goes into `certs`, keyed by the face.  With `best`, for a block that
-    reads a parameter, it holds on the whole slice and names the equation
-    of largest mignitude."""
+    tested once; the `certify` certificate of each face that is not a
+    zero face goes into `certs`, keyed by the face.  It is evaluated on
+    `p_env` and the face, so it holds on the whole slice."""
     p = it.precision
     reached: set[Cell] = set()
     tested: set[Cell] = set()
@@ -445,7 +439,7 @@ def _candidate_complexes(
                 if face in tested:
                     continue
                 tested.add(face)
-                cert = certify(fs, p_env + face, p, best)
+                cert = certify(fs, p_env + face, p)
                 if cert is not None:
                     certs[face] = cert
                     continue

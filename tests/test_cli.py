@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quasisat import cli
+from quasisat import cli, solver
 from quasisat.cli import main
 from quasisat.solver import IterationRecord
 
 from conftest import CORPUS_DIR
+from test_parser import DEEP_FORMULAS
 
 TRUE_S = "exists x in [0,1] . x - 1/2 = 0"
 FALSE_S = "exists x in [0,1] . x - 2 = 0"
@@ -104,6 +105,13 @@ def test_epsilon_flag(capsys):
     assert doc["final_eps"] == "1/4"
 
 
+def test_epsilon_that_is_not_a_rational_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", TRUE_S, "--epsilon", "abc"])
+    assert e.value.code == 2
+    assert "not a rational: 'abc'" in capsys.readouterr().err
+
+
 def test_sentence_from_file(tmp_path, capsys):
     p = tmp_path / "s.sent"
     p.write_text(TRUE_S + "\n")
@@ -160,6 +168,27 @@ def test_corpus_sidecar_without_a_positive_budget_fails(tmp_path, capsys, suffix
         cli._parse_expect(f"EXPECT UNKNOWN{suffix}")
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("EXPECT TRUE FALSE", "malformed sidecar line: 'EXPECT TRUE FALSE'"),
+    ("EXPECT MAYBE", "unknown expected label: 'MAYBE'"),
+], ids=["malformed", "unknown_label"])
+def test_corpus_bad_sidecar_fails_its_entry(tmp_path, capsys, line, fault):
+    (tmp_path / "a.sent").write_text(TRUE_S)
+    (tmp_path / "a.expect").write_text(line + "\n")
+    (tmp_path / "b.sent").write_text(TRUE_S)
+    (tmp_path / "b.expect").write_text("EXPECT TRUE\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  a.sent: {fault}" in out and "PASS  b.sent:" in out
+    assert "1/2 passed" in out
+
+
+def test_corpus_without_sentences_errors(tmp_path, capsys):
+    (tmp_path / "a.expect").write_text("EXPECT TRUE\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: no .sent files in {tmp_path}\n"
+
+
 def test_corpus_missing_sidecar_errors(tmp_path, capsys):
     (tmp_path / "a.sent").write_text(TRUE_S)
     assert main(["corpus", str(tmp_path)]) == 1
@@ -202,11 +231,28 @@ def test_deep_terms_exit_one_without_traceback(tmp_path, capsys, term):
     assert "FAIL  deep.sent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS.keys())
+def test_deep_formulas_exit_one_without_traceback(tmp_path, capsys, text):
+    p = tmp_path / "deep.sent"
+    p.write_text(text + "\n")
+    assert main(["solve", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "formula nested too deeply" in err and "Traceback" not in err
+
+
 def test_a_sentence_whose_low_precision_enclosures_leave_the_domain_is_solved(capsys):
     """sin(x) on [1/1000,1] excludes zero at the parser's precision but
     not at iteration 1's, which leaves that box undecided, not an error."""
     assert main(["solve", "exists x in [1/1000,1] . 1/sin(x) - 2 = 0"]) == 0
     assert capsys.readouterr().out.startswith("TRUE")
+
+
+def test_text_trace_prints_a_degree_failure(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "degree", lambda *args, **kwargs: None)
+    assert main(["solve", TRUE_S, "--budget", "2", "--trace"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("UNKNOWN") and len(lines) == 3
+    assert all("complexes: 1  degrees: [failure]" in ln for ln in lines[1:])
 
 
 def test_recursion_while_solving_is_reported(tmp_path, capsys, monkeypatch):

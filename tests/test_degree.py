@@ -337,7 +337,7 @@ def test_degree_on_tapes_at_the_centre_equals_the_substituted_terms(
     centre = tuple((lo + hi, lo + hi, 2 * d) for lo, hi, d in p_env)
     certs = {}
     for face in oriented_boundary(cells):
-        cert = certify(fs, p_env + face, p, best=True)
+        cert = certify(fs, p_env + face, p)
         if cert is not None:
             certs[face] = cert
     for seeds in ({}, certs):

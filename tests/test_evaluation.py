@@ -84,7 +84,7 @@ def test_positive_lower_bound_is_verified():
     assert positive_lower_bound([compile_term(X, ("x",))], env, 10) is None
 
 
-def test_certify_first_or_best_component():
+def test_certify_names_the_first_component():
     env = [ival(0, 1)]
     below, above, across = (compile_term(parse(f"exists x in [0,1] . {t} = 0").body.term,
                                          ("x",))
@@ -93,11 +93,7 @@ def test_certify_first_or_best_component():
     i, sign, num, den = certify([across, below, above], env, 10)
     assert (i, sign) == (1, -1) and Fraction(num, den) == 1
     assert all(type(v) is int for v in (num, den)) and den > 0
-    i, sign, num, den = certify([across, below, above], env, 10, best=True)
-    assert (i, sign) == (2, 1) and Fraction(num, den) == 3
-    assert certify([below, below], env, 10, best=True)[0] == 0  # first of equals
     assert certify([across], env, 10) is None
-    assert certify([across], env, 10, best=True) is None
 
 
 # ---------------------------------------------------------------------------

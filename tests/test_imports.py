@@ -1,10 +1,12 @@
 """Every name a module of src/quasisat imports is used in that module or
 listed in its `__all__`, every top-level function, class or method
 is read by some module of src/quasisat or listed in an `__all__`, only
-`record.py` defines `__eq__` or `__hash__`, and only walks over formulas
-or dimensions call themselves: stdlib AST scans, so that an import left
-behind by a refactor, a helper only the tests use, a second structural
-`==` or `hash`, or a recursion over a term, fails the suite."""
+`record.py` defines `__eq__` or `__hash__`, only walks over formulas
+or dimensions call themselves, and only a few named functions catch
+`DomainError`: stdlib AST scans, so that an import left behind by a
+refactor, a helper only the tests use, a second structural `==` or
+`hash`, a recursion over a term, or a second loop that decides which
+enclosure excludes zero, fails the suite."""
 import ast
 import subprocess
 import sys
@@ -180,6 +182,55 @@ def test_only_formula_and_dimension_walks_recurse():
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in self_recursive_functions(p.read_text())]
     assert found == RECURSIVE_ALLOWED
+
+
+def domain_error_handlers(source: str) -> list[str]:
+    """The function or method, as 'name' or 'Class.name', around each
+    `except` clause that names `DomainError`, alone or in a tuple, in
+    line order; one at module level is '<module>'."""
+    found = []
+
+    def visit(node: ast.AST, qualname: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if qualname == "<module>"
+                      else f"{qualname}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                kinds = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any((k.id if isinstance(k, ast.Name) else getattr(k, "attr", None))
+                       == "DomainError" for k in kinds):
+                    found.append((child.lineno, qualname))
+            visit(child, qualname)
+
+    visit(ast.parse(source), "<module>")
+    return [name for _, name in sorted(found)]
+
+
+def test_the_scan_finds_domain_error_handlers():
+    source = ("try:\n    pass\nexcept DomainError:\n    pass\n"
+              "def f():\n    try:\n        pass\n    except (ValueError, I.DomainError):\n"
+              "        pass\n    except ValueError:\n        pass\n"
+              "class C:\n    def m(self):\n        def inner():\n            try:\n"
+              "                pass\n            except DomainError:\n                pass\n"
+              "        try:\n            pass\n        except:\n            pass\n")
+    assert domain_error_handlers(source) == ["<module>", "f", "C.m.inner"]
+
+
+# `certify` alone decides which equation excludes zero on a box; the
+# others read one enclosure at a time, or report an error
+DOMAIN_ERROR_HANDLERS = [
+    "cli._solve", "cli._corpus",
+    "distance.sup_abs_enclosure", "distance.sup_abs_enclosure",  # cells, corners
+    "evaluation.certify", "evaluation.positive_lower_bound",
+    "solver._refutation_bound",  # its inequality loop
+]
+
+
+def test_only_the_named_functions_catch_domain_errors():
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in domain_error_handlers(p.read_text())]
+    assert found == DOMAIN_ERROR_HANDLERS
 
 
 def module_imports(source: str, module: str) -> list[str]:

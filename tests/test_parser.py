@@ -115,6 +115,11 @@ def test_syntax_error_positions():
     ("exists x in [0,1/0.0] . x = 0", "1:18: zero denominator"),
     ("exists in in [0,1] . 1 = 0", "1:8: expected a variable name"),
     ("exists x in [0,1] . exists x in [0,1] . x = 0", "1:28: variable 'x' is already bound"),
+    ("exists x in [0,1] . x", "1:22: expected '=', '>=' or '<='"),
+    ("exists x in [0,1] . sin x = 0", "1:25: expected '('"),
+    ("exists x in [0,1] . x + in = 0", "1:25: unexpected keyword 'in'"),
+    ("exists x in [0,1] . x^y = 0", "1:23: expected a natural-number exponent"),
+    ("exists x in [0,1] . (x + 1 = 0", "1:31: expected ')'"),
 ])
 def test_error_messages_name_the_fault(text, message):
     with pytest.raises(ParseError) as e:
@@ -196,6 +201,23 @@ def test_the_nesting_bound_is_the_height_bound(frames):
     with pytest.raises(ParseError, match="term nested too deeply") as e:
         _under(frames, lambda: parse(sentence(_MAX_HEIGHT + 1)))
     assert (e.value.line, e.value.col) == (1, len(sentence(_MAX_HEIGHT + 1)) + 1)
+
+
+DEEP_FORMULAS = {
+    "parens_2000": "exists x in [0,1] . " + "(" * 2000 + "x = 0" + ")" * 2000,
+    "forall_1000": "".join(f"forall x{i} in [0,1] . " for i in range(1000)) + "x0 = 0",
+}
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("text", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS.keys())
+def test_deep_formulas_are_parse_errors(frames, text):
+    """The formula rules recurse, so formula parentheses or quantifiers
+    nested past the recursion limit are a formula, not a term, nested
+    too deeply, at top level and under 300 extra frames alike."""
+    with pytest.raises(ParseError) as e:
+        _under(frames, lambda: parse(text))
+    assert str(e.value).endswith(": formula nested too deeply")
 
 
 def _decisions(toks: list[str]) -> list[tuple[int, bool, bool]]:

@@ -143,8 +143,7 @@ def test_pruning_matches_full_sweep(block):
         last = plausible
         if len(eqs) == len(s.vars):
             certs = {}
-            got = _candidate_complexes(fs, p_box, grid, record,
-                                       plausible, certs, bool(p_box))
+            got = _candidate_complexes(fs, p_box, grid, record, plausible, certs)
             assert got == [[index_cell(grid, idx) for idx in cells]
                            for cells in sweep_complexes(eqs, names, p_box, grid, p, want)]
             check_face_certificates(eqs, names, p_box, grid, p, certs)
@@ -153,14 +152,12 @@ def test_pruning_matches_full_sweep(block):
 
 def check_face_certificates(eqs, names, p_box, grid, p, certs):
     """Each certificate of the walk names the first component whose
-    `Fraction` enclosure on the face excludes zero, or with parameters
-    the one of largest mignitude over the slice, with its sign and its
-    exact mignitude."""
+    `Fraction` enclosure on the face, over the whole slice, excludes
+    zero, with its sign and its exact mignitude."""
     for cell, (i, sign, num, den) in certs.items():
         encs = [eval_env(f, env_of(names, p_box, ratbox(cell)), p) for f in eqs]
         migs = [e.lo if e.lo > 0 else -e.hi if e.hi < 0 else 0 for e in encs]
-        want = (migs.index(max(migs)) if p_box
-                else next(k for k, m in enumerate(migs) if m))
+        want = next(k for k, m in enumerate(migs) if m)
         assert (i, sign, Fraction(num, den)) == (want, 1 if encs[want].lo > 0 else -1,
                                                  migs[want])
 
@@ -211,7 +208,7 @@ def test_complexes_come_in_the_grid_order_of_their_least_plausible_cell():
         return [index_cell(grid, idx) for idx in idxs]
 
     assert plausible == cells((1, 2), (1, 3), (2, 0), (2, 1), (2, 2))
-    got = _candidate_complexes(fs, (), grid, record, plausible, {}, False)
+    got = _candidate_complexes(fs, (), grid, record, plausible, {})
     assert got == [cells((1, 2), (2, 2)), cells((2, 0), (2, 1))]
     # five cells with 16 faces, four of them shared; one zero face each
     assert (record.faces_evaluated, record.zero_faces) == (16, 3)

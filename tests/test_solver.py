@@ -303,10 +303,24 @@ def test_driver_unknown_on_budget_exhaustion():
 
 
 def test_driver_epsilon_halves_each_iteration():
-    v = quasi_decide(parse("exists x in [0,2] . x - 1 = 0 and x - 1 = 0"),
-                     budget=4)
+    """An even numerator is halved, an odd one doubles the denominator."""
+    s = parse("exists x in [0,2] . x - 1 = 0 and x - 1 = 0")
+    v = quasi_decide(s, budget=4)
     assert [r.eps for r in v.trace] == \
         [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    v = quasi_decide(s, budget=4, eps=Fraction(12))
+    assert [r.eps for r in v.trace] == \
+        [Fraction(12), Fraction(6), Fraction(3), Fraction(3, 2)]
+
+
+def test_a_degree_failure_leaves_the_block_undecided(monkeypatch):
+    """A complex whose degree fails (None) decides nothing: it is counted
+    and recorded as a failure, and the block stays undecided."""
+    monkeypatch.setattr(solver, "degree", lambda *args, **kwargs: None)
+    v = quasi_decide(parse("exists x in [0,1] . x - 1/2 = 0"), budget=4)
+    assert v.outcome == "UNKNOWN" and len(v.trace) == 4
+    for r in v.trace:
+        assert (r.complexes, r.degrees, r.degree_subdivisions) == (1, [None], 0)
 
 
 def test_trace_prefix_property_across_budgets():
@@ -411,9 +425,9 @@ def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
     calls, points = [], []
     real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
 
-    def certify(fs, env, p, best=False):
+    def certify(fs, env, p):
         calls.append((tuple(fs), tuple(env), points[-1] if points else None))
-        return real_certify(fs, env, p, best)
+        return real_certify(fs, env, p)
 
     def sign_at_point(f, env, p, budget):
         points.append(((f,), tuple(env)))
@@ -457,9 +471,9 @@ def test_seeded_degree_evaluates_no_boundary_face_again(monkeypatch, text):
     seen = []
     real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
 
-    def certify(fs, env, p, best=False):
+    def certify(fs, env, p):
         seen.append(tuple(env))
-        return real_certify(fs, env, p, best)
+        return real_certify(fs, env, p)
 
     def sign_at_point(f, env, p, budget):
         seen.append(tuple(env))
