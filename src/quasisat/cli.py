@@ -24,8 +24,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error, where argparse exits 2,
+    the UNKNOWN code; the subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="quasisat",
         description="Quasi-decision procedure for robust bounded "
                     "first-order sentences over the reals.")

@@ -7,15 +7,16 @@ the same `den` on each axis.  A block of grid cells, a single cell and
 a face are all cells of this one form: a face has `(end, end, den)` on
 its axis.  Bisecting a cell doubles every `den`, so cells refined
 together stay on shared denominators, equal faces have equal keys and
-cells compare in the order of their numerators.  `grid_cover` counts a
-grid's cells by integer ceil-division on the numerator and denominator
-of its width, so no `Fraction` is built or compared.  The solver calls
+cells compare in the order of their numerators.  `grid_cover` cuts each
+axis into the least power of two of cells no wider than ε, so every grid,
+block and slab is a node of one bisection tree of the bound, and the grid
+of a smaller ε refines the grid of a larger one.  The solver calls
 `grid_cover`, `halve_block` and `covering_cells` for every block in
 every iteration, so each is one loop over the axes.
 """
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 from collections.abc import Iterable, Sequence
 from itertools import product
 
@@ -30,9 +31,13 @@ class Grid(Frozen):
 
     Its integer form is `whole`, the grid as one cell, and `steps`, the
     width of a cell on each axis over the `den` of `whole` there: cut i
-    of axis a is whole[a][0] + steps[a]*i over whole[a][2].  Cells are
-    made on demand, so a grid with millions of cells costs nothing to
-    build.  Grids are equal when their `base` and `counts` are.
+    of axis a is whole[a][0] + steps[a]*i over whole[a][2].  An axis
+    (lo, hi, d) cut into c parts is (lo*c, hi*c, d*c) with step hi - lo,
+    unreduced, so the cells of a grid of 2^k cells per axis are the nodes
+    of depth k of the bound's bisection tree, and its `den` is a multiple
+    of the `den` of every coarser such grid.  Cells are made on demand,
+    so a grid with millions of cells costs nothing to build.  Grids are
+    equal when their `base` and `counts` are.
     """
     __slots__ = ("base", "counts", "whole", "steps")
     _fields = ("base", "counts")
@@ -40,18 +45,14 @@ class Grid(Frozen):
     def __init__(self, base: tuple[Ival, ...], counts: tuple[int, ...]) -> None:
         if len(counts) != len(base):
             raise ValueError("counts and box dimension differ")
-        whole, steps = [], []
-        for (lo, hi, d), c in zip(base, counts):
-            if c < 1:
-                raise ValueError("each axis needs at least one cell")
-            # lo + (hi - lo)*i/c over the common denominator d*c
-            g = gcd(lo * c, hi - lo, d * c)
-            whole.append((lo * c // g, hi * c // g, d * c // g))
-            steps.append((hi - lo) // g)
+        if any(c < 1 for c in counts):
+            raise ValueError("each axis needs at least one cell")
         init_field(self, "base", base)
         init_field(self, "counts", counts)
-        init_field(self, "whole", tuple(whole))
-        init_field(self, "steps", tuple(steps))
+        # lo + (hi - lo)*i/c over the common denominator d*c
+        init_field(self, "whole", tuple((lo * c, hi * c, d * c)
+                                        for (lo, hi, d), c in zip(base, counts)))
+        init_field(self, "steps", tuple(hi - lo for lo, hi, _ in base))
 
     @property
     def n_cells(self) -> int:
@@ -76,32 +77,21 @@ def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
 
 
 def covering_cells(cells: Sequence[Cell], grid: Grid) -> list[Cell]:
-    """The cells of `grid` whose interiors meet the interior of one of
-    `cells`, cells or blocks of another grid over the same base, each once
-    and in grid order; a cell that only touches them on a face is left
-    out.  Grids of different widths do not nest, so the ends are found by
-    integer cross-multiplication."""
-    whole, steps, counts = grid.whole, grid.steps, grid.counts
+    """The cells of `grid` inside each of `cells`, cell after cell, each
+    one's in grid order.  `cells` are disjoint cells or blocks of a
+    coarser grid of `grid_cover` over the same base, whose `den` divides
+    the `den` of `grid` on every axis: each is a node of the bound's
+    bisection tree, and its cells of `grid` are its descendants there, so
+    no cell comes twice."""
     out: list[Cell] = []
     for cell in cells:
         axes = []
-        for (lo, hi, d), (first, last, e), step, count in zip(cell, whole, steps, counts):
-            if not step:  # a degenerate axis holds one cell
-                axes.append(((first, last, e),))
-                continue
-            # cell i spans (first + step*i)/e to (first + step*(i + 1))/e: from
-            # the first cell ending above lo/d to one past the last starting below hi/d
-            i = (lo * e - first * d) // (step * d)
-            j = -((first * d - hi * e) // (step * d))
-            at, end = first + step * max(i, 0), first + step * min(j, count)
-            cuts = []
-            while at < end:
-                cuts.append((at, at + step, e))
-                at += step
-            axes.append(cuts)
+        for (lo, hi, d), (_, _, e), step in zip(cell, grid.whole, grid.steps):
+            k = e // d  # lo/d is lo*k/e
+            axes.append([(at, at + step, e) for at in range(lo * k, hi * k, step)]
+                        if step else ((lo * k, hi * k, e),))
         out += product(*axes)  # in grid order
-    # the cells over two of `cells` may overlap
-    return out if len(cells) == 1 else sorted(set(out))
+    return out
 
 
 def faces_around(cell: Cell, grid: Grid) -> list[tuple[Cell, Cell | None]]:
@@ -121,16 +111,17 @@ def faces_around(cell: Cell, grid: Grid) -> list[tuple[Cell, Cell | None]]:
 
 
 def grid_cover(b: tuple[Ival, ...], r) -> Grid:
-    """Uniform grid over b with every cell width <= r."""
+    """Uniform grid over b with every cell width <= r: each axis is cut
+    into the least power of two of cells that is at least ceil(w/r), so
+    the grid of r/2 refines the grid of r."""
     r = rat(r)
     num, den = r.numerator, r.denominator
     if num <= 0:
         raise ValueError("grid width must be positive")
-    # ceil((hi - lo)/d / r) by integer ceil-division
     counts = []
     for lo, hi, d in b:
-        c = -((lo - hi) * den // (d * num))
-        counts.append(c if c > 0 else 1)
+        c = -((lo - hi) * den // (d * num))  # ceil((hi - lo)/d / r) on integers
+        counts.append(1 << max(c - 1, 0).bit_length())  # the least power of two >= c
     return Grid(b, tuple(counts))
 
 

@@ -35,13 +35,15 @@ integer pairs, and one `Fraction` is built for a FALSE block.
 
 A block that reads no parameter (no variable bound outside it) carries
 its frontier across ε-iterations: the plausible cells of its last pass.
-The next pass starts from the cells of the current grid that meet the
-carried cells (`covering_cells`), so a block with two plausible cells
-evaluates a handful of cells per iteration, not a descent from the
-whole grid.  When that pass finds no plausible cell, a full pass from
-the whole grid decides the call, so a FALSE verdict and its separation
-are always those of a full pass.  A block that reads a parameter sees a
-new slice at every call and is searched from the whole grid each time.
+The grid of each ε refines the grid of every larger one (`grid_cover`
+counts in powers of two), so the next pass starts from the carried
+cells' children on the current grid (`covering_cells`), and a block with
+two plausible cells evaluates a handful of cells per iteration, not a
+descent from the whole grid.  When that pass finds no plausible cell,
+a full pass from the whole grid decides the call, so a FALSE verdict
+and its separation are always those of a full pass.  A block that reads
+a parameter sees a new slice at every call and is searched from the
+whole grid each time.
 A check below a universal that reads no variable bound above it, a
 block or a larger subtree, gives every slab the same answer, so it runs
 once per iteration and the other slabs of that iteration reuse it.
@@ -360,9 +362,9 @@ def _plausible_cells(
     separation bound of the refuted blocks.  With `first`, the search
     stops at the first plausible cell.
 
-    With `carried`, the plausible cells of a pass on an earlier grid over
-    the same box, the search starts from this grid's cells that meet a
-    carried cell, each once; everything else was refuted there."""
+    With `carried`, the plausible cells of a pass on an earlier, coarser
+    grid over the same box, the search starts from their children on
+    this grid; everything else was refuted there."""
     steps, p = grid.steps, it.precision
     blocks = [grid.whole] if carried is None else covering_cells(carried, grid)
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet

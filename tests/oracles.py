@@ -13,7 +13,9 @@ for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), the degree, oriented boundary, bisection and
 supremum enclosure on `RatBox`es, the recursive `repr` and `==` of a
-record, and the recursive `term_text`."""
+record, the recursive `term_text`, and the exact decisions and
+robustness margins of univariate polynomial sentences from Sturm
+sequences."""
 from __future__ import annotations
 
 import math
@@ -743,6 +745,14 @@ def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
     return iv.lo + width(iv) * i / grid.counts[axis]
 
 
+def least_power_of_two(n: RatLike) -> int:
+    """The least power of two >= n, 1 for n <= 1: a `grid_cover` count."""
+    c = 1
+    while c < n:
+        c *= 2
+    return c
+
+
 def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
     """Every cell of the grid, in index order, with its box built from
     `grid_cut`."""
@@ -1112,3 +1122,157 @@ def recursive_term_text(t: T.Term, parent: int = 0) -> str:
         s = recursive_term_text(t.base, T._PREC_POW + 1) + f"^{t.exponent}"
         return f"({s})" if parent > T._PREC_POW else s
     return f"{type(t).__name__.lower()}({recursive_term_text(t.arg)})"
+
+
+# ---------------------------------------------------------------------------
+# exact decisions and robustness margins of univariate polynomial sentences
+
+Poly = tuple[Fraction, ...]  # coefficients, the constant first
+Bracket = tuple[Fraction, Fraction]  # lo <= the exact value <= hi
+
+# the shapes of a one-polynomial sentence over x in [a, b]
+POLY_SHAPES = ("exists_eq", "exists_geq", "forall_geq")
+
+
+def poly_eval(p: Poly, x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def poly_bracket(p: Poly, lo: Fraction, hi: Fraction) -> Bracket:
+    """An enclosure of p on [lo, hi] by interval Horner."""
+    x = rival(lo, hi)
+    out = rival(0)
+    for c in reversed(p):
+        out = add(mul(out, x), rival(c))
+    return out.lo, out.hi
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_derivative(p: Poly) -> Poly:
+    return tuple(i * c for i, c in enumerate(p))[1:]
+
+
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    while len(a) >= len(b):
+        k, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= k * c
+        a.pop()  # its leading term is now zero
+        _trim(a)
+    return a
+
+
+def sturm_chain(p: Poly) -> list[list[Fraction]]:
+    """p, p' and the negated remainders down to the last nonzero one."""
+    chain = [_trim(list(p)), _trim(list(poly_derivative(p)))]
+    while chain[-1]:
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+    return chain[:-1]
+
+
+def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def count_roots(chain: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
+    """Sturm's theorem: the distinct real roots of chain[0] in (a, b]."""
+    return _sign_changes(chain, a) - _sign_changes(chain, b)
+
+
+def root_brackets(p: Poly, a: Fraction, b: Fraction, bits: int = 40) -> list[Bracket]:
+    """Each distinct root of p in the open (a, b), in an interval (lo, hi]
+    of width at most 2^-bits that holds it alone; a rational root met on
+    the way is the exact (r, r).  p is not the zero polynomial."""
+    if len(_trim(list(p))) < 2:
+        return []  # a constant
+    chain, tol, out = sturm_chain(p), Fraction(1, 2 ** bits), []
+    stack = [(a, b, count_roots(chain, a, b) - (poly_eval(p, b) == 0))]
+    while stack:
+        lo, hi, n = stack.pop()  # n roots in the open (lo, hi)
+        if n == 0:
+            continue
+        if n == 1 and hi - lo <= tol:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if poly_eval(p, mid) == 0:
+            out.append((mid, mid))
+            left = count_roots(chain, lo, mid) - 1
+            stack += ((lo, mid, left), (mid, hi, n - 1 - left))
+        else:
+            left = count_roots(chain, lo, mid)
+            stack += ((lo, mid, left), (mid, hi, n - left))
+    return sorted(out)
+
+
+def poly_extrema(p: Poly, a: Fraction, b: Fraction) -> tuple[Bracket, Bracket]:
+    """Brackets of min p and max p on [a, b]: over the ends and the roots
+    of p', each root's value enclosed on its isolating interval."""
+    values = [(poly_eval(p, a),) * 2, (poly_eval(p, b),) * 2]
+    dp = poly_derivative(p)
+    if any(dp):
+        values += [poly_bracket(p, lo, hi) for lo, hi in root_brackets(dp, a, b)]
+    return ((min(lo for lo, _ in values), min(hi for _, hi in values)),
+            (max(lo for lo, _ in values), max(hi for _, hi in values)))
+
+
+def signed_margin(shape: str, p: Poly, a: Fraction, b: Fraction) -> Bracket:
+    """A bracket of the signed robustness margin of one polynomial
+    sentence over x in [a, b]: positive for a TRUE sentence, negative for
+    a FALSE one, and its magnitude the exact infimum, in the sup norm, of
+    the perturbations of p that flip the verdict.
+
+    - exists p = 0: TRUE margin min(max p, -min p), FALSE margin min |p|,
+      so min(max p, -min p) in both cases;
+    - exists p >= 0: max p;
+    - forall p >= 0: min p."""
+    (min_lo, min_hi), (max_lo, max_hi) = poly_extrema(p, a, b)
+    if shape == "exists_eq":
+        return min(max_lo, -min_hi), min(max_hi, -min_lo)
+    if shape == "exists_geq":
+        return max_lo, max_hi
+    if shape == "forall_geq":
+        return min_lo, min_hi
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def combine_margins(word: str, left: Bracket, right: Bracket) -> Bracket:
+    """The signed margin of `left word right` over disjoint variables: an
+    `and` flips when its least side flips, so a TRUE one takes the least
+    margin and a FALSE one the largest over its FALSE sides, the least
+    signed margin either way; an `or` takes the largest."""
+    pick = min if word == "and" else max
+    return pick(left[0], right[0]), pick(left[1], right[1])
+
+
+def poly_text(p: Poly, var: str) -> str:
+    """p as a term of the parser's language, highest power first."""
+    parts = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        mag = str(abs(c))
+        power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+        mono = mag if not power else power if abs(c) == 1 else f"{mag}*{power}"
+        parts.append(("- " if c < 0 else "+ ") + mono)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
+
+
+def poly_sentence_text(shape: str, p: Poly, a: Fraction, b: Fraction, var: str = "x") -> str:
+    quantifier = "forall" if shape == "forall_geq" else "exists"
+    relation = "=" if shape == "exists_eq" else ">="
+    return f"{quantifier} {var} in [{a},{b}] . {poly_text(p, var)} {relation} 0"

@@ -108,8 +108,22 @@ def test_epsilon_flag(capsys):
 def test_epsilon_that_is_not_a_rational_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["solve", TRUE_S, "--epsilon", "abc"])
-    assert e.value.code == 2
+    assert e.value.code == 1
     assert "not a rational: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "corpus"])
+def test_a_mistyped_flag_exits_one_not_the_unknown_code(tmp_path, capsys, command):
+    """A usage error is an error (1), which a script can tell from an
+    UNKNOWN verdict (2); `--help` still exits 0."""
+    target = TRUE_S if command == "solve" else str(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main([command, "--budgte", "3", target])
+    assert e.value.code == 1
+    assert "unrecognized arguments: --budgte" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
 
 
 def test_sentence_from_file(tmp_path, capsys):
@@ -141,7 +155,7 @@ def test_output_flags_belong_to_solve_only(tmp_path, capsys, flags):
     (tmp_path / "a.expect").write_text("EXPECT TRUE\n")
     with pytest.raises(SystemExit) as exit_:
         main(["corpus", str(tmp_path), *flags])
-    assert exit_.value.code == 2
+    assert exit_.value.code == 1
     assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
     assert main(["solve", TRUE_S, "--format", "json", "--certificate", "--trace"]) == 0
     assert json.loads(capsys.readouterr().out).keys() >= {"certificate", "trace"}

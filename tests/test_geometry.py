@@ -11,19 +11,19 @@ from quasisat.geometry import (Grid, bisect_box, covering_cells, faces_around, g
 from quasisat.intervals import ival
 
 import oracles
-from oracles import (RatBox, box, complex_of, face_box, grid_cells, grid_cut, grid_faces,
-                     halve_index_block, index_block, index_cell, index_cell_faces,
-                     ratbox, ratboxes, rival, single_box, width)
+from oracles import (RatBox, box, box_issubset, complex_of, face_box, grid_cells, grid_cut,
+                     grid_faces, halve_index_block, index_block, index_cell, index_cell_faces,
+                     least_power_of_two, ratbox, ratboxes, rival, single_box, width)
 
 UNIT2 = (ival(0, 1), ival(0, 1))
 
 
 def test_grid_cover_cell_widths():
     g = grid_cover((ival(0, 1), ival(0, 3)), Fraction(1, 2))
-    assert g.counts == (2, 6)
+    assert g.counts == (2, 8)  # 6 cells of width 1/2 round up to 8
     for _, cell in grid_cells(g):
         assert all(width(iv) <= Fraction(1, 2) for iv in cell.intervals)
-    assert g.n_cells == 12
+    assert g.n_cells == 16
 
 
 def test_grid_cells_tile_the_base_box():
@@ -43,9 +43,10 @@ def test_grid_cells_tile_the_base_box():
 @settings(max_examples=200, deadline=None)
 def test_grid_cover_counts_by_integer_ceil_division(axes, r):
     """`grid_cover` counts the cells of each axis on integers; the counts
-    are ceil(width / r) on `Fraction`s, and 1 on a degenerate axis."""
+    are the least powers of two at least ceil(width / r) on `Fraction`s,
+    and 1 on a degenerate axis."""
     g = grid_cover(tuple(ival(lo, lo + w) for lo, w in axes), r)
-    assert g.counts == tuple(max(1, math.ceil(w / r)) for _, w in axes)
+    assert g.counts == tuple(least_power_of_two(math.ceil(w / r)) for _, w in axes)
 
 
 def test_face_count_and_boundary_flags():
@@ -98,9 +99,11 @@ def test_integer_axes_reproduce_the_cuts(spec):
 
 
 def test_integer_axes_of_a_non_dyadic_box():
+    """An axis (lo, hi, d) cut into c cells is (lo*c, hi*c, d*c) with step
+    hi - lo, not reduced."""
     g = Grid((ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
-    assert (g.whole, g.steps) == (((21, 45, 63), (-2, 2, 2)), (8, 1))
-    assert complex_of(g, [(2, 3)]) == [((37, 45, 63), (1, 2, 2))]
+    assert (g.whole, g.steps) == (((21, 45, 63), (-4, 4, 4)), (8, 2))
+    assert complex_of(g, [(2, 3)]) == [((37, 45, 63), (2, 4, 4))]
     assert ratboxes(complex_of(g, [(2, 3)])) == (box(rival(Fraction(37, 63), Fraction(5, 7)),
                                                      rival(Fraction(1, 2), 1)),)
     flat = Grid((ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
@@ -175,7 +178,7 @@ def test_repeated_halving_reaches_every_cell_once():
     assert sorted(cells) == [index_cell(g, idx) for idx, _ in grid_cells(g)]
 
 
-NINE_EIGHTHS = ival(0, Fraction(9, 8))  # 2, 3, 5, 9 and 18 cells at widths 1 to 1/16
+NINE_EIGHTHS = ival(0, Fraction(9, 8))  # 2, 4, 8, 16 and 32 cells at widths 1 to 1/16
 
 
 def halving_blocks(g: Grid) -> list:
@@ -203,30 +206,72 @@ def meeting_cells(block, g: Grid) -> list:
     ((ival(Fraction(1, 3)), NINE_EIGHTHS), 4),
 ])
 def test_covering_cells_take_the_cells_that_meet_blocks_of_another_grid(base, finest):
-    """From every block of one grid to every other grid of widths 1 to
-    2^-finest over a box 9/8 wide, where a cell of one grid need not nest
-    in a cell of the other, `covering_cells` gives exactly the cells whose
-    interiors meet the block's; for a list of blocks, the cells that meet
-    any of them, each once and in grid order."""
+    """From every block of one grid to every finer grid of widths 1 to
+    2^-finest over a box 9/8 wide, `covering_cells` gives exactly the
+    cells whose interiors meet the block's; for a list of disjoint cells,
+    the cells that meet any of them, each once."""
     grids = [grid_cover(base, Fraction(1, 2 ** k)) for k in range(finest + 1)]
-    for old in grids:
+    for i, old in enumerate(grids):
         blocks = halving_blocks(old)
-        for new in grids:
+        cells = sorted(index_cell(old, idx) for idx, _ in grid_cells(old))[::3]
+        for new in grids[i:]:
             for block in blocks:
                 assert covering_cells([block], new) == meeting_cells(block, new)
-            assert covering_cells(blocks[::3], new) == sorted(
-                {cell for block in blocks[::3] for cell in meeting_cells(block, new)})
+            assert sorted(covering_cells(cells, new)) == sorted(
+                {c for cell in cells for c in meeting_cells(cell, new)})
 
 
 def test_covering_cells_leave_out_a_cell_that_touches_on_a_face():
-    three, five, nine = (grid_cover((NINE_EIGHTHS,), Fraction(1, 2 ** k)) for k in (1, 2, 3))
-    # cell [3/8, 3/4] of three: the cells [1/4, 3/8] and [3/4, 7/8] of
-    # nine touch it on a face only
-    assert ratboxes(covering_cells([index_cell(three, (1,))], nine)) == tuple(
-        box(rival(Fraction(k, 8), Fraction(k + 1, 8))) for k in (3, 4, 5))
-    # cell [9/40, 9/20] of five meets [1/8, 1/4] and [3/8, 1/2] in part
-    assert ratboxes(covering_cells([index_cell(five, (1,))], nine)) == tuple(
-        box(rival(Fraction(k, 8), Fraction(k + 1, 8))) for k in (1, 2, 3))
+    two, eight = (grid_cover((NINE_EIGHTHS,), Fraction(1, 2 ** k)) for k in (0, 2))
+    assert (two.counts, eight.counts) == ((2,), (8,))
+    # cell [9/16, 9/8] of two: the cell [27/64, 9/16] of eight touches it
+    # on a face only
+    assert ratboxes(covering_cells([index_cell(two, (1,))], eight)) == tuple(
+        box(rival(Fraction(9 * k, 64), Fraction(9 * (k + 1), 64))) for k in (4, 5, 6, 7))
+    # cell [0, 9/16] of two: [9/16, 45/64] touches it on a face only
+    assert ratboxes(covering_cells([index_cell(two, (0,))], eight)) == tuple(
+        box(rival(Fraction(9 * k, 64), Fraction(9 * (k + 1), 64))) for k in (0, 1, 2, 3))
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                          st.fractions(min_value=0, max_value=2, max_denominator=30),
+                          st.integers(min_value=0, max_value=3)),
+                min_size=1, max_size=3),
+       st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=50), st.data())
+@settings(max_examples=80, deadline=None)
+def test_grids_of_halved_widths_nest(spec, r, data):
+    """Over bounds with non-dyadic widths, negative ends and degenerate
+    axes (about one in four): the grid of r/2 refines the grid of r and
+    has no cell wider than r/2, each axis count c has ceil(w/r) <= c <
+    2*ceil(w/r), and `covering_cells` of a cell of the coarser grid tiles
+    the cell exactly with cells of the finer one, in grid order; of
+    several cells, it is the concatenation of their children."""
+    base = tuple(ival(lo, lo if flat == 0 else lo + w) for lo, w, flat in spec)
+    coarse, fine = grid_cover(base, r), grid_cover(base, r / 2)
+    for g, r_ in ((coarse, r), (fine, r / 2)):
+        for (lo, hi, d), c in zip(base, g.counts):
+            n = max(1, math.ceil(Fraction(hi - lo, d) / r_))
+            assert n <= c < 2 * n
+    cells = sorted(index_cell(coarse, idx) for idx, _ in grid_cells(coarse))
+    children = []
+    for cell, outer in zip(cells, ratboxes(cells)):
+        got = covering_cells([cell], fine)
+        assert got == sorted(got)
+        # distinct cells of one grid meet in a face at most, so children
+        # inside the cell whose volumes sum to the cell's tile it
+        assert all(box_issubset(b, outer) and all(width(iv) <= r / 2 for iv in b.intervals)
+                   for b in ratboxes(got))
+        assert sum(volume(c) for c in got) == volume(cell)
+        children += got
+    assert sorted(children) == sorted(index_cell(fine, idx) for idx, _ in grid_cells(fine))
+    picked = sorted(data.draw(st.sets(st.sampled_from(cells), max_size=4)))
+    assert covering_cells(picked, fine) == [c for cell in picked
+                                            for c in covering_cells([cell], fine)]
+
+
+def volume(cell) -> Fraction:
+    """The product of the widths of the non-degenerate axes."""
+    return math.prod(Fraction(hi - lo, d) for lo, hi, d in cell if lo != hi)
 
 
 def check_faces_around(g: Grid) -> None:

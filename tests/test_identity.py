@@ -12,6 +12,10 @@ canonical JSON.  To record new goldens, run this file:
 
     PYTHONPATH=src python tests/test_identity.py
 
+It first prints what moved: each changed verdict line with its
+certificate ratio, a summary, and per workload the changed trace lines
+and the deltas of their summed counts.
+
 The same sentences also hold the frontier that a block without
 parameters carries from one iteration to the next to a reference that
 builds the check tree anew at every iteration, and so carries nothing.
@@ -127,6 +131,20 @@ def test_iteration_records_keep_their_field_types():
             assert all(d is None or type(d) is int for d in r.degrees), key
 
 
+def test_the_recorder_reports_what_moved():
+    old = {"w/a": ["TRUE", 3, "1/4"], "w/b": ["FALSE", 1, "1/2"], "v/c": ["UNKNOWN", 9, None]}
+    new = {"w/a": ["TRUE", 2, "1/2"], "w/b": ["FALSE", 1, "1/2"], "v/c": ["UNKNOWN", 9, None]}
+    hashes = ["h"] * 3
+    old_trace = {"w/a": [5, 1, 2, 0, 1, 0, "h"], "w/b": [1] * 6 + ["h"], "v/c": hashes}
+    new_trace = {"w/a": [7, 1, 2, 1, 1, 0, "g"], "w/b": [1] * 6 + ["h"], "v/c": hashes}
+    assert moved(old, new, old_trace, new_trace) == [
+        "w/a: ['TRUE', 3, '1/4'] -> ['TRUE', 2, '1/2']  (certificate x2)",
+        "1 lines changed: 0 verdicts changed, 1 decided earlier, 0 later, "
+        "1 certificates up, 0 down",
+        "w: 1 trace lines changed, cells_evaluated +2, cells_plausible +0, "
+        "faces_evaluated +0, zero_faces +1, complexes +0, degree_subdivisions +0"]
+
+
 def fresh_tree_run(f, budget: int) -> tuple[list[IterationRecord], Fraction | None]:
     """The iterations of `quasi_decide` with the check tree built anew at
     each one, so that no block starts from an earlier frontier: the trace
@@ -159,7 +177,49 @@ def test_carried_frontiers_change_nothing_but_cells_evaluated():
     assert carried < fresh
 
 
+def moved(old: dict[str, list], new: dict[str, list], old_trace: dict[str, list],
+          new_trace: dict[str, list]) -> list[str]:
+    """What a re-recording moves: each changed verdict line as `key: old ->
+    new` with the new/old certificate ratio, a summary of verdicts,
+    iterations and certificates, and per workload the changed trace lines
+    and the deltas of their summed counts."""
+    out, verdicts_changed, earlier, later, up, down = [], 0, 0, 0, 0, 0
+    for key, row in new.items():
+        was = old.get(key)
+        if row == was:
+            continue
+        line = f"{key}: {was} -> {row}"
+        if was is not None:
+            verdicts_changed += was[0] != row[0]
+            earlier += row[1] < was[1]
+            later += row[1] > was[1]
+            if was[2] is not None and row[2] is not None and was[2] != row[2]:
+                ratio = Fraction(row[2]) / Fraction(was[2])
+                up, down = up + (ratio > 1), down + (ratio < 1)
+                line += f"  (certificate x{float(ratio):.3g})"
+        out.append(line)
+    out.append(f"{len(out)} lines changed: {verdicts_changed} verdicts changed, "
+               f"{earlier} decided earlier, {later} later, "
+               f"{up} certificates up, {down} down")
+    workloads: dict[str, list] = {}
+    for key, row in new_trace.items():
+        was = old_trace.get(key)
+        if row != was:
+            counts = workloads.setdefault(key.split("/")[0], [0] + [0] * len(SUMMED))
+            counts[0] += 1
+            for i, (a, b) in enumerate(zip(was or [0] * len(SUMMED), row[:len(SUMMED)])):
+                counts[i + 1] += b - a
+    for name, (lines, *deltas) in workloads.items():
+        out.append(f"{name}: {lines} trace lines changed, "
+                   + ", ".join(f"{field} {d:+d}" for field, d in zip(SUMMED, deltas)))
+    return out
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(dumps(verdicts()))
-    TRACE_GOLDEN.write_text(dumps(traces()))
+    tables = verdicts(), traces()
+    olds = [json.loads(path.read_text()) if path.exists() else {}
+            for path in (GOLDEN, TRACE_GOLDEN)]
+    print("\n".join(moved(olds[0], tables[0], olds[1], tables[1])))
+    GOLDEN.write_text(dumps(tables[0]))
+    TRACE_GOLDEN.write_text(dumps(tables[1]))
     print(f"wrote {GOLDEN} and {TRACE_GOLDEN}")

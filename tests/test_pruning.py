@@ -36,8 +36,8 @@ EXTRA_BLOCKS = {
     "two_conics": "exists x in [-2,2], y in [-2,2] . "
                   "2*x^2 + y^2 + 2*x*y + x + 2*y - 2/3 = 0 and "
                   "-x^2 + y^2 + x*y - x + 1/2 = 0",
-    # a box 9/8 wide: the grids of widths 1, 1/2, 1/4 and 1/8 have 2, 3,
-    # 5 and 9 cells, so a cell of one grid does not nest in the last's
+    # a box 9/8 wide, not a dyadic multiple of any grid width: the grids
+    # of widths 1, 1/2, 1/4 and 1/8 have 2, 4, 8 and 16 cells
     "non_nesting_1d": "exists x in [0,9/8] . x*x - 1/2 = 0",
     # a parameterized planar block whose faces often have a second
     # component of larger mignitude than the first
