@@ -1,13 +1,15 @@
 """Topological degree deg(f, A°, 0) of an interval-evaluable map over a
-box complex, by recursive boundary reduction.
+box complex, by boundary reduction: a loop of at most m passes, each one
+dimension lower.
 
 The boundary of the complex is a cycle of oriented (m-1)-cells.  Every
 cell is certified to carry a nonzero component (s * f_i > 0 via interval
 evaluation, subdividing congruently until this succeeds); the cells
 certified positive for the most frequently certified component i* form a
-region whose own boundary carries the same degree for the map with
-component i* removed, up to the sign (-1)**(i*-1).  Dimension 0 counts
-signs directly.  Orientation conventions follow `geometry.oriented_boundary`
+region whose own boundary, the next pass's cycle, carries the same degree
+for the map with component i* removed, up to the sign (-1)**(i*-1).
+Dimension 0 counts signs directly, raising the precision at a point that
+does not certify.  Orientation conventions follow `geometry.oriented_boundary`
 and are cross-checked against independent oracles in the test suite.
 
 Cells are the `Ival` cells of `geometry`: a cycle is a dict keyed by
@@ -22,7 +24,7 @@ solver passes the slice centre as degenerate intervals); an `env` of
 another length than the tapes' names before the complex's own raises
 ValueError from the tapes.  Certificates a
 caller already holds for boundary cells (the solver's face walk) seed
-the top level: a cell found there is not evaluated again.  The solver
+the first pass: a cell found there is not evaluated again.  The solver
 calls `degree` for every candidate complex in every iteration, often on
 one or two cells, so the input checks are one pass over the cells.
 """
@@ -50,99 +52,76 @@ class DegreeResult(Frozen):
         init_field(self, "subdivisions", subdivisions)
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n: int) -> bool:
-        self.used += n
-        return self.used <= self.limit
-
-
-def _sign_at_point(
-    f: Evaluator, env: tuple[Ival, ...], p: int, budget: _Budget
-) -> Cert | None:
-    """Sign of f at a degenerate cell, escalating precision (also past a DomainError)."""
-    while p <= _MAX_PREC:
-        cert = certify((f,), env, p)
-        if cert is not None or not budget.spend(1):
-            return cert
-        p *= 2
-    return None
-
-
 def _deg_cycle(
-    fs: list[Evaluator],
-    cycle: dict[Cell, int],
-    p: int,
-    env: tuple[Ival, ...],
-    budget: _Budget,
-    top_bounds: list[Cert] | None,
+    fs: list[Evaluator], cycle: dict[Cell, int], p: int, env: tuple[Ival, ...], budget: int,
     known: Mapping[Cell, Cert] = {},
-) -> int | None:
-    """Degree of fs over an oriented cycle of (len(fs)-1)-cells, evaluated
-    on `env` + the cell; the cells in `known` come certified."""
-    if not cycle:  # e.g. a region boundary that cancelled out entirely
-        return 0
-    if len(fs) == 1:
-        total = 0
-        for cell, coef in cycle.items():
-            cert = known.get(cell) or _sign_at_point(fs[0], env + cell, p, budget)
-            if cert is None:
+) -> tuple[int, list[Cert], int] | None:
+    """The degree of fs over an oriented cycle of (len(fs)-1)-cells, each
+    evaluated on `env` + the cell, as (degree, the certificates of the
+    first pass, on the cycle's cells or their refinements, work spent);
+    None when the work would exceed `budget`.  The cells in `known` come
+    certified.  Each pass certifies the cycle, refining it as needed, and
+    makes the boundary of the region where i* is positive the next cycle,
+    for the map without i*, one dimension lower; a cycle that cancels
+    out entirely has degree 0."""
+    sign, used, top = 1, 0, []
+    while cycle:
+        cells = list(cycle.items())
+        certs: list[Cert | None] = [known.get(cell) for cell, _ in cells]
+        known = {}
+        if len(fs) == 1:
+            total = 0
+            for k, (cell, coef) in enumerate(cells):
+                q = p  # escalate the precision at the point, also past a DomainError
+                while certs[k] is None:
+                    if q > _MAX_PREC or used > budget:
+                        return None
+                    certs[k] = certify(fs, env + cell, q)
+                    used += certs[k] is None  # a failed try spends one unit
+                    q *= 2
+                total += coef * certs[k][1]
+            if total % 2:  # an odd sum means the cycle was not closed
                 return None
-            total += coef * cert[1]
-            if top_bounds is not None:
-                top_bounds.append(cert)
-        if total % 2:  # an odd sum means the cycle was not closed
-            return None
-        return total // 2
+            return sign * total // 2, top or certs, used
 
-    cells: list[tuple[Cell, int]] = list(cycle.items())
-    certs: list[Cert | None] = [known.get(cell) for cell, _ in cells]
-    # how often each component certifies a cell, summed over every level
-    # of refinement: a cell certified before it was split still counts,
-    # and its halves, which inherit its certificate, count again.  This is
-    # the count of the `RatBox` reference in tests/oracles.py, whose certs
-    # dict keeps refined-away cells; the same i* keeps `value`,
-    # `boundary_min_lb` and `subdivisions` identical to it.
-    counts: dict[int, int] = {}
-    while True:
-        for k, (cell, _) in enumerate(cells):
-            cert = certs[k]
-            if cert is None:
-                cert = certs[k] = certify(fs, env + cell, p)
-            if cert is not None:
-                counts[cert[0]] = counts.get(cert[0], 0) + 1
-        if None not in certs:
-            break
-        # congruent refinement: split every cell so that shared sub-faces
-        # of the region boundary still cancel by key equality
-        if not budget.spend(len(cells)):
-            return None
-        refined: list[tuple[Cell, int]] = []
-        inherited: list[Cert | None] = []
-        for (cell, coef), cert in zip(cells, certs):
-            for child in bisect_box(cell):
-                refined.append((child, coef))
-                inherited.append(cert)  # a subset keeps the bound
-        cells, certs = refined, inherited
-        p += 2
+        # how often each component certifies a cell, summed over every level
+        # of refinement: a cell certified before it was split still counts,
+        # and its halves, which inherit its certificate, count again.  This is
+        # the count of the `RatBox` reference in tests/oracles.py, whose certs
+        # dict keeps refined-away cells; the same i* keeps `value`,
+        # `boundary_min_lb` and `subdivisions` identical to it.
+        counts: dict[int, int] = {}
+        while True:
+            for k, (cell, _) in enumerate(cells):
+                if certs[k] is None:
+                    certs[k] = certify(fs, env + cell, p)
+                if certs[k] is not None:
+                    counts[certs[k][0]] = counts.get(certs[k][0], 0) + 1
+            if None not in certs:
+                break
+            # congruent refinement: split every cell so that shared sub-faces
+            # of the region boundary still cancel by key equality
+            used += len(cells)
+            if used > budget:
+                return None
+            refined: list[tuple[Cell, int]] = []
+            inherited: list[Cert | None] = []
+            for (cell, coef), cert in zip(cells, certs):
+                for child in bisect_box(cell):
+                    refined.append((child, coef))
+                    inherited.append(cert)  # a subset keeps the bound
+            cells, certs = refined, inherited
+            p += 2
 
-    if top_bounds is not None:  # every certificate made lives on in a child
-        top_bounds.extend(certs)
-    i_star = min(counts, key=lambda i: (-counts[i], i))
-
-    gamma: dict[Cell, int] = {}
-    for (cell, coef), (ci, cs, _, _) in zip(cells, certs):
-        if ci == i_star and cs == 1:
-            _add_cell_boundary(gamma, cell, coef)
-
-    reduced = fs[:i_star] + fs[i_star + 1:]
-    sub = _deg_cycle(reduced, gamma, p, env, budget, None)
-    if sub is None:
-        return None
-    return sub if i_star % 2 == 0 else -sub
+        top = top or certs  # every certificate made lives on in a child
+        i_star = min(counts, key=lambda i: (-counts[i], i))
+        cycle = {}
+        for (cell, coef), (ci, cs, _, _) in zip(cells, certs):
+            if ci == i_star and cs == 1:
+                _add_cell_boundary(cycle, cell, coef)
+        fs = fs[:i_star] + fs[i_star + 1:]
+        sign = -sign if i_star % 2 else sign
+    return 0, top, used
 
 
 def degree(
@@ -174,13 +153,12 @@ def degree(
     if not cycle:
         raise ValueError("the complex has an empty boundary (its cells are degenerate), "
                          "so no bound on the boundary exists")
-    state = _Budget(budget)
-    bounds: list[Cert] = []
-    value = _deg_cycle(list(fs), cycle, p, tuple(env), state, bounds, certs)
-    if value is None:
+    got = _deg_cycle(list(fs), cycle, p, tuple(env), budget, certs)
+    if got is None:
         return None
+    value, bounds, used = got
     _, _, num, den = bounds[0]
     for _, _, n, d in bounds:
         if n * den < num * d:
             num, den = n, d
-    return DegreeResult(value, Fraction(num, den), state.used)
+    return DegreeResult(value, Fraction(num, den), used)

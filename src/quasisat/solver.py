@@ -44,9 +44,11 @@ a full pass from the whole grid decides the call, so a FALSE verdict
 and its separation are always those of a full pass.  A block that reads
 a parameter sees a new slice at every call and is searched from the
 whole grid each time.
-A check below a universal that reads no variable bound above it, a
-block or a larger subtree, gives every slab the same answer, so it runs
-once per iteration and the other slabs of that iteration reuse it.
+A universal whose body does not read its variable is its body (every
+bound is nonempty), so it runs the body at one point of its bound: one
+slab at every ε.  An and/or side below a binder that reads no variable
+bound above it gives every slab the same answer, so it runs once per
+iteration and the other slabs of that iteration reuse it.
 
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
 tree of checks `(p_env, it) -> (verdict, certificate)` that holds each
@@ -159,8 +161,9 @@ def _compile(s: Formula, names: tuple[str, ...],
     conjunction is split once into its equation and inequality terms,
     each term is walked once for its free variables, and the tapes are
     compiled over `names` and the block's variables, so a run reads
-    neither the formula nor the names.  A universal's body, or an and/or
-    side below a binder, that reads none of `names` runs once per
+    neither the formula nor the names.  A universal whose body does not
+    read its variable runs the body at one point of its bound; an and/or
+    side below a binder that reads none of `names` runs once per
     iteration (`_once_per_iteration`).
     The check is None when a violation has been found or a free variable
     is not in `names`; the caller then raises before anything runs."""
@@ -169,8 +172,10 @@ def _compile(s: Formula, names: tuple[str, ...],
         if var in names:
             violations.append(f"variable {var!r} shadows an outer binding")
         free, body = _compile(s.body, names + (var,), violations)
+        # a body that does not read var holds on the whole bound if it
+        # holds at one point of it (every bound is nonempty)
         return free - {var}, None if body is None else partial(
-            _univ, box, body if free else _once_per_iteration(body))
+            _univ, box if var in free else (box[0], box[0], box[2]), body)
     if isinstance(s, (And, Or)):
         # a chain of one connective is one node, its sides left to right
         sides, stack = [], [s]
@@ -213,9 +218,10 @@ def _compile(s: Formula, names: tuple[str, ...],
 
 
 def _once_per_iteration(check: Check) -> Check:
-    """A check below a binder that reads no variable bound above it: its
-    answer is the same for every slab, so it runs once per iteration (per
-    record) and every later call of that iteration returns its answer."""
+    """An and/or side below a binder that reads no variable bound above
+    it: its answer is the same for every slab, so it runs once per
+    iteration (per record) and every later call of that iteration
+    returns its answer."""
     last: list = [None, None]  # the record of the last run and its answer
 
     def once(p_env, it):

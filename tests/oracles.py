@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
-from quasisat.degree import DegreeResult, _Budget
+from quasisat.degree import DegreeResult
 from quasisat.evaluation import Evaluator, compile_term
 from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Formula, Geq
 from quasisat.geometry import Cell, Grid
@@ -889,6 +889,19 @@ def bisect_box(b: RatBox) -> list[RatBox]:
 
 
 _MAX_PREC = 4096
+
+
+class _Budget:
+    """The subdivision work spent, and whether it is still within `limit`."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, n: int) -> bool:
+        self.used += n
+        return self.used <= self.limit
+
 
 # a certificate for one cell: (component index, sign, verified lower bound
 # on sign * f_i over the cell)

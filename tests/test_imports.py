@@ -172,13 +172,15 @@ def test_the_scan_finds_self_recursive_functions():
     assert self_recursive_functions(source) == ["f", "C.m", "C.n.inner"]
 
 
-# each recurses on formula structure or on dimension, never on a term
-RECURSIVE_ALLOWED = ["degree._deg_cycle", "formulas.formula_text", "solver._compile"]
+# each recurses on formula structure, never on a term
+RECURSIVE_ALLOWED = ["formulas.formula_text", "solver._compile"]
 
 
-def test_only_formula_and_dimension_walks_recurse():
-    """No walk over a term recurses: the parser's term method and the
-    polynomial expansion among them keep explicit stacks."""
+def test_only_formula_walks_recurse():
+    """Only walks over a formula recurse: no walk over a term does (the
+    parser's term method and the polynomial expansion among them keep
+    explicit stacks), and the degree drops one dimension per pass of a
+    loop."""
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in self_recursive_functions(p.read_text())]
     assert found == RECURSIVE_ALLOWED

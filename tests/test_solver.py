@@ -422,24 +422,16 @@ def test_3d_system_whose_reduced_cycle_cancels_is_true():
 def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
     """Every top-level boundary face of a complex was certified by the
     zero-face walk, so a block without parameters makes no `certify`
-    call in `degree` on a top-level face: every call it makes comes from
-    `_sign_at_point`, on that point, at a lower level."""
-    calls, points = [], []
-    real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
+    call in `degree` on a top-level face: every call it makes is on a
+    point of a later pass, with the one component left there."""
+    calls = []
+    real_certify = degree_module.certify
 
     def certify(fs, env, p):
-        calls.append((tuple(fs), tuple(env), points[-1] if points else None))
+        calls.append((tuple(fs), tuple(env)))
         return real_certify(fs, env, p)
 
-    def sign_at_point(f, env, p, budget):
-        points.append(((f,), tuple(env)))
-        try:
-            return real_sign(f, env, p, budget)
-        finally:
-            points.pop()
-
     monkeypatch.setattr(degree_module, "certify", certify)
-    monkeypatch.setattr(degree_module, "_sign_at_point", sign_at_point)
     real, faces = solver.degree, set()
 
     def spy(fs, cells, p, env=(), budget=1000, certs={}):
@@ -450,8 +442,8 @@ def test_walk_certificates_leave_degree_nothing_to_certify(monkeypatch):
     v = quasi_decide(parse((CORPUS_DIR / "circle_line.sent").read_text()))
     assert v.outcome == "TRUE" and sum(r.complexes for r in v.trace) > 0
     assert calls and faces
-    for fs, env, caller in calls:
-        assert caller == (fs, env)  # made by `_sign_at_point`, on its own point
+    for fs, env in calls:
+        assert len(fs) == 1  # the point pass of a map of one component
         assert all(lo == hi for lo, hi, _ in env) and env not in faces
 
 
@@ -471,18 +463,13 @@ def test_seeded_degree_evaluates_no_boundary_face_again(monkeypatch, text):
     none of them again.  Unseeded, the same spies see every one of them
     evaluated, so a key mismatch between faces and cells would show."""
     seen = []
-    real_certify, real_sign = degree_module.certify, degree_module._sign_at_point
+    real_certify = degree_module.certify
 
     def certify(fs, env, p):
         seen.append(tuple(env))
         return real_certify(fs, env, p)
 
-    def sign_at_point(f, env, p, budget):
-        seen.append(tuple(env))
-        return real_sign(f, env, p, budget)
-
     monkeypatch.setattr(degree_module, "certify", certify)
-    monkeypatch.setattr(degree_module, "_sign_at_point", sign_at_point)
     real = solver.degree
     checked = []
 
@@ -977,6 +964,29 @@ def test_a_check_that_reads_no_parameter_runs_once_per_iteration(monkeypatch, te
     v = quasi_decide(parse(text), budget=budget)
     assert (v.outcome, v.iterations) == ("UNKNOWN", budget)
     assert len(blocks) == calls
+
+
+@pytest.mark.parametrize("text, cert", [
+    ("forall a in [0,1] . forall x in [0,1000000] . a + 1 >= 0", 1),
+    ("forall x in [0,1000000] . exists y in [0,1] . y - 1/2 = 0", Fraction(1, 2)),
+    ("forall x in [0,1000000000000] . exists y in [0,1] . y - 1/2 = 0", Fraction(1, 2)),
+], ids=["atom", "exists", "exists-wide"])
+def test_a_universal_whose_body_does_not_read_its_variable_checks_one_point(
+        monkeypatch, text, cert):
+    """forall v . A is A when A does not read v (every bound is nonempty),
+    so the universal runs its body at one point of the bound: one block
+    check, where a slab per grid cell made 2^20 or 2^40 of them at ε = 1."""
+    blocks = []
+    real = solver._soei
+
+    def spy(*args):
+        blocks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_soei", spy)
+    v = quasi_decide(parse(text), budget=1)
+    assert (v.outcome, v.iterations, v.certificate) == ("TRUE", 1, cert)
+    assert len(blocks) == 1
 
 
 @pytest.mark.parametrize("text, outcome, cert, iterations", [
