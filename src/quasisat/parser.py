@@ -46,7 +46,10 @@ and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
 ``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
 check rejects.  Literals, those of quantifier bounds included, variable
 names and folded quotients come from small caches and are shared
-between parses.
+between parses.  A literal or a quotient of two literals is cached by
+its tokens, its minus sign folded into the first, so a hit hashes
+strings only; a quotient with a parenthesized side, or a chain such as
+``1/2/4`` past its first quotient, is divided as it is read.
 """
 from __future__ import annotations
 
@@ -85,9 +88,12 @@ def _number(text: str) -> tuple[int, int]:
     return int(whole + frac), 10 ** len(frac)
 
 
-# term nodes are immutable, so parses share these leaves and quotients
+# term nodes are immutable, so parses share these leaves and quotients.
+# Both caches are keyed by literal tokens, "-" folded in, so a hit hashes
+# strings and makes no Python-level call
 _literal = lru_cache(maxsize=1024)(lambda tok: T.Const(Fraction(*_number(tok))))
-_quotient = lru_cache(maxsize=1024)(lambda a, b: T.Const(a.value / b.value))
+_quotient = lru_cache(maxsize=1024)(
+    lambda num, den: T.Const(_literal(num).value / _literal(den).value))
 _var = lru_cache(maxsize=256)(T.Var)
 _PI = T.Pi()
 
@@ -217,7 +223,7 @@ class _Parser:
     def signed_rational(self) -> Fraction:
         """A bound, minus signs before a literal or a quotient of two
         literals, as a `Fraction`: the signed literal and the quotient
-        come from the caches of term literals."""
+        come from the caches of term literals, keyed by their tokens."""
         toks = self.toks
         sign = ""
         while toks[self.i] == "-":
@@ -227,18 +233,17 @@ class _Parser:
         if not num[:1].isdecimal():
             raise self.error("expected a number")
         self.i += 1
-        literal = _literal(sign + num)
-        if toks[self.i] == "/":
-            self.i += 1
-            den = toks[self.i]
-            if not den[:1].isdecimal():
-                raise self.error("expected a denominator")
-            self.i += 1
-            try:
-                literal = _quotient(literal, _literal(den))
-            except ZeroDivisionError:
-                raise self.error("zero denominator", self.i - 1) from None
-        return literal.value
+        if toks[self.i] != "/":
+            return _literal(sign + num).value
+        self.i += 1
+        den = toks[self.i]
+        if not den[:1].isdecimal():
+            raise self.error("expected a denominator")
+        self.i += 1
+        try:
+            return _quotient(sign + num, den).value
+        except ZeroDivisionError:
+            raise self.error("zero denominator", self.i - 1) from None
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
@@ -284,6 +289,8 @@ class _Parser:
                 i += 1
             tok, h = toks[i], 0
             if tok[:1].isdecimal():
+                if signs & 1 and toks[i + 1] != "^":  # the sign folds into the literal
+                    tok, signs = "-" + tok, 0
                 base = _literal(tok)
             elif tok == "(" or tok in _FUNCS:
                 if tok != "(":
@@ -320,12 +327,20 @@ class _Parser:
                     h += signs
                     for _ in range(signs):
                         base = T.Neg(base)
+                # tok is the base's token (its opener after a ')'), and
+                # product_tok that of the product's first base, or "/" once
+                # it is a quotient: a literal token names a literal constant
                 if mul is None:
-                    product, height = base, h
+                    product, height, product_tok = base, h, tok
                 elif mul == "*":
                     product, height = T.Mul(product, base), max(height, h) + 1
                 elif type(product) is T.Const and type(base) is T.Const and base.value:
-                    product = _quotient(product, base)  # two constants, of height 0
+                    # two constants, of height 0
+                    if product_tok[-1].isdecimal() and tok[-1].isdecimal():
+                        product = _quotient(product_tok, tok)
+                    else:
+                        product = T.Const(product.value / base.value)
+                    product_tok = "/"
                 else:
                     if self.fault is None:
                         lo, hi, _ = self.enclose(base)

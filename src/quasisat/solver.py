@@ -60,10 +60,15 @@ the tree adds no frame of its own.  The iteration's `IterationRecord`
 `it` is the one context of every check: the driver halves ε on an
 integer pair and builds each record with its one `Fraction` ε, the grid
 width, and its precision p = `prec_for(ε)`, and every check reads both
-there and adds its counts to it.  That compile walk is the only walk of
-the formula: it also finds the free variables and checks the solvable
-fragment, whose violations `validate_class_b` reports on their own.  The
-refutation, the face walk and the degree (at the slice centre, as
+there and adds its counts to it.  The precision ties the transcendental
+slack 2^-p to ε² (p = 2k + 1 at iteration k): at a tangency a cell is
+unrefuted within about √slack of the touching point, so slack ε/8 would
+leave a band of about 1/√ε cells (`corpus/sin_one` would evaluate 1,549
+cells at budget 20), and slack ε²/8 leaves O(1) cells (59 cells).  That
+compile walk is the only walk of the formula: it also finds the free
+variables and checks the solvable fragment, whose violations
+`validate_class_b` reports on their own.  The refutation, the face walk
+and the degree (at the slice centre, as
 degenerate parameter intervals) run on the same tapes, and each takes
 the equation that certifies a box from `certify`.  A division or
 sqrt that the parser admitted at precision 30 may leave its domain on a
@@ -90,9 +95,18 @@ TRI_TF: TriValue = frozenset((True, False))
 
 
 def prec_for(r: Fraction) -> int:
-    """The least p >= 1 with transcendental slack 2**-p <= r/8, that is
-    with num << p >= 8 * den for r = num/den."""
-    num, eight_den = r.numerator, 8 * r.denominator
+    """The least p >= 1 with transcendental slack 2**-p <= min(r, r**2)/8,
+    that is with num << p >= 8 * den for min(r, r**2) = num/den.
+
+    At a tangency f is about -c*d**2 at distance d from the touching
+    point, so no cell within sqrt(slack/c) of it can be refuted: slack
+    tied to r leaves a band of about 1/sqrt(r) cells, slack tied to r**2
+    a band of O(1) cells.  The precision is 3 at r = 1 and 2k + 3 at
+    r = 2**-k, so 2k + 1 at iteration k; an r > 1 keeps the slack r/8."""
+    num, den = r.numerator, r.denominator
+    if num < den:
+        num, den = num * num, den * den
+    eight_den = 8 * den
     p = max(1, eight_den.bit_length() - num.bit_length())
     return p if num << p >= eight_den else p + 1
 

@@ -13,9 +13,9 @@ for planar degrees, full sweeps over every cell and face of a grid in
 index space (cells addressed by multi-index, with the map from an index
 to its `Ival` cell), the degree, oriented boundary, bisection and
 supremum enclosure on `RatBox`es, the recursive `repr` and `==` of a
-record, the recursive `term_text`, and the exact decisions and
+record, the recursive `term_text`, the exact decisions and
 robustness margins of univariate polynomial sentences from Sturm
-sequences."""
+sequences, and near tangencies of sin and cos whose margin is known."""
 from __future__ import annotations
 
 import math
@@ -1145,6 +1145,11 @@ Bracket = tuple[Fraction, Fraction]  # lo <= the exact value <= hi
 
 # the shapes of a one-polynomial sentence over x in [a, b]
 POLY_SHAPES = ("exists_eq", "exists_geq", "forall_geq")
+
+# sentences whose f touches zero from one side but for δ, with δ written
+# in for {}: the exact margin, min(max f, -min f), is δ for 0 < δ <= 1/2
+NEAR_TANGENCIES = ("exists x in [0,2] . sin(x) - 1 + {} = 0",
+                   "exists x in [2,4] . cos(x) + 1 - {} = 0")
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:

@@ -4,7 +4,9 @@ robustness margins (`oracles.signed_margin`, from Sturm sequences).
 Every verdict must be UNKNOWN or the exact one, every certificate at
 most the exact margin, and every sentence whose margin is at least 1/64
 must decide at budget 16.  To print the distribution of certificate
-over margin, the certificate-quality baseline, over N drawn sentences:
+over margin, the certificate-quality baseline, over N drawn sentences,
+and the certificate over δ of the near tangencies of sin and cos
+(`oracles.NEAR_TANGENCIES`, whose margin is δ) for δ = 10^-2 … 10^-8:
 
     PYTHONPATH=src python tests/test_exact_margins.py [N]
 """
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from quasisat.parser import parse
 from quasisat.solver import quasi_decide
 
-from oracles import (POLY_SHAPES, combine_margins, count_roots, poly_extrema,
+from oracles import (NEAR_TANGENCIES, POLY_SHAPES, combine_margins, count_roots, poly_extrema,
                      poly_sentence_text, root_brackets, signed_margin, sturm_chain)
 
 ROBUST = Fraction(1, 64)
@@ -133,3 +135,14 @@ if __name__ == "__main__":
     for name in sorted(ratios):
         print(line(name, ratios[name]))
     print(line("all", [r for rs in ratios.values() for r in rs]))
+
+    exponents = range(2, 9)
+    print("near tangencies at budget 40: certificate over the margin δ (iterations)")
+    print(" " * 24 + "".join(f"{f'δ = 1e-{k}':>13}" for k in exponents))
+    for template in NEAR_TANGENCIES:
+        row = []
+        for k in exponents:
+            v = quasi_decide(parse(template.format(f"1/10^{k}")), budget=40)
+            got = f"{float(v.certificate * 10 ** k):.3g}" if v.certificate else v.outcome
+            row.append(f"{f'{got} ({v.iterations})':>13}")
+        print(f"{template.split(' . ')[1].format('δ'):24}" + "".join(row))

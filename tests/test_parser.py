@@ -1,4 +1,5 @@
 """Sentence parser: structure, normalization, scoping, domain guards."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,22 @@ def test_cached_leaves_are_shared_but_scoped_and_frozen():
     for leaf, field in [(seven, "value"), (x, "name")]:
         with pytest.raises(AttributeError):
             setattr(leaf, field, None)
+
+
+def test_cached_literals_and_quotients_are_found_by_their_tokens():
+    """Signed literals and quotients of two literals, in bounds and in
+    terms, are cached by their tokens, so a parse that finds them all
+    cached hashes and compares no term and negates no `Fraction`."""
+    text = "exists x in [-1/2,3/4] . x - 1/3 + -2/5*x + 0.5/2 - -7 = 0"
+    first = parse(text)
+    calls = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.add(frame.f_code.co_name))
+    try:
+        again = parse(text)
+    finally:
+        sys.setprofile(None)
+    assert again == first
+    assert not calls & {"__hash__", "__eq__", "__neg__"}, calls
 
 
 @pytest.mark.parametrize("text, body", [

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
+import mpmath
 import pytest
 
 from quasisat import distance_enclosure, free_vars, solver, validate_class_b
@@ -20,8 +21,8 @@ from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, pr
 
 from conftest import CORPUS_DIR
 from test_identity import sentences
-from oracles import (block_parts, grid_cut, least_power_of_two, substitute, tapes, to_interval,
-                     tri_and, tri_or, width)
+from oracles import (NEAR_TANGENCIES, block_parts, grid_cut, least_power_of_two, substitute,
+                     tapes, to_interval, tri_and, tri_or, width)
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -50,13 +51,29 @@ def test_tri_ops_are_exhaustively_lattice_like():
             assert x == tri_or(tri_and(a, b), tri_and(a, TRI_TF))
 
 
+def _least_prec(slack: Fraction) -> int:
+    """The least p >= 1 with 2**-p <= slack."""
+    p = 1
+    while Fraction(1, 2 ** p) > slack:
+        p += 1
+    return p
+
+
 def test_prec_for_slack_is_at_most_an_eighth():
+    """The slack 2**-p is at most min(r, r**2)/8 with p the least such
+    p >= 1, so it is at most r/8, the slack of the rule before it, and no
+    r gets a lower precision than under that rule."""
     for r in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 100),
               Fraction(1, 2 ** 200), Fraction(1, 10 ** 30), Fraction(3, 7), Fraction(1000),
-              Fraction(10 ** 9, 7)):
+              Fraction(10 ** 9, 7), Fraction(3, 2), Fraction(7, 3), Fraction(2 ** 40 + 1, 2 ** 40)):
         p = prec_for(r)
-        assert Fraction(1, 2 ** p) <= r / 8
-        assert p == 1 or Fraction(2) ** (p - 1) < Fraction(8) / r  # smallest such p >= 1
+        bound = min(r, r * r) / 8
+        assert Fraction(1, 2 ** p) <= bound
+        assert p == _least_prec(bound)
+        assert p >= _least_prec(r / 8)
+        if r >= 1:
+            assert p == _least_prec(r / 8)
+    assert [prec_for(Fraction(1, 2 ** k)) for k in range(6)] == [3, 5, 7, 9, 11, 13]
 
 
 def test_checksat_singletons_and_indecision():
@@ -499,6 +516,35 @@ def test_pruning_evaluates_few_cells_of_a_fine_grid():
     assert 0 < rec.faces_evaluated < 512
 
 
+@pytest.mark.parametrize("text", [
+    "exists x in [0,2] . sin(x) = 1",
+    "exists x in [2,4] . cos(x) + 1 = 0",
+], ids=["sin", "cos"])
+def test_a_tangency_keeps_a_few_plausible_cells_per_iteration(text):
+    """At a tangency f is about -c*d**2, so a cell within sqrt(slack/c) of
+    the touching point cannot be refuted.  With slack at most ε**2/8 that
+    band holds O(1) cells, so 40 iterations evaluate a few cells each;
+    with slack ε/8 they evaluated 1,550,291 cells in all."""
+    v = quasi_decide(parse(text), budget=40)
+    assert (v.outcome, v.iterations) == ("UNKNOWN", 40)
+    assert sum(r.cells_evaluated for r in v.trace) <= 200
+
+
+@pytest.mark.parametrize("text", NEAR_TANGENCIES, ids=["sin", "cos"])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_near_tangency_decides_in_half_log_iterations(text, k):
+    """sin(x) - 1 + δ on [0,2] and cos(x) + 1 - δ on [2,4] touch zero from
+    one side but for δ, their exact margin.  Each decides TRUE with a
+    certificate at most δ within ½·log2(1/δ) + 3 iterations, that is with
+    4**(iterations - 3) * δ <= 1 (it took 23 iterations at δ = 10**-8
+    when the slack was ε/8)."""
+    delta = Fraction(1, 10 ** k)
+    v = quasi_decide(parse(text.format(f"1/10^{k}")), budget=40)
+    assert v.outcome == "TRUE"
+    assert v.certificate <= delta
+    assert Fraction(4) ** (v.iterations - 3) * delta <= 1
+
+
 def test_a_degenerate_bound_tests_each_face_once():
     """On the degenerate axis y in [1/2,1/2] a cell's lower and upper face
     are one face, so iteration 1 tests 3 faces, one of them a zero face."""
@@ -517,23 +563,34 @@ def test_a_900_term_sum_is_solved():
     assert v.outcome == "TRUE" and v.certificate > 0
 
 
-@pytest.mark.parametrize("text, outcome, iterations, certificate", [
-    ("exists x in [1/1000,1] . 1/sin(x) - 2 = 0", "TRUE", 2, Fraction(2, 63)),
-    ("exists x in [0,1] . sqrt(sin(x) + 1/1000) - 1/2 = 0", "TRUE", 4, Fraction(13, 128)),
-    ("forall x in [0,1] . sqrt(sin(x) + 1/1000) >= 0", "TRUE", 5, Fraction(1, 256)),
-    ("exists x in [1/1000,1] . 1/sin(x) + 2 = 0", "FALSE", 6, Fraction(10994, 3449)),
-    ("exists x in [1/1000,1] . 1/sin(x) - 2000 = 0", "FALSE", 7, Fraction(1808, 5)),
-    ("exists x in [0,1] . sqrt(sin(x) + 1/1000) - 2 = 0", "FALSE", 5, Fraction(553, 512)),
+@pytest.mark.parametrize("text, outcome, iterations, certificate, margin", [
+    # the last column is the exact margin: min(max f, -min f) of a TRUE
+    # equation, min |f| of a FALSE one, min f of a TRUE universal
+    ("exists x in [1/1000,1] . 1/sin(x) - 2 = 0", "TRUE", 2, Fraction(14, 249),
+     lambda: 2 - 1 / mpmath.sin(1)),
+    ("exists x in [0,1] . sqrt(sin(x) + 1/1000) - 1/2 = 0", "TRUE", 3, Fraction(49, 256),
+     lambda: mpmath.sqrt(mpmath.sin(1) + mpmath.mpf(1) / 1000) - mpmath.mpf(1) / 2),
+    ("forall x in [0,1] . sqrt(sin(x) + 1/1000) >= 0", "TRUE", 3, Fraction(1, 256),
+     lambda: mpmath.sqrt(mpmath.mpf(1) / 1000)),
+    ("exists x in [1/1000,1] . 1/sin(x) + 2 = 0", "FALSE", 4, Fraction(1374, 431),
+     lambda: 1 / mpmath.sin(1) + 2),
+    ("exists x in [1/1000,1] . 1/sin(x) - 2000 = 0", "FALSE", 4, Fraction(1808, 5),
+     lambda: 2000 - 1 / mpmath.sin(mpmath.mpf(1) / 1000)),
+    ("exists x in [0,1] . sqrt(sin(x) + 1/1000) - 2 = 0", "FALSE", 3, Fraction(553, 512),
+     lambda: 2 - mpmath.sqrt(mpmath.sin(1) + mpmath.mpf(1) / 1000)),
 ])
 def test_a_box_where_a_partial_operation_leaves_its_domain_decides_nothing(
-        text, outcome, iterations, certificate):
+        text, outcome, iterations, certificate, margin):
     """The parser checks each division and sqrt at precision 30; the
     solver's first iterations run at lower precisions, where an enclosure
-    of sin(x) may cross zero.  Such a box is undecided, not an error."""
+    of sin(x) may cross zero.  Such a box is undecided, not an error.  The
+    certificate is at most the sentence's exact margin."""
     s = parse(text)
     v = quasi_decide(s)
     assert (v.outcome, v.iterations, v.certificate) == (outcome, iterations, certificate)
     assert checksat(s, (), 1) == TRI_TF
+    with mpmath.workdps(40):
+        assert mpmath.mpf(certificate.numerator) / certificate.denominator <= margin()
 
 
 def test_iteration_record_sums_degree_subdivisions(monkeypatch):
@@ -992,14 +1049,14 @@ def test_a_universal_whose_body_does_not_read_its_variable_checks_one_point(
 @pytest.mark.parametrize("text, outcome, cert, iterations", [
     # (precision, complexes, degrees) of each iteration: one complex per
     # block check, not one per slab
-    (WIDE_CARRY, "UNKNOWN", None, [(k + 2, 1, [0]) for k in range(1, 9)]),
+    (WIDE_CARRY, "UNKNOWN", None, [(2 * k + 1, 1, [0]) for k in range(1, 9)]),
     ("forall z in [0,1] . exists x in [-1,1], y in [-1,1] . "
      "x*x + y*y - 1/2 = 0 and x - y = 0", "TRUE", Fraction(1, 4),
-     [(3, 1, [0]), (4, 1, [1])]),
+     [(3, 1, [0]), (5, 1, [1])]),
     ("forall z in [0,1] . exists x in [0,1] . x*x + 1/4 = 0", "FALSE", Fraction(1, 4),
      [(3, 0, [])]),
     ("forall z in [0,1] . forall w in [0,1] . exists x in [0,1] . x - 1/3 = 0 and x >= 0",
-     "TRUE", Fraction(1, 12), [(3, 1, [1]), (4, 1, [1]), (5, 1, [1])]),
+     "TRUE", Fraction(1, 12), [(3, 1, [1]), (5, 1, [1]), (7, 1, [1])]),
 ], ids=["double-root", "circle-line", "no-root", "two-universals"])
 def test_blocks_that_read_no_parameter_keep_the_verdicts_of_a_pass_per_slab(
         text, outcome, cert, iterations):
