@@ -8,8 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .formulas import Formula
-from .intervals import DomainError, rat_str
-from .parser import ParseError, parse
+from .intervals import rat_str
+from .parser import parse
 from .solver import IterationRecord, Verdict, quasi_decide
 
 EXIT_DECIDED = 0
@@ -141,7 +141,7 @@ def _solve(args) -> int:
     try:
         sentence = _load_sentence(args.input)
         verdict = quasi_decide(sentence, budget=args.budget, eps=args.epsilon)
-    except (ParseError, DomainError, ValueError, OSError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _report(verdict, args)
@@ -181,7 +181,7 @@ def _corpus(args) -> int:
             verdict = quasi_decide(sentence,
                                    budget=budget if budget is not None else args.budget,
                                    eps=args.epsilon)
-        except (ParseError, DomainError, ValueError, RecursionError, OSError) as exc:
+        except (ValueError, OSError, RecursionError) as exc:
             print(f"FAIL  {path.name}: {exc}")
             failures += 1
             continue

@@ -34,7 +34,7 @@ from fractions import Fraction
 from collections.abc import Mapping, Sequence
 
 from .evaluation import Cert, Evaluator, Ival, certify
-from .geometry import Cell, _add_cell_boundary, bisect_box, oriented_boundary
+from .geometry import Cell, add_cell_boundary, bisect_box, oriented_boundary
 from .record import Frozen, init_field
 
 _MAX_PREC = 4096
@@ -104,13 +104,11 @@ def _deg_cycle(
             used += len(cells)
             if used > budget:
                 return None
-            refined: list[tuple[Cell, int]] = []
-            inherited: list[Cert | None] = []
-            for (cell, coef), cert in zip(cells, certs):
-                for child in bisect_box(cell):
-                    refined.append((child, coef))
-                    inherited.append(cert)  # a subset keeps the bound
-            cells, certs = refined, inherited
+            # each child keeps its cell's coefficient and certificate (a
+            # subset keeps the bound)
+            refined = [((child, coef), cert) for (cell, coef), cert in zip(cells, certs)
+                       for child in bisect_box(cell)]
+            cells, certs = [pair for pair, _ in refined], [cert for _, cert in refined]
             p += 2
 
         top = top or certs  # every certificate made lives on in a child
@@ -118,7 +116,7 @@ def _deg_cycle(
         cycle = {}
         for (cell, coef), (ci, cs, _, _) in zip(cells, certs):
             if ci == i_star and cs == 1:
-                _add_cell_boundary(cycle, cell, coef)
+                add_cell_boundary(cycle, cell, coef)
         fs = fs[:i_star] + fs[i_star + 1:]
         sign = -sign if i_star % 2 else sign
     return 0, top, used

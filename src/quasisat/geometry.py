@@ -1,18 +1,21 @@
-"""Uniform grids, the halving of grid blocks, and oriented boundaries of
-box complexes.
+"""Uniform grids, the one split rule, and oriented boundaries of box
+complexes.
 
 A cell is a tuple of `Ival`s, one `(lo, hi, den)` per axis (an axis
-with lo == hi is degenerate), and every cell of a grid or complex has
-the same `den` on each axis.  A block of grid cells, a single cell and
-a face are all cells of this one form: a face has `(end, end, den)` on
-its axis.  Bisecting a cell doubles every `den`, so cells refined
-together stay on shared denominators, equal faces have equal keys and
-cells compare in the order of their numerators.  `grid_cover` cuts each
-axis into the least power of two of cells no wider than ε, so every grid,
-block and slab is a node of one bisection tree of the bound, and the grid
-of a smaller ε refines the grid of a larger one.  The solver calls
+with lo == hi is degenerate).  A grid's base box, a block of its cells,
+a single cell and a face are all cells of this one form: a face has
+`(end, end, den)` on its axis.  One rule refines every box: `split`
+turns (lo, hi, d) into (2lo, lo+hi, 2d) and (lo+hi, 2hi, 2d), so every
+node of an axis's bisection tree has the width hi - lo of the bound over
+its own den.  `halve_block` applies it on one axis of a block of grid
+cells, `bisect_box` on every axis of a cell of the degree or the
+distance.  `grid_cover` cuts each axis into the least power of two of
+cells no wider than ε, so every grid, block and slab is a node of the
+bound's tree, the grid of a smaller ε refines the grid of a larger one,
+the cells of a grid share one den per axis, equal faces have equal keys
+and cells compare in the order of their numerators.  The solver calls
 `grid_cover`, `halve_block` and `covering_cells` for every block in
-every iteration, so each is one loop over the axes.
+every iteration, so each makes one pass over the axes.
 """
 from __future__ import annotations
 
@@ -27,69 +30,71 @@ Cell = tuple[Ival, ...]  # one (lo, hi, den) per axis
 
 
 class Grid(Frozen):
-    """Uniform grid over `base`: axis i is cut into counts[i] equal parts.
-
-    Its integer form is `whole`, the grid as one cell, and `steps`, the
-    width of a cell on each axis over the `den` of `whole` there: cut i
-    of axis a is whole[a][0] + steps[a]*i over whole[a][2].  An axis
-    (lo, hi, d) cut into c parts is (lo*c, hi*c, d*c) with step hi - lo,
-    unreduced, so the cells of a grid of 2^k cells per axis are the nodes
-    of depth k of the bound's bisection tree, and its `den` is a multiple
-    of the `den` of every coarser such grid.  Cells are made on demand,
-    so a grid with millions of cells costs nothing to build.  Grids are
-    equal when their `base` and `counts` are.
+    """Uniform grid over `base`: axis i is cut into counts[i] equal parts,
+    a power of two (one on a degenerate axis), so its cells are the nodes
+    of depth log2(counts[i]) of the bisection tree of that axis (`split`),
+    over the leaf denominators `dens`.  Cells are made on demand, so a
+    grid with millions of cells costs nothing to build.  Grids are equal
+    when their `base` and `counts` are.
     """
-    __slots__ = ("base", "counts", "whole", "steps")
+    __slots__ = ("base", "counts", "dens")
     _fields = ("base", "counts")
 
     def __init__(self, base: tuple[Ival, ...], counts: tuple[int, ...]) -> None:
         if len(counts) != len(base):
             raise ValueError("counts and box dimension differ")
-        if any(c < 1 for c in counts):
-            raise ValueError("each axis needs at least one cell")
+        for (lo, hi, _), c in zip(base, counts):
+            if c < 1 or c & (c - 1) or (lo == hi and c > 1):
+                raise ValueError("each axis needs a power of two of cells, one if degenerate")
         init_field(self, "base", base)
         init_field(self, "counts", counts)
-        # lo + (hi - lo)*i/c over the common denominator d*c
-        init_field(self, "whole", tuple((lo * c, hi * c, d * c)
-                                        for (lo, hi, d), c in zip(base, counts)))
-        init_field(self, "steps", tuple(hi - lo for lo, hi, _ in base))
+        init_field(self, "dens", tuple(d * c for (_, _, d), c in zip(base, counts)))
 
     @property
     def n_cells(self) -> int:
         return prod(self.counts)
 
 
-def halve_block(block: Cell, steps: Sequence[int]) -> tuple[Cell, Cell] | None:
+def split(axis: Ival) -> tuple[Ival, Ival]:
+    """The two halves of an axis over the doubled denominator: (lo, hi, d)
+    becomes (2lo, lo+hi, 2d) and (lo+hi, 2hi, 2d).  This is the one rule
+    that refines a box, so every node of a bound's bisection tree keeps
+    the bound's width hi - lo over its own denominator, and a degenerate
+    (c, c, d) gives (2c, 2c, 2d) twice."""
+    lo, hi, d = axis
+    return (2 * lo, lo + hi, 2 * d), (lo + hi, 2 * hi, 2 * d)
+
+
+def halve_block(block: Cell, grid: Grid) -> tuple[Cell, Cell] | None:
     """Split a block of grid cells in half along the axis that holds the
-    most cells (the first such axis); None when the block is one cell.
-    An axis of step 0 is degenerate and holds one cell."""
+    most cells, grid.dens[a] // den (the first such axis); None when the
+    block is one cell."""
     axis, n, a = 0, 1, 0  # n cells along `axis`; a counts the axes
-    for (lo, hi, _), s in zip(block, steps):
-        if s and hi - lo > n * s:  # more than n cells along axis a
-            axis, n = a, (hi - lo) // s
+    for (_, _, d), e in zip(block, grid.dens):
+        if e > n * d:  # more than n cells along axis a
+            axis, n = a, e // d
         a += 1
     if n == 1:
         return None
-    lo, hi, d = block[axis]
-    mid = lo + n // 2 * steps[axis]
-    return (block[:axis] + ((lo, mid, d),) + block[axis + 1:],
-            block[:axis] + ((mid, hi, d),) + block[axis + 1:])
+    head, tail = block[:axis], block[axis + 1:]
+    low, high = split(block[axis])
+    return head + (low,) + tail, head + (high,) + tail
 
 
 def covering_cells(cells: Sequence[Cell], grid: Grid) -> list[Cell]:
     """The cells of `grid` inside each of `cells`, cell after cell, each
-    one's in grid order.  `cells` are disjoint cells or blocks of a
-    coarser grid of `grid_cover` over the same base, whose `den` divides
-    the `den` of `grid` on every axis: each is a node of the bound's
-    bisection tree, and its cells of `grid` are its descendants there, so
-    no cell comes twice."""
+    one's in grid order.  `cells` are disjoint nodes of the bisection trees
+    of the grid's base, such as the cells or blocks of a coarser grid of
+    `grid_cover`: the descendants of a node (lo, hi, d) on the grid are
+    its k = dens/d cuts of width hi - lo over the grid's den, so no cell
+    comes twice."""
     out: list[Cell] = []
     for cell in cells:
         axes = []
-        for (lo, hi, d), (_, _, e), step in zip(cell, grid.whole, grid.steps):
-            k = e // d  # lo/d is lo*k/e
-            axes.append([(at, at + step, e) for at in range(lo * k, hi * k, step)]
-                        if step else ((lo * k, hi * k, e),))
+        for (lo, hi, d), e in zip(cell, grid.dens):
+            k, w = e // d, hi - lo  # lo/d is lo*k/e
+            axes.append([(at, at + w, e) for at in range(lo * k, hi * k, w)]
+                        if w else ((lo * k, hi * k, e),))
         out += product(*axes)  # in grid order
     return out
 
@@ -97,16 +102,16 @@ def covering_cells(cells: Sequence[Cell], grid: Grid) -> list[Cell]:
 def faces_around(cell: Cell, grid: Grid) -> list[tuple[Cell, Cell | None]]:
     """The 2*dim faces of a grid cell, lower before upper on each axis, as
     (face, neighbour).  A face is the cell with `(end, end, den)` on its
-    axis; the neighbour across it is the cell shifted by one step along
-    the axis, None when `end` is an end of the grid (a degenerate axis
-    gives the same boundary face twice)."""
+    axis; the neighbour across it is the cell shifted by its own width
+    along the axis, None when `end` is an end of the grid's base (a
+    degenerate axis gives the same boundary face twice)."""
     out = []
-    for axis, ((lo, hi, d), step, (first, last, _)) in enumerate(
-            zip(cell, grid.steps, grid.whole)):
-        head, tail = cell[:axis], cell[axis + 1:]
-        for end, shift in ((lo, -step), (hi, step)):
-            out.append((head + ((end, end, d),) + tail, None if end == first or end == last
-                        else head + ((lo + shift, hi + shift, d),) + tail))
+    for axis, ((lo, hi, d), (first, last, b)) in enumerate(zip(cell, grid.base)):
+        head, tail, w = cell[:axis], cell[axis + 1:], hi - lo
+        # lo/d is the base's first/b when lo*b == first*d, and hi/d its last/b
+        below = None if lo * b == first * d else head + ((lo - w, lo, d),) + tail
+        above = None if hi * b == last * d else head + ((hi, hi + w, d),) + tail
+        out += (head + ((lo, lo, d),) + tail, below), (head + ((hi, hi, d),) + tail, above)
     return out
 
 
@@ -114,15 +119,11 @@ def grid_cover(b: tuple[Ival, ...], r) -> Grid:
     """Uniform grid over b with every cell width <= r: each axis is cut
     into the least power of two of cells that is at least ceil(w/r), so
     the grid of r/2 refines the grid of r."""
-    r = rat(r)
-    num, den = r.numerator, r.denominator
+    num, den = rat(r).as_integer_ratio()
     if num <= 0:
         raise ValueError("grid width must be positive")
-    counts = []
-    for lo, hi, d in b:
-        c = -((lo - hi) * den // (d * num))  # ceil((hi - lo)/d / r) on integers
-        counts.append(1 << max(c - 1, 0).bit_length())  # the least power of two >= c
-    return Grid(b, tuple(counts))
+    cs = (-((lo - hi) * den // (d * num)) for lo, hi, d in b)  # ceil((hi - lo)/d / r)
+    return Grid(b, tuple(1 << max(c - 1, 0).bit_length() for c in cs))  # least 2^k >= c
 
 
 def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
@@ -136,11 +137,11 @@ def oriented_boundary(cells: Iterable[Cell]) -> dict[Cell, int]:
     """
     out: dict[Cell, int] = {}
     for cell in cells:
-        _add_cell_boundary(out, cell, 1)
+        add_cell_boundary(out, cell, 1)
     return out
 
 
-def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
+def add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
     """Add coef times the oriented boundary of `cell` to `acc`, dropping
     faces whose coefficient cancels to zero."""
     sign = coef  # of the upper face on the t-th non-degenerate axis: (-1)**(t-1)*coef
@@ -159,12 +160,10 @@ def _add_cell_boundary(acc: dict[Cell, int], cell: Cell, coef: int) -> None:
 
 
 def bisect_box(cell: Cell) -> list[Cell]:
-    """Split a cell in half along every non-degenerate axis.  The halves
-    are over the doubled denominators: (lo, hi, d) becomes (2lo, lo+hi, 2d)
-    and (lo+hi, 2hi, 2d), a degenerate (c, c, d) becomes (2c, 2c, 2d)."""
+    """Split a cell in half along every axis by `split`; a degenerate axis,
+    whose two halves are one, stays one piece."""
     out: list[Cell] = [()]
-    for lo, hi, d in cell:
-        pieces = (((2 * lo, lo + hi, 2 * d), (lo + hi, 2 * hi, 2 * d)) if lo != hi
-                  else ((2 * lo, 2 * lo, 2 * d),))
+    for axis in cell:
+        pieces = split(axis) if axis[0] != axis[1] else split(axis)[:1]
         out = [combo + (piece,) for combo in out for piece in pieces]
     return out

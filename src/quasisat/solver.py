@@ -18,13 +18,15 @@ other verdict, the node carries their least certificate.
 Everything here is an `Ival` or a cell of `geometry`, a tuple of
 `Ival`s: the parameter box and the quantifier bounds are `Ival`s from
 the parser on, and a universal's slabs are the cells of
-`grid_cover((box,), ε)`.  Every environment is a tuple, so each
-evaluation runs on `p_env + cell` as it stands.  An existential block is
-checked on the grid `grid_cover(bounds, ε)` without visiting all of it.
-Blocks of cells are refuted top-down: a block whose interval evaluation
-excludes a solution is dropped whole (its bound enters the FALSE
-separation), and any other block is halved along the axis that holds the
-most cells until single plausible cells remain.  A flood across zero
+`grid_cover((box,), ε)`, made one at a time as its fold reads them.
+Every environment is a tuple, so each evaluation runs on `p_env + cell`
+as it stands.  An existential block is checked on the grid
+`grid_cover(bounds, ε)` without visiting all of it.  Blocks of cells are
+refuted top-down from the grid's base box: a block whose interval
+evaluation excludes a solution is dropped whole (its bound enters the
+FALSE separation), and any other block is halved by `halve_block`, the
+one split rule of `geometry` on the axis that holds the most cells,
+until single plausible cells remain.  A flood across zero
 faces from each plausible cell not yet reached, in grid order, finds the
 candidate complexes in the grid order of their least plausible cell, so
 the work of an iteration follows the cells still in play.  An
@@ -385,20 +387,19 @@ def _plausible_cells(
     With `carried`, the plausible cells of a pass on an earlier, coarser
     grid over the same box, the search starts from their children on
     this grid; everything else was refuted there."""
-    steps, p = grid.steps, it.precision
-    blocks = [grid.whole] if carried is None else covering_cells(carried, grid)
+    blocks = [grid.base] if carried is None else covering_cells(carried, grid)
     num, den = 0, 0  # the least bound num/den so far; den 0 is none yet
     evaluated = 0
     plausible: list[Cell] = []
     while blocks:
         block = blocks.pop()
-        bound = _refutation_bound(fs, gs, p_env + block, p)
+        bound = _refutation_bound(fs, gs, p_env + block, it.precision)
         evaluated += 1
         if bound is not None:
             if not den or bound[0] * den < num * bound[1]:
                 num, den = bound
             continue
-        halves = halve_block(block, steps)
+        halves = halve_block(block, grid)
         if halves is None:
             plausible.append(block)
             if first:
@@ -511,10 +512,10 @@ def _univ(
 ) -> tuple[TriValue, Fraction | None]:
     """The fold of the body over the slabs of `box` on the grid of width
     `it.eps`, each slab appended to `p_env`."""
-    grid = grid_cover((box,), it.eps)
-    ((lo, _, d),), (step,) = grid.whole, grid.steps
-    return _fold(TRI_F, (body(p_env + ((lo + step * i, lo + step * (i + 1), d),), it)
-                         for i in range(grid.counts[0])))
+    (c,), (lo, hi, d) = grid_cover((box,), it.eps).counts, box
+    lo, w, e = lo * c, hi - lo, d * c  # slab i is lo + w*i .. lo + w*(i + 1) over e
+    return _fold(TRI_F, (body(p_env + ((lo + w * i, lo + w * (i + 1), e),), it)
+                         for i in range(c)))  # made when the fold reads it
 
 
 def _combine(

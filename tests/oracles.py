@@ -9,9 +9,9 @@ polynomial expansion, the equation and inequality terms of an exists
 block, the parser's domain check as a walk over the parsed formula and
 its whole-token-list scan for the '(' that open formulas, a float
 winding count
-for planar degrees, full sweeps over every cell and face of a grid in
-index space (cells addressed by multi-index, with the map from an index
-to its `Ival` cell), the degree, oriented boundary, bisection and
+for planar degrees, full sweeps over every cell and face of a grid of
+any counts in index space (cells addressed by multi-index, with the map
+from an index to its `Ival` cell), the degree, oriented boundary, bisection and
 supremum enclosure on `RatBox`es, the recursive `repr` and `==` of a
 record, the recursive `term_text`, the exact decisions and
 robustness margins of univariate polynomial sentences from Sturm
@@ -725,6 +725,18 @@ CellIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
+class IndexGrid:
+    """A grid of any number of cells per axis, odd ones included, by its
+    base box and counts: the index-space references below read only
+    these two, so they take a `Grid` (powers of two only) as well."""
+    base: tuple[Ival, ...]
+    counts: tuple[int, ...]
+
+
+AnyGrid = Grid | IndexGrid
+
+
+@dataclass(frozen=True)
 class Face:
     """A grid face: cut `at[axis]` of `axis`, spanning cell `at[a]` of
     every other axis a, between the two incident cells (None on the side
@@ -739,7 +751,7 @@ class Face:
         return self.lower_cell is None or self.upper_cell is None
 
 
-def grid_cut(grid: Grid, axis: int, i: int) -> Fraction:
+def grid_cut(grid: AnyGrid, axis: int, i: int) -> Fraction:
     """Cut i of `axis`, from the base box's `Fraction` endpoints."""
     iv = to_interval(grid.base[axis])
     return iv.lo + width(iv) * i / grid.counts[axis]
@@ -753,7 +765,7 @@ def least_power_of_two(n: RatLike) -> int:
     return c
 
 
-def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
+def grid_cells(grid: AnyGrid) -> Iterator[tuple[CellIndex, RatBox]]:
     """Every cell of the grid, in index order, with its box built from
     `grid_cut`."""
     for idx in _multi_range(list(grid.counts)):
@@ -761,18 +773,19 @@ def grid_cells(grid: Grid) -> Iterator[tuple[CellIndex, RatBox]]:
                                 for a, i in enumerate(idx)))
 
 
-def index_block(grid: Grid, lo: CellIndex, hi: CellIndex) -> Cell:
-    """The `Ival` cell spanning the grid cells lo <= idx < hi."""
-    return tuple((w + s * i, w + s * j, d)
-                 for (w, _, d), s, i, j in zip(grid.whole, grid.steps, lo, hi))
+def index_block(grid: AnyGrid, lo: CellIndex, hi: CellIndex) -> Cell:
+    """The `Ival` cell spanning the grid cells lo <= idx < hi: cut i of an
+    axis (a, b, d) of c cells is a*c + (b - a)*i over d*c, unreduced."""
+    return tuple((a * c + (b - a) * i, a * c + (b - a) * j, d * c)
+                 for (a, b, d), c, i, j in zip(grid.base, grid.counts, lo, hi))
 
 
-def index_cell(grid: Grid, idx: CellIndex) -> Cell:
+def index_cell(grid: AnyGrid, idx: CellIndex) -> Cell:
     """The integer cell of the grid cell at index `idx`."""
     return index_block(grid, idx, tuple(i + 1 for i in idx))
 
 
-def complex_of(grid: Grid, idxs: Iterable[CellIndex]) -> list[Cell]:
+def complex_of(grid: AnyGrid, idxs: Iterable[CellIndex]) -> list[Cell]:
     """The cells of the grid at the indices `idxs`, as a complex."""
     return [index_cell(grid, idx) for idx in idxs]
 
@@ -789,7 +802,7 @@ def halve_index_block(lo: CellIndex, hi: CellIndex):
             (lo[:axis] + mid + lo[axis + 1:], hi))
 
 
-def grid_face(grid: Grid, axis: int, plane: int, rest: CellIndex) -> Face:
+def grid_face(grid: AnyGrid, axis: int, plane: int, rest: CellIndex) -> Face:
     """The (dim-1)-face at cut `plane` of `axis`; `rest` indexes the
     cells along the remaining axes."""
     at = rest[:axis] + (plane,) + rest[axis:]
@@ -798,7 +811,7 @@ def grid_face(grid: Grid, axis: int, plane: int, rest: CellIndex) -> Face:
     return Face(axis, at, lower, upper)
 
 
-def index_cell_faces(grid: Grid, idx: CellIndex) -> Iterator[Face]:
+def index_cell_faces(grid: AnyGrid, idx: CellIndex) -> Iterator[Face]:
     """The 2*dim faces of cell `idx`, lower before upper on each axis."""
     for axis in range(len(grid.counts)):
         rest = idx[:axis] + idx[axis + 1:]
@@ -806,7 +819,7 @@ def index_cell_faces(grid: Grid, idx: CellIndex) -> Iterator[Face]:
             yield grid_face(grid, axis, plane, rest)
 
 
-def face_box(grid: Grid, face: Face) -> RatBox:
+def face_box(grid: AnyGrid, face: Face) -> RatBox:
     """The box of a grid face, degenerate in its axis."""
     return RatBox(tuple(
         rival(grid_cut(grid, a, i)) if a == face.axis
@@ -814,7 +827,7 @@ def face_box(grid: Grid, face: Face) -> RatBox:
         for a, i in enumerate(face.at)))
 
 
-def grid_faces(grid: Grid) -> Iterator[Face]:
+def grid_faces(grid: AnyGrid) -> Iterator[Face]:
     """All grid faces, each degenerate in exactly one axis, ordered by
     axis, then plane, then the cell index along the other axes."""
     for axis in range(len(grid.counts)):
@@ -835,7 +848,7 @@ def _multi_range(counts: list[int]) -> Iterator[CellIndex]:
 
 def single_box(b: tuple[Ival, ...]) -> list[Cell]:
     """The box b as a one-cell complex."""
-    return [Grid(b, (1,) * len(b)).whole]
+    return [tuple(b)]
 
 
 def ratboxes(cells: Iterable[Cell]) -> tuple[RatBox, ...]:

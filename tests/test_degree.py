@@ -14,8 +14,8 @@ from quasisat.intervals import ival
 from quasisat.parser import parse
 
 import oracles
-from oracles import (block_parts, complex_of, grid_cells, ratboxes, single_box, substitute,
-                     tapes, width, winding_oracle_2d)
+from oracles import (IndexGrid, block_parts, complex_of, grid_cells, ratboxes, single_box,
+                     substitute, tapes, width, winding_oracle_2d)
 
 X, Y = T.Var("x"), T.Var("y")
 P20 = 20
@@ -286,7 +286,7 @@ def test_degree_equals_the_ratbox_reference(dim, seed):
     for _ in range(dim):
         lo = Fraction(rng.randint(-12, 6), rng.randint(1, 7))
         bounds.append(ival(lo, lo + Fraction(rng.randint(1, 12), rng.randint(1, 7))))
-    g = Grid(tuple(bounds), tuple(rng.randint(1, 3) for _ in range(dim)))
+    g = IndexGrid(tuple(bounds), tuple(rng.randint(1, 3) for _ in range(dim)))
     cells = [idx for idx, _ in grid_cells(g) if rng.random() < 0.7] or [(0,) * dim]
     centre = [iv.lo + width(iv) * Fraction(rng.randint(1, 9), 10)
               for iv in oracles.ratbox(bounds)]

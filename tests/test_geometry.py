@@ -1,5 +1,6 @@
-"""Grids, the halving of grid blocks, cell faces, and oriented boundaries
-of box complexes, against the index-space references of `oracles`."""
+"""Grids, the one split rule and the halving and bisection made of it,
+cell faces, and oriented boundaries of box complexes, against the
+index-space references of `oracles`."""
 import math
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat.geometry import (Grid, bisect_box, covering_cells, faces_around, grid_cover,
-                               halve_block, oriented_boundary)
+                               halve_block, oriented_boundary, split)
 from quasisat.intervals import ival
 
 import oracles
-from oracles import (RatBox, box, box_issubset, complex_of, face_box, grid_cells, grid_cut,
-                     grid_faces, halve_index_block, index_block, index_cell, index_cell_faces,
-                     least_power_of_two, ratbox, ratboxes, rival, single_box, width)
+from oracles import (IndexGrid, RatBox, box, box_issubset, complex_of, face_box, grid_cells,
+                     grid_cut, grid_faces, halve_index_block, index_block, index_cell,
+                     index_cell_faces, least_power_of_two, ratbox, ratboxes, rival, single_box,
+                     width)
 
 UNIT2 = (ival(0, 1), ival(0, 1))
 
@@ -65,19 +67,21 @@ def test_face_count_and_boundary_flags():
 bounds = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
-def specs(max_cells: int):
-    """(bound, bound, cells) per axis, with non-dyadic bounds; about one
-    axis in three is degenerate, with the one cell `grid_cover` gives it."""
-    def axis(a, b, cells, flat):
-        return (a, a, 1) if flat == 0 or a == b else (a, b, cells)
+def specs(max_log: int):
+    """(bound, bound, cells) per axis, with non-dyadic bounds and a power
+    of two of cells up to 2**max_log; about one axis in three is
+    degenerate, with the one cell `grid_cover` gives it."""
+    def axis(a, b, log, flat):
+        return (a, a, 1) if flat == 0 or a == b else (a, b, 1 << log)
 
-    return st.lists(st.builds(axis, bounds, bounds, st.integers(min_value=1, max_value=max_cells),
+    return st.lists(st.builds(axis, bounds, bounds, st.integers(min_value=0, max_value=max_log),
                               st.integers(min_value=0, max_value=2)),
                     min_size=1, max_size=3)
 
 
-def grid_of(spec) -> Grid:
-    return Grid(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec),
+def grid_of(spec, kind=Grid):
+    """The grid of a spec: a `Grid`, or an `IndexGrid` for any counts."""
+    return kind(tuple(ival(min(a, b), max(a, b)) for a, b, _ in spec),
                 tuple(c for _, _, c in spec))
 
 
@@ -85,35 +89,36 @@ def grid_of(spec) -> Grid:
                 min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_integer_axes_reproduce_the_cuts(spec):
-    """Cut i of every axis, whole[a][0] + steps[a]*i over whole[a][2], is
-    the `Fraction` cut, also for non-dyadic and degenerate bounds, and the
-    cells agree."""
-    g = grid_of(spec)
-    for axis, ((lo, hi, den), step) in enumerate(zip(g.whole, g.steps)):
-        assert den > 0
-        for i in range(g.counts[axis] + 1):
-            assert Fraction(lo + step * i, den) == grid_cut(g, axis, i)
-        assert hi == lo + step * g.counts[axis]
+    """The index cells the oracles build for any counts, odd ones
+    included, are the `Fraction` cuts, also for non-dyadic and degenerate
+    bounds, each over d*c on an axis (a, b, d) of c cells."""
+    g = grid_of(spec, IndexGrid)
     for idx, cell in grid_cells(g):
-        assert ratboxes(complex_of(g, [idx])) == (cell,)
+        (got,) = complex_of(g, [idx])
+        assert ratboxes([got]) == (cell,)
+        assert [d for _, _, d in got] == [d * c for (_, _, d), c in zip(g.base, g.counts)]
 
 
 def test_integer_axes_of_a_non_dyadic_box():
-    """An axis (lo, hi, d) cut into c cells is (lo*c, hi*c, d*c) with step
-    hi - lo, not reduced."""
-    g = Grid((ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (3, 4))
-    assert (g.whole, g.steps) == (((21, 45, 63), (-4, 4, 4)), (8, 2))
-    assert complex_of(g, [(2, 3)]) == [((37, 45, 63), (2, 4, 4))]
-    assert ratboxes(complex_of(g, [(2, 3)])) == (box(rival(Fraction(37, 63), Fraction(5, 7)),
+    """An axis (lo, hi, d) splits into (2lo, lo+hi, 2d) and (lo+hi, 2hi, 2d),
+    not reduced, so its cells on a grid of c cells are over d*c, each of
+    width hi - lo."""
+    g = Grid((ival(Fraction(1, 3), Fraction(5, 7)), ival(-1, 1)), (4, 4))
+    assert g.base == ((7, 15, 21), (-1, 1, 1)) and g.dens == (84, 4)
+    assert split(g.base[0]) == ((14, 22, 42), (22, 30, 42))
+    assert covering_cells([g.base], g)[-1] == complex_of(g, [(3, 3)])[0] == (
+        (52, 60, 84), (2, 4, 4))
+    assert ratboxes(complex_of(g, [(3, 3)])) == (box(rival(Fraction(13, 21), Fraction(5, 7)),
                                                      rival(Fraction(1, 2), 1)),)
     flat = Grid((ival(Fraction(1, 3)), ival(0, 1)), (1, 2))
-    assert (flat.whole, flat.steps) == (((1, 1, 3), (0, 2, 2)), (0, 1))
+    assert flat.dens == (3, 2)
+    assert covering_cells([flat.base], flat) == [((1, 1, 3), (0, 1, 2)), ((1, 1, 3), (1, 2, 2))]
 
 
 def test_block_box_spans_its_cells():
-    """The integer intervals the solver builds for a block of cells span
-    exactly the cells lo..hi of the grid."""
-    g = Grid((ival(0, 3), ival(-1, 1)), (3, 4))
+    """The index block lo..hi of the oracles spans exactly the cells
+    lo..hi of the grid, for odd counts too."""
+    g = IndexGrid((ival(0, 3), ival(-1, 1)), (3, 4))
 
     def block(lo, hi):
         return ratbox(index_block(g, lo, hi))
@@ -121,44 +126,42 @@ def test_block_box_spans_its_cells():
     assert block((1, 0), (3, 2)) == box(rival(1, 3), rival(-1, 0))
     assert (block((2, 3), (3, 4)),) == ratboxes(complex_of(g, [(2, 3)]))
     assert block((0, 0), g.counts) == ratbox(g.base)
-    assert index_block(g, (0, 0), g.counts) == g.whole
-    assert ratbox(g.whole) == ratbox(g.base)
 
 
 def test_halve_block_splits_the_longest_index_range():
-    """The longest index range is the axis that holds the most cells."""
-    # cells of width 2 on axis 0 and 3 on axis 1, over 5 and 7
-    steps = (2, 3)
-    assert halve_block(((0, 6, 5), (0, 12, 7)), steps) == (((0, 6, 5), (0, 6, 7)),
-                                                           ((0, 6, 5), (6, 12, 7)))
-    assert halve_block(((0, 8, 5), (0, 12, 7)), steps) == (((0, 4, 5), (0, 12, 7)),
-                                                           ((4, 8, 5), (0, 12, 7)))
-    assert halve_block(((4, 10, 5), (15, 18, 7)), steps) == (((4, 6, 5), (15, 18, 7)),
-                                                             ((6, 10, 5), (15, 18, 7)))
-    assert halve_block(((10, 12, 5), (3, 6, 7)), steps) is None
-    assert halve_block((), ()) is None
-    # a degenerate axis has step 0 and holds one cell
-    assert halve_block(((0, 4, 1), (3, 3, 2)), (1, 0)) == (((0, 2, 1), (3, 3, 2)),
-                                                          ((2, 4, 1), (3, 3, 2)))
-    assert halve_block(((1, 2, 1), (3, 3, 2)), (1, 0)) is None
+    """The axis with the most cells left, grid.dens[a] // den, is split,
+    the first on ties; a degenerate axis holds one cell."""
+    # widths 2/5 and 3/7, cut into 4 and 8 cells
+    g = Grid(((0, 2, 5), (0, 3, 7)), (4, 8))
+    assert halve_block(g.base, g) == (((0, 2, 5), (0, 3, 14)), ((0, 2, 5), (3, 6, 14)))
+    assert halve_block(((0, 2, 5), (3, 6, 14)), g) == (((0, 2, 10), (3, 6, 14)),
+                                                       ((2, 4, 10), (3, 6, 14)))
+    assert halve_block(((2, 4, 10), (9, 12, 28)), g) == (((4, 6, 20), (9, 12, 28)),
+                                                         ((6, 8, 20), (9, 12, 28)))
+    assert halve_block(((6, 8, 20), (51, 54, 56)), g) is None
+    assert halve_block((), Grid((), ())) is None
+    flat = Grid(((0, 1, 1), (3, 3, 2)), (4, 1))
+    assert halve_block(flat.base, flat) == (((0, 1, 2), (3, 3, 2)), ((1, 2, 2), (3, 3, 2)))
+    assert halve_block(((1, 2, 4), (3, 3, 2)), flat) is None
 
 
-@given(specs(9))
+@given(specs(3))
 @settings(max_examples=60, deadline=None)
 def test_halve_block_follows_the_index_halving(spec):
-    """Halving `whole` and the index block of all cells side by side gives
-    the same blocks at every step, each spanning exactly its cells, down
-    to every cell once; non-dyadic and degenerate bounds included."""
+    """Halving the base and the index block of all cells side by side
+    gives blocks that span the same cells at every step, down to every
+    cell once, each equal to its index cell; non-dyadic and degenerate
+    bounds included."""
     g = grid_of(spec)
-    pairs, cells = [(g.whole, ((0,) * len(g.counts), g.counts))], []
+    pairs, cells = [(g.base, ((0,) * len(g.counts), g.counts))], []
     while pairs:
         block, (lo, hi) = pairs.pop()
-        assert block == index_block(g, lo, hi)
-        assert ratbox(block) == RatBox(tuple(
+        assert ratbox(block) == ratbox(index_block(g, lo, hi)) == RatBox(tuple(
             rival(grid_cut(g, a, i), grid_cut(g, a, j)) for a, (i, j) in enumerate(zip(lo, hi))))
-        halves, want = halve_block(block, g.steps), halve_index_block(lo, hi)
+        halves, want = halve_block(block, g), halve_index_block(lo, hi)
         assert (halves is None) == (want is None)
         if halves is None:
+            assert block == index_block(g, lo, hi)
             cells.append(block)
         else:
             pairs.extend(zip(halves, want))
@@ -166,11 +169,11 @@ def test_halve_block_follows_the_index_halving(spec):
 
 
 def test_repeated_halving_reaches_every_cell_once():
-    g = Grid((ival(0, 1), ival(0, 1), ival(0, 1)), (3, 2, 5))
-    blocks, cells = [g.whole], []
+    g = Grid((ival(0, 1), ival(0, 1), ival(0, 1)), (4, 2, 8))
+    blocks, cells = [g.base], []
     while blocks:
         block = blocks.pop()
-        halves = halve_block(block, g.steps)
+        halves = halve_block(block, g)
         if halves is None:
             cells.append(block)
         else:
@@ -178,16 +181,54 @@ def test_repeated_halving_reaches_every_cell_once():
     assert sorted(cells) == [index_cell(g, idx) for idx, _ in grid_cells(g)]
 
 
+axes = st.builds(lambda lo, w, flat: ival(lo, lo if flat == 0 else lo + w),
+                 st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                 st.fractions(min_value=0, max_value=3, max_denominator=30),
+                 st.integers(min_value=0, max_value=3))
+
+
+@given(st.lists(st.tuples(axes, st.integers(min_value=0, max_value=3)), min_size=1, max_size=3),
+       st.integers(min_value=-4, max_value=40).filter(lambda c: c < 1 or c & (c - 1)))
+@settings(max_examples=200, deadline=None)
+def test_one_split_rule_makes_the_grid_halving_and_bisection(spec, bad):
+    """Over non-dyadic, negative and degenerate axes and power-of-two
+    counts: halving the base with `halve_block` down to single cells
+    gives exactly `covering_cells([base])`, in grid order once sorted,
+    each cell over `grid.dens`; `bisect_box` of a cell without a
+    degenerate axis is `covering_cells` of it on its grid of two cells
+    per axis; and a count that is not a power of two raises."""
+    base = tuple(iv for iv, _ in spec)
+    counts = tuple(1 if lo == hi else 1 << log for (lo, hi, _), log in spec)
+    with pytest.raises(ValueError, match="power of two"):
+        Grid(base, (bad,) + counts[1:])
+    g = Grid(base, counts)
+    blocks, cells = [g.base], []
+    while blocks:
+        block = blocks.pop()
+        halves = halve_block(block, g)
+        if halves is None:
+            cells.append(block)
+        else:
+            blocks.extend(halves)
+    want = covering_cells([g.base], g)
+    assert sorted(cells) == want and len(want) == g.n_cells
+    assert all(tuple(d for _, _, d in cell) == g.dens for cell in want)
+    for cell in want:
+        if all(lo != hi for lo, hi, _ in cell):
+            assert bisect_box(cell) == covering_cells([cell], Grid(cell, (2,) * len(cell)))
+
+
+
 NINE_EIGHTHS = ival(0, Fraction(9, 8))  # 2, 4, 8, 16 and 32 cells at widths 1 to 1/16
 
 
 def halving_blocks(g: Grid) -> list:
-    """Every block that repeated halving reaches from the whole grid."""
-    out, blocks = [], [g.whole]
+    """Every block that repeated halving reaches from the base."""
+    out, blocks = [], [g.base]
     while blocks:
         block = blocks.pop()
         out.append(block)
-        blocks.extend(halve_block(block, g.steps) or ())
+        blocks.extend(halve_block(block, g) or ())
     return out
 
 
@@ -298,10 +339,10 @@ def check_faces_around(g: Grid) -> None:
 
 
 def test_cell_faces_are_the_grid_faces_around_a_cell():
-    check_faces_around(Grid((ival(0, 1), ival(0, 2), ival(0, 3)), (3, 2, 1)))
+    check_faces_around(Grid((ival(0, 1), ival(0, 2), ival(0, 3)), (4, 2, 1)))
 
 
-@given(specs(3))
+@given(specs(2))
 @settings(max_examples=40, deadline=None)
 def test_faces_around_match_the_index_faces(spec):
     """Also for non-dyadic bounds, and degenerate ones, whose two faces
@@ -344,7 +385,7 @@ def _signed_edge_measure(face, coef: int, axis: int) -> Fraction:
 def test_boundary_telescopes_to_zero(nx, ny, drop):
     """The oriented boundary of any cell union is a cycle: for each axis,
     the signed lengths of its edges sum to zero."""
-    g = Grid(UNIT2, (nx, ny))
+    g = IndexGrid(UNIT2, (nx, ny))
     cells = [idx for idx, _ in grid_cells(g)]
     if drop and len(cells) > 1:
         cells = cells[:-(drop % len(cells)) or None]
@@ -391,7 +432,7 @@ def test_boundary_and_bisection_equal_the_ratbox_reference(spec, keep):
     """On any union of grid cells, non-dyadic and degenerate axes included,
     the integer boundary and bisection are the `RatBox` ones, face for
     face, coefficient for coefficient and in the same order."""
-    g = grid_of(spec)
+    g = grid_of(spec, IndexGrid)
     idxs = [idx for (idx, _), k in zip(grid_cells(g), keep) if k] or [(0,) * len(g.counts)]
     cells = complex_of(g, idxs)
     got = oriented_boundary(cells)
@@ -413,11 +454,13 @@ def test_grid_checks_its_counts_and_compares_by_base_and_counts():
     g = Grid(UNIT2, (2, 4))
     assert g == Grid(UNIT2, (2, 4)) and hash(g) == hash(Grid(UNIT2, (2, 4)))
     assert g != Grid(UNIT2, (4, 2))
-    assert (g.whole, g.steps, g.n_cells) == (((0, 2, 2), (0, 4, 4)), (1, 1), 8)
+    assert (g.dens, g.n_cells) == ((2, 4), 8)
     assert repr(g) == "Grid(base=((0, 1, 1), (0, 1, 1)), counts=(2, 4))"
     with pytest.raises(AttributeError):
         g.counts = (1, 1)
     with pytest.raises(ValueError, match="dimension"):
         Grid(UNIT2, (2,))
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="power of two"):
         Grid(UNIT2, (2, 0))
+    with pytest.raises(ValueError, match="one if degenerate"):
+        Grid((ival(0, 1), ival(1)), (2, 2))

@@ -2,11 +2,12 @@
 listed in its `__all__`, every top-level function, class or method
 is read by some module of src/quasisat or listed in an `__all__`, only
 `record.py` defines `__eq__` or `__hash__`, only walks over formulas
-or dimensions call themselves, and only a few named functions catch
-`DomainError`: stdlib AST scans, so that an import left behind by a
-refactor, a helper only the tests use, a second structural `==` or
-`hash`, a recursion over a term, or a second loop that decides which
-enclosure excludes zero, fails the suite."""
+or dimensions call themselves, only a few named functions catch
+`DomainError`, and no module imports another's underscored name: stdlib
+AST scans, so that an import left behind by a refactor, a helper only
+the tests use, a second structural `==` or `hash`, a recursion over a
+term, a second loop that decides which enclosure excludes zero, or a
+private helper shared between modules, fails the suite."""
 import ast
 import subprocess
 import sys
@@ -220,9 +221,9 @@ def test_the_scan_finds_domain_error_handlers():
 
 
 # `certify` alone decides which equation excludes zero on a box; the
-# others read one enclosure at a time, or report an error
+# others read one enclosure at a time (the CLI reports a DomainError as
+# the ValueError it is)
 DOMAIN_ERROR_HANDLERS = [
-    "cli._solve", "cli._corpus",
     "distance.sup_abs_enclosure", "distance.sup_abs_enclosure",  # cells, corners
     "evaluation.certify", "evaluation.positive_lower_bound",
     "solver._refutation_bound",  # its inequality loop
@@ -233,6 +234,26 @@ def test_only_the_named_functions_catch_domain_errors():
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in domain_error_handlers(p.read_text())]
     assert found == DOMAIN_ERROR_HANDLERS
+
+
+def private_imports(source: str) -> list[str]:
+    """The names that begin with one underscore and are imported from
+    another module, as 'name (line n)': a helper one module reads from
+    another is part of that module's interface and carries a public name."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_the_scan_finds_private_imports():
+    source = ("from __future__ import annotations\nfrom .a import b, _c as d\n"
+              "import _e\ndef f():\n    from x import _g, __version__\n")
+    assert private_imports(source) == ["_c (line 2)", "_g (line 5)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_a_private_name(module):
+    assert private_imports((SRC / module).read_text()) == []
 
 
 def module_imports(source: str, module: str) -> list[str]:

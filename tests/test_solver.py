@@ -3,6 +3,7 @@ import gc
 import importlib
 import itertools
 import math
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -139,6 +140,25 @@ def test_a_universal_folds_its_slabs(script, want, calls):
     it = IterationRecord(0, r, TRI_TF, precision=prec_for(r))
     got = solver._univ(ival(0, 1), body, (), it)
     assert got == want and len(seen) == calls
+
+
+def test_a_universal_makes_its_slabs_on_demand(monkeypatch):
+    """The slabs of a universal are made one at a time as its fold reads
+    them, so a universal over 2^40 slabs whose first slab is FALSE runs
+    one block check and returns at once; a list of every slab would not
+    fit in memory."""
+    blocks = []
+    real = solver._soei
+
+    def spy(*args):
+        blocks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_soei", spy)
+    start = time.perf_counter()
+    v = quasi_decide(parse("forall x in [0,1000000000000] . x - 1 >= 0"), budget=1)
+    assert time.perf_counter() - start < 1
+    assert (v.outcome, v.iterations, len(blocks)) == ("FALSE", 1, 1)
 
 
 @pytest.mark.parametrize("dominant, outs, want, runs", [
