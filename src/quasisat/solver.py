@@ -46,11 +46,20 @@ a full pass from the whole grid decides the call, so a FALSE verdict
 and its separation are always those of a full pass.  A block that reads
 a parameter sees a new slice at every call and is searched from the
 whole grid each time.
-A universal whose body does not read its variable is its body (every
-bound is nonempty), so it runs the body at one point of its bound: one
-slab at every ε.  An and/or side below a binder that reads no variable
-bound above it gives every slab the same answer, so it runs once per
-iteration and the other slabs of that iteration reuse it.
+
+One miniscoping rule places each universal.  Over a nonempty bound,
+which every bound is, forall v . A is A when A does not read v,
+forall v . (A and B) is (forall v . A) and (forall v . B), and
+forall v . (A or B) is A or forall v . B when A does not read v; the
+atoms, hence the perturbations, are the same.  So a universal goes down
+through every `and` to its sides, and at an `or` or a block (`_under`)
+a side that does not read v runs at one point of v's bound, one slab at
+every ε, before the sides that read v run under one universal over the
+whole bound.  A universal over an `and` therefore folds side by side,
+not slab by slab, and a FALSE one carries its first FALSE side's
+certificate.  A side that reads no variable of the universals above it
+but sits below an `and` below an `or` that reads one stays under the
+universal and runs at every slab.
 
 A sentence is compiled once per `quasi_decide` or `checksat` call into a
 tree of checks `(p_env, it) -> (verdict, certificate)` that holds each
@@ -165,55 +174,47 @@ class Verdict(Record):
 Check = Callable[[tuple[Ival, ...], IterationRecord], tuple[TriValue, Fraction | None]]
 
 
-def _compile(s: Formula, names: tuple[str, ...],
-             violations: list[str]) -> tuple[frozenset[str], Check | None]:
+def _compile(s: Formula, names: tuple[str, ...], violations: list[str],
+             univ: tuple[tuple[str, Ival], ...] = ()) -> tuple[frozenset[str], Check | None]:
     """The free variables of s and its tree of checks, in one walk:
     `names` holds the parameter names, then the variables bound above s,
     in order, and each way s leaves the solvable fragment is appended to
-    `violations`, in walk order.  Free variables are made bottom-up.  A
-    chain of one connective is gathered on an explicit stack into one
-    node, whose free variables are the union of its sides' and whose
-    sides all run on the environment of `names` as it is.  A block's
-    conjunction is split once into its equation and inequality terms,
-    each term is walked once for its free variables, and the tapes are
-    compiled over `names` and the block's variables, so a run reads
-    neither the formula nor the names.  A universal whose body does not
-    read its variable runs the body at one point of its bound; an and/or
-    side below a binder that reads none of `names` runs once per
-    iteration (`_once_per_iteration`).
+    `violations`, in walk order.  Free variables are made bottom-up.
+    `univ` holds the (variable, bound) pairs of the universals directly
+    above s, the last of `names`, outermost first: a universal appends
+    its pair and returns its body's check, an `and` hands them to each
+    side (forall v . (A and B) is (forall v . A) and (forall v . B)), and
+    an `or` or a block builds its universals in `_under`.  A chain of one
+    connective is gathered by `_chain` into one node, whose free
+    variables are the union of its sides'.  A block's conjunction is
+    gathered by `_chain` too and split once into its equation and
+    inequality terms, each term is walked once for its free variables,
+    and the tapes are compiled over `names` and the block's variables, so
+    a run reads neither the formula nor the names.
     The check is None when a violation has been found or a free variable
     is not in `names`; the caller then raises before anything runs."""
     if isinstance(s, ForAll):
-        var, box = s.var, s.bound
+        var = s.var
         if var in names:
             violations.append(f"variable {var!r} shadows an outer binding")
-        free, body = _compile(s.body, names + (var,), violations)
-        # a body that does not read var holds on the whole bound if it
-        # holds at one point of it (every bound is nonempty)
-        return free - {var}, None if body is None else partial(
-            _univ, box if var in free else (box[0], box[0], box[2]), body)
+        free, check = _compile(s.body, names + (var,), violations, univ + ((var, s.bound),))
+        return free - {var}, check
     if isinstance(s, (And, Or)):
-        # a chain of one connective is one node, its sides left to right
-        sides, stack = [], [s]
-        while stack:
-            f = stack.pop()
-            if f.__class__ is s.__class__:
-                stack += (f.right, f.left)
-            else:
-                sides.append(_compile(f, names, violations))
-        free = frozenset().union(*(free for free, _ in sides))
-        checks = [check if side_free or not names or check is None
-                  else _once_per_iteration(check) for side_free, check in sides]
-        dominant = TRI_F if isinstance(s, And) else TRI_T
-        return free, None if None in checks else partial(_combine, checks, dominant)
+        is_and = isinstance(s, And)
+        sides = [_compile(f, names, violations, univ if is_and else ())
+                 for f in _chain(s, s.__class__)]
+        free, checks = frozenset().union(*(free for free, _ in sides)), [c for _, c in sides]
+        if None in checks:
+            return free, None
+        return free, partial(_combine, checks, TRI_F) if is_and else _under(univ, sides)
     if isinstance(s, Atom):  # a ground atom: a block without variables
         block_vars, bounds, atoms = (), (), [s]
     else:
-        block_vars, bounds, atoms = s.vars, s.bounds, []
+        block_vars, bounds, atoms = s.vars, s.bounds, _chain(s.body, And)
         clash = set(block_vars).intersection(names)
         if clash:
             violations.append(f"variable {sorted(clash)[0]!r} shadows an outer binding")
-        if not _conjuncts(s.body, atoms):
+        if not all(isinstance(a, Atom) for a in atoms):
             violations.append(
                 "exists body must be a conjunction of equations and inequalities")
             free, _ = _compile(s.body, names + block_vars, violations)
@@ -230,36 +231,46 @@ def _compile(s: Formula, names: tuple[str, ...],
     fs, gs = ([compile_term(t, names + block_vars) for t in terms] for terms in (eqs, ineqs))
     # a block that reads no parameter is the same block at every call, so
     # it carries its frontier from one to the next
-    return free, partial(_soei, bounds, fs, gs, None if free else [])
+    return free, _under(univ, [(free, partial(_soei, bounds, fs, gs, None if free else []))])
 
 
-def _once_per_iteration(check: Check) -> Check:
-    """An and/or side below a binder that reads no variable bound above
-    it: its answer is the same for every slab, so it runs once per
-    iteration (per record) and every later call of that iteration
-    returns its answer."""
-    last: list = [None, None]  # the record of the last run and its answer
-
-    def once(p_env, it):
-        if last[0] is not it:
-            last[0], last[1] = it, check(p_env, it)
-        return last[1]
-    return once
-
-
-def _conjuncts(f: Formula, atoms: list[Atom]) -> bool:
-    """Append the atoms of an and-tree to `atoms`, left to right, from an
-    explicit stack; False when anything else appears."""
-    stack = [f]
+def _chain(f: Formula, cls: type) -> list[Formula]:
+    """The sides of the chain of `cls` nodes at f, left to right, from an
+    explicit stack: [f] when f is not a `cls`."""
+    sides, stack = [], [f]
     while stack:
         f = stack.pop()
-        if isinstance(f, Atom):
-            atoms.append(f)
-        elif isinstance(f, And):
+        if f.__class__ is cls:
             stack += (f.right, f.left)
         else:
-            return False
-    return True
+            sides.append(f)
+    return sides
+
+
+def _under(univ: tuple[tuple[str, Ival], ...],
+           sides: list[tuple[frozenset[str], Check]]) -> Check:
+    """The `or` of the (free variables, check) `sides` under the
+    universals of `univ`, the only place that builds a universal node.
+    Over a nonempty bound, forall v . A is A, and forall v . (A or B) is
+    A or forall v . B, when A does not read v.  So, innermost universal
+    first, each side that does not read v runs at one point of v's
+    bound, and the sides that read v run after them under one universal
+    over the whole bound: a TRUE one-point side stops the `or` before any
+    slab runs."""
+    for var, box in reversed(univ):
+        reads = [side for side in sides if var in side[0]]
+        sides = [(free, partial(_univ, (box[0], box[0], box[2]), check))
+                 for free, check in sides if var not in free]
+        if reads:
+            sides.append((frozenset().union(*(free for free, _ in reads)) - {var},
+                          partial(_univ, box, _or(reads))))
+    return _or(sides)
+
+
+def _or(sides: list[tuple[frozenset[str], Check]]) -> Check:
+    """One check for the `or` of the (free variables, check) `sides`."""
+    return sides[0][1] if len(sides) == 1 else partial(
+        _combine, [check for _, check in sides], TRI_T)
 
 
 class ClassBReport(Frozen):

@@ -1307,3 +1307,20 @@ def poly_sentence_text(shape: str, p: Poly, a: Fraction, b: Fraction, var: str =
     quantifier = "forall" if shape == "forall_geq" else "exists"
     relation = "=" if shape == "exists_eq" else ">="
     return f"{quantifier} {var} in [{a},{b}] . {poly_text(p, var)} {relation} 0"
+
+
+def hoisted_sentence_text(form: str, word: str, shape: str, p: Poly, a: Fraction, b: Fraction,
+                          q: Poly, c: Fraction, d: Fraction) -> str:
+    """The sentence `shape` of p in x over [a, b], `word`, and
+    `forall y in [c,d] . q(y) >= 0`, with universals above the `word`:
+    "hoist" moves `forall y` up, `forall y in [c,d] . ((x side) word
+    (q(y) >= 0))`, and "split" moves both for the x side
+    `forall x in [a,b] . p(x) >= 0` (whatever `shape` is),
+    `forall x in [a,b] . forall y in [c,d] . ((p(x) >= 0) word (q(y) >= 0))`.
+    Either has the atoms of the side-by-side sentence, hence its
+    perturbations and its margin (`combine_margins`)."""
+    right = f"({poly_text(q, 'y')} >= 0)"
+    if form == "hoist":
+        return f"forall y in [{c},{d}] . (({poly_sentence_text(shape, p, a, b)}) {word} {right})"
+    return (f"forall x in [{a},{b}] . forall y in [{c},{d}] . "
+            f"(({poly_text(p, 'x')} >= 0) {word} {right})")

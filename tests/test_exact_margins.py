@@ -21,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 from quasisat.parser import parse
 from quasisat.solver import quasi_decide
 
-from oracles import (NEAR_TANGENCIES, POLY_SHAPES, combine_margins, count_roots, poly_extrema,
-                     poly_sentence_text, root_brackets, signed_margin, sturm_chain)
+from oracles import (NEAR_TANGENCIES, POLY_SHAPES, combine_margins, count_roots,
+                     hoisted_sentence_text, poly_extrema, poly_sentence_text, root_brackets,
+                     signed_margin, sturm_chain)
 
 ROBUST = Fraction(1, 64)
 # a universal over a body that is undecided on every slab checks about
@@ -33,26 +34,38 @@ coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
 
 @st.composite
-def sides(draw, var: str):
-    """(shape, signed margin, text) of one polynomial sentence in `var`."""
+def sides(draw):
+    """(shape, p, a, b) of one polynomial sentence over [a, b]."""
     shape = draw(st.sampled_from(POLY_SHAPES))
     p = tuple(draw(st.lists(coefficients, min_size=2, max_size=5)))
     a = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
     b = a + draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
-    return shape, signed_margin(shape, p, a, b), poly_sentence_text(shape, p, a, b, var)
+    return shape, p, a, b
 
 
 @st.composite
 def poly_sentences(draw):
-    """(shape, signed margin, text): one side, or `and`/`or` of two over
-    the disjoint variables x and y."""
-    shape, margin, text = draw(sides("x"))
+    """(shape, signed margin, text): one side in x, or `and`/`or` of a
+    side in x and one in y, side by side, or with universals above the
+    connective (`hoisted_sentence_text`): `forall y` above the y side
+    `q(y) >= 0` ("hoist_and", "hoist_or"), or `forall x` and `forall y`
+    above the atoms `p(x) >= 0` and `q(y) >= 0` ("split_and",
+    "split_or")."""
+    shape, p, a, b = draw(sides())
+    margin, text = signed_margin(shape, p, a, b), poly_sentence_text(shape, p, a, b)
     word = draw(st.sampled_from((None, "and", "or")))
     if word is None:
         return shape, margin, text
-    other, right, other_text = draw(sides("y"))
-    return (f"{shape} {word} {other}", combine_margins(word, margin, right),
-            f"({text}) {word} ({other_text})")
+    other, q, c, d = draw(sides())
+    form = draw(st.sampled_from((None, "hoist", "split")))
+    if form is None:
+        return (f"{shape} {word} {other}",
+                combine_margins(word, margin, signed_margin(other, q, c, d)),
+                f"({text}) {word} ({poly_sentence_text(other, q, c, d, 'y')})")
+    if form == "split":
+        margin = signed_margin("forall_geq", p, a, b)
+    return (f"{form}_{word}", combine_margins(word, margin, signed_margin("forall_geq", q, c, d)),
+            hoisted_sentence_text(form, word, shape, p, a, b, q, c, d))
 
 
 def check(margin, text) -> Fraction | None:

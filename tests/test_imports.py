@@ -3,11 +3,13 @@ listed in its `__all__`, every top-level function, class or method
 is read by some module of src/quasisat or listed in an `__all__`, only
 `record.py` defines `__eq__` or `__hash__`, only walks over formulas
 or dimensions call themselves, only a few named functions catch
-`DomainError`, and no module imports another's underscored name: stdlib
-AST scans, so that an import left behind by a refactor, a helper only
-the tests use, a second structural `==` or `hash`, a recursion over a
-term, a second loop that decides which enclosure excludes zero, or a
-private helper shared between modules, fails the suite."""
+`DomainError`, no module imports another's underscored name, and no
+function of `solver.py` defines a function or lambda: stdlib AST scans,
+so that an import left behind by a refactor, a helper only the tests
+use, a second structural `==` or `hash`, a recursion over a term, a
+second loop that decides which enclosure excludes zero, a private helper
+shared between modules, or a closure in the check tree, fails the
+suite."""
 import ast
 import subprocess
 import sys
@@ -185,6 +187,44 @@ def test_only_formula_walks_recurse():
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in self_recursive_functions(p.read_text())]
     assert found == RECURSIVE_ALLOWED
+
+
+def nested_functions(source: str) -> list[str]:
+    """The functions and lambdas defined inside a function, as
+    'outer.inner' ('<lambda>' for a lambda), in walk order.  A method is
+    not nested, unless its class is defined inside a function."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                  ast.ClassDef)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                is_class = isinstance(child, ast.ClassDef)
+                if in_function and not is_class:
+                    found.append(name)
+                visit(child, name + ".", in_function or not is_class)
+            else:
+                visit(child, prefix, in_function)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_the_scan_finds_nested_functions():
+    source = ("f = lambda: 0\ndef g():\n    return sorted([], key=lambda v: v)\n"
+              "class C:\n    def m(self):\n        def inner():\n            pass\n"
+              "        return inner\n"
+              "def h():\n    class D:\n        def n(self):\n            pass\n    return D\n")
+    assert nested_functions(source) == ["g.<lambda>", "C.m.inner", "h.D.n"]
+
+
+def test_the_check_tree_holds_no_closure():
+    """Every node of the solver's check tree is a `functools.partial` of a
+    module-level function, so it holds no state but its arguments and
+    the block frontiers: no solver function defines a function or a
+    lambda."""
+    assert nested_functions((SRC / "solver.py").read_text()) == []
 
 
 def domain_error_handlers(source: str) -> list[str]:

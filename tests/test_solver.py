@@ -13,7 +13,7 @@ import pytest
 from quasisat import distance_enclosure, free_vars, solver, validate_class_b
 from quasisat import terms as T
 from quasisat.degree import DegreeResult
-from quasisat.formulas import And, Eq, Exists, ForAll, Geq, Or
+from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Geq, Or
 from quasisat.geometry import Grid, grid_cover, oriented_boundary
 from quasisat.intervals import ival
 from quasisat.parser import parse
@@ -756,25 +756,34 @@ def formula_nodes(f):
     lambda s: checksat(s, (), Fraction(1, 4)),
 ], ids=["quasi_decide", "checksat"])
 def test_deciding_a_sentence_visits_each_formula_node_once(monkeypatch, decide):
-    """One compile walk before the first iteration: `_compile` visits each
-    node outside the blocks and each block, one `_conjuncts` call the
-    and-tree of each block's body, and no node is visited twice, by them
-    or by any iteration."""
-    visits = []
+    """One compile walk before the first iteration: `_compile` is called
+    once on each quantifier, each and/or chain and each ground atom, and
+    `_chain` gathers each chain's connectives and atom sides and each
+    block's body; a quantifier is read by `_compile` and every other node
+    by one `_chain` call, and no node is read twice, by them or by any
+    iteration."""
+    compiled, gathered = [], []
 
-    def spied(real, record):
-        def spy(f, *rest):
-            record(f)
-            return real(f, *rest)
-        return spy
-    monkeypatch.setattr(solver, "_compile", spied(solver._compile, visits.append))
-    monkeypatch.setattr(solver, "_conjuncts", spied(
-        solver._conjuncts, lambda f: visits.extend(formula_nodes(f))))
+    def compile_spy(f, *rest):
+        compiled.append(f)
+        return real_compile(f, *rest)
+
+    def chain_spy(f, cls):
+        sides = real_chain(f, cls)
+        inside = {id(n) for side in sides if not isinstance(side, Atom)
+                  for n in formula_nodes(side)}
+        gathered.extend(n for n in formula_nodes(f) if id(n) not in inside)
+        return sides
+    real_compile, real_chain = solver._compile, solver._chain
+    monkeypatch.setattr(solver, "_compile", compile_spy)
+    monkeypatch.setattr(solver, "_chain", chain_spy)
     s = parse("forall x in [0,1] . ((exists y in [0,1] . y - x*x = 0 and y >= 0 and "
               "1 - y >= 0) or x - 2 >= 0) and 1 >= 0")
     decide(s)
-    assert sorted(map(id, visits)) == sorted(map(id, formula_nodes(s)))
-    assert len(visits) == 11
+    quantifiers = [f for f in compiled if isinstance(f, (ForAll, Exists))]
+    assert sorted(map(id, quantifiers + gathered)) == sorted(map(id, formula_nodes(s)))
+    assert len(quantifiers + gathered) == 11
+    assert len(set(map(id, compiled))) == len(compiled) == 6
 
 
 def term_size(t):
@@ -1026,9 +1035,11 @@ def test_a_block_that_reads_no_parameter_carries_its_frontier_across_slabs(monke
 ], ids=["exists", "and-side"])
 def test_a_check_that_reads_no_parameter_runs_once_per_iteration(monkeypatch, text, budget,
                                                                   calls):
-    """Every slab of an iteration would give a check that reads no
-    variable bound above it the same answer, so it runs once per
-    iteration and its answer is reused; a side that reads the slab still
+    """A check that reads no variable bound above it would give every
+    slab the same answer, so it runs at one point of each universal
+    above it, once per iteration: a universal over a block that does not
+    read its variable is that block, and over an `and` it goes to each
+    side, so the exists side runs at one point while `z + 1 >= 0` still
     runs at every slab."""
     blocks = []
     real = solver._soei
@@ -1041,6 +1052,56 @@ def test_a_check_that_reads_no_parameter_runs_once_per_iteration(monkeypatch, te
     v = quasi_decide(parse(text), budget=budget)
     assert (v.outcome, v.iterations) == ("UNKNOWN", budget)
     assert len(blocks) == calls
+
+
+SPLIT_SIDES = ("forall x in [0,1] . forall y in [0,1] . "
+               "(x*x - x + 1/4 + 1/1000 >= 0 and y*y - y + 1/4 + 1/1000 >= 0)")
+
+
+@pytest.mark.parametrize("text, budget, outcome, iterations, cert, calls", [
+    # each side under its own universal only, 2 * (1 + 2 + ... + 1024)
+    # checks; under both, every side ran at every slab of the other
+    # universal too (2,796,202 checks, about 30 s)
+    (SPLIT_SIDES, 20, "TRUE", 11, Fraction(3, 128000), 4_094),
+    # the y side at one point of x, first, 1 + 2 + ... + 1024 checks, and
+    # the x side under x alone, FALSE at its first slab, once in each of
+    # the ten undecided iterations (2,796,202 checks under both)
+    ("forall x in [0,1] . forall y in [0,1] . (x - 2 >= 0 or y*y - y + 1/4 + 1/1000 >= 0)",
+     20, "TRUE", 11, Fraction(3, 128000), 2_057),
+    # the exists side at one point, first, then `z - 2 >= 0`, FALSE at its
+    # first slab: two checks an iteration (4,107 when every slab ran both)
+    ("forall z in [0,1] . (exists x in [7/16,9/16] . (x - 1/2)^2 <= 0) or z - 2 >= 0",
+     12, "UNKNOWN", 12, None, 24),
+    # the exists side at one point, `z + 1 >= 0` at every slab
+    ("forall z in [0,1] . (exists x in [7/16,9/16] . (x - 1/2)^2 <= 0) and z + 1 >= 0",
+     12, "UNKNOWN", 12, None, 4_107),
+    # the closed exists side below an `and` below an `or` that reads z
+    # stays under the universal: it runs at every slab, 3 * 1,023 checks
+    # (2,056 when it ran once per iteration)
+    ("forall z in [0,1] . ((exists x in [7/16,9/16] . (x - 1/2)^2 <= 0) and z + 1 >= 0) "
+     "or z - 2 >= 0", 10, "UNKNOWN", 10, None, 3_069),
+], ids=["split-sides", "split-or", "or-side", "and-side", "and-below-or"])
+def test_a_universal_moves_down_to_the_sides_that_read_its_variable(
+        monkeypatch, text, budget, outcome, iterations, cert, calls):
+    """Miniscoping: forall v . (A and B) is (forall v . A) and
+    (forall v . B), and forall v . (A or B) is A or forall v . B when A
+    does not read v, and a side that reads no variable of the universals
+    above it runs at one point of each.  The verdicts, iterations and
+    certificates are those of the universals over the whole body."""
+    blocks = []
+    real = solver._soei
+
+    def spy(*args):
+        blocks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_soei", spy)
+    start = time.perf_counter()
+    v = quasi_decide(parse(text), budget=budget)
+    elapsed = time.perf_counter() - start
+    assert (v.outcome, v.iterations, v.certificate) == (outcome, iterations, cert)
+    assert len(blocks) == calls <= 10_000
+    assert text != SPLIT_SIDES or elapsed < 1
 
 
 @pytest.mark.parametrize("text, cert", [
