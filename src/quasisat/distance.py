@@ -1,6 +1,13 @@
 """Structural distance between sentences: max over aligned atom positions
 of sup |f_i - g_i| over the quantification box, enclosed by bisecting
-`Ival` cells (see `geometry`)."""
+`Ival` cells (see `geometry`).  Equal aligned terms add 0 with no
+difference built; the others are expanded by `terms.expand_normal`,
+whose coefficients stay integer pairs until it builds its `Const`s, and
+bounded by `sup_abs_enclosure`, whose bounds stay integer pairs until it
+builds its `RatInterval`.  A supremum evaluates at most `MAX_CELLS`
+cells, so every query ends: with a bracket that is sound but may be
+wider than the tolerance, or with DomainError when no depth bounds the
+difference."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -28,12 +35,14 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+MAX_CELLS = 1 << 14  # cells that one `sup_abs_enclosure` call may evaluate
 
 
 def sup_abs_enclosure(
     t: T.Term, names: Sequence[str], box: Sequence[Ival], tol: Fraction
 ) -> RatInterval:
-    """Enclosure of sup |t| over the box, of width <= tol.
+    """Enclosure of sup |t| over the box, of width <= tol unless the work
+    cap stops it first.
 
     Iterative deepening over uniform grids of `Ival` cells (the active
     cells of a depth share their denominators, see `geometry`).  The
@@ -46,28 +55,29 @@ def sup_abs_enclosure(
     are dropped; a variable of t not in `names` raises ValueError.  A
     cell where t leaves its domain (DomainError) has no upper bound, so
     its depth gives none and it is kept; such a corner gives no lower
-    bound.  Bounds are integer pairs (num, den), compared by
-    cross-multiplication; one `RatInterval` is built at the end."""
-    tol = rat(tol)
-    if tol <= 0:
+    bound.  A call evaluates at most `MAX_CELLS` cells: when the next
+    depth would pass that, the bracket of the depths done is returned,
+    sound but possibly wider than tol, and DomainError is raised when no
+    depth gave an upper bound.  Bounds are integer pairs (num, den),
+    compared by cross-multiplication, until the result is built."""
+    tn, td = rat(tol).as_integer_ratio()
+    if tn <= 0:
         raise ValueError("tolerance must be positive")
-    tn, td = tol.numerator, tol.denominator
     used = T.free_vars(t)
-    unbound = used.difference(names)
-    if unbound:
-        raise ValueError(f"free variables bound by no quantifier: {sorted(unbound)}")
     # an axis the term does not mention only multiplies the cells
     kept = [i for i, v in enumerate(names) if v in used]
+    if not used.issubset(names):
+        unbound = sorted(used.difference(names))
+        raise ValueError(f"free variables bound by no quantifier: {unbound}")
     evaluate = compile_term(t, [names[i] for i in kept])
     active = [tuple(box[i] for i in kept)]
     best_lo = 0, 1  # (num, den) of the best lower bound on sup |t| so far
     best_hi = 1, 0  # and of the least upper bound, 1/0 until a depth gives one
-    depth = 0
-    while True:
+    depth, cells = 0, 1  # cells: those of the depths done and of the next
+    while cells <= MAX_CELLS:
         p = depth + 10
         scored = []  # (cell, num, den) of each cell's upper bound on |t|; den 0: none
         hi = 0, 1  # the largest upper bound, (1, 0) when some cell has none
-        corners: set[tuple[int, ...]] = set()
         for cell in active:
             try:
                 a, b, d = _abs(evaluate(cell, p))
@@ -78,8 +88,10 @@ def sup_abs_enclosure(
                 best_lo = a, d
             if b * hi[1] > hi[0] * d:
                 hi = b, d
-            corners.update(product(*(iv[:2] for iv in cell)))
         first = active[0]  # the active cells share their denominators
+        # neighbouring cells share corners; a lone cell's are evaluated as they come
+        corners = (product(*(iv[:2] for iv in first)) if len(active) == 1 else
+                   {c for cell in active for c in product(*(iv[:2] for iv in cell))})
         for corner in corners:  # degenerate cells: point values of |t|
             try:
                 a, _, d = _abs(evaluate([(c, c, iv[2]) for c, iv in zip(corner, first)], p))
@@ -92,13 +104,19 @@ def sup_abs_enclosure(
                 best_hi = hi
             (ln, ld), (hn, hd) = best_lo, best_hi
             if (hn * ld - ln * hd) * td <= tn * hd * ld:
-                return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
+                break
         # keep only cells that can still carry the supremum, then bisect
         active = []
         for cell, b, d in scored:
             if b * best_lo[1] >= best_lo[0] * d:
                 active.extend(bisect_box(cell))
+        cells += len(active)
         depth += 1
+    (ln, ld), (hn, hd) = best_lo, best_hi
+    if not hd:
+        raise DomainError(f"no upper bound on |t| within {MAX_CELLS} cells")
+    lo = Fraction(ln, ld)
+    return RatInterval(lo, lo if ln * hd == hn * ld else Fraction(hn, hd))
 
 
 def _abs(x: Ival) -> Ival:
@@ -115,23 +133,28 @@ def distance_enclosure(
     f: Formula, g: Formula, tol: Fraction
 ) -> RatInterval | _Infinite:
     """Interval of width <= tol around d(f, g); INFINITE when the two
-    sentences do not share a structure."""
+    sentences do not share a structure.  An aligned pair of equal terms
+    adds 0; the others are bounded by `sup_abs_enclosure`, so when its
+    work cap stops one, the interval is sound but may be wider than tol,
+    and a difference that no depth bounds raises DomainError."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     pairs = aligned_terms(f, g)
     if pairs is None:
         return INFINITE
-    lo = hi = 0, 1  # the largest bounds so far, as (num, den)
+    found = []  # the enclosure of each aligned pair that differs
     for tf, tg, names, box in pairs:
+        if tf == tg:
+            continue
         diff = T.expand_normal(T.Sub(tf, tg))
         if diff.__class__ is T.Const:
-            a = b = abs(diff.value).as_integer_ratio()
+            v = abs(diff.value)
+            found.append(RatInterval(v, v))
         else:
-            enc = sup_abs_enclosure(diff, names, box, tol)
-            a, b = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-        if a[0] * lo[1] > lo[0] * a[1]:
-            lo = a
-        if b[0] * hi[1] > hi[0] * b[1]:
-            hi = b
-    return RatInterval(Fraction(*lo), Fraction(*hi))
+            found.append(sup_abs_enclosure(diff, names, box, tol))
+    if not found:
+        return RatInterval(0, 0)
+    lo, hi = max(e.lo for e in found), max(e.hi for e in found)
+    # an enclosure that holds both bounds is the result as it is
+    return next((e for e in found if e.lo == lo and e.hi == hi), None) or RatInterval(lo, hi)

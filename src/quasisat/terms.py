@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import groupby
+from math import lcm
 
 from .record import Frozen, init_field
 
@@ -115,16 +117,18 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity
+# a coefficient as the integers (num, den), den > 0, not reduced, never 0
+_Coeff = tuple[int, int]
 
 
-def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
-    """Polynomial form of t over atomic factors; None when t contains a
-    division by a non-constant.  One post-order walk on an explicit
-    stack, as `compile_term` walks: an operation goes on the stack as a
-    1-tuple below its operands, and is applied to their forms when it
-    comes off.  Each atom's sort key, its `term_text`, is computed at most
-    once: the atoms are nodes of t, which outlives the walk, so their ids
-    stay theirs."""
+def _expand(t: Term) -> dict[_Monomial, _Coeff] | None:
+    """Polynomial form of t over atomic factors, with integer-pair
+    coefficients; None when t contains a division by a non-constant.
+    One post-order walk on an explicit stack, as `compile_term` walks: an
+    operation goes on the stack as a 1-tuple below its operands, and is
+    applied to their forms when it comes off.  Each atom's sort key, its
+    `term_text`, is computed at most once: the atoms are nodes of t,
+    which outlives the walk, so their ids stay theirs."""
     texts: dict[int, str] = {}
 
     def key(atom: Term) -> str:
@@ -133,7 +137,7 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
             text = texts[id(atom)] = term_text(atom)
         return text
 
-    done: list[dict[_Monomial, Fraction]] = []  # the forms of the operands so far
+    done: list[dict[_Monomial, _Coeff]] = []  # the forms of the operands so far
     stack: list = [t]
     while stack:
         node = stack.pop()
@@ -142,9 +146,9 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
             node, = node
             cls = node.__class__
             if cls is Neg:
-                done[-1] = {m: -c for m, c in done[-1].items()}
+                done[-1] = {m: (-n, d) for m, (n, d) in done[-1].items()}
             elif cls is Pow:
-                base, out = done[-1], {(): Fraction(1)}
+                base, out = done[-1], {(): (1, 1)}
                 for _ in range(node.exponent):
                     out = _convolve(out, base, key)
                 done[-1] = out
@@ -155,52 +159,55 @@ def _expand(t: Term) -> dict[_Monomial, Fraction] | None:
                 elif cls is Div:
                     if len(right) != 1 or () not in right:
                         return None
-                    den = right[()]
-                    done[-1] = {m: c / den for m, c in done[-1].items()}
+                    n, d = right[()]  # c / (n/d) = c * d/n, n's sign moved to the numerator
+                    done[-1] = {m: (a * d if n > 0 else -a * d, b * abs(n))
+                                for m, (a, b) in done[-1].items()}
                 else:  # each form on `done` is a fresh dict, so the left takes the right in place
                     _add_into(done[-1], right, 1 if cls is Add else -1)
         elif cls is Const:
-            done.append({(): node.value} if node.value else {})
+            done.append({(): node.value.as_integer_ratio()} if node.value else {})
         elif cls is Pow or cls is Neg:
             stack += ((node,), node.base if cls is Pow else node.arg)
         elif isinstance(node, _Binary):
             stack += ((node,), node.right, node.left)
         else:  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
-            done.append({(node,): Fraction(1)})
+            done.append({(node,): (1, 1)})
     return done[0]
 
 
-def _add_into(
-    acc: dict[_Monomial, Fraction], part: dict[_Monomial, Fraction], k: int
-) -> None:
-    """acc += k * part (nonzero coefficients), dropping those that cancel."""
-    for mono, c in part.items():
-        if k != 1:
-            c = -c if k == -1 else k * c
-        got = acc.get(mono)
-        got = c if got is None else got + c
-        if got:
-            acc[mono] = got
-        else:
+def _sum_into(acc: dict[_Monomial, _Coeff], mono: _Monomial, n: int, d: int) -> None:
+    """acc[mono] += n/d over the lcm of the denominators, as
+    `evaluation._add` aligns them; a coefficient that cancels is dropped."""
+    got = acc.get(mono)
+    if got is not None:
+        m, e = got
+        if e != d:
+            l = lcm(e, d)
+            n, m, d = n * (l // d), m * (l // e), l
+        n += m
+        if not n:
             del acc[mono]
+            return
+    acc[mono] = n, d
+
+
+def _add_into(acc: dict[_Monomial, _Coeff], part: dict[_Monomial, _Coeff], k: int) -> None:
+    """acc += k * part (nonzero coefficients), dropping those that cancel."""
+    for mono, (n, d) in part.items():
+        _sum_into(acc, mono, k * n, d)
 
 
 def _convolve(
-    a: dict[_Monomial, Fraction], b: dict[_Monomial, Fraction], key: Callable[[Term], str],
-) -> dict[_Monomial, Fraction]:
+    a: dict[_Monomial, _Coeff], b: dict[_Monomial, _Coeff], key: Callable[[Term], str],
+) -> dict[_Monomial, _Coeff]:
     """a * b, each product monomial sorted by `key`, `term_text` or a cache of it."""
-    out: dict[_Monomial, Fraction] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
+    out: dict[_Monomial, _Coeff] = {}
+    for ma, (na, da) in a.items():
+        for mb, (nb, db) in b.items():
             mono = ma + mb
             if len(mono) > 1:
                 mono = tuple(sorted(mono, key=key))
-            got = out.get(mono)
-            c = ca * cb if got is None else got + ca * cb
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
+            _sum_into(out, mono, na * nb, da * db)
     return out
 
 
@@ -226,12 +233,15 @@ def expand_normal(t: Term) -> Term:
     """Canonical sum-of-monomials form over atomic subterms, so that
     syntactically common parts of differences cancel exactly.  For a - b,
     aligned summands of a and b that are equal, with equal signs, cancel
-    after one `==` walk; the rest are counted by structural equality,
-    and only counts that do not cancel are expanded.  So a difference
-    costs only the summands in which its sides differ.  Expansion is
-    exact; a summand left with a non-constant divisor returns t
-    unchanged.  Monomials are ordered by their atoms' `term_text`, which
-    tells apart the atoms of any parsed term."""
+    after one `==` walk; two or more that are left are counted by
+    structural equality, and only counts that do not cancel are
+    expanded; a lone one is expanded as it is, with no hash walk.  So a
+    difference costs only the summands in which its sides differ.
+    Expansion is exact, on integer-pair coefficients (num, den) that are
+    reduced once, when the result's `Const`s are built; a summand left
+    with a non-constant divisor returns t unchanged.  Monomials are
+    ordered by length, and those of equal length by their atoms'
+    `term_text`, which tells apart the atoms of any parsed term."""
     if t.__class__ is Sub:
         left, right = _summands(t.left, 1), _summands(t.right, -1)
         n = min(len(left), len(right))
@@ -239,22 +249,27 @@ def expand_normal(t: Term) -> Term:
         summands = [left[i] for i in kept] + left[n:] + [right[i] for i in kept] + right[n:]
     else:
         summands = _summands(t, 1)
-    counts: dict[Term, int] = {}
+    if len(summands) > 1:
+        counts: dict[Term, int] = {}
+        for s, k in summands:
+            counts[s] = counts.get(s, 0) + k
+        summands = counts.items()
+    poly: dict[_Monomial, _Coeff] = {}
     for s, k in summands:
-        counts[s] = counts.get(s, 0) + k
-    poly: dict[_Monomial, Fraction] = {}
-    for s, k in counts.items():
         if not k:
             continue
         part = _expand(s)
         if part is None:
             return t
         _add_into(poly, part, k)
+    order: list[_Monomial] = []
+    for _, run in groupby(sorted(poly, key=len), len):
+        run = list(run)
+        order += run if len(run) < 2 else sorted(run, key=lambda m: tuple(map(term_text, m)))
     total: Term | None = None
-    for mono in (poly if len(poly) < 2  # a lone monomial needs no sort key
-                 else sorted(poly, key=lambda m: (len(m), tuple(map(term_text, m))))):
-        c = poly[mono]
-        factor: Term | None = None if c == 1 and mono else Const(c)
+    for mono in order:
+        n, d = poly[mono]
+        factor: Term | None = None if n == d and mono else Const(Fraction(n, d))
         for atom in mono:
             factor = atom if factor is None else Mul(factor, atom)
         total = factor if total is None else Add(total, factor)

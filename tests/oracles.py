@@ -12,10 +12,11 @@ winding count
 for planar degrees, full sweeps over every cell and face of a grid of
 any counts in index space (cells addressed by multi-index, with the map
 from an index to its `Ival` cell), the degree, oriented boundary, bisection and
-supremum enclosure on `RatBox`es, the recursive `repr` and `==` of a
-record, the recursive `term_text`, the exact decisions and
-robustness margins of univariate polynomial sentences from Sturm
-sequences, and near tangencies of sin and cos whose margin is known."""
+supremum enclosure on `RatBox`es, the distance of two sentences, the
+recursive `repr` and `==` of a record, the recursive `term_text`, the
+exact decisions and robustness margins of univariate polynomial
+sentences from Sturm sequences, and near tangencies of sin and cos
+whose margin is known."""
 from __future__ import annotations
 
 import math
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from quasisat import terms as T
 from quasisat.degree import DegreeResult
 from quasisat.evaluation import Evaluator, compile_term
-from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Formula, Geq
+from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Formula, Geq, aligned_terms
 from quasisat.geometry import Cell, Grid
 from quasisat.intervals import DomainError, Ival, RatInterval, RatLike, ival, rat
 from quasisat.parser import _GUARD_PREC
@@ -446,9 +447,20 @@ def _add_into(acc: dict, part: dict, k: int) -> None:
             acc.pop(mono, None)
 
 
+def _convolve(a: dict, b: dict) -> dict:
+    """a * b on `Fraction` coefficients, each product monomial's atoms
+    sorted by their `term_text`."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            _add_into(out, {tuple(sorted(ma + mb, key=T.term_text)): ca * cb}, 1)
+    return out
+
+
 def recursive_expand(t: T.Term) -> dict | None:
-    """`terms._expand` by recursion over the term: the polynomial form of t
-    over atomic factors, None when t divides by a non-constant."""
+    """`terms._expand` by recursion over the term, on `Fraction`
+    coefficients: the polynomial form of t over atomic factors, None when
+    t divides by a non-constant."""
     if isinstance(t, T.Const):
         return {(): t.value} if t.value else {}
     if isinstance(t, (T.Add, T.Sub)):
@@ -469,7 +481,7 @@ def recursive_expand(t: T.Term) -> dict | None:
         right = recursive_expand(t.right)
         if left is None or right is None:
             return None
-        return T._convolve(left, right, T.term_text)
+        return _convolve(left, right)
     if isinstance(t, T.Div):
         num = recursive_expand(t.left)
         den = recursive_expand(t.right)
@@ -484,7 +496,7 @@ def recursive_expand(t: T.Term) -> dict | None:
             return None
         out = {(): Fraction(1)}
         for _ in range(t.exponent):
-            out = T._convolve(out, base, T.term_text)
+            out = _convolve(out, base)
         return out
     return {(t,): Fraction(1)}  # Var, Pi, Sin, Cos, Exp, Sqrt are atomic
 
@@ -1094,6 +1106,22 @@ def sup_abs_enclosure(
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
     return rival(max(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def distance_enclosure(f: Formula, g: Formula, tol: Fraction) -> RatInterval:
+    """`distance.distance_enclosure` of two sentences of one structure:
+    every aligned pair's difference in the normal form of `expand_normal`,
+    a constant one taken exactly and any other enclosed by
+    `sup_abs_enclosure`; the bounds are the largest of all pairs."""
+    lo = hi = Fraction(0)
+    for tf, tg, names, bounds in aligned_terms(f, g):
+        diff = expand_normal(T.Sub(tf, tg))
+        if isinstance(diff, T.Const):
+            enc = rival(abs(diff.value))
+        else:
+            enc = sup_abs_enclosure(diff, names, ratbox(bounds), tol)
+        lo, hi = max(lo, enc.lo), max(hi, enc.hi)
+    return RatInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 import random
 import threading
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quasisat import terms as T
-from quasisat.distance import INFINITE, distance_enclosure, sup_abs_enclosure
-from quasisat.intervals import ival
+from quasisat import distance as D, terms as T
+from quasisat.distance import INFINITE, MAX_CELLS, distance_enclosure, sup_abs_enclosure
+from quasisat.formulas import And, Eq, Exists, Geq
+from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
 import oracles
@@ -179,6 +182,22 @@ def test_sup_abs_enclosure_equals_the_ratbox_reference(dim, seed):
         t, names, oracles.ratbox(b), tol)
 
 
+def _enclosure_and_cells(t, names, b, tol):
+    """`sup_abs_enclosure(t, names, b, tol)` and the number of cells its
+    depths built: the first one and every cell of a bisection.  It is
+    more than `MAX_CELLS` exactly when the work cap ended the call."""
+    built = [1]
+    bisect = D.bisect_box
+
+    def counted(cell):
+        halves = bisect(cell)
+        built[0] += len(halves)
+        return halves
+    with mock.patch.object(D, "bisect_box", counted):
+        enc = sup_abs_enclosure(t, names, b, tol)
+    return enc, built[0]
+
+
 def _affine(coeffs, const, names):
     t = T.Const(const)
     for a, n in zip(coeffs, names):
@@ -211,7 +230,8 @@ def test_affine_difference_is_exact_at_depth_zero(coeffs, const, bounds):
 def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
     """enc.hi is at least |t| at every node of a uniform 5^dim grid of the
     box (|t| exact for polynomials, within 2^-64 with cos), and the
-    bracket is no wider than the tolerance."""
+    bracket is no wider than the tolerance unless the work cap stopped
+    the call (as `4 + x*x - x*x`, whose maximum fills its whole box)."""
     rng = random.Random(seed)
     names = ("x", "y", "z")[:dim]
     vs = [T.Var(n) for n in names] or [T.Pi()]
@@ -224,8 +244,8 @@ def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
     b = tuple(bounds)
     t = _random_term(rng, vs)
     tol = Fraction(1, rng.choice((3, 16, 100)))
-    enc = sup_abs_enclosure(t, names, b, tol)
-    assert width(enc) <= tol
+    enc, cells = _enclosure_and_cells(t, names, b, tol)
+    assert (width(enc) <= tol) is (cells <= MAX_CELLS)
     axes = [[iv.lo + width(iv) * i / 4 for i in range(5)] for iv in oracles.ratbox(b)]
     for node in product(*axes):
         env = {n: oracles.rival(v) for n, v in zip(names, node)}
@@ -276,3 +296,104 @@ def test_a_cell_that_leaves_the_domain_is_kept_and_bisected(f_text, g_text, want
         enc = distance_enclosure(parse(f_text), parse(g_text), tol)
         assert width(enc) <= tol
         assert _mpf(enc.lo) <= want() <= _mpf(enc.hi)
+
+
+# ---------------------------------------------------------------------------
+# the work cap: each call evaluates at most MAX_CELLS cells
+
+
+def test_a_pole_in_every_cell_raises_domain_error():
+    """1/(x - 1/2) on [0,1]: at every depth the cell at 1/2 divides by an
+    interval that holds 0, so no depth bounds |t|; the cap ends the
+    search with DomainError instead of bisecting forever."""
+    t = T.Div(T.Const(Fraction(1)), T.Sub(T.Var("x"), T.Const(Fraction(1, 2))))
+    with pytest.raises(DomainError):
+        sup_abs_enclosure(t, ("x",), (ival(0, 1),), Fraction(1, 10))
+
+
+def test_a_maximum_on_a_plane_of_cells_stops_at_the_cap():
+    """x*z - x*z cancels only symbolically, so sup |t| = 8/5, reached on
+    the whole plane y = -5, keeps every cell of that plane active; the
+    capped bracket is the last depth's, sound but wider than tol."""
+    f = parse("exists x in [2,22/7], y in [-5,-1/2], z in [-3/2,-3/10] . "
+              "-3/5 + 1/2*z*x - 1/2*x*z + 1/5*y = 0")
+    tol = Fraction(1, 100)
+    enc, cells = _enclosure_and_cells(f.body.term, f.vars, f.bounds, tol)
+    assert cells > MAX_CELLS and width(enc) > tol
+    assert oracles.contains(enc, Fraction(8, 5))
+
+
+def test_a_high_degree_difference_stops_at_the_cap():
+    """x^20 against 2*x^19 on [0,2]: sup |x^19*(x - 2)| = 19^19/10^20,
+    about 19,784 at x = 19/10, would need a relative width of about
+    6e-6; the capped bracket still contains it."""
+    f = parse("exists x in [0,2] . " + "*".join(["x"] * 20) + " - 1 = 0")
+    g = parse("exists x in [0,2] . 2*" + "*".join(["x"] * 19) + " - 1 = 0")
+    enc = distance_enclosure(f, g, Fraction(1, 8))
+    assert oracles.contains(enc, Fraction(19 ** 19, 10 ** 20))
+
+
+# ---------------------------------------------------------------------------
+# distance_enclosure against the reference
+
+
+X, Y, Z = T.Var("x"), T.Var("y"), T.Var("z")
+# reciprocal constants, so that products carry unreduced integer pairs
+FACTORS = [X, Y, Z, T.Const(Fraction(1, 6)), T.Const(Fraction(3, 2)), T.Const(Fraction(-2, 3))]
+SUMMANDS = st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3).map(lambda fs: reduce(T.Mul, fs))
+SIGNED = st.tuples(SUMMANDS, st.booleans())  # (summand, added)
+BOUNDS = st.tuples(st.sampled_from([Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 2)]),
+                   st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+
+
+def _append(t, signed):
+    for s, added in signed:
+        t = T.Add(t, s) if added else T.Sub(t, s)
+    return t
+
+
+def _sentence(bounds, first, second):
+    return Exists(("x", "y", "z"), tuple(ival(lo, lo + w) for lo, w in bounds),
+                  And(Eq(first), Geq(second)))
+
+
+@st.composite
+def appended_pairs(draw):
+    """Sentences f and g of one structure whose atoms differ only by 0-2
+    summands that g appends to each of f's two atom terms."""
+    bounds = draw(st.lists(BOUNDS, min_size=3, max_size=3))
+    atoms = [_append(draw(SUMMANDS), draw(st.lists(SIGNED, max_size=2))) for _ in range(2)]
+    tails = [draw(st.lists(SIGNED, max_size=2)) for _ in range(2)]
+    return (_sentence(bounds, *atoms),
+            _sentence(bounds, *(_append(a, tail) for a, tail in zip(atoms, tails))))
+
+
+def _pair(*tails):
+    """f = 1 - x = 0 and y*z >= 0 on a fixed box, and g with the
+    given (summand, added) lists appended to its two atoms."""
+    bounds = [(Fraction(-1, 3), Fraction(1))] * 3
+    atoms = [T.Sub(T.Const(Fraction(1)), X), T.Mul(Y, Z)]
+    return (_sentence(bounds, *atoms),
+            _sentence(bounds, *(_append(a, tail) for a, tail in zip(atoms, tails))))
+
+
+def c(q):
+    return T.Const(Fraction(q))
+
+
+@given(appended_pairs())
+@example(_pair([], []))  # equal atoms: [0, 0]
+@example(_pair([(T.Mul(X, Y), True)], []))  # a single leftover summand
+@example(_pair([(T.Mul(X, Y), True), (T.Mul(Y, Z), False)], [(X, True), (Z, True)]))  # equal lengths
+@example(_pair([(T.Mul(X, Z), True), (T.Mul(Z, X), False)], [(X, True), (X, False)]))  # counted
+@example(_pair([(T.Mul(T.Mul(c(Fraction(1, 6)), X), c(Fraction(3, 2))), True)],
+               [(T.Mul(c(Fraction(-2, 3)), c(Fraction(3, 2))), False)]))  # 1/4*x and -1
+@settings(max_examples=40, deadline=None)
+def test_distance_enclosure_equals_the_reference(pair):
+    """Equal atoms add 0 without an expansion, a lone leftover summand is
+    expanded without the counting dict, and an enclosure that holds both
+    bounds is returned as it is; the bracket is still the reference's,
+    which counts every summand and encloses every difference."""
+    f, g = pair
+    tol = Fraction(1, 16)
+    assert distance_enclosure(f, g, tol) == oracles.distance_enclosure(f, g, tol)

@@ -222,6 +222,7 @@ def test_cancelled_divisor_no_longer_blocks_expansion():
 # summands whose atoms all print differently, as those of parsed terms do
 SUMMANDS = [X, Y, c(2), c(Fraction(-1, 3)), T.Pi(), T.Sin(X), T.Mul(X, Y), T.Pow(Y, 3),
             T.Mul(c(3), T.Pow(T.Sub(X, c(1)), 2)), T.Div(X, c(2)),
+            T.Div(T.Sub(Y, c(1)), c(Fraction(-2, 3))),  # a negative divisor
             T.Cos(T.Add(X, Y)), T.Mul(T.Exp(Y), T.Sub(X, Y)),
             T.Div(c(1), T.Add(c(2), T.Pow(X, 2)))]  # the last has a non-constant divisor
 SIGNED = st.tuples(st.sampled_from(SUMMANDS), st.sampled_from([1, -1]))
@@ -269,14 +270,17 @@ def test_expand_normal_equals_the_dict_reference(t):
 
 
 def test_expand_is_the_recursive_reference():
-    """`_expand` on its explicit stack gives the recursion's polynomial on
-    every aligned atom-term difference of the corpus and seed-1 workload
-    sentences, each against its perturbed copy or, without one, itself."""
+    """`_expand` on its explicit stack gives the recursion's polynomial,
+    its integer-pair coefficients read as `Fraction`s, on every aligned
+    atom-term difference of the corpus and seed-1 workload sentences,
+    each against its perturbed copy or, without one, itself."""
     diffs = []
     for _, text, _, perturbed in sentences():
         f = parse(text)
         diffs += [T.Sub(a, b) for a, b, _, _ in aligned_terms(f, parse(perturbed or text))]
-    got = [T._expand(d) for d in diffs]
+    forms = [T._expand(d) for d in diffs]  # None for a non-constant divisor
+    got = [None if form is None else {m: Fraction(n, d) for m, (n, d) in form.items()}
+           for form in forms]
     assert got == [oracles.recursive_expand(d) for d in diffs]
     assert len(diffs) > 500
 
