@@ -36,6 +36,7 @@ class _Infinite:
 
 INFINITE = _Infinite()
 MAX_CELLS = 1 << 14  # cells that one `sup_abs_enclosure` call may evaluate
+_ZERO = RatInterval(0, 0)
 
 
 def sup_abs_enclosure(
@@ -89,9 +90,7 @@ def sup_abs_enclosure(
             if b * hi[1] > hi[0] * d:
                 hi = b, d
         first = active[0]  # the active cells share their denominators
-        # neighbouring cells share corners; a lone cell's are evaluated as they come
-        corners = (product(*(iv[:2] for iv in first)) if len(active) == 1 else
-                   {c for cell in active for c in product(*(iv[:2] for iv in cell))})
+        corners = {c for cell in active for c in product(*(iv[:2] for iv in cell))}
         for corner in corners:  # degenerate cells: point values of |t|
             try:
                 a, _, d = _abs(evaluate([(c, c, iv[2]) for c, iv in zip(corner, first)], p))
@@ -115,8 +114,7 @@ def sup_abs_enclosure(
     (ln, ld), (hn, hd) = best_lo, best_hi
     if not hd:
         raise DomainError(f"no upper bound on |t| within {MAX_CELLS} cells")
-    lo = Fraction(ln, ld)
-    return RatInterval(lo, lo if ln * hd == hn * ld else Fraction(hn, hd))
+    return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def _abs(x: Ival) -> Ival:
@@ -143,18 +141,18 @@ def distance_enclosure(
     pairs = aligned_terms(f, g)
     if pairs is None:
         return INFINITE
-    found = []  # the enclosure of each aligned pair that differs
+    lo = hi = _ZERO  # the enclosures with the largest lower and upper bound so far
     for tf, tg, names, box in pairs:
         if tf == tg:
             continue
         diff = T.expand_normal(T.Sub(tf, tg))
         if diff.__class__ is T.Const:
             v = abs(diff.value)
-            found.append(RatInterval(v, v))
+            enc = RatInterval(v, v)
         else:
-            found.append(sup_abs_enclosure(diff, names, box, tol))
-    if not found:
-        return RatInterval(0, 0)
-    lo, hi = max(e.lo for e in found), max(e.hi for e in found)
-    # an enclosure that holds both bounds is the result as it is
-    return next((e for e in found if e.lo == lo and e.hi == hi), None) or RatInterval(lo, hi)
+            enc = sup_abs_enclosure(diff, names, box, tol)
+        if enc.lo >= lo.lo:
+            lo = enc
+        if enc.hi >= hi.hi:
+            hi = enc
+    return lo if lo is hi else RatInterval(lo.lo, hi.hi)

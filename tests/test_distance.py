@@ -226,6 +226,7 @@ def test_affine_difference_is_exact_at_depth_zero(coeffs, const, bounds):
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2 ** 32))
+@example(2, 39)  # 4 + x*x - x*x + 0*x*y: the work cap stops it
 @settings(max_examples=60, deadline=None)
 def test_sup_abs_enclosure_bounds_every_node_of_a_5_grid(dim, seed):
     """enc.hi is at least |t| at every node of a uniform 5^dim grid of the
