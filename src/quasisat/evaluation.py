@@ -23,13 +23,16 @@ the generic operation it replaces; every other step, a division by a
 zero constant among them, is generic.  A run copies a template that
 holds the constants, with the environment in front, and needs no
 recursion, so deep terms cost no stack; an environment of another
-length than the names raises ValueError.  The solver compiles each
-block's terms once per sentence and runs the same tapes in every slab
-and iteration.  Bounds are compared as integer pairs num/den by
-cross-multiplication; a `Fraction` is built only for a result.  A
-division by an interval that holds zero, or a sqrt of one that holds a
-negative, raises DomainError; `certify` and `positive_lower_bound` read
-it as an enclosure that holds zero.
+length than the names raises ValueError.  The walk resolves every
+variable to its register, so the evaluator reports the names its tape
+reads, the term's free variables, as its `reads`, and a name missing
+from the names raises KeyError.  The solver compiles each block's terms once per
+sentence, takes the block's free variables from their `reads`, and runs
+the same tapes in every slab and iteration.  Bounds are compared as
+integer pairs num/den by cross-multiplication; a `Fraction` is built
+only for a result.  A division by an interval that holds zero, or a
+sqrt of one that holds a negative, raises DomainError; `certify` and
+`positive_lower_bound` read it as an enclosure that holds zero.
 """
 from __future__ import annotations
 
@@ -178,7 +181,10 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     step reads (`_constant_step`) becomes its parameter, not a leaf.  The
     parameter is `_BOTH` for two operand registers, None for one, and
     otherwise a register of its own after the operand's: a power's
-    exponent, a function's enclosure or a constant's integers."""
+    exponent, a function's enclosure or a constant's integers.  The
+    evaluator's `reads` is the frozenset of the names of t's `Var`
+    leaves, which equals `terms.free_vars(t)`; a name not in `names`
+    raises KeyError."""
     # looked up at compile time, so wrappers set on this module's names apply
     enclosures = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
                   T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}
@@ -187,6 +193,7 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     n = len(names)
     # locals, since every node tests them and many tapes run only a few times
     Var, Const, Pi, Pow, Neg = T.Var, T.Const, T.Pi, T.Pow, T.Neg
+    reads: set[str] = set()  # the names of the Var leaves
     # registers: the environment, then one per constant, parameter and
     # step result in the order of the walk; `template` holds those after
     # the environment, with the constants and parameters in place
@@ -198,7 +205,9 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
         node = stack.pop()
         cls = node.__class__
         if cls is Var:
-            done.append(slot[node.name])
+            name = node.name
+            done.append(slot[name])
+            reads.add(name)
         elif cls is Const:
             num, den = node.value.as_integer_ratio()
             done.append(n + len(template))
@@ -245,6 +254,7 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
             regs[k] = op(regs[i], regs[j], p)
         return regs[result]
 
+    evaluate.reads = frozenset(reads)
     return evaluate
 
 

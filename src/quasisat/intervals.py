@@ -5,8 +5,9 @@ endpoints.
 [lo/den, hi/den], is the package's one interval format: quantifier
 bounds and parameter boxes are `Ival`s, a cell of `geometry` is a tuple
 of them, `evaluation` computes on them and the enclosures of `series`
-take and return them.  `ival` is the one place where rational
-endpoints become an `Ival`.  `RatInterval`, with `fractions.Fraction`
+take and return them.  `pair_ival` is the one place where rational
+endpoints, as reduced integer pairs, become an `Ival`; `ival` takes any
+rationals.  `RatInterval`, with `fractions.Fraction`
 endpoints, is only the result of `distance_enclosure`; the `Fraction`
 reference arithmetic lives in tests/oracles.py.
 """
@@ -48,9 +49,15 @@ def ival(lo: RatLike, hi: RatLike | None = None) -> Ival:
     give equal triples."""
     lo = rat(lo)
     hi = lo if hi is None else rat(hi)
-    (a, b), (c, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return pair_ival(lo.as_integer_ratio(), hi.as_integer_ratio())
+
+
+def pair_ival(lo: tuple[int, int], hi: tuple[int, int]) -> Ival:
+    """`ival` of endpoints given as reduced integer pairs (num, den),
+    den > 0, as the parser reads quantifier bounds."""
+    (a, b), (c, e) = lo, hi
     if a * e > c * b:
-        raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        raise ValueError(f"interval endpoints out of order: [{Fraction(a, b)}, {Fraction(c, e)}]")
     d = lcm(b, e)
     return a * (d // b), c * (d // e), d
 

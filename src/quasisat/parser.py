@@ -14,7 +14,9 @@ Grammar (ASCII, case-sensitive keywords)::
     signed   := '-'* item ('^' NAT)?
     item     := NUMBER | 'pi' | NAME | FUNC '(' term ')' | '(' term ')'
 
-Numbers are integer or decimal literals and parse to exact rationals.
+Numbers are integer or decimal literals of the ASCII digits 0-9 and
+parse to exact rationals; a digit of another script is an unexpected
+character.
 FUNC is one of sin, cos, exp, sqrt.  Every variable must be bound by an
 enclosing quantifier (or listed in `params`); rebinding a name inside
 its own scope is an error.  Division and sqrt are accepted only when
@@ -44,22 +46,27 @@ Literals fold into one constant: a minus sign on a constant, and a
 constant divided by a nonzero constant.  So ``-3/4`` is ``Const(-3/4)``
 and ``(-3)^2`` is ``Pow(Const(-3), 2)``, while ``-3^2`` stays
 ``Neg(Pow(Const(3), 2))`` and ``1/0`` stays a division, which the domain
-check rejects.  Literals, those of quantifier bounds included, variable
-names and folded quotients come from small caches and are shared
-between parses.  A literal or a quotient of two literals is cached by
-its tokens, its minus sign folded into the first, so a hit hashes
-strings only; a quotient with a parenthesized side, or a chain such as
-``1/2/4`` past its first quotient, is divided as it is read.
+check rejects.  Literals, variable names, folded quotients and
+quantifier bounds come from small caches, plain dicts keyed by tokens,
+and are shared between parses.  A literal or a quotient of two literals
+is cached by its tokens, its minus sign folded into the first, so a hit
+hashes strings only; a quotient with a parenthesized side, or a chain
+such as ``1/2/4`` past its first quotient, is divided as it is read.  A
+binder's `Ival` is cached by its tokens from 'in' to ']', so bounds
+written as a parse has read them before are not read again: the two
+sentences of a distance query have the same bounds.  Bounds not in the
+cache are read as reduced integer pairs, with no `Fraction`, and
+`intervals.pair_ival` makes their `Ival`.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
+from math import gcd
 
 from .evaluation import compile_term
-from .intervals import DomainError, Ival, ival
+from .intervals import DomainError, Ival, pair_ival
 from . import formulas as F
 from . import terms as T
 
@@ -71,7 +78,8 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z_0-9]*|>=|<=|[=+\-*/^(),.\[\]]"
+# ASCII digits only; one-character tokens, the most frequent, are tried first
+_TOKEN = r"[=+\-*/^(),.\[\]]|[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|>=|<="
 _VALID_RE = re.compile(_TOKEN)
 _TOKEN_RE = re.compile(_TOKEN + r"|\S")  # any other character is a token of its own
 
@@ -88,14 +96,35 @@ def _number(text: str) -> tuple[int, int]:
     return int(whole + frac), 10 ** len(frac)
 
 
-# term nodes are immutable, so parses share these leaves and quotients.
-# Both caches are keyed by literal tokens, "-" folded in, so a hit hashes
-# strings and makes no Python-level call
-_literal = lru_cache(maxsize=1024)(lambda tok: T.Const(Fraction(*_number(tok))))
-_quotient = lru_cache(maxsize=1024)(
-    lambda num, den: T.Const(_literal(num).value / _literal(den).value))
-_var = lru_cache(maxsize=256)(T.Var)
+# term nodes and bounds are immutable, so parses share these leaves,
+# quotients and quantifier bounds.  Each cache is a plain dict keyed by
+# tokens, "-" folded into a literal's; the term loop reads it with a
+# `get` of its own, so a hit hashes strings and makes no Python-level
+# call.  A full cache is emptied before it takes a value
+_CACHE_SIZE = 1024
+_LITERALS: dict[str, T.Const] = {}
+_QUOTIENTS: dict[tuple[str, str], T.Const] = {}
+_VARS: dict[str, T.Var] = {}
+_BOUNDS: dict[tuple[str, ...], Ival] = {}  # by the tokens from 'in' to ']'
 _PI = T.Pi()
+
+
+def _keep(cache: dict, key, value):
+    """value, kept in `cache` under key."""
+    if len(cache) >= _CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _literal(tok: str) -> T.Const:
+    """The constant of a literal token, from `_LITERALS`."""
+    return _LITERALS.get(tok) or _keep(_LITERALS, tok, T.Const(Fraction(*_number(tok))))
+
+
+def _quotient(num: str, den: str) -> T.Const:
+    """The quotient of two literal tokens, den not 0, kept in `_QUOTIENTS`."""
+    return _keep(_QUOTIENTS, (num, den), T.Const(_literal(num).value / _literal(den).value))
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -202,48 +231,61 @@ class _Parser:
         return F.Exists(*zip(*binders), body)
 
     def binder(self) -> tuple[str, Ival]:
-        at = self.i
-        name = self.toks[at]
+        """A name and its bounds, whose `Ival` is cached by the tokens from
+        'in' to ']': a binder whose bounds were read before reads none."""
+        toks, at = self.toks, self.i
+        name = toks[at]
         if name[:1] not in _NAME_START or name in _KEYWORDS or name in _FUNCS:
             raise self.error("expected a variable name")
         if name in self.scope:
             raise self.error(f"variable {name!r} is already bound", at)
-        self.i += 1
-        self.expect("in")
-        self.expect("[")
-        lo = self.signed_rational()
-        self.expect(",")
-        hi = self.signed_rational()
-        self.expect("]")
         try:
-            return name, ival(lo, hi)
-        except ValueError:  # its endpoints are out of order
-            raise self.error(f"empty interval [{lo},{hi}] for {name!r}", at) from None
+            end = toks.index("]", at) + 1
+        except ValueError:  # no ']': reading the bounds reports the fault
+            end = at + 1
+        key = tuple(toks[at + 1:end])
+        box = _BOUNDS.get(key)
+        if box is None:  # a valid binder ends at its first ']'
+            self.i = at + 1
+            self.expect("in")
+            self.expect("[")
+            lo = self.signed_rational()
+            self.expect(",")
+            hi = self.signed_rational()
+            self.expect("]")
+            try:
+                box = _keep(_BOUNDS, key, pair_ival(lo, hi))
+            except ValueError:  # its endpoints are out of order
+                lo, hi = Fraction(*lo), Fraction(*hi)
+                raise self.error(f"empty interval [{lo},{hi}] for {name!r}", at) from None
+        self.i = end
+        return name, box
 
-    def signed_rational(self) -> Fraction:
+    def signed_rational(self) -> tuple[int, int]:
         """A bound, minus signs before a literal or a quotient of two
-        literals, as a `Fraction`: the signed literal and the quotient
-        come from the caches of term literals, keyed by their tokens."""
+        literals, as a reduced integer pair (num, den), den > 0."""
         toks = self.toks
-        sign = ""
+        sign = 1
         while toks[self.i] == "-":
-            sign = "" if sign else "-"
+            sign = -sign
             self.i += 1
-        num = toks[self.i]
-        if not num[:1].isdecimal():
+        tok = toks[self.i]
+        if not "0" <= tok < ":":  # the first character is no digit
             raise self.error("expected a number")
         self.i += 1
-        if toks[self.i] != "/":
-            return _literal(sign + num).value
-        self.i += 1
-        den = toks[self.i]
-        if not den[:1].isdecimal():
-            raise self.error("expected a denominator")
-        self.i += 1
-        try:
-            return _quotient(sign + num, den).value
-        except ZeroDivisionError:
-            raise self.error("zero denominator", self.i - 1) from None
+        num, den = _number(tok)
+        if toks[self.i] == "/":
+            self.i += 1
+            tok = toks[self.i]
+            if not "0" <= tok < ":":
+                raise self.error("expected a denominator")
+            self.i += 1
+            n, d = _number(tok)
+            if not n:
+                raise self.error("zero denominator", self.i - 1)
+            num, den = num * d, den * n
+        g = gcd(num, den)
+        return sign * num // g, den // g
 
     def atom(self) -> F.Formula:
         """t1 ~ t2 as (t1 - t2) ~ 0 (t2 - t1 >= 0 for <=); t - 0 stays t."""
@@ -256,7 +298,7 @@ class _Parser:
         if rel == "<=":
             lhs, rhs, lh, rh = rhs, lhs, rh, lh
         if type(rhs) is not T.Const or rhs.value:
-            lhs, lh = T.Sub(lhs, rhs), max(lh, rh) + 1
+            lhs, lh = T.Sub(lhs, rhs), (lh if lh > rh else rh) + 1
         self.too_deep |= lh > _MAX_HEIGHT
         return F.Eq(lhs) if rel == "=" else F.Geq(lhs)
 
@@ -288,10 +330,12 @@ class _Parser:
                 signs += 1
                 i += 1
             tok, h = toks[i], 0
-            if tok[:1].isdecimal():
+            if "0" <= tok < ":":  # a literal: its first character is a digit
                 if signs & 1 and toks[i + 1] != "^":  # the sign folds into the literal
                     tok, signs = "-" + tok, 0
-                base = _literal(tok)
+                base = _LITERALS.get(tok) or _literal(tok)
+            elif (base := _VARS.get(tok)) is not None and tok in self.scope:
+                pass  # a name in scope read before: no keyword, no call
             elif tok == "(" or tok in _FUNCS:
                 if tok != "(":
                     i += 1
@@ -309,14 +353,14 @@ class _Parser:
             elif tok in _KEYWORDS:
                 raise self.error(f"unexpected keyword {tok!r}", i)
             elif tok in self.scope:
-                base = _var(tok)
+                base = _keep(_VARS, tok, T.Var(tok))
             else:
                 raise self.error(f"unbound variable {tok!r}", i)
             i += 1
             while True:  # base and h are a signed power's base, i the token after it
                 if toks[i] == "^":
                     i += 1
-                    if not toks[i].isdecimal():
+                    if not (toks[i].isascii() and toks[i].isdecimal()):
                         raise self.error("expected a natural-number exponent", i)
                     base, h = T.Pow(base, int(toks[i])), h + 1
                     i += 1
@@ -333,11 +377,13 @@ class _Parser:
                 if mul is None:
                     product, height, product_tok = base, h, tok
                 elif mul == "*":
-                    product, height = T.Mul(product, base), max(height, h) + 1
+                    product = T.Mul(product, base)
+                    height = (height if height > h else h) + 1
                 elif type(product) is T.Const and type(base) is T.Const and base.value:
                     # two constants, of height 0
                     if product_tok[-1].isdecimal() and tok[-1].isdecimal():
-                        product = _quotient(product_tok, tok)
+                        key = product_tok, tok
+                        product = _QUOTIENTS.get(key) or _quotient(*key)
                     else:
                         product = T.Const(product.value / base.value)
                     product_tok = "/"
@@ -346,7 +392,8 @@ class _Parser:
                         lo, hi, _ = self.enclose(base)
                         if lo <= 0 <= hi:
                             self.fault = ("denominator {} may vanish", base)
-                    product, height = T.Div(product, base), max(height, h) + 1
+                    product = T.Div(product, base)
+                    height = (height if height > h else h) + 1
                 mul = toks[i]
                 if mul == "*" or mul == "/":
                     break
@@ -354,7 +401,7 @@ class _Parser:
                     total, total_h = product, height
                 else:
                     total = (T.Add if add == "+" else T.Sub)(total, product)
-                    total_h = max(total_h, height) + 1
+                    total_h = (total_h if total_h > height else height) + 1
                 add = toks[i]
                 if add == "+" or add == "-":
                     mul = None

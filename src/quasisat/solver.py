@@ -77,9 +77,9 @@ unrefuted within about √slack of the touching point, so slack ε/8 would
 leave a band of about 1/√ε cells (`corpus/sin_one` would evaluate 1,549
 cells at budget 20), and slack ε²/8 leaves O(1) cells (59 cells).  That
 compile walk is the only walk of the formula: it also finds the free
-variables and checks the solvable fragment, whose violations
-`validate_class_b` reports on their own.  The refutation, the face walk
-and the degree (at the slice centre, as
+variables, read off each block's tapes, and checks the solvable
+fragment, whose violations `validate_class_b` reports on their own.
+The refutation, the face walk and the degree (at the slice centre, as
 degenerate parameter intervals) run on the same tapes, and each takes
 the equation that certifies a box from `certify`.  A division or
 sqrt that the parser admitted at precision 30 may leave its domain on a
@@ -188,9 +188,11 @@ def _compile(s: Formula, names: tuple[str, ...], violations: list[str],
     connective is gathered by `_chain` into one node, whose free
     variables are the union of its sides'.  A block's conjunction is
     gathered by `_chain` too and split once into its equation and
-    inequality terms, each term is walked once for its free variables,
-    and the tapes are compiled over `names` and the block's variables, so
-    a run reads neither the formula nor the names.
+    inequality terms, and each term is compiled once, over `names` and
+    the block's variables, so a run reads neither the formula nor the
+    names.  The block's free variables are the names its tapes read
+    (`reads`) less its own variables: a term is walked by
+    `terms.free_vars` only where no tape is built.
     The check is None when a violation has been found or a free variable
     is not in `names`; the caller then raises before anything runs."""
     if isinstance(s, ForAll):
@@ -225,13 +227,19 @@ def _compile(s: Formula, names: tuple[str, ...], violations: list[str],
     if 0 < n < m:
         violations.append(
             f"exists block has {n} equation(s) for {m} variable(s); need n >= m or n = 0")
-    free = frozenset().union(*(T.free_vars(a.term) for a in atoms)).difference(block_vars)
-    if violations or not free.issubset(names):
-        return free, None
-    fs, gs = ([compile_term(t, names + block_vars) for t in terms] for terms in (eqs, ineqs))
-    # a block that reads no parameter is the same block at every call, so
-    # it carries its frontier from one to the next
-    return free, _under(univ, [(free, partial(_soei, bounds, fs, gs, None if free else []))])
+    if not violations:
+        try:
+            fs, gs = ([compile_term(t, names + block_vars) for t in terms]
+                      for terms in (eqs, ineqs))
+        except KeyError:  # a free variable that is not in `names`
+            pass
+        else:
+            free = frozenset().union(*(f.reads for f in fs + gs)).difference(block_vars)
+            # a block that reads no parameter is the same block at every
+            # call, so it carries its frontier from one to the next
+            return free, _under(univ, [(free, partial(_soei, bounds, fs, gs,
+                                                      None if free else []))])
+    return frozenset().union(*(T.free_vars(a.term) for a in atoms)).difference(block_vars), None
 
 
 def _chain(f: Formula, cls: type) -> list[Formula]:

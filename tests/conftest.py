@@ -1,6 +1,9 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +18,29 @@ settings.load_profile("quasisat")
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 _acceptance_reports: dict[str, str] = {}
+
+# a test whose setup, call and teardown run longer than this prints every
+# thread's stack, its own frames among them, and ends the run with exit
+# status 1; the slowest test takes under 3 s on a 2-core x86-64 VM
+TEST_TIME_LIMIT_S = 120
+# a copy of the terminal's stderr, which the test's captured fd 2 is not
+_STDERR_COPY = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR_COPY] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_COPY])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=item.config.stash[_STDERR_COPY])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def corpus_entries() -> list[tuple[str, str, str, int]]:

@@ -161,6 +161,18 @@ def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
         assert to_interval(got) == want
 
 
+@given(_terms())
+@settings(max_examples=300, deadline=None)
+def test_a_tape_reports_the_free_variables_of_its_term(t):
+    """The names a compiled tape reads are its term's free variables, and
+    each of them missing from the names is a KeyError."""
+    free = T.free_vars(t)
+    assert compile_term(t, NAMES).reads == free
+    for missing in free:
+        with pytest.raises(KeyError):
+            compile_term(t, [name for name in NAMES if name != missing])
+
+
 @pytest.mark.parametrize("env", [[], [ival(0, 1)], [ival(0, 1)] * 3])
 def test_a_tape_rejects_an_environment_of_the_wrong_length(env):
     """A tape takes exactly one interval per name: a shorter or a longer

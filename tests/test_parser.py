@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisat import terms as T
+from quasisat import parser, terms as T
 from quasisat.formulas import (And, Eq, Exists, ForAll, Geq, Or,
                                formula_text, free_vars, same_structure)
 from quasisat.intervals import DomainError, ival
@@ -104,6 +104,10 @@ def test_syntax_error_positions():
     ("exists x in [0,1] .\n  x + y = 0", "2:7: unbound variable 'y'"),
     # a character that starts no token is reported first, wherever it is
     ("exists x in [0,1/0] . x \u00e9 = 0", "1:25: unexpected character '\u00e9'"),
+    # digits are ASCII: another script's digit starts no token, in a bound
+    # or in an exponent
+    ("exists x in [0,\u0661] . x - 1/2 = 0", "1:16: unexpected character '\u0661'"),
+    ("exists x in [0,1] . x^\u0662 - 1/4 = 0", "1:23: unexpected character '\u0662'"),
     ("exists x in [0,1/0] . x = 0", "1:18: zero denominator"),
     # bounds: an empty interval shows its rationals reduced
     ("exists x in [1/2,1/4] . x = 0", "1:8: empty interval [1/2,1/4] for 'x'"),
@@ -269,10 +273,13 @@ def test_cached_leaves_are_shared_but_scoped_and_frozen():
 
 
 def test_cached_literals_and_quotients_are_found_by_their_tokens():
-    """Signed literals and quotients of two literals, in bounds and in
-    terms, are cached by their tokens, so a parse that finds them all
-    cached hashes and compares no term and negates no `Fraction`."""
-    text = "exists x in [-1/2,3/4] . x - 1/3 + -2/5*x + 0.5/2 - -7 = 0"
+    """Signed literals and quotients of two literals, in terms, and
+    binders' bounds are cached by their tokens, so a parse that finds
+    them all cached hashes and compares no term, negates no `Fraction`,
+    makes no leaf and reads no bound; two binders with the same bound
+    tokens share their `Ival`."""
+    text = ("(exists x in [-1/2,3/4] . x - 1/3 + -2/5*x + 0.5/2 - -7 = 0) or "
+            "exists y in [-1/2,3/4] . y = 0")
     first = parse(text)
     calls = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and calls.add(frame.f_code.co_name))
@@ -280,8 +287,20 @@ def test_cached_literals_and_quotients_are_found_by_their_tokens():
         again = parse(text)
     finally:
         sys.setprofile(None)
-    assert again == first
-    assert not calls & {"__hash__", "__eq__", "__neg__"}, calls
+    assert again == first and again.left.bounds[0] is again.right.bounds[0]
+    assert not calls & {"__hash__", "__eq__", "__neg__", "_keep", "signed_rational",
+                     "pair_ival"}, calls
+
+
+def test_the_caches_stay_bounded():
+    """Each token cache holds at most `_CACHE_SIZE` values, and a literal
+    read after the literal cache was emptied is still its value."""
+    n = parser._CACHE_SIZE + 10
+    for k in range(n):
+        f = parse(f"exists x{k} in [0,{k + 1}] . x{k} - {k}/{k + 1} >= 0")
+        assert f.body.term.right.value == Fraction(k, k + 1) and f.bounds == ((0, k + 1, 1),)
+    caches = (parser._LITERALS, parser._QUOTIENTS, parser._VARS, parser._BOUNDS)
+    assert all(0 < len(cache) <= parser._CACHE_SIZE for cache in caches)
 
 
 @pytest.mark.parametrize("text, body", [

@@ -20,7 +20,7 @@ from quasisat.parser import parse
 from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, prec_for,
                              quasi_decide)
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, corpus_entries
 from test_identity import sentences
 from oracles import (NEAR_TANGENCIES, block_parts, grid_cut, least_power_of_two, substitute,
                      tapes, to_interval, tri_and, tri_or, width)
@@ -721,27 +721,30 @@ def test_records_keep_their_defaults_and_mutability():
     assert repr(v).startswith("Verdict(outcome='TRUE', iterations=1, ")
 
 
+def spy_on_term_walks(monkeypatch):
+    """The terms given to the solver's `compile_term` and to
+    `terms.free_vars`, in call order, as two lists."""
+    compiled, walked = [], []
+    real_compile, real_free = solver.compile_term, T.free_vars
+    monkeypatch.setattr(solver, "compile_term",
+                        lambda t, names: compiled.append(t) or real_compile(t, names))
+    monkeypatch.setattr(T, "free_vars", lambda t: walked.append(t) or real_free(t))
+    return compiled, walked
+
+
 def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
     """Free variables are found once per sentence, not again in every
-    slab and iteration: the compile walk walks each atom's term once, and
-    blocks, and/or sides and the sentence take their free variables
-    bottom-up from their atoms'."""
-    walked, depth = [], [0]
-    real = T.free_vars
-
-    def spy(t):  # records the outermost call only; the recursion comes back here
-        if not depth[0]:
-            walked.append(t)
-        depth[0] += 1
-        try:
-            return real(t)
-        finally:
-            depth[0] -= 1
-    monkeypatch.setattr(T, "free_vars", spy)
+    slab and iteration: the compile walk resolves each atom's term once,
+    into its tape, and blocks, and/or sides and the sentence take their
+    free variables bottom-up from the names the tapes read, so a sentence
+    without free variables or violations gives no term to
+    `terms.free_vars`."""
+    compiled, walked = spy_on_term_walks(monkeypatch)
     s = parse("forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0")
     v = quasi_decide(s, budget=6)
     assert v.iterations == 6 and sum(len(r.degrees) for r in v.trace) > 6
-    assert walked == [s.body.left.body.term, s.body.right.term]
+    assert compiled == [s.body.left.body.term, s.body.right.term]
+    assert walked == []
 
 
 def formula_nodes(f):
@@ -793,24 +796,21 @@ def term_size(t):
 
 
 def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
-    """Deciding a chain of k conjoined blocks visits each term node once
-    for its free variables, in the compile walk, so the visits grow
-    linearly in k (they grew as k^2 when each and/or side was walked from
-    scratch).  Each call walks its whole term on its own stack, so a call
-    counts the nodes of its term."""
+    """Deciding a chain of k conjoined blocks visits each term node once,
+    in the compile walk, which also finds the free variables, so the
+    visits grow linearly in k (they grew as k^2 when each and/or side was
+    walked from scratch).  Each `compile_term` call walks its whole term,
+    so a call counts the nodes of its term."""
+    compiled, walked = spy_on_term_walks(monkeypatch)
     visits = {}
-    real = T.free_vars
-
-    def counted(t):
-        visits[k] += term_size(t)
-        return real(t)
-    monkeypatch.setattr(T, "free_vars", counted)
     for k in (25, 50, 100, 200):
         s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * k))
-        visits[k] = 0
+        compiled.clear()
         assert quasi_decide(s, budget=1).outcome == "TRUE"
+        visits[k] = sum(map(term_size, compiled))
     # x - 1/2 is three term nodes
     assert visits == {25: 75, 50: 150, 100: 300, 200: 600}
+    assert walked == []
 
 
 SHADOW = "variable 'x' shadows an outer binding"
@@ -849,24 +849,56 @@ def test_class_b_messages_are_pinned(f, violations):
         assert str(err.value) == "; ".join(violations)
 
 
-@pytest.mark.parametrize("text, violation", [
-    ("exists x in [0,1], y in [0,1] . x - a = 0", UNDER),
-    ("exists x in [0,1] . (x - a = 0 or x >= 0)", NOT_CONJ),
+MISSING = "free variables without a parameter name: "
+
+
+def _case(text, violations, free, given_a):
+    """A case whose id is its text and its violation, if any."""
+    return pytest.param(text, violations, free, given_a, id="-".join((text, *violations)))
+
+
+@pytest.mark.parametrize("text, violations, free, given_a", [
+    _case("exists x in [0,1], y in [0,1] . x - a = 0", (UNDER,), "['a']", UNDER),
+    _case("exists x in [0,1] . (x - a = 0 or x >= 0)", (NOT_CONJ,), "['a']", NOT_CONJ),
+    # no violation: each block holds a name without a tape register, so
+    # its free variables come from walking its terms
+    _case("(exists x in [0,1] . x - a = 0 and x - b >= 0) or "
+          "forall y in [0,1] . exists z in [0,1] . z - c*y = 0", (), "['a', 'b', 'c']",
+          MISSING + "['b', 'c']"),
 ])
-def test_a_free_variable_is_reported_before_a_violation(text, violation):
+def test_a_free_variable_is_reported_before_a_violation(text, violations, free, given_a):
     """A sentence check comes first, also when the free variable sits in a
-    block outside the fragment."""
-    f = parse(text, params={"a": BOX})
-    assert validate_class_b(f).violations == (violation,)
+    block outside the fragment, and it names every free variable, sorted;
+    given only the parameter name 'a', `checksat` names the others, or
+    with none left, the violation."""
+    f = parse(text, params={"a": BOX, "b": BOX, "c": BOX})
+    assert validate_class_b(f).violations == violations
     with pytest.raises(ValueError) as err:
         quasi_decide(f)
-    assert str(err.value) == "not a sentence; free variables: ['a']"
+    assert str(err.value) == f"not a sentence; free variables: {free}"
     with pytest.raises(ValueError) as err:
         checksat(f, (), 1)
-    assert str(err.value) == "free variables without a parameter name: ['a']"
-    with pytest.raises(ValueError) as err:  # with the name given, the violation
+    assert str(err.value) == MISSING + free
+    with pytest.raises(ValueError) as err:
         checksat(f, (BOX,), 1, ("a",))
-    assert str(err.value) == violation
+    assert str(err.value) == given_a
+
+
+def test_the_compile_walk_finds_the_free_variables_of_every_corpus_node(monkeypatch):
+    """For every node of every corpus sentence, the free variables that
+    `_compile` returns are `formulas.free_vars`: read off the tapes, with
+    no `terms.free_vars` walk, when `names` holds them, and walked when
+    `names` is empty and no tape can be built."""
+    compiled, walked = spy_on_term_walks(monkeypatch)
+    for _, text, _, _ in corpus_entries():
+        for node in formula_nodes(parse(text)):
+            want = free_vars(node)
+            walked.clear()
+            free, check = solver._compile(node, tuple(sorted(want)), [])
+            assert (free, walked) == (want, []) and check is not None
+            assert solver._compile(node, (), [])[0] == want
+            assert bool(walked) == bool(want)
+    assert compiled
 
 
 CYCLE_F = "forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0 or 1 >= 0"
