@@ -4,10 +4,11 @@ of sup |f_i - g_i| over the quantification box, enclosed by bisecting
 difference built; the others are expanded by `terms.expand_normal`,
 whose coefficients stay integer pairs until it builds its `Const`s, and
 bounded by `sup_abs_enclosure`, whose bounds stay integer pairs until it
-builds its `RatInterval`.  A supremum evaluates at most `MAX_CELLS`
-cells, so every query ends: with a bracket that is sound but may be
-wider than the tolerance, or with DomainError when no depth bounds the
-difference."""
+builds its `RatInterval`; a constant difference is a tape that reads
+nothing, one cell closed at depth 0.  A supremum evaluates at most
+`MAX_CELLS` cells, so every query ends: with a bracket that is sound but
+may be wider than the tolerance, or with DomainError when no depth
+bounds the difference."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -52,26 +53,24 @@ def sup_abs_enclosure(
     upper bound is the largest |t| over a depth's active cells; a lower
     bound is the largest mignitude of |t| over those cells and their
     corners, as any point value bounds the supremum from below.  So an
-    expanded affine t closes at depth 0.  Axes that t does not mention
-    are dropped; a variable of t not in `names` raises ValueError.  A
-    cell where t leaves its domain (DomainError) has no upper bound, so
-    its depth gives none and it is kept; such a corner gives no lower
-    bound.  A call evaluates at most `MAX_CELLS` cells: when the next
-    depth would pass that, the bracket of the depths done is returned,
-    sound but possibly wider than tol, and DomainError is raised when no
-    depth gave an upper bound.  Bounds are integer pairs (num, den),
-    compared by cross-multiplication, until the result is built."""
+    expanded affine t, or a constant, closes at depth 0.  t is compiled
+    once over all of `names`, and an axis its tape does not read is one
+    point of its bound, which adds no cells; a variable of t not in
+    `names` raises ValueError from the tape.  A cell where t leaves its
+    domain (DomainError) has no upper bound, so its depth gives none and
+    it is kept; such a corner gives no lower bound.  A call evaluates at
+    most `MAX_CELLS` cells: when the next depth would pass that, the
+    bracket of the depths done is returned, sound but possibly wider
+    than tol, and DomainError is raised when no depth gave an upper
+    bound.  Bounds are integer pairs (num, den), compared by
+    cross-multiplication, until the result is built."""
     tn, td = rat(tol).as_integer_ratio()
     if tn <= 0:
         raise ValueError("tolerance must be positive")
-    used = T.free_vars(t)
-    # an axis the term does not mention only multiplies the cells
-    kept = [i for i, v in enumerate(names) if v in used]
-    if not used.issubset(names):
-        unbound = sorted(used.difference(names))
-        raise ValueError(f"free variables bound by no quantifier: {unbound}")
-    evaluate = compile_term(t, [names[i] for i in kept])
-    active = [tuple(box[i] for i in kept)]
+    evaluate = compile_term(t, names)
+    # an axis the term does not read would only multiply the cells
+    active = [tuple(iv if v in evaluate.reads else (iv[0], iv[0], iv[2])
+                    for v, iv in zip(names, box))]
     best_lo = 0, 1  # (num, den) of the best lower bound on sup |t| so far
     best_hi = 1, 0  # and of the least upper bound, 1/0 until a depth gives one
     depth, cells = 0, 1  # cells: those of the depths done and of the next
@@ -132,7 +131,8 @@ def distance_enclosure(
 ) -> RatInterval | _Infinite:
     """Interval of width <= tol around d(f, g); INFINITE when the two
     sentences do not share a structure.  An aligned pair of equal terms
-    adds 0; the others are bounded by `sup_abs_enclosure`, so when its
+    adds 0; the expanded difference of any other pair, a constant one
+    too, is bounded by `sup_abs_enclosure`, so when its
     work cap stops one, the interval is sound but may be wider than tol,
     and a difference that no depth bounds raises DomainError."""
     tol = rat(tol)
@@ -145,12 +145,7 @@ def distance_enclosure(
     for tf, tg, names, box in pairs:
         if tf == tg:
             continue
-        diff = T.expand_normal(T.Sub(tf, tg))
-        if diff.__class__ is T.Const:
-            v = abs(diff.value)
-            enc = RatInterval(v, v)
-        else:
-            enc = sup_abs_enclosure(diff, names, box, tol)
+        enc = sup_abs_enclosure(T.expand_normal(T.Sub(tf, tg)), names, box, tol)
         if enc.lo >= lo.lo:
             lo = enc
         if enc.hi >= hi.hi:

@@ -24,15 +24,19 @@ zero constant among them, is generic.  A run copies a template that
 holds the constants, with the environment in front, and needs no
 recursion, so deep terms cost no stack; an environment of another
 length than the names raises ValueError.  The walk resolves every
-variable to its register, so the evaluator reports the names its tape
-reads, the term's free variables, as its `reads`, and a name missing
-from the names raises KeyError.  The solver compiles each block's terms once per
-sentence, takes the block's free variables from their `reads`, and runs
-the same tapes in every slab and iteration.  Bounds are compared as
-integer pairs num/den by cross-multiplication; a `Fraction` is built
-only for a result.  A division by an interval that holds zero, or a
-sqrt of one that holds a negative, raises DomainError; `certify` and
-`positive_lower_bound` read it as an enclosure that holds zero.
+variable to its register, and it is the package's one place that reads
+a variable's name: the evaluator reports the names its tape reads, the
+term's free variables, as its `reads`, whatever the names it is
+compiled over.  A tape that reads a name missing from them refuses to
+run, with a ValueError that names the missing names.  The solver
+compiles each block's terms once per sentence, takes the block's free
+variables from their `reads`, and runs the same tapes in every slab and
+iteration; the distance and `formulas.free_vars` read `reads` too.
+Bounds are compared as integer pairs num/den by cross-multiplication; a
+`Fraction` is built only for a result.  A division by an interval that
+holds zero, or a sqrt of one that holds a negative, raises DomainError;
+`certify` and `positive_lower_bound` read it as an enclosure that holds
+zero.
 """
 from __future__ import annotations
 
@@ -183,8 +187,9 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     otherwise a register of its own after the operand's: a power's
     exponent, a function's enclosure or a constant's integers.  The
     evaluator's `reads` is the frozenset of the names of t's `Var`
-    leaves, which equals `terms.free_vars(t)`; a name not in `names`
-    raises KeyError."""
+    leaves, its free variables, in `names` or not; an evaluator that
+    reads a name not in `names` raises ValueError when it runs, naming
+    those names, and one whose names are all there runs as it would."""
     # looked up at compile time, so wrappers set on this module's names apply
     enclosures = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
                   T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}
@@ -206,7 +211,7 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
         cls = node.__class__
         if cls is Var:
             name = node.name
-            done.append(slot[name])
+            done.append(slot.get(name, 0))  # an unbound name: the tape never runs
             reads.add(name)
         elif cls is Const:
             num, den = node.value.as_integer_ratio()
@@ -245,9 +250,13 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
         else:
             raise TypeError(f"unknown term node: {cls.__name__}")
     result = done.pop()
+    unbound = sorted(reads.difference(names))
+    size = -1 if unbound else n  # no environment has length -1
 
     def evaluate(env: Sequence[Ival], p: int) -> Ival:
-        if len(env) != n:
+        if len(env) != size:
+            if unbound:
+                raise ValueError(f"free variables bound by no quantifier: {unbound}")
             raise ValueError(f"{len(env)} intervals for the {n} variables {names}")
         regs = [*env, *template]
         for op, i, j, k in tape:

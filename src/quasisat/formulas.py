@@ -6,8 +6,8 @@ bodies are arbitrary formulas; the solvable fragment (existential blocks
 whose body is a conjunction of atoms, with at least as many equations as
 variables or none at all, composed under forall/and/or) is checked by
 the solver's compile walk, which `solver.validate_class_b` runs on its
-own.  A quantifier bound is an `Ival` built by `intervals.ival`, so
-equal rational bounds are equal triples and structural comparison is
+own.  A quantifier bound is an `Ival` built by `intervals.pair_ival`,
+so equal rational bounds are equal triples and structural comparison is
 plain equality; `aligned_terms` pairs the atom terms of two formulas in
 one walk, on an explicit stack, that also compares their structure.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .evaluation import compile_term
 from .intervals import Ival
 from .record import Frozen, init_field
 from . import terms as T
@@ -83,13 +84,14 @@ class Or(_Connective):
 
 def free_vars(f: Formula) -> frozenset[str]:
     """The variables of f's atoms that no quantifier above them binds,
-    from an explicit stack of (formula, names bound above it)."""
+    from an explicit stack of (formula, names bound above it); an atom's
+    variables are the `reads` of its term's tape."""
     found: set[str] = set()
     stack = [(f, frozenset())]
     while stack:
         f, bound = stack.pop()
         if isinstance(f, Atom):
-            found.update(T.free_vars(f.term) - bound)
+            found.update(compile_term(f.term, ()).reads - bound)
         elif isinstance(f, Exists):
             stack.append((f.body, bound.union(f.vars)))
         elif isinstance(f, ForAll):

@@ -27,11 +27,12 @@ class Record:
             return NotImplemented
         # a and b are records of one class; the stack holds the pairs of
         # record fields still to compare, and any other field is compared
-        # with its own `!=` on the spot
+        # with its own `!=` on the spot.  The fields are pushed last first,
+        # so the record pairs come off left to right
         stack = []
         a, b = self, other
         while True:
-            for name in a._fields:
+            for name in reversed(a._fields):
                 x, y = getattr(a, name), getattr(b, name)
                 if x is not y:
                     if isinstance(x, Record):

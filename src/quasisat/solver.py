@@ -76,9 +76,10 @@ slack 2^-p to ε² (p = 2k + 1 at iteration k): at a tangency a cell is
 unrefuted within about √slack of the touching point, so slack ε/8 would
 leave a band of about 1/√ε cells (`corpus/sin_one` would evaluate 1,549
 cells at budget 20), and slack ε²/8 leaves O(1) cells (59 cells).  That
-compile walk is the only walk of the formula: it also finds the free
-variables, read off each block's tapes, and checks the solvable
-fragment, whose violations `validate_class_b` reports on their own.
+compile walk is the only walk of the formula: it compiles every
+block's terms, also where the sentence is refused, finds the free
+variables, read off those tapes, and checks the solvable fragment,
+whose violations `validate_class_b` reports on their own.
 The refutation, the face walk and the degree (at the slice centre, as
 degenerate parameter intervals) run on the same tapes, and each takes
 the equation that certifies a box from `certify`.  A division or
@@ -97,7 +98,6 @@ from .geometry import Cell, Grid, covering_cells, faces_around, grid_cover, halv
 from .intervals import DomainError, rat
 from .degree import degree
 from .record import Frozen, Record, init_field
-from . import terms as T
 
 TriValue = frozenset
 TRI_T: TriValue = frozenset((True,))
@@ -191,10 +191,10 @@ def _compile(s: Formula, names: tuple[str, ...], violations: list[str],
     inequality terms, and each term is compiled once, over `names` and
     the block's variables, so a run reads neither the formula nor the
     names.  The block's free variables are the names its tapes read
-    (`reads`) less its own variables: a term is walked by
-    `terms.free_vars` only where no tape is built.
-    The check is None when a violation has been found or a free variable
-    is not in `names`; the caller then raises before anything runs."""
+    (`reads`) less its own variables, whatever the violations.  The
+    check is None when a violation has been found; the caller raises
+    then, and when a free variable is not in `names`, before anything
+    runs."""
     if isinstance(s, ForAll):
         var = s.var
         if var in names:
@@ -227,19 +227,13 @@ def _compile(s: Formula, names: tuple[str, ...], violations: list[str],
     if 0 < n < m:
         violations.append(
             f"exists block has {n} equation(s) for {m} variable(s); need n >= m or n = 0")
-    if not violations:
-        try:
-            fs, gs = ([compile_term(t, names + block_vars) for t in terms]
-                      for terms in (eqs, ineqs))
-        except KeyError:  # a free variable that is not in `names`
-            pass
-        else:
-            free = frozenset().union(*(f.reads for f in fs + gs)).difference(block_vars)
-            # a block that reads no parameter is the same block at every
-            # call, so it carries its frontier from one to the next
-            return free, _under(univ, [(free, partial(_soei, bounds, fs, gs,
-                                                      None if free else []))])
-    return frozenset().union(*(T.free_vars(a.term) for a in atoms)).difference(block_vars), None
+    fs, gs = ([compile_term(t, names + block_vars) for t in terms] for terms in (eqs, ineqs))
+    free = frozenset().union(*(f.reads for f in fs + gs)).difference(block_vars)
+    if violations:
+        return free, None
+    # a block that reads no parameter is the same block at every call, so
+    # it carries its frontier from one to the next
+    return free, _under(univ, [(free, partial(_soei, bounds, fs, gs, None if free else []))])
 
 
 def _chain(f: Formula, cls: type) -> list[Formula]:

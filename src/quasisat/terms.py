@@ -99,23 +99,6 @@ class Sqrt(_Unary):
     __slots__ = ()
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    """The names of the variables of t, from an explicit stack, so a deep
-    term costs no recursion."""
-    found, stack = set(), [t]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Var:
-            found.add(t.name)
-        elif isinstance(t, _Binary):
-            stack += (t.left, t.right)
-        elif t.__class__ is Pow:
-            stack.append(t.base)
-        elif isinstance(t, _Unary):  # Neg, Sin, Cos, Exp, Sqrt
-            stack.append(t.arg)
-    return frozenset(found)
-
-
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity
 # a coefficient as the integers (num, den), den > 0, not reduced, never 0
 _Coeff = tuple[int, int]

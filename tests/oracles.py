@@ -3,7 +3,8 @@ against: the three-valued `and` and `or` on subsets of {True, False},
 boxes of `Fraction` intervals (`RatBox`) and interval
 arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
-substitution of rational constants for variables, the polynomial
+substitution of rational constants for variables, the free variables of
+a term and of a formula by recursion, the polynomial
 normal form with every summand counted in one dict and the recursive
 polynomial expansion, the equation and inequality terms of an exists
 block, the parser's domain check as a walk over the parsed formula and
@@ -27,6 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from quasisat import terms as T
 from quasisat.degree import DegreeResult
+from quasisat.distance import MAX_CELLS
 from quasisat.evaluation import Evaluator, compile_term
 from quasisat.formulas import And, Atom, Eq, Exists, ForAll, Formula, Geq, aligned_terms
 from quasisat.geometry import Cell, Grid
@@ -417,6 +419,26 @@ def substitute(t: T.Term, env: Mapping[str, Fraction]) -> T.Term:
     if isinstance(t, T.Pow):
         return T.Pow(substitute(t.base, env), t.exponent)
     return type(t)(substitute(t.arg, env))
+
+
+def free_vars(t: T.Term) -> frozenset[str]:
+    """The names of the variables of t, by recursion."""
+    if isinstance(t, T.Var):
+        return frozenset((t.name,))
+    return frozenset().union(*(free_vars(getattr(t, name))
+                               for name in ("left", "right", "arg", "base") if hasattr(t, name)))
+
+
+def formula_free_vars(f: Formula) -> frozenset[str]:
+    """The variables of f's atoms that no quantifier above them binds, by
+    recursion."""
+    if isinstance(f, Atom):
+        return free_vars(f.term)
+    if isinstance(f, Exists):
+        return formula_free_vars(f.body).difference(f.vars)
+    if isinstance(f, ForAll):
+        return formula_free_vars(f.body) - {f.var}
+    return formula_free_vars(f.left) | formula_free_vars(f.right)
 
 
 def signed_summands(t: T.Term) -> dict[T.Term, int]:
@@ -1062,46 +1084,64 @@ def degree(
 def sup_abs_enclosure(
     t: T.Term, names: Sequence[str], box: RatBox, tol: Fraction
 ) -> RatInterval:
-    """Enclosure of sup |t| over the box, of width <= tol.
+    """Enclosure of sup |t| over the box, of width <= tol unless the work
+    cap stops it first.
 
     Iterative deepening over uniform grids: the bracket sequence depends
     only on the term and the box, and successive brackets are
     intersected, so a tighter tolerance always yields a sub-interval of
     a looser one's result.  The lower bound also takes the mignitude of
-    |t| at every corner of the active cells.
+    |t| at every corner of the active cells.  An axis that t does not
+    read is one point.  A cell where t leaves its domain gives its depth
+    no upper bound and is kept; such a corner gives no lower bound.  When
+    the cells of the depths done and of the next would pass
+    `distance.MAX_CELLS`, the bracket so far is returned, and DomainError
+    is raised when no depth gave an upper bound.
     """
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     evaluate = compile_term(t, names)
+    used = free_vars(t)
+    box = RatBox(tuple(iv if name in used else rival(iv.lo)
+                       for name, iv in zip(names, box.intervals)))
     bracket: RatInterval | None = None
     active = [box]
-    best_lo = Fraction(0) if box.dim else None  # |t| >= 0 somewhere
-    depth = 0
-    while True:
+    best_lo = Fraction(0)  # |t| >= 0 somewhere
+    depth, cells = 0, 1
+    while cells <= MAX_CELLS:
         p = depth + 10
-        scored = []
+        scored = []  # (cell, enclosure of |t|, None where t leaves its domain)
         corners = set()
         for cell in active:
-            enc = abs_interval(to_interval(evaluate(box_env(cell), p)))
+            try:
+                enc = abs_interval(to_interval(evaluate(box_env(cell), p)))
+            except DomainError:
+                enc = None
+            else:
+                best_lo = max(best_lo, enc.lo)
             scored.append((cell, enc))
-            if best_lo is None or enc.lo > best_lo:
-                best_lo = enc.lo
             corners.update(product(*((iv.lo, iv.hi) for iv in cell.intervals)))
         for corner in corners:
             point = RatBox(tuple(rival(c, c) for c in corner))
-            best_lo = max(best_lo, abs_interval(to_interval(evaluate(box_env(point), p))).lo)
-        hi = max(enc.hi for _, enc in scored)
-        step = rival(min(best_lo, hi), hi)
-        bracket = step if bracket is None else _intersect(bracket, step)
-        if width(bracket) <= tol:
-            return bracket
+            try:
+                best_lo = max(best_lo, abs_interval(to_interval(evaluate(box_env(point), p))).lo)
+            except DomainError:
+                pass
+        if all(enc is not None for _, enc in scored):
+            hi = max(enc.hi for _, enc in scored)
+            step = rival(min(best_lo, hi), hi)
+            bracket = step if bracket is None else _intersect(bracket, step)
+            if width(bracket) <= tol:
+                return bracket
         # keep only cells that can still carry the supremum, then bisect
-        active = []
-        for cell, enc in scored:
-            if enc.hi >= best_lo:
-                active.extend(bisect_box(cell))
+        active = [half for cell, enc in scored if enc is None or enc.hi >= best_lo
+                  for half in bisect_box(cell)]
+        cells += len(active)
         depth += 1
+    if bracket is None:
+        raise DomainError(f"no upper bound on |t| within {MAX_CELLS} cells")
+    return rival(best_lo, bracket.hi)
 
 
 def _intersect(a: RatInterval, b: RatInterval) -> RatInterval:
@@ -1219,22 +1259,32 @@ def poly_derivative(p: Poly) -> Poly:
     return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """The quotient and the remainder of a by b."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         k, shift = a[-1] / b[-1], len(a) - len(b)
+        q[shift] = k
         for i, c in enumerate(b):
             a[shift + i] -= k * c
         a.pop()  # its leading term is now zero
         _trim(a)
-    return a
+    return q, a
 
 
 def sturm_chain(p: Poly) -> list[list[Fraction]]:
-    """p, p' and the negated remainders down to the last nonzero one."""
-    chain = [_trim(list(p)), _trim(list(poly_derivative(p)))]
+    """The Sturm chain of the square-free part s = p / gcd(p, p') of p:
+    s, s' and the negated remainders down to the last nonzero one.  s has
+    the roots of p, each simple, so no point makes every member of the
+    chain vanish, as a multiple root of p would."""
+    p = _trim(list(p))
+    gcd, r = p, _trim(list(poly_derivative(p)))
+    while r:
+        gcd, r = r, _poly_divmod(gcd, r)[1]
+    s = _poly_divmod(p, gcd)[0]
+    chain = [s, _trim(list(poly_derivative(s)))]
     while chain[-1]:
-        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
     return chain[:-1]
 
 

@@ -1,6 +1,7 @@
 """Interval evaluation of terms: soundness, exactness against the
 `Fraction` reference, and lower bounds."""
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from quasisat.evaluation import (_add, _constant_step, _div, _mul, _pow, _square
 from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
+import oracles
 from oracles import eval_env, ratbox, to_interval, width
 
 mpmath.mp.dps = 60
@@ -164,13 +166,22 @@ def test_compiled_evaluation_equals_the_fraction_reference(t, b, p):
 @given(_terms())
 @settings(max_examples=300, deadline=None)
 def test_a_tape_reports_the_free_variables_of_its_term(t):
-    """The names a compiled tape reads are its term's free variables, and
-    each of them missing from the names is a KeyError."""
-    free = T.free_vars(t)
+    """The names a compiled tape reads are its term's free variables,
+    whatever the names it is compiled over; a tape that reads a name
+    missing from them refuses to run, naming every missing name."""
+    free = oracles.free_vars(t)
     assert compile_term(t, NAMES).reads == free
     for missing in free:
-        with pytest.raises(KeyError):
-            compile_term(t, [name for name in NAMES if name != missing])
+        names = [name for name in NAMES if name != missing]
+        evaluate = compile_term(t, names)
+        assert evaluate.reads == free
+        with pytest.raises(ValueError, match=re.escape(f"bound by no quantifier: {[missing]}")):
+            evaluate([ival(0, 1)] * len(names), 10)
+    evaluate = compile_term(t, ())
+    assert evaluate.reads == free
+    if free:
+        with pytest.raises(ValueError, match=re.escape(f"bound by no quantifier: {sorted(free)}")):
+            evaluate([], 10)
 
 
 @pytest.mark.parametrize("env", [[], [ival(0, 1)], [ival(0, 1)] * 3])

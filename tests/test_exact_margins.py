@@ -16,7 +16,7 @@ import statistics
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasisat.parser import parse
 from quasisat.solver import quasi_decide
@@ -84,7 +84,15 @@ def check(margin, text) -> Fraction | None:
     return v.certificate / exact
 
 
+# p' = 6x^2 - 16/5 x^3 has a double root at the bound 0, where every
+# member of a Sturm chain built from p' itself vanishes
+TANGENT_AT_AN_END = ((Fraction(-4, 5), 0, 0, Fraction(2), Fraction(-4, 5)), Fraction(0),
+                     Fraction(1, 6))
+
+
 @given(poly_sentences())
+@example(("forall_geq", signed_margin("forall_geq", *TANGENT_AT_AN_END),
+          poly_sentence_text("forall_geq", *TANGENT_AT_AN_END)))
 @settings(max_examples=100, deadline=None)
 def test_polynomial_verdicts_are_exact_with_certificates_within_the_margin(case):
     _, margin, text = case
@@ -106,6 +114,10 @@ def test_sturm_counts_and_isolates_roots():
     assert count_roots(sturm_chain((Fraction(1), Fraction(-2), Fraction(1))), 0, 2) == 1
     ((lo, hi),) = root_brackets((Fraction(-2), 0, Fraction(1)), Fraction(0), Fraction(2))
     assert lo * lo < 2 <= hi * hi and hi - lo <= Fraction(1, 2 ** 40)
+    # a double root at an end, or at the first midpoint, ends the bisection
+    dp = (0, 0, Fraction(6), Fraction(-16, 5))
+    assert root_brackets(dp, Fraction(0), Fraction(1, 6)) == []
+    assert root_brackets(dp, Fraction(-1, 6), Fraction(1, 6)) == [(0, 0)]
 
 
 def test_margins_of_known_sentences():

@@ -227,10 +227,10 @@ def test_the_check_tree_holds_no_closure():
     assert nested_functions((SRC / "solver.py").read_text()) == []
 
 
-def domain_error_handlers(source: str) -> list[str]:
+def enclosing_functions(source: str, match) -> list[str]:
     """The function or method, as 'name' or 'Class.name', around each
-    `except` clause that names `DomainError`, alone or in a tuple, in
-    line order; one at module level is '<module>'."""
+    node for which `match` holds, in line order; one at module level is
+    '<module>'."""
     found = []
 
     def visit(node: ast.AST, qualname: str) -> None:
@@ -239,15 +239,25 @@ def domain_error_handlers(source: str) -> list[str]:
                 visit(child, child.name if qualname == "<module>"
                       else f"{qualname}.{child.name}")
                 continue
-            if isinstance(child, ast.ExceptHandler) and child.type is not None:
-                kinds = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any((k.id if isinstance(k, ast.Name) else getattr(k, "attr", None))
-                       == "DomainError" for k in kinds):
-                    found.append((child.lineno, qualname))
+            if match(child):
+                found.append((child.lineno, qualname))
             visit(child, qualname)
 
     visit(ast.parse(source), "<module>")
     return [name for _, name in sorted(found)]
+
+
+def catches_domain_error(node: ast.AST) -> bool:
+    """An `except` clause that names `DomainError`, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any((k.id if isinstance(k, ast.Name) else getattr(k, "attr", None)) == "DomainError"
+               for k in kinds)
+
+
+def domain_error_handlers(source: str) -> list[str]:
+    return enclosing_functions(source, catches_domain_error)
 
 
 def test_the_scan_finds_domain_error_handlers():
@@ -274,6 +284,33 @@ def test_only_the_named_functions_catch_domain_errors():
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in domain_error_handlers(p.read_text())]
     assert found == DOMAIN_ERROR_HANDLERS
+
+
+# `compile_term` alone resolves a term's variables, and so alone finds
+# its free variables; `term_text` prints a variable's name, and the
+# corpus runner prints its files' names
+NAME_READERS = ["cli._corpus", "cli._corpus", "evaluation.compile_term", "terms.term_text"]
+
+
+def name_readers(source: str) -> list[str]:
+    """The function or method around each read of an attribute `name`,
+    in line order."""
+    return enclosing_functions(source, lambda node: isinstance(node, ast.Attribute)
+                               and node.attr == "name" and isinstance(node.ctx, ast.Load))
+
+
+def test_the_scan_finds_name_readers():
+    source = ("def f(t):\n    t.name = 1\n    return t.name\n"
+              "class C:\n    def m(self, v):\n        return v.name, v.names, v.__name__\n")
+    assert name_readers(source) == ["f", "C.m"]
+
+
+def test_only_the_named_functions_read_a_variable_name():
+    """A second walk that collects a term's variables would have to read
+    `Var.name`, and fails this test."""
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in name_readers(p.read_text())]
+    assert found == NAME_READERS
 
 
 def private_imports(source: str) -> list[str]:

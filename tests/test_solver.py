@@ -22,8 +22,8 @@ from quasisat.solver import (TRI_F, TRI_T, TRI_TF, IterationRecord, checksat, pr
 
 from conftest import CORPUS_DIR, corpus_entries
 from test_identity import sentences
-from oracles import (NEAR_TANGENCIES, block_parts, grid_cut, least_power_of_two, substitute,
-                     tapes, to_interval, tri_and, tri_or, width)
+from oracles import (NEAR_TANGENCIES, block_parts, formula_free_vars, grid_cut,
+                     least_power_of_two, substitute, tapes, to_interval, tri_and, tri_or, width)
 
 # the module, which the package's `degree` function hides as an attribute
 degree_module = importlib.import_module("quasisat.degree")
@@ -721,30 +721,25 @@ def test_records_keep_their_defaults_and_mutability():
     assert repr(v).startswith("Verdict(outcome='TRUE', iterations=1, ")
 
 
-def spy_on_term_walks(monkeypatch):
-    """The terms given to the solver's `compile_term` and to
-    `terms.free_vars`, in call order, as two lists."""
-    compiled, walked = [], []
-    real_compile, real_free = solver.compile_term, T.free_vars
+def spy_on_compiles(monkeypatch):
+    """The terms given to the solver's `compile_term`, in call order."""
+    compiled = []
+    real_compile = solver.compile_term
     monkeypatch.setattr(solver, "compile_term",
                         lambda t, names: compiled.append(t) or real_compile(t, names))
-    monkeypatch.setattr(T, "free_vars", lambda t: walked.append(t) or real_free(t))
-    return compiled, walked
+    return compiled
 
 
 def test_free_variables_are_walked_once_per_and_or_side(monkeypatch):
     """Free variables are found once per sentence, not again in every
     slab and iteration: the compile walk resolves each atom's term once,
     into its tape, and blocks, and/or sides and the sentence take their
-    free variables bottom-up from the names the tapes read, so a sentence
-    without free variables or violations gives no term to
-    `terms.free_vars`."""
-    compiled, walked = spy_on_term_walks(monkeypatch)
+    free variables bottom-up from the names the tapes read."""
+    compiled = spy_on_compiles(monkeypatch)
     s = parse("forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0")
     v = quasi_decide(s, budget=6)
     assert v.iterations == 6 and sum(len(r.degrees) for r in v.trace) > 6
     assert compiled == [s.body.left.body.term, s.body.right.term]
-    assert walked == []
 
 
 def formula_nodes(f):
@@ -801,7 +796,7 @@ def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
     visits grow linearly in k (they grew as k^2 when each and/or side was
     walked from scratch).  Each `compile_term` call walks its whole term,
     so a call counts the nodes of its term."""
-    compiled, walked = spy_on_term_walks(monkeypatch)
+    compiled = spy_on_compiles(monkeypatch)
     visits = {}
     for k in (25, 50, 100, 200):
         s = parse(" and ".join(["(exists x in [0,1] . x - 1/2 = 0)"] * k))
@@ -810,7 +805,6 @@ def test_free_variable_walks_grow_linearly_with_an_and_chain(monkeypatch):
         visits[k] = sum(map(term_size, compiled))
     # x - 1/2 is three term nodes
     assert visits == {25: 75, 50: 150, 100: 300, 200: 600}
-    assert walked == []
 
 
 SHADOW = "variable 'x' shadows an outer binding"
@@ -886,19 +880,20 @@ def test_a_free_variable_is_reported_before_a_violation(text, violations, free, 
 
 def test_the_compile_walk_finds_the_free_variables_of_every_corpus_node(monkeypatch):
     """For every node of every corpus sentence, the free variables that
-    `_compile` returns are `formulas.free_vars`: read off the tapes, with
-    no `terms.free_vars` walk, when `names` holds them, and walked when
-    `names` is empty and no tape can be built."""
-    compiled, walked = spy_on_term_walks(monkeypatch)
+    `_compile` returns, and `formulas.free_vars`, are those of the
+    recursive reference: read off the tapes of one compile of each atom's
+    term, whether `names` holds them or is empty, and a node without
+    violations gets its check either way."""
+    compiled = spy_on_compiles(monkeypatch)
     for _, text, _, _ in corpus_entries():
         for node in formula_nodes(parse(text)):
-            want = free_vars(node)
-            walked.clear()
-            free, check = solver._compile(node, tuple(sorted(want)), [])
-            assert (free, walked) == (want, []) and check is not None
-            assert solver._compile(node, (), [])[0] == want
-            assert bool(walked) == bool(want)
-    assert compiled
+            want = formula_free_vars(node)
+            atoms = sorted(id(a.term) for a in formula_nodes(node) if isinstance(a, Atom))
+            assert free_vars(node) == want
+            for names in (tuple(sorted(want)), ()):
+                compiled.clear()
+                free, check = solver._compile(node, names, [])
+                assert free == want and check is not None and sorted(map(id, compiled)) == atoms
 
 
 CYCLE_F = "forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0 or 1 >= 0"
@@ -910,7 +905,8 @@ CYCLE_F = "forall x in [0,1] . (exists y in [0,1] . y - x*x = 0) and x >= 0 or 1
     validate_class_b,
     lambda f: distance_enclosure(f, parse(CYCLE_F.replace("x*x", "x*x - 1/64")),
                                  Fraction(1, 64)),
-], ids=["quasi_decide", "checksat", "validate_class_b", "distance_enclosure"])
+    free_vars,
+], ids=["quasi_decide", "checksat", "validate_class_b", "distance_enclosure", "free_vars"])
 def test_the_formula_walks_leave_no_reference_cycles(call):
     """The walks are module-level functions, not recursive closures, which
     are reference cycles: garbage that stays alive, with all it holds (the
@@ -977,6 +973,16 @@ def test_a_deep_term_is_walked_for_its_free_variables_without_recursion():
     s = parse("exists x in [0,1] . " + "sin(" * 850 + "x" + ")" * 850 + " - 2 = 0")
     assert _under(300, lambda: quasi_decide(s)).outcome == "FALSE"
     assert _under(300, lambda: free_vars(s)) == frozenset()
+
+
+def test_a_deep_chain_of_universals_is_walked_for_its_free_variables_without_recursion():
+    """`free_vars` of 3,000 nested universals over an `and`, deeper than
+    the parser admits, returns under 300 extra frames: the walk keeps
+    its own stack of the formulas and the names bound above them."""
+    f = And(Geq(T.Sub(T.Var("v0"), X)), Geq(T.Var("v2999")))
+    for i in reversed(range(3000)):
+        f = ForAll(f"v{i}", BOX, f)
+    assert _under(300, lambda: free_vars(f)) == {"x"}
 
 
 @pytest.mark.parametrize("copies", [1000, 3000])

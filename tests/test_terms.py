@@ -3,11 +3,13 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisat import terms as T
+from quasisat.evaluation import compile_term
 from quasisat.formulas import aligned_terms, formula_text
 from quasisat.parser import _MAX_HEIGHT, parse
 from quasisat.record import Record
@@ -99,6 +101,32 @@ def test_hash_and_eq_of_a_term_at_the_height_bound_need_no_recursion(frames, op)
     assert _under(frames, lambda: a == b) and _under(frames, lambda: a != other)
 
 
+class CountedName(str):
+    """A variable name that counts the `!=` comparisons it is the left
+    side of."""
+    compared = 0
+
+    def __ne__(self, other):
+        CountedName.compared += 1
+        return str.__ne__(self, other)
+
+
+def test_eq_compares_nested_records_left_to_right():
+    """`==` takes the record fields of two records left to right, so
+    x - R and y - R2, for equal sums R and R2 of 1,000 variables, differ
+    at x and y before any name of R is compared (the right side came
+    first, all 1,000 names of it, when the last pushed pair was popped
+    first)."""
+    def total():
+        return reduce(T.Add, [T.Var(CountedName("v")) for _ in range(1000)])
+
+    r, r2 = total(), total()
+    CountedName.compared = 0
+    assert T.Sub(X, r) != T.Sub(Y, r2)
+    assert CountedName.compared == 0
+    assert r == r2 and CountedName.compared == 1000
+
+
 def test_repr_is_the_recursive_reference(monkeypatch):
     """`repr` on its explicit stack prints every corpus sentence, and the
     budget-3 `Verdict` of each with its trace, as the recursion over the
@@ -149,10 +177,12 @@ def test_equal_constants_hash_equal(q, n):
 
 
 def test_free_vars_and_substitute():
+    """A term's free variables are the names its tape reads, as the
+    reference walk finds them, also after a substitution."""
     t = T.Add(T.Mul(X, Y), T.Sin(X))
-    assert T.free_vars(t) == {"x", "y"}
+    assert compile_term(t, ()).reads == oracles.free_vars(t) == {"x", "y"}
     s = substitute(t, {"x": Fraction(0)})
-    assert T.free_vars(s) == {"y"}
+    assert compile_term(s, ()).reads == oracles.free_vars(s) == {"y"}
     assert substitute(X, {}) == X
 
 
