@@ -9,24 +9,32 @@ the enclosures of `series`, which take and return this format too; pi
 is computed on integers as well.
 
 `compile_term` turns a term, once, into a flat tape of steps
-`(op, i, j, k)`, `regs[k] = op(regs[i], regs[j], p)`, in evaluation
-order.  Every register is fixed at compile time: the environment's
-intervals come first, one per name, then one register per constant,
-step parameter and step result in the order of the walk.  Each step's
-operation follows from the kinds of its operands.  A sum or difference
-with an integer constant shifts both endpoints by the constant times the
-denominator, with no lcm (`_shift`, `_rsub`).  A product with a
-constant, or a quotient by a nonzero one, scales by the constant's
-integers, and the constant's sign picks the endpoint order (`_scale`).
-A square has its own step (`_square`).  Each returns the very triple of
-the generic operation it replaces; every other step, a division by a
-zero constant among them, is generic.  A run copies a template that
-holds the constants, with the environment in front, and needs no
-recursion, so deep terms cost no stack; an environment of another
-length than the names raises ValueError.  The walk resolves every
-variable to its register, and it is the package's one place that reads
-a variable's name: the evaluator reports the names its tape reads, the
-term's free variables, as its `reads`, whatever the names it is
+`(op, i, j, k)` in evaluation order, each writing register `k` from
+register `i` and, for a step with two operands, register `j`.  Every
+register is fixed at compile time: the environment's intervals come
+first, one per name, then one register per constant leaf, power
+exponent, function enclosure and step result in the order of the walk.
+Each step's operation follows from the kinds of its operands.  A sum or
+difference with an integer constant shifts both endpoints by the
+constant times the denominator, with no lcm (the shift, and the reversed
+shift of c - t).  A product with a constant, or a quotient by a nonzero
+one, scales by the constant's integers, and the constant's sign picks
+the endpoint order (the scale).  A square has its own step.  Each
+returns the very triple of the generic operation it replaces, and the
+constant is the step's `j` itself.  The evaluator runs the shift, the
+reversed shift, the scale, the square, the sum, the difference and the
+negation inline, as branches of its loop chosen by the identity of `op`;
+only the rare steps are calls `op(regs[i], regs[j], p)`: a product or a
+quotient that no scale covers (c / t, and t / 0, which raises
+DomainError), a power other than 2, sin, cos, exp, sqrt and pi.  So each
+operation's arithmetic is written once, in its branch or its function,
+and a step of the common kinds costs no Python call.  A run copies a
+template that holds the constants, with the environment in front, and
+needs no recursion, so deep terms cost no stack; an environment of
+another length than the names raises ValueError.  The walk resolves
+every variable to its register, and it is the package's one place that
+reads a variable's name: the evaluator reports the names its tape reads,
+the term's free variables, as its `reads`, whatever the names it is
 compiled over.  A tape that reads a name missing from them refuses to
 run, with a ValueError that names the missing names.  The solver
 compiles each block's terms once per sentence, takes the block's free
@@ -54,29 +62,8 @@ Cert = tuple[int, int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# operations: op(a, b, p) for the operand intervals a, b and precision p
-
-
-def _add(a: Ival, b: Ival, p: int) -> Ival:
-    da, db = a[2], b[2]
-    if da == db:
-        return a[0] + b[0], a[1] + b[1], da
-    d = lcm(da, db)
-    sa, sb = d // da, d // db
-    return a[0] * sa + b[0] * sb, a[1] * sa + b[1] * sb, d
-
-
-def _sub(a: Ival, b: Ival, p: int) -> Ival:
-    da, db = a[2], b[2]
-    if da == db:
-        return a[0] - b[1], a[1] - b[0], da
-    d = lcm(da, db)
-    sa, sb = d // da, d // db
-    return a[0] * sa - b[1] * sb, a[1] * sa - b[0] * sb, d
-
-
-def _neg(a: Ival, _b, p: int) -> Ival:
-    return -a[1], -a[0], a[2]
+# the steps that stay calls, op(a, b, p) for the operand intervals a, b
+# and precision p: every one is rare on a tape
 
 
 def _mul(a: Ival, b: Ival, p: int) -> Ival:
@@ -97,6 +84,7 @@ def _div(a: Ival, b: Ival, p: int) -> Ival:
 
 
 def _pow(a: Ival, n: int, p: int) -> Ival:
+    """a^n; the compiler gives n = 2 the square step."""
     lo, hi, d = a
     if n == 0:
         return 1, 1, 1
@@ -116,62 +104,38 @@ def _apply(a: Ival, enclosure, p: int) -> Ival:
     return enclosure(a, p)
 
 
-# steps with an operand known at compile time; each returns the very
-# triple of the generic operation it stands for
-
-
-def _shift(a: Ival, c: int, p: int) -> Ival:
-    """a + c for an integer c: _add with (c, c, 1), no lcm."""
-    s = c * a[2]
-    return a[0] + s, a[1] + s, a[2]
-
-
-def _rsub(a: Ival, c: int, p: int) -> Ival:
-    """c - a for an integer c: _sub of (c, c, 1) and a."""
-    s = c * a[2]
-    return s - a[1], s - a[0], a[2]
-
-
-def _scale(a: Ival, c: tuple[int, int], p: int) -> Ival:
-    """a * k/e for c = (k, e), e > 0: _mul with (k, k, e); a division by
-    the constant n/d is the scale (n*d, n*n), as _div builds it."""
-    k, e = c
-    if k >= 0:
-        return a[0] * k, a[1] * k, a[2] * e
-    return a[1] * k, a[0] * k, a[2] * e
-
-
-def _square(a: Ival, _b, p: int) -> Ival:
-    """_pow(a, 2)."""
-    lo, hi, d = a
-    if lo >= 0:
-        return lo * lo, hi * hi, d * d
-    if hi <= 0:
-        return hi * hi, lo * lo, d * d
-    return 0, max(lo * lo, hi * hi), d * d
+# the steps that the evaluator runs inline, told apart by identity; the
+# evaluator's branch of each says what it computes
+_ADD, _SUB, _NEG, _SQUARE = "add", "sub", "neg", "square"
+_SHIFT, _RSUB, _SCALE = "shift", "rsub", "scale"  # with a constant operand
 
 
 def _constant_step(cls, c: Fraction, right: bool):
-    """The (operation, parameter) of a `cls` step whose right operand (or,
+    """The (step, parameter) of a `cls` step whose right operand (or,
     with `right` false, whose left one) is the constant c, or None where
-    the generic operation stays: a sum or difference with a non-integer,
-    a division by zero and a constant over a term."""
+    the generic step stays: a sum or difference with a non-integer, a
+    division by zero and a constant over a term.  A division by n/d is
+    the scale by (n*d, n*n), the reciprocal that `_div` builds."""
     n, d = c.as_integer_ratio()
     if cls is T.Mul:
-        return _scale, (n, d)
+        return _SCALE, (n, d)
     if cls is T.Div:
-        return (_scale, (n * d, n * n)) if right and n else None
+        return (_SCALE, (n * d, n * n)) if right and n else None
     if d != 1:
         return None
     if cls is T.Add:
-        return _shift, n
-    return (_shift, -n) if right else (_rsub, n)
+        return _SHIFT, n
+    return (_SHIFT, -n) if right else (_RSUB, n)
 
 
 _BOTH = object()  # the parameter of a step that reads two operand registers
-_BINARY = {T.Add: (_add, _BOTH), T.Sub: (_sub, _BOTH),
+_BINARY = {T.Add: (_ADD, _BOTH), T.Sub: (_SUB, _BOTH),
            T.Mul: (_mul, _BOTH), T.Div: (_div, _BOTH)}
-_NEGATE, _SQUARE = (_neg, None), (_square, None)  # steps that read one register
+_NEGATE, _SQUARING = (_NEG, None), (_SQUARE, None)  # steps that read one register
+# the name of each function's enclosure in this module, looked up when a
+# node is compiled, so that wrappers set on these names apply
+_ENCLOSURES = {cls: f.__name__ for cls, f in ((T.Sin, sin_enclosure), (T.Cos, cos_enclosure),
+                                              (T.Exp, exp_enclosure), (T.Sqrt, sqrt_enclosure))}
 _OPERANDS_DONE = object()  # on the walk's stack: the step below it is next
 
 
@@ -179,20 +143,17 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     """The natural interval extension of t, as a function of the
     intervals of `names` (in that order) and the precision p.  One
     post-order walk, dispatched on each node's class: a step goes on the
-    stack as an (operation, parameter) pair under a marker, below its
+    stack as a (step, parameter) pair under a marker, below its
     operands, and is emitted when the marker comes off.  The pair is
     chosen when the node is pushed; a constant operand that a specialised
     step reads (`_constant_step`) becomes its parameter, not a leaf.  The
-    parameter is `_BOTH` for two operand registers, None for one, and
-    otherwise a register of its own after the operand's: a power's
-    exponent, a function's enclosure or a constant's integers.  The
+    parameter is `_BOTH` for two operand registers and None for one;
+    a constant's integers are the step's `j` itself, and a power's
+    exponent or a function's enclosure gets a register.  The
     evaluator's `reads` is the frozenset of the names of t's `Var`
     leaves, its free variables, in `names` or not; an evaluator that
     reads a name not in `names` raises ValueError when it runs, naming
     those names, and one whose names are all there runs as it would."""
-    # looked up at compile time, so wrappers set on this module's names apply
-    enclosures = {T.Sin: sin_enclosure, T.Cos: cos_enclosure,
-                  T.Exp: exp_enclosure, T.Sqrt: sqrt_enclosure}
     names = tuple(names)
     slot = {name: i for i, name in enumerate(names)}
     n = len(names)
@@ -203,7 +164,7 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
     # step result in the order of the walk; `template` holds those after
     # the environment, with the constants and parameters in place
     template: list = []
-    tape: list[tuple] = []  # (op, i, j, k): regs[k] = op(regs[i], regs[j], p)
+    tape: list[tuple] = []  # (step, i, j, k): regs[k] from regs[i] and j
     done: list[int] = []  # the registers of the operands computed so far
     stack: list = [t]
     while stack:
@@ -221,13 +182,10 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
             if cls is Pi:  # a step without operands
                 op, i, j = _pi, 0, 0
             else:
-                op, c = stack.pop()
-                i = j = done.pop()
-                if c is _BOTH:  # j is the right operand
-                    i = done.pop()
-                elif c is not None:
-                    j = n + len(template)
-                    template.append(c)
+                op, j = stack.pop()
+                i = done.pop()
+                if j is _BOTH:  # the right operand's register
+                    j, i = i, done.pop()
             k = n + len(template)
             template.append(None)
             tape.append((op, i, j, k))
@@ -242,15 +200,20 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
                 stack += (_BINARY[cls], _OPERANDS_DONE, right, left)
         elif cls is Pow:
             e = node.exponent
-            stack += (_SQUARE if e == 2 else (_pow, e), _OPERANDS_DONE, node.base)
+            if e == 2:
+                stack += (_SQUARING, _OPERANDS_DONE, node.base)
+            else:
+                stack += ((_pow, n + len(template)), _OPERANDS_DONE, node.base)
+                template.append(e)
         elif cls is Neg:
             stack += (_NEGATE, _OPERANDS_DONE, node.arg)
-        elif cls in enclosures:
-            stack += ((_apply, enclosures[cls]), _OPERANDS_DONE, node.arg)
+        elif cls in _ENCLOSURES:
+            stack += ((_apply, n + len(template)), _OPERANDS_DONE, node.arg)
+            template.append(globals()[_ENCLOSURES[cls]])
         else:
             raise TypeError(f"unknown term node: {cls.__name__}")
     result = done.pop()
-    unbound = sorted(reads.difference(names))
+    unbound = () if reads <= slot.keys() else sorted(reads.difference(names))
     size = -1 if unbound else n  # no environment has length -1
 
     def evaluate(env: Sequence[Ival], p: int) -> Ival:
@@ -260,7 +223,49 @@ def compile_term(t: T.Term, names: Sequence[str]) -> Evaluator:
             raise ValueError(f"{len(env)} intervals for the {n} variables {names}")
         regs = [*env, *template]
         for op, i, j, k in tape:
-            regs[k] = op(regs[i], regs[j], p)
+            if op is _SHIFT:  # a + j for an integer j: a sum with (j, j, 1), no lcm
+                lo, hi, d = regs[i]
+                s = j * d
+                regs[k] = lo + s, hi + s, d
+            elif op is _SQUARE:  # a^2, the triple of _pow(a, 2)
+                lo, hi, d = regs[i]
+                if lo >= 0:
+                    regs[k] = lo * lo, hi * hi, d * d
+                elif hi <= 0:
+                    regs[k] = hi * hi, lo * lo, d * d
+                else:
+                    regs[k] = 0, max(lo * lo, hi * hi), d * d
+            elif op is _ADD:
+                lo, hi, d = regs[i]
+                blo, bhi, e = regs[j]
+                if d == e:
+                    regs[k] = lo + blo, hi + bhi, d
+                else:
+                    m = lcm(d, e)
+                    s, r = m // d, m // e
+                    regs[k] = lo * s + blo * r, hi * s + bhi * r, m
+            elif op is _SUB:
+                lo, hi, d = regs[i]
+                blo, bhi, e = regs[j]
+                if d == e:
+                    regs[k] = lo - bhi, hi - blo, d
+                else:
+                    m = lcm(d, e)
+                    s, r = m // d, m // e
+                    regs[k] = lo * s - bhi * r, hi * s - blo * r, m
+            elif op is _SCALE:  # a * c/e for j = (c, e), e > 0: _mul with (c, c, e)
+                lo, hi, d = regs[i]
+                c, e = j
+                regs[k] = (lo * c, hi * c, d * e) if c >= 0 else (hi * c, lo * c, d * e)
+            elif op is _RSUB:  # j - a for an integer j: a difference of (j, j, 1) and a
+                lo, hi, d = regs[i]
+                s = j * d
+                regs[k] = s - hi, s - lo, d
+            elif op is _NEG:
+                lo, hi, d = regs[i]
+                regs[k] = -hi, -lo, d
+            else:
+                regs[k] = op(regs[i], regs[j], p)
         return regs[result]
 
     evaluate.reads = frozenset(reads)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from .record import Frozen, init_field
+from .record import Frozen, field_setters
 
 
 class Term(Frozen):
@@ -24,7 +24,7 @@ class Const(Term):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: Fraction) -> None:
-        init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+        _set_value(self, value if isinstance(value, Fraction) else Fraction(value))
 
 
 class Pi(Term):
@@ -35,22 +35,22 @@ class Var(Term):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
-        init_field(self, "name", name)
+        _set_name(self, name)
 
 
 class _Binary(Term):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term) -> None:
-        init_field(self, "left", left)
-        init_field(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class _Unary(Term):
     __slots__ = _fields = ("arg",)
 
     def __init__(self, arg: Term) -> None:
-        init_field(self, "arg", arg)
+        _set_arg(self, arg)
 
 
 class Add(_Binary):
@@ -79,8 +79,8 @@ class Pow(Term):
     def __init__(self, base: Term, exponent: int) -> None:
         if exponent < 0:
             raise ValueError("only natural exponents are allowed")
-        init_field(self, "base", base)
-        init_field(self, "exponent", exponent)
+        _set_base(self, base)
+        _set_exponent(self, exponent)
 
 
 class Sin(_Unary):
@@ -97,6 +97,11 @@ class Exp(_Unary):
 
 class Sqrt(_Unary):
     __slots__ = ()
+
+
+(_set_value,), (_set_name,), (_set_arg,) = map(field_setters, (Const, Var, _Unary))
+_set_left, _set_right = field_setters(_Binary)
+_set_base, _set_exponent = field_setters(Pow)
 
 
 _Monomial = tuple["Term", ...]  # sorted atomic factors, with multiplicity
@@ -160,7 +165,7 @@ def _expand(t: Term) -> dict[_Monomial, _Coeff] | None:
 
 def _sum_into(acc: dict[_Monomial, _Coeff], mono: _Monomial, n: int, d: int) -> None:
     """acc[mono] += n/d over the lcm of the denominators, as
-    `evaluation._add` aligns them; a coefficient that cancels is dropped."""
+    the evaluator's sum step aligns them; a coefficient that cancels is dropped."""
     got = acc.get(mono)
     if got is not None:
         m, e = got

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare the solver
 against: the three-valued `and` and `or` on subsets of {True, False},
 boxes of `Fraction` intervals (`RatBox`) and interval
-arithmetic on them, the pi, sin, cos, exp and sqrt enclosures and term
+arithmetic on them, the generic operations on unreduced integer
+triples and term evaluation by them, the pi, sin, cos, exp and sqrt enclosures and term
 evaluation on `Fraction` endpoints, exact and float term evaluation,
 substitution of rational constants for variables, the free variables of
 a term and of a formula by recursion, the polynomial
@@ -169,6 +170,71 @@ def box_issubset(a: RatBox, b: RatBox) -> bool:
 
 def to_interval(x: Ival) -> RatInterval:
     return RatInterval(Fraction(x[0], x[2]), Fraction(x[1], x[2]))
+
+
+# ---------------------------------------------------------------------------
+# the generic operations on `Ival` triples, unreduced: a sum or difference
+# over the lcm of the denominators (their common one when they agree), a
+# product of the four corner products, a quotient as the product with the
+# reciprocal [db/bhi, db/blo] and a natural power.  Every step of a
+# compiled tape, those with a constant operand and the square among them,
+# must return the very triple that these give for its operands, a
+# constant c being (num, num, den)
+
+
+def triple_add(a: Ival, b: Ival) -> Ival:
+    d = math.lcm(a[2], b[2])
+    sa, sb = d // a[2], d // b[2]
+    return a[0] * sa + b[0] * sb, a[1] * sa + b[1] * sb, d
+
+
+def triple_sub(a: Ival, b: Ival) -> Ival:
+    d = math.lcm(a[2], b[2])
+    sa, sb = d // a[2], d // b[2]
+    return a[0] * sa - b[1] * sb, a[1] * sa - b[0] * sb, d
+
+
+def triple_neg(a: Ival) -> Ival:
+    return -a[1], -a[0], a[2]
+
+
+def triple_mul(a: Ival, b: Ival) -> Ival:
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ps), max(ps), a[2] * b[2]
+
+
+def triple_div(a: Ival, b: Ival) -> Ival:
+    blo, bhi, db = b
+    if blo <= 0 <= bhi:
+        raise DomainError("division by an interval containing zero")
+    return triple_mul(a, (db * blo, db * bhi, blo * bhi))
+
+
+def triple_pow(a: Ival, n: int) -> Ival:
+    lo, hi, d = a
+    if n == 0:
+        return 1, 1, 1
+    if n % 2 or lo >= 0:
+        return lo ** n, hi ** n, d ** n
+    if hi <= 0:
+        return hi ** n, lo ** n, d ** n
+    return 0, max(lo ** n, hi ** n), d ** n
+
+
+def triple_eval(t: T.Term, env: Mapping[str, Ival]) -> Ival:
+    """The generic operations above by recursion over a term of
+    constants, variables, + - * /, negation and natural powers."""
+    if isinstance(t, T.Const):
+        num, den = t.value.as_integer_ratio()
+        return num, num, den
+    if isinstance(t, T.Var):
+        return env[t.name]
+    if isinstance(t, T.Neg):
+        return triple_neg(triple_eval(t.arg, env))
+    if isinstance(t, T.Pow):
+        return triple_pow(triple_eval(t.base, env), t.exponent)
+    op = {T.Add: triple_add, T.Sub: triple_sub, T.Mul: triple_mul, T.Div: triple_div}[type(t)]
+    return op(triple_eval(t.left, env), triple_eval(t.right, env))
 
 
 # ---------------------------------------------------------------------------

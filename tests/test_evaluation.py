@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasisat import terms as T
-from quasisat.evaluation import (_add, _constant_step, _div, _mul, _pow, _square, _sub, certify,
-                                 compile_term, positive_lower_bound)
+from quasisat.evaluation import _constant_step, certify, compile_term, positive_lower_bound
 from quasisat.intervals import DomainError, ival
 from quasisat.parser import parse
 
@@ -203,10 +202,12 @@ def test_evaluation_depth_is_not_bounded_by_the_stack():
 
 
 # ---------------------------------------------------------------------------
-# step kinds: a step with a constant operand, and the square, return the
-# very triple of the generic operation they replace
+# step kinds: a compiled step with a constant operand, the square and
+# every other step the evaluator runs inline return the very triple of
+# the generic operation (`oracles.triple_*`) they replace
 
-GENERIC = {T.Add: _add, T.Sub: _sub, T.Mul: _mul, T.Div: _div}
+GENERIC = {T.Add: oracles.triple_add, T.Sub: oracles.triple_sub,
+           T.Mul: oracles.triple_mul, T.Div: oracles.triple_div}
 
 
 @st.composite
@@ -223,18 +224,67 @@ def test_a_constant_operand_step_returns_the_generic_triple(a, cls, right, c):
     c = Fraction(c)
     const = (c.numerator, c.numerator, c.denominator)
     operands = (a, const) if right else (const, a)
-    step = _constant_step(cls, c, right)
-    if step is None:  # a non-integer sum or difference, c / t and t / 0 stay generic
+    t = cls(X, T.Const(c)) if right else cls(T.Const(c), X)
+    if _constant_step(cls, c, right) is None:
+        # a non-integer sum or difference, c / t and t / 0 stay generic
         assert (cls in (T.Add, T.Sub) and c.denominator > 1
                 or cls is T.Div and not (right and c))
-        return
-    op, parameter = step
-    assert op(a, parameter, 10) == GENERIC[cls](*operands, 10)
+    want = _outcome(lambda: GENERIC[cls](*operands))
+    assert _outcome(lambda: compile_term(t, ("x",))([a], 10)) == want
 
 
 @given(_triples())
 def test_the_square_step_returns_the_generic_triple(a):
-    assert _square(a, None, 10) == _pow(a, 2, 10)
+    assert compile_term(T.Pow(X, 2), ("x",))([a], 10) == oracles.triple_pow(a, 2)
+
+
+def _inline_terms():
+    """Terms of the steps that the evaluator runs inline only: sums and
+    differences of two terms, integer shifts either way round, scales by
+    constants of either sign (a product either way round, a quotient by a
+    nonzero constant), negations and squares."""
+    ints = st.integers(-5, 5).map(T.Const)
+    nonzero = (constants | st.fractions(-9, 9, max_denominator=7)).filter(bool).map(T.Const)
+
+    def steps(sub):
+        return st.one_of(
+            st.builds(T.Add, sub, sub), st.builds(T.Sub, sub, sub),
+            st.builds(T.Add, sub, ints), st.builds(T.Add, ints, sub),
+            st.builds(T.Sub, sub, ints), st.builds(T.Sub, ints, sub),
+            st.builds(T.Mul, sub, nonzero), st.builds(T.Mul, nonzero, sub),
+            st.builds(T.Div, sub, nonzero), st.builds(T.Neg, sub), st.builds(T.Pow, sub, st.just(2)))
+
+    return st.recursive(st.sampled_from([T.Var(n) for n in NAMES]), steps, max_leaves=8)
+
+
+# every inline kind: a square that straddles 0 and one that does not, a
+# negative scale, and sums and differences of unequal denominators
+MIXED = parse("exists p in [-1,1], x in [-1,1], y in [-1,1] ."
+              " (3 - (x + 2))^2 - (-5/3*(p - y)^2 + y/7) + -(x*2) - (x - 1)^2 = 0").body.term
+
+
+@given(_inline_terms(), st.tuples(*[_triples()] * len(NAMES)))
+@example(MIXED, ((-3, 5, 3), (1, 7, 4), (-2, 1, 12)))
+@settings(max_examples=400, deadline=None)
+def test_a_tape_of_inline_steps_returns_the_generic_triple(t, env):
+    assert compile_term(t, NAMES)(list(env), 10) == oracles.triple_eval(t, dict(zip(NAMES, env)))
+
+
+def test_a_domain_error_after_inline_steps_passes_certify_to_the_next_component():
+    """A component whose tape runs inline steps and then leaves its
+    domain holds zero for certify, which goes on to the next one;
+    positive_lower_bound has no bound."""
+    env = [ival(0, 1)]
+    # sqrt(-(2*x + 3)^2 + (x - 1)), which the parser refuses, and 3 - x/2
+    inside = T.Add(T.Neg(T.Pow(T.Add(T.Mul(T.Const(2), X), T.Const(3)), 2)), T.Sub(X, T.Const(1)))
+    sqrt_of_negative, excluded = (compile_term(t, ("x",)) for t in (
+        T.Sqrt(inside), T.Sub(T.Const(3), T.Div(X, T.Const(2)))))
+    with pytest.raises(DomainError):
+        sqrt_of_negative(env, 10)
+    i, sign, num, den = certify([sqrt_of_negative, excluded], env, 10)
+    assert (i, sign) == (1, 1) and Fraction(num, den) == Fraction(5, 2)
+    assert certify([sqrt_of_negative], env, 10) is None
+    assert positive_lower_bound([excluded, sqrt_of_negative], env, 10) is None
 
 
 @pytest.mark.parametrize("t", [T.Div(X, T.Const(0)), T.Div(T.Const(1), T.Const(0)),
